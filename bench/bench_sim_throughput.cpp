@@ -1,6 +1,6 @@
 // Simulator-throughput baseline: measures raw cycles/sec of the
-// cycle loop (fast-forward on and off), a memory-contended co-run with
-// the activity-tracked cycle engine on (loop profiler attached) and off,
+// cycle loop, a memory-contended co-run with the activity-tracked cycle
+// engine on (loop profiler attached) and off,
 // a live DASE-Fair co-run with the policy governor on vs. off (the ≤2%
 // overhead contract from DESIGN.md §14), a co-run with the TelemetryHub
 // attached vs. absent (the ≤2% disabled-path contract from DESIGN.md §15),
@@ -51,48 +51,32 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-struct LoopResult {
-  double cycles_per_sec = 0.0;
-  double fast_forwarded_fraction = 0.0;
-};
-
 /// Cycles/sec of a two-app co-run over `cycles` cycles (after a short
-/// warmup), with the idle-cycle fast-forward on or off.
-LoopResult time_cycle_loop(const GpuConfig& cfg, Cycle cycles,
-                           bool fast_forward) {
+/// warmup).
+double time_cycle_loop(const GpuConfig& cfg, Cycle cycles) {
   Simulation sim(cfg, {AppLaunch{*find_app("VA"), 1001},
                        AppLaunch{*find_app("SD"), 1002}});
-  sim.set_fast_forward(fast_forward);
   sim.gpu().set_partition(even_partition(sim.gpu().num_sms(), 2));
 
   sim.run(20'000);  // warm the pipeline so timing sees steady state
-  const u64 ff_before = sim.gpu().fast_forwarded_cycles();
   const auto start = std::chrono::steady_clock::now();
   sim.run(cycles);
   const double elapsed = seconds_since(start);
-
-  LoopResult r;
-  r.cycles_per_sec =
-      elapsed > 0.0 ? static_cast<double>(cycles) / elapsed : 0.0;
-  r.fast_forwarded_fraction =
-      static_cast<double>(sim.gpu().fast_forwarded_cycles() - ff_before) /
-      static_cast<double>(cycles);
-  return r;
+  return elapsed > 0.0 ? static_cast<double>(cycles) / elapsed : 0.0;
 }
 
 /// Cycles/sec of a memory-contended co-run (two DRAM-saturating kernels
 /// sharing six partitions) with the activity-tracked cycle engine on or
 /// off.  This is the scenario the engine targets: most SMs idle on
 /// outstanding misses each cycle while the memory system stays busy, so
-/// the per-component wake tracking skips them without the global
-/// fast-forward ever triggering.  The engine-on run carries the loop
-/// profiler so the baseline records where the remaining wall time goes.
-LoopResult time_contended_loop(const GpuConfig& cfg, Cycle cycles,
-                               bool engine_on, LoopProfiler* profiler) {
+/// the per-component wake tracking skips them.  The engine-on run carries
+/// the loop profiler so the baseline records where the remaining wall time
+/// goes.
+double time_contended_loop(const GpuConfig& cfg, Cycle cycles,
+                           bool engine_on, LoopProfiler* profiler) {
   Simulation sim(cfg, {AppLaunch{*find_app("SD"), 2001},
                        AppLaunch{*find_app("SA"), 2002}});
   sim.set_activity_sched(engine_on);
-  sim.set_fast_forward(engine_on);
   sim.gpu().set_partition(even_partition(sim.gpu().num_sms(), 2));
 
   sim.run(20'000);  // warm the pipeline so timing sees steady state
@@ -100,18 +84,10 @@ LoopResult time_contended_loop(const GpuConfig& cfg, Cycle cycles,
     profiler->reset();
     sim.set_loop_profiler(profiler);
   }
-  const u64 ff_before = sim.gpu().fast_forwarded_cycles();
   const auto start = std::chrono::steady_clock::now();
   sim.run(cycles);
   const double elapsed = seconds_since(start);
-
-  LoopResult r;
-  r.cycles_per_sec =
-      elapsed > 0.0 ? static_cast<double>(cycles) / elapsed : 0.0;
-  r.fast_forwarded_fraction =
-      static_cast<double>(sim.gpu().fast_forwarded_cycles() - ff_before) /
-      static_cast<double>(cycles);
-  return r;
+  return elapsed > 0.0 ? static_cast<double>(cycles) / elapsed : 0.0;
 }
 
 struct GovernedResult {
@@ -263,18 +239,15 @@ int main(int argc, char** argv) {
          "cycle-loop cycles/sec + sweep wall-time (BENCH_throughput.json)");
 
   GpuConfig cfg;
-  const LoopResult fast = time_cycle_loop(cfg, loop_cycles, true);
-  const LoopResult slow = time_cycle_loop(cfg, loop_cycles, false);
+  const double loop_cps = time_cycle_loop(cfg, loop_cycles);
 
   LoopProfiler profiler;
-  const LoopResult contended =
+  const double contended_cps =
       time_contended_loop(cfg, loop_cycles, true, &profiler);
-  const LoopResult contended_off =
+  const double contended_off_cps =
       time_contended_loop(cfg, loop_cycles, false, nullptr);
   const double contended_speedup =
-      contended_off.cycles_per_sec > 0.0
-          ? contended.cycles_per_sec / contended_off.cycles_per_sec
-          : 0.0;
+      contended_off_cps > 0.0 ? contended_cps / contended_off_cps : 0.0;
 
   const GovernedResult governed = time_governed_loop(loop_cycles);
   const TelemetryResult telemetry = time_telemetry_loop(cfg, loop_cycles);
@@ -301,20 +274,13 @@ int main(int argc, char** argv) {
   std::fprintf(out, "\"host_hw_threads\": %d,\n", hw);
   std::fprintf(out, "\"loop_cycles\": %llu,\n",
                static_cast<unsigned long long>(loop_cycles));
-  std::fprintf(out, "\"sim_cycles_per_sec_fast_forward\": %.1f,\n",
-               fast.cycles_per_sec);
-  std::fprintf(out, "\"sim_cycles_per_sec_no_fast_forward\": %.1f,\n",
-               slow.cycles_per_sec);
-  std::fprintf(out, "\"fast_forwarded_fraction\": %.4f,\n",
-               fast.fast_forwarded_fraction);
+  std::fprintf(out, "\"sim_cycles_per_sec\": %.1f,\n", loop_cps);
   std::fprintf(out, "\"contended_cycles_per_sec\": %.1f,\n",
-               contended.cycles_per_sec);
+               contended_cps);
   std::fprintf(out, "\"contended_cycles_per_sec_no_activity\": %.1f,\n",
-               contended_off.cycles_per_sec);
+               contended_off_cps);
   std::fprintf(out, "\"contended_activity_speedup\": %.3f,\n",
                contended_speedup);
-  std::fprintf(out, "\"contended_fast_forwarded_fraction\": %.4f,\n",
-               contended.fast_forwarded_fraction);
   std::fprintf(out, "%s", profiler.to_json_lines(true).c_str());
   std::fprintf(out, "\"profile_total_ns\": %llu,\n",
                static_cast<unsigned long long>(profiler.total_ns()));
@@ -343,15 +309,11 @@ int main(int argc, char** argv) {
   std::fprintf(out, "}\n");
   std::fclose(out);
 
+  std::printf("cycles/sec: %.0f\n", loop_cps);
   std::printf(
-      "cycles/sec: %.0f (fast-forward on, %.1f%% skipped), %.0f (off)\n",
-      fast.cycles_per_sec, 100.0 * fast.fast_forwarded_fraction,
-      slow.cycles_per_sec);
-  std::printf(
-      "contended SD+SA: %.0f cycles/sec with the activity engine "
-      "(%.1f%% fast-forwarded), %.0f without (%.2fx)\n",
-      contended.cycles_per_sec, 100.0 * contended.fast_forwarded_fraction,
-      contended_off.cycles_per_sec, contended_speedup);
+      "contended SD+SA: %.0f cycles/sec with the activity engine, %.0f "
+      "without (%.2fx)\n",
+      contended_cps, contended_off_cps, contended_speedup);
   std::printf(
       "governed DASE-Fair VA+SD: %.0f cycles/sec with the governor, "
       "%.0f without (best-pair ratio %.3f)\n",

@@ -38,8 +38,8 @@ u64 fnv1a(const std::string& text, u64 h = 0xcbf29ce484222325ull) {
 std::string build_features() {
   // The compiled-in capability set; extend when a PR adds a subsystem an
   // artifact consumer might need to know about.
-  return "activity-engine,fast-forward,mshr-retry,simstate,chaos,jobs,"
-         "flight-recorder,crash-bundle,triage";
+  return "activity-engine,mshr-retry,simstate,chaos,jobs,flight-recorder,"
+         "crash-bundle,triage";
 }
 
 std::string build_type() {

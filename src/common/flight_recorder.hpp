@@ -11,12 +11,14 @@
 //
 // Determinism contract: every tap records *simulated-state transitions
 // only*, so the ring contents (and therefore the state hash) are
-// bit-identical whether the activity engine or the idle-cycle fast-forward
-// are on or off.  Concretely:
+// bit-identical whether the activity engine is on or off.  Concretely:
 //   - block dispatch / MSHR retry events fire from an SM's cycle, and a
 //     skipped SM is provably quiet (no dispatch, no due retry);
-//   - migration and fault events only occur while the engine is pinned off
-//     (migration_pending_ / injector attached);
+//   - migration events fire under either engine, from set_partition or
+//     from the last step of a cycle, after the same SM work; a draining SM
+//     that sleeps is frozen, so it empties on the same cycle either way;
+//   - fault events only occur while the engine is pinned off (injector
+//     attached);
 //   - high-water marks are monotone functions of queue occupancy, which
 //     evolves identically under either engine;
 //   - crossbar stall episodes are derived from transfer()'s blocked-source

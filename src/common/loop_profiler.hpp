@@ -2,8 +2,8 @@
 //
 // Attributes wall time and visit counts to the phases of the simulator's
 // hot loop — SM advance, response delivery, the two crossbar directions,
-// the memory partitions, the fast-forward path and interval bookkeeping —
-// so performance PRs argue from measured breakdowns instead of guesses.
+// the memory partitions and interval bookkeeping — so performance PRs
+// argue from measured breakdowns instead of guesses.
 // When no profiler is attached the per-cycle cost is a null-pointer check
 // per phase; the chrono reads only happen while profiling.
 #pragma once
@@ -25,7 +25,6 @@ class LoopProfiler {
     kXbarReq,           ///< request crossbar transfer (SM -> partition)
     kXbarResp,          ///< response crossbar transfer (partition -> SM)
     kPartition,         ///< MemoryPartition::cycle() (L2 + DRAM)
-    kFastForward,       ///< dead-cycle probe + bulk skip
     kIntervalBookkeeping,  ///< end_interval() + observer dispatch
     kNumPhases,
   };
@@ -33,8 +32,8 @@ class LoopProfiler {
   /// Bench/CLI JSON key stem for one phase ("sm_advance", ...).
   static const char* phase_key(int p) {
     static const char* const names[kNumPhases] = {
-        "sm_advance",     "resp_delivery", "xbar_req",     "xbar_resp",
-        "partition",      "fast_forward",  "interval_bookkeeping",
+        "sm_advance", "resp_delivery", "xbar_req",
+        "xbar_resp",  "partition",     "interval_bookkeeping",
     };
     return p >= 0 && p < kNumPhases ? names[p] : "unknown";
   }

@@ -103,8 +103,8 @@ void Gpu::set_partition(const std::vector<AppId>& desired) {
                   .detail("num_apps", num_apps()));
   }
   // Repartitioning reassigns SM owners (which changes whose counters the
-  // bulk accruals feed) and may leave a pending migration that pins the
-  // per-cycle path — settle and invalidate the engine first.
+  // bulk accruals feed) and starts or cancels drains — settle and
+  // invalidate the engine first.
   sync_all_to(now_);
   engine_dirty_ = true;
   u64 changing = 0;
@@ -116,7 +116,7 @@ void Gpu::set_partition(const std::vector<AppId>& desired) {
   }
   desired_partition_ = desired;
   migration_pending_ = true;
-  progress_migration();
+  progress_migration(now_);
 }
 
 std::vector<AppId> Gpu::current_partition() const {
@@ -141,7 +141,12 @@ void Gpu::set_priority_app(AppId app) {
   for (auto& p : partitions_) p->mc().set_priority_app(app);
 }
 
-void Gpu::progress_migration() {
+void Gpu::progress_migration(Cycle first_cycle) {
+  // Starting a drain leaves a sleeping SM quiet (it only stops refills),
+  // and a draining SM's state is frozen while it sleeps, so drained()
+  // reads the same under either engine.  A handed-over SM must run its
+  // new blocks, so it is due at `first_cycle`.  Drains are only cancelled
+  // from set_partition, which has already dirtied the engine.
   const bool was_pending = migration_pending_;
   bool pending = false;
   for (int s = 0; s < cfg_.num_sms; ++s) {
@@ -154,16 +159,18 @@ void Gpu::progress_migration() {
       }
       continue;
     }
-    const AppId old_owner = sm.app();
     if (sm.assigned()) {
       if (!sm.draining()) sm.start_drain();
-      if (sm.drained()) {
-        sm.release();
-      } else {
+      if (!sm.drained()) {
         pending = true;
         continue;
       }
     }
+    // Owed accruals up to the handover belong to the old owner (an SM
+    // usually empties in its own cycle, leaving nothing owed).
+    sync_sm_to(s, first_cycle);
+    const AppId old_owner = sm.app();
+    if (sm.assigned()) sm.release();
     recorder_.record(now_, FrEvent::kMigrationHandover, s, want,
                      old_owner == kInvalidApp
                          ? 0
@@ -172,7 +179,7 @@ void Gpu::progress_migration() {
     if (want != kInvalidApp) {
       sm.assign(runtimes_[want].get(), now_);
     }
-    // (Re-check: newly assigned SM now matches `want`.)
+    sm_wake_[s] = first_cycle;
   }
   migration_pending_ = pending;
   if (was_pending && !pending) {
@@ -238,8 +245,8 @@ void Gpu::rebuild_engine_state() {
 }
 
 void Gpu::cycle_engine() {
-  // Same phase order as cycle_full(), with the injector/migration hooks
-  // compiled out (engine_enabled() excludes both) and every phase gated on
+  // Same phase order as cycle_full(), with the injector hooks compiled out
+  // (engine_enabled() excludes an injector) and every phase gated on
   // tracked activity.  A component skipped here is provably quiet: its
   // cycle() would only have accrued counters, which sync_*_to() settles in
   // one lump when it wakes.
@@ -349,6 +356,9 @@ void Gpu::cycle_engine() {
     }
   }
 
+  // 5. Hand over any drained SMs under a pending repartition.
+  if (migration_pending_) progress_migration(now_ + 1);
+
   ++now_;
 }
 
@@ -448,78 +458,21 @@ void Gpu::cycle_full() {
     recorder_.note_xbar_stall(now_, /*resp_channel=*/true, blocked);
   }
 
+  // This path accrues everything eagerly, so the sync cursors track the
+  // clock (a handover below then has nothing left to settle); re-entering
+  // the engine later starts from a clean rebuild.
+  for (int s = 0; s < cfg_.num_sms; ++s) sm_synced_[s] = now_ + 1;
+  for (int p = 0; p < cfg_.num_partitions; ++p) part_synced_[p] = now_ + 1;
+  engine_dirty_ = true;
+
   // 5. Hand over any drained SMs under a pending repartition.
-  if (migration_pending_) progress_migration();
+  if (migration_pending_) progress_migration(now_ + 1);
 
   ++now_;
-
-  // This path accrues everything eagerly, so the sync cursors track the
-  // clock; re-entering the engine later starts from a clean rebuild.
-  for (int s = 0; s < cfg_.num_sms; ++s) sm_synced_[s] = now_;
-  for (int p = 0; p < cfg_.num_partitions; ++p) part_synced_[p] = now_;
-  engine_dirty_ = true;
 }
 
 void Gpu::run(Cycle cycles) {
   for (Cycle c = 0; c < cycles; ++c) cycle();
-}
-
-Cycle Gpu::dead_cycles_until(Cycle max_skip) const {
-  // A fault injector hooks individual cycles (stall windows, nth-event
-  // drops), and a pending migration re-polls drained() every cycle — both
-  // need the full per-cycle path.
-  if (max_skip == 0 || injector_ != nullptr || migration_pending_) return 0;
-
-  if (engine_enabled() && !engine_dirty_) {
-    // The engine already maintains every component's next event as its
-    // wake cycle, so the probe is a scan of two small arrays.  A component
-    // due now (or pending request traffic, whose SM is due by invariant)
-    // means this cycle may do real work.
-    if (req_src_mask_ != 0) return 0;
-    Cycle next = now_ + max_skip;
-    for (int s = 0; s < cfg_.num_sms; ++s) {
-      if (sm_wake_[s] <= now_) return 0;
-      next = std::min(next, sm_wake_[s]);
-    }
-    for (int p = 0; p < cfg_.num_partitions; ++p) {
-      if (part_wake_[p] <= now_) return 0;
-      next = std::min(next, part_wake_[p]);
-    }
-    return next - now_;
-  }
-
-  Cycle next = now_ + max_skip;
-  for (int s = 0; s < cfg_.num_sms; ++s) {
-    if (!sms_[s]->quiet_at(now_)) return 0;
-    const auto& rq = resp_net_.dest_queue(s);
-    if (!rq.empty()) {
-      if (rq.front().ready <= now_) return 0;
-      next = std::min(next, rq.front().ready);
-    }
-    next = std::min(next, sms_[s]->next_local_event());
-  }
-  for (int p = 0; p < cfg_.num_partitions; ++p) {
-    const auto& inq = req_net_.dest_queue(p);
-    if (!partitions_[p]->quiet_at(now_, inq)) return 0;
-    next = std::min(next, partitions_[p]->next_event_after(now_, inq));
-  }
-  // Quietness guarantees every head-of-line timestamp above is > now_.
-  return next - now_;
-}
-
-void Gpu::skip_dead_cycles(Cycle n) {
-  ProfScope prof(profiler_, LoopProfiler::kFastForward, n);
-  if (engine_enabled() && !engine_dirty_) {
-    // Every component sleeps past now_ + n, so their owed accruals are
-    // settled lazily at their next wake (or observation) — the jump itself
-    // only moves the clock.
-    now_ += n;
-    fast_forwarded_ += n;
-    return;
-  }
-  sync_all_to(now_ + n);
-  now_ += n;
-  fast_forwarded_ += n;
 }
 
 IntervalSample Gpu::end_interval() {
@@ -698,7 +651,7 @@ std::string Gpu::dump_state() const {
      << (activity_sched_ ? "" : " (disabled)")
      << (engine_supported_ ? "" : " (unsupported geometry)")
      << (injector_ != nullptr ? " (pinned: fault injector)" : "")
-     << (migration_pending_ ? " (pinned: migration pending)" : "")
+     << (migration_pending_ ? " migration-pending" : "")
      << (engine_dirty_ ? " dirty" : "")
      << " req_src_mask=0x" << std::hex << req_src_mask_
      << " resp_src_mask=0x" << resp_src_mask_ << std::dec;
@@ -732,13 +685,9 @@ std::string Gpu::dump_state() const {
 
 template <typename Sink>
 void Gpu::write_state(Sink& s) const {
-  // fast_forwarded_ is deliberately absent: it counts cycles the idle-cycle
-  // fast-forward *skipped*, which is execution-strategy bookkeeping, not
-  // simulated state — including it would make the fast-forward-on and -off
-  // hashes differ even though every simulated observable is identical.
-  // The activity-engine wakes/masks/cursors are likewise execution
-  // strategy, not state; settling owed accruals here makes the serialized
-  // counters identical to what the per-cycle walk would have written.
+  // The activity-engine wakes/masks/cursors are execution strategy, not
+  // state; settling owed accruals here makes the serialized counters
+  // identical to what the per-cycle walk would have written.
   sync_for_observation();
   s.put_tag("GPU ");
   s.put_u64(now_);

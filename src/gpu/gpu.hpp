@@ -87,47 +87,23 @@ class Gpu {
 
   // --- Activity-tracked cycle engine (DESIGN.md §12) ---------------------
   // By default cycle() dispatches to an engine that keeps a per-SM and
-  // per-partition wake cycle (the quiet_at()/next-event machinery from the
-  // fast-forward path, maintained every cycle) plus pending-source
-  // occupancy masks for the two crossbars, so one cycle only touches
-  // components with work.  Idle components are bulk-advanced with the
-  // skip_cycles() accounting when they next wake, which keeps every
-  // simulated observable — state hashes, snapshots, interval samples —
-  // bit-identical to the per-cycle walk.  A fault injector or a pending SM
-  // migration pins the whole GPU to the per-cycle path, exactly as
-  // dead_cycles_until() refuses to skip under them.
+  // per-partition wake cycle (from the components' quiet_at()/next-event
+  // predicates) plus pending-source occupancy masks for the two crossbars,
+  // so one cycle only touches components with work.  Idle components are
+  // bulk-advanced with the skip_cycles() accounting when they next wake,
+  // which keeps every simulated observable — state hashes, snapshots,
+  // interval samples — bit-identical to the per-cycle walk.  Only a fault
+  // injector or more than 64 SMs/partitions pins the whole GPU to the
+  // per-cycle reference walk (cycle_full).
 
   /// Enables/disables the activity engine (--no-activity-sched escape
   /// hatch).  Safe at any cycle: owed accruals are settled first, so
   /// flipping mid-run never changes simulated state.
   void set_activity_sched(bool on);
-  bool activity_sched() const { return activity_sched_; }
-
-  /// True when the next cycle() will take the activity-tracked path.
-  bool activity_engine_active() const { return engine_enabled(); }
 
   /// Attaches a loop profiler (nullptr detaches).  Must outlive the Gpu or
   /// be detached first.
   void set_loop_profiler(LoopProfiler* prof) { profiler_ = prof; }
-
-  /// Idle-cycle fast-forward probe: returns how many cycles starting at
-  /// now() are provably *dead* — cycle() would change nothing except the
-  /// per-cycle counter accruals — capped at `max_skip`.  Returns 0 when the
-  /// current cycle may do real work (or when a fault injector is attached /
-  /// a migration is pending, where per-cycle hooks must run).  The bound is
-  /// the earliest head-of-line event time across every SM, crossbar
-  /// delivery queue and memory partition; nothing in flight can act before
-  /// its queue front does.
-  Cycle dead_cycles_until(Cycle max_skip) const;
-
-  /// Applies `n` dead cycles in one jump: advances now() and adds the exact
-  /// counter accruals cycle() would have performed `n` times.  Caller must
-  /// have obtained `n` from dead_cycles_until().
-  void skip_dead_cycles(Cycle n);
-
-  /// Total cycles elapsed via skip_dead_cycles() (observability for tests
-  /// and benchmarks; not part of simulated state).
-  u64 fast_forwarded_cycles() const { return fast_forwarded_; }
 
   /// Aggregates all counters accumulated since the previous call into an
   /// IntervalSample and snapshots the counters.
@@ -199,12 +175,14 @@ class Gpu {
   std::vector<std::pair<std::string, u64>> component_hashes() const;
 
  private:
-  void progress_migration();
+  /// Hands drained SMs to their desired owners.  `first_cycle` is the
+  /// first cycle a handed-over SM runs for its new owner: now_ between
+  /// cycles (set_partition), now_ + 1 at the end of a cycle (step 5).
+  void progress_migration(Cycle first_cycle);
 
   // --- activity engine internals (see DESIGN.md §12) ---------------------
   bool engine_enabled() const {
-    return activity_sched_ && engine_supported_ && injector_ == nullptr &&
-           !migration_pending_;
+    return activity_sched_ && engine_supported_ && injector_ == nullptr;
   }
   void rebuild_engine_state();
   void cycle_engine();
@@ -234,7 +212,6 @@ class Gpu {
   bool migration_pending_ = false;
 
   Cycle now_ = 0;
-  u64 fast_forwarded_ = 0;
   Cycle last_interval_end_ = 0;
   PerAppCounter instructions_;
   PerAppCounter sm_cycles_;

@@ -13,7 +13,8 @@ namespace {
 constexpr Cycle kWatchdogCheckPeriod = 1024;
 }  // namespace
 
-void Simulation::run(Cycle cycles) {
+void Simulation::advance(Cycle cycles, AppId until_app,
+                         u64 until_instructions) {
   if (next_interval_end_ == 0) {
     next_interval_end_ = gpu_.now() + interval_length_;
   }
@@ -28,44 +29,29 @@ void Simulation::run(Cycle cycles) {
       budget_clips ? std::max(gpu_.now(), cycle_budget_) : requested_stop;
   const bool watchdog_on = watchdog_cycles_ != 0;
   const bool limits_on = limits_armed();
+  // Instructions only retire inside an SM's cycle, so the counter is exact
+  // between any two cycles under either engine.
+  const auto reached = [&] {
+    return until_app != kInvalidApp &&
+           gpu_.instructions().total(until_app) >= until_instructions;
+  };
 
   // The loop advances in *chunks* bounded by the next cycle at which
   // per-chunk bookkeeping (interval boundary, watchdog sampling point) is
-  // due, so the inner loop carries neither the hook dispatch nor the
-  // watchdog modulo when they have nothing to do.  Chunking changes no
-  // observable behaviour: intervals fire at the same cycles as the old
-  // per-cycle checks, and the watchdog still samples at every multiple of
+  // due, so the inner loop carries no watchdog modulo.  Chunking changes no
+  // observable behaviour: intervals fire at the same cycles as per-cycle
+  // checks would, and the watchdog still samples at every multiple of
   // kWatchdogCheckPeriod.
-  while (gpu_.now() < stop) {
+  while (gpu_.now() < stop && !reached()) {
     Cycle chunk_end = std::min(stop, next_interval_end_);
     if (watchdog_on || limits_on) {
       const Cycle wd_next =
           (gpu_.now() / kWatchdogCheckPeriod + 1) * kWatchdogCheckPeriod;
       chunk_end = std::min(chunk_end, wd_next);
     }
-    if (cycle_hooks_.empty()) {
-      while (gpu_.now() < chunk_end) {
-        if (fast_forward_) {
-          const Cycle dead = gpu_.dead_cycles_until(chunk_end - gpu_.now());
-          if (dead > 0) {
-            gpu_.skip_dead_cycles(dead);
-            continue;
-          }
-        }
-        gpu_.cycle();
-      }
-    } else {
-      // Per-cycle hooks observe (and may mutate) the GPU every cycle, so
-      // neither the fast-forward nor the hoisted loop applies — and the
-      // activity engine is pinned off for the hooked stretch so every
-      // counter a hook reads is accrued through the previous cycle.
-      const bool engine_was_on = gpu_.activity_sched();
-      gpu_.set_activity_sched(false);
-      while (gpu_.now() < chunk_end) {
-        for (CycleHook* hook : cycle_hooks_) hook->on_cycle(gpu_.now(), gpu_);
-        gpu_.cycle();
-      }
-      gpu_.set_activity_sched(engine_was_on);
+    while (gpu_.now() < chunk_end && !reached()) {
+      for (CycleHook* hook : cycle_hooks_) hook->on_cycle(gpu_.now(), gpu_);
+      gpu_.cycle();
     }
     maybe_fire_interval();
     if (gpu_.now() % kWatchdogCheckPeriod == 0) {
@@ -76,7 +62,7 @@ void Simulation::run(Cycle cycles) {
   // At least one limit check per run() call, so short runs (and the final
   // partial chunk) cannot outrun a tripped limit.
   if (limits_on) check_limits();
-  if (budget_clips) {
+  if (budget_clips && !reached()) {
     SIM_FAIL(SimError(SimErrorKind::kBudgetExceeded, "gpu.simulation",
                       "cycle budget exhausted before the requested run "
                       "length completed")
@@ -86,15 +72,10 @@ void Simulation::run(Cycle cycles) {
   }
 }
 
-void Simulation::run_until_instructions(AppId app, u64 target,
+bool Simulation::run_until_instructions(AppId app, u64 target,
                                         Cycle max_cycles) {
-  const Cycle stop = gpu_.now() + max_cycles;
-  while (gpu_.instructions().total(app) < target && gpu_.now() < stop) {
-    // Advance in interval-sized strides so observers keep firing.
-    const Cycle stride =
-        std::min<Cycle>(interval_length_, stop - gpu_.now());
-    run(stride);
-  }
+  advance(max_cycles, app, target);
+  return gpu_.instructions().total(app) >= target;
 }
 
 void Simulation::maybe_fire_interval() {

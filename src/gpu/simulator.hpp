@@ -32,7 +32,15 @@ class IntervalObserver {
 };
 
 /// Fired every cycle before the GPU advances; used by the MISE/ASM
-/// priority-epoch drivers.  Same SimState contract as IntervalObserver.
+/// priority-epoch drivers and the temporal policy.  Same SimState contract
+/// as IntervalObserver.
+///
+/// Hooks run on whichever engine is active, so a hook may change the GPU
+/// only through set_priority_app() and set_partition(), which settle the
+/// activity engine's owed accruals first.  It may read the clock, the
+/// partition table, migration state and the instruction counters; the
+/// lazily accrued stall/idle/DRAM counters are settled only at interval
+/// boundaries, so read those from an IntervalObserver.
 class CycleHook {
  public:
   virtual ~CycleHook() = default;
@@ -65,27 +73,14 @@ class Simulation {
   void set_watchdog(Cycle stall_cycles) { watchdog_cycles_ = stall_cycles; }
   Cycle watchdog_cycles() const { return watchdog_cycles_; }
 
-  /// Enables/disables the idle-cycle fast-forward (on by default).  The
-  /// fast-forward is an invariant-preserving optimization: simulated
-  /// output — interval samples, counters, watchdog firing cycles — is
-  /// byte-identical either way; only wall-clock changes.  The off switch
-  /// exists for the determinism tests and for bisecting suspected
-  /// fast-forward bugs.
-  void set_fast_forward(bool on) { fast_forward_ = on; }
-  bool fast_forward() const { return fast_forward_; }
-
   /// Enables/disables the GPU's activity-tracked cycle engine (on by
-  /// default; --no-activity-sched clears it).  Same contract as the
-  /// fast-forward switch: simulated output is bit-identical either way.
-  /// While per-cycle hooks are registered, run() pins the engine off for
-  /// the hooked stretch regardless — hooks observe (and may mutate) the
-  /// GPU every cycle, which the lazily-accrued engine counters would
-  /// violate — and restores this setting afterwards.
+  /// default; --no-activity-sched clears it).  An execution-strategy
+  /// switch: simulated output — interval samples, counters, watchdog
+  /// firing cycles — is bit-identical either way; only wall-clock changes.
   void set_activity_sched(bool on) { gpu_.set_activity_sched(on); }
-  bool activity_sched() const { return gpu_.activity_sched(); }
 
   /// Attaches a loop profiler to the GPU's cycle phases plus this driver's
-  /// fast-forward and interval bookkeeping (nullptr detaches).
+  /// interval bookkeeping (nullptr detaches).
   void set_loop_profiler(LoopProfiler* prof) {
     profiler_ = prof;
     gpu_.set_loop_profiler(prof);
@@ -124,21 +119,21 @@ class Simulation {
   /// SimError(kWatchdogStall) with a full pipeline-state dump when the
   /// watchdog detects a deadlock/livelock, and the typed limit errors
   /// described above when a configured limit trips.
-  void run(Cycle cycles);
+  void run(Cycle cycles) { advance(cycles, kInvalidApp, 0); }
 
-  /// Runs whole intervals until `app` has issued at least `target`
-  /// instructions in total, or `max_cycles` elapse.
-  void run_until_instructions(AppId app, u64 target, Cycle max_cycles);
+  /// Runs like run(max_cycles) but stops on the first cycle boundary at
+  /// which `app` has issued at least `target` instructions in total.
+  /// Returns whether the target was reached.
+  bool run_until_instructions(AppId app, u64 target, Cycle max_cycles);
 
   u64 intervals_completed() const { return intervals_completed_; }
 
   // --- SimState ----------------------------------------------------------
   // snapshot()/restore() capture the complete simulation: the GPU plus the
   // interval/watchdog bookkeeping plus every registered observer and cycle
-  // hook (in registration order).  watchdog_cycles_ and fast_forward_ are
+  // hook (in registration order).  watchdog_cycles_ and the run limits are
   // caller configuration, not simulated state: a restore keeps whatever the
-  // restoring caller configured, and fast-forward on/off cannot change
-  // simulated output by construction.
+  // restoring caller configured.
   void save(StateWriter& w) const;
   void load(StateReader& r);
 
@@ -157,6 +152,9 @@ class Simulation {
   std::vector<std::pair<std::string, u64>> component_hashes() const;
 
  private:
+  /// run()'s body: advances `cycles` cycles, or until `until_app` (when
+  /// not kInvalidApp) has issued `until_instructions` instructions.
+  void advance(Cycle cycles, AppId until_app, u64 until_instructions);
   void maybe_fire_interval();
   void check_watchdog();
   void check_limits();
@@ -177,7 +175,6 @@ class Simulation {
   Cycle watchdog_cycles_ = kDefaultWatchdogCycles;
   Cycle last_progress_cycle_ = 0;
   u64 last_progress_sig_ = 0;
-  bool fast_forward_ = true;
   LoopProfiler* profiler_ = nullptr;
 
   std::chrono::steady_clock::time_point wall_deadline_{};

@@ -62,10 +62,11 @@ const std::vector<FlagInfo>& flag_table() {
        "restore a single run from this snapshot before running\n"
        "(incompatible with --sweep)"},
       {FlagId::kAuditDeterminism, "--audit-determinism", nullptr,
-       "run the workload twice (activity engine + fast-forward on vs\n"
-       "both off), compare state hashes every --hash-every cycles; exit 4\n"
-       "and dump the diverging components on mismatch (combine with\n"
-       "--fault-schedule to audit under faults)"},
+       "run the workload twice (activity engine vs per-cycle walk, with\n"
+       "the --models, --policy and --split of a plain run), compare state\n"
+       "hashes every --hash-every cycles; exit 4 and dump the diverging\n"
+       "components on mismatch (combine with --fault-schedule to audit\n"
+       "under faults)"},
       {FlagId::kHashEvery, "--hash-every", "N",
        "audit sampling period in cycles (default 10000)"},
       {FlagId::kNoActivitySched, "--no-activity-sched", nullptr,
@@ -80,8 +81,8 @@ const std::vector<FlagInfo>& flag_table() {
        "runs are byte-identical either way)"},
       {FlagId::kProfileLoop, "--profile-loop", nullptr,
        "attribute wall time and visit counts to the cycle-loop phases\n"
-       "(SM advance, response delivery, crossbars, partitions,\n"
-       "fast-forward, interval bookkeeping); prints a JSON breakdown"},
+       "(SM advance, response delivery, crossbars, partitions, interval\n"
+       "bookkeeping); prints a JSON breakdown"},
       {FlagId::kChaos, "--chaos", "N",
        "run a chaos campaign of N random fault schedules across\n"
        "workload x policy jobs; classify every outcome, minimize\n"

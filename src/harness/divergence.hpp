@@ -1,8 +1,8 @@
 // SimState divergence auditor: lockstep comparison of two simulations.
 //
 // Two runs of the same config + workload are supposed to be bit-identical
-// regardless of execution-strategy knobs (idle-cycle fast-forward on/off,
-// serial vs parallel sweep, interrupted + restored vs uninterrupted).  The
+// regardless of execution-strategy knobs (activity engine on/off, serial
+// vs parallel sweep, interrupted + restored vs uninterrupted).  The
 // auditor makes that claim checkable: it steps two Simulations in lockstep
 // strides, compares their 64-bit state hashes at every stride boundary, and
 // on the first mismatch drills into the per-component hashes to name which
@@ -48,7 +48,7 @@ struct DivergenceReport {
 /// hashes every `sample_every` cycles (and once more at the end if the
 /// budget is not a multiple).  Stops at the first divergence.  Both
 /// simulations must start at the same cycle with equal state; the caller
-/// configures each side's knobs (fast-forward, restored-from-snapshot…)
+/// configures each side's knobs (activity engine, restored-from-snapshot…)
 /// before calling.
 DivergenceReport audit_divergence(Simulation& a, Simulation& b,
                                   Cycle total_cycles, Cycle sample_every);

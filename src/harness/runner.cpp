@@ -369,32 +369,20 @@ Cycle ExperimentRunner::measure_alone_cycles(const KernelProfile& profile,
                                              u64 seed,
                                              u64 target_instructions) {
   Simulation sim(rc_.gpu, {AppLaunch{profile, seed}});
-  sim.set_activity_sched(rc_.activity_sched);
+  sim.set_watchdog(rc_.watchdog_cycles);
+  apply_limits(rc_, sim, /*co_run=*/false);
   Gpu& gpu = sim.gpu();
   gpu.set_partition(even_partition(gpu.num_sms(), 1));
-  const bool limited =
-      rc_.cancel != nullptr ||
-      rc_.wall_deadline != std::chrono::steady_clock::time_point{};
-  while (gpu.instructions().total(0) < target_instructions &&
-         gpu.now() < rc_.max_alone_cycles) {
-    gpu.cycle();
-    // This loop bypasses Simulation::run, so sample the deadline/cancel
-    // limits here at the watchdog cadence.
-    if (limited && gpu.now() % 1024 == 0) {
-      if (rc_.cancel != nullptr &&
-          rc_.cancel->load(std::memory_order_relaxed)) {
-        SIM_FAIL(SimError(SimErrorKind::kInterrupted, "harness.runner",
-                          "cancellation requested during an alone replay")
-                     .cycle(gpu.now()));
-      }
-      if (rc_.wall_deadline != std::chrono::steady_clock::time_point{} &&
-          std::chrono::steady_clock::now() >= rc_.wall_deadline) {
-        SIM_FAIL(SimError(SimErrorKind::kDeadlineExceeded, "harness.runner",
-                          "wall-clock deadline passed during an alone "
-                          "replay")
-                     .cycle(gpu.now()));
-      }
-    }
+  if (!sim.run_until_instructions(0, target_instructions,
+                                  rc_.max_alone_cycles)) {
+    SIM_FAIL(SimError(SimErrorKind::kBudgetExceeded, "harness.runner",
+                      "alone replay hit max_alone_cycles before reaching "
+                      "the co-run's instruction count")
+                 .cycle(gpu.now())
+                 .detail("app", profile.abbr)
+                 .detail("target_instructions", target_instructions)
+                 .detail("instructions", gpu.instructions().total(0))
+                 .detail("max_alone_cycles", rc_.max_alone_cycles));
   }
   return gpu.now();
 }

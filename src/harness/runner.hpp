@@ -38,7 +38,8 @@ struct RunConfig {
   /// within (see tests/harness/methodology_test).  Override via the
   /// REPRO_CORUN_CYCLES environment variable in the bench binaries.
   Cycle co_run_cycles = 300'000;
-  /// Safety cap for the alone-replay runs.
+  /// Safety cap for the alone-replay runs; a replay that reaches it raises
+  /// SimError(kBudgetExceeded).
   Cycle max_alone_cycles = 3'000'000;
   u64 base_seed = 42;
 
@@ -281,7 +282,8 @@ class ExperimentRunner {
   const AloneStats& alone_stats(const KernelProfile& profile);
 
   /// Cycles the application needs alone, on all SMs, to issue
-  /// `target_instructions` (the exact-replay measurement).
+  /// `target_instructions` (the exact-replay measurement).  Throws
+  /// SimError(kBudgetExceeded) when RunConfig::max_alone_cycles pass first.
   Cycle measure_alone_cycles(const KernelProfile& profile, u64 seed,
                              u64 target_instructions);
 

@@ -200,7 +200,7 @@ class MemoryController {
   int inflight_size() const { return static_cast<int>(inflight_.size()); }
   int preparing_banks() const { return preparing_count_; }
 
-  // --- Idle-cycle fast-forward support -----------------------------------
+  // --- Activity-engine support -------------------------------------------
   // A controller is *quiet* at `now` when cycle(now, …) would change no
   // state other than the per-cycle counter accruals in account_cycle():
   // nothing retires, the bus grants nothing, no prep finishes, and nothing

@@ -113,15 +113,14 @@ class MemoryPartition {
   std::size_t deferred_responses() const { return deferred_resps_.size(); }
   int mshr_in_flight() const { return mshr_.in_flight(); }
 
-  // --- Idle-cycle fast-forward / activity-engine support ------------------
+  // --- Activity-engine support -------------------------------------------
   // Every stage of cycle() pops only queue *fronts*, so head-of-line
   // timestamps bound exactly when the partition can act again.  The
   // response queue's front maturity additionally gates the response
   // crossbar's ingress from this partition.  These predicates are valid
-  // per-component at any cycle boundary (not just global-quiet points):
-  // the activity engine sleeps an individual partition on them and wakes
-  // it early when the request crossbar accepts a packet toward it
-  // (DESIGN.md §12).
+  // per-component at any cycle boundary: the activity engine sleeps an
+  // individual partition on them and wakes it early when the request
+  // crossbar accepts a packet toward it (DESIGN.md §12).
 
   /// True when cycle(now, in_queue) would change no state and the response
   /// crossbar could not accept a packet from this partition either.

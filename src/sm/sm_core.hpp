@@ -132,7 +132,7 @@ class SmCore {
     return n;
   }
 
-  // --- Idle-cycle fast-forward support -----------------------------------
+  // --- Activity-engine support -------------------------------------------
 
   /// True when cycle(now) would change nothing but the stall/idle counters:
   /// no L1 hit matures, no transaction dispatches, no warp can issue, and
@@ -356,7 +356,7 @@ class SmCore {
   std::map<u64, RetryState> retries_;    // keyed by line address
   std::map<u64, DupExpect> dup_expect_;  // keyed by line address
   /// Cached min deadline over retries_, kNeverCycle when none: keeps
-  /// quiet_at()/next_local_event() O(1) for the fast-forward path.
+  /// quiet_at()/next_local_event() O(1) for the activity engine.
   Cycle next_retry_deadline_ = kNeverCycle;
 };
 

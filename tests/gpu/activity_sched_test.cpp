@@ -1,14 +1,16 @@
 // Activity-tracked cycle engine equivalence suite.
 //
 // The engine (gpu/gpu.hpp) is an execution strategy, not a model change:
-// a run with it enabled must be bit-identical to the per-cycle loop in
-// every piece of simulated state.  These tests sweep randomized configs —
-// SM/partition counts, queue depths, retry knobs, random workload mixes —
-// through the divergence auditor with the engine (plus fast-forward) on
-// one side and both off on the other, and rotate through the hazardous
-// scenarios: fault schedules (which pin the engine off mid-construction),
-// mid-run repartitions (engine state rebuild), and snapshot/restore
-// (synced-cursor reset on load).  Any hash mismatch names the component.
+// a run with it enabled must be bit-identical to the per-cycle reference
+// walk in every piece of simulated state.  These tests sweep randomized
+// configs — SM/partition counts, queue depths, retry knobs, random workload
+// mixes — through the divergence auditor with the engine on one side and
+// off on the other, and rotate through the hazardous scenarios: fault
+// schedules (which pin the engine off mid-construction), mid-run
+// repartitions (SM drains handed over by the engine), snapshot/restore
+// (synced-cursor reset on load), and the two cycle hooks — the MISE/ASM
+// priority epochs and the temporal policy's full-GPU switches.  Any hash
+// mismatch names the component.
 #include "gpu/simulator.hpp"
 
 #include <gtest/gtest.h>
@@ -17,7 +19,9 @@
 #include <string>
 #include <vector>
 
+#include "baselines/priority_epochs.hpp"
 #include "common/fault_injection.hpp"
+#include "common/loop_profiler.hpp"
 #include "common/rng.hpp"
 #include "harness/divergence.hpp"
 #include "kernels/app_registry.hpp"
@@ -70,7 +74,6 @@ RandomCase make_case(u64 seed, bool with_faults) {
 std::unique_ptr<Simulation> make_sim(const RandomCase& c, bool engine_on) {
   auto sim = std::make_unique<Simulation>(c.cfg, c.launches);
   sim->set_activity_sched(engine_on);
-  sim->set_fast_forward(engine_on);
   sim->gpu().set_partition(even_partition(sim->gpu().num_sms(), c.num_apps));
   return sim;
 }
@@ -88,13 +91,20 @@ void expect_equivalent_finals(Simulation& a, Simulation& b,
 
 TEST(ActivitySchedTest, RandomConfigsAuditCleanEngineOnVsOff) {
   // Scenario rotation by index: 0 plain, 1 fault schedule, 2 mid-run
-  // repartition, 3 snapshot/restore — at least 20 configs total.
-  constexpr int kCases = 24;
+  // repartition, 3 snapshot/restore, 4 priority-epoch hook, 5 temporal
+  // policy hook — six configs each.
+  constexpr int kScenarios = 6;
+  constexpr int kCases = 6 * kScenarios;
   for (int i = 0; i < kCases; ++i) {
-    const int scenario = i % 4;
+    const int scenario = i % kScenarios;
     SCOPED_TRACE("case " + std::to_string(i) + " scenario " +
                  std::to_string(scenario));
-    const RandomCase c = make_case(7'000 + i, scenario == 1);
+    RandomCase c = make_case(7'000 + i, scenario == 1);
+    if (scenario == 5) {
+      // Short blocks, so the temporal policy's drains complete and hand
+      // every SM over at each switch instead of draining all run long.
+      for (AppLaunch& l : c.launches) l.profile.instrs_per_warp = 40;
+    }
 
     auto a = make_sim(c, /*engine_on=*/true);
     auto b = make_sim(c, /*engine_on=*/false);
@@ -111,10 +121,29 @@ TEST(ActivitySchedTest, RandomConfigsAuditCleanEngineOnVsOff) {
       b->gpu().set_fault_injector(inj_b.get());
     }
 
+    // Each side also gets its own instance of the scenario's cycle hook.
+    // The epochs flip DRAM priority several times per interval; the
+    // temporal policy drains and hands over every SM at each of its ~3
+    // switches.
+    std::vector<std::unique_ptr<CycleHook>> hooks;
+    for (Simulation* sim : {a.get(), b.get()}) {
+      if (scenario == 4) {
+        hooks.push_back(std::make_unique<PriorityEpochDriver>(
+            PriorityEpochDriver::with_defaults(c.cfg, c.num_apps)));
+      } else if (scenario == 5) {
+        hooks.push_back(std::make_unique<TemporalPolicy>(
+            TemporalOptions{.quantum = c.cycles / 4}));
+      } else {
+        break;
+      }
+      sim->add_cycle_hook(hooks.back().get());
+    }
+
     const Cycle half = c.cycles / 2;
     if (scenario == 2) {
-      // Repartition mid-run: the engine must resync accruals and rebuild
-      // its wake state when SM ownership changes under it.
+      // Repartition mid-run: the engine must resync accruals, rebuild its
+      // wake state, and hand each drained SM over on the same cycle as the
+      // per-cycle walk.
       DivergenceReport first = audit_divergence(*a, *b, half, c.stride);
       ASSERT_FALSE(first.diverged) << first.to_string();
       std::vector<AppId> uneven = even_partition(c.cfg.num_sms, c.num_apps);
@@ -164,18 +193,23 @@ TEST(ActivitySchedTest, EngineToggleMidRunResyncsExactly) {
   expect_equivalent_finals(*a, *b, c);
 }
 
-TEST(ActivitySchedTest, EngineOnRunActuallyFastForwards) {
-  // Guard against the engine silently disabling itself: a finite tiny app
-  // runs dry early, and the engine-on run must skip the dead tail.
+TEST(ActivitySchedTest, EngineSkipsIdleSmsWithAHookAttached) {
+  // Guard against the engine silently disabling itself, in particular
+  // under a per-cycle hook.  On the memory-bound SD+SA pair most SMs wait
+  // on DRAM most cycles, so an engine-on run visits far fewer SMs than the
+  // per-cycle walk's cycles x SMs.
   GpuConfig cfg;
-  KernelProfile tiny = *find_app("CS");
-  tiny.blocks_total = 64;
-  Simulation sim(cfg, {AppLaunch{tiny, 7, /*restart_on_finish=*/false}});
-  sim.set_activity_sched(true);
-  sim.set_fast_forward(true);
-  sim.gpu().set_partition(even_partition(cfg.num_sms, 1));
-  sim.run(200'000);
-  EXPECT_GT(sim.gpu().fast_forwarded_cycles(), 0u);
+  Simulation sim(cfg, {AppLaunch{*find_app("SD"), 1},
+                       AppLaunch{*find_app("SA"), 2}});
+  sim.gpu().set_partition(even_partition(cfg.num_sms, 2));
+  PriorityEpochDriver epochs = PriorityEpochDriver::with_defaults(cfg, 2);
+  sim.add_cycle_hook(&epochs);
+  LoopProfiler profiler;
+  sim.set_loop_profiler(&profiler);
+  const Cycle cycles = 100'000;
+  sim.run(cycles);
+  EXPECT_LT(profiler.visits(LoopProfiler::kSmAdvance),
+            cycles * static_cast<u64>(cfg.num_sms) / 4);
 }
 
 }  // namespace

@@ -1,11 +1,12 @@
-// Idle-cycle fast-forward determinism.
+// Idle-stretch skipping determinism.
 //
-// The fast-forward (Gpu::dead_cycles_until / skip_dead_cycles) is an
-// invariant-preserving optimization: a run with it enabled must be
-// *indistinguishable* from the per-cycle loop in every observable —
-// interval samples field by field, final counters, and the exact cycle at
-// which the progress watchdog fires.  These tests run the same workload
-// both ways and diff everything.
+// The activity engine (gpu/gpu.hpp) fast-forwards every SM and partition
+// that is provably idle, up to a whole machine whose apps have run dry.
+// That skipping is an invariant-preserving optimization: a run with the
+// engine on must be *indistinguishable* from the per-cycle reference walk
+// in every observable — interval samples field by field, final counters,
+// and the exact cycle at which the progress watchdog fires.  These tests
+// run the same workload both ways and diff everything.
 #include "gpu/simulator.hpp"
 
 #include <gtest/gtest.h>
@@ -15,6 +16,7 @@
 #include <vector>
 
 #include "common/fault_injection.hpp"
+#include "common/loop_profiler.hpp"
 #include "common/sim_error.hpp"
 #include "kernels/app_registry.hpp"
 
@@ -65,24 +67,30 @@ void expect_same_sample(const IntervalSample& a, const IntervalSample& b,
   }
 }
 
-/// Runs `launches` for `cycles` with the fast-forward on or off and
-/// returns the simulation for counter inspection plus the sample stream.
+/// Runs `launches` for `cycles` with the engine on or off and returns the
+/// simulation for counter inspection, the sample stream, and how many SM
+/// advances the run made.
 struct RunResult {
   std::unique_ptr<Simulation> sim;
   std::vector<IntervalSample> samples;
+  u64 sm_visits = 0;
 };
 
 RunResult run_co_run(const GpuConfig& cfg, std::vector<AppLaunch> launches,
-                     int num_apps, Cycle cycles, bool fast_forward) {
+                     int num_apps, Cycle cycles, bool engine_on) {
   RunResult r;
   r.sim = std::make_unique<Simulation>(cfg, std::move(launches));
-  r.sim->set_fast_forward(fast_forward);
+  r.sim->set_activity_sched(engine_on);
   r.sim->gpu().set_partition(
       even_partition(r.sim->gpu().num_sms(), num_apps));
   RecordingObserver obs;
   r.sim->add_observer(&obs);
+  LoopProfiler profiler;
+  r.sim->set_loop_profiler(&profiler);
   r.sim->run(cycles);
+  r.sim->set_loop_profiler(nullptr);
   r.samples = std::move(obs.samples);
+  r.sm_visits = profiler.visits(LoopProfiler::kSmAdvance);
   return r;
 }
 
@@ -96,7 +104,7 @@ TEST(FastForwardTest, TwoAppCoRunMatchesSlowPathExactly) {
   RunResult fast = run_co_run(cfg, launches, 2, cycles, true);
   RunResult slow = run_co_run(cfg, launches, 2, cycles, false);
 
-  EXPECT_EQ(slow.sim->gpu().fast_forwarded_cycles(), 0u);
+  EXPECT_EQ(slow.sm_visits, cycles * static_cast<u64>(cfg.num_sms));
   EXPECT_EQ(fast.sim->gpu().now(), slow.sim->gpu().now());
   ASSERT_EQ(fast.samples.size(), slow.samples.size());
   EXPECT_EQ(fast.samples.size(), cycles / cfg.estimation_interval);
@@ -111,9 +119,9 @@ TEST(FastForwardTest, TwoAppCoRunMatchesSlowPathExactly) {
 
 TEST(FastForwardTest, IdleTailIsSkippedWithIdenticalCounters) {
   // A finite app (restart_on_finish off, tiny grid) runs dry well before
-  // the cycle budget; the dead tail is exactly where the fast-forward pays
-  // off, and it must still accrue the same idle/servicing counters as the
-  // slow path.
+  // the cycle budget.  Its whole machine then sleeps under the engine, so
+  // the dead tail costs almost no SM advances, and it must still accrue the
+  // same idle/servicing counters as the reference walk.
   GpuConfig cfg;
   cfg.estimation_interval = 50'000;
   KernelProfile tiny = *find_app("CS");
@@ -125,12 +133,15 @@ TEST(FastForwardTest, IdleTailIsSkippedWithIdenticalCounters) {
   RunResult fast = run_co_run(cfg, launches, 1, cycles, true);
   RunResult slow = run_co_run(cfg, launches, 1, cycles, false);
 
-  EXPECT_GT(fast.sim->gpu().fast_forwarded_cycles(), 0u)
+  EXPECT_EQ(slow.sm_visits, cycles * static_cast<u64>(cfg.num_sms));
+  EXPECT_LT(fast.sm_visits, slow.sm_visits / 4)
       << "a finished app's tail should be provably dead";
+  EXPECT_EQ(fast.sim->gpu().now(), cycles);
   EXPECT_EQ(fast.sim->gpu().now(), slow.sim->gpu().now());
   EXPECT_EQ(fast.sim->gpu().instructions().total(0),
             slow.sim->gpu().instructions().total(0));
   ASSERT_EQ(fast.samples.size(), slow.samples.size());
+  EXPECT_EQ(fast.samples.size(), cycles / cfg.estimation_interval);
   for (std::size_t i = 0; i < fast.samples.size(); ++i) {
     expect_same_sample(fast.samples[i], slow.samples[i], i);
   }
@@ -163,8 +174,8 @@ TEST(FastForwardTest, WatchdogFiresAtSameCyclesAfterLoopHoisting) {
   // Regression for the chunked run() loop: the watchdog must still sample
   // exactly at multiples of its check period, so (a) every firing cycle is
   // period-aligned and (b) doubling a period-aligned threshold delays the
-  // firing by exactly the threshold delta — both held by the old per-cycle
-  // loop and must survive the hoisting.
+  // firing by exactly the threshold delta — both held by a per-cycle check
+  // and must survive the hoisting.
   constexpr Cycle kPeriod = 1024;  // kWatchdogCheckPeriod in simulator.cpp
   const Cycle fire_w = watchdog_fire_cycle(4 * kPeriod);
   const Cycle fire_2w = watchdog_fire_cycle(8 * kPeriod);

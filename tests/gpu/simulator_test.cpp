@@ -76,16 +76,18 @@ TEST(SimulatorTest, RunUntilInstructionsStopsAtTarget) {
   GpuConfig cfg;
   Simulation sim(cfg, {AppLaunch{*find_app("CS"), 42}});
   sim.gpu().set_partition(even_partition(16, 1));
-  sim.run_until_instructions(0, 100'000, 1'000'000);
+  EXPECT_TRUE(sim.run_until_instructions(0, 100'000, 1'000'000));
   EXPECT_GE(sim.gpu().instructions().total(0), 100'000u);
   EXPECT_LT(sim.gpu().now(), 200'000u) << "compute app reaches it quickly";
+  // Stopped on the cycle the target was reached, not at an interval end.
+  EXPECT_NE(sim.gpu().now() % cfg.estimation_interval, 0u);
 }
 
 TEST(SimulatorTest, RunUntilInstructionsHonoursCycleCap) {
   GpuConfig cfg;
   Simulation sim(cfg, {AppLaunch{*find_app("SD"), 42}});
   sim.gpu().set_partition(even_partition(16, 1));
-  sim.run_until_instructions(0, 1ull << 60, 20'000);
+  EXPECT_FALSE(sim.run_until_instructions(0, 1ull << 60, 20'000));
   EXPECT_EQ(sim.gpu().now(), 20'000u);
 }
 

@@ -147,13 +147,13 @@ TEST(SnapshotRoundTrip, RestoredRunMatchesUninterruptedRun) {
   }
 }
 
-TEST(SnapshotRoundTrip, FastForwardOnOffHashesAgree) {
+TEST(SnapshotRoundTrip, ActivityEngineOnOffHashesAgree) {
   Rng rng(77);
   const Trial t = random_trial(rng);
   SimUnderTest on(t);
   SimUnderTest off(t);
-  on.sim->set_fast_forward(true);
-  off.sim->set_fast_forward(false);
+  on.sim->set_activity_sched(true);
+  off.sim->set_activity_sched(false);
   for (int stride = 0; stride < 6; ++stride) {
     on.sim->run(10'000);
     off.sim->run(10'000);

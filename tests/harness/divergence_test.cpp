@@ -1,5 +1,5 @@
 // Divergence auditor tests: identical runs audit clean across execution
-// strategies (fast-forward on/off, thread placement); intentionally
+// strategies (activity engine on/off, thread placement); intentionally
 // different runs are caught at the first sampled cycle with the diverging
 // components named.
 #include "harness/divergence.hpp"
@@ -36,11 +36,11 @@ TEST(DivergenceAudit, IdenticalRunsAuditClean) {
   EXPECT_NE(report.to_string().find("no divergence"), std::string::npos);
 }
 
-TEST(DivergenceAudit, FastForwardOnOffAuditsClean) {
+TEST(DivergenceAudit, ActivityEngineOnOffAuditsClean) {
   auto a = make_sim(42);
   auto b = make_sim(42);
-  a->set_fast_forward(true);
-  b->set_fast_forward(false);
+  a->set_activity_sched(true);
+  b->set_activity_sched(false);
   const DivergenceReport report = audit_divergence(*a, *b, 60'000, 10'000);
   EXPECT_FALSE(report.diverged) << report.to_string();
 }

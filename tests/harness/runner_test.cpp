@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/sim_error.hpp"
+#include "gpu/gpu.hpp"
 #include "kernels/app_registry.hpp"
 
 namespace gpusim {
@@ -87,6 +88,43 @@ TEST(RunnerTest, ExactReplayAndCachedIpcAgree) {
     EXPECT_NEAR(re.apps[i].actual_slowdown, rc2.apps[i].actual_slowdown,
                 re.apps[i].actual_slowdown * 0.08)
         << w.apps[i].abbr;
+  }
+}
+
+TEST(RunnerTest, AloneReplayStopsOnTheCycleItReachesTheTarget) {
+  // Each target falls mid-interval, where a replay that only checks its
+  // target at interval ends would overshoot.
+  const RunConfig rc = quick_config();
+  ExperimentRunner runner(rc);
+  for (const char* abbr : {"VA", "SD"}) {
+    SCOPED_TRACE(abbr);
+    const KernelProfile app = *find_app(abbr);
+    const u64 seed = harness_app_seed(rc.base_seed, 1);
+    Gpu gpu(rc.gpu, {AppLaunch{app, seed}});
+    gpu.set_activity_sched(false);  // hand-step the per-cycle walk
+    gpu.set_partition(even_partition(gpu.num_sms(), 1));
+    gpu.run(37'123);
+    const u64 target = gpu.instructions().total(0) + 1;
+    while (gpu.instructions().total(0) < target) gpu.cycle();
+    EXPECT_EQ(runner.measure_alone_cycles(app, seed, target), gpu.now());
+  }
+}
+
+TEST(RunnerTest, UnreachableAloneTargetRaisesBudgetExceeded) {
+  RunConfig rc = quick_config();
+  rc.max_alone_cycles = 5'000;
+  ExperimentRunner runner(rc);
+  try {
+    runner.measure_alone_cycles(*find_app("SD"), 1, u64{1} << 50);
+    FAIL() << "a truncated alone replay returned a cycle count";
+  } catch (const SimError& e) {
+    EXPECT_EQ(e.kind(), SimErrorKind::kBudgetExceeded);
+    EXPECT_EQ(e.error_cycle(), 5'000u);
+    const std::string what = e.what();
+    EXPECT_NE(what.find("target_instructions: 1125899906842624"),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find("\n  instructions: "), std::string::npos) << what;
   }
 }
 

@@ -2,8 +2,8 @@
 # The one merge gate: tier-1 build + full test suite, then every
 # specialised checker — ASan/UBSan, TSan over the concurrency-heavy
 # tests, the state-hash determinism audit, a bounded chaos campaign, the
-# JobManager kill/resume gate, the policy-governor safety gate, and the
-# performance-regression gate.
+# JobManager kill/resume gate, the policy-governor safety gate, the
+# pinned paper-results gate, and the performance-regression gate.
 # CI invokes exactly this script; run it locally before pushing anything
 # that touches simulator, harness or serialization code.
 #
@@ -37,30 +37,33 @@ step() {
   return "$rc"
 }
 
-step "[1/10] tier-1: configure + build" bash -c \
+step "[1/11] tier-1: configure + build" bash -c \
   "cmake -B build -S . && cmake --build build -j '$JOBS'"
-step "[1/10] tier-1: ctest" ctest --test-dir build -j "$JOBS" --output-on-failure
+step "[1/11] tier-1: ctest" ctest --test-dir build -j "$JOBS" --output-on-failure
 
-step "[2/10] determinism audit" tools/check_determinism.sh build
+step "[2/11] determinism audit" tools/check_determinism.sh build
 
-step "[3/10] chaos campaign" tools/check_chaos.sh build
+step "[3/11] chaos campaign" tools/check_chaos.sh build
 
-step "[4/10] job batches: kill, resume, exit codes" tools/check_jobs.sh build
+step "[4/11] job batches: kill, resume, exit codes" tools/check_jobs.sh build
 
-step "[5/10] crash forensics: bundle + triage" tools/check_triage.sh build
+step "[5/11] crash forensics: bundle + triage" tools/check_triage.sh build
 
-step "[6/10] policy governor: watchdog, breakers, transparency" tools/check_governor.sh build
+step "[6/11] policy governor: watchdog, breakers, transparency" tools/check_governor.sh build
 
-step "[7/10] ASan + UBSan" tools/check_sanitize.sh
+step "[7/11] ASan + UBSan" tools/check_sanitize.sh
 
-step "[8/10] TSan (worker pool, queue, job manager)" tools/check_tsan.sh
+step "[8/11] TSan (worker pool, queue, job manager)" tools/check_tsan.sh
 
-step "[9/10] telemetry: schema, trace, transparency, overhead" tools/check_telemetry.sh build
+step "[9/11] telemetry: schema, trace, transparency, overhead" tools/check_telemetry.sh build
+
+step "[10/11] paper results pinned to paperbench/reference.json" \
+  tools/check_paperbench.sh
 
 if [[ "$SKIP_PERF" == "1" ]]; then
-  echo "===== [10/10] perf gate: SKIPPED ====="
+  echo "===== [11/11] perf gate: SKIPPED ====="
 else
-  step "[10/10] perf gate" tools/check_perf.sh build
+  step "[11/11] perf gate" tools/check_perf.sh build
 fi
 
 echo "check_all: OK"

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Determinism gate: run representative workloads through the CLI's
-# state-hash divergence audit (activity engine + fast-forward on vs both
-# off, including under a fault schedule), run the randomized
+# state-hash divergence audit (activity engine vs per-cycle walk,
+# including under a fault schedule, with the MISE/ASM epoch hook, with
+# DASE-Fair's SM drains and with the temporal policy), run the randomized
 # activity-engine equivalence suite, and verify a snapshotted + resumed
 # run's report is byte-identical to an uninterrupted one.  A clean pass
 # means the execution-strategy knobs cannot change simulated output.
@@ -22,26 +23,39 @@ if [[ ! -x "$CLI" ]]; then
   cmake --build "$BUILD_DIR" -j "$(nproc)" --target gpusim_cli
 fi
 
-# Memory-heavy, compute-heavy and mixed pairs, plus a four-app workload:
-# the fast-forward only triggers on idle memory systems, so include a
-# workload light enough to go idle.
+# Memory-heavy, compute-heavy and mixed pairs, plus a four-app workload
+# and a pair light enough for whole stretches of sleeping components.
 WORKLOADS=("SD,SA" "SN,CT" "VA,CT,SD,SN" "BS,QR")
 
 for apps in "${WORKLOADS[@]}"; do
-  echo "== audit --apps $apps (activity engine + fast-forward on vs off, $CYCLES cycles)"
+  echo "== audit --apps $apps (activity engine vs per-cycle walk, $CYCLES cycles)"
   "$CLI" --apps "$apps" --audit-determinism --cycles "$CYCLES" \
          --hash-every 10000
 done
 
-# Fault schedules pin the engine off per-cycle exactly like the legacy
-# fast-forward guard; audit that the pinning itself is invisible.
+# A fault schedule pins the engine to the per-cycle walk; audit that the
+# pinning itself is invisible.
 echo "== audit --apps SD,SA under a fault schedule"
 "$CLI" --apps SD,SA --audit-determinism --cycles "$CYCLES" \
        --fault-schedule "drop-resp:nth=200;stall:part=0,from=1000,until=5000;seed=7"
 
-# Randomized equivalence suite: 24 random configs (SM/partition counts,
+# The stretches that run on the engine through hooks and drains: the
+# MISE/ASM priority-epoch hook, DASE-Fair's SM drains (its first
+# repartition lands after two intervals, so run past it), and the temporal
+# policy's full-GPU switches.
+echo "== audit --apps BS,SD --models dase,mise,asm (priority-epoch hook)"
+"$CLI" --apps BS,SD --models dase,mise,asm --audit-determinism \
+       --cycles "$CYCLES" --hash-every 10000
+echo "== audit --apps CT,SP --policy dase-fair (SM drains)"
+"$CLI" --apps CT,SP --policy dase-fair --audit-determinism --cycles 300000 \
+       --hash-every 10000
+echo "== audit --apps CS,QR --policy temporal (hooked drains)"
+"$CLI" --apps CS,QR --policy temporal --quantum 30000 --audit-determinism \
+       --cycles "$CYCLES" --hash-every 10000
+
+# Randomized equivalence suite: 36 random configs (SM/partition counts,
 # queue depths, retry knobs) x {plain, faults, mid-run repartition,
-# snapshot/restore}, engine on vs off.
+# snapshot/restore, priority epochs, temporal policy}, engine on vs off.
 echo "== activity_sched_test (randomized engine-on/off equivalence)"
 if [[ ! -x "$BUILD_DIR/tests/activity_sched_test" ]]; then
   cmake --build "$BUILD_DIR" -j "$(nproc)" --target activity_sched_test

@@ -64,9 +64,9 @@ fail=0
 
 # Schema keys every fresh measurement must carry (the profiler attribution
 # rides along so the contended number is always explainable).
-for key in sim_cycles_per_sec_fast_forward sim_cycles_per_sec_no_fast_forward \
+for key in sim_cycles_per_sec \
            contended_cycles_per_sec contended_cycles_per_sec_no_activity \
-           contended_activity_speedup contended_fast_forwarded_fraction \
+           contended_activity_speedup \
            governor_on_cycles_per_sec governor_off_cycles_per_sec \
            governor_overhead_ratio \
            telemetry_on_cycles_per_sec telemetry_off_cycles_per_sec \
@@ -155,12 +155,11 @@ gate_key() {  # gate_key KEY TOLERANCE
   fi
 }
 
-# The escape-hatch (engine-off) number gets the looser legacy tolerance:
-# it is the slowest measurement and therefore the noisiest in wall-clock
-# terms; pathological engine-off regressions are still caught by the
-# speedup floor above inverting.
-for key in sim_cycles_per_sec_fast_forward sim_cycles_per_sec_no_fast_forward \
-           contended_cycles_per_sec_no_activity; do
+# The plain loop and the escape-hatch (engine-off) number get the looser
+# legacy tolerance: the engine-off run is the slowest measurement and
+# therefore the noisiest in wall-clock terms; pathological engine-off
+# regressions are still caught by the speedup floor above inverting.
+for key in sim_cycles_per_sec contended_cycles_per_sec_no_activity; do
   gate_key "$key" "$TOLERANCE"
 done
 gate_key contended_cycles_per_sec "$TOLERANCE_CONTENDED"
