@@ -1,22 +1,14 @@
-// Fixed-capacity FIFOs.
+// Fixed-capacity FIFO.
 //
 // BoundedQueue is the single-threaded queue used for all hardware queues in
 // the simulator: hardware queues have finite depth; back-pressure from a
 // full queue is part of the interference behaviour being modelled, so
 // overflow must be an explicit, checkable condition rather than silent
 // growth.
-//
-// ConcurrentBoundedQueue is the thread-safe, closable variant used by the
-// harness (the JobManager's manifest-writer channel): blocking push gives
-// producers real backpressure, close() wakes every blocked thread, and pop
-// drains the remaining items after close so no accepted item is ever lost.
 #pragma once
 
-#include <condition_variable>
 #include <cstddef>
 #include <deque>
-#include <mutex>
-#include <optional>
 #include <utility>
 
 #include "common/sim_error.hpp"
@@ -101,89 +93,6 @@ class BoundedQueue {
  private:
   std::size_t capacity_;
   std::deque<T> items_;
-};
-
-/// Thread-safe bounded FIFO with close semantics (multi-producer,
-/// multi-consumer).  Lifecycle: producers push (blocking while full — that
-/// is the backpressure), consumers pop (blocking while empty and open);
-/// close() makes every pending and future push fail, wakes all blocked
-/// threads, and lets pop drain whatever was accepted before returning
-/// nullopt.  close() is idempotent.
-template <typename T>
-class ConcurrentBoundedQueue {
- public:
-  explicit ConcurrentBoundedQueue(std::size_t capacity)
-      : capacity_(capacity) {
-    SIM_CHECK(capacity_ > 0,
-              SimError(SimErrorKind::kConfig, "common.bounded_queue",
-                       "concurrent queue capacity must be positive"));
-  }
-
-  /// Blocks while the queue is full and open.  Returns false (item
-  /// discarded) when the queue is or becomes closed.
-  bool push(T item) {
-    std::unique_lock<std::mutex> lock(mu_);
-    not_full_.wait(lock,
-                   [&] { return closed_ || items_.size() < capacity_; });
-    if (closed_) return false;
-    items_.push_back(std::move(item));
-    lock.unlock();
-    not_empty_.notify_one();
-    return true;
-  }
-
-  /// Non-blocking push: false when full or closed.
-  bool try_push(T item) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (closed_ || items_.size() >= capacity_) return false;
-      items_.push_back(std::move(item));
-    }
-    not_empty_.notify_one();
-    return true;
-  }
-
-  /// Blocks while the queue is empty and open.  Returns nullopt only once
-  /// the queue is closed AND drained — items accepted before close() are
-  /// always delivered.
-  std::optional<T> pop() {
-    std::unique_lock<std::mutex> lock(mu_);
-    not_empty_.wait(lock, [&] { return closed_ || !items_.empty(); });
-    if (items_.empty()) return std::nullopt;  // closed and drained
-    T item = std::move(items_.front());
-    items_.pop_front();
-    lock.unlock();
-    not_full_.notify_one();
-    return item;
-  }
-
-  /// Closes the queue and wakes every blocked producer and consumer.
-  void close() {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      closed_ = true;
-    }
-    not_full_.notify_all();
-    not_empty_.notify_all();
-  }
-
-  bool closed() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return closed_;
-  }
-  std::size_t size() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return items_.size();
-  }
-  std::size_t capacity() const { return capacity_; }
-
- private:
-  mutable std::mutex mu_;
-  std::condition_variable not_full_;
-  std::condition_variable not_empty_;
-  std::size_t capacity_;
-  std::deque<T> items_;
-  bool closed_ = false;
 };
 
 }  // namespace gpusim

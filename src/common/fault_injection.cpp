@@ -1,9 +1,9 @@
 #include "common/fault_injection.hpp"
 
-#include <cstdio>
 #include <cstdlib>
 #include <sstream>
 
+#include "common/jsonl.hpp"
 #include "common/sim_error.hpp"
 
 namespace gpusim {
@@ -21,12 +21,6 @@ const char* to_string(FaultKind kind) {
 }
 
 namespace {
-
-std::string fmt_prob(double p) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", p);
-  return buf;
-}
 
 [[noreturn]] void bad_spec(const std::string& spec, const std::string& why) {
   SIM_FAIL(SimError(SimErrorKind::kConfig, "common.fault_injection",
@@ -78,7 +72,7 @@ std::string FaultSchedule::to_string() const {
       case FaultKind::kDropResponse:
         if (e.prob > 0.0) {
           if (e.nth != 0) ss << "nth=" << e.nth << ',';
-          ss << "prob=" << fmt_prob(e.prob);
+          ss << "prob=" << fmt_double(e.prob);
         } else {
           ss << "nth=" << e.nth;
         }

@@ -1,20 +1,14 @@
 #include "harness/chaos.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <filesystem>
-#include <fstream>
-#include <memory>
-#include <mutex>
 #include <sstream>
-#include <thread>
 
 #include "baselines/asm_model.hpp"
 #include "baselines/mise_model.hpp"
 #include "baselines/priority_epochs.hpp"
+#include "common/jsonl.hpp"
 #include "common/rng.hpp"
 #include "common/sim_error.hpp"
 #include "dase/dase_model.hpp"
@@ -28,29 +22,6 @@
 namespace gpusim {
 
 namespace {
-
-std::string escape_json(const std::string& text) {
-  std::string out;
-  out.reserve(text.size() + 8);
-  for (char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 std::string first_line(const std::string& text) {
   const auto nl = text.find('\n');
@@ -70,24 +41,6 @@ u64 job_schedule_seed(u64 master, std::size_t index) {
   return x == 0 ? 1 : x;
 }
 
-std::string extract_string_field(const std::string& line,
-                                 const std::string& key) {
-  const std::string needle = "\"" + key + "\":\"";
-  const auto pos = line.find(needle);
-  if (pos == std::string::npos) return "";
-  const auto start = pos + needle.size();
-  const auto end = line.find('"', start);
-  if (end == std::string::npos) return "";
-  return line.substr(start, end - start);
-}
-
-long extract_int_field(const std::string& line, const std::string& key) {
-  const std::string needle = "\"" + key + "\":";
-  const auto pos = line.find(needle);
-  if (pos == std::string::npos) return -1;
-  return std::strtol(line.c_str() + pos + needle.size(), nullptr, 10);
-}
-
 bool outcome_from_string(const std::string& text, ChaosOutcome& out) {
   for (const ChaosOutcome o :
        {ChaosOutcome::kRecovered, ChaosOutcome::kGuardCaught,
@@ -103,11 +56,11 @@ bool outcome_from_string(const std::string& text, ChaosOutcome& out) {
 std::string chaos_job_json(const ChaosJobResult& r) {
   std::ostringstream ss;
   ss << "{\"index\":" << r.index << ",\"workload\":\""
-     << escape_json(r.workload) << "\",\"policy\":\"" << r.policy
-     << "\",\"schedule\":\"" << escape_json(r.schedule) << "\",\"outcome\":\""
+     << json_escape(r.workload) << "\",\"policy\":\"" << r.policy
+     << "\",\"schedule\":\"" << json_escape(r.schedule) << "\",\"outcome\":\""
      << to_string(r.outcome) << "\",\"error_kind\":\""
-     << escape_json(r.error_kind) << "\",\"detail\":\""
-     << escape_json(r.detail) << "\",\"final_cycle\":" << r.final_cycle
+     << json_escape(r.error_kind) << "\",\"detail\":\""
+     << json_escape(r.detail) << "\",\"final_cycle\":" << r.final_cycle
      << ",\"retries_issued\":" << r.retries_issued
      << ",\"duplicates_absorbed\":" << r.duplicates_absorbed
      << ",\"sanitized_estimates\":" << r.sanitized_estimates;
@@ -116,10 +69,42 @@ std::string chaos_job_json(const ChaosJobResult& r) {
   if (r.governor_interventions != 0) {
     ss << ",\"governor_interventions\":" << r.governor_interventions;
   }
-  ss << ",\"minimized_schedule\":\"" << escape_json(r.minimized_schedule)
+  ss << ",\"minimized_schedule\":\"" << json_escape(r.minimized_schedule)
      << "\",\"minimized_events\":" << r.minimized_events << ",\"replay\":\""
-     << escape_json(r.replay) << "\"}";
+     << json_escape(r.replay) << "\"}";
   return ss.str();
+}
+
+/// Inverse of chaos_job_json for a stored checkpoint line, so a resumed
+/// job carries every field a fresh one does (the CLI summary prints the
+/// workload and replay command of resumed failures too).
+ChaosJobResult chaos_job_from_line(const std::string& line, int index,
+                                   ChaosOutcome outcome) {
+  const auto text = [&](const char* key) {
+    return json_string_field(line, key).value_or("");
+  };
+  const auto count = [&](const char* key) {
+    return json_u64_field(line, key).value_or(0);
+  };
+  ChaosJobResult r;
+  r.index = index;
+  r.workload = text("workload");
+  r.policy = text("policy");
+  r.schedule = text("schedule");
+  r.outcome = outcome;
+  r.error_kind = text("error_kind");
+  r.detail = text("detail");
+  r.final_cycle = count("final_cycle");
+  r.retries_issued = count("retries_issued");
+  r.duplicates_absorbed = count("duplicates_absorbed");
+  r.sanitized_estimates = count("sanitized_estimates");
+  r.governor_interventions = count("governor_interventions");
+  r.minimized_schedule = text("minimized_schedule");
+  r.minimized_events = count("minimized_events");
+  r.replay = text("replay");
+  r.from_checkpoint = true;
+  r.json = line;
+  return r;
 }
 
 std::string replay_command(const ChaosOptions& opts, const std::string& label,
@@ -450,134 +435,58 @@ ChaosReport run_chaos_campaign(const ChaosOptions& opts) {
 
   const std::vector<Workload> pairs = all_two_app_workloads();
 
-  std::ofstream checkpoint;
-  std::mutex checkpoint_mu;
-  if (!opts.checkpoint_path.empty()) {
-    // Resume: one complete JSONL line per finished job; torn or stale
-    // lines are skipped with a warning and their job re-runs.  Resumed
-    // lines are reused verbatim, which keeps interrupted + resumed
-    // reports byte-identical to uninterrupted ones.
-    std::ifstream in(opts.checkpoint_path);
-    std::string line;
-    int line_no = 0;
-    while (in && std::getline(in, line)) {
-      ++line_no;
-      if (line.empty()) continue;
-      ChaosOutcome outcome = ChaosOutcome::kRecovered;
-      const long idx = extract_int_field(line, "index");
-      if (line.back() != '}' || idx < 0 || idx >= opts.schedules ||
-          !outcome_from_string(extract_string_field(line, "outcome"),
-                               outcome)) {
-        std::fprintf(stderr,
-                     "gpusim: chaos checkpoint %s line %d is torn or stale — "
-                     "skipping it; the job will re-run\n",
-                     opts.checkpoint_path.c_str(), line_no);
-        continue;
-      }
-      ChaosJobResult& r = report.jobs[static_cast<std::size_t>(idx)];
-      r.index = static_cast<int>(idx);
-      r.outcome = outcome;
-      r.from_checkpoint = true;
-      r.json = line;
-    }
-    // Seal a torn tail line (crash mid-write) onto its own line so the
-    // next append cannot glue onto the fragment (same trick as the sweep
-    // checkpoint).
-    bool seal_torn_tail = false;
-    {
-      std::ifstream probe(opts.checkpoint_path, std::ios::binary);
-      if (probe && probe.seekg(0, std::ios::end) && probe.tellg() > 0) {
-        probe.seekg(-1, std::ios::end);
-        char last = '\n';
-        seal_torn_tail = probe.get(last) && last != '\n';
-      }
-    }
-    checkpoint.open(opts.checkpoint_path, std::ios::app);
-    SIM_CHECK(checkpoint.good(),
-              SimError(SimErrorKind::kHarness, "harness.chaos",
-                       "cannot open chaos checkpoint file for append")
-                  .detail("path", opts.checkpoint_path));
-    if (seal_torn_tail) checkpoint << "\n";
-  }
+  // Resume: one complete line per finished job, keyed by index (the last
+  // line wins); it is reused verbatim, which keeps interrupted + resumed
+  // reports byte-identical to uninterrupted ones.
+  Ledger checkpoint(
+      opts.checkpoint_path, "harness.chaos", [&](const std::string& line) {
+        const auto index = json_u64_field(line, "index");
+        ChaosOutcome outcome = ChaosOutcome::kRecovered;
+        if (!index || *index >= static_cast<u64>(opts.schedules) ||
+            !outcome_from_string(
+                json_string_field(line, "outcome").value_or(""), outcome)) {
+          return false;
+        }
+        report.jobs[*index] =
+            chaos_job_from_line(line, static_cast<int>(*index), outcome);
+        return true;
+      });
+  report.torn_lines_skipped = checkpoint.torn_lines();
   for (const ChaosJobResult& job : report.jobs) {
     report.resumed += job.from_checkpoint ? 1 : 0;
   }
 
-  int jobs = opts.jobs;
-  if (jobs == 0) {
-    jobs = static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
-  }
-
-  std::atomic<bool> abort{false};
-  std::mutex fatal_mu;
-  std::size_t fatal_index = static_cast<std::size_t>(opts.schedules);
-  std::exception_ptr fatal;  // kInterrupted / kDeadlineExceeded
-
+  // A drain interrupt or a lapsed deadline propagates out of the body
+  // uncommitted — the job re-runs on resume — and the pool rethrows the
+  // lowest-index one after the join.
   run_indexed(
-      static_cast<std::size_t>(opts.schedules), jobs,
+      static_cast<std::size_t>(opts.schedules), opts.jobs,
       [&](int, std::size_t i) {
         ChaosJobResult& slot = report.jobs[i];
         if (slot.from_checkpoint) return;
-        if (opts.cancel != nullptr &&
-            opts.cancel->load(std::memory_order_relaxed)) {
-          abort.store(true, std::memory_order_relaxed);
-          return;
-        }
         const Workload& workload = pairs[i % pairs.size()];
         const bool dase_fair = (i % 2) == 1;
         const FaultSchedule schedule = random_fault_schedule(
             job_schedule_seed(opts.seed, i), opts.cycles,
             opts.gpu.num_partitions, opts.max_events);
-        ChaosJobResult r;
-        try {
-          r = run_chaos_job(opts, workload, dase_fair, schedule);
-          r.index = static_cast<int>(i);
-          if (opts.minimize && r.outcome != ChaosOutcome::kRecovered) {
-            const FaultSchedule minimal = minimize_failing_schedule(
-                opts, workload, dase_fair, schedule, r.outcome);
-            r.minimized_schedule = minimal.to_string();
-            r.minimized_events = minimal.events.size();
-          }
-        } catch (...) {
-          // Campaign-fatal (drain interrupt / deadline): this job is left
-          // unfinished — no checkpoint line — so a resumed campaign
-          // re-runs it; the lowest-index error is rethrown after the join.
-          std::lock_guard<std::mutex> lock(fatal_mu);
-          if (i < fatal_index) {
-            fatal_index = i;
-            fatal = std::current_exception();
-          }
-          abort.store(true, std::memory_order_relaxed);
-          return;
+        ChaosJobResult r = run_chaos_job(opts, workload, dase_fair, schedule);
+        r.index = static_cast<int>(i);
+        if (opts.minimize && r.outcome != ChaosOutcome::kRecovered) {
+          const FaultSchedule minimal = minimize_failing_schedule(
+              opts, workload, dase_fair, schedule, r.outcome);
+          r.minimized_schedule = minimal.to_string();
+          r.minimized_events = minimal.events.size();
         }
         r.replay = replay_command(
             opts, r.workload,
             r.minimized_schedule.empty() ? r.schedule : r.minimized_schedule,
             dase_fair);
         r.json = chaos_job_json(r);
-        if (checkpoint.is_open()) {
-          std::lock_guard<std::mutex> lock(checkpoint_mu);
-          checkpoint << r.json << "\n";
-          checkpoint.flush();
-        }
+        checkpoint.append(r.json);
         slot = std::move(r);
       },
-      &abort);
-
-  if (fatal) std::rethrow_exception(fatal);
+      opts.cancel);
   return report;
-}
-
-void write_chaos_report(const std::string& path, const ChaosReport& report) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    SIM_CHECK(out.good(), SimError(SimErrorKind::kHarness, "harness.chaos",
-                                   "cannot open chaos report for writing")
-                              .detail("path", tmp));
-    out << report.to_json();
-  }
-  std::filesystem::rename(tmp, path);
 }
 
 }  // namespace gpusim

@@ -1,8 +1,9 @@
 // ChaosLab campaign engine.
 //
 // A chaos campaign fans deterministic random FaultSchedules across
-// workload × policy co-runs (sharing the sweep's worker pool and JSONL
-// checkpoint discipline), classifies every outcome into exactly one of
+// workload × policy co-runs (through the batch pool of
+// harness/worker_pool.hpp and a common/jsonl.hpp Ledger checkpoint, like
+// the sweep), classifies every outcome into exactly one of
 // four classes — there is deliberately no "unknown" —
 //
 //   recovered     the run completed, the conservation audit balanced
@@ -132,6 +133,10 @@ struct ChaosReport {
   Cycle cycles = 0;
   bool recovery = true;
   int resumed = 0;
+  /// Torn or stale checkpoint lines skipped (with a stderr warning) while
+  /// resuming; their jobs re-ran.  Not serialized: the report bytes do not
+  /// depend on whether a crash happened.
+  int torn_lines_skipped = 0;
   std::vector<ChaosJobResult> jobs;  ///< index order
 
   int count(ChaosOutcome outcome) const;
@@ -166,8 +171,5 @@ FaultSchedule minimize_failing_schedule(const ChaosOptions& opts,
 
 /// Runs the whole campaign (resuming from the checkpoint when present).
 ChaosReport run_chaos_campaign(const ChaosOptions& opts);
-
-/// Atomically writes report.to_json() to `path` (temp file + rename).
-void write_chaos_report(const std::string& path, const ChaosReport& report);
 
 }  // namespace gpusim

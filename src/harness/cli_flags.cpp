@@ -42,10 +42,12 @@ const std::vector<FlagInfo>& flag_table() {
        "final results JSON (default sweep_results.json /\n"
        "chaos_report.json / jobs_report.json)"},
       {FlagId::kRetries, "--retries", "N",
-       "sweep attempts per pair (default 3)"},
+       "sweep attempts per pair; deterministic errors (config,\n"
+       "invariant, conservation, budget) run once (default 3)"},
       {FlagId::kBackoffMs, "--backoff-ms", "N",
-       "retry backoff in ms: linear per sweep pair, exponential base\n"
-       "per job attempt (default 0 / 10)"},
+       "exponential retry backoff base in ms for sweep pairs and job\n"
+       "attempts: retry r waits N << (r-1) plus a deterministic jitter\n"
+       "(default 0 for sweeps, 10 for job batches)"},
       {FlagId::kFailFast, "--fail-fast", nullptr,
        "abort the sweep on the first failed pair"},
       {FlagId::kJobs, "--jobs", "N",
@@ -165,8 +167,8 @@ const std::vector<ExitCodeInfo>& exit_code_table() {
       {2, "usage error"},
       {3, "simulation error (SimError) / --triage bundle unusable"},
       {4, "determinism audit or --triage replay found a divergence"},
-      {5, "resumed past torn checkpoint lines (results complete, but a "
-          "prior run crashed mid-write)"},
+      {5, "a checkpoint or manifest had torn lines (skipped and re-run; "
+          "results complete, but a prior run crashed mid-write)"},
       {6, "interrupted by SIGINT/SIGTERM — drained gracefully; checkpoints "
           "and manifest are resumable"},
       {7, "wall-clock deadline exceeded"},

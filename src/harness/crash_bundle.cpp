@@ -9,6 +9,7 @@
 
 #include "common/build_info.hpp"
 #include "common/config_io.hpp"
+#include "common/jsonl.hpp"
 #include "gpu/simulator.hpp"
 #include "gpu/snapshot.hpp"
 
@@ -20,70 +21,6 @@ namespace fs = std::filesystem;
 
 std::string schema_name() {
   return "gpusim-crash-bundle-v" + std::to_string(kCrashBundleSchema);
-}
-
-std::string escape_json(const std::string& text) {
-  std::string out;
-  out.reserve(text.size() + 8);
-  for (char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-/// Inverse of escape_json, total over arbitrary input: a malformed escape
-/// is kept literally rather than crashing (the manifest reader must never
-/// trust its input).
-std::string unescape_json(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (std::size_t i = 0; i < text.size(); ++i) {
-    if (text[i] != '\\' || i + 1 >= text.size()) {
-      out += text[i];
-      continue;
-    }
-    const char next = text[++i];
-    switch (next) {
-      case '"': out += '"'; break;
-      case '\\': out += '\\'; break;
-      case 'n': out += '\n'; break;
-      case 'r': out += '\r'; break;
-      case 't': out += '\t'; break;
-      case 'u': {
-        if (i + 4 < text.size()) {
-          const std::string hex = text.substr(i + 1, 4);
-          char* end = nullptr;
-          const unsigned long code = std::strtoul(hex.c_str(), &end, 16);
-          if (end != nullptr && *end == '\0' && code < 0x80) {
-            out += static_cast<char>(code);
-            i += 4;
-            break;
-          }
-        }
-        out += "\\u";
-        break;
-      }
-      default:
-        out += '\\';
-        out += next;
-        break;
-    }
-  }
-  return out;
 }
 
 std::string sanitize_name(const std::string& label) {
@@ -129,33 +66,33 @@ void write_manifest(std::ostream& os, const TriageContext& ctx,
   if (ctx.mise) models += models.empty() ? "mise" : " mise";
   if (ctx.asm_model) models += models.empty() ? "asm" : " asm";
   os << "{\n";
-  os << "  \"schema\": \"" << escape_json(schema_name()) << "\",\n";
+  os << "  \"schema\": \"" << json_escape(schema_name()) << "\",\n";
   os << "  \"build_fingerprint\": " << build_fingerprint() << ",\n";
   os << "  \"build_line\": \""
-     << escape_json(build_fingerprint_line(kSnapshotVersion)) << "\",\n";
-  os << "  \"mode\": \"" << escape_json(ctx.mode) << "\",\n";
-  os << "  \"label\": \"" << escape_json(ctx.label) << "\",\n";
-  os << "  \"apps\": \"" << escape_json(join_space(ctx.apps)) << "\",\n";
+     << json_escape(build_fingerprint_line(kSnapshotVersion)) << "\",\n";
+  os << "  \"mode\": \"" << json_escape(ctx.mode) << "\",\n";
+  os << "  \"label\": \"" << json_escape(ctx.label) << "\",\n";
+  os << "  \"apps\": \"" << json_escape(join_space(ctx.apps)) << "\",\n";
   os << "  \"base_seed\": " << ctx.base_seed << ",\n";
   os << "  \"co_run_cycles\": " << ctx.co_run_cycles << ",\n";
-  os << "  \"policy\": \"" << escape_json(ctx.policy) << "\",\n";
+  os << "  \"policy\": \"" << json_escape(ctx.policy) << "\",\n";
   os << "  \"models\": \"" << models << "\",\n";
-  os << "  \"faults\": \"" << escape_json(ctx.faults) << "\",\n";
+  os << "  \"faults\": \"" << json_escape(ctx.faults) << "\",\n";
   os << "  \"watchdog_cycles\": " << ctx.watchdog_cycles << ",\n";
   os << "  \"governor\": \"" << (ctx.governor ? "on" : "off") << "\",\n";
   os << "  \"sm_split\": \"" << join_space_ints(ctx.sm_split) << "\",\n";
   os << "  \"fingerprint\": " << ctx.fingerprint << ",\n";
   os << "  \"failure_cycle\": " << failure_cycle << ",\n";
   os << "  \"failure_state_hash\": " << failure_state_hash << ",\n";
-  os << "  \"error_kind\": \"" << escape_json(to_string(err.kind()))
+  os << "  \"error_kind\": \"" << json_escape(to_string(err.kind()))
      << "\",\n";
-  os << "  \"error_component\": \"" << escape_json(err.component())
+  os << "  \"error_component\": \"" << json_escape(err.component())
      << "\",\n";
-  os << "  \"error_message\": \"" << escape_json(err.message()) << "\",\n";
+  os << "  \"error_message\": \"" << json_escape(err.message()) << "\",\n";
   os << "  \"snapshot\": \"snapshot.simstate\",\n";
   os << "  \"anchor\": \"" << (have_anchor ? "anchor.simstate" : "")
      << "\",\n";
-  os << "  \"replay\": \"" << escape_json("gpusim_cli --triage " + final_dir)
+  os << "  \"replay\": \"" << json_escape("gpusim_cli --triage " + final_dir)
      << "\"\n";
   os << "}\n";
 }
@@ -323,7 +260,7 @@ CrashBundleManifest read_crash_bundle_manifest(
     bool is_string = false;
     for (const char* key : kStringKeys) {
       if (line_value(line, key, value, is_string) && is_string) {
-        strings.emplace_back(key, unescape_json(value));
+        strings.emplace_back(key, json_unescape(value));
       }
     }
     for (const char* key : kNumberKeys) {

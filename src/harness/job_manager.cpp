@@ -6,17 +6,16 @@
 #include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
 #include <fstream>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <sstream>
-#include <thread>
 #include <utility>
 
-#include "common/bounded_queue.hpp"
 #include "common/build_info.hpp"
 #include "common/fault_injection.hpp"
+#include "common/jsonl.hpp"
 #include "common/sim_error.hpp"
 #include "harness/chaos.hpp"
 #include "harness/runner.hpp"
@@ -27,38 +26,6 @@
 namespace gpusim {
 
 namespace {
-
-std::string escape_json(const std::string& text) {
-  std::string out;
-  out.reserve(text.size() + 8);
-  for (char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-/// splitmix64 — the repo's standard seed mixer; here it derives the
-/// deterministic retry-backoff jitter from (job index, attempt).
-u64 mix64(u64 x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
 
 [[noreturn]] void spec_error(const std::string& line, const std::string& why) {
   SIM_FAIL(SimError(SimErrorKind::kConfig, "harness.jobs",
@@ -92,46 +59,6 @@ std::vector<std::string> split_on(const std::string& text, char sep) {
   return out;
 }
 
-/// Same positional field extraction the sweep checkpoint loader uses: the
-/// manifest is our own append-only output, so this is exact, not heuristic.
-std::string extract_string_field(const std::string& line,
-                                 const std::string& key) {
-  const std::string needle = "\"" + key + "\":\"";
-  const auto pos = line.find(needle);
-  if (pos == std::string::npos) return "";
-  const auto start = pos + needle.size();
-  std::string out;
-  for (auto i = start; i < line.size(); ++i) {
-    const char c = line[i];
-    if (c == '\\' && i + 1 < line.size()) {
-      const char n = line[++i];
-      switch (n) {
-        case 'n': out += '\n'; break;
-        case 'r': out += '\r'; break;
-        case 't': out += '\t'; break;
-        default: out += n;
-      }
-      continue;
-    }
-    if (c == '"') return out;
-    out += c;
-  }
-  return "";
-}
-
-bool extract_u64_field(const std::string& line, const std::string& key,
-                       u64& out) {
-  const std::string needle = "\"" + key + "\":";
-  const auto pos = line.find(needle);
-  if (pos == std::string::npos) return false;
-  const auto start = pos + needle.size();
-  auto end = start;
-  while (end < line.size() && line[end] >= '0' && line[end] <= '9') ++end;
-  if (end == start) return false;
-  out = std::strtoull(line.substr(start, end - start).c_str(), nullptr, 10);
-  return true;
-}
-
 Cycle effective_cycles(const JobSpec& spec, const JobManagerOptions& opts) {
   return spec.cycles != 0 ? spec.cycles : opts.default_cycles;
 }
@@ -148,21 +75,6 @@ double effective_deadline_ms(const JobSpec& spec,
 
 int effective_retries(const JobSpec& spec, const JobManagerOptions& opts) {
   return spec.max_retries >= 0 ? spec.max_retries : opts.max_retries;
-}
-
-/// Transient failures are worth another attempt (a stall can be a one-off
-/// under a tight watchdog; a lapsed deadline may pass on a less loaded
-/// machine).  Config, invariant, conservation, snapshot and budget errors
-/// are deterministic — retrying them only burns the failure budget.
-bool transient_failure(SimErrorKind kind) {
-  switch (kind) {
-    case SimErrorKind::kWatchdogStall:
-    case SimErrorKind::kRecoveryExhausted:
-    case SimErrorKind::kDeadlineExceeded:
-      return true;
-    default:
-      return false;
-  }
 }
 
 std::string job_snapshot_dir(const JobManagerOptions& opts, int index) {
@@ -274,8 +186,8 @@ std::string execute_sweep_job(const JobSpec& spec,
       payload << e.result_json;
     } else {
       ++failed;
-      payload << "{\"label\":\"" << escape_json(e.label)
-              << "\",\"failed\":true,\"error\":\"" << escape_json(e.error)
+      payload << "{\"label\":\"" << json_escape(e.label)
+              << "\",\"failed\":true,\"error\":\"" << json_escape(e.error)
               << "\"}";
     }
   }
@@ -335,6 +247,16 @@ std::string dispatch_job(const JobSpec& spec, const JobManagerOptions& opts,
                     "unreachable job type"));
 }
 
+/// The terminal status a stored result line names; nullopt for anything
+/// else (a pending job has no result line).
+std::optional<JobStatus> terminal_status(const std::string& text) {
+  for (const JobStatus status :
+       {JobStatus::kOk, JobStatus::kFailed, JobStatus::kQuarantined}) {
+    if (text == to_string(status)) return status;
+  }
+  return std::nullopt;
+}
+
 /// Canonical manifest result line for one finished job.
 std::string result_line(const JobResult& r) {
   std::ostringstream ss;
@@ -343,15 +265,15 @@ std::string result_line(const JobResult& r) {
   // Emitted only when the batch ran with telemetry enabled, so manifests of
   // telemetry-free batches stay byte-identical to previous versions.
   if (!r.telemetry_dir.empty()) {
-    ss << ",\"telemetry_dir\":\"" << escape_json(r.telemetry_dir) << "\"";
+    ss << ",\"telemetry_dir\":\"" << json_escape(r.telemetry_dir) << "\"";
   }
   if (r.status == JobStatus::kOk) {
     ss << ",\"payload\":" << r.payload_json;
   } else {
-    ss << ",\"error_kind\":\"" << escape_json(r.error_kind)
-       << "\",\"error_component\":\"" << escape_json(r.error_component)
-       << "\",\"error_message\":\"" << escape_json(r.error_message)
-       << "\",\"reproducer\":\"" << escape_json(r.reproducer) << "\"";
+    ss << ",\"error_kind\":\"" << json_escape(r.error_kind)
+       << "\",\"error_component\":\"" << json_escape(r.error_component)
+       << "\",\"error_message\":\"" << json_escape(r.error_message)
+       << "\",\"reproducer\":\"" << json_escape(r.reproducer) << "\"";
   }
   ss << "}";
   return ss.str();
@@ -598,18 +520,6 @@ int JobBatchReport::exit_code() const {
   return failed > 0 ? 1 : 0;
 }
 
-void write_job_report(const std::string& path, const JobBatchReport& report) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    SIM_CHECK(out.good(), SimError(SimErrorKind::kHarness, "harness.jobs",
-                                   "cannot open report file for writing")
-                              .detail("path", tmp));
-    out << report.to_json();
-  }
-  std::filesystem::rename(tmp, path);
-}
-
 JobManager::JobManager(JobManagerOptions opts) : opts_(std::move(opts)) {
   SIM_CHECK(!opts_.manifest_path.empty(),
             SimError(SimErrorKind::kHarness, "harness.jobs",
@@ -645,89 +555,75 @@ JobBatchReport JobManager::run(const std::vector<JobSpec>& specs) {
                        "(--jobs-resume) or remove it first")
                   .detail("path", opts_.manifest_path));
   }
-  {
-    std::ofstream out(opts_.manifest_path, std::ios::trunc);
-    SIM_CHECK(out.good(), SimError(SimErrorKind::kHarness, "harness.jobs",
-                                   "cannot open manifest for writing")
-                              .detail("path", opts_.manifest_path));
-    // "build" is informational (resume never rejects on it): it lets a
-    // triage session tell whether a manifest was produced by this binary.
-    out << "{\"gpusim_jobs\":" << kJobsManifestSchema
-        << ",\"total\":" << specs.size()
-        << ",\"base_seed\":" << opts_.base_seed
-        << ",\"default_cycles\":" << opts_.default_cycles
-        << ",\"build\":" << build_fingerprint() << "}\n";
-    for (const JobSpec& spec : specs) {
-      out << "{\"job\":" << spec.index << ",\"spec\":\""
-          << escape_json(spec.raw) << "\"}\n";
-    }
-    out.flush();
-    SIM_CHECK(out.good(), SimError(SimErrorKind::kHarness, "harness.jobs",
-                                   "manifest header write failed")
-                              .detail("path", opts_.manifest_path));
+  torn_lines_skipped_ = 0;
+  Ledger manifest(opts_.manifest_path, "harness.jobs",
+                  [](const std::string&) { return false; });
+  // "build" is informational (resume never rejects on it): it lets a
+  // triage session tell whether a manifest was produced by this binary.
+  std::ostringstream header;
+  header << "{\"gpusim_jobs\":" << kJobsManifestSchema
+         << ",\"total\":" << specs.size()
+         << ",\"base_seed\":" << opts_.base_seed
+         << ",\"default_cycles\":" << opts_.default_cycles
+         << ",\"build\":" << build_fingerprint() << "}";
+  manifest.append(header.str());
+  for (const JobSpec& spec : specs) {
+    manifest.append("{\"job\":" + std::to_string(spec.index) + ",\"spec\":\"" +
+                    json_escape(spec.raw) + "\"}");
   }
   std::vector<JobResult> seeded(specs.size());
   for (std::size_t i = 0; i < specs.size(); ++i) {
     seeded[i].index = specs[i].index;
     seeded[i].spec_raw = specs[i].raw;
   }
-  torn_lines_skipped_ = 0;
-  return execute(specs, std::move(seeded));
+  return execute(specs, std::move(seeded), manifest);
 }
 
 JobBatchReport JobManager::resume() {
   torn_lines_skipped_ = 0;
-  std::ifstream in(opts_.manifest_path);
-  SIM_CHECK(static_cast<bool>(in),
+  SIM_CHECK(std::ifstream(opts_.manifest_path).good(),
             SimError(SimErrorKind::kHarness, "harness.jobs",
                      "cannot open manifest to resume")
                 .detail("path", opts_.manifest_path));
 
+  const auto no_header = [&]() {
+    return SimError(SimErrorKind::kHarness, "harness.jobs",
+                    "manifest has no header — not a gpusim jobs manifest")
+        .detail("path", opts_.manifest_path);
+  };
   u64 total = 0;
   bool have_header = false;
   std::map<u64, std::string> spec_lines;    // job index -> raw spec
   std::map<u64, std::string> result_lines;  // job index -> stored line
-  std::string line;
-  int line_no = 0;
-  auto warn_torn = [&](const char* why) {
-    ++torn_lines_skipped_;
-    std::fprintf(stderr,
-                 "gpusim: jobs manifest %s line %d is %s — skipping it; "
-                 "the affected job will re-run\n",
-                 opts_.manifest_path.c_str(), line_no, why);
-  };
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (line.empty()) continue;  // seal_torn_tail padding, harmless
-    if (line.back() != '}') {
-      warn_torn("truncated (crash mid-write?)");
-      continue;
-    }
-    if (!have_header && line.rfind("{\"gpusim_jobs\":", 0) == 0) {
-      SIM_CHECK(extract_u64_field(line, "total", total) && total > 0,
-                SimError(SimErrorKind::kHarness, "harness.jobs",
-                         "manifest header has no job count")
-                    .detail("path", opts_.manifest_path));
-      have_header = true;
-      continue;
-    }
-    u64 index = 0;
-    if (!extract_u64_field(line, "job", index)) {
-      warn_torn("missing its job index");
-      continue;
-    }
-    if (line.find("\"spec\":\"") != std::string::npos) {
-      spec_lines[index] = extract_string_field(line, "spec");
-    } else if (line.find("\"status\":\"") != std::string::npos) {
-      result_lines[index] = line;  // last line for a job wins
-    } else {
-      warn_torn("neither a spec nor a result");
-    }
-  }
-  SIM_CHECK(have_header,
-            SimError(SimErrorKind::kHarness, "harness.jobs",
-                     "manifest has no header — not a gpusim jobs manifest")
-                .detail("path", opts_.manifest_path));
+  Ledger manifest(
+      opts_.manifest_path, "harness.jobs", [&](const std::string& line) {
+        if (!have_header) {
+          // Refuse a foreign file before the ledger appends to it.
+          SIM_CHECK(line.rfind("{\"gpusim_jobs\":", 0) == 0, no_header());
+          const auto n = json_u64_field(line, "total");
+          SIM_CHECK(n && *n > 0,
+                    SimError(SimErrorKind::kHarness, "harness.jobs",
+                             "manifest header has no job count")
+                        .detail("path", opts_.manifest_path));
+          total = *n;
+          have_header = true;
+          return true;
+        }
+        const auto index = json_u64_field(line, "job");
+        if (!index) return false;
+        if (const auto spec = json_string_field(line, "spec")) {
+          spec_lines[*index] = *spec;
+          return true;
+        }
+        if (!terminal_status(
+                json_string_field(line, "status").value_or(""))) {
+          return false;
+        }
+        result_lines[*index] = line;  // last line for a job wins
+        return true;
+      });
+  torn_lines_skipped_ = manifest.torn_lines();
+  SIM_CHECK(have_header, no_header());
   SIM_CHECK(spec_lines.size() == total,
             SimError(SimErrorKind::kHarness, "harness.jobs",
                      "manifest is missing job spec lines")
@@ -750,62 +646,27 @@ JobBatchReport JobManager::resume() {
     const auto rit = result_lines.find(i);
     if (rit == result_lines.end()) continue;
     const std::string& stored = rit->second;
-    const std::string status = extract_string_field(stored, "status");
-    if (status == "ok") {
-      r.status = JobStatus::kOk;
-    } else if (status == "failed") {
-      r.status = JobStatus::kFailed;
-    } else if (status == "quarantined") {
-      r.status = JobStatus::kQuarantined;
-    } else {
-      warn_torn("carrying an unknown status");
-      continue;
+    r.status = *terminal_status(*json_string_field(stored, "status"));
+    r.attempts =
+        static_cast<int>(json_u64_field(stored, "attempts").value_or(0));
+    r.telemetry_dir = json_string_field(stored, "telemetry_dir").value_or("");
+    if (r.status != JobStatus::kOk) {
+      r.error_kind = json_string_field(stored, "error_kind").value_or("");
+      r.error_component =
+          json_string_field(stored, "error_component").value_or("");
+      r.error_message = json_string_field(stored, "error_message").value_or("");
+      r.reproducer = json_string_field(stored, "reproducer").value_or("");
     }
-    u64 attempts = 0;
-    extract_u64_field(stored, "attempts", attempts);
-    r.attempts = static_cast<int>(attempts);
-    r.error_kind = extract_string_field(stored, "error_kind");
-    r.error_component = extract_string_field(stored, "error_component");
-    r.error_message = extract_string_field(stored, "error_message");
-    r.reproducer = extract_string_field(stored, "reproducer");
     r.json = stored;  // replayed verbatim → byte-identical final report
     r.from_manifest = true;
   }
-  return execute(specs, std::move(seeded));
+  return execute(specs, std::move(seeded), manifest);
 }
 
 JobBatchReport JobManager::execute(const std::vector<JobSpec>& specs,
-                                   std::vector<JobResult> seeded) {
+                                   std::vector<JobResult> seeded,
+                                   Ledger& manifest) {
   const std::size_t n = specs.size();
-
-  // Manifest append channel: workers push finished-job lines into a bounded
-  // queue; one writer thread appends and flushes them whole, so lines never
-  // interleave and a kill tears at most the line in flight (which resume
-  // skips with a warning).
-  std::ofstream manifest;
-  {
-    bool seal_torn_tail = false;
-    std::ifstream probe(opts_.manifest_path, std::ios::binary);
-    if (probe && probe.seekg(0, std::ios::end) && probe.tellg() > 0) {
-      probe.seekg(-1, std::ios::end);
-      char last = '\n';
-      seal_torn_tail = probe.get(last) && last != '\n';
-    }
-    probe.close();
-    manifest.open(opts_.manifest_path, std::ios::app);
-    SIM_CHECK(manifest.good(),
-              SimError(SimErrorKind::kHarness, "harness.jobs",
-                       "cannot open manifest for append")
-                  .detail("path", opts_.manifest_path));
-    if (seal_torn_tail) manifest << "\n";
-  }
-  ConcurrentBoundedQueue<std::string> lines(64);
-  std::thread writer([&]() {
-    while (auto line = lines.pop()) {
-      manifest << *line << "\n";
-      manifest.flush();
-    }
-  });
 
   // Determinism under parallelism: jobs sharing a config key run in index
   // order (a later one waits until every earlier same-key job is terminal),
@@ -849,14 +710,8 @@ JobBatchReport JobManager::execute(const std::vector<JobSpec>& specs,
            opts_.cancel->load(std::memory_order_relaxed);
   };
 
-  int jobs = opts_.jobs;
-  if (jobs == 0) jobs = std::max(1u, std::thread::hardware_concurrency());
-  jobs = static_cast<int>(
-      std::min<std::size_t>(static_cast<std::size_t>(jobs),
-                            std::max<std::size_t>(pending.size(), 1)));
-
   run_indexed(
-      pending.size(), jobs,
+      pending.size(), opts_.jobs,
       [&](int, std::size_t k) {
         const std::size_t i = pending[k];
         const JobSpec& spec = specs[i];
@@ -907,7 +762,7 @@ JobBatchReport JobManager::execute(const std::vector<JobSpec>& specs,
             std::fprintf(stderr, "gpusim: job %d quarantined (%s)\n",
                          spec.index, spec.raw.c_str());
           }
-          lines.push(r.json);
+          manifest.append(r.json);
           seeded[i] = std::move(r);
           return;
         }
@@ -918,11 +773,13 @@ JobBatchReport JobManager::execute(const std::vector<JobSpec>& specs,
           r.telemetry_dir = job_telemetry_dir(opts_, spec.index);
         }
 
-        // Attempt loop: transient failures retry with exponential backoff
-        // plus deterministic jitter; everything else fails fast.
-        const int max_attempts = 1 + effective_retries(spec, opts_);
+        // Attempt loop under the shared RetryPolicy: transient failures
+        // retry with exponential backoff plus deterministic jitter;
+        // everything else fails fast.
+        const RetryPolicy retry{1 + effective_retries(spec, opts_),
+                                opts_.backoff_base_ms};
         const double deadline_ms = effective_deadline_ms(spec, opts_);
-        for (int attempt = 1; attempt <= max_attempts; ++attempt) {
+        for (int attempt = 1;; ++attempt) {
           if (cancelled()) {
             request_abort();
             return;  // job stays pending; a resume re-runs it
@@ -952,20 +809,12 @@ JobBatchReport JobManager::execute(const std::vector<JobSpec>& specs,
             r.error_kind = to_string(e.kind());
             r.error_component = e.component();
             r.error_message = e.message();
-            if (!transient_failure(e.kind())) break;
+            if (!retry.retry_after(i, attempt, e)) break;
           } catch (const std::exception& e) {
             r.error_kind = "exception";
             r.error_component = "harness.jobs";
             r.error_message = e.what();
-          }
-          if (attempt < max_attempts && opts_.backoff_base_ms > 0) {
-            const int shift = std::min(attempt - 1, 10);
-            const u64 jitter =
-                mix64(static_cast<u64>(spec.index) * 0x10001ULL +
-                      static_cast<u64>(attempt)) %
-                static_cast<u64>(opts_.backoff_base_ms + 1);
-            std::this_thread::sleep_for(std::chrono::milliseconds(
-                (static_cast<u64>(opts_.backoff_base_ms) << shift) + jitter));
+            if (!retry.retry_after(i, attempt, e)) break;
           }
         }
         if (r.status != JobStatus::kOk) r.status = JobStatus::kFailed;
@@ -990,14 +839,10 @@ JobBatchReport JobManager::execute(const std::vector<JobSpec>& specs,
                        spec.index, to_string(r.status), r.attempts,
                        r.attempts == 1 ? "" : "s", spec.raw.c_str());
         }
-        lines.push(r.json);
+        manifest.append(r.json);
         seeded[i] = std::move(r);
       },
       &abort);
-
-  lines.close();
-  writer.join();
-  manifest.close();
 
   JobBatchReport report;
   report.total = static_cast<int>(n);

@@ -12,10 +12,12 @@
 //               cadence, so the hot path pays nothing);
 //   budgets     optional cycle / DRAM-traffic caps per job
 //               (SimError(kBudgetExceeded)) guard runaway configs;
-//   retries     transient failures (watchdog stalls, exhausted recovery,
-//               lapsed deadlines, generic exceptions) retry with
-//               exponential backoff + deterministic jitter; config and
-//               invariant errors fail fast — retrying them cannot help;
+//   retries     the RetryPolicy shared with the sweep
+//               (harness/worker_pool.hpp): transient failures (watchdog
+//               stalls, exhausted recovery, lapsed deadlines, generic
+//               exceptions) retry with exponential backoff + deterministic
+//               jitter; config and invariant errors fail fast — retrying
+//               them cannot help;
 //   quarantine  a circuit breaker counts *consecutive* terminal failures
 //               per config key; once the limit is hit, later jobs with the
 //               same key are quarantined immediately
@@ -29,10 +31,10 @@
 //
 // The *manifest* is the batch's single source of truth: a JSONL file whose
 // header + spec lines pin the batch definition and whose result lines (one
-// complete flushed line per finished job, appended by a dedicated writer
-// thread draining a ConcurrentBoundedQueue) record outcomes.  Resume
-// replays stored result lines verbatim — the same discipline that makes
-// sweep and chaos checkpoints byte-identical under kill/resume.
+// complete flushed line per finished job, appended by the finishing worker
+// through the same common/jsonl.hpp Ledger the sweep and chaos checkpoints
+// use) record outcomes.  Resume replays stored result lines verbatim — the
+// discipline that makes every batch byte-identical under kill/resume.
 //
 // Determinism under parallelism: jobs sharing a config key are serialized
 // in index order (a later job waits until every earlier same-key job is
@@ -50,6 +52,8 @@
 #include "common/types.hpp"
 
 namespace gpusim {
+
+class Ledger;
 
 enum class JobType : u8 {
   kRun,    ///< one co-run + alone baselines (ExperimentRunner)
@@ -155,7 +159,7 @@ struct JobManagerOptions {
   /// Retries after the first attempt, for transient failures only.
   int max_retries = 2;
   /// Backoff before retry r is `backoff_base_ms << (r-1)` plus a
-  /// deterministic jitter derived from (job index, attempt).
+  /// deterministic jitter derived from (job index, attempt) — RetryPolicy.
   int backoff_base_ms = 10;
   /// Quarantine a config key after this many *consecutive* terminal
   /// failures (success resets the count).
@@ -232,7 +236,7 @@ class JobManager {
 
  private:
   JobBatchReport execute(const std::vector<JobSpec>& specs,
-                         std::vector<JobResult> seeded);
+                         std::vector<JobResult> seeded, Ledger& manifest);
 
   JobManagerOptions opts_;
   int torn_lines_skipped_ = 0;
@@ -242,8 +246,5 @@ class JobManager {
 /// quarantine/failure reproducer).  Exposed for tests.
 std::string job_reproducer_command(const JobSpec& spec,
                                    const JobManagerOptions& opts);
-
-/// Atomically writes report.to_json() to `path` (temp file + rename).
-void write_job_report(const std::string& path, const JobBatchReport& report);
 
 }  // namespace gpusim

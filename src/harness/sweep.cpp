@@ -1,17 +1,11 @@
 #include "harness/sweep.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
-#include <cstdio>
-#include <filesystem>
-#include <fstream>
 #include <map>
-#include <mutex>
 #include <sstream>
-#include <thread>
 #include <utility>
 
+#include "common/jsonl.hpp"
 #include "common/sim_error.hpp"
 #include "harness/worker_pool.hpp"
 
@@ -19,114 +13,15 @@ namespace gpusim {
 
 namespace {
 
-/// %.17g round-trips every double bit-exactly, which the byte-identical
-/// resume guarantee depends on.
-std::string fmt_double(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
-std::string escape_json(const std::string& text) {
-  std::string out;
-  out.reserve(text.size() + 8);
-  for (char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-/// Pulls the string value of a top-level `"key":"value"` field out of a
-/// checkpoint line we wrote ourselves.  Returns empty when absent.
-std::string extract_string_field(const std::string& line,
-                                 const std::string& key) {
-  const std::string needle = "\"" + key + "\":\"";
-  const auto pos = line.find(needle);
-  if (pos == std::string::npos) return "";
-  const auto start = pos + needle.size();
-  const auto end = line.find('"', start);
-  if (end == std::string::npos) return "";
-  return line.substr(start, end - start);
-}
-
-struct CheckpointEntry {
-  bool ok = false;
-  std::string result_json;  ///< verbatim "result" object when ok
-  std::string error;
-};
-
-/// Parses the JSONL checkpoint.  The format is our own append-only output,
-/// so field extraction by position is exact, not heuristic; unparseable
-/// lines (e.g. a torn final line from a crash mid-write) are skipped with a
-/// stderr warning and counted in `torn_lines` — their pair simply re-runs.
-/// The last line for a label wins.
-std::map<std::string, CheckpointEntry> load_checkpoint(
-    const std::string& path, int& torn_lines) {
-  std::map<std::string, CheckpointEntry> entries;
-  std::ifstream in(path);
-  if (!in) return entries;
-  std::string line;
-  int line_no = 0;
-  auto warn_torn = [&](const char* why) {
-    ++torn_lines;
-    std::fprintf(stderr,
-                 "gpusim: sweep checkpoint %s line %d is %s — skipping it; "
-                 "the affected pair will re-run\n",
-                 path.c_str(), line_no, why);
-  };
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (line.empty()) continue;  // seal_torn_tail padding, harmless
-    if (line.back() != '}') {
-      warn_torn("truncated (crash mid-write?)");
-      continue;
-    }
-    const std::string label = extract_string_field(line, "label");
-    if (label.empty()) {
-      warn_torn("missing its label");
-      continue;
-    }
-    CheckpointEntry entry;
-    entry.ok = line.find("\"ok\":true") != std::string::npos;
-    if (entry.ok) {
-      const auto pos = line.find("\"result\":");
-      if (pos == std::string::npos) {
-        warn_torn("marked ok but has no result");
-        continue;
-      }
-      entry.result_json =
-          line.substr(pos + 9, line.size() - (pos + 9) - 1);
-    } else {
-      entry.error = extract_string_field(line, "error");
-    }
-    entries[label] = std::move(entry);
-  }
-  return entries;
-}
-
 std::string checkpoint_line(const SweepEntry& entry) {
   std::ostringstream ss;
-  ss << "{\"label\":\"" << escape_json(entry.label)
+  ss << "{\"label\":\"" << json_escape(entry.label)
      << "\",\"ok\":" << (entry.ok ? "true" : "false")
      << ",\"attempts\":" << entry.attempts;
   if (entry.ok) {
     ss << ",\"result\":" << entry.result_json;
   } else {
-    ss << ",\"error\":\"" << escape_json(entry.error) << "\"";
+    ss << ",\"error\":\"" << json_escape(entry.error) << "\"";
   }
   ss << "}";
   return ss.str();
@@ -151,53 +46,41 @@ SweepRunner::SweepRunner(SweepOptions opts, RunFnFactory factory)
 }
 
 int SweepRunner::effective_jobs(std::size_t n_pending) const {
-  int jobs = opts_.jobs;
-  if (jobs == 0) {
-    jobs = std::max(1u, std::thread::hardware_concurrency());
-  }
-  return static_cast<int>(
-      std::min<std::size_t>(static_cast<std::size_t>(jobs), n_pending));
+  return resolve_jobs(opts_.jobs, n_pending);
 }
 
-SweepEntry SweepRunner::run_one(const RunFn& fn, const Workload& workload) {
+SweepEntry SweepRunner::run_one(const RunFn& fn, std::size_t index,
+                                const Workload& workload) const {
+  const RetryPolicy retry{opts_.max_attempts, opts_.backoff_ms};
   SweepEntry entry;
   entry.label = workload.label();
-  for (int attempt = 1; attempt <= opts_.max_attempts; ++attempt) {
+  for (int attempt = 1;; ++attempt) {
     entry.attempts = attempt;
     try {
-      const CoRunResult result = fn(workload);
+      entry.result_json = to_json(fn(workload));
       entry.ok = true;
-      entry.result_json = to_json(result);
-      break;
+      return entry;
     } catch (const SimError& e) {
       // Sweep-fatal conditions: an operator interrupt or a lapsed job
       // deadline is about the *sweep*, not this pair — recording it as a
       // pair failure would poison the checkpoint (the pair would replay as
-      // "failed" forever).  Propagate instead; run() rethrows after the
-      // workers drain.
+      // "failed" forever).  Propagate it uncommitted instead.
       if (e.kind() == SimErrorKind::kInterrupted ||
           e.kind() == SimErrorKind::kDeadlineExceeded) {
         throw;
       }
       entry.error = e.what();
-      if (attempt < opts_.max_attempts && opts_.backoff_ms > 0) {
-        std::this_thread::sleep_for(
-            std::chrono::milliseconds(opts_.backoff_ms * attempt));
-      }
+      if (!retry.retry_after(index, attempt, e)) return entry;
     } catch (const std::exception& e) {
       entry.error = e.what();
-      if (attempt < opts_.max_attempts && opts_.backoff_ms > 0) {
-        std::this_thread::sleep_for(
-            std::chrono::milliseconds(opts_.backoff_ms * attempt));
-      }
+      if (!retry.retry_after(index, attempt, e)) return entry;
     }
   }
-  return entry;
 }
 
 std::string SweepRunner::to_json(const CoRunResult& r) {
   std::ostringstream ss;
-  ss << "{\"label\":\"" << escape_json(r.label) << "\",\"cycles\":" << r.cycles
+  ss << "{\"label\":\"" << json_escape(r.label) << "\",\"cycles\":" << r.cycles
      << ",\"unfairness\":" << fmt_double(r.unfairness)
      << ",\"harmonic_speedup\":" << fmt_double(r.harmonic_speedup)
      << ",\"wasted_bw_share\":" << fmt_double(r.wasted_bw_share)
@@ -216,7 +99,7 @@ std::string SweepRunner::to_json(const CoRunResult& r) {
   for (std::size_t i = 0; i < r.apps.size(); ++i) {
     const AppResult& a = r.apps[i];
     if (i != 0) ss << ",";
-    ss << "{\"abbr\":\"" << escape_json(a.abbr)
+    ss << "{\"abbr\":\"" << json_escape(a.abbr)
        << "\",\"instructions\":" << a.instructions
        << ",\"ipc_shared\":" << fmt_double(a.ipc_shared)
        << ",\"ipc_alone\":" << fmt_double(a.ipc_alone)
@@ -226,7 +109,7 @@ std::string SweepRunner::to_json(const CoRunResult& r) {
     for (const auto& [model, value] : a.estimates) {  // std::map: sorted
       if (!first) ss << ",";
       first = false;
-      ss << "\"" << escape_json(model) << "\":" << fmt_double(value);
+      ss << "\"" << json_escape(model) << "\":" << fmt_double(value);
     }
     ss << "}}";
   }
@@ -245,31 +128,25 @@ std::vector<SweepEntry> SweepRunner::run(
   attempts_spent_ = 0;
   torn_lines_skipped_ = 0;
 
-  std::map<std::string, CheckpointEntry> done;
-  std::ofstream checkpoint;
-  if (!opts_.checkpoint_path.empty()) {
-    done = load_checkpoint(opts_.checkpoint_path, torn_lines_skipped_);
-    // A crash mid-write leaves a torn final line with no trailing newline.
-    // Appending straight after it would glue our first new line onto the
-    // fragment, and a later resume would then mis-parse the combined line
-    // (the fragment's label with the new line's payload).  Seal the
-    // fragment onto its own line so it stays skippable forever.
-    bool seal_torn_tail = false;
-    {
-      std::ifstream probe(opts_.checkpoint_path, std::ios::binary);
-      if (probe && probe.seekg(0, std::ios::end) && probe.tellg() > 0) {
-        probe.seekg(-1, std::ios::end);
-        char last = '\n';
-        seal_torn_tail = probe.get(last) && last != '\n';
-      }
-    }
-    checkpoint.open(opts_.checkpoint_path, std::ios::app);
-    SIM_CHECK(checkpoint.good(),
-              SimError(SimErrorKind::kHarness, "harness.sweep",
-                       "cannot open checkpoint file for append")
-                  .detail("path", opts_.checkpoint_path));
-    if (seal_torn_tail) checkpoint << "\n";
-  }
+  // Resume: the last checkpoint line for a label wins, and only a
+  // successful one replays — its result object verbatim, which is what
+  // makes an interrupted + resumed results file byte-identical.
+  std::map<std::string, std::string> done;  // label -> result object
+  Ledger checkpoint(opts_.checkpoint_path, "harness.sweep",
+                    [&](const std::string& line) {
+                      const auto label = json_string_field(line, "label");
+                      if (!label || label->empty()) return false;
+                      if (line.find("\"ok\":true") == std::string::npos) {
+                        done.erase(*label);
+                        return true;
+                      }
+                      const auto pos = line.find("\"result\":");
+                      if (pos == std::string::npos) return false;
+                      done[*label] = line.substr(
+                          pos + 9, line.size() - (pos + 9) - 1);
+                      return true;
+                    });
+  torn_lines_skipped_ = checkpoint.torn_lines();
 
   // Replay checkpointed pairs and collect the still-pending workload
   // indices.  Entries live in one pre-sized vector indexed by workload
@@ -282,121 +159,64 @@ std::vector<SweepEntry> SweepRunner::run(
     SweepEntry& entry = entries[i];
     entry.label = workloads[i].label();
     const auto it = done.find(entry.label);
-    if (it != done.end() && it->second.ok) {
+    if (it != done.end()) {
       entry.ok = true;
       entry.from_checkpoint = true;
-      entry.result_json = it->second.result_json;
+      entry.result_json = it->second;
       ++resumed_;
     } else {
       pending.push_back(i);
     }
   }
 
+  // Each worker owns its RunFn.  A drain (the cancel flag) leaves unclaimed
+  // pairs pending for the next resume; a sweep-fatal error or a fail_fast
+  // failure stops the claiming, and the pool rethrows the lowest-index one.
   const int jobs = effective_jobs(pending.size());
-  std::mutex checkpoint_mu;  // guards `checkpoint` appends
-  auto commit = [&](const SweepEntry& entry) {
-    if (!checkpoint.is_open()) return;
-    // One complete line per finished pair, flushed before the worker picks
-    // up its next pair, so a crash at any point loses at most the pairs in
-    // progress.  The mutex spans format + write: lines never interleave.
-    const std::string line = checkpoint_line(entry);
-    std::lock_guard<std::mutex> lock(checkpoint_mu);
-    checkpoint << line << "\n";
-    checkpoint.flush();
-  };
-
-  // Workers claim pending indices through the shared pool (worker_pool.hpp;
-  // jobs <= 1 runs inline with no threads).  Each worker owns its RunFn.
-  // Under fail_fast a failure raises `abort`; in-progress pairs finish
-  // (and checkpoint) but no new pair starts, then the lowest-index failure
-  // is rethrown after the join so the error is deterministic.
-  const int n_fns = std::max(1, jobs);
   std::vector<RunFn> fns;
-  fns.reserve(n_fns);
-  for (int w = 0; w < n_fns; ++w) fns.push_back(factory_());
-
-  std::atomic<int> attempts_total{0};
-  std::atomic<bool> abort{false};
-  std::mutex failure_mu;
-  std::size_t first_failed = workloads.size();  // min failed workload index
-  std::size_t fatal_index = workloads.size();   // min sweep-fatal index
-  std::exception_ptr fatal;                     // kInterrupted / kDeadline…
+  for (int w = 0; w < std::max(1, jobs); ++w) fns.push_back(factory_());
 
   run_indexed(
       pending.size(), jobs,
       [&](int w, std::size_t k) {
         const std::size_t i = pending[k];
-        // Graceful shutdown: drain — claimed-but-not-started pairs are
-        // simply left pending for the next resume.
-        if (opts_.cancel != nullptr &&
-            opts_.cancel->load(std::memory_order_relaxed)) {
-          abort.store(true, std::memory_order_relaxed);
-          return;
-        }
-        SweepEntry entry;
-        try {
-          entry = run_one(fns[w], workloads[i]);
-        } catch (...) {
-          // Sweep-fatal (interrupt / deadline): record the lowest-index
-          // one and stop claiming; the pair is NOT committed to the
-          // checkpoint, so a resume re-runs it.
-          std::lock_guard<std::mutex> lock(failure_mu);
-          if (i < fatal_index) {
-            fatal_index = i;
-            fatal = std::current_exception();
-          }
-          abort.store(true, std::memory_order_relaxed);
-          return;
-        }
-        attempts_total.fetch_add(entry.attempts, std::memory_order_relaxed);
-        commit(entry);
+        SweepEntry entry = run_one(fns[w], i, workloads[i]);
+        // One complete line per finished pair, flushed before the worker
+        // picks up its next pair, so a crash loses at most the pairs in
+        // progress.
+        checkpoint.append(checkpoint_line(entry));
         if (!entry.ok && opts_.fail_fast) {
-          std::lock_guard<std::mutex> lock(failure_mu);
-          first_failed = std::min(first_failed, i);
-          abort.store(true, std::memory_order_relaxed);
+          SIM_FAIL(SimError(SimErrorKind::kHarness, "harness.sweep",
+                            "workload pair failed and fail_fast is set")
+                       .detail("workload", entry.label)
+                       .detail("attempts", entry.attempts)
+                       .detail("last_error", entry.error));
         }
         entries[i] = std::move(entry);
       },
-      &abort);
-  attempts_spent_ += attempts_total.load();
+      opts_.cancel);
 
-  if (fatal) std::rethrow_exception(fatal);
-  if (opts_.fail_fast && first_failed < workloads.size()) {
-    const SweepEntry& entry = entries[first_failed];
-    SIM_FAIL(SimError(SimErrorKind::kHarness, "harness.sweep",
-                      "workload pair failed and fail_fast is set")
-                 .detail("workload", entry.label)
-                 .detail("attempts", entry.attempts)
-                 .detail("last_error", entry.error));
-  }
+  for (const SweepEntry& entry : entries) attempts_spent_ += entry.attempts;
   return entries;
 }
 
 void SweepRunner::write_results(const std::string& path,
                                 const std::vector<SweepEntry>& entries) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    SIM_CHECK(out.good(), SimError(SimErrorKind::kHarness, "harness.sweep",
-                                   "cannot open results file for writing")
-                              .detail("path", tmp));
-    out << "{\"results\":[\n";
-    for (std::size_t i = 0; i < entries.size(); ++i) {
-      const SweepEntry& entry = entries[i];
-      if (entry.ok) {
-        out << entry.result_json;
-      } else {
-        out << "{\"label\":\"" << escape_json(entry.label)
-            << "\",\"failed\":true,\"error\":\"" << escape_json(entry.error)
-            << "\"}";
-      }
-      out << (i + 1 < entries.size() ? ",\n" : "\n");
+  std::ostringstream out;
+  out << "{\"results\":[\n";
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    const SweepEntry& entry = entries[i];
+    if (entry.ok) {
+      out << entry.result_json;
+    } else {
+      out << "{\"label\":\"" << json_escape(entry.label)
+          << "\",\"failed\":true,\"error\":\"" << json_escape(entry.error)
+          << "\"}";
     }
-    out << "]}\n";
+    out << (i + 1 < entries.size() ? ",\n" : "\n");
   }
-  // Atomic publish: readers see either the old results or the new ones,
-  // never a truncated file.
-  std::filesystem::rename(tmp, path);
+  out << "]}\n";
+  atomic_write_file(path, out.str(), "harness.sweep");
 }
 
 }  // namespace gpusim

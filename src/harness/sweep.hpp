@@ -10,20 +10,24 @@
 // assembled in workload order from those stored lines — an interrupted +
 // resumed sweep produces a byte-identical file to an uninterrupted one.
 //
-// Pairs that throw (SimError or anything else) are retried up to
-// `max_attempts` times with linear backoff; a pair that keeps failing is
-// recorded with its error and the sweep moves on (or aborts immediately
-// under `fail_fast`).
+// Pairs that throw are retried under the shared RetryPolicy
+// (harness/worker_pool.hpp): transient failures (watchdog stalls,
+// exhausted recovery, non-simulator exceptions) up to `max_attempts` times
+// with exponential backoff, deterministic SimErrors once.  A pair that
+// keeps failing is recorded with its error and the sweep moves on (or
+// aborts under `fail_fast`).
 //
 // Parallelism model (`SweepOptions::jobs`): pairs share no simulator
-// state, so a worker pool claims pending workload indices from an atomic
-// cursor and runs them concurrently, each worker on its own RunFn (see
-// RunFnFactory).  Determinism is preserved by construction:
+// state, so the shared worker pool (run_indexed) claims pending workload
+// indices from an atomic cursor and runs them concurrently, each worker on
+// its own RunFn (see RunFnFactory).  Determinism is preserved by
+// construction:
 //   - each pair's result depends only on the workload, never on which
 //     thread ran it or when;
-//   - finished pairs append to the checkpoint under a mutex, one complete
-//     line per pair — line *order* varies across runs, but resume loads
-//     the checkpoint into a label-keyed map, so order never matters;
+//   - finished pairs append to the checkpoint (a common/jsonl.hpp Ledger),
+//     one complete line per pair — line *order* varies across runs, but
+//     resume loads the checkpoint into a label-keyed map, so order never
+//     matters;
 //   - the final entry vector is assembled by workload index after all
 //     workers join, making write_results() byte-identical for every jobs
 //     value, interrupted or not.
@@ -43,9 +47,11 @@ struct SweepOptions {
   /// JSONL checkpoint file, appended after every pair.  Empty disables
   /// checkpointing (the sweep still retries, but cannot resume).
   std::string checkpoint_path;
-  /// Total tries per pair (first run + retries).
+  /// Total tries per pair (first run + retries); deterministic SimErrors
+  /// are tried once regardless.
   int max_attempts = 3;
-  /// Sleep `backoff_ms * attempt` between retries of the same pair.
+  /// Exponential backoff base: retry r of a pair sleeps
+  /// `backoff_ms << (r-1)` ms plus a deterministic jitter (RetryPolicy).
   int backoff_ms = 0;
   /// Abort the sweep (rethrow as SimError(kHarness)) on the first pair that
   /// exhausts its attempts, instead of recording the failure and moving on.
@@ -123,13 +129,15 @@ class SweepRunner {
   /// with %.17g so they round-trip bit-exactly).
   static std::string to_json(const CoRunResult& result);
 
-  /// Effective worker count for `n_pending` runnable pairs: resolves
-  /// jobs == 0 to std::thread::hardware_concurrency() and never exceeds
-  /// the number of pairs.  Exposed for tests and CLI diagnostics.
+  /// Effective worker count for `n_pending` runnable pairs (the shared
+  /// pool's resolve_jobs): jobs == 0 means one worker per hardware thread,
+  /// and never more workers than pairs.  Exposed for tests and CLI
+  /// diagnostics.
   int effective_jobs(std::size_t n_pending) const;
 
  private:
-  SweepEntry run_one(const RunFn& fn, const Workload& workload);
+  SweepEntry run_one(const RunFn& fn, std::size_t index,
+                     const Workload& workload) const;
 
   SweepOptions opts_;
   RunFnFactory factory_;

@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <filesystem>
-#include <fstream>
 #include <limits>
 #include <sstream>
 
+#include "common/jsonl.hpp"
 #include "common/sim_error.hpp"
 #include "gpu/gpu.hpp"
 #include "mem/dram.hpp"
@@ -16,65 +14,6 @@
 #include "telemetry/registry.hpp"
 
 namespace gpusim {
-
-namespace {
-
-std::string fmt_double(double v) { return MetricsRegistry::fmt(v); }
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-/// Atomic publish: write `<path>.tmp`, fsync-free rename over the target.
-/// Parent directories are created on demand so batch modes can point all
-/// units at one fresh directory.
-void atomic_write(const std::string& path, const std::string& content) {
-  const std::filesystem::path target(path);
-  std::error_code ec;
-  if (target.has_parent_path()) {
-    std::filesystem::create_directories(target.parent_path(), ec);
-  }
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    SIM_CHECK(out.good(), SimError(SimErrorKind::kHarness, "telemetry.hub",
-                                   "cannot open telemetry file for writing")
-                              .detail("path", tmp));
-    out << content;
-    out.flush();
-    SIM_CHECK(out.good(), SimError(SimErrorKind::kHarness, "telemetry.hub",
-                                   "short write while flushing telemetry")
-                              .detail("path", tmp));
-  }
-  std::filesystem::rename(tmp, target, ec);
-  SIM_CHECK(!ec, SimError(SimErrorKind::kHarness, "telemetry.hub",
-                          "atomic rename of telemetry file failed")
-                     .detail("from", tmp)
-                     .detail("to", path)
-                     .detail("error", ec.message()));
-}
-
-}  // namespace
 
 void TelemetryHub::on_interval(const IntervalSample& sample, Gpu& gpu) {
   ++epochs_seen_;
@@ -365,7 +304,7 @@ void write_telemetry_jsonl(const std::string& path, const TelemetryHub& hub,
     ss << "]}\n";
     prev = &r;
   }
-  atomic_write(path, ss.str());
+  atomic_write_file(path, ss.str(), "telemetry.hub");
 }
 
 namespace {
@@ -525,7 +464,7 @@ void write_trace_json(const std::string& path, const TelemetryHub& hub,
   }
 
   ss << "\n]}\n";
-  atomic_write(path, ss.str());
+  atomic_write_file(path, ss.str(), "telemetry.hub");
 }
 
 void collect_metrics(MetricsRegistry& reg, const TelemetryHub& hub,
@@ -682,7 +621,7 @@ void write_metrics_prom(const std::string& path, const TelemetryHub& hub,
   collect_metrics(reg, hub, gpu, ctx);
   std::ostringstream ss;
   reg.render(ss);
-  atomic_write(path, ss.str());
+  atomic_write_file(path, ss.str(), "telemetry.hub");
 }
 
 void flush_telemetry(const TelemetryHub& hub, const Gpu& gpu,

@@ -16,11 +16,11 @@
 // with %.17g so round-tripping is exact.
 #pragma once
 
-#include <cstdio>
 #include <ostream>
 #include <string>
 #include <vector>
 
+#include "common/jsonl.hpp"
 #include "common/types.hpp"
 
 namespace gpusim {
@@ -114,11 +114,7 @@ class MetricsRegistry {
   }
 
   /// %.17g rendering shared with the JSONL writers: shortest exact form.
-  static std::string fmt(double v) {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
-  }
+  static std::string fmt(double v) { return fmt_double(v); }
 
  private:
   /// Indices reordered so every family's samples are contiguous, families

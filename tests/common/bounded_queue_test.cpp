@@ -2,10 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
+#include <memory>
 #include <string>
-#include <thread>
-#include <vector>
 
 namespace gpusim {
 namespace {
@@ -67,121 +65,6 @@ TEST(BoundedQueueTest, IterationVisitsInOrder) {
   for (int i = 10; i < 14; ++i) q.try_push(i);
   int expect = 10;
   for (int v : q) EXPECT_EQ(v, expect++);
-}
-
-TEST(ConcurrentBoundedQueueTest, RejectsZeroCapacity) {
-  EXPECT_THROW(ConcurrentBoundedQueue<int>(0), SimError);
-}
-
-TEST(ConcurrentBoundedQueueTest, FifoThroughOneProducerOneConsumer) {
-  ConcurrentBoundedQueue<int> q(4);
-  std::thread producer([&] {
-    for (int i = 0; i < 100; ++i) EXPECT_TRUE(q.push(i));
-    q.close();
-  });
-  int expect = 0;
-  while (auto v = q.pop()) EXPECT_EQ(*v, expect++);
-  EXPECT_EQ(expect, 100);
-  producer.join();
-}
-
-TEST(ConcurrentBoundedQueueTest, FullQueueBackpressuresProducer) {
-  ConcurrentBoundedQueue<int> q(2);
-  EXPECT_TRUE(q.push(1));
-  EXPECT_TRUE(q.push(2));
-  EXPECT_FALSE(q.try_push(3));  // full: non-blocking push refuses
-
-  // A blocking push must actually wait for space, not drop or overflow.
-  std::atomic<bool> pushed{false};
-  std::thread producer([&] {
-    EXPECT_TRUE(q.push(3));
-    pushed.store(true);
-  });
-  // The producer is parked on the not_full condition; popping one item is
-  // what releases it.
-  EXPECT_EQ(q.pop(), 1);
-  producer.join();
-  EXPECT_TRUE(pushed.load());
-  EXPECT_EQ(q.pop(), 2);
-  EXPECT_EQ(q.pop(), 3);
-}
-
-TEST(ConcurrentBoundedQueueTest, PopAfterCloseDrainsThenEnds) {
-  ConcurrentBoundedQueue<std::string> q(4);
-  EXPECT_TRUE(q.push("a"));
-  EXPECT_TRUE(q.push("b"));
-  q.close();
-  // Accepted items are never lost: close() only stops new pushes.
-  EXPECT_FALSE(q.push("c"));
-  EXPECT_FALSE(q.try_push("c"));
-  EXPECT_EQ(q.pop(), "a");
-  EXPECT_EQ(q.pop(), "b");
-  EXPECT_EQ(q.pop(), std::nullopt);
-  EXPECT_EQ(q.pop(), std::nullopt);  // stays ended
-  q.close();                         // idempotent
-  EXPECT_TRUE(q.closed());
-}
-
-TEST(ConcurrentBoundedQueueTest, CloseWakesBlockedConsumers) {
-  ConcurrentBoundedQueue<int> q(2);
-  std::vector<std::thread> consumers;
-  std::atomic<int> ended{0};
-  for (int i = 0; i < 4; ++i) {
-    consumers.emplace_back([&] {
-      while (q.pop()) {
-      }
-      ended.fetch_add(1);
-    });
-  }
-  q.close();  // all four are (or will be) blocked on empty — release them
-  for (std::thread& t : consumers) t.join();
-  EXPECT_EQ(ended.load(), 4);
-}
-
-TEST(ConcurrentBoundedQueueTest, CloseWakesBlockedProducers) {
-  ConcurrentBoundedQueue<int> q(1);
-  EXPECT_TRUE(q.push(0));  // queue now full
-  std::vector<std::thread> producers;
-  std::atomic<int> refused{0};
-  for (int i = 0; i < 4; ++i) {
-    producers.emplace_back([&] {
-      if (!q.push(1)) refused.fetch_add(1);
-    });
-  }
-  q.close();  // all four are (or will be) blocked on full — release them
-  for (std::thread& t : producers) t.join();
-  EXPECT_EQ(refused.load(), 4);
-  EXPECT_EQ(q.pop(), 0);  // the accepted item still drains
-  EXPECT_EQ(q.pop(), std::nullopt);
-}
-
-TEST(ConcurrentBoundedQueueTest, ManyProducersOneConsumerLosesNothing) {
-  // The JobManager's manifest channel shape: N workers push result lines,
-  // one writer drains.  Every accepted item must come out exactly once.
-  ConcurrentBoundedQueue<int> q(3);
-  constexpr int kProducers = 4;
-  constexpr int kPerProducer = 50;
-  std::vector<std::thread> producers;
-  for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&q, p] {
-      for (int i = 0; i < kPerProducer; ++i) {
-        EXPECT_TRUE(q.push(p * kPerProducer + i));
-      }
-    });
-  }
-  std::vector<int> seen;
-  std::thread consumer([&] {
-    while (auto v = q.pop()) seen.push_back(*v);
-  });
-  for (std::thread& t : producers) t.join();
-  q.close();
-  consumer.join();
-  ASSERT_EQ(seen.size(), static_cast<std::size_t>(kProducers * kPerProducer));
-  std::vector<bool> got(kProducers * kPerProducer, false);
-  for (int v : seen) {
-    ASSERT_FALSE(got[static_cast<std::size_t>(v)]) << "duplicate " << v;
-    got[static_cast<std::size_t>(v)] = true;
-  }
 }
 
 }  // namespace

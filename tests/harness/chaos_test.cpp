@@ -114,7 +114,8 @@ TEST(ChaosCampaignTest, ReportIsByteIdenticalForAnyWorkerCount) {
 
 TEST(ChaosCampaignTest, ResumedCampaignReproducesTheReportByteForByte) {
   ChaosOptions opts = small_campaign();
-  const std::string expected = run_chaos_campaign(opts).to_json();
+  const ChaosReport fresh = run_chaos_campaign(opts);
+  const std::string expected = fresh.to_json();
 
   // First attempt "killed" mid-campaign: keep the first three checkpoint
   // lines plus a torn fragment the way a crash mid-write would leave it.
@@ -137,7 +138,31 @@ TEST(ChaosCampaignTest, ResumedCampaignReproducesTheReportByteForByte) {
 
   const ChaosReport resumed = run_chaos_campaign(opts);
   EXPECT_EQ(resumed.resumed, 3);
+  EXPECT_EQ(resumed.torn_lines_skipped, 1);
   EXPECT_EQ(resumed.to_json(), expected);
+  // Resumed jobs carry every field a fresh job does, not just the line.
+  ASSERT_EQ(resumed.jobs.size(), fresh.jobs.size());
+  for (std::size_t i = 0; i < fresh.jobs.size(); ++i) {
+    const ChaosJobResult& a = fresh.jobs[i];
+    const ChaosJobResult& b = resumed.jobs[i];
+    EXPECT_EQ(b.from_checkpoint, i < 3) << "job " << i;
+    EXPECT_EQ(b.index, a.index) << "job " << i;
+    EXPECT_EQ(b.workload, a.workload) << "job " << i;
+    EXPECT_EQ(b.policy, a.policy) << "job " << i;
+    EXPECT_EQ(b.schedule, a.schedule) << "job " << i;
+    EXPECT_EQ(b.outcome, a.outcome) << "job " << i;
+    EXPECT_EQ(b.error_kind, a.error_kind) << "job " << i;
+    EXPECT_EQ(b.detail, a.detail) << "job " << i;
+    EXPECT_EQ(b.final_cycle, a.final_cycle) << "job " << i;
+    EXPECT_EQ(b.retries_issued, a.retries_issued) << "job " << i;
+    EXPECT_EQ(b.duplicates_absorbed, a.duplicates_absorbed) << "job " << i;
+    EXPECT_EQ(b.sanitized_estimates, a.sanitized_estimates) << "job " << i;
+    EXPECT_EQ(b.governor_interventions, a.governor_interventions)
+        << "job " << i;
+    EXPECT_EQ(b.minimized_schedule, a.minimized_schedule) << "job " << i;
+    EXPECT_EQ(b.minimized_events, a.minimized_events) << "job " << i;
+    EXPECT_EQ(b.replay, a.replay) << "job " << i;
+  }
   std::remove(ckpt.c_str());
 }
 

@@ -119,8 +119,33 @@ TEST(SweepRunnerTest, BackoffDelaysEachRetry) {
   ASSERT_EQ(entries.size(), 1u);
   EXPECT_TRUE(entries[0].ok);
   EXPECT_EQ(entries[0].attempts, 3);
-  // Linear backoff: 15 ms after the first failure + 30 ms after the second.
+  // Exponential backoff: at least 15 ms after the first failure + 30 ms
+  // after the second (each plus a jitter of up to 15 ms).
   EXPECT_GE(elapsed.count(), 40);
+}
+
+TEST(SweepRunnerTest, OnlyTransientFailuresAreRetried) {
+  // A seeded simulator repeats a deterministic failure exactly, so it runs
+  // once; a watchdog stall may be a one-off and gets every attempt.
+  const auto workloads = first_workloads(2);
+  const std::string deterministic = workloads[0].label();
+  std::map<std::string, int> calls;
+  SweepOptions opts;
+  opts.max_attempts = 3;
+  SweepRunner sweep(opts, [&](const Workload& w) -> CoRunResult {
+    ++calls[w.label()];
+    if (w.label() == deterministic) {
+      throw SimError(SimErrorKind::kConservation, "test", "leak");
+    }
+    throw SimError(SimErrorKind::kWatchdogStall, "test", "stall");
+  });
+  const auto entries = sweep.run(workloads);
+  EXPECT_EQ(calls[workloads[0].label()], 1);
+  EXPECT_EQ(entries[0].attempts, 1);
+  EXPECT_EQ(calls[workloads[1].label()], 3);
+  EXPECT_EQ(entries[1].attempts, 3);
+  EXPECT_FALSE(entries[0].ok);
+  EXPECT_FALSE(entries[1].ok);
 }
 
 TEST(SweepRunnerTest, PermanentFailureIsRecordedAndSweepContinues) {

@@ -53,7 +53,7 @@ step "[6/11] policy governor: watchdog, breakers, transparency" tools/check_gove
 
 step "[7/11] ASan + UBSan" tools/check_sanitize.sh
 
-step "[8/11] TSan (worker pool, queue, job manager)" tools/check_tsan.sh
+step "[8/11] TSan (worker pool, JSONL ledger, job manager, chaos)" tools/check_tsan.sh
 
 step "[9/11] telemetry: schema, trace, transparency, overhead" tools/check_telemetry.sh build
 

@@ -8,7 +8,10 @@
 #   3. a failing job's minimized reproducer replays through
 #      --fault-schedule to a failure (non-zero or watchdog/typed-error
 #      exit), and recovery visibly changes the outcome of a canonical
-#      dropped-response fault.
+#      dropped-response fault;
+#   4. resuming past a checkpoint whose last line a crash cut in half
+#      exits 5, reproduces the report bytes, and still names every
+#      failing job with its gpusim_cli replay command.
 #
 #   tools/check_chaos.sh [build-dir]     (default: build)
 #
@@ -83,5 +86,42 @@ if [[ -n "$REPLAY" ]]; then
 else
   echo "   (campaign had no failing jobs at this size — skipping replay)"
 fi
+
+echo "== torn checkpoint: resume exits 5, same bytes, every failure named"
+"$CLI" --chaos "$SCHEDULES" --chaos-seed 7 --cycles "$CYCLES" \
+       --jobs 4 --checkpoint "$TMP/ckpt.jsonl" --out "$TMP/ckpt.json" \
+       > /dev/null
+# Cut the last checkpoint line in half, the way a kill mid-write leaves it.
+python3 - "$TMP/ckpt.jsonl" <<'EOF'
+import sys
+path = sys.argv[1]
+lines = open(path).read().splitlines()
+last = lines.pop()
+with open(path, "w") as f:
+    f.write("".join(line + "\n" for line in lines) + last[: len(last) // 2])
+EOF
+RC=0
+"$CLI" --chaos "$SCHEDULES" --chaos-seed 7 --cycles "$CYCLES" \
+       --jobs 4 --checkpoint "$TMP/ckpt.jsonl" --out "$TMP/resumed.json" \
+       > "$TMP/resumed.txt" 2> "$TMP/resumed.err" || RC=$?
+if [[ "$RC" != "5" ]]; then
+  echo "error: resume past a torn checkpoint exited $RC, expected 5" >&2
+  cat "$TMP/resumed.err" >&2
+  exit 1
+fi
+cmp "$TMP/serial.json" "$TMP/resumed.json"
+python3 - "$TMP/serial.json" "$TMP/resumed.txt" <<'EOF'
+import json, sys
+report = json.load(open(sys.argv[1]))["chaos_campaign"]
+failing = [j for j in report["jobs"] if j["outcome"] != "recovered"]
+printed = [l.strip() for l in open(sys.argv[2]) if l.strip().startswith("[")]
+assert len(printed) == len(failing), (printed, len(failing))
+for job, line in zip(failing, printed):
+    head = f"[{job['index']}] {job['workload']} {job['outcome']}"
+    assert line.startswith(head), (line, head)
+    assert job["replay"].startswith("gpusim_cli "), job
+    assert line.endswith(": " + job["replay"]), (line, job["replay"])
+print(f"   {len(failing)} failing jobs printed with their replay commands")
+EOF
 
 echo "chaos check: OK"

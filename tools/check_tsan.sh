@@ -1,19 +1,20 @@
 #!/usr/bin/env bash
-# Configure, build and run the parallel-sweep tests under ThreadSanitizer.
-# Used before merging anything that touches the SweepRunner worker pool or
-# the checkpoint-writer locking; a clean pass means no data races across
-# the worker threads, the checkpoint mutex and the entry assembly.
+# Configure, build and run the batch-engine tests under ThreadSanitizer.
+# Used before merging anything that touches the shared worker pool or the
+# JSONL ledger's append locking; a clean pass means no data races across
+# the worker threads, the ledger mutex and the index-ordered assembly.
 #
 #   tools/check_tsan.sh [build-dir]            (default: build-tsan)
 #
-# Runs only the concurrency-heavy tests by default — the sweep worker
-# pool, the bounded result queue, and the JobManager batch tests (a full
-# TSan suite run is slow); pass a ctest -R pattern as $2 to widen.
+# Runs only the concurrency-heavy tests by default — the sweep, the JSONL
+# ledger's concurrent appends, the JobManager batch tests and the chaos
+# campaign (a full TSan suite run is slow); pass a ctest -R pattern as $2
+# to widen.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 BUILD_DIR="${1:-build-tsan}"
-FILTER="${2:-sweep|bounded_queue|job_manager|jobs_kill_resume}"
+FILTER="${2:-sweep|jsonl|job_manager|jobs_kill_resume|chaos}"
 
 cmake -B "$BUILD_DIR" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \

@@ -38,6 +38,7 @@
 #include "common/build_info.hpp"
 #include "common/config_io.hpp"
 #include "common/fault_injection.hpp"
+#include "common/jsonl.hpp"
 #include "common/sim_error.hpp"
 #include "gpu/simulator.hpp"
 #include "gpu/snapshot.hpp"
@@ -235,7 +236,7 @@ int run_chaos(const RunConfig& rc, int schedules, u64 chaos_seed, int jobs,
               << "; rerun the same command to resume\n";
     return 6;
   }
-  write_chaos_report(out_path, report);
+  atomic_write_file(out_path, report.to_json(), "harness.chaos");
 
   std::cout << "chaos campaign: " << report.schedules << " schedules ("
             << report.resumed << " resumed from checkpoint), recovery "
@@ -255,7 +256,9 @@ int run_chaos(const RunConfig& rc, int schedules, u64 chaos_seed, int jobs,
     }
     std::cout << ": " << job.replay << '\n';
   }
-  return 0;
+  // Same contract as --sweep and --jobs-resume: the report is complete,
+  // but torn checkpoint lines mean a prior run crashed mid-write.
+  return report.torn_lines_skipped != 0 ? 5 : 0;
 }
 
 int run_replay(const RunConfig& rc, const Workload& workload,
@@ -303,7 +306,7 @@ int run_jobs(const JobManagerOptions& opts, const std::string& job_file,
               << "  gpusim_cli --jobs-resume " << opts.manifest_path << '\n';
     return report.exit_code();
   }
-  write_job_report(out_path, report);
+  atomic_write_file(out_path, report.to_json(), "harness.jobs");
 
   std::cout << "job batch: " << report.total << " jobs (" << report.ok
             << " ok, " << report.failed << " failed, " << report.quarantined
