@@ -26,32 +26,33 @@ double mean_error(const std::vector<Workload>& workloads,
   RunConfig rc;
   rc.gpu = gpu_cfg;
   rc.co_run_cycles = co_run_cycles;
-  rc.alone_mode = RunConfig::AloneMode::kCachedIpc;
-  // One runner per variant: the alone-IPC cache is reused across pairs.
-  ExperimentRunner runner(rc);
+  // Supplies the exact alone replays; the co-runs below are built by hand.
+  const ExperimentRunner runner(rc);
 
   std::vector<double> errors;
   for (const Workload& w : workloads) {
     // Run the co-run manually so the model options are controllable.
+    const int n = static_cast<int>(w.apps.size());
     std::vector<AppLaunch> launches;
-    for (std::size_t i = 0; i < w.apps.size(); ++i) {
-      launches.push_back(AppLaunch{w.apps[i], 42 + i * 7919});
+    for (int i = 0; i < n; ++i) {
+      launches.push_back(
+          AppLaunch{w.apps[i], harness_app_seed(rc.base_seed, i)});
     }
     Simulation sim(rc.gpu, std::move(launches));
     DaseModel model(options);
     sim.add_observer(&model);
-    sim.gpu().set_partition(
-        even_partition(rc.gpu.num_sms, static_cast<int>(w.apps.size())));
+    sim.gpu().set_partition(even_partition(rc.gpu.num_sms, n));
     sim.run(rc.co_run_cycles);
 
-    for (std::size_t i = 0; i < w.apps.size(); ++i) {
-      const double ipc_shared =
-          static_cast<double>(sim.gpu().instructions().total(i)) /
-          sim.gpu().now();
+    for (int i = 0; i < n; ++i) {
+      // Equal work alone and shared: the slowdown is the cycle ratio.
+      const Cycle alone_cycles = runner.measure_alone_cycles(
+          w.apps[i], harness_app_seed(rc.base_seed, i),
+          sim.gpu().instructions().total(i));
       const double actual =
-          runner.alone_stats(w.apps[i]).ipc / std::max(1e-9, ipc_shared);
-      errors.push_back(estimation_error(
-          model.mean_slowdown(static_cast<AppId>(i)), std::max(1e-3, actual)));
+          static_cast<double>(sim.gpu().now()) / alone_cycles;
+      errors.push_back(
+          estimation_error(model.mean_slowdown(i), std::max(1e-3, actual)));
     }
   }
   return mean(errors);

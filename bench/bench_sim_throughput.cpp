@@ -26,7 +26,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -208,13 +207,10 @@ double time_sweep(const RunConfig& rc, int pairs, int jobs) {
   SweepOptions opts;
   opts.max_attempts = 1;
   opts.jobs = jobs;
-  const ModelSet models{.dase = true};
-  SweepRunner sweep(opts, SweepRunner::RunFnFactory([&rc, &models]() {
-                      auto runner = std::make_shared<ExperimentRunner>(rc);
-                      return [runner, &models](const Workload& w) {
-                        return runner->run(w, models);
-                      };
-                    }));
+  const ExperimentRunner runner(rc);
+  SweepRunner sweep(opts, [&runner](const Workload& w) {
+    return runner.run(w, ModelSet{.dase = true});
+  });
 
   const auto start = std::chrono::steady_clock::now();
   sweep.run(workloads);
@@ -254,7 +250,6 @@ int main(int argc, char** argv) {
 
   RunConfig rc;
   rc.co_run_cycles = cycles_from_env("BENCH_SWEEP_CYCLES", 60'000);
-  rc.alone_mode = RunConfig::AloneMode::kCachedIpc;
   const double serial_s = time_sweep(rc, sweep_pairs, 1);
   // A parallel sweep on a single hardware thread (or with --jobs 1) just
   // re-times the serial path plus scheduling noise; the "speedup" it

@@ -19,9 +19,6 @@ namespace gpusim::bench {
 inline RunConfig default_run_config() {
   RunConfig rc;
   rc.co_run_cycles = cycles_from_env("REPRO_CORUN_CYCLES", 150'000);
-  // The big sweeps use the cached steady-state alone IPC; equivalence with
-  // exact replay is asserted by tests/harness/runner_test.
-  rc.alone_mode = RunConfig::AloneMode::kCachedIpc;
   rc.watchdog_cycles = cycles_from_env("REPRO_WATCHDOG", rc.watchdog_cycles);
   return rc;
 }

@@ -12,9 +12,7 @@ int main() {
 
   banner("Fig. 2 — unfairness of the baseline even SM partition",
          "paper Fig. 2(a) unfairness, Fig. 2(b) DRAM BW decomposition");
-  RunConfig rc = default_run_config();
-  rc.alone_mode = RunConfig::AloneMode::kExactReplay;  // per-pair accuracy
-  ExperimentRunner runner(rc);
+  const ExperimentRunner runner(default_run_config());
 
   std::printf("\n(a) Unfairness (ideal = 1.0) and per-app slowdowns\n");
   TablePrinter ta({"workload", "unfairness", "s(app1)", "s(app2)"}, 14);
@@ -40,7 +38,7 @@ int main() {
   // The paper's reference bar: SD running alone uses 40.5% of the DRAM
   // bandwidth; its co-run share shrinking far below that is the unfairness
   // mechanism (Section III-A).
-  const AloneStats& sd_alone = runner.alone_stats(*find_app("SD"));
+  const AloneStats sd_alone = runner.alone_stats(*find_app("SD"));
   std::printf("%14s%14s\n", "SD-alone",
               TablePrinter::pct(sd_alone.bw_util, 1).c_str());
   return 0;

@@ -24,18 +24,12 @@ int main() {
 
   banner("Fig. 4 — served requests of an MBB app: alone vs. co-run sum",
          "paper Fig. 4 (SB paired with other applications)");
-  const Cycle cycles = cycles_from_env("REPRO_CORUN_CYCLES", 150'000);
-  GpuConfig cfg;
+  const RunConfig rc = default_run_config();
 
   // SB running alone on the whole GPU.
   const KernelProfile sb = *find_app("SB");
-  double alone_rate = 0.0;
-  {
-    Simulation sim(cfg, {AppLaunch{sb, 42}});
-    sim.gpu().set_partition(even_partition(cfg.num_sms, 1));
-    sim.run(cycles);
-    alone_rate = 1000.0 * served_total(sim.gpu(), 0) / sim.gpu().now();
-  }
+  const double alone_rate =
+      ExperimentRunner(rc).alone_stats(sb).served_per_kcycle;
   std::printf("\nSB alone: %.0f served requests / 1000 cycles\n\n",
               alone_rate);
 
@@ -43,10 +37,12 @@ int main() {
                      11);
   table.print_header();
   for (const char* partner : {"VA", "SA", "SD", "CT", "NN", "AT", "QR"}) {
-    Simulation sim(cfg, {AppLaunch{sb, 42},
-                         AppLaunch{*find_app(partner), 42 + 7919}});
-    sim.gpu().set_partition(even_partition(cfg.num_sms, 2));
-    sim.run(cycles);
+    Simulation sim(rc.gpu,
+                   {AppLaunch{sb, harness_app_seed(rc.base_seed, 0)},
+                    AppLaunch{*find_app(partner),
+                              harness_app_seed(rc.base_seed, 1)}});
+    sim.gpu().set_partition(even_partition(rc.gpu.num_sms, 2));
+    sim.run(rc.co_run_cycles);
     const double r0 = 1000.0 * served_total(sim.gpu(), 0) / sim.gpu().now();
     const double r1 = 1000.0 * served_total(sim.gpu(), 1) / sim.gpu().now();
     table.print_row(std::string("SB+") + partner, TablePrinter::num(r0, 0),

@@ -12,7 +12,6 @@
 // Environment: REPRO_CORUN_CYCLES / REPRO_PAIR_LIMIT / REPRO_WATCHDOG /
 // REPRO_JOBS as in the other bench binaries.
 #include <atomic>
-#include <memory>
 
 #include "bench_util.hpp"
 #include "harness/sweep.hpp"
@@ -35,7 +34,7 @@ int main(int argc, char** argv) {
     workloads.resize(limit);
   }
 
-  const RunConfig rc = default_run_config();
+  const ExperimentRunner runner(default_run_config());
   const ModelSet models{.dase = true, .mise = true, .asm_model = true};
 
   SweepOptions opts;
@@ -46,16 +45,12 @@ int main(int argc, char** argv) {
 
   std::atomic<int> done{0};
   const std::size_t total = workloads.size();
-  SweepRunner sweep(
-      opts, SweepRunner::RunFnFactory([&rc, &models, &done, total]() {
-        auto runner = std::make_shared<ExperimentRunner>(rc);
-        return [runner, &models, &done, total](const Workload& w) {
-          std::printf("[%3d/%3zu] %s\n", done.fetch_add(1) + 1, total,
-                      w.label().c_str());
-          std::fflush(stdout);
-          return runner->run(w, models);
-        };
-      }));
+  SweepRunner sweep(opts, [&](const Workload& w) {
+    std::printf("[%3d/%3zu] %s\n", done.fetch_add(1) + 1, total,
+                w.label().c_str());
+    std::fflush(stdout);
+    return runner.run(w, models);
+  });
 
   const std::vector<SweepEntry> entries = sweep.run(workloads);
   SweepRunner::write_results(out, entries);

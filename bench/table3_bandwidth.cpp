@@ -9,13 +9,13 @@ int main() {
 
   banner("Table III — alone DRAM bandwidth utilisation",
          "paper Table III (15 applications)");
-  ExperimentRunner runner(default_run_config());
+  const ExperimentRunner runner(default_run_config());
 
   TablePrinter table({"app", "name", "measured", "paper", "delta"}, 14);
   table.print_header();
   double total_abs_delta = 0.0;
   for (const KernelProfile& app : app_registry()) {
-    const AloneStats& stats = runner.alone_stats(app);
+    const AloneStats stats = runner.alone_stats(app);
     const double delta = stats.bw_util - app.table3_bw_util;
     total_abs_delta += std::abs(delta);
     table.print_row(app.abbr, app.name.substr(0, 13),

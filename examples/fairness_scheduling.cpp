@@ -76,8 +76,7 @@ int main(int argc, char** argv) {
   // slowdowns from the alone-replay methodology.
   RunConfig rc;
   rc.co_run_cycles = cycles;
-  rc.alone_mode = RunConfig::AloneMode::kCachedIpc;
-  ExperimentRunner runner(rc);
+  const ExperimentRunner runner(rc);
   const Workload w{{*app_a, *app_b}};
   const CoRunResult even = runner.run(w, ModelSet{.dase = true});
   const CoRunResult fair =

@@ -21,7 +21,6 @@ const std::vector<FlagInfo>& flag_table() {
       {FlagId::kQuantum, "--quantum", "N",
        "temporal-multitasking quantum (default 100000)"},
       {FlagId::kSeed, "--seed", "N", "workload seed (default 42)"},
-      {FlagId::kAlone, "--alone", "MODE", "replay | cached (default replay)"},
       {FlagId::kConfig, "--config", "FILE",
        "load a GpuConfig key=value file"},
       {FlagId::kWatchdog, "--watchdog", "N",

@@ -30,7 +30,6 @@ enum class FlagId {
   kQosTarget,
   kQuantum,
   kSeed,
-  kAlone,
   kConfig,
   kWatchdog,
   kDeadlineMs,

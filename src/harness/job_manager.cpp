@@ -111,7 +111,6 @@ RunConfig base_run_config(const JobSpec& spec, const JobManagerOptions& opts,
   rc.base_seed = opts.base_seed;
   rc.co_run_cycles = effective_cycles(spec, opts);
   rc.watchdog_cycles = effective_watchdog(spec);
-  rc.alone_mode = RunConfig::AloneMode::kCachedIpc;
   rc.wall_deadline = deadline;
   rc.cycle_budget = spec.cycle_budget;
   rc.mem_budget = spec.mem_budget;
@@ -161,12 +160,10 @@ std::string execute_sweep_job(const JobSpec& spec,
   so.checkpoint_path = engine_checkpoint_path(opts, spec.index, "sweep");
   so.jobs = 1;  // the batch parallelizes across jobs, not inside them
   so.cancel = opts.cancel;
-  SweepRunner sweep(so, SweepRunner::RunFnFactory([&rc]() {
-                      auto runner = std::make_shared<ExperimentRunner>(rc);
-                      return [runner](const Workload& w) {
-                        return runner->run(w, ModelSet{.dase = true});
-                      };
-                    }));
+  const ExperimentRunner runner(rc);
+  SweepRunner sweep(so, [&runner](const Workload& w) {
+    return runner.run(w, ModelSet{.dase = true});
+  });
   const std::vector<SweepEntry> entries = sweep.run(workloads);
 
   int failed = 0;
@@ -466,8 +463,6 @@ std::string job_reproducer_command(const JobSpec& spec,
       ss << " --watchdog " << effective_watchdog(spec);
       if (!spec.faults.empty()) {
         ss << " --fault-schedule '" << spec.faults << "'";
-      } else {
-        ss << " --alone cached";
       }
       break;
     }

@@ -97,9 +97,9 @@ std::string snapshot_path_for(const std::string& dir,
 }
 
 /// Applies the RunConfig's limit fields to one Simulation.  The cycle and
-/// memory budgets only guard the co-run (`co_run` true): alone replays are
-/// already capped by max_alone_cycles, and charging them against the job's
-/// budgets would make a run job's outcome depend on the alone-cache state.
+/// memory budgets only guard the co-run (`co_run` true): alone runs are
+/// already capped by max_alone_cycles (replays) or co_run_cycles
+/// (characterization).
 void apply_limits(const RunConfig& rc, Simulation& sim, bool co_run) {
   sim.set_activity_sched(rc.activity_sched);
   if (rc.wall_deadline != std::chrono::steady_clock::time_point{}) {
@@ -336,20 +336,37 @@ Cycle cycles_from_env(const char* name, Cycle fallback) {
              : fallback;
 }
 
-const AloneStats& ExperimentRunner::alone_stats(const KernelProfile& profile) {
-  auto it = alone_cache_.find(profile.abbr);
-  if (it != alone_cache_.end()) return it->second;
-
-  Simulation sim(rc_.gpu, {AppLaunch{profile, app_seed(rc_.base_seed, 0)}});
-  sim.set_watchdog(rc_.watchdog_cycles);
-  apply_limits(rc_, sim, /*co_run=*/false);
-  Gpu& gpu = sim.gpu();
+std::unique_ptr<Simulation> ExperimentRunner::run_alone(
+    const KernelProfile& profile, u64 seed,
+    std::optional<u64> target_instructions) const {
+  auto sim = std::make_unique<Simulation>(
+      rc_.gpu, std::vector<AppLaunch>{AppLaunch{profile, seed}});
+  sim->set_watchdog(rc_.watchdog_cycles);
+  apply_limits(rc_, *sim, /*co_run=*/false);
+  Gpu& gpu = sim->gpu();
   gpu.set_partition(even_partition(gpu.num_sms(), 1));
-  sim.run(rc_.co_run_cycles);
+  if (!target_instructions) {
+    sim->run(rc_.co_run_cycles);
+  } else if (!sim->run_until_instructions(0, *target_instructions,
+                                          rc_.max_alone_cycles)) {
+    SIM_FAIL(SimError(SimErrorKind::kBudgetExceeded, "harness.runner",
+                      "alone replay hit max_alone_cycles before reaching "
+                      "the co-run's instruction count")
+                 .cycle(gpu.now())
+                 .detail("app", profile.abbr)
+                 .detail("target_instructions", *target_instructions)
+                 .detail("instructions", gpu.instructions().total(0))
+                 .detail("max_alone_cycles", rc_.max_alone_cycles));
+  }
   if (rc_.verify_conservation) gpu.verify_conservation();
+  return sim;
+}
 
+AloneStats ExperimentRunner::alone_stats(const KernelProfile& profile) const {
+  const std::unique_ptr<Simulation> sim =
+      run_alone(profile, app_seed(rc_.base_seed, 0), std::nullopt);
+  const Gpu& gpu = sim->gpu();
   AloneStats stats;
-  stats.cycles = gpu.now();
   stats.ipc = static_cast<double>(gpu.instructions().total(0)) / gpu.now();
   u64 data_cycles = 0;
   u64 served = 0;
@@ -362,34 +379,18 @@ const AloneStats& ExperimentRunner::alone_stats(const KernelProfile& profile) {
       static_cast<double>(gpu.num_partitions()) * gpu.now();
   stats.bw_util = data_cycles / capacity;
   stats.served_per_kcycle = 1000.0 * served / gpu.now();
-  return alone_cache_.emplace(profile.abbr, stats).first->second;
+  return stats;
 }
 
 Cycle ExperimentRunner::measure_alone_cycles(const KernelProfile& profile,
                                              u64 seed,
-                                             u64 target_instructions) {
-  Simulation sim(rc_.gpu, {AppLaunch{profile, seed}});
-  sim.set_watchdog(rc_.watchdog_cycles);
-  apply_limits(rc_, sim, /*co_run=*/false);
-  Gpu& gpu = sim.gpu();
-  gpu.set_partition(even_partition(gpu.num_sms(), 1));
-  if (!sim.run_until_instructions(0, target_instructions,
-                                  rc_.max_alone_cycles)) {
-    SIM_FAIL(SimError(SimErrorKind::kBudgetExceeded, "harness.runner",
-                      "alone replay hit max_alone_cycles before reaching "
-                      "the co-run's instruction count")
-                 .cycle(gpu.now())
-                 .detail("app", profile.abbr)
-                 .detail("target_instructions", target_instructions)
-                 .detail("instructions", gpu.instructions().total(0))
-                 .detail("max_alone_cycles", rc_.max_alone_cycles));
-  }
-  return gpu.now();
+                                             u64 target_instructions) const {
+  return run_alone(profile, seed, target_instructions)->gpu().now();
 }
 
 CoRunResult ExperimentRunner::run(const Workload& workload,
                                   const ModelSet& models, PolicyKind policy,
-                                  const std::vector<int>* sm_split) {
+                                  const std::vector<int>* sm_split) const {
   const int n = static_cast<int>(workload.apps.size());
   CoRunAssembly assembly =
       assemble_corun(rc_, workload, models, policy, sm_split);
@@ -533,27 +534,17 @@ CoRunResult ExperimentRunner::run(const Workload& workload,
     app.ipc_shared =
         static_cast<double>(app.instructions) / result.cycles;
     if (app.instructions == 0) {
-      // Starved entirely (e.g. LEFTOVER): report the alone IPC and an
-      // effectively unbounded slowdown instead of dividing by zero.
+      // Starved entirely (e.g. LEFTOVER): there is no instruction count to
+      // replay, so report the characterization IPC and an effectively
+      // unbounded slowdown instead of dividing by zero.
       app.ipc_alone = alone_stats(workload.apps[i]).ipc;
       app.actual_slowdown = 1e6;
-      actual_slowdowns[i] = app.actual_slowdown;
-      if (models.dase && dase) app.estimates["DASE"] = dase->mean_slowdown(i);
-      if (mise) app.estimates["MISE"] = mise->mean_slowdown(i);
-      if (asm_model) app.estimates["ASM"] = asm_model->mean_slowdown(i);
-      continue;
-    }
-
-    if (rc_.alone_mode == RunConfig::AloneMode::kExactReplay) {
+    } else {
       const Cycle alone_cycles = measure_alone_cycles(
           workload.apps[i], app_seed(rc_.base_seed, i), app.instructions);
       app.ipc_alone = static_cast<double>(app.instructions) / alone_cycles;
-    } else {
-      app.ipc_alone = alone_stats(workload.apps[i]).ipc;
+      app.actual_slowdown = std::max(app.ipc_alone / app.ipc_shared, 1e-3);
     }
-    app.actual_slowdown =
-        app.ipc_shared > 0.0 ? app.ipc_alone / app.ipc_shared : 1.0;
-    app.actual_slowdown = std::max(app.actual_slowdown, 1e-3);
     actual_slowdowns[i] = app.actual_slowdown;
 
     if (models.dase && dase) app.estimates["DASE"] = dase->mean_slowdown(i);

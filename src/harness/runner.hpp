@@ -35,7 +35,7 @@ struct RunConfig {
   GpuConfig gpu;
   /// Co-run length.  The paper uses 5M cycles; the default here is 300K,
   /// which our stationary synthetic kernels reach steady state well
-  /// within (see tests/harness/methodology_test).  Override via the
+  /// within (DESIGN.md §2, the run-length substitution).  Override via the
   /// REPRO_CORUN_CYCLES environment variable in the bench binaries.
   Cycle co_run_cycles = 300'000;
   /// Safety cap for the alone-replay runs; a replay that reaches it raises
@@ -43,15 +43,11 @@ struct RunConfig {
   Cycle max_alone_cycles = 3'000'000;
   u64 base_seed = 42;
 
-  enum class AloneMode {
-    /// Replay the co-run's exact instruction count alone on all SMs
-    /// (the paper's methodology).
-    kExactReplay,
-    /// Use a cached steady-state alone IPC per application (our kernels
-    /// are stationary, so this is nearly identical and much cheaper for
-    /// the 105-pair sweeps; the equivalence is test-asserted).
-    kCachedIpc,
-  };
+  /// Actual slowdowns always come from replaying the co-run's exact
+  /// instruction count alone on all SMs (the paper's methodology).  The
+  /// single enumerator remains only because the paperbench plan assigns
+  /// it; nothing in the library reads this field.
+  enum class AloneMode { kExactReplay };
   AloneMode alone_mode = AloneMode::kExactReplay;
 
   /// Options for the corresponding PolicyKind.
@@ -260,36 +256,45 @@ struct AloneStats {
   double ipc = 0.0;
   double bw_util = 0.0;             // data cycles / bus capacity
   double served_per_kcycle = 0.0;   // DRAM requests per 1000 cycles
-  Cycle cycles = 0;
 };
 
+/// Holds only its RunConfig: every call builds its own simulations, so one
+/// const runner can serve any number of threads at once.
 class ExperimentRunner {
  public:
   explicit ExperimentRunner(RunConfig rc) : rc_(std::move(rc)) {}
 
   const RunConfig& config() const { return rc_; }
 
-  /// Runs one workload co-run plus alone baselines.  `sm_split`, when
-  /// given, assigns sm_split[i] SMs to app i (Fig. 8a); otherwise the
+  /// Runs one workload co-run plus its exact alone replays.  `sm_split`,
+  /// when given, assigns sm_split[i] SMs to app i (Fig. 8a); otherwise the
   /// partition is even.  PolicyKind::kDaseFair attaches the DASE-Fair
   /// repartitioning policy (forces the DASE model on).
   CoRunResult run(const Workload& workload, const ModelSet& models,
                   PolicyKind policy = PolicyKind::kEven,
-                  const std::vector<int>* sm_split = nullptr);
+                  const std::vector<int>* sm_split = nullptr) const;
 
-  /// Alone-run stats for one application on the full GPU (cached by
-  /// application abbreviation for the current RunConfig).
-  const AloneStats& alone_stats(const KernelProfile& profile);
+  /// Characterizes one application alone on the full GPU over
+  /// RunConfig::co_run_cycles (Table III, Fig. 2b, Fig. 4).  Runs a fresh
+  /// simulation on every call.
+  AloneStats alone_stats(const KernelProfile& profile) const;
 
   /// Cycles the application needs alone, on all SMs, to issue
   /// `target_instructions` (the exact-replay measurement).  Throws
   /// SimError(kBudgetExceeded) when RunConfig::max_alone_cycles pass first.
   Cycle measure_alone_cycles(const KernelProfile& profile, u64 seed,
-                             u64 target_instructions);
+                             u64 target_instructions) const;
 
  private:
+  /// Builds and runs every alone simulation: `profile` on all SMs under
+  /// the watchdog and run limits, until it has issued `target_instructions`
+  /// or, without a target, for RunConfig::co_run_cycles; then audits
+  /// request conservation.
+  std::unique_ptr<Simulation> run_alone(
+      const KernelProfile& profile, u64 seed,
+      std::optional<u64> target_instructions) const;
+
   RunConfig rc_;
-  std::map<std::string, AloneStats> alone_cache_;
 };
 
 /// Reads an environment variable as cycles, falling back to `fallback`.

@@ -1,6 +1,5 @@
 #include "harness/sweep.hpp"
 
-#include <algorithm>
 #include <map>
 #include <sstream>
 #include <utility>
@@ -30,11 +29,7 @@ std::string checkpoint_line(const SweepEntry& entry) {
 }  // namespace
 
 SweepRunner::SweepRunner(SweepOptions opts, RunFn run_fn)
-    : SweepRunner(std::move(opts),
-                  RunFnFactory([fn = std::move(run_fn)]() { return fn; })) {}
-
-SweepRunner::SweepRunner(SweepOptions opts, RunFnFactory factory)
-    : opts_(std::move(opts)), factory_(std::move(factory)) {
+    : opts_(std::move(opts)), run_fn_(std::move(run_fn)) {
   SIM_CHECK(opts_.max_attempts >= 1,
             SimError(SimErrorKind::kHarness, "harness.sweep",
                      "max_attempts must be at least 1")
@@ -49,7 +44,7 @@ int SweepRunner::effective_jobs(std::size_t n_pending) const {
   return resolve_jobs(opts_.jobs, n_pending);
 }
 
-SweepEntry SweepRunner::run_one(const RunFn& fn, std::size_t index,
+SweepEntry SweepRunner::run_one(std::size_t index,
                                 const Workload& workload) const {
   const RetryPolicy retry{opts_.max_attempts, opts_.backoff_ms};
   SweepEntry entry;
@@ -57,7 +52,7 @@ SweepEntry SweepRunner::run_one(const RunFn& fn, std::size_t index,
   for (int attempt = 1;; ++attempt) {
     entry.attempts = attempt;
     try {
-      entry.result_json = to_json(fn(workload));
+      entry.result_json = to_json(run_fn_(workload));
       entry.ok = true;
       return entry;
     } catch (const SimError& e) {
@@ -169,18 +164,14 @@ std::vector<SweepEntry> SweepRunner::run(
     }
   }
 
-  // Each worker owns its RunFn.  A drain (the cancel flag) leaves unclaimed
-  // pairs pending for the next resume; a sweep-fatal error or a fail_fast
-  // failure stops the claiming, and the pool rethrows the lowest-index one.
-  const int jobs = effective_jobs(pending.size());
-  std::vector<RunFn> fns;
-  for (int w = 0; w < std::max(1, jobs); ++w) fns.push_back(factory_());
-
+  // A drain (the cancel flag) leaves unclaimed pairs pending for the next
+  // resume; a sweep-fatal error or a fail_fast failure stops the claiming,
+  // and the pool rethrows the lowest-index one.
   run_indexed(
-      pending.size(), jobs,
-      [&](int w, std::size_t k) {
+      pending.size(), opts_.jobs,
+      [&](int, std::size_t k) {
         const std::size_t i = pending[k];
-        SweepEntry entry = run_one(fns[w], i, workloads[i]);
+        SweepEntry entry = run_one(i, workloads[i]);
         // One complete line per finished pair, flushed before the worker
         // picks up its next pair, so a crash loses at most the pairs in
         // progress.

@@ -19,9 +19,9 @@
 //
 // Parallelism model (`SweepOptions::jobs`): pairs share no simulator
 // state, so the shared worker pool (run_indexed) claims pending workload
-// indices from an atomic cursor and runs them concurrently, each worker on
-// its own RunFn (see RunFnFactory).  Determinism is preserved by
-// construction:
+// indices from an atomic cursor and runs them concurrently, every worker
+// calling the one RunFn (typically over one const ExperimentRunner, which
+// holds no mutable state).  Determinism is preserved by construction:
 //   - each pair's result depends only on the workload, never on which
 //     thread ran it or when;
 //   - finished pairs append to the checkpoint (a common/jsonl.hpp Ledger),
@@ -90,19 +90,11 @@ class SweepRunner {
  public:
   /// The function that actually runs one workload.  Tests substitute flaky
   /// or failing runners here; production code wraps ExperimentRunner::run.
+  /// With jobs > 1 every worker invokes this one callable concurrently, so
+  /// it must be thread-safe — a const ExperimentRunner is.
   using RunFn = std::function<CoRunResult(const Workload&)>;
 
-  /// Creates one independent RunFn per worker thread.  ExperimentRunner
-  /// mutates internal state (the alone-IPC cache), so workers must not
-  /// share one instance; the factory is invoked once per worker, on the
-  /// main thread, before any worker starts.
-  using RunFnFactory = std::function<RunFn()>;
-
-  /// Single shared RunFn.  With jobs > 1 the same callable is invoked from
-  /// several threads at once — only safe for stateless/thread-safe
-  /// runners (tests); production sweeps use the factory overload.
   SweepRunner(SweepOptions opts, RunFn run_fn);
-  SweepRunner(SweepOptions opts, RunFnFactory factory);
 
   /// Runs every workload (resuming from the checkpoint when one exists)
   /// and returns one entry per workload, in workload order.
@@ -136,11 +128,10 @@ class SweepRunner {
   int effective_jobs(std::size_t n_pending) const;
 
  private:
-  SweepEntry run_one(const RunFn& fn, std::size_t index,
-                     const Workload& workload) const;
+  SweepEntry run_one(std::size_t index, const Workload& workload) const;
 
   SweepOptions opts_;
-  RunFnFactory factory_;
+  RunFn run_fn_;
   int resumed_ = 0;
   int attempts_spent_ = 0;
   int torn_lines_skipped_ = 0;

@@ -160,6 +160,12 @@ TEST_F(JobManagerTest, ReproducerCommandReplaysTheConfig) {
   EXPECT_EQ(cmd,
             "gpusim_cli --apps SD,SA --cycles 20000 --watchdog 2000 "
             "--fault-schedule 'stall:part=0,from=10'");
+  // A fault-free run job replays with the CLI's defaults, which measure
+  // the same exact alone baselines the job did.
+  const JobSpec healthy =
+      JobSpec::parse("run apps=SD,SA cycles=20000 watchdog=2000", 1);
+  EXPECT_EQ(job_reproducer_command(healthy, opts),
+            "gpusim_cli --apps SD,SA --cycles 20000 --watchdog 2000");
 }
 
 // ---- report plumbing ---------------------------------------------------

@@ -33,7 +33,6 @@ Workload test_workload() {
 RunConfig base_config(const std::string& snapshot_dir) {
   RunConfig rc;
   rc.co_run_cycles = 150'000;
-  rc.alone_mode = RunConfig::AloneMode::kCachedIpc;
   rc.snapshot_every = 5'000;
   rc.snapshot_dir = snapshot_dir;
   return rc;

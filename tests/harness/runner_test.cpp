@@ -58,37 +58,12 @@ TEST(RunnerTest, CustomSmSplitApplied) {
   EXPECT_GT(r4.apps[1].instructions, r8.apps[1].instructions);
 }
 
-TEST(RunnerTest, AloneStatsAreCachedAndPlausible) {
-  ExperimentRunner runner(quick_config());
-  const KernelProfile va = *find_app("VA");
-  const AloneStats& first = runner.alone_stats(va);
-  EXPECT_GT(first.ipc, 0.0);
-  EXPECT_GT(first.bw_util, 0.0);
-  EXPECT_LT(first.bw_util, 1.0);
-  const AloneStats& second = runner.alone_stats(va);
-  EXPECT_EQ(&first, &second) << "same cached object";
-}
-
-TEST(RunnerTest, ExactReplayAndCachedIpcAgree) {
-  // Our kernels are stationary, so the cheap cached-IPC mode must land
-  // close to the exact-replay methodology (DESIGN.md Section 2).
-  RunConfig rc = quick_config();
-  rc.co_run_cycles = 100'000;
-  const Workload w{{*find_app("VA"), *find_app("SA")}};
-
-  rc.alone_mode = RunConfig::AloneMode::kExactReplay;
-  ExperimentRunner exact(rc);
-  const CoRunResult re = exact.run(w, ModelSet{});
-
-  rc.alone_mode = RunConfig::AloneMode::kCachedIpc;
-  ExperimentRunner cached(rc);
-  const CoRunResult rc2 = cached.run(w, ModelSet{});
-
-  for (std::size_t i = 0; i < 2; ++i) {
-    EXPECT_NEAR(re.apps[i].actual_slowdown, rc2.apps[i].actual_slowdown,
-                re.apps[i].actual_slowdown * 0.08)
-        << w.apps[i].abbr;
-  }
+TEST(RunnerTest, AloneStatsArePlausible) {
+  const ExperimentRunner runner(quick_config());
+  const AloneStats stats = runner.alone_stats(*find_app("VA"));
+  EXPECT_GT(stats.ipc, 0.0);
+  EXPECT_GT(stats.bw_util, 0.0);
+  EXPECT_LT(stats.bw_util, 1.0);
 }
 
 TEST(RunnerTest, AloneReplayStopsOnTheCycleItReachesTheTarget) {

@@ -415,11 +415,11 @@ TEST(SweepRunnerTest, RejectsNegativeJobs) {
 
 // --- parallel sweep (jobs > 1): same bytes, same crash-safety ---
 
-std::string sweep_and_serialize(SweepOptions opts,
-                                const std::vector<Workload>& workloads,
-                                const std::string& tag) {
+std::string sweep_and_serialize(
+    SweepOptions opts, const std::vector<Workload>& workloads,
+    const std::string& tag, const SweepRunner::RunFn& run_fn = fake_result) {
   const std::string out = temp_path(tag + ".json");
-  SweepRunner sweep(opts, fake_result);
+  SweepRunner sweep(opts, run_fn);
   SweepRunner::write_results(out, sweep.run(workloads));
   const std::string text = slurp(out);
   std::remove(out.c_str());
@@ -521,21 +521,28 @@ TEST(SweepRunnerParallelTest, FailFastRethrowsLowestIndexFailure) {
   }
 }
 
-TEST(SweepRunnerParallelTest, FactoryRunsOncePerWorkerOnMainThread) {
-  const auto workloads = first_workloads(6);
-  const std::thread::id main_thread = std::this_thread::get_id();
-  std::atomic<int> factory_calls{0};
-  SweepOptions opts;
-  opts.jobs = 3;
-  SweepRunner sweep(opts, SweepRunner::RunFnFactory([&]() {
-                      ++factory_calls;
-                      EXPECT_EQ(std::this_thread::get_id(), main_thread)
-                          << "factories must not be required thread-safe";
-                      return SweepRunner::RunFn(fake_result);
-                    }));
-  const auto entries = sweep.run(workloads);
-  EXPECT_EQ(factory_calls.load(), 3);
-  for (const SweepEntry& e : entries) EXPECT_TRUE(e.ok);
+TEST(SweepRunnerParallelTest, OneConstRunnerServesEveryWorker) {
+  // ExperimentRunner holds no mutable state, so all workers share one:
+  // real co-runs with exact alone replays must give the serial bytes.
+  RunConfig rc;
+  rc.co_run_cycles = 20'000;
+  rc.gpu.estimation_interval = 10'000;
+  const ExperimentRunner runner(rc);
+  const SweepRunner::RunFn run = [&runner](const Workload& w) {
+    return runner.run(w, ModelSet{.dase = true});
+  };
+  const auto workloads = first_workloads(4);
+  SweepOptions serial;
+  serial.jobs = 1;
+  SweepOptions parallel;
+  parallel.jobs = 4;
+  const std::string a =
+      sweep_and_serialize(serial, workloads, "shared_serial", run);
+  const std::string b =
+      sweep_and_serialize(parallel, workloads, "shared_jobs4", run);
+  EXPECT_NE(a.find("\"ipc_alone\""), std::string::npos) << a;
+  EXPECT_EQ(a.find("\"failed\""), std::string::npos) << a;
+  EXPECT_EQ(a, b);
 }
 
 TEST(SweepRunnerParallelTest, JobsZeroMeansHardwareConcurrency) {

@@ -100,7 +100,6 @@ TEST(IntegrationTest, DaseFairImprovesAnUnfairPair) {
   // hundred kilocycles (DESIGN.md).
   RunConfig rc = quick_config(1'000'000);
   rc.gpu.estimation_interval = 50'000;
-  rc.alone_mode = RunConfig::AloneMode::kCachedIpc;
   ExperimentRunner runner(rc);
   const Workload w{{*find_app("AA"), *find_app("SD")}};
   const CoRunResult even = runner.run(w, ModelSet{.dase = true});

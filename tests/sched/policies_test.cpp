@@ -32,7 +32,6 @@ TEST(LeftoverTest, StarvesSecondAppEndToEnd) {
   // prevents any later application from ever running.
   RunConfig rc;
   rc.co_run_cycles = 60'000;
-  rc.alone_mode = RunConfig::AloneMode::kCachedIpc;
   ExperimentRunner runner(rc);
   const Workload w{{*find_app("AA"), *find_app("SD")}};
   const CoRunResult r = runner.run(w, ModelSet{}, PolicyKind::kLeftover);
@@ -67,7 +66,6 @@ TEST(TemporalTest, BothAppsProgressViaRunner) {
   RunConfig rc;
   rc.co_run_cycles = 400'000;
   rc.temporal.quantum = 60'000;
-  rc.alone_mode = RunConfig::AloneMode::kCachedIpc;
   ExperimentRunner runner(rc);
   const Workload w{{*find_app("CT"), *find_app("QR")}};
   const CoRunResult r = runner.run(w, ModelSet{}, PolicyKind::kTemporal);
@@ -81,7 +79,6 @@ TEST(QosTest, GrowsQosAppUntilTargetMet) {
   // move SMs toward it and its measured slowdown must drop.
   RunConfig rc;
   rc.co_run_cycles = 1'000'000;
-  rc.alone_mode = RunConfig::AloneMode::kCachedIpc;
   rc.qos.qos_app = 1;  // SD in the workload below
   rc.qos.target_slowdown = 2.5;
   ExperimentRunner runner(rc);

@@ -209,7 +209,6 @@ TEST(TelemetryHubTest, RunnerResultIsIdenticalWithTelemetryOnAndOff) {
 
   RunConfig rc;
   rc.co_run_cycles = 120'000;
-  rc.alone_mode = RunConfig::AloneMode::kCachedIpc;
   ExperimentRunner off(rc);
   const std::string off_json =
       SweepRunner::to_json(off.run(w, ModelSet{.dase = true}));

@@ -67,8 +67,8 @@ fi
 TMP="$(mktemp -d)"
 trap 'rm -rf "$TMP"' EXIT
 echo "== snapshot vs plain run output"
-"$CLI" --apps SD,SA --cycles "$CYCLES" --alone cached > "$TMP/plain.txt"
-"$CLI" --apps SD,SA --cycles "$CYCLES" --alone cached \
+"$CLI" --apps SD,SA --cycles "$CYCLES" > "$TMP/plain.txt"
+"$CLI" --apps SD,SA --cycles "$CYCLES" \
        --snapshot-every 20000 --snapshot-dir "$TMP/snaps" > "$TMP/snap.txt"
 diff "$TMP/plain.txt" "$TMP/snap.txt"
 
@@ -77,10 +77,10 @@ diff "$TMP/plain.txt" "$TMP/snap.txt"
 # byte-identical JSONL/trace/metrics files.
 echo "== telemetry files: kill + resume vs uninterrupted"
 TCYC=600000
-"$CLI" --apps SD,SA --policy dase-fair --cycles "$TCYC" --alone cached \
+"$CLI" --apps SD,SA --policy dase-fair --cycles "$TCYC" \
        --telemetry-out "$TMP/ref.jsonl" --trace-out "$TMP/ref.trace" \
        --metrics-out "$TMP/ref.prom" > /dev/null
-"$CLI" --apps SD,SA --policy dase-fair --cycles "$TCYC" --alone cached \
+"$CLI" --apps SD,SA --policy dase-fair --cycles "$TCYC" \
        --snapshot-every 50000 --snapshot-dir "$TMP/tsnaps" \
        --telemetry-out "$TMP/kill.jsonl" --trace-out "$TMP/kill.trace" \
        --metrics-out "$TMP/kill.prom" > /dev/null 2>&1 &
@@ -95,7 +95,7 @@ for _ in $(seq 1 600); do
   sleep 0.05
 done
 wait "$CLI_PID" || true
-"$CLI" --apps SD,SA --policy dase-fair --cycles "$TCYC" --alone cached \
+"$CLI" --apps SD,SA --policy dase-fair --cycles "$TCYC" \
        --snapshot-every 50000 --snapshot-dir "$TMP/tsnaps" \
        --telemetry-out "$TMP/kill.jsonl" --trace-out "$TMP/kill.trace" \
        --metrics-out "$TMP/kill.prom" > /dev/null 2>&1

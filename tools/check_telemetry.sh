@@ -39,7 +39,7 @@ TMP="$(mktemp -d)"
 trap 'rm -rf "$TMP"' EXIT
 
 echo "== telemetry files from a 16-SM SD+SA DASE-Fair co-run"
-"$CLI" --apps SD,SA --policy dase-fair --cycles "$CYCLES" --alone cached \
+"$CLI" --apps SD,SA --policy dase-fair --cycles "$CYCLES" \
        --telemetry-out "$TMP/run.telemetry.jsonl" \
        --trace-out "$TMP/run.trace.json" \
        --metrics-out "$TMP/run.metrics.prom" > "$TMP/on.txt"
@@ -106,7 +106,7 @@ print(f"   {len(typed)} metric families, format OK")
 EOF
 
 echo "== transparency: printed result identical with telemetry off"
-"$CLI" --apps SD,SA --policy dase-fair --cycles "$CYCLES" --alone cached \
+"$CLI" --apps SD,SA --policy dase-fair --cycles "$CYCLES" \
        > "$TMP/off.txt"
 cmp "$TMP/on.txt" "$TMP/off.txt"
 

@@ -29,7 +29,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
-#include <memory>
 #include <numeric>
 #include <sstream>
 #include <string>
@@ -169,15 +168,12 @@ int run_sweep(const std::string& which, const RunConfig& rc,
     usage(argv0, "--sweep expects 'all' or 'random:N', got '" + which + "'");
   }
 
-  // One ExperimentRunner per worker thread: the runner's alone-IPC cache
-  // is mutable state, so workers must not share an instance.  Every runner
-  // computes identical cached values, so results do not depend on jobs.
-  SweepRunner sweep(opts, SweepRunner::RunFnFactory([&rc, &models]() {
-                      auto runner = std::make_shared<ExperimentRunner>(rc);
-                      return [runner, &models](const Workload& w) {
-                        return runner->run(w, models);
-                      };
-                    }));
+  // One const runner serves every worker: it holds no mutable state, and
+  // each run builds its own simulations.
+  const ExperimentRunner runner(rc);
+  SweepRunner sweep(opts, [&runner, &models](const Workload& w) {
+    return runner.run(w, models);
+  });
   const std::vector<SweepEntry> entries = sweep.run(workloads);
   if (shutdown_requested()) {
     std::cerr << "gpusim: sweep interrupted — finished pairs are in "
@@ -556,15 +552,6 @@ int main(int argc, char** argv) {
         quarantine_after =
             static_cast<int>(parse_u64(argv[0], arg, value, 1));
         break;
-      case FlagId::kAlone:
-        if (value == "replay") {
-          rc.alone_mode = RunConfig::AloneMode::kExactReplay;
-        } else if (value == "cached") {
-          rc.alone_mode = RunConfig::AloneMode::kCachedIpc;
-        } else {
-          usage(argv[0], "unknown alone mode: " + value);
-        }
-        break;
       case FlagId::kConfig:
         try {
           rc.gpu = load_config(value, rc.gpu);
@@ -763,8 +750,6 @@ int main(int argc, char** argv) {
       if (!app_names.empty()) {
         usage(argv[0], "--sweep and --apps are mutually exclusive");
       }
-      // Sweeps use the cached alone IPC like the bench binaries do.
-      rc.alone_mode = RunConfig::AloneMode::kCachedIpc;
       rc.crash_bundle_mode = "sweep";
       rc.telemetry.dir = telemetry_out;  // per-pair files under the directory
       return run_sweep(sweep_which, rc, models, sweep_opts, out_path,
