@@ -38,7 +38,7 @@ u64 fnv1a(const std::string& text, u64 h = 0xcbf29ce484222325ull) {
 std::string build_features() {
   // The compiled-in capability set; extend when a PR adds a subsystem an
   // artifact consumer might need to know about.
-  return "activity-engine,mshr-retry,simstate,chaos,jobs,flight-recorder,"
+  return "activity-engine,mshr-retry,simstate,chaos,flight-recorder,"
          "crash-bundle,triage";
 }
 
@@ -71,9 +71,9 @@ std::string build_fingerprint_line(u32 snapshot_schema) {
   std::snprintf(hex, sizeof(hex), "%016llx",
                 static_cast<unsigned long long>(build_fingerprint()));
   ss << "dase-gpusim " << kGpusimVersion << " (snapshot v" << snapshot_schema
-     << ", jobs-manifest v" << kJobsManifestSchema << ", bundle v"
-     << kCrashBundleSchema << "; features: " << build_features()
-     << "; build: " << build_type() << "; fingerprint 0x" << hex << ")";
+     << ", bundle v" << kCrashBundleSchema
+     << "; features: " << build_features() << "; build: " << build_type()
+     << "; fingerprint 0x" << hex << ")";
   return ss.str();
 }
 

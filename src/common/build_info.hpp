@@ -1,5 +1,5 @@
-// Build fingerprint: makes every artifact (snapshot, jobs manifest, crash
-// bundle, --version output) attributable to the build that produced it.
+// Build fingerprint: makes every artifact (snapshot, crash bundle,
+// --version output) attributable to the build that produced it.
 //
 // The fingerprint is a stable 64-bit hash over the release version, the
 // compiled-in feature set and the build flavour (optimisation + sanitizers).
@@ -22,9 +22,6 @@ namespace gpusim {
 /// Release version of the simulator (bumped per feature PR).
 inline constexpr const char* kGpusimVersion = "0.8.0";
 
-/// Schema of the JobManager's JSONL manifest (header line format).
-inline constexpr u32 kJobsManifestSchema = 1;
-
 /// Schema of the crash-forensics bundle directory (manifest.json format).
 inline constexpr u32 kCrashBundleSchema = 1;
 
@@ -39,7 +36,7 @@ std::string build_type();
 u64 build_fingerprint();
 
 /// One human-readable line, e.g. for --version:
-///   dase-gpusim 0.8.0 (snapshot v3, jobs-manifest v1, bundle v1;
+///   dase-gpusim 0.8.0 (snapshot v3, bundle v1;
 ///   features: ...; build: release; fingerprint 0x...)
 /// `snapshot_schema` is the gpu layer's snapshot file version.
 std::string build_fingerprint_line(u32 snapshot_schema);

@@ -1,7 +1,7 @@
 // FlightRecorder: a bounded, allocation-free black-box event ring.
 //
-// The simulator survives failures (SimGuard, ChaosLab, JobManager) but a
-// SimError string alone cannot explain *how* a 5M-cycle co-run got into the
+// The simulator survives failures (SimGuard, ChaosLab) but a SimError
+// string alone cannot explain *how* a 5M-cycle co-run got into the
 // failing state.  The recorder keeps the last N load-bearing events — block
 // dispatches, SM-repartition handovers, MSHR timeout reissues, fault-injector
 // firings, crossbar stall episodes, partition-queue high-water marks — in a

@@ -15,7 +15,6 @@ const char* to_string(SimErrorKind kind) {
     case SimErrorKind::kRecoveryExhausted: return "recovery-exhausted";
     case SimErrorKind::kDeadlineExceeded: return "deadline-exceeded";
     case SimErrorKind::kBudgetExceeded: return "budget-exceeded";
-    case SimErrorKind::kQuarantined: return "quarantined";
     case SimErrorKind::kInterrupted: return "interrupted";
     case SimErrorKind::kMigrationStalled: return "migration-stalled";
   }

@@ -41,7 +41,6 @@ enum class SimErrorKind {
   kRecoveryExhausted,  ///< modeled retry path gave up (capped reissues spent)
   kDeadlineExceeded,   ///< wall-clock deadline passed mid-simulation
   kBudgetExceeded,     ///< cycle or memory-traffic budget exhausted
-  kQuarantined,        ///< circuit breaker: config exceeded its failure limit
   kInterrupted,        ///< cooperative cancellation (SIGINT/SIGTERM drain)
   kMigrationStalled,   ///< SM-drain migration exceeded the governor's budget
 };

@@ -96,8 +96,8 @@ class Gpu {
   // injector or more than 64 SMs/partitions pins the whole GPU to the
   // per-cycle reference walk (cycle_full).
 
-  /// Enables/disables the activity engine (--no-activity-sched escape
-  /// hatch).  Safe at any cycle: owed accruals are settled first, so
+  /// Enables/disables the activity engine (off = the per-cycle reference
+  /// walk).  Safe at any cycle: owed accruals are settled first, so
   /// flipping mid-run never changes simulated state.
   void set_activity_sched(bool on);
 
@@ -223,7 +223,7 @@ class Gpu {
   // masks are derivable from component state, and the synced cursors only
   // track how much bulk accrual is still owed — all settled before any
   // observation.  Deliberately excluded from write_state().
-  bool activity_sched_ = true;   ///< --no-activity-sched clears this
+  bool activity_sched_ = true;   ///< set_activity_sched(false) clears this
   bool engine_supported_ = false;  ///< geometry fits the 64-bit masks
   bool engine_dirty_ = true;     ///< wakes/masks need a rebuild
   std::vector<Cycle> sm_wake_;    ///< next cycle SM s must be processed

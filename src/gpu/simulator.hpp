@@ -74,9 +74,10 @@ class Simulation {
   Cycle watchdog_cycles() const { return watchdog_cycles_; }
 
   /// Enables/disables the GPU's activity-tracked cycle engine (on by
-  /// default; --no-activity-sched clears it).  An execution-strategy
-  /// switch: simulated output — interval samples, counters, watchdog
-  /// firing cycles — is bit-identical either way; only wall-clock changes.
+  /// default; the determinism audit and the equivalence tests clear it for
+  /// the per-cycle reference walk).  An execution-strategy switch:
+  /// simulated output — interval samples, counters, watchdog firing
+  /// cycles — is bit-identical either way; only wall-clock changes.
   void set_activity_sched(bool on) { gpu_.set_activity_sched(on); }
 
   /// Attaches a loop profiler to the GPU's cycle phases plus this driver's
@@ -86,7 +87,7 @@ class Simulation {
     gpu_.set_loop_profiler(prof);
   }
 
-  // --- Run limits (JobManager hooks) ------------------------------------
+  // --- Run limits --------------------------------------------------------
   // All limits are caller configuration, not simulated state: like the
   // watchdog threshold they are neither serialized nor hashed, and hitting
   // one raises a typed SimError instead of silently truncating the run.

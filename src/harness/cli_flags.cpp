@@ -26,36 +26,38 @@ const std::vector<FlagInfo>& flag_table() {
       {FlagId::kWatchdog, "--watchdog", "N",
        "deadlock watchdog threshold in cycles (0 disables; default 1000000)"},
       {FlagId::kDeadlineMs, "--deadline-ms", "N",
-       "wall-clock deadline in ms for the run / each job attempt\n"
-       "(0 = none; lapsing it exits 7)"},
+       "wall-clock deadline in ms, shared by a whole --apps run, sweep,\n"
+       "chaos campaign or --fault-schedule replay (default none;\n"
+       "lapsing it exits 7; rejected by --triage)"},
       {FlagId::kCycleBudget, "--cycle-budget", "N",
-       "hard cycle cap for the run / each job (0 = none; exceeding\n"
-       "it exits 8)"},
+       "hard cycle cap per co-run of an --apps run or sweep (default\n"
+       "none; exceeding it exits 8; rejected by --chaos,\n"
+       "--fault-schedule and --triage)"},
       {FlagId::kMemBudget, "--mem-budget", "N",
-       "hard DRAM requests-served cap (0 = none; exceeding it exits 8)"},
+       "hard DRAM requests-served cap per co-run, same modes as\n"
+       "--cycle-budget (default none; exceeding it exits 8)"},
       {FlagId::kSweep, "--sweep", "WHICH",
        "run a crash-safe two-app sweep: 'all' (105 pairs) or 'random:N'"},
       {FlagId::kCheckpoint, "--checkpoint", "F",
        "sweep/chaos JSONL checkpoint (resume from it if present)"},
       {FlagId::kOut, "--out", "F",
        "final results JSON (default sweep_results.json /\n"
-       "chaos_report.json / jobs_report.json)"},
+       "chaos_report.json)"},
       {FlagId::kRetries, "--retries", "N",
        "sweep attempts per pair; deterministic errors (config,\n"
        "invariant, conservation, budget) run once (default 3)"},
       {FlagId::kBackoffMs, "--backoff-ms", "N",
-       "exponential retry backoff base in ms for sweep pairs and job\n"
-       "attempts: retry r waits N << (r-1) plus a deterministic jitter\n"
-       "(default 0 for sweeps, 10 for job batches)"},
+       "exponential retry backoff base in ms for sweep pairs: retry r\n"
+       "waits N << (r-1) plus a deterministic jitter (default 0)"},
       {FlagId::kFailFast, "--fail-fast", nullptr,
        "abort the sweep on the first failed pair"},
       {FlagId::kJobs, "--jobs", "N",
-       "worker threads for sweeps, chaos and job batches (default: one\n"
+       "worker threads for sweeps and chaos campaigns (default: one\n"
        "per hardware thread; 1 = serial; results are byte-identical\n"
        "for any N)"},
       {FlagId::kSnapshotEvery, "--snapshot-every", "N",
        "write a SimState snapshot every N cycles (auto-resumes from it\n"
-       "after a crash; works for --apps, --sweep and --job-file runs)"},
+       "after a crash; works for --apps and --sweep runs)"},
       {FlagId::kSnapshotDir, "--snapshot-dir", "D",
        "directory for snapshot files (default '.'; requires\n"
        "--snapshot-every)"},
@@ -70,9 +72,6 @@ const std::vector<FlagInfo>& flag_table() {
        "under faults)"},
       {FlagId::kHashEvery, "--hash-every", "N",
        "audit sampling period in cycles (default 10000)"},
-      {FlagId::kNoActivitySched, "--no-activity-sched", nullptr,
-       "disable the activity-tracked cycle engine (escape hatch /\n"
-       "bisection aid; simulated output is bit-identical either way)"},
       {FlagId::kGovernor, "--governor", nullptr,
        "enable the policy safety governor (the default; last one of\n"
        "--governor/--no-governor wins)"},
@@ -100,22 +99,6 @@ const std::vector<FlagInfo>& flag_table() {
        "with --apps: run once under the fault schedule spec S and print\n"
        "the chaos outcome classification (replays a campaign reproducer\n"
        "exactly)"},
-      {FlagId::kJobFile, "--job-file", "F",
-       "run a batch of jobs (run / sweep / chaos lines, '#' comments)\n"
-       "through the JobManager: per-job deadlines, retries with backoff,\n"
-       "a failure circuit breaker, and a resumable manifest"},
-      {FlagId::kJobsResume, "--jobs-resume", "F",
-       "resume the job batch recorded in manifest F: finished jobs\n"
-       "replay verbatim, pending jobs re-run; the final report is\n"
-       "byte-identical to an uninterrupted batch"},
-      {FlagId::kManifest, "--manifest", "F",
-       "manifest path for --job-file (default <job-file>.manifest.jsonl)"},
-      {FlagId::kMaxRetries, "--max-retries", "N",
-       "job retries after the first attempt, transient failures only\n"
-       "(default 2)"},
-      {FlagId::kQuarantineAfter, "--quarantine-after", "N",
-       "quarantine a job config after N consecutive failures (default 3;\n"
-       "quarantined jobs exit 9 and carry a replay command)"},
       {FlagId::kBundleDir, "--bundle-dir", "D",
        "root directory for crash-forensics bundles (default\n"
        "'crash-bundles'; also arms bundling for --chaos campaigns,\n"
@@ -129,9 +112,10 @@ const std::vector<FlagInfo>& flag_table() {
        "3 bundle unusable)"},
       {FlagId::kTelemetryOut, "--telemetry-out", "F|D",
        "per-interval time-series JSONL: a file for --apps runs, a\n"
-       "directory (per-label / per-job files) for --sweep, --chaos and\n"
-       "--job-file; every record carries estimated vs actual slowdowns,\n"
-       "the Eq. 26 error, partition sizes and memory-system rates"},
+       "directory (per-label files) for --sweep, --chaos and\n"
+       "--fault-schedule; every record carries estimated vs actual\n"
+       "slowdowns, the Eq. 26 error, partition sizes and memory-system\n"
+       "rates"},
       {FlagId::kTraceOut, "--trace-out", "F",
        "Chrome trace-event JSON (load in Perfetto / chrome://tracing):\n"
        "epoch spans per app, migration drain spans, governor and fault\n"
@@ -162,17 +146,16 @@ const FlagInfo* find_flag(const std::string& arg) {
 const std::vector<ExitCodeInfo>& exit_code_table() {
   static const std::vector<ExitCodeInfo> table = {
       {0, "success"},
-      {1, "failed sweep pairs / failed jobs in the batch"},
+      {1, "failed sweep pairs"},
       {2, "usage error"},
       {3, "simulation error (SimError) / --triage bundle unusable"},
       {4, "determinism audit or --triage replay found a divergence"},
-      {5, "a checkpoint or manifest had torn lines (skipped and re-run; "
-          "results complete, but a prior run crashed mid-write)"},
+      {5, "a checkpoint had torn lines (skipped and re-run; results "
+          "complete, but a prior run crashed mid-write)"},
       {6, "interrupted by SIGINT/SIGTERM — drained gracefully; checkpoints "
-          "and manifest are resumable"},
+          "and snapshots are resumable"},
       {7, "wall-clock deadline exceeded"},
       {8, "cycle or memory budget exceeded"},
-      {9, "job quarantined by the circuit breaker"},
   };
   return table;
 }
@@ -182,7 +165,6 @@ int exit_code_for(SimErrorKind kind) {
     case SimErrorKind::kInterrupted: return 6;
     case SimErrorKind::kDeadlineExceeded: return 7;
     case SimErrorKind::kBudgetExceeded: return 8;
-    case SimErrorKind::kQuarantined: return 9;
     default: return 3;
   }
 }
@@ -192,8 +174,6 @@ std::string render_usage(const char* argv0) {
   ss << "usage: " << argv0 << " --apps A,B[,C,D] [options]\n"
      << "       " << argv0 << " --sweep all|random:N [options]\n"
      << "       " << argv0 << " --chaos N [options]\n"
-     << "       " << argv0 << " --job-file F [options]\n"
-     << "       " << argv0 << " --jobs-resume MANIFEST [options]\n"
      << "       " << argv0 << " --triage BUNDLE\n"
      << "\n";
   constexpr int kColumn = 22;

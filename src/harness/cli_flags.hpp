@@ -9,9 +9,9 @@
 // appearing in --help (tests/harness/cli_flags_test asserts it anyway).
 //
 // The exit-code table lives here too, for the same reason: gpusim_cli's
-// exit codes are a scripting contract (tools/check_jobs.sh and CI assert
-// them), so the mapping from SimErrorKind to exit code and the table
-// printed by --help must be one thing.
+// exit codes are a scripting contract (the tools/check_*.sh gates and CI
+// assert them), so the mapping from SimErrorKind to exit code and the
+// table printed by --help must be one thing.
 #pragma once
 
 #include <string>
@@ -47,7 +47,6 @@ enum class FlagId {
   kRestore,
   kAuditDeterminism,
   kHashEvery,
-  kNoActivitySched,
   kGovernor,
   kNoGovernor,
   kProfileLoop,
@@ -56,11 +55,6 @@ enum class FlagId {
   kNoMinimize,
   kNoRecovery,
   kFaultSchedule,
-  kJobFile,
-  kJobsResume,
-  kManifest,
-  kMaxRetries,
-  kQuarantineAfter,
   kBundleDir,
   kNoBundle,
   kTriage,
@@ -100,7 +94,7 @@ struct ExitCodeInfo {
 const std::vector<ExitCodeInfo>& exit_code_table();
 
 /// Maps a SimError kind to its documented exit code (6 interrupted,
-/// 7 deadline, 8 budget, 9 quarantined; everything else is 3).
+/// 7 deadline, 8 budget; everything else is 3).
 int exit_code_for(SimErrorKind kind);
 
 }  // namespace gpusim

@@ -38,7 +38,7 @@ class Simulation;
 /// the co-run workload and harness knobs plus the snapshot fingerprint the
 /// bundled state was written under.
 struct TriageContext {
-  std::string mode = "run";  ///< "run" / "sweep" / "chaos" / "jobs"
+  std::string mode = "run";  ///< "run" / "sweep" / "chaos"
   std::string label;         ///< workload label, e.g. "SD+SA"
   std::vector<std::string> apps;  ///< registry abbreviations, slot order
   u64 base_seed = 0;

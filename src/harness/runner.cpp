@@ -101,7 +101,6 @@ std::string snapshot_path_for(const std::string& dir,
 /// already capped by max_alone_cycles (replays) or co_run_cycles
 /// (characterization).
 void apply_limits(const RunConfig& rc, Simulation& sim, bool co_run) {
-  sim.set_activity_sched(rc.activity_sched);
   if (rc.wall_deadline != std::chrono::steady_clock::time_point{}) {
     sim.set_wall_deadline(rc.wall_deadline);
   }

@@ -54,10 +54,6 @@ struct RunConfig {
   TemporalOptions temporal;
   DaseQosOptions qos;
 
-  /// Activity-tracked cycle engine (gpu/gpu.hpp; --no-activity-sched
-  /// clears it).  Applied to every Simulation this runner drives — co-run
-  /// and alone replays; simulated output is bit-identical either way.
-  bool activity_sched = true;
   /// Policy safety governor (sched/governor.hpp; --no-governor clears
   /// it).  The governor observer is attached either way so the SimState
   /// walk keeps one shape; like the watchdog threshold this is caller
@@ -97,12 +93,10 @@ struct RunConfig {
   /// (single-run use; unlike auto-resume, any restore failure is fatal).
   std::string restore_path;
 
-  // ---- JobManager run limits (see gpu/simulator.hpp) --------------------
+  // ---- Run limits (see gpu/simulator.hpp) -------------------------------
   /// Absolute wall-clock deadline applied to every Simulation this runner
   /// drives (co-run and alone replays).  Crossing it raises
   /// SimError(kDeadlineExceeded).  Default-constructed = no deadline.
-  /// Absolute (not per-run) on purpose: a sweep job's pairs all share the
-  /// job's one deadline.
   std::chrono::steady_clock::time_point wall_deadline{};
   /// Cycle cap per Simulation; raises SimError(kBudgetExceeded).  Guards
   /// runaway alone-replays as well as the co-run.  0 = none.
@@ -124,8 +118,8 @@ struct RunConfig {
   /// bundles: the auto-resume snapshot already preserves that state.
   /// Empty (off) by default in the library; the CLI defaults it on.
   std::string crash_bundle_dir;
-  /// Mode tag recorded in bundle manifests ("run", "sweep", "chaos",
-  /// "jobs") so a triage session knows which path assembled the failure.
+  /// Mode tag recorded in bundle manifests ("run", "sweep", "chaos") so a
+  /// triage session knows which path assembled the failure.
   std::string crash_bundle_mode = "run";
 
   // ---- Telemetry (see telemetry/hub.hpp) --------------------------------

@@ -56,9 +56,9 @@ SweepEntry SweepRunner::run_one(std::size_t index,
       entry.ok = true;
       return entry;
     } catch (const SimError& e) {
-      // Sweep-fatal conditions: an operator interrupt or a lapsed job
-      // deadline is about the *sweep*, not this pair — recording it as a
-      // pair failure would poison the checkpoint (the pair would replay as
+      // Sweep-fatal conditions: an operator interrupt or a lapsed deadline
+      // is about the *sweep*, not this pair — recording it as a pair
+      // failure would poison the checkpoint (the pair would replay as
       // "failed" forever).  Propagate it uncommitted instead.
       if (e.kind() == SimErrorKind::kInterrupted ||
           e.kind() == SimErrorKind::kDeadlineExceeded) {

@@ -1,12 +1,12 @@
 // Shared batch pool and retry policy.
 //
-// The sweep, the chaos campaign and the JobManager fan independent units
-// across threads with one scheme: workers claim pending indices from one
-// atomic cursor and write results into disjoint, index-addressed slots, so
-// the assembled output is identical for every worker count.  This header
-// is that scheme, plus the one retry policy the sweep and the JobManager
-// apply to a failed unit — any determinism argument about "who ran what
-// when", or about how often a failure is retried, reduces to this file.
+// The sweep and the chaos campaign fan independent units across threads
+// with one scheme: workers claim pending indices from one atomic cursor and
+// write results into disjoint, index-addressed slots, so the assembled
+// output is identical for every worker count.  This header is that scheme,
+// plus the retry policy the sweep applies to a failed unit — any
+// determinism argument about "who ran what when", or about how often a
+// failure is retried, reduces to this file.
 #pragma once
 
 #include <algorithm>
@@ -88,17 +88,16 @@ struct RetryPolicy {
   int backoff_base_ms = 0;
 
   /// Transient failures are worth another attempt: a stall can be a
-  /// one-off under a tight watchdog, a lapsed deadline may pass on a less
-  /// loaded machine, and an exception from outside the simulator may not
-  /// recur.  Config, invariant, conservation, snapshot and budget errors
-  /// are deterministic — a seeded simulator can only repeat them.
+  /// one-off under a tight watchdog, and an exception from outside the
+  /// simulator may not recur.  Config, invariant, conservation, snapshot
+  /// and budget errors are deterministic — a seeded simulator can only
+  /// repeat them.
   static bool transient(const std::exception& e) {
     const auto* sim = dynamic_cast<const SimError*>(&e);
     if (sim == nullptr) return true;
     switch (sim->kind()) {
       case SimErrorKind::kWatchdogStall:
       case SimErrorKind::kRecoveryExhausted:
-      case SimErrorKind::kDeadlineExceeded:
         return true;
       default:
         return false;

@@ -57,7 +57,7 @@ TEST(CliFlagsTest, UnknownFlagsAreRejected) {
 
 TEST(CliFlagsTest, ExitCodeTableCoversTheContract) {
   const auto& table = exit_code_table();
-  ASSERT_EQ(table.size(), 10u);  // 0..9, the documented contract
+  ASSERT_EQ(table.size(), 9u);  // 0..8, the documented contract
   for (std::size_t i = 0; i < table.size(); ++i) {
     EXPECT_EQ(table[i].code, static_cast<int>(i));
     ASSERT_NE(table[i].meaning, nullptr);
@@ -71,7 +71,6 @@ TEST(CliFlagsTest, ExitCodeForMapsTheRobustnessKinds) {
   EXPECT_EQ(exit_code_for(SimErrorKind::kInterrupted), 6);
   EXPECT_EQ(exit_code_for(SimErrorKind::kDeadlineExceeded), 7);
   EXPECT_EQ(exit_code_for(SimErrorKind::kBudgetExceeded), 8);
-  EXPECT_EQ(exit_code_for(SimErrorKind::kQuarantined), 9);
   // Everything else is the generic simulation-error code.
   EXPECT_EQ(exit_code_for(SimErrorKind::kInvariant), 3);
   EXPECT_EQ(exit_code_for(SimErrorKind::kWatchdogStall), 3);

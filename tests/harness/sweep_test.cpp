@@ -126,9 +126,12 @@ TEST(SweepRunnerTest, BackoffDelaysEachRetry) {
 
 TEST(SweepRunnerTest, OnlyTransientFailuresAreRetried) {
   // A seeded simulator repeats a deterministic failure exactly, so it runs
-  // once; a watchdog stall may be a one-off and gets every attempt.
-  const auto workloads = first_workloads(2);
+  // once; a watchdog stall may be a one-off and gets every attempt.  A
+  // blown cycle or memory budget is deterministic too: the same pair
+  // blows it again.
+  const auto workloads = first_workloads(3);
   const std::string deterministic = workloads[0].label();
+  const std::string over_budget = workloads[2].label();
   std::map<std::string, int> calls;
   SweepOptions opts;
   opts.max_attempts = 3;
@@ -137,6 +140,9 @@ TEST(SweepRunnerTest, OnlyTransientFailuresAreRetried) {
     if (w.label() == deterministic) {
       throw SimError(SimErrorKind::kConservation, "test", "leak");
     }
+    if (w.label() == over_budget) {
+      throw SimError(SimErrorKind::kBudgetExceeded, "test", "budget");
+    }
     throw SimError(SimErrorKind::kWatchdogStall, "test", "stall");
   });
   const auto entries = sweep.run(workloads);
@@ -144,8 +150,12 @@ TEST(SweepRunnerTest, OnlyTransientFailuresAreRetried) {
   EXPECT_EQ(entries[0].attempts, 1);
   EXPECT_EQ(calls[workloads[1].label()], 3);
   EXPECT_EQ(entries[1].attempts, 3);
+  EXPECT_EQ(calls[over_budget], 1);
+  EXPECT_EQ(entries[2].attempts, 1);
+  EXPECT_NE(entries[2].error.find("budget-exceeded"), std::string::npos);
   EXPECT_FALSE(entries[0].ok);
   EXPECT_FALSE(entries[1].ok);
+  EXPECT_FALSE(entries[2].ok);
 }
 
 TEST(SweepRunnerTest, PermanentFailureIsRecordedAndSweepContinues) {

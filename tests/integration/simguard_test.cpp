@@ -5,6 +5,8 @@
 // mode as the bench binaries: nothing here depends on NDEBUG being unset.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <string>
 #include <vector>
 
@@ -27,6 +29,21 @@ const KernelProfile& memory_bound_app() {
 std::vector<AppLaunch> two_app_launches() {
   const auto& apps = app_registry();
   return {AppLaunch{apps[0], 42}, AppLaunch{apps[1], 43}};
+}
+
+/// Runs `sim` for `cycles` and returns the SimError it must raise.
+SimError run_expecting_error(Simulation& sim, Cycle cycles) {
+  try {
+    sim.run(cycles);
+  } catch (const SimError& e) {
+    return e;
+  }
+  ADD_FAILURE() << "run(" << cycles << ") finished without a SimError";
+  return SimError(SimErrorKind::kHarness, "test", "no error raised");
+}
+
+std::chrono::steady_clock::time_point lapsed_deadline() {
+  return std::chrono::steady_clock::now() - std::chrono::seconds(1);
 }
 
 TEST(SimGuardAudit, CleanRunConservesEveryRequest) {
@@ -147,6 +164,69 @@ TEST(SimGuardWatchdog, IdleGpuIsNotADeadlock) {
   ASSERT_TRUE(gpu.memory_system_quiescent());
   // Idle for many multiples of the threshold: still not a deadlock.
   EXPECT_NO_THROW(sim.run(100'000));
+}
+
+// Run limits are sampled every 1024 cycles, the watchdog's cadence, so a
+// limit that is already blown stops the run at cycle 1024.
+
+TEST(SimGuardLimits, LapsedDeadlineStopsAtTheFirstSamplingPoint) {
+  GpuConfig cfg;
+  Simulation sim(cfg, two_app_launches());
+  sim.gpu().set_partition(even_partition(cfg.num_sms, 2));
+  sim.set_wall_deadline(lapsed_deadline());
+  const SimError e = run_expecting_error(sim, 50'000);
+  EXPECT_EQ(e.kind(), SimErrorKind::kDeadlineExceeded);
+  EXPECT_EQ(e.error_cycle(), 1'024u);
+  EXPECT_EQ(sim.gpu().now(), 1'024u);
+}
+
+TEST(SimGuardLimits, MemoryBudgetReportsTheRequestsServed) {
+  GpuConfig cfg;
+  Simulation sim(cfg, two_app_launches());
+  sim.gpu().set_partition(even_partition(cfg.num_sms, 2));
+  sim.set_mem_budget(1);
+  const SimError e = run_expecting_error(sim, 50'000);
+  EXPECT_EQ(e.kind(), SimErrorKind::kBudgetExceeded);
+  bool has_served = false;
+  for (const auto& [key, value] : e.details()) {
+    if (key == "requests_served") {
+      has_served = true;
+      EXPECT_GT(std::stoull(value), 1u);
+    }
+  }
+  EXPECT_TRUE(has_served) << e.what();
+}
+
+TEST(SimGuardLimits, ClearedCancelFlagResumesToTheSameState) {
+  GpuConfig cfg;
+  Simulation reference(cfg, two_app_launches());
+  reference.gpu().set_partition(even_partition(cfg.num_sms, 2));
+  reference.run(20'000);
+
+  Simulation sim(cfg, two_app_launches());
+  sim.gpu().set_partition(even_partition(cfg.num_sms, 2));
+  std::atomic<bool> cancel{true};
+  sim.set_cancel(&cancel);
+  const SimError e = run_expecting_error(sim, 20'000);
+  EXPECT_EQ(e.kind(), SimErrorKind::kInterrupted);
+  ASSERT_EQ(sim.gpu().now(), 1'024u);
+
+  cancel.store(false);
+  sim.run(20'000 - sim.gpu().now());
+  EXPECT_EQ(sim.gpu().now(), 20'000u);
+  EXPECT_EQ(sim.state_hash(), reference.state_hash());
+}
+
+TEST(SimGuardLimits, InterruptOutranksDeadlineAndBudget) {
+  GpuConfig cfg;
+  Simulation sim(cfg, two_app_launches());
+  sim.gpu().set_partition(even_partition(cfg.num_sms, 2));
+  std::atomic<bool> cancel{true};
+  sim.set_cancel(&cancel);
+  sim.set_wall_deadline(lapsed_deadline());
+  sim.set_mem_budget(1);
+  EXPECT_EQ(run_expecting_error(sim, 50'000).kind(),
+            SimErrorKind::kInterrupted);
 }
 
 TEST(SimGuardFaults, ProbabilisticDropsAreDeterministic) {

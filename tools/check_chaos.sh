@@ -11,7 +11,9 @@
 #      dropped-response fault;
 #   4. resuming past a checkpoint whose last line a crash cut in half
 #      exits 5, reproduces the report bytes, and still names every
-#      failing job with its gpusim_cli replay command.
+#      failing job with its gpusim_cli replay command;
+#   5. the run limits apply: a lapsed --deadline-ms stops the campaign
+#      (exit 7), and the co-run budgets are refused (exit 2).
 #
 #   tools/check_chaos.sh [build-dir]     (default: build)
 #
@@ -123,5 +125,17 @@ for job, line in zip(failing, printed):
     assert line.endswith(": " + job["replay"]), (line, job["replay"])
 print(f"   {len(failing)} failing jobs printed with their replay commands")
 EOF
+
+echo "== a lapsed deadline stops the campaign with exit 7"
+RC=0
+"$CLI" --chaos 2 --deadline-ms 1 --out "$TMP/deadline.json" \
+       > /dev/null 2>&1 || RC=$?
+[[ "$RC" == "7" ]] || { echo "error: --deadline-ms 1 exited $RC, expected 7" >&2; exit 1; }
+
+echo "== a co-run cycle budget is a usage error for --chaos"
+RC=0
+"$CLI" --chaos 2 --cycle-budget 1000 --out "$TMP/budget.json" \
+       > /dev/null 2>&1 || RC=$?
+[[ "$RC" == "2" ]] || { echo "error: --cycle-budget exited $RC, expected 2" >&2; exit 1; }
 
 echo "chaos check: OK"

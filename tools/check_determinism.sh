@@ -103,18 +103,14 @@ cmp "$TMP/ref.jsonl" "$TMP/kill.jsonl"
 cmp "$TMP/ref.trace" "$TMP/kill.trace"
 cmp "$TMP/ref.prom" "$TMP/kill.prom"
 
-# Batch telemetry determinism: per-job files must be byte-identical for
-# any --jobs worker count.
-echo "== batch telemetry files: --jobs 1 vs --jobs 4"
-cat > "$TMP/tel.jobs" <<'EOF'
-run apps=SD,SA policy=dase-fair
-run apps=SN,CT policy=even
-EOF
-"$CLI" --job-file "$TMP/tel.jobs" --manifest "$TMP/tel1.jsonl" --jobs 1 \
-       --telemetry-out "$TMP/teldir" --out "$TMP/tel1.json" > /dev/null 2>&1
-mv "$TMP/teldir" "$TMP/teldir1"
-"$CLI" --job-file "$TMP/tel.jobs" --manifest "$TMP/tel4.jsonl" --jobs 4 \
-       --telemetry-out "$TMP/teldir" --out "$TMP/tel4.json" > /dev/null 2>&1
-diff -r "$TMP/teldir" "$TMP/teldir1"
+# Batch telemetry determinism: per-pair files and the sweep results must be
+# byte-identical for any --jobs worker count.
+echo "== sweep telemetry files: --jobs 1 vs --jobs 4"
+"$CLI" --sweep random:3 --cycles 40000 --jobs 1 \
+       --telemetry-out "$TMP/teldir1" --out "$TMP/tel1.json" > /dev/null 2>&1
+"$CLI" --sweep random:3 --cycles 40000 --jobs 4 \
+       --telemetry-out "$TMP/teldir4" --out "$TMP/tel4.json" > /dev/null 2>&1
+diff -r "$TMP/teldir1" "$TMP/teldir4"
+cmp "$TMP/tel1.json" "$TMP/tel4.json"
 
 echo "determinism check: OK"

@@ -4,7 +4,8 @@
 #
 #   1. a cycle-budget kill in a plain run emits a complete crash bundle
 #      (manifest + snapshot + config + events) and exits with its
-#      documented code (8);
+#      documented code (8); a lapsed wall-clock deadline bundles too and
+#      exits 7;
 #   2. `--triage <bundle>` restores the bundled state, replays to the
 #      recorded failure cycle, and VERIFIES the 64-bit state hash
 #      bit-exactly (exit 0);
@@ -46,6 +47,15 @@ for f in manifest.json snapshot.simstate config.txt events.txt; do
 done
 if find "$TMP/bundles" -maxdepth 1 -name '.tmp-*' | grep -q .; then
   echo "unpublished .tmp- work dir left behind" >&2; exit 1
+fi
+
+echo "== a blown wall-clock deadline bundles and exits 7"
+RC=0
+"$CLI" --apps SD,SA --cycles 5000000 --deadline-ms 1 \
+       --bundle-dir "$TMP/deadline-bundles" > /dev/null 2>&1 || RC=$?
+[[ "$RC" == "7" ]] || { echo "expected exit 7, got $RC" >&2; exit 1; }
+if ! find "$TMP/deadline-bundles" -maxdepth 1 -name 'run-*' | grep -q .; then
+  echo "no run bundle published for the deadline kill" >&2; exit 1
 fi
 
 echo "== --triage replays the run bundle to a bit-exact VERIFIED"

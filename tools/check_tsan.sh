@@ -7,14 +7,13 @@
 #   tools/check_tsan.sh [build-dir]            (default: build-tsan)
 #
 # Runs only the concurrency-heavy tests by default — the sweep, the JSONL
-# ledger's concurrent appends, the JobManager batch tests and the chaos
-# campaign (a full TSan suite run is slow); pass a ctest -R pattern as $2
-# to widen.
+# ledger's concurrent appends and the chaos campaign (a full TSan suite
+# run is slow); pass a ctest -R pattern as $2 to widen.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 BUILD_DIR="${1:-build-tsan}"
-FILTER="${2:-sweep|jsonl|job_manager|jobs_kill_resume|chaos}"
+FILTER="${2:-sweep|jsonl|chaos}"
 
 cmake -B "$BUILD_DIR" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \

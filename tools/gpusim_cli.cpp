@@ -12,8 +12,6 @@
 //   gpusim_cli --apps SD,SA --audit-determinism
 //   gpusim_cli --chaos 50 --chaos-seed 7 --cycles 40000 --out chaos.json
 //   gpusim_cli --apps SD,SA --cycles 40000 --fault-schedule 'drop-resp:nth=200;seed=7'
-//   gpusim_cli --job-file batch.jobs --manifest batch.manifest.jsonl
-//   gpusim_cli --jobs-resume batch.manifest.jsonl
 //   gpusim_cli --triage crash-bundles/run-SD+SA-c12345
 //   gpusim_cli --version
 //   gpusim_cli --list-apps
@@ -44,7 +42,6 @@
 #include "harness/chaos.hpp"
 #include "harness/cli_flags.hpp"
 #include "harness/divergence.hpp"
-#include "harness/job_manager.hpp"
 #include "harness/runner.hpp"
 #include "harness/shutdown.hpp"
 #include "harness/sweep.hpp"
@@ -221,6 +218,7 @@ int run_chaos(const RunConfig& rc, int schedules, u64 chaos_seed, int jobs,
   opts.checkpoint_path = checkpoint;
   opts.base_seed = rc.base_seed;
   opts.cancel = shutdown_flag();
+  opts.wall_deadline = rc.wall_deadline;
   opts.crash_bundle_dir = bundle_dir;
   opts.telemetry_dir = telemetry_dir;
   const ChaosReport report = run_chaos_campaign(opts);
@@ -252,8 +250,8 @@ int run_chaos(const RunConfig& rc, int schedules, u64 chaos_seed, int jobs,
     }
     std::cout << ": " << job.replay << '\n';
   }
-  // Same contract as --sweep and --jobs-resume: the report is complete,
-  // but torn checkpoint lines mean a prior run crashed mid-write.
+  // Same contract as --sweep: the report is complete, but torn checkpoint
+  // lines mean a prior run crashed mid-write.
   return report.torn_lines_skipped != 0 ? 5 : 0;
 }
 
@@ -269,6 +267,7 @@ int run_replay(const RunConfig& rc, const Workload& workload,
   opts.recovery = recovery;
   opts.governor = rc.governor;
   opts.base_seed = rc.base_seed;
+  opts.wall_deadline = rc.wall_deadline;
   opts.crash_bundle_dir = rc.crash_bundle_dir;
   // A replay routes through the chaos engine, so --telemetry-out behaves
   // like the chaos-mode directory form here too.
@@ -288,59 +287,26 @@ int run_replay(const RunConfig& rc, const Workload& workload,
   return 0;
 }
 
-int run_jobs(const JobManagerOptions& opts, const std::string& job_file,
-             const std::string& out_path) {
-  JobManager manager(opts);
-  const JobBatchReport report =
-      job_file.empty() ? manager.resume()
-                       : manager.run(parse_job_file(job_file));
-
-  if (report.interrupted) {
-    std::cerr << "gpusim: job batch interrupted — " << report.ok +
-                     report.failed + report.quarantined
-              << " of " << report.total << " jobs finished; resume with:\n"
-              << "  gpusim_cli --jobs-resume " << opts.manifest_path << '\n';
-    return report.exit_code();
-  }
-  atomic_write_file(out_path, report.to_json(), "harness.jobs");
-
-  std::cout << "job batch: " << report.total << " jobs (" << report.ok
-            << " ok, " << report.failed << " failed, " << report.quarantined
-            << " quarantined), report in " << out_path << '\n';
-  for (const JobResult& r : report.jobs) {
-    if (r.status == JobStatus::kOk) continue;
-    std::cout << "  [" << r.index << "] " << to_string(r.status) << " ("
-              << r.error_kind << "): " << r.error_message;
-    if (!r.reproducer.empty()) std::cout << "\n      replay: " << r.reproducer;
-    std::cout << '\n';
-  }
-  const int code = report.exit_code();
-  if (code == 0 && manager.torn_lines_skipped() != 0) return 5;
-  return code;
-}
-
 int run_audit(const RunConfig& rc, const Workload& workload,
               const ModelSet& models, PolicyKind policy,
               const std::vector<int>* sm_split, Cycle hash_every) {
   // Both runs are assembled exactly as a plain run is — models, policy,
   // split, governor, telemetry hub and (under --fault-schedule) identical
   // injectors — so every observer's state is part of the compared hashes.
-  // Run A is the production configuration (the activity engine, unless
-  // --no-activity-sched); run B is the per-cycle reference walk.  Any
-  // state-hash divergence between them is a real bug in the engine.
+  // Run A is the production configuration (the activity engine); run B is
+  // the per-cycle reference walk.  Any state-hash divergence between them
+  // is a real bug in the engine.
   const CoRunAssembly a =
       assemble_corun(rc, workload, models, policy, sm_split);
   const CoRunAssembly b =
       assemble_corun(rc, workload, models, policy, sm_split);
   b.sim->set_activity_sched(false);
-  const char* mode = rc.activity_sched
-                         ? "activity engine vs per-cycle walk"
-                         : "per-cycle walk on both sides";
   const DivergenceReport report =
       audit_divergence(*a.sim, *b.sim, rc.co_run_cycles, hash_every);
-  std::cout << "determinism audit (" << workload.label() << ", " << mode
-            << ", " << rc.co_run_cycles << " cycles, hash every "
-            << hash_every << "): " << report.to_string() << '\n';
+  std::cout << "determinism audit (" << workload.label()
+            << ", activity engine vs per-cycle walk, " << rc.co_run_cycles
+            << " cycles, hash every " << hash_every
+            << "): " << report.to_string() << '\n';
   return report.diverged ? 4 : 0;
 }
 
@@ -377,13 +343,7 @@ int main(int argc, char** argv) {
   bool chaos_minimize = true;
   bool have_cycles = false;
   std::string fault_spec;
-  std::string job_file;
-  std::string jobs_resume;
-  std::string manifest_path;
   double deadline_ms = 0.0;
-  int job_max_retries = 2;
-  int quarantine_after = 3;
-  bool have_backoff = false;
   std::string bundle_dir = "crash-bundles";
   bool have_bundle_dir = false;
   bool no_bundle = false;
@@ -484,7 +444,6 @@ int main(int argc, char** argv) {
       case FlagId::kBackoffMs:
         sweep_opts.backoff_ms =
             static_cast<int>(parse_u64(argv[0], arg, value, 0));
-        have_backoff = true;
         break;
       case FlagId::kFailFast:
         sweep_opts.fail_fast = true;
@@ -509,9 +468,6 @@ int main(int argc, char** argv) {
         hash_every = parse_u64(argv[0], arg, value, 1);
         have_hash_every = true;
         break;
-      case FlagId::kNoActivitySched:
-        rc.activity_sched = false;
-        break;
       case FlagId::kGovernor:
         rc.governor = true;
         break;
@@ -535,22 +491,6 @@ int main(int argc, char** argv) {
         break;
       case FlagId::kFaultSchedule:
         fault_spec = value;
-        break;
-      case FlagId::kJobFile:
-        job_file = value;
-        break;
-      case FlagId::kJobsResume:
-        jobs_resume = value;
-        break;
-      case FlagId::kManifest:
-        manifest_path = value;
-        break;
-      case FlagId::kMaxRetries:
-        job_max_retries = static_cast<int>(parse_u64(argv[0], arg, value, 0));
-        break;
-      case FlagId::kQuarantineAfter:
-        quarantine_after =
-            static_cast<int>(parse_u64(argv[0], arg, value, 1));
         break;
       case FlagId::kConfig:
         try {
@@ -604,14 +544,15 @@ int main(int argc, char** argv) {
     }
   }
 
-  const bool jobs_mode = !job_file.empty() || !jobs_resume.empty();
+  const bool run_limits =
+      deadline_ms > 0.0 || rc.cycle_budget != 0 || rc.mem_budget != 0;
   if (!triage_bundle.empty() &&
-      (jobs_mode || !app_names.empty() || !sweep_which.empty() ||
-       chaos_schedules > 0 || audit_determinism || !fault_spec.empty() ||
-       !rc.restore_path.empty() || rc.snapshot_every != 0)) {
+      (!app_names.empty() || !sweep_which.empty() || chaos_schedules > 0 ||
+       audit_determinism || !fault_spec.empty() || !rc.restore_path.empty() ||
+       rc.snapshot_every != 0 || run_limits)) {
     usage(argv[0],
-          "--triage is a standalone postmortem mode; it takes no workload "
-          "or batch flags");
+          "--triage is a standalone postmortem mode; it takes no workload, "
+          "batch or run-limit flags");
   }
   if (no_bundle && have_bundle_dir) {
     usage(argv[0], "--no-bundle and --bundle-dir are mutually exclusive");
@@ -648,24 +589,19 @@ int main(int argc, char** argv) {
     usage(argv[0],
           "--fault-schedule replays one schedule; --chaos generates its own");
   }
-  if (!job_file.empty() && !jobs_resume.empty()) {
-    usage(argv[0], "--job-file starts a batch; --jobs-resume continues one — "
-                   "pick one");
-  }
-  if (jobs_mode &&
-      (!app_names.empty() || !sweep_which.empty() || chaos_schedules > 0 ||
-       audit_determinism || !fault_spec.empty() || !rc.restore_path.empty())) {
+  // Chaos jobs and fault replays run exactly --cycles cycles and would
+  // classify a budget kill as the schedule's outcome, so the co-run budgets
+  // are refused there.
+  const bool replay_mode = !fault_spec.empty() && !audit_determinism;
+  if ((chaos_schedules > 0 || replay_mode) &&
+      (rc.cycle_budget != 0 || rc.mem_budget != 0)) {
     usage(argv[0],
-          "--job-file/--jobs-resume run whole batches and are incompatible "
-          "with --apps, --sweep, --chaos, --fault-schedule, --restore and "
-          "--audit-determinism");
-  }
-  if (!manifest_path.empty() && job_file.empty()) {
-    usage(argv[0], "--manifest requires --job-file");
+          "--cycle-budget and --mem-budget apply to --apps runs and sweeps; "
+          "--chaos and --fault-schedule take --cycles and --deadline-ms");
   }
   if (profile_loop &&
-      (jobs_mode || chaos_schedules > 0 || !sweep_which.empty() ||
-       audit_determinism || !fault_spec.empty())) {
+      (chaos_schedules > 0 || !sweep_which.empty() || audit_determinism ||
+       !fault_spec.empty())) {
     usage(argv[0],
           "--profile-loop applies to plain single runs (use the bench "
           "binary for profiled batch scenarios)");
@@ -674,9 +610,7 @@ int main(int argc, char** argv) {
   // directory for batch modes; the trace and metrics exports are
   // single-output files, so batch modes reject them (their per-unit traces
   // come from the --telemetry-out directory instead).
-  const bool batch_mode =
-      jobs_mode || chaos_schedules > 0 || !sweep_which.empty();
-  const bool replay_mode = !fault_spec.empty() && !audit_determinism;
+  const bool batch_mode = chaos_schedules > 0 || !sweep_which.empty();
   if (!trace_out.empty() && (batch_mode || replay_mode)) {
     usage(argv[0],
           "--trace-out applies to single --apps runs and --triage; batch "
@@ -693,16 +627,16 @@ int main(int argc, char** argv) {
           "a trace (--trace-out)");
   }
 
-  // Crash forensics: runs, sweeps, --fault-schedule replays and job
-  // batches bundle any terminal SimError under bundle_dir by default
-  // (--no-bundle opts out).  Chaos campaigns *expect* failures, so they
-  // bundle only when --bundle-dir was given explicitly.
+  // Crash forensics: runs, sweeps and --fault-schedule replays bundle any
+  // terminal SimError under bundle_dir by default (--no-bundle opts out).
+  // Chaos campaigns *expect* failures, so they bundle only when
+  // --bundle-dir was given explicitly.
   if (!no_bundle) rc.crash_bundle_dir = bundle_dir;
 
   // Wire the drain flag and the run limits into every mode.
   rc.cancel = shutdown_flag();
   sweep_opts.cancel = shutdown_flag();
-  if (deadline_ms > 0.0 && !jobs_mode) {
+  if (deadline_ms > 0.0) {
     rc.wall_deadline = std::chrono::steady_clock::now() +
                        std::chrono::microseconds(
                            static_cast<long long>(deadline_ms * 1000.0));
@@ -711,30 +645,6 @@ int main(int argc, char** argv) {
   try {
     if (!triage_bundle.empty()) {
       return run_triage(triage_bundle, std::cout, trace_out);
-    }
-    if (jobs_mode) {
-      JobManagerOptions jm;
-      jm.gpu = rc.gpu;
-      jm.base_seed = rc.base_seed;
-      jm.default_cycles = have_cycles ? rc.co_run_cycles : 40'000;
-      jm.default_deadline_ms = deadline_ms;
-      jm.max_retries = job_max_retries;
-      if (have_backoff) jm.backoff_base_ms = sweep_opts.backoff_ms;
-      jm.quarantine_after = quarantine_after;
-      jm.jobs = sweep_opts.jobs;
-      jm.manifest_path = !jobs_resume.empty()
-                             ? jobs_resume
-                             : (!manifest_path.empty()
-                                    ? manifest_path
-                                    : job_file + ".manifest.jsonl");
-      if (have_snapshot_dir) jm.snapshot_dir = rc.snapshot_dir;
-      if (rc.snapshot_every != 0) jm.snapshot_every = rc.snapshot_every;
-      jm.cancel = shutdown_flag();
-      jm.verbose = true;
-      jm.crash_bundle_dir = rc.crash_bundle_dir;
-      jm.telemetry_dir = telemetry_out;
-      return run_jobs(jm, job_file,
-                      have_out ? out_path : "jobs_report.json");
     }
     if (chaos_schedules > 0) {
       if (!have_cycles) rc.co_run_cycles = 40'000;  // chaos default budget
