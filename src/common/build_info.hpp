@@ -23,7 +23,7 @@ namespace gpusim {
 inline constexpr const char* kGpusimVersion = "0.8.0";
 
 /// Schema of the crash-forensics bundle directory (manifest.json format).
-inline constexpr u32 kCrashBundleSchema = 1;
+inline constexpr u32 kCrashBundleSchema = 2;
 
 /// Comma-separated feature flags compiled into this build.
 std::string build_features();

@@ -89,7 +89,6 @@ struct GpuConfig {
   Cycle estimation_interval = 50'000;  // paper Section 4.4: fixed 50K cycles
   double requestmax_factor = 0.6;      // paper Eq. 20 empirical default
   double alpha_clamp_threshold = 0.7;  // Section 4.1: alpha->1 when large
-  bool alpha_clamp_enabled = true;
 
   // ---- Policy governor (guarded scheduling; DESIGN.md §14) ----
   /// Cycles an SM-drain migration may stay pending before the governor's
@@ -184,7 +183,6 @@ struct GpuConfig {
     s.put_u64(estimation_interval);
     s.put_double(requestmax_factor);
     s.put_double(alpha_clamp_threshold);
-    s.put_bool(alpha_clamp_enabled);
     s.put_bool(mshr_retry_enabled);
     s.put_u64(mshr_retry_timeout);
     s.put_i32(mshr_retry_max);

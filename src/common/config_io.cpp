@@ -103,7 +103,6 @@ const std::map<std::string, Field>& field_table() {
       {"estimation_interval", number_field(&GpuConfig::estimation_interval, "DASE interval (paper: 50000)")},
       {"requestmax_factor", number_field(&GpuConfig::requestmax_factor, "Eq. 20 empirical factor")},
       {"alpha_clamp_threshold", number_field(&GpuConfig::alpha_clamp_threshold, "alpha->1 threshold")},
-      {"alpha_clamp_enabled", bool_field(&GpuConfig::alpha_clamp_enabled, "Section 4.1 clamp")},
       {"mshr_retry_enabled", bool_field(&GpuConfig::mshr_retry_enabled, "SM reissues timed-out misses")},
       {"mshr_retry_timeout", number_field(&GpuConfig::mshr_retry_timeout, "cycles before first reissue")},
       {"mshr_retry_max", number_field(&GpuConfig::mshr_retry_max, "reissues before recovery-exhausted")},

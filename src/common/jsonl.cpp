@@ -71,12 +71,25 @@ std::string json_unescape(const std::string& text) {
   return out;
 }
 
+namespace {
+
+/// Index of the first value byte after `"key":` and any spaces, or npos.
+std::size_t value_start(const std::string& line, const std::string& key) {
+  const std::string needle = "\"" + key + "\":";
+  auto pos = line.find(needle);
+  if (pos == std::string::npos) return pos;
+  pos += needle.size();
+  while (pos < line.size() && line[pos] == ' ') ++pos;
+  return pos;
+}
+
+}  // namespace
+
 std::optional<std::string> json_string_field(const std::string& line,
                                              const std::string& key) {
-  const std::string needle = "\"" + key + "\":\"";
-  const auto pos = line.find(needle);
-  if (pos == std::string::npos) return std::nullopt;
-  const auto start = pos + needle.size();
+  const auto quote = value_start(line, key);
+  if (quote >= line.size() || line[quote] != '"') return std::nullopt;
+  const auto start = quote + 1;
   for (auto i = start; i < line.size(); ++i) {
     if (line[i] == '\\') {
       ++i;  // an escaped character never closes the string
@@ -89,10 +102,8 @@ std::optional<std::string> json_string_field(const std::string& line,
 
 std::optional<u64> json_u64_field(const std::string& line,
                                   const std::string& key) {
-  const std::string needle = "\"" + key + "\":";
-  const auto pos = line.find(needle);
-  if (pos == std::string::npos) return std::nullopt;
-  const auto start = pos + needle.size();
+  const auto start = value_start(line, key);
+  if (start == std::string::npos) return std::nullopt;
   auto end = start;
   while (end < line.size() && line[end] >= '0' && line[end] <= '9') ++end;
   if (end == start) return std::nullopt;

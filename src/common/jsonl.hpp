@@ -38,13 +38,15 @@ std::string json_escape(const std::string& text);
 /// is kept literally instead of failing (readers never trust their input).
 std::string json_unescape(const std::string& text);
 
-/// The unescaped value of the first `"key":"…"` field in `line`; nullopt
-/// when the key is absent or its string is unterminated.
+/// The unescaped value of the first `"key":"…"` field in `line` (spaces
+/// may follow the colon); nullopt when the key is absent, its value is not
+/// a string or its string is unterminated.
 std::optional<std::string> json_string_field(const std::string& line,
                                              const std::string& key);
 
-/// The value of the first `"key":<digits>` field in `line`; nullopt when
-/// the key is absent or not followed by a digit.
+/// The value of the first `"key":<digits>` field in `line` (spaces may
+/// follow the colon); nullopt when the key is absent or its value does not
+/// start with a digit.
 std::optional<u64> json_u64_field(const std::string& line,
                                   const std::string& key);
 

@@ -13,7 +13,6 @@
 #include "common/sim_error.hpp"
 #include "dase/dase_model.hpp"
 #include "gpu/simulator.hpp"
-#include "harness/crash_bundle.hpp"
 #include "harness/runner.hpp"
 #include "harness/worker_pool.hpp"
 #include "sched/dase_fair.hpp"
@@ -112,7 +111,7 @@ std::string replay_command(const ChaosOptions& opts, const std::string& label,
   std::string apps = label;
   std::replace(apps.begin(), apps.end(), '+', ',');
   std::ostringstream ss;
-  ss << "gpusim_cli --apps " << apps << " --cycles " << opts.cycles;
+  ss << "gpusim_cli --apps " << apps << " --cycles " << opts.rc.co_run_cycles;
   if (dase_fair) ss << " --policy dase-fair";
   if (!opts.recovery) ss << " --no-recovery";
   ss << " --fault-schedule '" << spec << "'";
@@ -216,18 +215,23 @@ ChaosJobResult run_chaos_job(const ChaosOptions& opts,
   // the retry timeout small enough that backoff plays out, the estimation
   // interval small enough that estimators see several samples, and the
   // watchdog a fraction of the budget so a wedge is proven, not outwaited.
-  GpuConfig cfg = opts.gpu;
+  RunConfig rc = opts.rc;
+  const Cycle cycles = rc.co_run_cycles;
+  GpuConfig& cfg = rc.gpu;
   cfg.mshr_retry_enabled = opts.recovery;
   cfg.mshr_retry_timeout = std::max<Cycle>(
-      1'000, std::min<Cycle>(cfg.mshr_retry_timeout, opts.cycles / 8));
+      1'000, std::min<Cycle>(cfg.mshr_retry_timeout, cycles / 8));
   cfg.estimation_interval = std::max<Cycle>(
-      2'000, std::min<Cycle>(cfg.estimation_interval, opts.cycles / 4));
+      2'000, std::min<Cycle>(cfg.estimation_interval, cycles / 4));
   // The drain budget must also shrink with the job budget, or a wedged
   // migration would be caught by the generic watchdog before the governor
   // can attribute it (kMigrationStalled names the stalled SMs).
   cfg.governor_drain_budget = std::max<Cycle>(
       cfg.estimation_interval,
-      std::min<Cycle>(cfg.governor_drain_budget, opts.cycles / 4));
+      std::min<Cycle>(cfg.governor_drain_budget, cycles / 4));
+  rc.watchdog_cycles = std::max<Cycle>(5'000, cycles / 4);
+  rc.faults = schedule;
+  rc.crash_bundle_mode = "chaos";
 
   ChaosJobResult r;
   r.workload = workload.label();
@@ -237,19 +241,7 @@ ChaosJobResult run_chaos_job(const ChaosOptions& opts,
   // Chaos jobs ride the shared co-run assembly (harness/runner.hpp), so a
   // crash bundle written here replays through the exact observer list and
   // seeds a --triage session will rebuild.
-  RunConfig rc;
-  rc.gpu = cfg;
-  rc.co_run_cycles = opts.cycles;
-  rc.base_seed = opts.base_seed;
-  rc.watchdog_cycles = std::max<Cycle>(5'000, opts.cycles / 4);
-  rc.governor = opts.governor;
-  rc.faults = schedule;
-  rc.cancel = opts.cancel;
-  rc.wall_deadline = opts.wall_deadline;
-  rc.crash_bundle_dir = opts.crash_bundle_dir;
-  rc.crash_bundle_mode = "chaos";
-  ModelSet models;
-  models.dase = models.mise = models.asm_model = true;
+  const ModelSet models{.dase = true, .mise = true, .asm_model = true};
   const PolicyKind policy =
       dase_fair ? PolicyKind::kDaseFair : PolicyKind::kEven;
 
@@ -268,40 +260,23 @@ ChaosJobResult run_chaos_job(const ChaosOptions& opts,
     r.sanitized_estimates = dase->sanitized_estimates() +
                             mise->sanitized_estimates() +
                             asm_model->sanitized_estimates();
-    r.governor_interventions =
-        assembly.governor ? assembly.governor->interventions() : 0;
+    r.governor_interventions = assembly.governor->interventions();
   };
 
   // Chaos jobs never run alone baselines, so flushed series carry estimate
   // columns but null actual-slowdown/error columns.  The per-job label
   // folds in the schedule seed: unique per campaign job, deterministic for
   // any worker count.
-  auto flush_job_telemetry = [&](bool crashed, const std::string& kind) {
-    if (opts.telemetry_dir.empty()) return;
-    TelemetryPaths paths;
-    paths.dir = opts.telemetry_dir;
-    const std::string label = workload.label() + "-" + r.policy + "-" +
-                              std::to_string(schedule.seed);
-    TelemetryFlushContext ctx;
-    ctx.label = label;
-    for (const KernelProfile& app : workload.apps) ctx.apps.push_back(app.abbr);
-    ctx.estimators = assembly.telemetry_estimators;
-    ctx.interval_length = cfg.estimation_interval;
-    ctx.final_cycle = sim.gpu().now();
-    ctx.crashed = crashed;
-    ctx.crash_kind = kind;
-    ctx.crash_cycle = sim.gpu().now();
-    try {
-      flush_telemetry(*assembly.telemetry, sim.gpu(),
-                      resolve_telemetry_paths(paths, label), ctx);
-    } catch (const SimError& flush_error) {
-      std::fprintf(stderr, "gpusim: chaos telemetry flush failed (%s)\n",
-                   flush_error.what());
-    }
+  const std::string telemetry_label = workload.label() + "-" + r.policy +
+                                      "-" + std::to_string(schedule.seed);
+  const auto fail = [&](const std::exception& e) {
+    record_corun_failure(rc, workload, models, policy, nullptr, assembly, e,
+                         telemetry_label);
+    collect();
   };
 
   try {
-    sim.run(opts.cycles);
+    sim.run(cycles);
   } catch (const SimError& e) {
     // A drain interrupt or a lapsed campaign deadline is about the
     // campaign, not this schedule: it must never be classified as a chaos
@@ -310,12 +285,7 @@ ChaosJobResult run_chaos_job(const ChaosOptions& opts,
         e.kind() == SimErrorKind::kDeadlineExceeded) {
       throw;
     }
-    if (!rc.crash_bundle_dir.empty()) {
-      const TriageContext ctx =
-          triage_context_of(rc, workload, models, policy, nullptr, sim);
-      write_crash_bundle(rc.crash_bundle_dir, sim, rc.gpu, e, ctx);
-    }
-    collect();
+    fail(e);
     r.error_kind = to_string(e.kind());
     if (e.kind() == SimErrorKind::kWatchdogStall) {
       r.outcome = ChaosOutcome::kHang;
@@ -330,19 +300,27 @@ ChaosJobResult run_chaos_job(const ChaosOptions& opts,
       r.outcome = ChaosOutcome::kGuardCaught;
       r.detail = std::string(e.component()) + ": " + first_line(e.what());
     }
-    flush_job_telemetry(/*crashed=*/true, r.error_kind);
     return r;
   } catch (const std::exception& e) {
-    collect();
+    fail(e);
     r.outcome = ChaosOutcome::kGuardCaught;
     r.error_kind = "exception";
     r.detail = first_line(e.what());
-    flush_job_telemetry(/*crashed=*/true, r.error_kind);
     return r;
   }
 
   collect();
-  flush_job_telemetry(/*crashed=*/false, std::string());
+  if (rc.telemetry.any()) {
+    try {
+      flush_telemetry(*assembly.telemetry, sim.gpu(),
+                      resolve_telemetry_paths(rc.telemetry, telemetry_label),
+                      corun_telemetry_context(rc, workload, assembly,
+                                              telemetry_label));
+    } catch (const SimError& flush_error) {
+      std::fprintf(stderr, "gpusim: telemetry flush failed (%s)\n",
+                   flush_error.what());
+    }
+  }
 
   // A stall-forever event that was already active when the budget ran out
   // is a hang the budget merely outpaced: the wedge never clears, the
@@ -395,8 +373,8 @@ FaultSchedule minimize_failing_schedule(const ChaosOptions& opts,
   // probe would bury the original bundle (and probe telemetry would
   // overwrite the original job's files), so probes never bundle or flush.
   ChaosOptions probe_opts = opts;
-  probe_opts.crash_bundle_dir.clear();
-  probe_opts.telemetry_dir.clear();
+  probe_opts.rc.crash_bundle_dir.clear();
+  probe_opts.rc.telemetry.dir.clear();
   FaultSchedule best = schedule;
   bool shrunk = true;
   while (shrunk && best.events.size() > 1) {
@@ -429,7 +407,7 @@ ChaosReport run_chaos_campaign(const ChaosOptions& opts) {
   ChaosReport report;
   report.schedules = opts.schedules;
   report.seed = opts.seed;
-  report.cycles = opts.cycles;
+  report.cycles = opts.rc.co_run_cycles;
   report.recovery = opts.recovery;
   report.jobs.resize(static_cast<std::size_t>(opts.schedules));
 
@@ -467,8 +445,8 @@ ChaosReport run_chaos_campaign(const ChaosOptions& opts) {
         const Workload& workload = pairs[i % pairs.size()];
         const bool dase_fair = (i % 2) == 1;
         const FaultSchedule schedule = random_fault_schedule(
-            job_schedule_seed(opts.seed, i), opts.cycles,
-            opts.gpu.num_partitions, opts.max_events);
+            job_schedule_seed(opts.seed, i), opts.rc.co_run_cycles,
+            opts.rc.gpu.num_partitions, opts.max_events);
         ChaosJobResult r = run_chaos_job(opts, workload, dase_fair, schedule);
         r.index = static_cast<int>(i);
         if (opts.minimize && r.outcome != ChaosOutcome::kRecovered) {
@@ -485,7 +463,7 @@ ChaosReport run_chaos_campaign(const ChaosOptions& opts) {
         checkpoint.append(r.json);
         slot = std::move(r);
       },
-      opts.cancel);
+      opts.rc.cancel);
   return report;
 }
 

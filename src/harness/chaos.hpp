@@ -27,13 +27,11 @@
 // resumed or not.
 #pragma once
 
-#include <atomic>
-#include <chrono>
 #include <string>
 #include <vector>
 
-#include "common/config.hpp"
 #include "common/fault_injection.hpp"
+#include "harness/runner.hpp"
 #include "kernels/workload_sets.hpp"
 
 namespace gpusim {
@@ -48,25 +46,28 @@ enum class ChaosOutcome : u8 {
 const char* to_string(ChaosOutcome outcome);
 
 struct ChaosOptions {
-  GpuConfig gpu;
+  /// The co-run configuration each job copies and then chaos-tunes
+  /// (run_chaos_job): co_run_cycles is the cycle budget per job.  `cancel`
+  /// and `wall_deadline` stop the whole campaign (kInterrupted,
+  /// kDeadlineExceeded; never classified as a chaos outcome).  A non-empty
+  /// crash_bundle_dir bundles every guard-caught or hang SimError (off by
+  /// default: campaigns expect failures), and telemetry.dir gets per-job
+  /// files named "<workload>-<policy>-<schedule seed>".  Minimization
+  /// probes never bundle or flush.
+  RunConfig rc = [] {
+    RunConfig defaults;
+    defaults.co_run_cycles = 40'000;
+    return defaults;
+  }();
   /// Campaign size: one random FaultSchedule per job.
   int schedules = 50;
   /// Master seed; job i's schedule derives deterministically from it.
   u64 seed = 1;
-  /// Cycle budget per job.  Jobs also tighten the watchdog, the
-  /// estimation interval and the retry timeout to fractions of this so
-  /// every mechanism gets exercised inside the budget.
-  Cycle cycles = 40'000;
   /// Worker threads (0 = one per hardware thread; 1 = serial).  The
   /// report is byte-identical for every value.
   int jobs = 1;
   /// Arm the modeled MSHR timeout/retry recovery path in every job.
   bool recovery = true;
-  /// Attach the policy safety governor to every job (the production
-  /// default).  Campaigns tighten governor_drain_budget to a fraction of
-  /// `cycles` so a wedged drain is diagnosed as the typed
-  /// kMigrationStalled instead of the generic progress watchdog.
-  bool governor = true;
   /// Maximum events per random schedule.
   int max_events = 4;
   /// Delta-debug failing schedules down to minimal reproducers.
@@ -75,29 +76,6 @@ struct ChaosOptions {
   /// immediately; a restarted campaign replays finished jobs verbatim.
   /// Empty disables checkpointing.
   std::string checkpoint_path;
-  /// Base seed for the workload applications (harness_app_seed).
-  u64 base_seed = 42;
-  /// Graceful-shutdown flag: once true, no new schedule starts and the job
-  /// in flight raises SimError(kInterrupted) out of run_chaos_campaign
-  /// (never classified as a chaos outcome).  Finished jobs are already
-  /// flushed to the checkpoint, so rerunning resumes the campaign.
-  const std::atomic<bool>* cancel = nullptr;
-  /// Absolute wall-clock deadline for the whole campaign; crossing it
-  /// raises SimError(kDeadlineExceeded) out of run_chaos_campaign (again
-  /// never classified).  Default-constructed = none.
-  std::chrono::steady_clock::time_point wall_deadline{};
-  /// Crash forensics: when non-empty, every guard-caught/hang SimError a
-  /// chaos job catches also emits a crash bundle (harness/crash_bundle.hpp)
-  /// under this root before the job is classified.  Off by default — a
-  /// campaign *expects* failures, so bundling is opt-in; minimization
-  /// probes never bundle regardless.
-  std::string crash_bundle_dir;
-  /// Telemetry output directory (see telemetry/hub.hpp): when non-empty,
-  /// every job — including guard-caught and hang outcomes — flushes
-  /// per-label JSONL/trace/metrics files under it, named
-  /// "<workload>-<policy>-<schedule seed>" so a campaign's jobs never
-  /// collide.  Minimization probes never flush regardless.
-  std::string telemetry_dir;
 };
 
 struct ChaosJobResult {

@@ -61,9 +61,6 @@ const std::vector<FlagInfo>& flag_table() {
       {FlagId::kSnapshotDir, "--snapshot-dir", "D",
        "directory for snapshot files (default '.'; requires\n"
        "--snapshot-every)"},
-      {FlagId::kRestore, "--restore", "FILE",
-       "restore a single run from this snapshot before running\n"
-       "(incompatible with --sweep)"},
       {FlagId::kAuditDeterminism, "--audit-determinism", nullptr,
        "run the workload twice (activity engine vs per-cycle walk, with\n"
        "the --models, --policy and --split of a plain run), compare state\n"

@@ -44,7 +44,6 @@ enum class FlagId {
   kJobs,
   kSnapshotEvery,
   kSnapshotDir,
-  kRestore,
   kAuditDeterminism,
   kHashEvery,
   kGovernor,

@@ -4,9 +4,11 @@
 // failure offline:
 //
 //   manifest.json       one key per line: schema, build fingerprint, the
-//                       full harness context (apps, seed, policy, models,
-//                       faults, SM split), the failure cycle + state hash,
-//                       the error, and the replay command
+//                       co-run identity (harness/runner.hpp's
+//                       corun_identity), the watchdog and governor
+//                       settings, the snapshot fingerprint, the failure
+//                       cycle + state hash, the error, and the replay
+//                       command
 //   snapshot.simstate   the simulation at the failure point (gpu/snapshot
 //                       format, flight-recorder ring included)
 //   anchor.simstate     nearest earlier periodic snapshot, when one exists
@@ -24,42 +26,26 @@
 #pragma once
 
 #include <string>
-#include <vector>
 
-#include "common/config.hpp"
 #include "common/sim_error.hpp"
 #include "common/types.hpp"
+#include "harness/runner.hpp"
 
 namespace gpusim {
 
 class Simulation;
-
-/// Everything --triage needs to reassemble the failed experiment exactly:
-/// the co-run workload and harness knobs plus the snapshot fingerprint the
-/// bundled state was written under.
-struct TriageContext {
-  std::string mode = "run";  ///< "run" / "sweep" / "chaos"
-  std::string label;         ///< workload label, e.g. "SD+SA"
-  std::vector<std::string> apps;  ///< registry abbreviations, slot order
-  u64 base_seed = 0;
-  Cycle co_run_cycles = 0;
-  std::string policy = "even";  ///< to_string(PolicyKind)
-  bool dase = true;
-  bool mise = false;
-  bool asm_model = false;
-  std::string faults;  ///< FaultSchedule::to_string(), "" when none armed
-  Cycle watchdog_cycles = 0;
-  bool governor = true;  ///< policy safety governor enabled (--no-governor)
-  std::vector<int> sm_split;  ///< empty = policy-controlled partition
-  u64 fingerprint = 0;        ///< simulation_fingerprint(sim, harness ctx)
-};
 
 /// Parsed manifest.json.  Field-for-field what write_crash_bundle records.
 struct CrashBundleManifest {
   std::string schema;
   u64 build = 0;           ///< writer's build_fingerprint()
   std::string build_line;  ///< human-readable writer version line
-  TriageContext ctx;
+  /// The failed co-run: parse_corun_identity over the manifest, plus the
+  /// recorded caller configuration (rc.crash_bundle_mode,
+  /// rc.watchdog_cycles, rc.governor).  rc.gpu stays default: the bundle's
+  /// config.txt holds the effective GpuConfig.
+  CoRunSpec corun;
+  u64 fingerprint = 0;  ///< corun_fingerprint the bundled state was saved under
   Cycle failure_cycle = 0;
   u64 failure_state_hash = 0;
   std::string error_kind;
@@ -70,24 +56,25 @@ struct CrashBundleManifest {
   std::string replay;         ///< suggested triage command line
 };
 
-/// Emits one crash bundle under `bundle_root` (created if missing) and
-/// returns the published directory path.  Best-effort by design: any
-/// failure (unwritable disk, snapshot serialization error) is reported on
-/// stderr and an empty string is returned — the original SimError must
-/// keep propagating unmasked.  `anchor_snapshot_path`, when non-empty,
-/// names an existing periodic snapshot file to copy in as the re-execution
-/// anchor.
-std::string write_crash_bundle(const std::string& bundle_root,
-                               const Simulation& sim, const GpuConfig& cfg,
-                               const SimError& err, const TriageContext& ctx,
+/// Emits one crash bundle under rc.crash_bundle_dir (created if missing)
+/// and returns the published directory path.  `identity` is the co-run's
+/// corun_identity; rc supplies the GpuConfig, the mode tag and the
+/// watchdog and governor settings.  Best-effort by design: any failure
+/// (unwritable disk, snapshot serialization error) is reported on stderr
+/// and an empty string is returned — the original SimError must keep
+/// propagating unmasked.  `anchor_snapshot_path`, when it names an existing
+/// periodic snapshot file, is copied in as the re-execution anchor.
+std::string write_crash_bundle(const RunConfig& rc, const std::string& identity,
+                               const std::string& label, const Simulation& sim,
+                               const SimError& err,
                                const std::string& anchor_snapshot_path =
                                    std::string()) noexcept;
 
 /// Reads and validates `<bundle_dir>/manifest.json`.  Tolerant of unknown
 /// keys (forward compatibility) but every malformation — missing manifest,
 /// wrong schema, absent required key, unparsable number, missing snapshot
-/// file — raises SimError(kSnapshot); corrupt bundles never crash a triage
-/// session.
+/// file — raises a typed SimError (kSnapshot; kConfig for an unknown policy
+/// or model name); corrupt bundles never crash a triage session.
 CrashBundleManifest read_crash_bundle_manifest(const std::string& bundle_dir);
 
 }  // namespace gpusim

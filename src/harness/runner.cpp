@@ -2,17 +2,21 @@
 
 #include <algorithm>
 #include <cctype>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <memory>
+#include <sstream>
 
 #include "baselines/asm_model.hpp"
 #include "baselines/mise_model.hpp"
 #include "baselines/priority_epochs.hpp"
+#include "common/jsonl.hpp"
 #include "common/sim_error.hpp"
 #include "common/simstate.hpp"
 #include "dase/dase_model.hpp"
+#include "kernels/app_registry.hpp"
 #include "gpu/simulator.hpp"
 #include "gpu/snapshot.hpp"
 #include "harness/crash_bundle.hpp"
@@ -27,57 +31,189 @@ u64 harness_app_seed(u64 base_seed, int slot) {
   return base_seed + static_cast<u64>(slot) * 7919;
 }
 
+namespace {
+
+constexpr std::pair<PolicyKind, const char*> kPolicyNames[] = {
+    {PolicyKind::kEven, "even"},         {PolicyKind::kDaseFair, "dase-fair"},
+    {PolicyKind::kLeftover, "leftover"}, {PolicyKind::kTemporal, "temporal"},
+    {PolicyKind::kDaseQos, "qos"},
+};
+
+struct ModelName {
+  const char* name;
+  bool ModelSet::*flag;
+};
+constexpr ModelName kModelNames[] = {
+    {"dase", &ModelSet::dase},
+    {"mise", &ModelSet::mise},
+    {"asm", &ModelSet::asm_model},
+};
+
+std::string join_csv(const std::vector<std::string>& parts) {
+  std::string out;
+  for (const std::string& p : parts) {
+    if (!out.empty()) out += ',';
+    out += p;
+  }
+  return out;
+}
+
+}  // namespace
+
+std::vector<std::string> split_csv(const std::string& text) {
+  std::vector<std::string> out;
+  std::stringstream ss(text);
+  std::string item;
+  while (std::getline(ss, item, ',')) {
+    if (!item.empty()) out.push_back(item);
+  }
+  return out;
+}
+
 const char* to_string(PolicyKind policy) {
-  switch (policy) {
-    case PolicyKind::kEven: return "even";
-    case PolicyKind::kDaseFair: return "dase-fair";
-    case PolicyKind::kLeftover: return "leftover";
-    case PolicyKind::kTemporal: return "temporal";
-    case PolicyKind::kDaseQos: return "dase-qos";
+  for (const auto& [kind, name] : kPolicyNames) {
+    if (kind == policy) return name;
   }
   return "?";
 }
 
 PolicyKind parse_policy_kind(const std::string& name) {
-  for (const PolicyKind p :
-       {PolicyKind::kEven, PolicyKind::kDaseFair, PolicyKind::kLeftover,
-        PolicyKind::kTemporal, PolicyKind::kDaseQos}) {
-    if (name == to_string(p)) return p;
+  std::vector<std::string> known;
+  for (const auto& [kind, spelling] : kPolicyNames) {
+    if (name == spelling) return kind;
+    known.push_back(spelling);
   }
   SIM_FAIL(SimError(SimErrorKind::kConfig, "harness.runner",
                     "unknown scheduling policy name")
                .detail("policy", name)
-               .detail("known", "even, dase-fair, leftover, temporal, "
-                                "dase-qos"));
+               .detail("known", join_csv(known)));
 }
 
-namespace {
-
-u64 app_seed(u64 base_seed, int slot) {
-  return harness_app_seed(base_seed, slot);
-}
-
-}  // namespace
-
-u64 harness_context_of(const RunConfig& rc, const ModelSet& models,
-                       PolicyKind policy, const std::vector<int>* sm_split) {
-  Hasher h;
-  h.put_tag("HCTX");
-  h.put_u64(rc.co_run_cycles);
-  h.put_u64(rc.base_seed);
-  h.put_bool(models.dase);
-  h.put_bool(models.mise);
-  h.put_bool(models.asm_model);
-  h.put_i32(static_cast<i32>(policy));
-  h.put_bool(sm_split != nullptr);
-  if (sm_split != nullptr) {
-    h.put_u64(sm_split->size());
-    for (int v : *sm_split) h.put_i32(v);
+std::string to_string(const ModelSet& models) {
+  std::vector<std::string> names;
+  for (const ModelName& m : kModelNames) {
+    if (models.*m.flag) names.push_back(m.name);
   }
+  return join_csv(names);
+}
+
+ModelSet parse_model_set(const std::string& names) {
+  ModelSet models{.dase = false};
+  for (const std::string& name : split_csv(names)) {
+    const ModelName* match = nullptr;
+    for (const ModelName& m : kModelNames) {
+      if (name == m.name) match = &m;
+    }
+    SIM_CHECK(match != nullptr,
+              SimError(SimErrorKind::kConfig, "harness.runner",
+                       "unknown slowdown model name")
+                  .detail("model", name)
+                  .detail("known", "dase,mise,asm"));
+    models.*match->flag = true;
+  }
+  return models;
+}
+
+std::string corun_identity(const RunConfig& rc, const Workload& workload,
+                           const ModelSet& models, PolicyKind policy,
+                           const std::vector<int>* sm_split) {
+  std::vector<std::string> apps;
+  for (const KernelProfile& app : workload.apps) apps.push_back(app.abbr);
+  std::vector<std::string> split;
+  if (sm_split != nullptr) {
+    for (int sms : *sm_split) split.push_back(std::to_string(sms));
+  }
+  std::string out;
+  const auto text = [&out](const char* key, const std::string& value) {
+    out += "  \"" + std::string(key) + "\": \"" + json_escape(value) + "\",\n";
+  };
+  const auto number = [&out](const char* key, const std::string& value) {
+    out += "  \"" + std::string(key) + "\": " + value + ",\n";
+  };
+  text("apps", join_csv(apps));
+  number("base_seed", std::to_string(rc.base_seed));
+  number("co_run_cycles", std::to_string(rc.co_run_cycles));
+  text("models", to_string(models));
+  text("policy", to_string(policy));
+  text("sm_split", join_csv(split));
   // An armed fault schedule shapes the run as much as the policy does; a
   // snapshot taken under one schedule must not restore under another.
-  h.put_string(rc.faults.any() ? rc.faults.to_string() : std::string());
-  return h.digest();
+  text("faults", rc.faults.any() ? rc.faults.to_string() : std::string());
+  number("temporal_quantum", std::to_string(rc.temporal.quantum));
+  number("qos_app", std::to_string(rc.qos.qos_app));
+  text("qos_target_slowdown", fmt_double(rc.qos.target_slowdown));
+  text("qos_release_margin", fmt_double(rc.qos.release_margin));
+  number("qos_warmup_intervals", std::to_string(rc.qos.warmup_intervals));
+  number("qos_min_sms_per_app", std::to_string(rc.qos.min_sms_per_app));
+  return out;
+}
+
+CoRunSpec parse_corun_identity(const std::string& text) {
+  const auto malformed = [](const char* key) {
+    return SimError(SimErrorKind::kSnapshot, "harness.runner",
+                    "co-run identity key is missing or malformed")
+        .detail("key", key);
+  };
+  const auto text_of = [&](const char* key) {
+    const std::optional<std::string> value = json_string_field(text, key);
+    SIM_CHECK(value.has_value(), malformed(key));
+    return *value;
+  };
+  const auto number_of = [&](const char* key) {
+    const std::optional<u64> value = json_u64_field(text, key);
+    SIM_CHECK(value.has_value(), malformed(key));
+    return *value;
+  };
+  const auto int_of = [&](const char* key) {
+    const u64 value = number_of(key);
+    SIM_CHECK(value <= static_cast<u64>(INT_MAX), malformed(key));
+    return static_cast<int>(value);
+  };
+  const auto double_of = [&](const char* key) {
+    const std::string value = text_of(key);
+    char* end = nullptr;
+    const double parsed = std::strtod(value.c_str(), &end);
+    SIM_CHECK(!value.empty() && *end == '\0', malformed(key));
+    return parsed;
+  };
+
+  CoRunSpec spec;
+  for (const std::string& abbr : split_csv(text_of("apps"))) {
+    const std::optional<KernelProfile> profile = find_app(abbr);
+    SIM_CHECK(profile.has_value(),
+              SimError(SimErrorKind::kSnapshot, "harness.runner",
+                       "co-run identity names an application this build's "
+                       "registry does not know")
+                  .detail("app", abbr));
+    spec.workload.apps.push_back(*profile);
+  }
+  SIM_CHECK(!spec.workload.apps.empty(), malformed("apps"));
+  spec.rc.base_seed = number_of("base_seed");
+  spec.rc.co_run_cycles = number_of("co_run_cycles");
+  spec.models = parse_model_set(text_of("models"));
+  spec.policy = parse_policy_kind(text_of("policy"));
+  for (const std::string& sms : split_csv(text_of("sm_split"))) {
+    char* end = nullptr;
+    const long parsed = std::strtol(sms.c_str(), &end, 10);
+    SIM_CHECK(*end == '\0' && parsed >= 0 && parsed <= 1'000'000,
+              malformed("sm_split"));
+    spec.sm_split.push_back(static_cast<int>(parsed));
+  }
+  spec.rc.faults = FaultSchedule::parse(text_of("faults"));
+  spec.rc.temporal.quantum = number_of("temporal_quantum");
+  spec.rc.qos.qos_app = int_of("qos_app");
+  spec.rc.qos.target_slowdown = double_of("qos_target_slowdown");
+  spec.rc.qos.release_margin = double_of("qos_release_margin");
+  spec.rc.qos.warmup_intervals = int_of("qos_warmup_intervals");
+  spec.rc.qos.min_sms_per_app = int_of("qos_min_sms_per_app");
+  return spec;
+}
+
+u64 corun_fingerprint(const Simulation& sim, const std::string& identity) {
+  Hasher h;
+  h.put_tag("HCTX");
+  h.put_string(identity);
+  return simulation_fingerprint(sim, h.digest());
 }
 
 namespace {
@@ -111,60 +247,7 @@ void apply_limits(const RunConfig& rc, Simulation& sim, bool co_run) {
   }
 }
 
-/// Flush-context boilerplate shared by the success and crash paths: naming,
-/// interval length, profiler, and the governor counter breakdown.  The
-/// success path adds the alone-IPC baselines (for actual-slowdown columns)
-/// and the policy repartition count afterwards.
-TelemetryFlushContext telemetry_context_for(const RunConfig& rc,
-                                            const Workload& workload,
-                                            const CoRunAssembly& assembly) {
-  TelemetryFlushContext ctx;
-  ctx.label = workload.label();
-  for (const KernelProfile& app : workload.apps) ctx.apps.push_back(app.abbr);
-  ctx.estimators = assembly.telemetry_estimators;
-  ctx.interval_length = rc.gpu.estimation_interval;
-  ctx.final_cycle = assembly.sim->gpu().now();
-  ctx.profiler = rc.profiler;
-  if (assembly.governor) {
-    const PolicyGovernor& gov = *assembly.governor;
-    ctx.extra_counters = {
-        {"governor_clamps", gov.clamps()},
-        {"governor_rejects", gov.rejects()},
-        {"governor_holds", gov.holds()},
-        {"governor_breaker_trips", gov.breaker_trips()},
-        {"governor_fallbacks", gov.fallbacks()},
-        {"governor_stalls_aborted", gov.stalls_aborted()},
-    };
-  }
-  return ctx;
-}
-
 }  // namespace
-
-TriageContext triage_context_of(const RunConfig& rc, const Workload& workload,
-                                const ModelSet& models, PolicyKind policy,
-                                const std::vector<int>* sm_split,
-                                const Simulation& sim) {
-  TriageContext ctx;
-  ctx.mode = rc.crash_bundle_mode;
-  ctx.label = workload.label();
-  for (const KernelProfile& app : workload.apps) {
-    ctx.apps.push_back(app.abbr);
-  }
-  ctx.base_seed = rc.base_seed;
-  ctx.co_run_cycles = rc.co_run_cycles;
-  ctx.policy = to_string(policy);
-  ctx.dase = models.dase;
-  ctx.mise = models.mise;
-  ctx.asm_model = models.asm_model;
-  ctx.faults = rc.faults.any() ? rc.faults.to_string() : std::string();
-  ctx.watchdog_cycles = rc.watchdog_cycles;
-  ctx.governor = rc.governor;
-  if (sm_split != nullptr) ctx.sm_split = *sm_split;
-  ctx.fingerprint = simulation_fingerprint(
-      sim, harness_context_of(rc, models, policy, sm_split));
-  return ctx;
-}
 
 CoRunAssembly::CoRunAssembly() = default;
 CoRunAssembly::CoRunAssembly(CoRunAssembly&&) noexcept = default;
@@ -186,7 +269,7 @@ CoRunAssembly assemble_corun(const RunConfig& rc, const Workload& workload,
   launches.reserve(n);
   for (int i = 0; i < n; ++i) {
     launches.push_back(
-        AppLaunch{workload.apps[i], app_seed(rc.base_seed, i)});
+        AppLaunch{workload.apps[i], harness_app_seed(rc.base_seed, i)});
   }
 
   CoRunAssembly a;
@@ -225,7 +308,7 @@ CoRunAssembly assemble_corun(const RunConfig& rc, const Workload& workload,
   } else if (policy == PolicyKind::kLeftover) {
     // Every registered kernel's grid occupies the full GPU, so the first
     // application takes everything and the rest get the (empty) leftovers.
-    gpu.set_partition(LeftoverPolicy::allocation(
+    gpu.set_partition(leftover_allocation(
         gpu.num_sms(), std::vector<int>(n, gpu.num_sms())));
   } else if (policy == PolicyKind::kTemporal) {
     gpu.set_partition(std::vector<AppId>(gpu.num_sms(), 0));
@@ -299,6 +382,65 @@ CoRunAssembly assemble_corun(const RunConfig& rc, const Workload& workload,
   return a;
 }
 
+TelemetryFlushContext corun_telemetry_context(const RunConfig& rc,
+                                              const Workload& workload,
+                                              const CoRunAssembly& assembly,
+                                              const std::string& label) {
+  TelemetryFlushContext ctx;
+  ctx.label = label;
+  for (const KernelProfile& app : workload.apps) ctx.apps.push_back(app.abbr);
+  ctx.estimators = assembly.telemetry_estimators;
+  ctx.interval_length = rc.gpu.estimation_interval;
+  ctx.final_cycle = assembly.sim->gpu().now();
+  ctx.profiler = rc.profiler;
+  const PolicyGovernor& gov = *assembly.governor;
+  ctx.extra_counters = {
+      {"governor_clamps", gov.clamps()},
+      {"governor_rejects", gov.rejects()},
+      {"governor_holds", gov.holds()},
+      {"governor_breaker_trips", gov.breaker_trips()},
+      {"governor_fallbacks", gov.fallbacks()},
+      {"governor_stalls_aborted", gov.stalls_aborted()},
+  };
+  return ctx;
+}
+
+void record_corun_failure(const RunConfig& rc, const Workload& workload,
+                          const ModelSet& models, PolicyKind policy,
+                          const std::vector<int>* sm_split,
+                          const CoRunAssembly& assembly,
+                          const std::exception& error,
+                          const std::string& telemetry_label,
+                          const std::string& anchor_snapshot) {
+  const auto* sim_error = dynamic_cast<const SimError*>(&error);
+  if (sim_error != nullptr && sim_error->kind() == SimErrorKind::kInterrupted) {
+    return;
+  }
+  const Simulation& sim = *assembly.sim;
+  if (sim_error != nullptr && !rc.crash_bundle_dir.empty()) {
+    write_crash_bundle(
+        rc, corun_identity(rc, workload, models, policy, sm_split),
+        workload.label(), sim, *sim_error, anchor_snapshot);
+  }
+  // The alone baselines were never measured, so the flushed series carry
+  // estimate columns but no actual-slowdown columns.
+  if (!rc.telemetry.any()) return;
+  TelemetryFlushContext ctx =
+      corun_telemetry_context(rc, workload, assembly, telemetry_label);
+  ctx.crashed = true;
+  ctx.crash_kind =
+      sim_error != nullptr ? to_string(sim_error->kind()) : "exception";
+  ctx.crash_cycle = sim.gpu().now();
+  try {
+    flush_telemetry(*assembly.telemetry, sim.gpu(),
+                    resolve_telemetry_paths(rc.telemetry, telemetry_label),
+                    ctx);
+  } catch (const std::exception& flush_error) {
+    std::fprintf(stderr, "gpusim: telemetry flush failed (%s)\n",
+                 flush_error.what());
+  }
+}
+
 double AppResult::estimation_error_of(const std::string& model) const {
   const auto it = estimates.find(model);
   if (it == estimates.end()) {
@@ -363,7 +505,7 @@ std::unique_ptr<Simulation> ExperimentRunner::run_alone(
 
 AloneStats ExperimentRunner::alone_stats(const KernelProfile& profile) const {
   const std::unique_ptr<Simulation> sim =
-      run_alone(profile, app_seed(rc_.base_seed, 0), std::nullopt);
+      run_alone(profile, harness_app_seed(rc_.base_seed, 0), std::nullopt);
   const Gpu& gpu = sim->gpu();
   AloneStats stats;
   stats.ipc = static_cast<double>(gpu.instructions().total(0)) / gpu.now();
@@ -404,29 +546,17 @@ CoRunResult ExperimentRunner::run(const Workload& workload,
 
   // --- Co-run, with optional SimState checkpointing --------------------
   const bool snapshotting = rc_.snapshot_every > 0;
-  const bool restoring = !rc_.restore_path.empty();
   std::string snap_path;
   u64 fingerprint = 0;
-  if (snapshotting || restoring) {
-    fingerprint = simulation_fingerprint(
-        sim, harness_context_of(rc_, models, policy, sm_split));
-  }
-  if (restoring) {
-    // Explicit restore: the caller named this exact file, so any failure
-    // (missing, corrupt, mismatched fingerprint) is fatal.
-    const SnapshotHeader hdr =
-        restore_snapshot_file(rc_.restore_path, sim, fingerprint);
-    std::fprintf(stderr, "gpusim: restored %s from %s at cycle %llu\n",
-                 workload.label().c_str(), rc_.restore_path.c_str(),
-                 static_cast<unsigned long long>(hdr.cycle));
-  }
   if (snapshotting) {
+    fingerprint = corun_fingerprint(
+        sim, corun_identity(rc_, workload, models, policy, sm_split));
     std::error_code ec;
     std::filesystem::create_directories(rc_.snapshot_dir, ec);
     snap_path = snapshot_path_for(rc_.snapshot_dir, workload.label());
-    if (!restoring && std::filesystem::exists(snap_path)) {
+    if (std::filesystem::exists(snap_path)) {
       // Auto-resume: a leftover file from a killed run.  Stale files
-      // (different config/workload/harness, torn writes) are detected
+      // (different config/workload/identity, torn writes) are detected
       // before any state is loaded, so they can be skipped safely; a
       // failure *after* loading means save/load asymmetry — a bug — and
       // the partially loaded simulation must not keep running.
@@ -482,41 +612,9 @@ CoRunResult ExperimentRunner::run(const Workload& workload,
       gpu.verify_conservation();
     }
   } catch (const SimError& e) {
-    // Crash forensics: every terminal error bundles the failure-point
-    // state before propagating.  kInterrupted is the one exception — a
-    // graceful drain is not a crash, and its state is already persisted
-    // by the auto-resume snapshot above.
-    if (!rc_.crash_bundle_dir.empty() &&
-        e.kind() != SimErrorKind::kInterrupted) {
-      const TriageContext ctx =
-          triage_context_of(rc_, workload, models, policy, sm_split, sim);
-      std::error_code ec;
-      const bool have_anchor =
-          !snap_path.empty() && std::filesystem::exists(snap_path, ec);
-      write_crash_bundle(rc_.crash_bundle_dir, sim, rc_.gpu, e, ctx,
-                         have_anchor ? snap_path : std::string());
-    }
-    // Flush whatever telemetry was recorded up to the failure point, with
-    // a crash marker and no actual-slowdown columns (the alone baselines
-    // were never measured).  A graceful kInterrupted drain skips this: the
-    // resumed run will flush the complete, byte-identical files instead.
-    if (rc_.telemetry.any() && assembly.telemetry &&
-        e.kind() != SimErrorKind::kInterrupted) {
-      try {
-        TelemetryFlushContext ctx =
-            telemetry_context_for(rc_, workload, assembly);
-        ctx.crashed = true;
-        ctx.crash_kind = to_string(e.kind());
-        ctx.crash_cycle = gpu.now();
-        flush_telemetry(*assembly.telemetry, gpu,
-                        resolve_telemetry_paths(rc_.telemetry,
-                                                workload.label()),
-                        ctx);
-      } catch (const SimError& flush_error) {
-        std::fprintf(stderr, "gpusim: telemetry flush failed (%s)\n",
-                     flush_error.what());
-      }
-    }
+    // The last periodic snapshot, when one exists, anchors the bundle.
+    record_corun_failure(rc_, workload, models, policy, sm_split, assembly, e,
+                         workload.label(), snap_path);
     throw;
   }
 
@@ -540,7 +638,8 @@ CoRunResult ExperimentRunner::run(const Workload& workload,
       app.actual_slowdown = 1e6;
     } else {
       const Cycle alone_cycles = measure_alone_cycles(
-          workload.apps[i], app_seed(rc_.base_seed, i), app.instructions);
+          workload.apps[i], harness_app_seed(rc_.base_seed, i),
+          app.instructions);
       app.ipc_alone = static_cast<double>(app.instructions) / alone_cycles;
       app.actual_slowdown = std::max(app.ipc_alone / app.ipc_shared, 1e-3);
     }
@@ -582,8 +681,9 @@ CoRunResult ExperimentRunner::run(const Workload& workload,
 
   // Telemetry flush: now that the alone baselines exist, the per-interval
   // records can carry actual-slowdown and Eq. 26 error columns.
-  if (rc_.telemetry.any() && assembly.telemetry) {
-    TelemetryFlushContext ctx = telemetry_context_for(rc_, workload, assembly);
+  if (rc_.telemetry.any()) {
+    TelemetryFlushContext ctx =
+        corun_telemetry_context(rc_, workload, assembly, workload.label());
     ctx.repartitions = result.repartitions;
     for (const AppResult& app : result.apps) {
       ctx.ipc_alone.push_back(app.ipc_alone);

@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <exception>
 #include <map>
 #include <memory>
 #include <optional>
@@ -89,9 +90,6 @@ struct RunConfig {
   Cycle snapshot_every = 0;
   /// Directory for auto-resume snapshot files (created if missing).
   std::string snapshot_dir = ".";
-  /// Restore the co-run from this exact snapshot file before running
-  /// (single-run use; unlike auto-resume, any restore failure is fatal).
-  std::string restore_path;
 
   // ---- Run limits (see gpu/simulator.hpp) -------------------------------
   /// Absolute wall-clock deadline applied to every Simulation this runner
@@ -139,6 +137,18 @@ struct ModelSet {
   bool any_epoch_model() const { return mise || asm_model; }
 };
 
+/// The entries of a comma-separated list, empty ones skipped: how the CLI
+/// and the co-run identity spell app, model and SM-split lists.
+std::vector<std::string> split_csv(const std::string& text);
+
+/// CLI/manifest spelling of a model list: the enabled names in "dase",
+/// "mise", "asm" order, comma-separated ("" when none is on).
+std::string to_string(const ModelSet& models);
+/// Inverse of to_string(ModelSet); empty entries are skipped.  Throws
+/// SimError(kConfig) on an unknown name.  Used by --models and by --triage
+/// manifest loading.
+ModelSet parse_model_set(const std::string& names);
+
 enum class PolicyKind {
   kEven,      ///< static even split (the paper's default)
   kDaseFair,  ///< the paper's Section VII policy
@@ -147,19 +157,51 @@ enum class PolicyKind {
   kDaseQos,   ///< future-work QoS controller on top of DASE
 };
 
-/// CLI/manifest spelling of a policy ("even", "dase-fair", ...).
+/// CLI/manifest spelling of a policy ("even", "dase-fair", "leftover",
+/// "temporal", "qos").
 const char* to_string(PolicyKind policy);
 /// Inverse of to_string(PolicyKind); throws SimError(kConfig) on an
-/// unknown name.  Used by the CLI and by --triage manifest loading.
+/// unknown name.  Used by --policy and by --triage manifest loading.
 PolicyKind parse_policy_kind(const std::string& name);
 
-/// Everything about the *harness* side of an experiment that a snapshot is
-/// only valid against: the run length and seed plus the attached models,
-/// policy, SM split and armed fault schedule (which all shape the observer
-/// list and partition).  Mixed into the snapshot-file fingerprint alongside
-/// config + workload; --triage recomputes it from a bundle manifest.
-u64 harness_context_of(const RunConfig& rc, const ModelSet& models,
-                       PolicyKind policy, const std::vector<int>* sm_split);
+/// One co-run, spelled the way assemble_corun takes it; what the identity
+/// parser rebuilds from a crash-bundle manifest.
+struct CoRunSpec {
+  RunConfig rc;
+  Workload workload;
+  ModelSet models;
+  PolicyKind policy = PolicyKind::kEven;
+  std::vector<int> sm_split;  ///< empty = policy-controlled partition
+
+  const std::vector<int>* split() const {
+    return sm_split.empty() ? nullptr : &sm_split;
+  }
+};
+
+/// The co-run's identity: every input that shapes simulated state apart
+/// from the GpuConfig and the kernel profiles (which simulation_fingerprint
+/// hashes).  That is the app abbreviations in slot order, base_seed,
+/// co_run_cycles, the models, the policy, the SM split, the armed fault
+/// schedule and every TemporalOptions and DaseQosOptions field, written as
+/// one `"key": value,` line each — the crash-bundle manifest's layout.
+/// The snapshot fingerprint hashes exactly this text, and crash bundles
+/// store it.  Caller configuration (watchdog, governor, limits, output
+/// paths) is not part of it.
+std::string corun_identity(const RunConfig& rc, const Workload& workload,
+                           const ModelSet& models, PolicyKind policy,
+                           const std::vector<int>* sm_split);
+
+/// Inverse of corun_identity: rebuilds the co-run from the identity keys
+/// found anywhere in `text` (other keys are ignored); every other RunConfig
+/// field keeps its default.  A missing or malformed key, or an app this
+/// build's registry does not know, raises SimError(kSnapshot); an unknown
+/// policy or model name raises SimError(kConfig).
+CoRunSpec parse_corun_identity(const std::string& text);
+
+/// Snapshot fingerprint of a co-run assembled from the inputs `identity`
+/// (corun_identity) describes: simulation_fingerprint over the live
+/// simulation, with the identity text as its harness context.
+u64 corun_fingerprint(const Simulation& sim, const std::string& identity);
 
 /// One fully assembled co-run: the Simulation plus owning pointers for
 /// every attached model, policy and the fault injector.  Move-only; the
@@ -193,16 +235,6 @@ struct CoRunAssembly {
   std::vector<std::string> telemetry_estimators;
 };
 
-struct TriageContext;
-
-/// Fills a crash-bundle TriageContext from the same inputs assemble_corun
-/// took, computing the snapshot fingerprint from the live simulation.  The
-/// mode tag is taken from rc.crash_bundle_mode.
-TriageContext triage_context_of(const RunConfig& rc, const Workload& workload,
-                                const ModelSet& models, PolicyKind policy,
-                                const std::vector<int>* sm_split,
-                                const Simulation& sim);
-
 /// Builds the co-run simulation exactly as ExperimentRunner::run does:
 /// app launches seeded with harness_app_seed, watchdog and run limits from
 /// `rc`, the fault injector when a schedule is armed, the SM partition for
@@ -215,6 +247,30 @@ TriageContext triage_context_of(const RunConfig& rc, const Workload& workload,
 CoRunAssembly assemble_corun(const RunConfig& rc, const Workload& workload,
                              const ModelSet& models, PolicyKind policy,
                              const std::vector<int>* sm_split = nullptr);
+
+/// The flush context every co-run's telemetry files share: `label`, the app
+/// names, the estimator columns, the interval length, the final cycle, the
+/// profiler and the governor counters.  Callers add the alone baselines or
+/// a crash marker.
+TelemetryFlushContext corun_telemetry_context(const RunConfig& rc,
+                                              const Workload& workload,
+                                              const CoRunAssembly& assembly,
+                                              const std::string& label);
+
+/// The forensics a co-run leaves when `error` ends it, for
+/// ExperimentRunner::run and chaos jobs alike.  A SimError writes a crash
+/// bundle under rc.crash_bundle_dir (when set), with `anchor_snapshot` as
+/// its re-execution anchor; then the telemetry recorded so far is flushed
+/// under `telemetry_label` with a crash marker, when rc.telemetry asks for
+/// files.  kInterrupted leaves nothing: a graceful drain is not a crash,
+/// and the auto-resume snapshot already keeps its state.  Never throws.
+void record_corun_failure(const RunConfig& rc, const Workload& workload,
+                          const ModelSet& models, PolicyKind policy,
+                          const std::vector<int>* sm_split,
+                          const CoRunAssembly& assembly,
+                          const std::exception& error,
+                          const std::string& telemetry_label,
+                          const std::string& anchor_snapshot = std::string());
 
 struct AppResult {
   std::string abbr;

@@ -2,7 +2,6 @@
 
 #include <exception>
 #include <filesystem>
-#include <optional>
 
 #include "common/build_info.hpp"
 #include "common/config_io.hpp"
@@ -11,7 +10,6 @@
 #include "gpu/snapshot.hpp"
 #include "harness/crash_bundle.hpp"
 #include "harness/runner.hpp"
-#include "kernels/app_registry.hpp"
 #include "telemetry/hub.hpp"
 
 namespace gpusim {
@@ -23,11 +21,13 @@ namespace fs = std::filesystem;
 /// The whole flow, throwing typed errors; run_triage wraps it.
 int triage_impl(const std::string& bundle_dir, std::ostream& out,
                 const std::string& trace_out) {
-  const CrashBundleManifest m = read_crash_bundle_manifest(bundle_dir);
+  CrashBundleManifest m = read_crash_bundle_manifest(bundle_dir);
+  CoRunSpec& corun = m.corun;
+  const RunConfig& rc = corun.rc;
 
   out << "triage: " << bundle_dir << "\n";
-  out << "  mode " << m.ctx.mode << ", workload " << m.ctx.label
-      << ", error " << m.error_kind;
+  out << "  mode " << rc.crash_bundle_mode << ", workload "
+      << corun.workload.label() << ", error " << m.error_kind;
   if (!m.error_component.empty()) out << " in " << m.error_component;
   out << " at cycle " << m.failure_cycle << "\n";
   if (!m.error_message.empty()) out << "  message: " << m.error_message
@@ -43,9 +43,9 @@ int triage_impl(const std::string& bundle_dir, std::ostream& out,
            "mismatch below may be build drift, not nondeterminism\n";
   }
 
-  GpuConfig cfg;
   try {
-    cfg = load_config((fs::path(bundle_dir) / "config.txt").string());
+    corun.rc.gpu =
+        load_config((fs::path(bundle_dir) / "config.txt").string());
   } catch (const std::exception& e) {
     SIM_FAIL(SimError(SimErrorKind::kSnapshot, "harness.triage",
                       "bundle config.txt is missing or malformed")
@@ -53,45 +53,19 @@ int triage_impl(const std::string& bundle_dir, std::ostream& out,
                  .detail("error", e.what()));
   }
 
-  Workload workload;
-  for (const std::string& abbr : m.ctx.apps) {
-    const std::optional<KernelProfile> profile = find_app(abbr);
-    SIM_CHECK(profile.has_value(),
-              SimError(SimErrorKind::kSnapshot, "harness.triage",
-                       "bundle names an application this build's registry "
-                       "does not know")
-                  .detail("bundle", bundle_dir)
-                  .detail("app", abbr));
-    workload.apps.push_back(*profile);
-  }
-
-  RunConfig rc;
-  rc.gpu = cfg;
-  rc.co_run_cycles = m.ctx.co_run_cycles;
-  rc.base_seed = m.ctx.base_seed;
-  rc.watchdog_cycles = m.ctx.watchdog_cycles;
-  rc.governor = m.ctx.governor;
-  rc.faults = FaultSchedule::parse(m.ctx.faults);
-  ModelSet models;
-  models.dase = m.ctx.dase;
-  models.mise = m.ctx.mise;
-  models.asm_model = m.ctx.asm_model;
-  const PolicyKind policy = parse_policy_kind(m.ctx.policy);
-  const std::vector<int>* sm_split =
-      m.ctx.sm_split.empty() ? nullptr : &m.ctx.sm_split;
-
-  CoRunAssembly assembly =
-      assemble_corun(rc, workload, models, policy, sm_split);
+  CoRunAssembly assembly = assemble_corun(rc, corun.workload, corun.models,
+                                          corun.policy, corun.split());
   Simulation& sim = *assembly.sim;
 
-  const u64 fingerprint = simulation_fingerprint(
-      sim, harness_context_of(rc, models, policy, sm_split));
-  SIM_CHECK(fingerprint == m.ctx.fingerprint,
+  const u64 fingerprint = corun_fingerprint(
+      sim, corun_identity(rc, corun.workload, corun.models, corun.policy,
+                          corun.split()));
+  SIM_CHECK(fingerprint == m.fingerprint,
             SimError(SimErrorKind::kSnapshot, "harness.triage",
                      "reassembled experiment fingerprint differs from the "
                      "bundle's — config or registry drift since the crash")
                 .detail("bundle", bundle_dir)
-                .detail("bundle_fingerprint", m.ctx.fingerprint)
+                .detail("bundle_fingerprint", m.fingerprint)
                 .detail("reassembled_fingerprint", fingerprint));
 
   const Cycle target = m.failure_cycle;
@@ -146,12 +120,8 @@ int triage_impl(const std::string& bundle_dir, std::ostream& out,
   if (!trace_out.empty()) {
     // The restored TELE section holds the crashed run's recorded history,
     // so this trace shows the intervals and events leading to the failure.
-    TelemetryFlushContext ctx;
-    ctx.label = m.ctx.label;
-    ctx.apps = m.ctx.apps;
-    ctx.estimators = assembly.telemetry_estimators;
-    ctx.interval_length = rc.gpu.estimation_interval;
-    ctx.final_cycle = sim.gpu().now();
+    TelemetryFlushContext ctx = corun_telemetry_context(
+        rc, corun.workload, assembly, corun.workload.label());
     ctx.crashed = true;
     ctx.crash_kind = m.error_kind;
     ctx.crash_cycle = m.failure_cycle;

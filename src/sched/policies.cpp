@@ -7,8 +7,8 @@
 
 namespace gpusim {
 
-std::vector<AppId> LeftoverPolicy::allocation(
-    int num_sms, const std::vector<int>& max_sms) {
+std::vector<AppId> leftover_allocation(int num_sms,
+                                       const std::vector<int>& max_sms) {
   std::vector<AppId> out(num_sms, kInvalidApp);
   int next_sm = 0;
   for (AppId app = 0; app < static_cast<AppId>(max_sms.size()); ++app) {

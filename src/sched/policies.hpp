@@ -1,9 +1,9 @@
 // Additional SM-allocation policies referenced by the paper.
 //
-// * LeftoverPolicy — the paper's Section II background: current GPUs most
-//   likely use LEFTOVER, which "launches a next kernel only when there are
-//   enough remaining resources after the previous kernel was issued".  A
-//   grid large enough to occupy the whole GPU therefore starves every
+// * leftover_allocation — the paper's Section II background: current GPUs
+//   most likely use LEFTOVER, which "launches a next kernel only when there
+//   are enough remaining resources after the previous kernel was issued".
+//   A grid large enough to occupy the whole GPU therefore starves every
 //   later application — the paper's argument for flexible spatial
 //   multitasking, reproducible with bench/policy_comparison.
 //
@@ -26,18 +26,12 @@ namespace gpusim {
 
 class PartitionSink;
 
-/// Gives the first application every SM it can occupy; later applications
-/// only receive SMs the first one left over (none, for full-GPU grids).
-class LeftoverPolicy final : public IntervalObserver {
- public:
-  /// Applies the LEFTOVER allocation for `num_apps` applications on
-  /// `num_sms` SMs given each app's maximum occupancy in SMs (a full-GPU
-  /// grid occupies them all).
-  static std::vector<AppId> allocation(int num_sms,
+/// The LEFTOVER allocation of `num_sms` SMs, given each application's
+/// maximum occupancy in SMs (a full-GPU grid occupies them all): the first
+/// application gets every SM it can occupy, and later ones only receive
+/// what it left over (none, for full-GPU grids).
+std::vector<AppId> leftover_allocation(int num_sms,
                                        const std::vector<int>& max_sms);
-
-  void on_interval(const IntervalSample&, Gpu&) override {}  // static policy
-};
 
 struct TemporalOptions {
   /// Cycles each application owns the full GPU before the next switch is

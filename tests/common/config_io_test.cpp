@@ -15,7 +15,7 @@ TEST(ConfigIoTest, RoundTripPreservesEveryField) {
   original.banks_per_mc = 8;
   original.estimation_interval = 25'000;
   original.requestmax_factor = 0.45;
-  original.alpha_clamp_enabled = false;
+  original.mshr_retry_enabled = true;
   original.t_miss_bubble_dram = 7;
   original.dram_clock_ratio = 1.25;
 
@@ -27,7 +27,7 @@ TEST(ConfigIoTest, RoundTripPreservesEveryField) {
   EXPECT_EQ(parsed.banks_per_mc, 8);
   EXPECT_EQ(parsed.estimation_interval, 25'000u);
   EXPECT_DOUBLE_EQ(parsed.requestmax_factor, 0.45);
-  EXPECT_FALSE(parsed.alpha_clamp_enabled);
+  EXPECT_TRUE(parsed.mshr_retry_enabled);
   EXPECT_EQ(parsed.t_miss_bubble_dram, 7);
   EXPECT_DOUBLE_EQ(parsed.dram_clock_ratio, 1.25);
 }
@@ -58,7 +58,7 @@ TEST(ConfigIoTest, MalformedValueRejected) {
   EXPECT_THROW(read_config(bad_number), std::invalid_argument);
   std::stringstream no_equals("num_sms 4\n");
   EXPECT_THROW(read_config(no_equals), std::invalid_argument);
-  std::stringstream bad_bool("alpha_clamp_enabled = maybe\n");
+  std::stringstream bad_bool("mshr_retry_enabled = maybe\n");
   EXPECT_THROW(read_config(bad_bool), std::invalid_argument);
 }
 
@@ -141,10 +141,10 @@ TEST(ConfigIoTest, MissingFileThrows) {
 }
 
 TEST(ConfigIoTest, BoolAcceptsNumericForms) {
-  std::stringstream ss("alpha_clamp_enabled = 0\n");
-  EXPECT_FALSE(read_config(ss).alpha_clamp_enabled);
-  std::stringstream ss2("alpha_clamp_enabled = 1\n");
-  EXPECT_TRUE(read_config(ss2).alpha_clamp_enabled);
+  std::stringstream ss("mshr_retry_enabled = 0\n");
+  EXPECT_FALSE(read_config(ss).mshr_retry_enabled);
+  std::stringstream ss2("mshr_retry_enabled = 1\n");
+  EXPECT_TRUE(read_config(ss2).mshr_retry_enabled);
 }
 
 }  // namespace

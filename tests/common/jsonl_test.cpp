@@ -92,6 +92,15 @@ TEST_F(JsonlTest, U64FieldReadsDigitsOnly) {
   EXPECT_FALSE(json_u64_field(line, "missing").has_value());
 }
 
+TEST_F(JsonlTest, FieldsMaySpaceAfterTheColon) {
+  const std::string text = "{\n  \"name\": \"SD+SA\",\n  \"cycles\":   42,\n}";
+  EXPECT_EQ(json_string_field(text, "name"), "SD+SA");
+  EXPECT_EQ(json_u64_field(text, "cycles"), 42u);
+  // A value of the other type is not mistaken for this one.
+  EXPECT_FALSE(json_string_field(text, "cycles").has_value());
+  EXPECT_FALSE(json_u64_field(text, "name").has_value());
+}
+
 TEST_F(JsonlTest, LedgerSkipsTornAndRejectedLines) {
   const std::string p = path("ledger.jsonl");
   {

@@ -28,7 +28,7 @@ ChaosOptions small_campaign() {
   ChaosOptions opts;
   opts.schedules = 8;
   opts.seed = 2026;
-  opts.cycles = 10'000;
+  opts.rc.co_run_cycles = 10'000;
   opts.minimize = false;
   return opts;
 }
@@ -37,7 +37,7 @@ TEST(ChaosCampaignTest, EveryScheduleIsClassified) {
   ChaosOptions opts;
   opts.schedules = 50;
   opts.seed = 7;
-  opts.cycles = 10'000;
+  opts.rc.co_run_cycles = 10'000;
   opts.jobs = 0;  // one worker per hardware thread
   opts.minimize = false;
   const ChaosReport report = run_chaos_campaign(opts);
@@ -80,7 +80,7 @@ TEST(ChaosCampaignTest, PlantedLeakMinimizesToTinyReproducer) {
                                     .drop_response_nth(200)
                                     .nack_response(400, 90);
   ChaosOptions opts;
-  opts.cycles = 40'000;
+  opts.rc.co_run_cycles = 40'000;
   opts.recovery = false;
   const Workload workload = all_two_app_workloads().front();
 

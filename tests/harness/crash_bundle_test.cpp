@@ -87,15 +87,15 @@ TEST_F(CrashBundleTest, RunnerCrashPublishesACompleteBundle) {
   }
 
   const CrashBundleManifest m = read_crash_bundle_manifest(bundle);
-  EXPECT_EQ(m.schema, "gpusim-crash-bundle-v1");
+  EXPECT_EQ(m.schema, "gpusim-crash-bundle-v2");
   EXPECT_NE(m.build, 0u);
-  EXPECT_EQ(m.ctx.mode, "run");
-  EXPECT_EQ(m.ctx.label, "SD+SA");
-  ASSERT_EQ(m.ctx.apps.size(), 2u);
-  EXPECT_EQ(m.ctx.apps[0], "SD");
-  EXPECT_EQ(m.ctx.apps[1], "SA");
-  EXPECT_EQ(m.ctx.policy, "even");
-  EXPECT_TRUE(m.ctx.dase);
+  EXPECT_EQ(m.corun.rc.crash_bundle_mode, "run");
+  EXPECT_EQ(m.corun.workload.label(), "SD+SA");
+  ASSERT_EQ(m.corun.workload.apps.size(), 2u);
+  EXPECT_EQ(m.corun.workload.apps[0].abbr, "SD");
+  EXPECT_EQ(m.corun.workload.apps[1].abbr, "SA");
+  EXPECT_EQ(m.corun.policy, PolicyKind::kEven);
+  EXPECT_TRUE(m.corun.models.dase);
   EXPECT_EQ(m.failure_cycle, 6'000u);
   EXPECT_NE(m.failure_state_hash, 0u);
   EXPECT_EQ(m.error_kind, "budget-exceeded");
@@ -190,9 +190,9 @@ TEST_F(CrashBundleTest, CollidingBundleNamesGetSuffixes) {
 
 TEST_F(CrashBundleTest, ChaosJobBundlesAndTriagesGuardCaughtFailures) {
   ChaosOptions opts;
-  opts.cycles = 30'000;
+  opts.rc.co_run_cycles = 30'000;
   opts.recovery = false;
-  opts.crash_bundle_dir = bundle_root();
+  opts.rc.crash_bundle_dir = bundle_root();
   const FaultSchedule schedule = FaultSchedule::parse("stall:part=0,from=2000");
   const ChaosJobResult r =
       run_chaos_job(opts, two_apps("SD", "SA"), /*dase_fair=*/false, schedule);
@@ -206,12 +206,50 @@ TEST_F(CrashBundleTest, ChaosJobBundlesAndTriagesGuardCaughtFailures) {
   }
   ASSERT_FALSE(bundle.empty());
   const CrashBundleManifest m = read_crash_bundle_manifest(bundle);
-  EXPECT_EQ(m.ctx.mode, "chaos");
-  EXPECT_EQ(m.ctx.faults, schedule.to_string());
+  EXPECT_EQ(m.corun.rc.crash_bundle_mode, "chaos");
+  EXPECT_EQ(m.corun.rc.faults.to_string(), schedule.to_string());
   EXPECT_EQ(m.error_kind, "watchdog-stall");
 
   std::ostringstream out;
   EXPECT_EQ(run_triage(bundle, out), 0) << out.str();
+}
+
+TEST_F(CrashBundleTest, PolicyOptionsRoundTripThroughAnchoredBundles) {
+  // Non-default policy options must reach the bundle: triage re-executes
+  // from the anchor under them, and the default quantum or QoS target
+  // would diverge from the recorded state.
+  for (const PolicyKind policy :
+       {PolicyKind::kTemporal, PolicyKind::kDaseQos}) {
+    SCOPED_TRACE(to_string(policy));
+    RunConfig rc;
+    rc.co_run_cycles = 200'000;
+    rc.cycle_budget = 60'000;
+    rc.snapshot_every = 40'000;
+    rc.snapshot_dir = (dir_ / "snaps").string();
+    rc.crash_bundle_dir = (dir_ / to_string(policy)).string();
+    rc.gpu.estimation_interval = 10'000;
+    rc.temporal.quantum = 20'000;
+    rc.qos.target_slowdown = 3.5;
+    ExperimentRunner runner(rc);
+    EXPECT_THROW(runner.run(two_apps("CT", "SP"), ModelSet{.dase = true},
+                            policy),
+                 SimError);
+
+    std::string bundle;
+    for (const auto& entry : fs::directory_iterator(rc.crash_bundle_dir)) {
+      bundle = entry.path().string();
+    }
+    ASSERT_FALSE(bundle.empty());
+    const CrashBundleManifest m = read_crash_bundle_manifest(bundle);
+    EXPECT_EQ(m.anchor_file, "anchor.simstate");
+    EXPECT_EQ(m.corun.policy, policy);
+    EXPECT_EQ(m.corun.rc.temporal.quantum, 20'000u);
+    EXPECT_EQ(m.corun.rc.qos.target_slowdown, 3.5);
+
+    std::ostringstream out;
+    EXPECT_EQ(run_triage(bundle, out), 0) << out.str();
+    EXPECT_NE(out.str().find("VERIFIED"), std::string::npos) << out.str();
+  }
 }
 
 TEST_F(CrashBundleTest, InterruptedRunsNeverBundle) {

@@ -241,9 +241,9 @@ TEST(GovernorHarnessTest, SnapshotsInterchangeBetweenGovernorOnAndOff) {
 // page — never in "recovered" or an unclassified escape.
 TEST(GovernorHarnessTest, StallForeverChaosJobLandsInTheHangClass) {
   ChaosOptions opts;
-  opts.cycles = 40'000;
+  opts.rc.co_run_cycles = 40'000;
   opts.recovery = false;
-  opts.governor = true;
+  opts.rc.governor = true;
   const FaultSchedule wedge = FaultSchedule{}.stall_partition(0, 2'000, 0);
 
   const ChaosJobResult r =

@@ -3,11 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <map>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "common/sim_error.hpp"
 #include "gpu/gpu.hpp"
+#include "gpu/simulator.hpp"
 #include "kernels/app_registry.hpp"
 
 namespace gpusim {
@@ -149,6 +152,162 @@ TEST(RunnerTest, OversubscribedSplitRaisesStructuredError) {
   EXPECT_THROW(runner.run(w, ModelSet{.dase = true}, PolicyKind::kEven,
                           &split),
                SimError);
+}
+
+TEST(RunnerTest, PolicyAndModelNamesRoundTrip) {
+  for (const PolicyKind policy :
+       {PolicyKind::kEven, PolicyKind::kDaseFair, PolicyKind::kLeftover,
+        PolicyKind::kTemporal, PolicyKind::kDaseQos}) {
+    EXPECT_EQ(parse_policy_kind(to_string(policy)), policy)
+        << to_string(policy);
+  }
+  // The CLI's documented spelling is the only one.
+  EXPECT_STREQ(to_string(PolicyKind::kDaseQos), "qos");
+  EXPECT_THROW(parse_policy_kind("dase-qos"), SimError);
+
+  for (int bits = 0; bits < 8; ++bits) {
+    const ModelSet models{.dase = (bits & 1) != 0,
+                          .mise = (bits & 2) != 0,
+                          .asm_model = (bits & 4) != 0};
+    const ModelSet parsed = parse_model_set(to_string(models));
+    EXPECT_EQ(parsed.dase, models.dase) << to_string(models);
+    EXPECT_EQ(parsed.mise, models.mise) << to_string(models);
+    EXPECT_EQ(parsed.asm_model, models.asm_model) << to_string(models);
+  }
+  EXPECT_EQ(to_string(ModelSet{.dase = true, .mise = true, .asm_model = true}),
+            "dase,mise,asm");
+  const ModelSet reordered = parse_model_set("asm,,dase");
+  EXPECT_TRUE(reordered.dase);
+  EXPECT_FALSE(reordered.mise);
+  EXPECT_TRUE(reordered.asm_model);
+  try {
+    parse_model_set("dase,bogus");
+    FAIL() << "an unknown model name parsed";
+  } catch (const SimError& e) {
+    EXPECT_EQ(e.kind(), SimErrorKind::kConfig);
+  }
+}
+
+/// The snapshot fingerprint of a co-run assembled from these inputs.
+u64 fingerprint_of(const RunConfig& rc, const Workload& w,
+                   const ModelSet& models, PolicyKind policy,
+                   const std::vector<int>* split) {
+  const CoRunAssembly a = assemble_corun(rc, w, models, policy, split);
+  return corun_fingerprint(*a.sim,
+                           corun_identity(rc, w, models, policy, split));
+}
+
+TEST(RunnerTest, FingerprintCoversEveryIdentityInput) {
+  const RunConfig base = quick_config();
+  const Workload w{{*find_app("CT"), *find_app("SP")}};
+  const ModelSet dase{.dase = true};
+  const u64 base_fp = fingerprint_of(base, w, dase, PolicyKind::kEven, nullptr);
+
+  // Each variant changes exactly one input; every fingerprint must differ
+  // from the base and from every other variant.
+  std::map<std::string, u64> variants;
+  const auto add = [&](const std::string& name, const u64 fp) {
+    EXPECT_NE(fp, base_fp) << name;
+    variants[name] = fp;
+  };
+  const auto with = [&](const std::string& name, auto&& change) {
+    RunConfig rc = base;
+    change(rc);
+    add(name, fingerprint_of(rc, w, dase, PolicyKind::kEven, nullptr));
+  };
+  add("app slot 0",
+      fingerprint_of(base, Workload{{*find_app("SD"), *find_app("SP")}},
+                     dase, PolicyKind::kEven, nullptr));
+  add("app slot 1",
+      fingerprint_of(base, Workload{{*find_app("CT"), *find_app("SD")}},
+                     dase, PolicyKind::kEven, nullptr));
+  with("base_seed", [](RunConfig& rc) { ++rc.base_seed; });
+  with("co_run_cycles", [](RunConfig& rc) { ++rc.co_run_cycles; });
+  add("no dase", fingerprint_of(base, w, ModelSet{.dase = false},
+                                PolicyKind::kEven, nullptr));
+  add("mise", fingerprint_of(base, w, ModelSet{.dase = true, .mise = true},
+                             PolicyKind::kEven, nullptr));
+  add("asm",
+      fingerprint_of(base, w, ModelSet{.dase = true, .asm_model = true},
+                     PolicyKind::kEven, nullptr));
+  for (const PolicyKind policy :
+       {PolicyKind::kDaseFair, PolicyKind::kLeftover, PolicyKind::kTemporal,
+        PolicyKind::kDaseQos}) {
+    add(to_string(policy), fingerprint_of(base, w, dase, policy, nullptr));
+  }
+  const std::vector<int> split_a = {4, 12};
+  const std::vector<int> split_b = {12, 4};
+  add("split 4,12", fingerprint_of(base, w, dase, PolicyKind::kEven, &split_a));
+  add("split 12,4", fingerprint_of(base, w, dase, PolicyKind::kEven, &split_b));
+  with("faults", [](RunConfig& rc) {
+    rc.faults = FaultSchedule::parse("drop-resp:nth=200");
+  });
+  with("temporal.quantum", [](RunConfig& rc) { rc.temporal.quantum = 20'000; });
+  with("qos.qos_app", [](RunConfig& rc) { rc.qos.qos_app = 1; });
+  with("qos.target_slowdown",
+       [](RunConfig& rc) { rc.qos.target_slowdown = 1.5; });
+  with("qos.release_margin",
+       [](RunConfig& rc) { rc.qos.release_margin = 0.2; });
+  with("qos.warmup_intervals",
+       [](RunConfig& rc) { rc.qos.warmup_intervals = 2; });
+  with("qos.min_sms_per_app",
+       [](RunConfig& rc) { rc.qos.min_sms_per_app = 2; });
+  std::set<u64> distinct;
+  for (const auto& [name, fp] : variants) distinct.insert(fp);
+  EXPECT_EQ(distinct.size(), variants.size());
+
+  // Caller configuration stays out: snapshots survive a changed watchdog
+  // or governor setting.
+  RunConfig caller = base;
+  caller.watchdog_cycles = 12'345;
+  caller.governor = false;
+  EXPECT_EQ(fingerprint_of(caller, w, dase, PolicyKind::kEven, nullptr),
+            base_fp);
+}
+
+TEST(RunnerTest, IdentityParserRebuildsTheCoRun) {
+  RunConfig rc = quick_config();
+  rc.base_seed = 7;
+  rc.faults = FaultSchedule::parse("drop-resp:nth=200;seed=3");
+  rc.temporal.quantum = 12'345;
+  rc.qos = DaseQosOptions{.qos_app = 1,
+                          .target_slowdown = 1.3,
+                          .release_margin = 0.1,
+                          .warmup_intervals = 3,
+                          .min_sms_per_app = 2};
+  const Workload w{{*find_app("CT"), *find_app("SP")}};
+  const ModelSet models{.dase = false, .mise = true, .asm_model = true};
+  const std::vector<int> split = {6, 10};
+  const std::string identity =
+      corun_identity(rc, w, models, PolicyKind::kDaseQos, &split);
+
+  const CoRunSpec spec = parse_corun_identity(identity);
+  EXPECT_EQ(spec.workload.label(), "CT+SP");
+  EXPECT_EQ(spec.rc.base_seed, 7u);
+  EXPECT_EQ(spec.rc.co_run_cycles, rc.co_run_cycles);
+  EXPECT_EQ(spec.policy, PolicyKind::kDaseQos);
+  EXPECT_EQ(spec.sm_split, split);
+  EXPECT_EQ(spec.rc.faults.to_string(), rc.faults.to_string());
+  EXPECT_EQ(spec.rc.temporal.quantum, 12'345u);
+  EXPECT_EQ(spec.rc.qos.qos_app, 1);
+  EXPECT_EQ(spec.rc.qos.target_slowdown, 1.3);
+  EXPECT_EQ(spec.rc.qos.release_margin, 0.1);
+  EXPECT_EQ(spec.rc.qos.warmup_intervals, 3);
+  EXPECT_EQ(spec.rc.qos.min_sms_per_app, 2);
+  // The writer over the parsed co-run reproduces the text exactly, which
+  // is what lets --triage recompute the bundle's fingerprint.
+  EXPECT_EQ(corun_identity(spec.rc, spec.workload, spec.models, spec.policy,
+                           spec.split()),
+            identity);
+
+  // A missing key is a typed snapshot error, not a default.
+  const std::string cut = identity.substr(0, identity.find("  \"policy\""));
+  try {
+    parse_corun_identity(cut);
+    FAIL() << "an identity without a policy parsed";
+  } catch (const SimError& e) {
+    EXPECT_EQ(e.kind(), SimErrorKind::kSnapshot);
+  }
 }
 
 TEST(RunnerTest, CyclesFromEnvParsesAndFallsBack) {

@@ -115,7 +115,7 @@ TEST_F(TortureTest, SnapshotTruncationsAlwaysRaiseTypedErrors) {
     CoRunAssembly assembly = fresh_assembly();
     try {
       restore_snapshot_file(mutant.string(), *assembly.sim,
-                            m.ctx.fingerprint);
+                            m.fingerprint);
       FAIL() << "truncation to " << cut << " bytes restored cleanly";
     } catch (const SimError& e) {
       EXPECT_EQ(e.kind(), SimErrorKind::kSnapshot) << "cut=" << cut;
@@ -142,7 +142,7 @@ TEST_F(TortureTest, SnapshotBitFlipsNeverRestoreSilently) {
     CoRunAssembly assembly = fresh_assembly();
     try {
       restore_snapshot_file(mutant.string(), *assembly.sim,
-                            m.ctx.fingerprint);
+                            m.fingerprint);
       // The only header bytes the integrity chain deliberately leaves
       // uncovered are the informational build/cycle fields; a flip there
       // may restore cleanly, but then the restored *state* must still be
@@ -227,7 +227,7 @@ TEST_F(TortureTest, EmptyAndGarbageManifestsAreTyped) {
   EXPECT_THROW(read_crash_bundle_manifest(garbage.string()), SimError);
 
   std::ofstream(garbage / "manifest.json")
-      << "{\"schema\": \"gpusim-crash-bundle-v1\"}";
+      << "{\"schema\": \"gpusim-crash-bundle-v2\"}";
   // Right schema, everything else missing: still typed.
   try {
     read_crash_bundle_manifest(garbage.string());

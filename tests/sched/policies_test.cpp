@@ -9,19 +9,19 @@ namespace gpusim {
 namespace {
 
 TEST(LeftoverTest, FullGridFirstAppTakesEverything) {
-  const auto alloc = LeftoverPolicy::allocation(16, {16, 16});
+  const auto alloc = leftover_allocation(16, {16, 16});
   EXPECT_EQ(std::count(alloc.begin(), alloc.end(), 0), 16);
   EXPECT_EQ(std::count(alloc.begin(), alloc.end(), 1), 0);
 }
 
 TEST(LeftoverTest, SmallFirstGridLeavesRoom) {
-  const auto alloc = LeftoverPolicy::allocation(16, {6, 16});
+  const auto alloc = leftover_allocation(16, {6, 16});
   EXPECT_EQ(std::count(alloc.begin(), alloc.end(), 0), 6);
   EXPECT_EQ(std::count(alloc.begin(), alloc.end(), 1), 10);
 }
 
 TEST(LeftoverTest, UnfilledSmsStayIdle) {
-  const auto alloc = LeftoverPolicy::allocation(16, {4, 3});
+  const auto alloc = leftover_allocation(16, {4, 3});
   EXPECT_EQ(std::count(alloc.begin(), alloc.end(), 0), 4);
   EXPECT_EQ(std::count(alloc.begin(), alloc.end(), 1), 3);
   EXPECT_EQ(std::count(alloc.begin(), alloc.end(), kInvalidApp), 9);

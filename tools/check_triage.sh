@@ -10,7 +10,10 @@
 #      recorded failure cycle, and VERIFIES the 64-bit state hash
 #      bit-exactly (exit 0);
 #   3. the same holds for a watchdog-proven hang under fault injection
-#      (the --fault-schedule chaos path);
+#      (the --fault-schedule chaos path), and for a temporal run with a
+#      non-default --quantum that triage re-executes from its anchor; a
+#      rerun under another quantum skips the killed run's stale snapshot
+#      and prints exactly what a fresh run prints;
 #   4. corruption is contained: a tampered manifest hash makes triage
 #      report divergence (exit 4), a truncated snapshot is a typed
 #      failure (exit 3), and --no-bundle suppresses emission entirely;
@@ -70,6 +73,26 @@ RC=0
 CHAOS_BUNDLE="$(find "$TMP/bundles" -maxdepth 1 -name 'chaos-*' | head -1)"
 [[ -n "$CHAOS_BUNDLE" ]] || { echo "no chaos bundle published" >&2; exit 1; }
 "$CLI" --triage "$CHAOS_BUNDLE" | grep -q "triage: VERIFIED"
+
+echo "== a non-default --quantum reaches the bundle and the snapshot"
+TEMPORAL=(--apps CT,SP --policy temporal --cycles 200000)
+RC=0
+"$CLI" "${TEMPORAL[@]}" --quantum 20000 --snapshot-every 40000 \
+       --snapshot-dir "$TMP/snaps" --cycle-budget 60000 \
+       --bundle-dir "$TMP/quantum-bundles" > /dev/null 2>&1 || RC=$?
+[[ "$RC" == "8" ]] || { echo "expected exit 8, got $RC" >&2; exit 1; }
+QUANTUM_BUNDLE="$(find "$TMP/quantum-bundles" -maxdepth 1 -name 'run-*' |
+                  head -1)"
+[[ -f "$QUANTUM_BUNDLE/anchor.simstate" ]] ||
+  { echo "quantum bundle has no anchor snapshot" >&2; exit 1; }
+"$CLI" --triage "$QUANTUM_BUNDLE" | grep -q "triage: VERIFIED"
+"$CLI" "${TEMPORAL[@]}" --quantum 70000 --snapshot-every 40000 \
+       --snapshot-dir "$TMP/snaps" --no-bundle \
+       > "$TMP/requantum.out" 2> "$TMP/requantum.err"
+grep -q "ignoring unusable snapshot" "$TMP/requantum.err" ||
+  { echo "a snapshot from another quantum was not skipped" >&2; exit 1; }
+"$CLI" "${TEMPORAL[@]}" --quantum 70000 --no-bundle > "$TMP/fresh.out"
+cmp "$TMP/requantum.out" "$TMP/fresh.out"
 
 echo "== tampered recorded hash => divergence (exit 4)"
 cp -r "$RUN_BUNDLE" "$TMP/tampered"

@@ -8,7 +8,6 @@
 //   gpusim_cli --apps SB,VA --split 4,12 --models dase,mise,asm
 //   gpusim_cli --sweep all --checkpoint sweep.jsonl --out sweep.json
 //   gpusim_cli --apps SD,SA --snapshot-every 50000 --snapshot-dir snaps
-//   gpusim_cli --apps SD,SA --restore snaps/SD+SA.simstate
 //   gpusim_cli --apps SD,SA --audit-determinism
 //   gpusim_cli --chaos 50 --chaos-seed 7 --cycles 40000 --out chaos.json
 //   gpusim_cli --apps SD,SA --cycles 40000 --fault-schedule 'drop-resp:nth=200;seed=7'
@@ -28,7 +27,6 @@
 #include <cstring>
 #include <iostream>
 #include <numeric>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -57,16 +55,6 @@ using namespace gpusim;
   if (!error.empty()) std::cerr << "error: " << error << "\n\n";
   std::cerr << render_usage(argv0);
   std::exit(2);
-}
-
-std::vector<std::string> split_csv(const std::string& text) {
-  std::vector<std::string> out;
-  std::stringstream ss(text);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    if (!item.empty()) out.push_back(item);
-  }
-  return out;
 }
 
 /// Strict unsigned parse: the whole token must be a decimal number no less
@@ -202,31 +190,13 @@ int run_sweep(const std::string& which, const RunConfig& rc,
   return torn != 0 ? 5 : 0;
 }
 
-int run_chaos(const RunConfig& rc, int schedules, u64 chaos_seed, int jobs,
-              bool recovery, bool minimize, const std::string& checkpoint,
-              const std::string& bundle_dir, const std::string& telemetry_dir,
-              const std::string& out_path) {
-  ChaosOptions opts;
-  opts.gpu = rc.gpu;
-  opts.schedules = schedules;
-  opts.seed = chaos_seed;
-  opts.cycles = rc.co_run_cycles;
-  opts.jobs = jobs;
-  opts.recovery = recovery;
-  opts.governor = rc.governor;
-  opts.minimize = minimize;
-  opts.checkpoint_path = checkpoint;
-  opts.base_seed = rc.base_seed;
-  opts.cancel = shutdown_flag();
-  opts.wall_deadline = rc.wall_deadline;
-  opts.crash_bundle_dir = bundle_dir;
-  opts.telemetry_dir = telemetry_dir;
+int run_chaos(const ChaosOptions& opts, const std::string& out_path) {
   const ChaosReport report = run_chaos_campaign(opts);
   if (shutdown_requested()) {
     std::cerr << "gpusim: chaos campaign interrupted — finished schedules "
               << "are in "
-              << (checkpoint.empty() ? std::string("(no checkpoint)")
-                                     : checkpoint)
+              << (opts.checkpoint_path.empty() ? std::string("(no checkpoint)")
+                                               : opts.checkpoint_path)
               << "; rerun the same command to resume\n";
     return 6;
   }
@@ -255,29 +225,18 @@ int run_chaos(const RunConfig& rc, int schedules, u64 chaos_seed, int jobs,
   return report.torn_lines_skipped != 0 ? 5 : 0;
 }
 
-int run_replay(const RunConfig& rc, const Workload& workload,
-               PolicyKind policy, const std::string& spec, bool recovery,
-               const std::string& telemetry_dir, const char* argv0) {
+int run_replay(const ChaosOptions& opts, const Workload& workload,
+               PolicyKind policy, const std::string& spec, const char* argv0) {
   if (policy != PolicyKind::kEven && policy != PolicyKind::kDaseFair) {
     usage(argv0, "--fault-schedule replay supports --policy even|dase-fair");
   }
-  ChaosOptions opts;
-  opts.gpu = rc.gpu;
-  opts.cycles = rc.co_run_cycles;
-  opts.recovery = recovery;
-  opts.governor = rc.governor;
-  opts.base_seed = rc.base_seed;
-  opts.wall_deadline = rc.wall_deadline;
-  opts.crash_bundle_dir = rc.crash_bundle_dir;
-  // A replay routes through the chaos engine, so --telemetry-out behaves
-  // like the chaos-mode directory form here too.
-  opts.telemetry_dir = telemetry_dir;
   const FaultSchedule schedule = FaultSchedule::parse(spec);
   const ChaosJobResult r = run_chaos_job(
       opts, workload, policy == PolicyKind::kDaseFair, schedule);
   std::cout << "chaos replay: workload " << r.workload << ", policy "
-            << r.policy << ", " << opts.cycles << " cycles, recovery "
-            << (recovery ? "on" : "off") << "\n  schedule "
+            << r.policy << ", " << opts.rc.co_run_cycles
+            << " cycles, recovery " << (opts.recovery ? "on" : "off")
+            << "\n  schedule "
             << (r.schedule.empty() ? "(empty)" : r.schedule)
             << "\n  outcome " << to_string(r.outcome) << " — " << r.detail
             << "\n  final_cycle " << r.final_cycle << ", retries_issued "
@@ -338,9 +297,7 @@ int main(int argc, char** argv) {
   bool have_hash_every = false;
   bool profile_loop = false;
   int chaos_schedules = 0;
-  u64 chaos_seed = 1;
-  bool chaos_recovery = true;
-  bool chaos_minimize = true;
+  ChaosOptions chaos;  // --chaos campaigns and --fault-schedule replays
   bool have_cycles = false;
   std::string fault_spec;
   double deadline_ms = 0.0;
@@ -370,18 +327,10 @@ int main(int argc, char** argv) {
         have_cycles = true;
         break;
       case FlagId::kPolicy:
-        if (value == "even") {
-          policy = PolicyKind::kEven;
-        } else if (value == "dase-fair") {
-          policy = PolicyKind::kDaseFair;
-        } else if (value == "leftover") {
-          policy = PolicyKind::kLeftover;
-        } else if (value == "temporal") {
-          policy = PolicyKind::kTemporal;
-        } else if (value == "qos") {
-          policy = PolicyKind::kDaseQos;
-        } else {
-          usage(argv[0], "unknown policy: " + value);
+        try {
+          policy = parse_policy_kind(value);
+        } catch (const SimError& e) {
+          usage(argv[0], e.message() + ": " + value);
         }
         break;
       case FlagId::kSplit:
@@ -393,17 +342,10 @@ int main(int argc, char** argv) {
         have_split = true;
         break;
       case FlagId::kModels:
-        models = ModelSet{};
-        for (const std::string& m : split_csv(value)) {
-          if (m == "dase") {
-            models.dase = true;
-          } else if (m == "mise") {
-            models.mise = true;
-          } else if (m == "asm") {
-            models.asm_model = true;
-          } else {
-            usage(argv[0], "unknown model: " + m);
-          }
+        try {
+          models = parse_model_set(value);
+        } catch (const SimError& e) {
+          usage(argv[0], e.message() + ": " + value);
         }
         break;
       case FlagId::kQosTarget:
@@ -458,9 +400,6 @@ int main(int argc, char** argv) {
         rc.snapshot_dir = value;
         have_snapshot_dir = true;
         break;
-      case FlagId::kRestore:
-        rc.restore_path = value;
-        break;
       case FlagId::kAuditDeterminism:
         audit_determinism = true;
         break;
@@ -481,13 +420,13 @@ int main(int argc, char** argv) {
         chaos_schedules = static_cast<int>(parse_u64(argv[0], arg, value, 1));
         break;
       case FlagId::kChaosSeed:
-        chaos_seed = parse_u64(argv[0], arg, value, 0);
+        chaos.seed = parse_u64(argv[0], arg, value, 0);
         break;
       case FlagId::kNoMinimize:
-        chaos_minimize = false;
+        chaos.minimize = false;
         break;
       case FlagId::kNoRecovery:
-        chaos_recovery = false;
+        chaos.recovery = false;
         break;
       case FlagId::kFaultSchedule:
         fault_spec = value;
@@ -548,8 +487,8 @@ int main(int argc, char** argv) {
       deadline_ms > 0.0 || rc.cycle_budget != 0 || rc.mem_budget != 0;
   if (!triage_bundle.empty() &&
       (!app_names.empty() || !sweep_which.empty() || chaos_schedules > 0 ||
-       audit_determinism || !fault_spec.empty() || !rc.restore_path.empty() ||
-       rc.snapshot_every != 0 || run_limits)) {
+       audit_determinism || !fault_spec.empty() || rc.snapshot_every != 0 ||
+       run_limits)) {
     usage(argv[0],
           "--triage is a standalone postmortem mode; it takes no workload, "
           "batch or run-limit flags");
@@ -563,24 +502,17 @@ int main(int argc, char** argv) {
   if (have_hash_every && !audit_determinism) {
     usage(argv[0], "--hash-every requires --audit-determinism");
   }
-  if (audit_determinism &&
-      (!sweep_which.empty() || !rc.restore_path.empty() ||
-       rc.snapshot_every != 0)) {
+  if (audit_determinism && (!sweep_which.empty() || rc.snapshot_every != 0)) {
     usage(argv[0],
-          "--audit-determinism is incompatible with --sweep, --restore and "
+          "--audit-determinism is incompatible with --sweep and "
           "--snapshot-every");
-  }
-  if (!rc.restore_path.empty() && !sweep_which.empty()) {
-    usage(argv[0],
-          "--restore is for single runs; sweeps auto-resume via "
-          "--snapshot-every and --checkpoint");
   }
   if (chaos_schedules > 0 &&
       (!sweep_which.empty() || !app_names.empty() || audit_determinism ||
-       !rc.restore_path.empty() || rc.snapshot_every != 0)) {
+       rc.snapshot_every != 0)) {
     usage(argv[0],
-          "--chaos is incompatible with --apps, --sweep, --restore, "
-          "--snapshot-every and --audit-determinism");
+          "--chaos is incompatible with --apps, --sweep, --snapshot-every "
+          "and --audit-determinism");
   }
   if (!fault_spec.empty() && !sweep_which.empty()) {
     usage(argv[0], "--fault-schedule does not apply to sweeps");
@@ -646,22 +578,23 @@ int main(int argc, char** argv) {
     if (!triage_bundle.empty()) {
       return run_triage(triage_bundle, std::cout, trace_out);
     }
+    // Batch modes and replays write per-unit telemetry under a directory;
+    // a single run replaces it with the named files below.
+    rc.telemetry.dir = telemetry_out;
     if (chaos_schedules > 0) {
-      if (!have_cycles) rc.co_run_cycles = 40'000;  // chaos default budget
-      return run_chaos(rc, chaos_schedules, chaos_seed, sweep_opts.jobs,
-                       chaos_recovery, chaos_minimize,
-                       sweep_opts.checkpoint_path,
-                       have_bundle_dir && !no_bundle ? bundle_dir
-                                                     : std::string(),
-                       telemetry_out,
-                       have_out ? out_path : "chaos_report.json");
+      if (!have_cycles) rc.co_run_cycles = chaos.rc.co_run_cycles;
+      if (!have_bundle_dir) rc.crash_bundle_dir.clear();
+      chaos.rc = rc;
+      chaos.schedules = chaos_schedules;
+      chaos.jobs = sweep_opts.jobs;
+      chaos.checkpoint_path = sweep_opts.checkpoint_path;
+      return run_chaos(chaos, have_out ? out_path : "chaos_report.json");
     }
     if (!sweep_which.empty()) {
       if (!app_names.empty()) {
         usage(argv[0], "--sweep and --apps are mutually exclusive");
       }
       rc.crash_bundle_mode = "sweep";
-      rc.telemetry.dir = telemetry_out;  // per-pair files under the directory
       return run_sweep(sweep_which, rc, models, sweep_opts, out_path,
                        argv[0]);
     }
@@ -694,15 +627,16 @@ int main(int argc, char** argv) {
                        have_split ? &split : nullptr, hash_every);
     }
     if (!fault_spec.empty()) {
-      return run_replay(rc, workload, policy, fault_spec, chaos_recovery,
-                        telemetry_out, argv[0]);
+      chaos.rc = rc;
+      return run_replay(chaos, workload, policy, fault_spec, argv[0]);
     }
 
     LoopProfiler profiler;
     if (profile_loop) rc.profiler = &profiler;
-    rc.telemetry.series = telemetry_out;
-    rc.telemetry.trace = trace_out;
-    rc.telemetry.metrics = metrics_out;
+    rc.telemetry = TelemetryPaths{.series = telemetry_out,
+                                  .trace = trace_out,
+                                  .metrics = metrics_out,
+                                  .dir = {}};
     ExperimentRunner runner(rc);
     const CoRunResult result = runner.run(workload, models, policy,
                                           have_split ? &split : nullptr);
