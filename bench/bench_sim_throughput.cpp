@@ -4,6 +4,8 @@
 // a live DASE-Fair co-run with the policy governor on vs. off (the ≤2%
 // overhead contract from DESIGN.md §14), a co-run with the TelemetryHub
 // attached vs. absent (the ≤2% disabled-path contract from DESIGN.md §15),
+// one paper unit with its alone replays run after the co-run vs. through
+// ExperimentRunner::run's overlapped slot-0 replay (DESIGN.md §8),
 // and the wall-clock of a small checkpoint-free sweep run serially vs. on
 // the worker pool, then emits the numbers as a flat JSON object — the
 // repo's BENCH_*.json perf baseline format.  tools/check_perf.sh runs
@@ -26,6 +28,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <thread>
 #include <vector>
@@ -198,6 +201,69 @@ TelemetryResult time_telemetry_loop(const GpuConfig& cfg, Cycle cycles) {
   return r;
 }
 
+struct ReplayOverlapResult {
+  double sequential_s = 0.0;
+  double run_s = 0.0;
+  double speedup = 0.0;
+};
+
+/// fig5-estimate's first unit (BS+SD, DASE+MISE+ASM, seed 1) driven two
+/// ways: step by step through the public calls in the sequential order —
+/// assemble_corun, Simulation::run, the conservation audit, then
+/// measure_alone_cycles per slot — and through ExperimentRunner::run,
+/// which overlaps slot 0's replay with the co-run.  Three alternating
+/// repetitions; the speedup is the median of their sequential-over-run()
+/// ratios.  Both must report the same alone cycles, or the ratio is moot.
+ReplayOverlapResult time_replay_overlap(Cycle cycles) {
+  RunConfig rc;
+  rc.co_run_cycles = cycles;
+  rc.base_seed = 1;
+  const Workload w{{*find_app("BS"), *find_app("SD")}};
+  const ModelSet models{.dase = true, .mise = true, .asm_model = true};
+  const ExperimentRunner runner(rc);
+
+  std::vector<double> sequential_s;
+  std::vector<double> run_s;
+  std::vector<double> ratios;
+  for (int rep = 0; rep < 3; ++rep) {
+    auto start = std::chrono::steady_clock::now();
+    std::vector<double> ipc_alone;
+    {
+      const CoRunAssembly corun =
+          assemble_corun(rc, w, models, PolicyKind::kEven);
+      corun.sim->run(rc.co_run_cycles);
+      corun.sim->gpu().verify_conservation();
+      for (int i = 0; i < 2; ++i) {
+        const u64 instructions = corun.sim->gpu().instructions().total(i);
+        ipc_alone.push_back(static_cast<double>(instructions) /
+                            runner.measure_alone_cycles(
+                                w.apps[i], harness_app_seed(rc.base_seed, i),
+                                instructions));
+      }
+    }
+    sequential_s.push_back(seconds_since(start));
+
+    start = std::chrono::steady_clock::now();
+    const CoRunResult result = runner.run(w, models);
+    run_s.push_back(seconds_since(start));
+    for (int i = 0; i < 2; ++i) {
+      if (result.apps[i].ipc_alone != ipc_alone[i]) {
+        std::fprintf(stderr, "replay overlap: %s alone IPC differs (%.17g "
+                     "sequential, %.17g from run())\n",
+                     w.apps[i].abbr.c_str(), ipc_alone[i],
+                     result.apps[i].ipc_alone);
+        std::exit(1);
+      }
+    }
+    ratios.push_back(sequential_s.back() / run_s.back());
+  }
+  const auto median3 = [](std::vector<double> v) {
+    std::sort(v.begin(), v.end());
+    return v[1];
+  };
+  return {median3(sequential_s), median3(run_s), median3(ratios)};
+}
+
 /// Wall-clock of a checkpoint-free sweep over the first `pairs` two-app
 /// workloads with the given worker count.
 double time_sweep(const RunConfig& rc, int pairs, int jobs) {
@@ -247,6 +313,7 @@ int main(int argc, char** argv) {
 
   const GovernedResult governed = time_governed_loop(loop_cycles);
   const TelemetryResult telemetry = time_telemetry_loop(cfg, loop_cycles);
+  const ReplayOverlapResult overlap = time_replay_overlap(loop_cycles);
 
   RunConfig rc;
   rc.co_run_cycles = cycles_from_env("BENCH_SWEEP_CYCLES", 60'000);
@@ -291,6 +358,10 @@ int main(int argc, char** argv) {
                telemetry.off_cycles_per_sec);
   std::fprintf(out, "\"telemetry_overhead_ratio\": %.4f,\n",
                telemetry.overhead_ratio);
+  std::fprintf(out, "\"replay_sequential_seconds\": %.3f,\n",
+               overlap.sequential_s);
+  std::fprintf(out, "\"replay_run_seconds\": %.3f,\n", overlap.run_s);
+  std::fprintf(out, "\"replay_overlap_speedup\": %.3f,\n", overlap.speedup);
   std::fprintf(out, "\"sweep_pairs\": %d,\n", sweep_pairs);
   std::fprintf(out, "\"sweep_corun_cycles\": %llu,\n",
                static_cast<unsigned long long>(rc.co_run_cycles));
@@ -319,6 +390,10 @@ int main(int argc, char** argv) {
       "%.0f without (best-pair ratio %.3f)\n",
       telemetry.on_cycles_per_sec, telemetry.off_cycles_per_sec,
       telemetry.overhead_ratio);
+  std::printf(
+      "replay overlap BS+SD: %.3fs sequential, %.3fs through run() "
+      "(median ratio %.2fx)\n",
+      overlap.sequential_s, overlap.run_s, overlap.speedup);
   if (parallel_meaningful) {
     std::printf("sweep %d pairs: %.3fs serial, %.3fs with %d jobs (%.2fx)\n",
                 sweep_pairs, serial_s, parallel_s, sweep_jobs,

@@ -2,12 +2,18 @@
 
 #include <algorithm>
 #include <cctype>
+#include <chrono>
 #include <climits>
+#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 #include <filesystem>
 #include <memory>
+#include <mutex>
+#include <optional>
 #include <sstream>
+#include <thread>
 
 #include "baselines/asm_model.hpp"
 #include "baselines/mise_model.hpp"
@@ -477,35 +483,156 @@ Cycle cycles_from_env(const char* name, Cycle fallback) {
              : fallback;
 }
 
-std::unique_ptr<Simulation> ExperimentRunner::run_alone(
-    const KernelProfile& profile, u64 seed,
-    std::optional<u64> target_instructions) const {
+namespace {
+
+/// Co-run steps end on multiples of this many cycles, and slot 0's chased
+/// replay advances at most this many cycles per run_until_instructions call.
+constexpr Cycle kCoRunStep = 4096;
+
+/// How long the chasing helper sleeps between looks at the published count
+/// once it has caught up.  The co-run does not notify it: a wake from the
+/// busy co-run thread can queue the helper on the co-run's own CPU when
+/// the helper's CPU has gone idle, and the two then take turns instead of
+/// running side by side.  On a 4-vCPU KVM guest that cost the co-run as
+/// much wall time as the helper used CPU, and so did timed sleeps of 1 ms
+/// or more; a 200 us timed wait kept both on their own CPUs for a few
+/// percent of one CPU.
+constexpr std::chrono::microseconds kChasePoll{200};
+
+/// Builds an alone simulation: `profile` on all SMs under the watchdog and
+/// the run limits.
+std::unique_ptr<Simulation> alone_simulation(const RunConfig& rc,
+                                             const KernelProfile& profile,
+                                             u64 seed) {
   auto sim = std::make_unique<Simulation>(
-      rc_.gpu, std::vector<AppLaunch>{AppLaunch{profile, seed}});
-  sim->set_watchdog(rc_.watchdog_cycles);
-  apply_limits(rc_, *sim, /*co_run=*/false);
+      rc.gpu, std::vector<AppLaunch>{AppLaunch{profile, seed}});
+  sim->set_watchdog(rc.watchdog_cycles);
+  apply_limits(rc, *sim, /*co_run=*/false);
   Gpu& gpu = sim->gpu();
   gpu.set_partition(even_partition(gpu.num_sms(), 1));
-  if (!target_instructions) {
-    sim->run(rc_.co_run_cycles);
-  } else if (!sim->run_until_instructions(0, *target_instructions,
-                                          rc_.max_alone_cycles)) {
+  return sim;
+}
+
+/// Ends an exact replay that stopped at its target or at max_alone_cycles:
+/// raises SimError(kBudgetExceeded) when it never issued
+/// `target_instructions`, otherwise audits request conservation and returns
+/// the cycle it stopped on.
+Cycle finish_replay(const RunConfig& rc, const KernelProfile& profile,
+                    const Simulation& sim, u64 target_instructions) {
+  const Gpu& gpu = sim.gpu();
+  if (gpu.instructions().total(0) < target_instructions) {
     SIM_FAIL(SimError(SimErrorKind::kBudgetExceeded, "harness.runner",
                       "alone replay hit max_alone_cycles before reaching "
                       "the co-run's instruction count")
                  .cycle(gpu.now())
                  .detail("app", profile.abbr)
-                 .detail("target_instructions", *target_instructions)
+                 .detail("target_instructions", target_instructions)
                  .detail("instructions", gpu.instructions().total(0))
-                 .detail("max_alone_cycles", rc_.max_alone_cycles));
+                 .detail("max_alone_cycles", rc.max_alone_cycles));
   }
-  if (rc_.verify_conservation) gpu.verify_conservation();
-  return sim;
+  if (rc.verify_conservation) gpu.verify_conservation();
+  return gpu.now();
 }
+
+/// Slot 0's exact replay, run on a helper thread while its co-run runs.
+/// The co-run publishes app 0's instruction count after every step, and the
+/// helper resumes run_until_instructions up to each published count, at
+/// most kCoRunStep cycles per call so that abandon() is prompt; it polls
+/// for new counts every kChasePoll, and finish() and abandon() wake it.  A count
+/// only grows, and a resumed replay stops on the cycle one call with the
+/// last target stops on, so finish() returns what measure_alone_cycles
+/// returns for the final count.  The alone simulation is built on the
+/// calling thread and freed with this object.
+class ReplayChase {
+ public:
+  ReplayChase(const RunConfig& rc, const KernelProfile& profile, u64 seed)
+      : rc_(rc),
+        profile_(profile),
+        sim_(alone_simulation(rc, profile, seed)),
+        helper_([this] { chase(); }) {}
+  ~ReplayChase() { abandon(); }
+  ReplayChase(const ReplayChase&) = delete;
+  ReplayChase& operator=(const ReplayChase&) = delete;
+
+  /// App 0 has issued `instructions` in the co-run so far.
+  void publish(u64 instructions) {
+    std::lock_guard<std::mutex> lock(mu_);
+    published_ = instructions;
+  }
+
+  /// The co-run ended with app 0 at `instructions`: waits for the replay
+  /// and returns its cycle, or rethrows the replay's error.
+  Cycle finish(u64 instructions) {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      published_ = instructions;
+      final_ = true;
+    }
+    cv_.notify_one();
+    helper_.join();
+    if (error_) std::rethrow_exception(error_);
+    return cycles_;
+  }
+
+  /// Stops the replay without a result and joins the helper.
+  void abandon() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      abandoned_ = true;
+    }
+    cv_.notify_one();
+    if (helper_.joinable()) helper_.join();
+  }
+
+ private:
+  void chase() {
+    try {
+      const Gpu& gpu = sim_->gpu();
+      const auto behind = [&](u64 target) {
+        return gpu.instructions().total(0) < target &&
+               gpu.now() < rc_.max_alone_cycles;
+      };
+      u64 target = 0;
+      for (;;) {
+        {
+          std::unique_lock<std::mutex> lock(mu_);
+          while (!abandoned_ && !final_ && !behind(published_)) {
+            cv_.wait_for(lock, kChasePoll);
+          }
+          if (abandoned_) return;
+          target = published_;
+          if (final_ && !behind(target)) break;
+        }
+        sim_->run_until_instructions(
+            0, target, std::min(kCoRunStep, rc_.max_alone_cycles - gpu.now()));
+      }
+      cycles_ = finish_replay(rc_, profile_, *sim_, target);
+    } catch (...) {
+      error_ = std::current_exception();
+    }
+  }
+
+  const RunConfig& rc_;
+  const KernelProfile& profile_;
+  const std::unique_ptr<Simulation> sim_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  u64 published_ = 0;       // guarded by mu_
+  bool final_ = false;      // guarded by mu_
+  bool abandoned_ = false;  // guarded by mu_
+  // Written by the helper, read after it is joined.
+  Cycle cycles_ = 0;
+  std::exception_ptr error_;
+  std::thread helper_;
+};
+
+}  // namespace
 
 AloneStats ExperimentRunner::alone_stats(const KernelProfile& profile) const {
   const std::unique_ptr<Simulation> sim =
-      run_alone(profile, harness_app_seed(rc_.base_seed, 0), std::nullopt);
+      alone_simulation(rc_, profile, harness_app_seed(rc_.base_seed, 0));
+  sim->run(rc_.co_run_cycles);
+  if (rc_.verify_conservation) sim->gpu().verify_conservation();
   const Gpu& gpu = sim->gpu();
   AloneStats stats;
   stats.ipc = static_cast<double>(gpu.instructions().total(0)) / gpu.now();
@@ -526,7 +653,10 @@ AloneStats ExperimentRunner::alone_stats(const KernelProfile& profile) const {
 Cycle ExperimentRunner::measure_alone_cycles(const KernelProfile& profile,
                                              u64 seed,
                                              u64 target_instructions) const {
-  return run_alone(profile, seed, target_instructions)->gpu().now();
+  const std::unique_ptr<Simulation> sim =
+      alone_simulation(rc_, profile, seed);
+  sim->run_until_instructions(0, target_instructions, rc_.max_alone_cycles);
+  return finish_replay(rc_, profile, *sim, target_instructions);
 }
 
 CoRunResult ExperimentRunner::run(const Workload& workload,
@@ -576,46 +706,73 @@ CoRunResult ExperimentRunner::run(const Workload& workload,
     }
   }
 
-  try {
-    if (!snapshotting) {
-      if (gpu.now() < rc_.co_run_cycles) {
-        sim.run(rc_.co_run_cycles - gpu.now());
-      }
-    } else {
+  // The co-run advances in steps that end on multiples of kCoRunStep and
+  // on snapshot strides; after each step slot 0's replay, on its helper
+  // thread, resumes up to app 0's count so far.
+  Cycle slot0_alone_cycles = 0;
+  {
+    ReplayChase slot0(rc_, workload.apps[0],
+                      harness_app_seed(rc_.base_seed, 0));
+    try {
       try {
+        const Cycle stride =
+            snapshotting ? rc_.snapshot_every : rc_.co_run_cycles;
+        Cycle stride_end = gpu.now();
         while (gpu.now() < rc_.co_run_cycles) {
-          const Cycle stride = std::min<Cycle>(rc_.snapshot_every,
-                                               rc_.co_run_cycles - gpu.now());
-          sim.run(stride);
+          if (gpu.now() == stride_end) {
+            stride_end += std::min(stride, rc_.co_run_cycles - gpu.now());
+          }
+          Cycle step_end = std::min(
+              stride_end, (gpu.now() / kCoRunStep + 1) * kCoRunStep);
+          // A step that would cross the cycle budget runs to its stride's
+          // end instead, so the budget error names the requested_stop one
+          // run() per stride would.
+          if (rc_.cycle_budget != 0 && step_end > rc_.cycle_budget) {
+            step_end = stride_end;
+          }
+          sim.run(step_end - gpu.now());
+          slot0.publish(gpu.instructions().total(0));
           // No snapshot after the final stride: the result is about to be
           // reported and the resume point deleted anyway.
-          if (gpu.now() < rc_.co_run_cycles) {
+          if (snapshotting && gpu.now() == stride_end &&
+              gpu.now() < rc_.co_run_cycles) {
             write_snapshot_file(snap_path, sim, fingerprint);
           }
         }
       } catch (const SimError& e) {
-        // Graceful shutdown: a cancellation leaves the simulation intact at
-        // the interrupt cycle, so persist that exact state before
-        // propagating — the resumed run picks it up mid-stride and finishes
-        // byte-identically (snapshot timing never shapes simulated state).
-        if (e.kind() == SimErrorKind::kInterrupted) {
+        // Graceful shutdown: a cancellation leaves the simulation intact
+        // at the interrupt cycle, so persist that exact state before
+        // propagating — the resumed run picks it up mid-stride and
+        // finishes byte-identically (snapshot timing never shapes
+        // simulated state).
+        if (snapshotting && e.kind() == SimErrorKind::kInterrupted) {
           write_snapshot_file(snap_path, sim, fingerprint);
         }
         throw;
       }
-      std::error_code ec;
-      std::filesystem::remove(snap_path, ec);
+      if (snapshotting) {
+        std::error_code ec;
+        std::filesystem::remove(snap_path, ec);
+      }
+      // Injected faults intentionally break conservation; the auditor is
+      // the mechanism tests use to detect them, so only a clean run
+      // self-audits.
+      if (rc_.verify_conservation && !rc_.faults.any()) {
+        gpu.verify_conservation();
+      }
+    } catch (const SimError& e) {
+      slot0.abandon();
+      // The last periodic snapshot, when one exists, anchors the bundle.
+      record_corun_failure(rc_, workload, models, policy, sm_split, assembly,
+                           e, workload.label(), snap_path);
+      throw;
     }
-    // Injected faults intentionally break conservation; the auditor is the
-    // mechanism tests use to detect them, so only a clean run self-audits.
-    if (rc_.verify_conservation && !rc_.faults.any()) {
-      gpu.verify_conservation();
+    // A starved slot 0 has nothing to replay; its baseline is alone_stats
+    // below, built once this scope has freed the chased simulation.
+    const u64 slot0_instructions = gpu.instructions().total(0);
+    if (slot0_instructions > 0) {
+      slot0_alone_cycles = slot0.finish(slot0_instructions);
     }
-  } catch (const SimError& e) {
-    // The last periodic snapshot, when one exists, anchors the bundle.
-    record_corun_failure(rc_, workload, models, policy, sm_split, assembly, e,
-                         workload.label(), snap_path);
-    throw;
   }
 
   CoRunResult result;
@@ -637,9 +794,11 @@ CoRunResult ExperimentRunner::run(const Workload& workload,
       app.ipc_alone = alone_stats(workload.apps[i]).ipc;
       app.actual_slowdown = 1e6;
     } else {
-      const Cycle alone_cycles = measure_alone_cycles(
-          workload.apps[i], harness_app_seed(rc_.base_seed, i),
-          app.instructions);
+      const Cycle alone_cycles =
+          i == 0 ? slot0_alone_cycles
+                 : measure_alone_cycles(workload.apps[i],
+                                        harness_app_seed(rc_.base_seed, i),
+                                        app.instructions);
       app.ipc_alone = static_cast<double>(app.instructions) / alone_cycles;
       app.actual_slowdown = std::max(app.ipc_alone / app.ipc_shared, 1e-3);
     }

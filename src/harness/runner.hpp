@@ -11,7 +11,6 @@
 #include <exception>
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -96,11 +95,12 @@ struct RunConfig {
   /// drives (co-run and alone replays).  Crossing it raises
   /// SimError(kDeadlineExceeded).  Default-constructed = no deadline.
   std::chrono::steady_clock::time_point wall_deadline{};
-  /// Cycle cap per Simulation; raises SimError(kBudgetExceeded).  Guards
-  /// runaway alone-replays as well as the co-run.  0 = none.
+  /// Cycle cap on the co-run; raises SimError(kBudgetExceeded).  Alone
+  /// runs are capped by max_alone_cycles (replays) or co_run_cycles
+  /// (characterization) instead.  0 = none.
   Cycle cycle_budget = 0;
-  /// DRAM requests-served cap per Simulation; raises
-  /// SimError(kBudgetExceeded).  0 = none.
+  /// DRAM requests-served cap on the co-run; raises
+  /// SimError(kBudgetExceeded).  Alone runs ignore it.  0 = none.
   u64 mem_budget = 0;
   /// Cooperative cancellation flag (typically the process shutdown flag).
   /// When it turns true the co-run raises SimError(kInterrupted) at the
@@ -320,6 +320,14 @@ class ExperimentRunner {
   /// when given, assigns sm_split[i] SMs to app i (Fig. 8a); otherwise the
   /// partition is even.  PolicyKind::kDaseFair attaches the DASE-Fair
   /// repartitioning policy (forces the DASE model on).
+  ///
+  /// Slot 0's replay overlaps the co-run: one helper thread per call
+  /// resumes it up to app 0's instruction count after every co-run step,
+  /// so at most two simulations are live at once.  Slots 1..n-1 replay
+  /// afterwards on the calling thread.  Every result equals the sequential
+  /// co-run-then-replays order, errors included: the co-run's error comes
+  /// first (the helper is stopped before the failure is recorded), then
+  /// slot 0's replay error, then slot 1's.
   CoRunResult run(const Workload& workload, const ModelSet& models,
                   PolicyKind policy = PolicyKind::kEven,
                   const std::vector<int>* sm_split = nullptr) const;
@@ -336,14 +344,6 @@ class ExperimentRunner {
                              u64 target_instructions) const;
 
  private:
-  /// Builds and runs every alone simulation: `profile` on all SMs under
-  /// the watchdog and run limits, until it has issued `target_instructions`
-  /// or, without a target, for RunConfig::co_run_cycles; then audits
-  /// request conservation.
-  std::unique_ptr<Simulation> run_alone(
-      const KernelProfile& profile, u64 seed,
-      std::optional<u64> target_instructions) const;
-
   RunConfig rc_;
 };
 

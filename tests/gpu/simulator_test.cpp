@@ -91,5 +91,47 @@ TEST(SimulatorTest, RunUntilInstructionsHonoursCycleCap) {
   EXPECT_EQ(sim.gpu().now(), 20'000u);
 }
 
+TEST(SimulatorTest, RunUntilInstructionsResumesExactly) {
+  // A replay chasing a growing target resumes run_until_instructions many
+  // times; it must stop where one call with the last target stops, with
+  // the same watchdog and interval bookkeeping.  The second last target is
+  // out of reach, so both stop on the cycle cap.
+  GpuConfig cfg;
+  cfg.estimation_interval = 10'000;
+  constexpr Cycle kCap = 60'000;
+  constexpr u64 kReachable = 25'001;
+  for (const u64 last : {kReachable, u64{1} << 40}) {
+    SCOPED_TRACE(last);
+    Simulation once(cfg, {AppLaunch{*find_app("SD"), 42}});
+    Simulation resumed(cfg, {AppLaunch{*find_app("SD"), 42}});
+    once.gpu().set_partition(even_partition(16, 1));
+    resumed.gpu().set_partition(even_partition(16, 1));
+
+    const bool reached = once.run_until_instructions(0, last, kCap);
+    EXPECT_EQ(reached, last == kReachable);
+    EXPECT_GT(once.gpu().now(), 2 * cfg.estimation_interval);
+    if (!reached) {
+      EXPECT_EQ(once.gpu().now(), kCap);
+    }
+    for (u64 target = 1'234; target < kReachable; target += 1'871) {
+      EXPECT_TRUE(resumed.run_until_instructions(0, target,
+                                                 kCap - resumed.gpu().now()));
+    }
+    // One instruction short of kReachable, so the final call below resumes
+    // a few cycles before the stop, with no watchdog sample in between.
+    EXPECT_TRUE(resumed.run_until_instructions(0, kReachable - 1,
+                                               kCap - resumed.gpu().now()));
+    // A target the replay has already passed advances nothing.
+    const Cycle before = resumed.gpu().now();
+    EXPECT_TRUE(resumed.run_until_instructions(0, 5'000, kCap - before));
+    EXPECT_EQ(resumed.gpu().now(), before);
+    EXPECT_EQ(resumed.run_until_instructions(0, last,
+                                             kCap - resumed.gpu().now()),
+              reached);
+    EXPECT_EQ(resumed.gpu().now(), once.gpu().now());
+    EXPECT_EQ(resumed.state_hash(), once.state_hash());
+  }
+}
+
 }  // namespace
 }  // namespace gpusim

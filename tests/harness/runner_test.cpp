@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <filesystem>
 #include <map>
 #include <set>
 #include <string>
@@ -103,6 +104,142 @@ TEST(RunnerTest, UnreachableAloneTargetRaisesBudgetExceeded) {
               std::string::npos)
         << what;
     EXPECT_NE(what.find("\n  instructions: "), std::string::npos) << what;
+  }
+}
+
+/// The value of detail `key` in `e`, or "" when it has none.
+std::string detail_of(const SimError& e, const std::string& key) {
+  for (const auto& [k, value] : e.details()) {
+    if (k == key) return value;
+  }
+  return "";
+}
+
+TEST(RunnerTest, IpcAloneIsTheExactReplayOfEverySlot) {
+  // Slot 0 is replayed on a helper thread while the co-run steps, the
+  // other slots afterwards; each must match a one-shot replay of the
+  // app's final count.  Snapshot strides of 10K cycles fall between the
+  // co-run's 4096-cycle steps.
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "gpusim_runner_ipc_alone";
+  std::filesystem::remove_all(dir);
+  struct Case {
+    Workload workload;
+    PolicyKind policy;
+  };
+  const std::vector<Case> cases = {
+      {Workload{{*find_app("BS"), *find_app("SD")}}, PolicyKind::kEven},
+      {Workload{{*find_app("VA"), *find_app("SA"), *find_app("CS"),
+                 *find_app("QR")}},
+       PolicyKind::kEven},
+      {Workload{{*find_app("SD"), *find_app("CT")}}, PolicyKind::kLeftover},
+  };
+  for (const Case& c : cases) {
+    std::vector<u64> instructions;
+    for (const Cycle snapshot_every : {Cycle{0}, Cycle{10'000}}) {
+      SCOPED_TRACE(c.workload.label() + " snapshot_every " +
+                   std::to_string(snapshot_every));
+      RunConfig rc = quick_config();
+      rc.snapshot_every = snapshot_every;
+      rc.snapshot_dir = dir.string();
+      const ExperimentRunner runner(rc);
+      const CoRunResult r =
+          runner.run(c.workload, ModelSet{.dase = true}, c.policy);
+      ASSERT_EQ(r.apps.size(), c.workload.apps.size());
+      for (std::size_t i = 0; i < r.apps.size(); ++i) {
+        const AppResult& a = r.apps[i];
+        const KernelProfile& app = c.workload.apps[i];
+        if (a.instructions == 0) {
+          EXPECT_EQ(c.policy, PolicyKind::kLeftover) << a.abbr;
+          EXPECT_EQ(a.ipc_alone, runner.alone_stats(app).ipc) << a.abbr;
+          continue;
+        }
+        const Cycle cycles = runner.measure_alone_cycles(
+            app, harness_app_seed(rc.base_seed, static_cast<int>(i)),
+            a.instructions);
+        EXPECT_EQ(a.ipc_alone, static_cast<double>(a.instructions) / cycles)
+            << a.abbr;
+      }
+      std::vector<u64> counts;
+      for (const AppResult& a : r.apps) counts.push_back(a.instructions);
+      if (instructions.empty()) {
+        instructions = counts;
+      } else {
+        EXPECT_EQ(counts, instructions) << "snapshots changed the co-run";
+      }
+    }
+    if (c.policy == PolicyKind::kLeftover) {
+      EXPECT_EQ(instructions[1], 0u) << "LEFTOVER must starve slot 1";
+    }
+  }
+  std::filesystem::remove_all(dir);
+}
+
+TEST(RunnerTest, CoRunBudgetErrorComesFirstAndNamesTheParentsStop) {
+  // A run() per snapshot stride (one stride without snapshots) used to
+  // drive the co-run, so the budget error names that stride's end as
+  // requested_stop.  Slot 0's replay is capped too; the co-run's error
+  // must still be the one raised, after the helper is stopped.
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "gpusim_runner_budget";
+  std::filesystem::remove_all(dir);
+  struct Case {
+    Cycle budget;
+    Cycle snapshot_every;
+    Cycle requested_stop;
+  };
+  for (const Case& c : {Case{30'001, 0, 60'000}, Case{8'192, 0, 60'000},
+                        Case{30'001, 25'000, 50'000}}) {
+    SCOPED_TRACE("budget " + std::to_string(c.budget) + " snapshot_every " +
+                 std::to_string(c.snapshot_every));
+    RunConfig rc = quick_config();
+    rc.cycle_budget = c.budget;
+    rc.max_alone_cycles = 5'000;
+    rc.snapshot_every = c.snapshot_every;
+    rc.snapshot_dir = dir.string();
+    const ExperimentRunner runner(rc);
+    try {
+      runner.run(Workload{{*find_app("SD"), *find_app("SA")}},
+                 ModelSet{.dase = true});
+      FAIL() << "a budget-killed co-run returned a result";
+    } catch (const SimError& e) {
+      EXPECT_EQ(e.kind(), SimErrorKind::kBudgetExceeded);
+      EXPECT_EQ(e.component(), "gpu.simulation") << e.what();
+      EXPECT_EQ(e.error_cycle(), c.budget);
+      EXPECT_EQ(detail_of(e, "requested_stop"),
+                std::to_string(c.requested_stop))
+          << e.what();
+    }
+  }
+  std::filesystem::remove_all(dir);
+}
+
+TEST(RunnerTest, CappedSlot0ReplayReportsTheFinalCoRunCount) {
+  RunConfig rc = quick_config();
+  rc.max_alone_cycles = 5'000;
+  const Workload w{{*find_app("SD"), *find_app("VA")}};
+  const ModelSet models{.dase = true};
+  const CoRunAssembly corun =
+      assemble_corun(rc, w, models, PolicyKind::kEven);
+  corun.sim->run(rc.co_run_cycles);
+  const u64 final_count = corun.sim->gpu().instructions().total(0);
+  ASSERT_GT(final_count, 0u);
+
+  const ExperimentRunner runner(rc);
+  try {
+    runner.run(w, models);
+    FAIL() << "a truncated slot-0 replay returned a result";
+  } catch (const SimError& e) {
+    // The text UnreachableAloneTargetRaisesBudgetExceeded checks, with the
+    // co-run's final count as the target.
+    EXPECT_EQ(e.kind(), SimErrorKind::kBudgetExceeded);
+    EXPECT_EQ(e.error_cycle(), 5'000u);
+    const std::string what = e.what();
+    EXPECT_NE(what.find("target_instructions: " + std::to_string(final_count)),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find("\n  instructions: "), std::string::npos) << what;
+    EXPECT_EQ(detail_of(e, "app"), "SD") << what;
   }
 }
 

@@ -52,7 +52,8 @@ step "[5/10] policy governor: watchdog, breakers, transparency" tools/check_gove
 
 step "[6/10] ASan + UBSan" tools/check_sanitize.sh
 
-step "[7/10] TSan (worker pool, JSONL ledger, chaos)" tools/check_tsan.sh
+step "[7/10] TSan (worker pool, JSONL ledger, chaos, runner replay helper, fork+signal)" \
+  tools/check_tsan.sh
 
 step "[8/10] telemetry: schema, trace, transparency, overhead" tools/check_telemetry.sh build
 

@@ -29,6 +29,11 @@
 #                                     (default 0.98, i.e. <=2% overhead while
 #                                     no output flag is set; gated even in
 #                                     relative-only mode)
+#
+# replay_overlap_speedup (one paper unit, replays after the co-run over
+# ExperimentRunner::run's overlapped slot-0 replay) has a fixed floor of
+# 1.15 on hosts with at least two hardware threads, gated even in
+# relative-only mode.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -45,6 +50,7 @@ RELATIVE_ONLY="${GPUSIM_PERF_RELATIVE_ONLY:-0}"
 MIN_SPEEDUP="${GPUSIM_PERF_MIN_SPEEDUP:-1.2}"
 MIN_GOVERNOR_RATIO="${GPUSIM_PERF_MIN_GOVERNOR_RATIO:-0.98}"
 MIN_TELEMETRY_RATIO="${GPUSIM_PERF_MIN_TELEMETRY_RATIO:-0.98}"
+MIN_REPLAY_OVERLAP=1.15
 BASELINE="BENCH_throughput.json"
 FRESH="$BUILD_DIR/BENCH_throughput.json"
 
@@ -70,7 +76,7 @@ for key in sim_cycles_per_sec \
            governor_on_cycles_per_sec governor_off_cycles_per_sec \
            governor_overhead_ratio \
            telemetry_on_cycles_per_sec telemetry_off_cycles_per_sec \
-           telemetry_overhead_ratio \
+           telemetry_overhead_ratio replay_overlap_speedup \
            profile_sm_advance_ns profile_partition_ns profile_total_ns; do
   if [[ -z "$(json_key "$FRESH" "$key")" ]]; then
     echo "FAIL: key $key missing from fresh measurement"
@@ -114,6 +120,25 @@ if [[ "$ok" == 1 ]]; then
 else
   echo "FAIL: telemetry_overhead_ratio ${tel_ratio} below floor ${MIN_TELEMETRY_RATIO}"
   fail=1
+fi
+
+# Overlapping slot 0's alone replay with its co-run (DESIGN.md §8) is
+# likewise host-independent (same binary, same unit, replays after the
+# co-run vs. through ExperimentRunner::run), but it needs a second hardware
+# thread to pay off, so a single-threaded host skips the floor.
+overlap=$(json_key "$FRESH" replay_overlap_speedup)
+hw_threads=$(json_key "$FRESH" host_hw_threads)
+if [[ "${hw_threads:-1}" -lt 2 ]]; then
+  echo "SKIP: replay_overlap_speedup ${overlap}x (floor needs 2 hardware threads, host has ${hw_threads:-1})"
+else
+  ok=$(awk -v s="${overlap:-0}" -v min="$MIN_REPLAY_OVERLAP" \
+       'BEGIN { print (s >= min) ? 1 : 0 }')
+  if [[ "$ok" == 1 ]]; then
+    echo "OK:   replay_overlap_speedup ${overlap}x (floor ${MIN_REPLAY_OVERLAP}x)"
+  else
+    echo "FAIL: replay_overlap_speedup ${overlap}x below floor ${MIN_REPLAY_OVERLAP}x"
+    fail=1
+  fi
 fi
 
 if [[ "$UPDATE" == 1 || ! -f "$BASELINE" ]]; then

@@ -1,19 +1,23 @@
 #!/usr/bin/env bash
-# Configure, build and run the batch-engine tests under ThreadSanitizer.
-# Used before merging anything that touches the shared worker pool or the
-# JSONL ledger's append locking; a clean pass means no data races across
-# the worker threads, the ledger mutex and the index-ordered assembly.
+# Configure, build and run the concurrency tests under ThreadSanitizer.
+# Used before merging anything that touches the shared worker pool, the
+# JSONL ledger's append locking or the runner's overlapped slot-0 replay;
+# a clean pass means no data races across the worker threads, the ledger
+# mutex, the index-ordered assembly and the co-run/replay hand-off.
 #
 #   tools/check_tsan.sh [build-dir]            (default: build-tsan)
 #
-# Runs only the concurrency-heavy tests by default — the sweep, the JSONL
-# ledger's concurrent appends and the chaos campaign (a full TSan suite
-# run is slow); pass a ctest -R pattern as $2 to widen.
+# Runs only the concurrency-heavy tests by default (a full TSan suite run
+# is slow): the sweep, the JSONL ledger's concurrent appends, the chaos
+# campaign, the runner (the co-run feeding slot 0's replay helper, and the
+# helper's abort when the co-run fails) and the fork+signal kill/resume
+# and shutdown tests, whose children run that helper too.  Pass a ctest -R
+# pattern as $2 to narrow or widen.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 BUILD_DIR="${1:-build-tsan}"
-FILTER="${2:-sweep|jsonl|chaos}"
+FILTER="${2:-sweep|jsonl|chaos|runner|kill_resume|shutdown_signal}"
 
 cmake -B "$BUILD_DIR" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
