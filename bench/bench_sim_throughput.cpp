@@ -5,13 +5,14 @@
 // overhead contract from DESIGN.md §14), a co-run with the TelemetryHub
 // attached vs. absent (the ≤2% disabled-path contract from DESIGN.md §15),
 // one paper unit with its alone replays run after the co-run vs. through
-// ExperimentRunner::run's overlapped slot-0 replay (DESIGN.md §8),
+// ExperimentRunner::run, which replays every slot beside the co-run
+// (DESIGN.md §8), the heap one default one-app Simulation holds,
 // and the wall-clock of a small checkpoint-free sweep run serially vs. on
 // the worker pool, then emits the numbers as a flat JSON object — the
 // repo's BENCH_*.json perf baseline format.  tools/check_perf.sh runs
 // this binary and fails on cycles/sec regressions against the committed
 // BENCH_throughput.json (15% for the legacy keys, 10% for the contended
-// scenario).
+// scenario) and on a heap more than 5% above the committed one.
 //
 //   bench_sim_throughput [output.json]
 //
@@ -25,6 +26,8 @@
 // JSON parser.  Timings are wall-clock and machine-dependent by nature;
 // refresh the committed baseline with `tools/check_perf.sh --update`
 // when switching measurement hosts.
+#include <malloc.h>
+
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -211,7 +214,7 @@ struct ReplayOverlapResult {
 /// ways: step by step through the public calls in the sequential order —
 /// assemble_corun, Simulation::run, the conservation audit, then
 /// measure_alone_cycles per slot — and through ExperimentRunner::run,
-/// which overlaps slot 0's replay with the co-run.  Three alternating
+/// which replays every slot beside the co-run.  Three alternating
 /// repetitions; the speedup is the median of their sequential-over-run()
 /// ratios.  Both must report the same alone cycles, or the ratio is moot.
 ReplayOverlapResult time_replay_overlap(Cycle cycles) {
@@ -264,6 +267,19 @@ ReplayOverlapResult time_replay_overlap(Cycle cycles) {
   return {median3(sequential_s), median3(run_s), median3(ratios)};
 }
 
+/// KiB of heap in use (glibc's mallinfo2: arena chunks plus mmapped blocks)
+/// held by one default one-app Simulation once it is built.  An exact
+/// replay keeps one such simulation per slot live beside its co-run.
+double simulation_heap_kib() {
+  const auto in_use = [] {
+    const struct mallinfo2 mi = mallinfo2();
+    return mi.uordblks + mi.hblkhd;
+  };
+  const std::size_t before = in_use();
+  const Simulation sim(GpuConfig{}, {AppLaunch{*find_app("SD"), 1}});
+  return static_cast<double>(in_use() - before) / 1024.0;
+}
+
 /// Wall-clock of a checkpoint-free sweep over the first `pairs` two-app
 /// workloads with the given worker count.
 double time_sweep(const RunConfig& rc, int pairs, int jobs) {
@@ -299,6 +315,8 @@ int main(int argc, char** argv) {
 
   banner("Simulator throughput baseline",
          "cycle-loop cycles/sec + sweep wall-time (BENCH_throughput.json)");
+
+  const double heap_kib = simulation_heap_kib();
 
   GpuConfig cfg;
   const double loop_cps = time_cycle_loop(cfg, loop_cycles);
@@ -362,6 +380,7 @@ int main(int argc, char** argv) {
                overlap.sequential_s);
   std::fprintf(out, "\"replay_run_seconds\": %.3f,\n", overlap.run_s);
   std::fprintf(out, "\"replay_overlap_speedup\": %.3f,\n", overlap.speedup);
+  std::fprintf(out, "\"simulation_heap_kib\": %.1f,\n", heap_kib);
   std::fprintf(out, "\"sweep_pairs\": %d,\n", sweep_pairs);
   std::fprintf(out, "\"sweep_corun_cycles\": %llu,\n",
                static_cast<unsigned long long>(rc.co_run_cycles));
@@ -394,6 +413,7 @@ int main(int argc, char** argv) {
       "replay overlap BS+SD: %.3fs sequential, %.3fs through run() "
       "(median ratio %.2fx)\n",
       overlap.sequential_s, overlap.run_s, overlap.speedup);
+  std::printf("one-app Simulation heap: %.1f KiB\n", heap_kib);
   if (parallel_meaningful) {
     std::printf("sweep %d pairs: %.3fs serial, %.3fs with %d jobs (%.2fx)\n",
                 sweep_pairs, serial_s, parallel_s, sweep_jobs,

@@ -15,19 +15,23 @@ SetAssocCache::SetAssocCache(int num_sets, int assoc, int line_bytes)
             SimError(SimErrorKind::kConfig, "cache.set_assoc",
                      "line size must be a power of two")
                 .detail("line_bytes", line_bytes_));
+  SIM_CHECK(line_bytes_ >= 32,
+            SimError(SimErrorKind::kConfig, "cache.set_assoc",
+                     "line size must be at least 32 bytes")
+                .detail("line_bytes", line_bytes_));
   lines_.resize(static_cast<std::size_t>(num_sets_) * assoc_);
 }
 
 bool SetAssocCache::lookup_touch(u64 addr, AppId app) {
   ++stats_.accesses;
-  const u64 tag = line_addr(addr);
+  const u64 valid_tag = kValid | line_addr(addr);
   Line* begin = set_begin(set_index(addr));
   ++tick_;
   for (int w = 0; w < assoc_; ++w) {
     Line& line = begin[w];
-    if (line.valid && line.tag == tag) {
+    if (holds(line, valid_tag)) {
       line.lru_stamp = tick_;
-      line.app = app;
+      line.word = valid_tag | app_bits(app);
       ++stats_.hits;
       return true;
     }
@@ -36,89 +40,56 @@ bool SetAssocCache::lookup_touch(u64 addr, AppId app) {
 }
 
 CacheAccessResult SetAssocCache::fill(u64 addr, AppId app) {
-  const u64 tag = line_addr(addr);
+  const u64 valid_tag = kValid | line_addr(addr);
   Line* begin = set_begin(set_index(addr));
   ++tick_;
 
   Line* victim = nullptr;
   for (int w = 0; w < assoc_; ++w) {
     Line& line = begin[w];
-    if (line.valid && line.tag == tag) {
+    if (holds(line, valid_tag)) {
       // Already present (e.g. refilled by a racing fill); just refresh.
       line.lru_stamp = tick_;
-      line.app = app;
+      line.word = valid_tag | app_bits(app);
       return {.hit = true};
     }
-    if (!line.valid) {
-      if (victim == nullptr || victim->valid) victim = &line;
+    if (!valid(line)) {
+      if (victim == nullptr || valid(*victim)) victim = &line;
     } else if (victim == nullptr ||
-               (victim->valid && line.lru_stamp < victim->lru_stamp)) {
+               (valid(*victim) && line.lru_stamp < victim->lru_stamp)) {
       victim = &line;
     }
   }
   CacheAccessResult result;
-  if (victim->valid) {
+  if (valid(*victim)) {
     result.evicted = true;
-    result.victim_app = victim->app;
+    result.victim_app = app_of(*victim);
     ++stats_.evictions;
-    if (victim->app != app) ++stats_.cross_app_evictions;
+    if (result.victim_app != app) ++stats_.cross_app_evictions;
   }
-  victim->valid = true;
-  victim->tag = tag;
-  victim->app = app;
+  victim->word = valid_tag | app_bits(app);
   victim->lru_stamp = tick_;
   return result;
 }
 
 CacheAccessResult SetAssocCache::access(u64 addr, AppId app) {
   ++stats_.accesses;
-  const u64 tag = line_addr(addr);
-  const int set = set_index(addr);
-  Line* begin = set_begin(set);
-  ++tick_;
-
-  Line* victim = nullptr;
-  for (int w = 0; w < assoc_; ++w) {
-    Line& line = begin[w];
-    if (line.valid && line.tag == tag) {
-      line.lru_stamp = tick_;
-      line.app = app;
-      ++stats_.hits;
-      return {.hit = true};
-    }
-    if (!line.valid) {
-      if (victim == nullptr || victim->valid) victim = &line;
-    } else if (victim == nullptr ||
-               (victim->valid && line.lru_stamp < victim->lru_stamp)) {
-      victim = &line;
-    }
-  }
-
-  CacheAccessResult result;
-  if (victim->valid) {
-    result.evicted = true;
-    result.victim_app = victim->app;
-    ++stats_.evictions;
-    if (victim->app != app) ++stats_.cross_app_evictions;
-  }
-  victim->valid = true;
-  victim->tag = tag;
-  victim->app = app;
-  victim->lru_stamp = tick_;
+  const CacheAccessResult result = fill(addr, app);
+  if (result.hit) ++stats_.hits;
   return result;
 }
 
 bool SetAssocCache::probe(u64 addr) const {
-  const u64 tag = line_addr(addr);
+  const u64 valid_tag = kValid | line_addr(addr);
   const Line* begin = set_begin(set_index(addr));
   for (int w = 0; w < assoc_; ++w) {
-    if (begin[w].valid && begin[w].tag == tag) return true;
+    if (holds(begin[w], valid_tag)) return true;
   }
   return false;
 }
 
 void SetAssocCache::clear() {
-  for (auto& line : lines_) line.valid = false;
+  for (auto& line : lines_) line.word &= ~kValid;
   tick_ = 0;
   stats_ = {};
 }

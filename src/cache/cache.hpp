@@ -34,7 +34,8 @@ struct CacheStats {
 
 class SetAssocCache {
  public:
-  /// `num_sets` and `assoc` define geometry; `line_bytes` must be pow2.
+  /// `num_sets` and `assoc` define geometry; `line_bytes` must be a power
+  /// of two of at least 32, which leaves a line address five spare high bits.
   SetAssocCache(int num_sets, int assoc, int line_bytes);
 
   /// Looks up `addr`; on miss, allocates the line (LRU victim) for `app`.
@@ -73,10 +74,10 @@ class SetAssocCache {
     s.put_tag("CACH");
     s.put_u64(tick_);
     for (const Line& l : lines_) {
-      s.put_u64(l.tag);
+      s.put_u64(l.word & kTagMask);
       s.put_u64(l.lru_stamp);
-      s.put_i32(l.app);
-      s.put_bool(l.valid);
+      s.put_i32(app_of(l));
+      s.put_bool(valid(l));
     }
     s.put_u64(stats_.accesses);
     s.put_u64(stats_.hits);
@@ -89,10 +90,16 @@ class SetAssocCache {
     r.expect_tag("CACH");
     tick_ = r.get_u64();
     for (Line& l : lines_) {
-      l.tag = r.get_u64();
+      const u64 tag = r.get_u64();
       l.lru_stamp = r.get_u64();
-      l.app = r.get_i32();
-      l.valid = r.get_bool();
+      const AppId app = r.get_i32();
+      const bool is_valid = r.get_bool();
+      SIM_CHECK(tag <= kTagMask && app >= kInvalidApp && app < kMaxApps,
+                SimError(SimErrorKind::kSnapshot, "cache.set_assoc",
+                         "cache line tag or app out of range")
+                    .detail("tag", tag)
+                    .detail("app", app));
+      l.word = (is_valid ? kValid : 0) | app_bits(app) | tag;
     }
     stats_.accesses = r.get_u64();
     stats_.hits = r.get_u64();
@@ -101,12 +108,33 @@ class SetAssocCache {
   }
 
  private:
+  // A line in 16 bytes: the line address fits below bit 59 because lines
+  // are at least 32 bytes, so the tag word also holds app + 1 in bits 59-62
+  // and the valid bit in bit 63.  An invalidated line keeps its tag and app,
+  // which the state walk still records.
   struct Line {
-    u64 tag = 0;
+    u64 word = 0;
     u64 lru_stamp = 0;
-    AppId app = kInvalidApp;
-    bool valid = false;
   };
+  static_assert(sizeof(Line) == 16);
+  static_assert(kMaxApps < 16, "app + 1 must fit in four bits");
+  static constexpr int kAppShift = 59;
+  static constexpr u64 kTagMask = (u64{1} << kAppShift) - 1;
+  static constexpr u64 kAppMask = u64{0xF} << kAppShift;
+  static constexpr u64 kValid = u64{1} << 63;
+
+  static u64 app_bits(AppId app) {
+    assert(app >= kInvalidApp && app < kMaxApps);
+    return static_cast<u64>(app + 1) << kAppShift;
+  }
+  static AppId app_of(const Line& l) {
+    return static_cast<AppId>((l.word & kAppMask) >> kAppShift) - 1;
+  }
+  static bool valid(const Line& l) { return (l.word & kValid) != 0; }
+  /// True when `l` is valid and holds the line `valid_tag` (kValid | tag).
+  static bool holds(const Line& l, u64 valid_tag) {
+    return (l.word & ~kAppMask) == valid_tag;
+  }
 
   int num_sets_;
   int assoc_;

@@ -17,6 +17,8 @@ void GpuConfig::validate() const {
   if (banks_per_mc > 32)
     fail("banks_per_mc must be <= 32 (bank bitmasks are 32 bits wide)");
   if (!is_pow2(static_cast<u64>(line_bytes))) fail("line_bytes must be pow2");
+  // A line address then leaves the tag word room for the app and valid bits.
+  if (line_bytes < 32) fail("line_bytes must be at least 32");
   if (l1_size_bytes % (line_bytes * l1_assoc) != 0)
     fail("L1 size not divisible into sets");
   if (l2_partition_bytes % (line_bytes * l2_assoc) != 0)

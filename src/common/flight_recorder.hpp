@@ -32,6 +32,7 @@
 // hashes identically to the original no matter where the write head sat.
 #pragma once
 
+#include <cassert>
 #include <cstddef>
 #include <sstream>
 #include <string>
@@ -98,12 +99,23 @@ inline const char* to_string(FrEvent e) {
 /// One recorded event.  POD so the ring is a flat allocation.
 struct FlightEvent {
   Cycle cycle = 0;
-  FrEvent kind = FrEvent::kBlockDispatch;
-  i32 unit = -1;  ///< SM or partition index, -1 = none
-  i32 app = -1;   ///< owning application, -1 = none
   u64 a = 0;      ///< event-specific payload (see FrEvent)
   u64 b = 0;
+  i32 unit = -1;  ///< SM or partition index, -1 = none
+  i16 app = -1;   ///< owning application, -1 = none
+  FrEvent kind = FrEvent::kBlockDispatch;
 };
+static_assert(sizeof(FlightEvent) == 32);
+
+/// Narrows a stored event's app id; a restored value outside
+/// [-1, kMaxApps) is a corrupt snapshot, not a value to truncate.
+inline i16 checked_event_app(i32 app, const char* component) {
+  SIM_CHECK(app >= -1 && app < kMaxApps,
+            SimError(SimErrorKind::kSnapshot, component,
+                     "event app id out of range")
+                .detail("app", app));
+  return static_cast<i16>(app);
+}
 
 class FlightRecorder {
  public:
@@ -137,11 +149,12 @@ class FlightRecorder {
 
   void record(Cycle cycle, FrEvent kind, int unit, int app, u64 a, u64 b) {
     if (capacity_ == 0) return;
+    assert(app >= -1 && app < kMaxApps);
     FlightEvent& e = buf_[head_];
     e.cycle = cycle;
     e.kind = kind;
     e.unit = static_cast<i32>(unit);
-    e.app = static_cast<i32>(app);
+    e.app = static_cast<i16>(app);
     e.a = a;
     e.b = b;
     head_ = head_ + 1 == capacity_ ? 0 : head_ + 1;
@@ -345,7 +358,7 @@ class FlightRecorder {
                     .detail("kind", static_cast<int>(kind))
                     .detail("event_index", i));
       const i32 unit = r.get_i32();
-      const i32 app = r.get_i32();
+      const i16 app = checked_event_app(r.get_i32(), "common.flight_recorder");
       const u64 a = r.get_u64();
       const u64 b = r.get_u64();
       record(cycle, static_cast<FrEvent>(kind), unit, app, a, b);

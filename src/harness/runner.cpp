@@ -485,11 +485,11 @@ Cycle cycles_from_env(const char* name, Cycle fallback) {
 
 namespace {
 
-/// Co-run steps end on multiples of this many cycles, and slot 0's chased
-/// replay advances at most this many cycles per run_until_instructions call.
+/// Co-run steps end on multiples of this many cycles, and each chased replay
+/// advances at most this many cycles per run_until_instructions call.
 constexpr Cycle kCoRunStep = 4096;
 
-/// How long the chasing helper sleeps between looks at the published count
+/// How long a chasing helper sleeps between looks at the published count
 /// once it has caught up.  The co-run does not notify it: a wake from the
 /// busy co-run thread can queue the helper on the co-run's own CPU when
 /// the helper's CPU has gone idle, and the two then take turns instead of
@@ -534,13 +534,13 @@ Cycle finish_replay(const RunConfig& rc, const KernelProfile& profile,
   return gpu.now();
 }
 
-/// Slot 0's exact replay, run on a helper thread while its co-run runs.
-/// The co-run publishes app 0's instruction count after every step, and the
-/// helper resumes run_until_instructions up to each published count, at
+/// One slot's exact replay, run on a helper thread while its co-run runs.
+/// The co-run publishes the slot's instruction count after every step, and
+/// the helper resumes run_until_instructions up to each published count, at
 /// most kCoRunStep cycles per call so that abandon() is prompt; it polls
-/// for new counts every kChasePoll, and finish() and abandon() wake it.  A count
-/// only grows, and a resumed replay stops on the cycle one call with the
-/// last target stops on, so finish() returns what measure_alone_cycles
+/// for new counts every kChasePoll, and finish() and abandon() wake it.  A
+/// count only grows, and a resumed replay stops on the cycle one call with
+/// the last target stops on, so finish() returns what measure_alone_cycles
 /// returns for the final count.  The alone simulation is built on the
 /// calling thread and freed with this object.
 class ReplayChase {
@@ -554,14 +554,14 @@ class ReplayChase {
   ReplayChase(const ReplayChase&) = delete;
   ReplayChase& operator=(const ReplayChase&) = delete;
 
-  /// App 0 has issued `instructions` in the co-run so far.
+  /// The slot's app has issued `instructions` in the co-run so far.
   void publish(u64 instructions) {
     std::lock_guard<std::mutex> lock(mu_);
     published_ = instructions;
   }
 
-  /// The co-run ended with app 0 at `instructions`: waits for the replay
-  /// and returns its cycle, or rethrows the replay's error.
+  /// The co-run ended with the slot's app at `instructions`: waits for the
+  /// replay and returns its cycle, or rethrows the replay's error.
   Cycle finish(u64 instructions) {
     {
       std::lock_guard<std::mutex> lock(mu_);
@@ -707,72 +707,69 @@ CoRunResult ExperimentRunner::run(const Workload& workload,
   }
 
   // The co-run advances in steps that end on multiples of kCoRunStep and
-  // on snapshot strides; after each step slot 0's replay, on its helper
-  // thread, resumes up to app 0's count so far.
-  Cycle slot0_alone_cycles = 0;
-  {
-    ReplayChase slot0(rc_, workload.apps[0],
-                      harness_app_seed(rc_.base_seed, 0));
+  // on snapshot strides; after each step every slot's replay, on its own
+  // helper thread, resumes up to its app's count so far.
+  std::vector<std::unique_ptr<ReplayChase>> chases;
+  chases.reserve(n);
+  for (int i = 0; i < n; ++i) {
+    chases.push_back(std::make_unique<ReplayChase>(
+        rc_, workload.apps[i], harness_app_seed(rc_.base_seed, i)));
+  }
+  try {
     try {
-      try {
-        const Cycle stride =
-            snapshotting ? rc_.snapshot_every : rc_.co_run_cycles;
-        Cycle stride_end = gpu.now();
-        while (gpu.now() < rc_.co_run_cycles) {
-          if (gpu.now() == stride_end) {
-            stride_end += std::min(stride, rc_.co_run_cycles - gpu.now());
-          }
-          Cycle step_end = std::min(
-              stride_end, (gpu.now() / kCoRunStep + 1) * kCoRunStep);
-          // A step that would cross the cycle budget runs to its stride's
-          // end instead, so the budget error names the requested_stop one
-          // run() per stride would.
-          if (rc_.cycle_budget != 0 && step_end > rc_.cycle_budget) {
-            step_end = stride_end;
-          }
-          sim.run(step_end - gpu.now());
-          slot0.publish(gpu.instructions().total(0));
-          // No snapshot after the final stride: the result is about to be
-          // reported and the resume point deleted anyway.
-          if (snapshotting && gpu.now() == stride_end &&
-              gpu.now() < rc_.co_run_cycles) {
-            write_snapshot_file(snap_path, sim, fingerprint);
-          }
+      const Cycle stride =
+          snapshotting ? rc_.snapshot_every : rc_.co_run_cycles;
+      Cycle stride_end = gpu.now();
+      while (gpu.now() < rc_.co_run_cycles) {
+        if (gpu.now() == stride_end) {
+          stride_end += std::min(stride, rc_.co_run_cycles - gpu.now());
         }
-      } catch (const SimError& e) {
-        // Graceful shutdown: a cancellation leaves the simulation intact
-        // at the interrupt cycle, so persist that exact state before
-        // propagating — the resumed run picks it up mid-stride and
-        // finishes byte-identically (snapshot timing never shapes
-        // simulated state).
-        if (snapshotting && e.kind() == SimErrorKind::kInterrupted) {
+        Cycle step_end = std::min(
+            stride_end, (gpu.now() / kCoRunStep + 1) * kCoRunStep);
+        // A step that would cross the cycle budget runs to its stride's
+        // end instead, so the budget error names the requested_stop one
+        // run() per stride would.
+        if (rc_.cycle_budget != 0 && step_end > rc_.cycle_budget) {
+          step_end = stride_end;
+        }
+        sim.run(step_end - gpu.now());
+        for (int i = 0; i < n; ++i) {
+          chases[i]->publish(gpu.instructions().total(i));
+        }
+        // No snapshot after the final stride: the result is about to be
+        // reported and the resume point deleted anyway.
+        if (snapshotting && gpu.now() == stride_end &&
+            gpu.now() < rc_.co_run_cycles) {
           write_snapshot_file(snap_path, sim, fingerprint);
         }
-        throw;
-      }
-      if (snapshotting) {
-        std::error_code ec;
-        std::filesystem::remove(snap_path, ec);
-      }
-      // Injected faults intentionally break conservation; the auditor is
-      // the mechanism tests use to detect them, so only a clean run
-      // self-audits.
-      if (rc_.verify_conservation && !rc_.faults.any()) {
-        gpu.verify_conservation();
       }
     } catch (const SimError& e) {
-      slot0.abandon();
-      // The last periodic snapshot, when one exists, anchors the bundle.
-      record_corun_failure(rc_, workload, models, policy, sm_split, assembly,
-                           e, workload.label(), snap_path);
+      // Graceful shutdown: a cancellation leaves the simulation intact
+      // at the interrupt cycle, so persist that exact state before
+      // propagating — the resumed run picks it up mid-stride and
+      // finishes byte-identically (snapshot timing never shapes
+      // simulated state).
+      if (snapshotting && e.kind() == SimErrorKind::kInterrupted) {
+        write_snapshot_file(snap_path, sim, fingerprint);
+      }
       throw;
     }
-    // A starved slot 0 has nothing to replay; its baseline is alone_stats
-    // below, built once this scope has freed the chased simulation.
-    const u64 slot0_instructions = gpu.instructions().total(0);
-    if (slot0_instructions > 0) {
-      slot0_alone_cycles = slot0.finish(slot0_instructions);
+    if (snapshotting) {
+      std::error_code ec;
+      std::filesystem::remove(snap_path, ec);
     }
+    // Injected faults intentionally break conservation; the auditor is
+    // the mechanism tests use to detect them, so only a clean run
+    // self-audits.
+    if (rc_.verify_conservation && !rc_.faults.any()) {
+      gpu.verify_conservation();
+    }
+  } catch (const SimError& e) {
+    for (const auto& chase : chases) chase->abandon();
+    // The last periodic snapshot, when one exists, anchors the bundle.
+    record_corun_failure(rc_, workload, models, policy, sm_split, assembly,
+                         e, workload.label(), snap_path);
+    throw;
   }
 
   CoRunResult result;
@@ -787,18 +784,18 @@ CoRunResult ExperimentRunner::run(const Workload& workload,
     app.instructions = gpu.instructions().total(i);
     app.ipc_shared =
         static_cast<double>(app.instructions) / result.cycles;
+    // Chases finish in slot order, so the first slot whose replay failed
+    // raises its error, as in a sequential replay; each is freed once done.
     if (app.instructions == 0) {
       // Starved entirely (e.g. LEFTOVER): there is no instruction count to
       // replay, so report the characterization IPC and an effectively
       // unbounded slowdown instead of dividing by zero.
+      chases[i].reset();
       app.ipc_alone = alone_stats(workload.apps[i]).ipc;
       app.actual_slowdown = 1e6;
     } else {
-      const Cycle alone_cycles =
-          i == 0 ? slot0_alone_cycles
-                 : measure_alone_cycles(workload.apps[i],
-                                        harness_app_seed(rc_.base_seed, i),
-                                        app.instructions);
+      const Cycle alone_cycles = chases[i]->finish(app.instructions);
+      chases[i].reset();
       app.ipc_alone = static_cast<double>(app.instructions) / alone_cycles;
       app.actual_slowdown = std::max(app.ipc_alone / app.ipc_shared, 1e-3);
     }

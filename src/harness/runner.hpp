@@ -321,13 +321,13 @@ class ExperimentRunner {
   /// partition is even.  PolicyKind::kDaseFair attaches the DASE-Fair
   /// repartitioning policy (forces the DASE model on).
   ///
-  /// Slot 0's replay overlaps the co-run: one helper thread per call
-  /// resumes it up to app 0's instruction count after every co-run step,
-  /// so at most two simulations are live at once.  Slots 1..n-1 replay
-  /// afterwards on the calling thread.  Every result equals the sequential
-  /// co-run-then-replays order, errors included: the co-run's error comes
-  /// first (the helper is stopped before the failure is recorded), then
-  /// slot 0's replay error, then slot 1's.
+  /// Every slot's replay overlaps the co-run: each call starts one helper
+  /// thread per app, which resumes that app's replay up to its instruction
+  /// count after every co-run step, so n + 1 simulations are live at once.
+  /// Every result equals the sequential co-run-then-replays order, errors
+  /// included: the co-run's error comes first (the helpers are stopped
+  /// before the failure is recorded), then slot 0's replay error, then
+  /// slot 1's, and so on.
   CoRunResult run(const Workload& workload, const ModelSet& models,
                   PolicyKind policy = PolicyKind::kEven,
                   const std::vector<int>* sm_split = nullptr) const;

@@ -66,10 +66,8 @@ class AddressStream {
       : profile_(profile),
         rng_(warp_seed(app_seed, block_index, warp_in_block)),
         base_(app_address_base(app)),
-        lines_in_ws_(profile->working_set_bytes / kLineBytes),
-        hot_lines_(profile->hot_set_bytes / kLineBytes),
         block_(block) {
-    assert(lines_in_ws_ > hot_lines_);
+    assert(lines_in_ws() > hot_lines());
     assert(block_ != nullptr);
   }
 
@@ -89,10 +87,11 @@ class AddressStream {
   /// profile->txns_per_mem_instr line-aligned byte addresses.
   void next_mem_instr(std::vector<u64>& out) {
     const int txns = profile_->txns_per_mem_instr;
-    if (hot_lines_ > 0 && rng_.next_bool(profile_->hot_fraction)) {
-      const u64 start = rng_.next_below(hot_lines_);
+    const u64 hot = hot_lines();
+    if (hot > 0 && rng_.next_bool(profile_->hot_fraction)) {
+      const u64 start = rng_.next_below(hot);
       for (int t = 0; t < txns; ++t) {
-        out.push_back(base_ + ((start + t) % hot_lines_) * kLineBytes);
+        out.push_back(base_ + ((start + t) % hot) * kLineBytes);
       }
       return;
     }
@@ -111,7 +110,7 @@ class AddressStream {
                    rng_.next_below(kRowSpanLines - txns);
     }
     for (int t = 0; t < txns; ++t) {
-      const u64 line = hot_lines_ + (start_line + t) % stream_lines();
+      const u64 line = hot + (start_line + t) % stream_lines();
       out.push_back(base_ + line * kLineBytes);
     }
   }
@@ -146,7 +145,10 @@ class AddressStream {
            static_cast<u64>(warp_in_block) * 0x165667B19E3779F9ULL + 1;
   }
 
-  u64 stream_lines() const { return lines_in_ws_ - hot_lines_; }
+  // Derived from the profile rather than stored: every warp holds a stream.
+  u64 lines_in_ws() const { return profile_->working_set_bytes / kLineBytes; }
+  u64 hot_lines() const { return profile_->hot_set_bytes / kLineBytes; }
+  u64 stream_lines() const { return lines_in_ws() - hot_lines(); }
 
   /// Random base line relative to the streaming region: a random bank
   /// rotation, entered at the row span selected by `slot`.
@@ -160,8 +162,6 @@ class AddressStream {
   const KernelProfile* profile_;
   Rng rng_;
   u64 base_;
-  u64 lines_in_ws_;
-  u64 hot_lines_;
   BlockStream* block_;
 };
 

@@ -140,7 +140,7 @@ void TelemetryHub::load_state(StateReader& r) {
                   .detail("kind", static_cast<int>(kind)));
     e.kind = static_cast<FrEvent>(kind);
     e.unit = r.get_i32();
-    e.app = r.get_i32();
+    e.app = checked_event_app(r.get_i32(), "telemetry.hub");
     e.a = r.get_u64();
     e.b = r.get_u64();
     trace_events_.push_back(e);

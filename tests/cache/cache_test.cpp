@@ -4,10 +4,13 @@
 
 #include <list>
 #include <map>
+#include <string>
 #include <tuple>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "common/sim_error.hpp"
+#include "common/simstate.hpp"
 
 namespace gpusim {
 namespace {
@@ -113,6 +116,106 @@ TEST(CacheTest, SetsAreIndependent) {
   }
   for (int set = 0; set < 4; ++set) {
     EXPECT_TRUE(c.probe(addr_of(set, 1, 4)));
+  }
+}
+
+TEST(CacheTest, LinesShorterThan32BytesAreAConfigError) {
+  for (const int line_bytes : {1, 2, 4, 8, 16}) {
+    SCOPED_TRACE(line_bytes);
+    try {
+      SetAssocCache c(4, 2, line_bytes);
+      FAIL() << "a " << line_bytes << "-byte line was accepted";
+    } catch (const SimError& e) {
+      EXPECT_EQ(e.kind(), SimErrorKind::kConfig);
+    }
+  }
+  EXPECT_NO_THROW(SetAssocCache(4, 2, 32));
+}
+
+/// Hits, fills, refreshes, cross-app evictions by every AppId from
+/// kInvalidApp to kMaxApps - 1, and tags from the top of the address space.
+void script(SetAssocCache& c, int line_bytes) {
+  const auto addr = [&](int set, u64 tag) {
+    return (tag * static_cast<u64>(c.num_sets()) + set) * line_bytes;
+  };
+  for (int i = 0; i < 12; ++i) c.access(addr(i % 4, 1 + i / 4), 0);
+  for (int i = 0; i < 12; ++i) c.lookup_touch(addr(i % 4, 1 + i % 5), 0);
+  for (AppId app = kInvalidApp; app < kMaxApps; ++app) {
+    c.access(addr(app & 3, 20 + app), app);
+    c.fill(addr((app + 1) & 3, 40 + app), app);
+    c.fill(addr((app + 1) & 3, 40 + app), (app + 2) % kMaxApps);
+    c.lookup_touch(addr(app & 3, 20 + app),
+                   (kMaxApps - 1 - app) % kMaxApps);
+  }
+  for (int i = 0; i < 4; ++i) {
+    const u64 top = ~u64{0} - static_cast<u64>(i) * line_bytes;
+    c.access(top, i == 0 ? kInvalidApp : kMaxApps - i);
+    c.fill(top - static_cast<u64>(c.num_sets()) * line_bytes, i);
+  }
+}
+
+TEST(CacheTest, SerializedStateIsPinned) {
+  // Recorded with the unpacked 24-byte line: every in-memory layout must
+  // hash (and so save) the same tag, LRU stamp, app and valid bit per line,
+  // stale tags of invalidated lines included.
+  Hasher h;
+  for (const int line_bytes : {kLine, 32}) {
+    SetAssocCache c(4, 3, line_bytes);
+    script(c, line_bytes);
+    c.hash(h);
+    c.clear();
+    for (int i = 0; i < 5; ++i) {
+      c.access(static_cast<u64>(i) * 7 * line_bytes, i % kMaxApps);
+    }
+    c.hash(h);
+    script(c, line_bytes);
+    c.hash(h);
+
+    StateWriter w;
+    c.save(w);
+    SetAssocCache restored(4, 3, line_bytes);
+    StateReader r(w.bytes());
+    restored.load(r);
+    EXPECT_TRUE(r.exhausted());
+    EXPECT_EQ(state_hash_of(restored), state_hash_of(c));
+  }
+  EXPECT_EQ(h.digest(), 0xDFD774AC93B6F68AULL);
+}
+
+TEST(CacheTest, LoadRejectsLinesTheTagWordCannotHold) {
+  struct Case {
+    u64 tag;
+    AppId app;
+    bool fits;
+  };
+  for (const Case c :
+       {Case{(u64{1} << 59) - 1, kMaxApps - 1, true},
+        Case{0, kInvalidApp, true}, Case{u64{1} << 59, 0, false},
+        Case{0, kMaxApps, false}, Case{0, -2, false}}) {
+    SCOPED_TRACE(std::to_string(c.tag) + " app " + std::to_string(c.app));
+    StateWriter w;
+    w.put_tag("CACH");
+    w.put_u64(1);  // tick
+    w.put_u64(c.tag);
+    w.put_u64(1);  // lru stamp
+    w.put_i32(c.app);
+    w.put_bool(true);
+    for (int i = 0; i < 4; ++i) w.put_u64(0);  // stats
+    SetAssocCache cache(1, 1, 32);
+    StateReader r(w.bytes());
+    if (c.fits) {
+      cache.load(r);
+      StateWriter again;
+      cache.save(again);
+      EXPECT_EQ(again.bytes(), w.bytes());
+    } else {
+      try {
+        cache.load(r);
+        FAIL() << "an unrepresentable line was loaded";
+      } catch (const SimError& e) {
+        EXPECT_EQ(e.kind(), SimErrorKind::kSnapshot);
+      }
+    }
   }
 }
 

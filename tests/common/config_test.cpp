@@ -70,6 +70,8 @@ INSTANTIATE_TEST_SUITE_P(
         BadConfigCase{"zero_banks", [](GpuConfig& c) { c.banks_per_mc = 0; }},
         BadConfigCase{"odd_line_bytes",
                       [](GpuConfig& c) { c.line_bytes = 100; }},
+        BadConfigCase{"short_line_bytes",
+                      [](GpuConfig& c) { c.line_bytes = 16; }},
         BadConfigCase{"l1_not_divisible",
                       [](GpuConfig& c) { c.l1_size_bytes = 1000; }},
         BadConfigCase{"l2_not_divisible",

@@ -112,33 +112,44 @@ TEST(FlightRecorderTest, LoadRejectsCapacityMismatchWithTypedError) {
   }
 }
 
-TEST(FlightRecorderTest, LoadRejectsUnknownEventKind) {
-  // Hand-author a FREC stream whose single event has kind 200.
-  StateWriter w;
-  w.put_tag("FREC");
-  w.put_u32(4);   // capacity
-  w.put_u64(1);   // total
-  w.put_u64(0);   // next_stall req
-  w.put_u64(0);   // next_stall resp
-  w.put_u32(2);   // partitions
-  for (int i = 0; i < 4; ++i) w.put_u64(0);  // resp_hw + defer_hw
-  w.put_u64(1);   // event count
-  w.put_u64(42);  // cycle
-  w.put_u8(200);  // kind — invalid
-  w.put_i32(0);
-  w.put_i32(0);
-  w.put_u64(0);
-  w.put_u64(0);
+TEST(FlightRecorderTest, LoadRejectsUnknownEventKindOrApp) {
+  // Hand-author a FREC stream whose single event has kind 200, or an app
+  // id the 16-bit event field must not truncate.
+  struct Case {
+    u8 kind;
+    i32 app;
+    const char* message;
+  };
+  for (const Case c : {Case{200, 0, "event kind"},
+                       Case{0, kMaxApps, "event app id"},
+                       Case{0, 1 << 16, "event app id"}}) {
+    SCOPED_TRACE(c.message);
+    StateWriter w;
+    w.put_tag("FREC");
+    w.put_u32(4);   // capacity
+    w.put_u64(1);   // total
+    w.put_u64(0);   // next_stall req
+    w.put_u64(0);   // next_stall resp
+    w.put_u32(2);   // partitions
+    for (int i = 0; i < 4; ++i) w.put_u64(0);  // resp_hw + defer_hw
+    w.put_u64(1);   // event count
+    w.put_u64(42);  // cycle
+    w.put_u8(c.kind);
+    w.put_i32(0);
+    w.put_i32(c.app);
+    w.put_u64(0);
+    w.put_u64(0);
 
-  FlightRecorder fr = make_recorder(4);
-  StateReader r(w.bytes());
-  try {
-    fr.load(r);
-    FAIL() << "expected SimError(kSnapshot)";
-  } catch (const SimError& e) {
-    EXPECT_EQ(e.kind(), SimErrorKind::kSnapshot);
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("event kind"), std::string::npos) << msg;
+    FlightRecorder fr = make_recorder(4);
+    StateReader r(w.bytes());
+    try {
+      fr.load(r);
+      FAIL() << "expected SimError(kSnapshot)";
+    } catch (const SimError& e) {
+      EXPECT_EQ(e.kind(), SimErrorKind::kSnapshot);
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find(c.message), std::string::npos) << msg;
+    }
   }
 }
 

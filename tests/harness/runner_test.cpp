@@ -116,10 +116,10 @@ std::string detail_of(const SimError& e, const std::string& key) {
 }
 
 TEST(RunnerTest, IpcAloneIsTheExactReplayOfEverySlot) {
-  // Slot 0 is replayed on a helper thread while the co-run steps, the
-  // other slots afterwards; each must match a one-shot replay of the
-  // app's final count.  Snapshot strides of 10K cycles fall between the
-  // co-run's 4096-cycle steps.
+  // Every slot is replayed on its own helper thread while the co-run
+  // steps; each must match a one-shot replay of the app's final count.
+  // Snapshot strides of 10K cycles fall between the co-run's 4096-cycle
+  // steps.
   const std::filesystem::path dir =
       std::filesystem::temp_directory_path() / "gpusim_runner_ipc_alone";
   std::filesystem::remove_all(dir);
@@ -178,8 +178,8 @@ TEST(RunnerTest, IpcAloneIsTheExactReplayOfEverySlot) {
 TEST(RunnerTest, CoRunBudgetErrorComesFirstAndNamesTheParentsStop) {
   // A run() per snapshot stride (one stride without snapshots) used to
   // drive the co-run, so the budget error names that stride's end as
-  // requested_stop.  Slot 0's replay is capped too; the co-run's error
-  // must still be the one raised, after the helper is stopped.
+  // requested_stop.  Every slot's replay is capped too; the co-run's error
+  // must still be the one raised, after the helpers are stopped.
   const std::filesystem::path dir =
       std::filesystem::temp_directory_path() / "gpusim_runner_budget";
   std::filesystem::remove_all(dir);
@@ -214,32 +214,54 @@ TEST(RunnerTest, CoRunBudgetErrorComesFirstAndNamesTheParentsStop) {
   std::filesystem::remove_all(dir);
 }
 
-TEST(RunnerTest, CappedSlot0ReplayReportsTheFinalCoRunCount) {
-  RunConfig rc = quick_config();
-  rc.max_alone_cycles = 5'000;
+TEST(RunnerTest, CappedReplaysFailInSlotOrderWithTheFinalCoRunCount) {
+  // A capped replay names its app's final co-run count as the target, and
+  // the first slot whose replay fails raises its error, as when the
+  // replays ran one after another.
+  const RunConfig rc = quick_config();
   const Workload w{{*find_app("SD"), *find_app("VA")}};
   const ModelSet models{.dase = true};
   const CoRunAssembly corun =
       assemble_corun(rc, w, models, PolicyKind::kEven);
   corun.sim->run(rc.co_run_cycles);
-  const u64 final_count = corun.sim->gpu().instructions().total(0);
-  ASSERT_GT(final_count, 0u);
+  const ExperimentRunner uncapped(rc);
+  std::vector<u64> final_counts;
+  std::vector<Cycle> alone_cycles;
+  for (int i = 0; i < 2; ++i) {
+    final_counts.push_back(corun.sim->gpu().instructions().total(i));
+    ASSERT_GT(final_counts[i], 0u);
+    alone_cycles.push_back(uncapped.measure_alone_cycles(
+        w.apps[i], harness_app_seed(rc.base_seed, i), final_counts[i]));
+  }
+  ASSERT_LT(alone_cycles[0], alone_cycles[1])
+      << "a cap between the two must fail slot 1 alone";
 
-  const ExperimentRunner runner(rc);
-  try {
-    runner.run(w, models);
-    FAIL() << "a truncated slot-0 replay returned a result";
-  } catch (const SimError& e) {
-    // The text UnreachableAloneTargetRaisesBudgetExceeded checks, with the
-    // co-run's final count as the target.
-    EXPECT_EQ(e.kind(), SimErrorKind::kBudgetExceeded);
-    EXPECT_EQ(e.error_cycle(), 5'000u);
-    const std::string what = e.what();
-    EXPECT_NE(what.find("target_instructions: " + std::to_string(final_count)),
-              std::string::npos)
-        << what;
-    EXPECT_NE(what.find("\n  instructions: "), std::string::npos) << what;
-    EXPECT_EQ(detail_of(e, "app"), "SD") << what;
+  struct Case {
+    Cycle cap;
+    int failing_slot;
+  };
+  for (const Case c : {Case{(alone_cycles[0] + alone_cycles[1]) / 2, 1},
+                       Case{alone_cycles[0] / 2, 0}}) {
+    SCOPED_TRACE("max_alone_cycles " + std::to_string(c.cap));
+    RunConfig capped = rc;
+    capped.max_alone_cycles = c.cap;
+    try {
+      ExperimentRunner(capped).run(w, models);
+      FAIL() << "a truncated replay returned a result";
+    } catch (const SimError& e) {
+      // The text UnreachableAloneTargetRaisesBudgetExceeded checks, with
+      // the failing slot's final co-run count as the target.
+      EXPECT_EQ(e.kind(), SimErrorKind::kBudgetExceeded);
+      EXPECT_EQ(e.component(), "harness.runner") << e.what();
+      EXPECT_EQ(e.error_cycle(), c.cap);
+      const std::string what = e.what();
+      EXPECT_NE(what.find("target_instructions: " +
+                          std::to_string(final_counts[c.failing_slot])),
+                std::string::npos)
+          << what;
+      EXPECT_NE(what.find("\n  instructions: "), std::string::npos) << what;
+      EXPECT_EQ(detail_of(e, "app"), w.apps[c.failing_slot].abbr) << what;
+    }
   }
 }
 

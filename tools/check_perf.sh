@@ -31,9 +31,14 @@
 #                                     relative-only mode)
 #
 # replay_overlap_speedup (one paper unit, replays after the co-run over
-# ExperimentRunner::run's overlapped slot-0 replay) has a fixed floor of
-# 1.15 on hosts with at least two hardware threads, gated even in
-# relative-only mode.
+# ExperimentRunner::run, which replays every slot beside the co-run) has a
+# fixed floor of 1.15 on hosts with at least two hardware threads, gated
+# even in relative-only mode.
+#
+# simulation_heap_kib (the heap one default one-app Simulation holds; each
+# slot's replay keeps one live beside the co-run) may exceed the committed
+# baseline by at most 5%.  It does not depend on host speed, so it is gated
+# even in relative-only mode; --update re-records it.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -51,6 +56,7 @@ MIN_SPEEDUP="${GPUSIM_PERF_MIN_SPEEDUP:-1.2}"
 MIN_GOVERNOR_RATIO="${GPUSIM_PERF_MIN_GOVERNOR_RATIO:-0.98}"
 MIN_TELEMETRY_RATIO="${GPUSIM_PERF_MIN_TELEMETRY_RATIO:-0.98}"
 MIN_REPLAY_OVERLAP=1.15
+MAX_HEAP_GROWTH=0.05
 BASELINE="BENCH_throughput.json"
 FRESH="$BUILD_DIR/BENCH_throughput.json"
 
@@ -77,6 +83,7 @@ for key in sim_cycles_per_sec \
            governor_overhead_ratio \
            telemetry_on_cycles_per_sec telemetry_off_cycles_per_sec \
            telemetry_overhead_ratio replay_overlap_speedup \
+           simulation_heap_kib \
            profile_sm_advance_ns profile_partition_ns profile_total_ns; do
   if [[ -z "$(json_key "$FRESH" "$key")" ]]; then
     echo "FAIL: key $key missing from fresh measurement"
@@ -122,7 +129,7 @@ else
   fail=1
 fi
 
-# Overlapping slot 0's alone replay with its co-run (DESIGN.md §8) is
+# Overlapping every slot's alone replay with its co-run (DESIGN.md §8) is
 # likewise host-independent (same binary, same unit, replays after the
 # co-run vs. through ExperimentRunner::run), but it needs a second hardware
 # thread to pay off, so a single-threaded host skips the floor.
@@ -149,6 +156,25 @@ if [[ "$UPDATE" == 1 || ! -f "$BASELINE" ]]; then
   cp "$FRESH" "$BASELINE"
   echo "baseline updated: $BASELINE"
   exit 0
+fi
+
+# One live simulation per replay slot: the heap each one holds is the same
+# on every host, so a growth past MAX_HEAP_GROWTH fails in relative-only
+# mode too.
+heap_base=$(json_key "$BASELINE" simulation_heap_kib)
+heap=$(json_key "$FRESH" simulation_heap_kib)
+if [[ -z "$heap_base" ]]; then
+  echo "FAIL: key simulation_heap_kib missing from baseline $BASELINE"
+  fail=1
+else
+  ok=$(awk -v b="$heap_base" -v f="${heap:-0}" -v tol="$MAX_HEAP_GROWTH" \
+       'BEGIN { print (f <= b * (1.0 + tol)) ? 1 : 0 }')
+  if [[ "$ok" == 1 ]]; then
+    echo "OK:   simulation_heap_kib ${heap} vs baseline ${heap_base} (ceiling +${MAX_HEAP_GROWTH})"
+  else
+    echo "FAIL: simulation_heap_kib ${heap} exceeds baseline ${heap_base} by more than ${MAX_HEAP_GROWTH}"
+    fail=1
+  fi
 fi
 
 if [[ "$RELATIVE_ONLY" == 1 ]]; then
