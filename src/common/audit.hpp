@@ -25,12 +25,6 @@ struct ConservationTaps {
   PerAppCounter requests_consumed;    ///< partition accepted a packet (hit/miss/merge)
   PerAppCounter responses_enqueued;   ///< partition produced a response packet
   PerAppCounter responses_delivered;  ///< Gpu handed a response to an SM
-  // Recovery-path taps (only move when GpuConfig::mshr_retry_enabled): a
-  // reissued request is also counted in requests_sent, and a duplicate
-  // response absorbed by the SM is also counted in responses_delivered, so
-  // the auditor can net recovery traffic out of the balance.
-  PerAppCounter retries_issued;       ///< SM reissued a timed-out miss
-  PerAppCounter duplicates_absorbed;  ///< SM absorbed an expected duplicate
 
   template <typename Sink>
   void write_state(Sink& s) const {
@@ -38,8 +32,6 @@ struct ConservationTaps {
     requests_consumed.write_state(s);
     responses_enqueued.write_state(s);
     responses_delivered.write_state(s);
-    retries_issued.write_state(s);
-    duplicates_absorbed.write_state(s);
   }
   void save(StateWriter& w) const { write_state(w); }
   void hash(Hasher& h) const { write_state(h); }
@@ -48,23 +40,13 @@ struct ConservationTaps {
     requests_consumed.load(r);
     responses_enqueued.load(r);
     responses_delivered.load(r);
-    retries_issued.load(r);
-    duplicates_absorbed.load(r);
   }
 };
 
 /// Result of one conservation audit.  `leaked[a] = sent - delivered -
 /// in_flight` for app a: positive means packets vanished, negative means
-/// something completed twice.
-///
-/// With modeled recovery enabled, a reissued request legitimately puts two
-/// packets in flight for one logical miss, and a lost original plus a
-/// delivered retry nets out to `leaked == retried - absorbed` without any
-/// real bug.  The audit therefore nets recovery traffic out of the balance
-/// (`adjusted_leak`) and tolerates at most `recovery_outstanding` — the
-/// retries whose original/duplicate fate is still unresolved — in either
-/// direction.  With recovery disabled all three recovery fields are zero
-/// and ok() degenerates to the original strict `leaked == 0` rule.
+/// something completed twice.  ok() holds only when every app balances
+/// exactly.
 struct AuditReport {
   std::array<u64, kMaxApps> sent{};
   std::array<u64, kMaxApps> consumed{};
@@ -72,11 +54,6 @@ struct AuditReport {
   std::array<u64, kMaxApps> delivered{};
   std::array<u64, kMaxApps> in_flight{};
   std::array<i64, kMaxApps> leaked{};
-  std::array<u64, kMaxApps> retried{};   ///< taps.retries_issued
-  std::array<u64, kMaxApps> absorbed{};  ///< taps.duplicates_absorbed
-  /// Reissues not yet resolved into a delivery or an absorbed duplicate
-  /// (pending retry attempts + expected duplicates), summed over all SMs.
-  std::array<u64, kMaxApps> recovery_outstanding{};
   Cycle cycle = 0;
 
   i64 total_leaked() const {
@@ -84,17 +61,9 @@ struct AuditReport {
     for (i64 v : leaked) sum += v;
     return sum;
   }
-  i64 adjusted_leak(int a) const {
-    return leaked[static_cast<std::size_t>(a)] -
-           static_cast<i64>(retried[static_cast<std::size_t>(a)]) +
-           static_cast<i64>(absorbed[static_cast<std::size_t>(a)]);
-  }
   bool ok() const {
-    for (int a = 0; a < kMaxApps; ++a) {
-      const i64 adj = adjusted_leak(a);
-      const i64 tol =
-          static_cast<i64>(recovery_outstanding[static_cast<std::size_t>(a)]);
-      if (adj > tol || adj < -tol) return false;
+    for (i64 v : leaked) {
+      if (v != 0) return false;
     }
     return true;
   }
@@ -112,11 +81,6 @@ struct AuditReport {
          << " consumed=" << consumed[a] << " resp_enqueued=" << enqueued[a]
          << " delivered=" << delivered[a] << " in_flight=" << in_flight[a]
          << " leaked=" << leaked[a];
-      if (retried[a] != 0 || absorbed[a] != 0 || recovery_outstanding[a] != 0) {
-        ss << " retried=" << retried[a] << " absorbed=" << absorbed[a]
-           << " recovery_outstanding=" << recovery_outstanding[a]
-           << " adjusted=" << adjusted_leak(a);
-      }
     }
     return ss.str();
   }

@@ -35,8 +35,6 @@ void GpuConfig::validate() const {
   if (noc_queue_depth <= 0) fail("noc_queue_depth must be positive");
   if (partition_resp_queue_depth <= 0)
     fail("partition_resp_queue_depth must be positive");
-  if (mshr_retry_timeout == 0) fail("mshr_retry_timeout must be positive");
-  if (mshr_retry_max <= 0) fail("mshr_retry_max must be positive");
   if (flight_recorder_events < 0 || flight_recorder_events > (1 << 20))
     fail("flight_recorder_events must be in [0, 1048576]");
   // Governor knobs cross-validate against the estimation epoch: a drain

@@ -66,20 +66,9 @@ struct GpuConfig {
   /// near the ~400 SM cycles measured on Fermi-class GPUs.
   Cycle l2_miss_extra_latency = 150;
 
-  // ---- Modeled recovery (SM-side MSHR retry) ----
-  /// When enabled, an SM re-issues a pending L1-MSHR miss whose response has
-  /// not arrived within `mshr_retry_timeout` cycles, doubling the timeout on
-  /// each reissue (exponential backoff).  After `mshr_retry_max` reissues the
-  /// SM raises SimError(kRecoveryExhausted) instead of hanging silently.
-  /// Off by default: a lost packet then strands the warp and the watchdog /
-  /// conservation auditor report it, exactly as before.
-  bool mshr_retry_enabled = false;
-  Cycle mshr_retry_timeout = 50'000;
-  int mshr_retry_max = 4;
-
   // ---- Flight recorder (black-box event ring) ----
   /// Capacity of the always-on flight-recorder event ring (block
-  /// dispatches, migrations, MSHR reissues, fault firings, crossbar
+  /// dispatches, migrations, fault firings, crossbar
   /// stalls, queue high-water marks).  The ring is serialized through the
   /// SimState walk, so its size is part of the snapshot fingerprint.
   /// 0 disables recording entirely.
@@ -98,7 +87,7 @@ struct GpuConfig {
   /// Drains wait for active blocks to run to completion, and a
   /// memory-bound block legitimately takes >200k cycles, so the default
   /// is deliberately generous (matching the progress watchdog's default);
-  /// chaos campaigns and stall gates tighten it per-job.
+  /// stall gates tighten it per run.
   Cycle governor_drain_budget = 1'000'000;
   /// Most SMs a single epoch's repartition may reassign; larger proposals
   /// are clamped back toward the current partition.
@@ -183,9 +172,6 @@ struct GpuConfig {
     s.put_u64(estimation_interval);
     s.put_double(requestmax_factor);
     s.put_double(alpha_clamp_threshold);
-    s.put_bool(mshr_retry_enabled);
-    s.put_u64(mshr_retry_timeout);
-    s.put_i32(mshr_retry_max);
     s.put_i32(flight_recorder_events);
     s.put_u64(governor_drain_budget);
     s.put_i32(governor_max_delta);

@@ -13,9 +13,6 @@ const char* to_string(FaultKind kind) {
     case FaultKind::kDropResponse: return "drop-resp";
     case FaultKind::kDropRequest: return "drop-req";
     case FaultKind::kStallWindow: return "stall";
-    case FaultKind::kBitFlip: return "flip";
-    case FaultKind::kMisroute: return "misroute";
-    case FaultKind::kNackResponse: return "nack";
   }
   return "unknown";
 }
@@ -84,15 +81,6 @@ std::string FaultSchedule::to_string() const {
         ss << "part=" << e.partition << ",from=" << e.from;
         if (e.until != 0) ss << ",until=" << e.until;
         break;
-      case FaultKind::kBitFlip:
-        ss << "nth=" << e.nth << ",bit=" << e.bit;
-        break;
-      case FaultKind::kMisroute:
-        ss << "from=" << e.from;
-        break;
-      case FaultKind::kNackResponse:
-        ss << "nth=" << e.nth << ",delay=" << e.delay;
-        break;
     }
     ss << ';';
   }
@@ -124,12 +112,6 @@ FaultSchedule FaultSchedule::parse(const std::string& spec) {
       e.kind = FaultKind::kDropRequest;
     } else if (kind_name == "stall") {
       e.kind = FaultKind::kStallWindow;
-    } else if (kind_name == "flip") {
-      e.kind = FaultKind::kBitFlip;
-    } else if (kind_name == "misroute") {
-      e.kind = FaultKind::kMisroute;
-    } else if (kind_name == "nack") {
-      e.kind = FaultKind::kNackResponse;
     } else {
       bad_spec(spec, "unknown fault kind '" + kind_name + "'");
     }
@@ -154,10 +136,6 @@ FaultSchedule FaultSchedule::parse(const std::string& spec) {
         e.from = parse_u64_or(spec, value);
       } else if (key == "until") {
         e.until = parse_u64_or(spec, value);
-      } else if (key == "bit") {
-        e.bit = static_cast<int>(parse_u64_or(spec, value)) & 63;
-      } else if (key == "delay") {
-        e.delay = std::max<Cycle>(1, parse_u64_or(spec, value));
       } else {
         bad_spec(spec, "unknown key '" + key + "' for kind '" + kind_name +
                            "'");
@@ -212,8 +190,6 @@ const ConfigCorruption kCorruptions[] = {
     {"noc_queue_depth=0", [](GpuConfig& c) { c.noc_queue_depth = 0; }},
     {"partition_resp_queue_depth=-1",
      [](GpuConfig& c) { c.partition_resp_queue_depth = -1; }},
-    {"mshr_retry_timeout=0", [](GpuConfig& c) { c.mshr_retry_timeout = 0; }},
-    {"mshr_retry_max=0", [](GpuConfig& c) { c.mshr_retry_max = 0; }},
     {"flight_recorder_events=-1",
      [](GpuConfig& c) { c.flight_recorder_events = -1; }},
     {"flight_recorder_events=1<<21",

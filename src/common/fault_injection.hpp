@@ -1,28 +1,26 @@
 // SimGuard fault injection: timed, typed, serializable fault schedules.
 //
-// The watchdog, the request-conservation auditor and the modeled recovery
-// path only earn their keep if we can prove they fire.  A FaultSchedule is a
-// deterministic timeline of typed fault events — drop the Nth response or
-// request, freeze a partition over a cycle window (with recovery when the
-// window closes), flip a bit in a DRAM fill address, misroute a NoC packet,
-// or NACK a response so it is redelivered later — evaluated by a
-// FaultInjector at the hook points the Gpu and MemoryPartition expose.
-// Probabilistic variants draw from the simulator's own seeded Rng (rng.hpp)
-// so every injected failure is bit-reproducible, and the injector's counters
-// and RNG serialize through the SimState walk so a snapshot taken while an
-// nth-event fault is armed replays the fault at the *same* event after a
-// restore.
+// The watchdog and the request-conservation auditor only earn their keep
+// if we can prove they fire.  A FaultSchedule is a deterministic timeline
+// of typed fault events — drop the Nth response or request, or freeze a
+// partition over a cycle window (recovering when the window closes, or
+// never) — evaluated by a FaultInjector at the hook points the Gpu and
+// MemoryPartition expose.  Probabilistic drops draw from the simulator's
+// own seeded Rng (rng.hpp) so every injected failure is bit-reproducible,
+// and the injector's counters and RNG serialize through the SimState walk
+// so a snapshot taken while an nth-event fault is armed replays the fault
+// at the *same* event after a restore.
 //
 // Schedules round-trip through a compact spec string
-// (`drop-resp:nth=200;stall:part=0,from=1000,until=5000;seed=7`) so a chaos
-// campaign can emit a failing schedule as a CLI-replayable artifact.
+// (`drop-resp:nth=200;stall:part=0,from=1000,until=5000;seed=7`): the
+// CLI's --fault-schedule arms one on a plain run, and crash bundles record
+// it so --triage re-arms the same schedule.
 //
 // Injection simulates a *bug*, so the conservation taps are deliberately
 // not told about dropped packets: the auditor must discover the imbalance
 // on its own, exactly as it would for a real leak.
 #pragma once
 
-#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -37,9 +35,6 @@ enum class FaultKind : u8 {
   kDropResponse,  ///< drop the Nth response (or each with prob) at delivery
   kDropRequest,   ///< drop the Nth request at a partition's input port
   kStallWindow,   ///< freeze a partition for [from, until); until=0 = forever
-  kBitFlip,       ///< XOR a bit into the Nth DRAM fill's line address
-  kMisroute,      ///< from `from` onwards, rewrite one request's destination
-  kNackResponse,  ///< Nth response is NACKed: redelivered `delay` cycles later
 };
 
 const char* to_string(FaultKind kind);
@@ -48,13 +43,11 @@ const char* to_string(FaultKind kind);
 /// the rest stay at their defaults and are ignored.
 struct FaultEvent {
   FaultKind kind = FaultKind::kDropResponse;
-  u64 nth = 0;       ///< 1-based event ordinal (responses / requests / fills)
+  u64 nth = 0;        ///< 1-based event ordinal (responses / requests)
   double prob = 0.0;  ///< kDropResponse only: per-response drop probability
   PartitionId partition = -1;  ///< kStallWindow target (-1 = none)
-  Cycle from = 0;   ///< kStallWindow / kMisroute: first affected cycle
+  Cycle from = 0;   ///< kStallWindow: first affected cycle
   Cycle until = 0;  ///< kStallWindow: first cycle after the window (0=forever)
-  int bit = 0;      ///< kBitFlip: bit index XORed into the line address
-  Cycle delay = 100;  ///< kNackResponse: redelivery delay (clamped to >= 1)
 };
 
 /// Deterministic timeline of fault events plus the RNG seed for any
@@ -97,29 +90,6 @@ struct FaultSchedule {
     events.push_back(e);
     return *this;
   }
-  FaultSchedule& bit_flip(u64 nth, int bit) {
-    FaultEvent e;
-    e.kind = FaultKind::kBitFlip;
-    e.nth = nth;
-    e.bit = bit;
-    events.push_back(e);
-    return *this;
-  }
-  FaultSchedule& misroute_at(Cycle from) {
-    FaultEvent e;
-    e.kind = FaultKind::kMisroute;
-    e.from = from;
-    events.push_back(e);
-    return *this;
-  }
-  FaultSchedule& nack_response(u64 nth, Cycle delay) {
-    FaultEvent e;
-    e.kind = FaultKind::kNackResponse;
-    e.nth = nth;
-    e.delay = std::max<Cycle>(1, delay);
-    events.push_back(e);
-    return *this;
-  }
   FaultSchedule& with_seed(u64 s) {
     seed = s;
     return *this;
@@ -134,38 +104,23 @@ struct FaultSchedule {
   static FaultSchedule parse(const std::string& spec);
 };
 
-/// What the Gpu should do with a matured response packet.
-enum class ResponseAction : u8 { kDeliver, kDrop, kNack };
-
-struct ResponseDecision {
-  ResponseAction action = ResponseAction::kDeliver;
-  Cycle delay = 0;  ///< kNack only: redelivery delay (>= 1)
-};
-
 class FaultInjector {
  public:
   explicit FaultInjector(FaultSchedule schedule)
       : schedule_(std::move(schedule)), rng_(schedule_.seed) {}
 
   /// Hook: Gpu is about to deliver a matured response to an SM.
-  ResponseDecision on_response(Cycle now) {
-    (void)now;
+  bool should_drop_response() {
     ++responses_seen_;
     for (const FaultEvent& e : schedule_.events) {
-      if (e.kind == FaultKind::kDropResponse) {
-        if ((e.nth != 0 && responses_seen_ == e.nth) ||
-            (e.prob > 0.0 && rng_.next_bool(e.prob))) {
-          ++responses_dropped_;
-          return {ResponseAction::kDrop, 0};
-        }
-      } else if (e.kind == FaultKind::kNackResponse) {
-        if (e.nth != 0 && responses_seen_ == e.nth) {
-          ++nacks_issued_;
-          return {ResponseAction::kNack, std::max<Cycle>(1, e.delay)};
-        }
+      if (e.kind == FaultKind::kDropResponse &&
+          ((e.nth != 0 && responses_seen_ == e.nth) ||
+           (e.prob > 0.0 && rng_.next_bool(e.prob)))) {
+        ++responses_dropped_;
+        return true;
       }
     }
-    return {};
+    return false;
   }
 
   /// Hook: a partition is about to consume a request from its input queue.
@@ -193,44 +148,10 @@ class FaultInjector {
     return false;
   }
 
-  /// Hook: a partition counted one DRAM fill completion.  Returns the
-  /// (possibly bit-flipped) line address to fill/release with.
-  u64 corrupt_fill_line(u64 line) {
-    ++fills_seen_;
-    for (const FaultEvent& e : schedule_.events) {
-      if (e.kind == FaultKind::kBitFlip && e.nth != 0 &&
-          fills_seen_ == e.nth) {
-        ++flips_done_;
-        line ^= (u64{1} << (e.bit & 63));
-      }
-    }
-    return line;
-  }
-
-  /// Hook: Gpu asks, before the request-crossbar transfer, whether a
-  /// misroute event is armed and has not fired yet.
-  bool misroute_due(Cycle now) const {
-    u64 armed = 0;
-    for (const FaultEvent& e : schedule_.events) {
-      if (e.kind == FaultKind::kMisroute && now >= e.from) ++armed;
-    }
-    return armed > misroutes_fired_;
-  }
-  void note_misroute_fired() { ++misroutes_fired_; }
-
   u64 responses_seen() const { return responses_seen_; }
   u64 responses_dropped() const { return responses_dropped_; }
   u64 requests_dropped() const { return requests_dropped_; }
-  u64 flips_done() const { return flips_done_; }
-  u64 misroutes_fired() const { return misroutes_fired_; }
-  u64 nacks_issued() const { return nacks_issued_; }
   const FaultSchedule& schedule() const { return schedule_; }
-
-  /// Did any event actually corrupt behaviour silently (vs. just delaying)?
-  /// Used by the chaos classifier: a completed run whose injector misrouted
-  /// a packet produced data from the wrong partition — a wrong result even
-  /// though every queue balanced.
-  bool silently_corrupting() const { return misroutes_fired_ > 0; }
 
   // Progress counters and RNG are simulation state (the schedule itself is
   // configuration, covered by the snapshot fingerprint via the harness
@@ -243,10 +164,6 @@ class FaultInjector {
     s.put_u64(responses_dropped_);
     s.put_u64(requests_seen_);
     s.put_u64(requests_dropped_);
-    s.put_u64(fills_seen_);
-    s.put_u64(flips_done_);
-    s.put_u64(misroutes_fired_);
-    s.put_u64(nacks_issued_);
     rng_.write_state(s);
   }
   void save(StateWriter& w) const { write_state(w); }
@@ -257,10 +174,6 @@ class FaultInjector {
     responses_dropped_ = r.get_u64();
     requests_seen_ = r.get_u64();
     requests_dropped_ = r.get_u64();
-    fills_seen_ = r.get_u64();
-    flips_done_ = r.get_u64();
-    misroutes_fired_ = r.get_u64();
-    nacks_issued_ = r.get_u64();
     rng_.load(r);
   }
 
@@ -271,10 +184,6 @@ class FaultInjector {
   u64 responses_dropped_ = 0;
   u64 requests_seen_ = 0;
   u64 requests_dropped_ = 0;
-  u64 fills_seen_ = 0;
-  u64 flips_done_ = 0;
-  u64 misroutes_fired_ = 0;
-  u64 nacks_issued_ = 0;
 };
 
 /// Number of distinct config-corruption rules in the table below.

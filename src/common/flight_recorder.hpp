@@ -1,10 +1,10 @@
 // FlightRecorder: a bounded, allocation-free black-box event ring.
 //
-// The simulator survives failures (SimGuard, ChaosLab) but a SimError
-// string alone cannot explain *how* a 5M-cycle co-run got into the
-// failing state.  The recorder keeps the last N load-bearing events — block
-// dispatches, SM-repartition handovers, MSHR timeout reissues, fault-injector
-// firings, crossbar stall episodes, partition-queue high-water marks — in a
+// SimGuard turns a failure into a typed SimError, but the error string
+// alone cannot explain *how* a 5M-cycle co-run got into the failing state.
+// The recorder keeps the last N load-bearing events — block dispatches,
+// SM-repartition handovers, fault-injector firings, crossbar stall
+// episodes, partition-queue high-water marks, governor interventions — in a
 // fixed-capacity ring that is cheap enough to stay on by default and is
 // fully serialized through the SimState walk, so it survives snapshot /
 // restore and rides along into crash bundles.
@@ -12,8 +12,8 @@
 // Determinism contract: every tap records *simulated-state transitions
 // only*, so the ring contents (and therefore the state hash) are
 // bit-identical whether the activity engine is on or off.  Concretely:
-//   - block dispatch / MSHR retry events fire from an SM's cycle, and a
-//     skipped SM is provably quiet (no dispatch, no due retry);
+//   - block dispatch events fire from an SM's cycle, and a skipped SM is
+//     provably quiet (no dispatch);
 //   - migration events fire under either engine, from set_partition or
 //     from the last step of a cycle, after the same SM work; a draining SM
 //     that sleeps is frozen, so it empties on the same cycle either way;
@@ -48,13 +48,8 @@ enum class FrEvent : u8 {
   kMigrationRequested,   ///< a=SMs changing owner
   kMigrationHandover,    ///< unit=sm, app=new owner; a=old owner (+1, 0=none)
   kMigrationComplete,    ///< migration drained; partition now as desired
-  kMshrRetry,            ///< unit=sm, app; a=line addr, b=attempt number
-  kMshrExhausted,        ///< unit=sm, app; a=line addr, b=attempts spent
-  kFaultDropResp,        ///< unit=partition; a=line addr
+  kFaultDropResp,        ///< unit=sm; a=line addr
   kFaultDropReq,         ///< unit=partition; a=line addr
-  kFaultNack,            ///< unit=partition; a=line addr, b=retry delay
-  kFaultMisroute,        ///< unit=wrong partition; a=line, b=intended partition
-  kFaultCorrupt,         ///< unit=partition; a=original line, b=corrupted line
   kRespHighWater,        ///< unit=partition; a=new max occupancy, b=capacity
   kDeferHighWater,       ///< unit=partition; a=deferred-resp backlog (pow2)
   kXbarReqStall,         ///< a=blocked-source mask, b=blocked count
@@ -67,7 +62,7 @@ enum class FrEvent : u8 {
   kGovMigrationAbort,    ///< a=cycles the drain had been pending, b=budget
 };
 
-inline constexpr u8 kNumFrEvents = 21;
+inline constexpr u8 kNumFrEvents = 16;
 
 inline const char* to_string(FrEvent e) {
   switch (e) {
@@ -75,13 +70,8 @@ inline const char* to_string(FrEvent e) {
     case FrEvent::kMigrationRequested: return "migration-requested";
     case FrEvent::kMigrationHandover: return "migration-handover";
     case FrEvent::kMigrationComplete: return "migration-complete";
-    case FrEvent::kMshrRetry: return "mshr-retry";
-    case FrEvent::kMshrExhausted: return "mshr-exhausted";
     case FrEvent::kFaultDropResp: return "fault-drop-resp";
     case FrEvent::kFaultDropReq: return "fault-drop-req";
-    case FrEvent::kFaultNack: return "fault-nack";
-    case FrEvent::kFaultMisroute: return "fault-misroute";
-    case FrEvent::kFaultCorrupt: return "fault-corrupt";
     case FrEvent::kRespHighWater: return "resp-high-water";
     case FrEvent::kDeferHighWater: return "defer-high-water";
     case FrEvent::kXbarReqStall: return "xbar-req-stall";
@@ -242,27 +232,9 @@ class FlightRecorder {
           break;
         case FrEvent::kMigrationComplete:
           break;
-        case FrEvent::kMshrRetry:
-          ss << " line=0x" << std::hex << e.a << std::dec
-             << " attempt=" << e.b;
-          break;
-        case FrEvent::kMshrExhausted:
-          ss << " line=0x" << std::hex << e.a << std::dec
-             << " attempts=" << e.b;
-          break;
         case FrEvent::kFaultDropResp:
         case FrEvent::kFaultDropReq:
           ss << " line=0x" << std::hex << e.a << std::dec;
-          break;
-        case FrEvent::kFaultNack:
-          ss << " line=0x" << std::hex << e.a << std::dec << " delay=" << e.b;
-          break;
-        case FrEvent::kFaultMisroute:
-          ss << " line=0x" << std::hex << e.a << std::dec
-             << " intended_part=" << e.b;
-          break;
-        case FrEvent::kFaultCorrupt:
-          ss << " line=0x" << std::hex << e.a << "->0x" << e.b << std::dec;
           break;
         case FrEvent::kRespHighWater:
           ss << " occupancy=" << e.a << "/" << e.b;

@@ -1,10 +1,9 @@
 // JSONL plumbing shared by every durable batch file.
 //
-// The sweep checkpoint and the chaos campaign checkpoint are append-only
-// JSONL ledgers that a killed process must be able to resume from; the
-// crash-bundle manifest, the batch reports and the telemetry files are
-// published whole.  This module owns the decisions those files must agree
-// on, so they are made once:
+// The sweep checkpoint is an append-only JSONL ledger that a killed
+// process must be able to resume from; the crash-bundle manifest, the
+// sweep results and the telemetry files are published whole.  This module
+// owns the decisions those files must agree on, so they are made once:
 //
 //   escaping       json_escape / json_unescape, and the field readers that
 //                  pull one value back out of a line we wrote ourselves;

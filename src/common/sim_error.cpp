@@ -10,9 +10,7 @@ const char* to_string(SimErrorKind kind) {
     case SimErrorKind::kConservation: return "conservation";
     case SimErrorKind::kConfig: return "config";
     case SimErrorKind::kHarness: return "harness";
-    case SimErrorKind::kFault: return "fault";
     case SimErrorKind::kSnapshot: return "snapshot";
-    case SimErrorKind::kRecoveryExhausted: return "recovery-exhausted";
     case SimErrorKind::kDeadlineExceeded: return "deadline-exceeded";
     case SimErrorKind::kBudgetExceeded: return "budget-exceeded";
     case SimErrorKind::kInterrupted: return "interrupted";

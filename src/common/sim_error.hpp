@@ -36,9 +36,7 @@ enum class SimErrorKind {
   kConservation,   ///< request-conservation audit failed (leak / duplicate)
   kConfig,         ///< invalid configuration reached a component
   kHarness,        ///< experiment-harness misuse (missing model, bad split)
-  kFault,          ///< raised by an injected fault on purpose
   kSnapshot,       ///< SimState snapshot format / integrity / mismatch error
-  kRecoveryExhausted,  ///< modeled retry path gave up (capped reissues spent)
   kDeadlineExceeded,   ///< wall-clock deadline passed mid-simulation
   kBudgetExceeded,     ///< cycle or memory-traffic budget exhausted
   kInterrupted,        ///< cooperative cancellation (SIGINT/SIGTERM drain)

@@ -370,29 +370,14 @@ void Gpu::cycle_full() {
       ProfScope dprof(profiler_, LoopProfiler::kRespDelivery, 0);
       u64 delivered = 0;
       while (!rq.empty() && rq.front().ready <= now_) {
-        MemResponsePacket resp = rq.pop();
-        if (injector_ != nullptr) {
-          const ResponseDecision d = injector_->on_response(now_);
-          if (d.action == ResponseAction::kDrop) {
-            // Injected fault: the response vanishes at delivery, stranding
-            // its warp.  Taps stay silent so the auditor must detect the
-            // leak; the flight recorder logs what really happened.
-            recorder_.record(now_, FrEvent::kFaultDropResp, s, resp.app,
-                             resp.line_addr, 0);
-            continue;
-          }
-          if (d.action == ResponseAction::kNack) {
-            // Injected fault: delivery refused; the packet re-queues with a
-            // later ready time (>= now_+1, so this loop terminates).  If the
-            // queue refilled meanwhile, the NACK has nowhere to park and the
-            // packet is delivered after all.
-            resp.ready = now_ + d.delay;
-            if (rq.try_push(resp)) {
-              recorder_.record(now_, FrEvent::kFaultNack, s, resp.app,
-                               resp.line_addr, d.delay);
-              continue;
-            }
-          }
+        const MemResponsePacket resp = rq.pop();
+        if (injector_ != nullptr && injector_->should_drop_response()) {
+          // Injected fault: the response vanishes at delivery, stranding
+          // its warp.  Taps stay silent so the auditor must detect the
+          // leak; the flight recorder logs what really happened.
+          recorder_.record(now_, FrEvent::kFaultDropResp, s, resp.app,
+                           resp.line_addr, 0);
+          continue;
         }
         taps_.responses_delivered.add(resp.app);
         sms_[s]->receive(resp);
@@ -406,24 +391,6 @@ void Gpu::cycle_full() {
     }
     const AppId app = sms_[s]->app();
     if (app != kInvalidApp) sm_cycles_.add(app);
-  }
-
-  // 1b. Injected misroute: rewrite the destination of the first ready
-  // request packet waiting at any SM's out-queue head.  Done here — not in
-  // the crossbar's RouteFn, which is re-evaluated every arbitration probe —
-  // so the corruption happens exactly once and deterministically.
-  if (injector_ != nullptr && injector_->misroute_due(now_)) {
-    for (int s = 0; s < cfg_.num_sms; ++s) {
-      auto& oq = sms_[s]->out_queue();
-      if (oq.empty() || oq.front().ready > now_) continue;
-      MemRequestPacket& pkt = oq.front();
-      const PartitionId intended = pkt.dest;
-      pkt.dest = (pkt.dest + 1) % cfg_.num_partitions;
-      injector_->note_misroute_fired();
-      recorder_.record(now_, FrEvent::kFaultMisroute, pkt.dest, pkt.app,
-                       pkt.line_addr, static_cast<u64>(intended));
-      break;
-    }
   }
 
   // 2. Request crossbar: SM output FIFOs -> partition delivery queues.
@@ -564,11 +531,6 @@ AuditReport Gpu::audit_conservation() const {
     report.consumed[a] = taps_.requests_consumed.total(a);
     report.enqueued[a] = taps_.responses_enqueued.total(a);
     report.delivered[a] = taps_.responses_delivered.total(a);
-    report.retried[a] = taps_.retries_issued.total(a);
-    report.absorbed[a] = taps_.duplicates_absorbed.total(a);
-  }
-  for (const auto& sm : sms_) {
-    sm->count_recovery_outstanding(report.recovery_outstanding);
   }
 
   // Walk everything currently in flight, stage by stage.

@@ -126,15 +126,10 @@ void Simulation::check_limits() {
 u64 Simulation::progress_signature() const {
   // Any retired instruction or served DRAM request counts as progress; a
   // co-run mid-drain retires nothing for a while but its DRAM still moves.
-  // Recovery traffic (reissues, absorbed duplicates) also counts: an SM
-  // backing off and retrying a lost miss is recovering, not deadlocked —
-  // the watchdog should only fire once the retry path itself goes silent.
   u64 sig = gpu_.instructions().grand_total();
   for (int p = 0; p < gpu_.num_partitions(); ++p) {
     sig += gpu_.partition(p).mc().counters().requests_served.grand_total();
   }
-  sig += gpu_.conservation_taps().retries_issued.grand_total();
-  sig += gpu_.conservation_taps().duplicates_absorbed.grand_total();
   return sig;
 }
 

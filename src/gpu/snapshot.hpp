@@ -41,7 +41,11 @@ namespace gpusim {
 // records, drained flight-recorder events, drop counters) joined the
 // observer walk of every assembled co-run, so kill+resume reproduces
 // byte-identical telemetry files.
-inline constexpr u32 kSnapshotVersion = 4;
+// Version 5: the modeled MSHR recovery left the walk (the SM retry and
+// dup-expect maps, the recovery taps, the retry config fields), the fault
+// injector kept only its drop counters, and the flight-recorder event kinds
+// were renumbered after the retry and removed fault kinds went.
+inline constexpr u32 kSnapshotVersion = 5;
 
 struct SnapshotHeader {
   u32 version = 0;

@@ -26,23 +26,20 @@ const std::vector<FlagInfo>& flag_table() {
       {FlagId::kWatchdog, "--watchdog", "N",
        "deadlock watchdog threshold in cycles (0 disables; default 1000000)"},
       {FlagId::kDeadlineMs, "--deadline-ms", "N",
-       "wall-clock deadline in ms, shared by a whole --apps run, sweep,\n"
-       "chaos campaign or --fault-schedule replay (default none;\n"
-       "lapsing it exits 7; rejected by --triage)"},
+       "wall-clock deadline in ms, shared by a whole --apps run or\n"
+       "sweep (default none; lapsing it exits 7; rejected by --triage)"},
       {FlagId::kCycleBudget, "--cycle-budget", "N",
        "hard cycle cap per co-run of an --apps run or sweep (default\n"
-       "none; exceeding it exits 8; rejected by --chaos,\n"
-       "--fault-schedule and --triage)"},
+       "none; exceeding it exits 8; rejected by --triage)"},
       {FlagId::kMemBudget, "--mem-budget", "N",
        "hard DRAM requests-served cap per co-run, same modes as\n"
        "--cycle-budget (default none; exceeding it exits 8)"},
       {FlagId::kSweep, "--sweep", "WHICH",
        "run a crash-safe two-app sweep: 'all' (105 pairs) or 'random:N'"},
       {FlagId::kCheckpoint, "--checkpoint", "F",
-       "sweep/chaos JSONL checkpoint (resume from it if present)"},
+       "sweep JSONL checkpoint (resume from it if present)"},
       {FlagId::kOut, "--out", "F",
-       "final results JSON (default sweep_results.json /\n"
-       "chaos_report.json)"},
+       "final sweep results JSON (default sweep_results.json)"},
       {FlagId::kRetries, "--retries", "N",
        "sweep attempts per pair; deterministic errors (config,\n"
        "invariant, conservation, budget) run once (default 3)"},
@@ -52,9 +49,8 @@ const std::vector<FlagInfo>& flag_table() {
       {FlagId::kFailFast, "--fail-fast", nullptr,
        "abort the sweep on the first failed pair"},
       {FlagId::kJobs, "--jobs", "N",
-       "worker threads for sweeps and chaos campaigns (default: one\n"
-       "per hardware thread; 1 = serial; results are byte-identical\n"
-       "for any N)"},
+       "worker threads for sweeps (default: one per hardware thread;\n"
+       "1 = serial; results are byte-identical for any N)"},
       {FlagId::kSnapshotEvery, "--snapshot-every", "N",
        "write a SimState snapshot every N cycles (auto-resumes from it\n"
        "after a crash; works for --apps and --sweep runs)"},
@@ -80,26 +76,13 @@ const std::vector<FlagInfo>& flag_table() {
        "attribute wall time and visit counts to the cycle-loop phases\n"
        "(SM advance, response delivery, crossbars, partitions, interval\n"
        "bookkeeping); prints a JSON breakdown"},
-      {FlagId::kChaos, "--chaos", "N",
-       "run a chaos campaign of N random fault schedules across\n"
-       "workload x policy jobs; classify every outcome, minimize\n"
-       "failures, write the report to --out"},
-      {FlagId::kChaosSeed, "--chaos-seed", "N",
-       "campaign master seed (default 1; identical seeds give\n"
-       "byte-identical reports for any --jobs)"},
-      {FlagId::kNoMinimize, "--no-minimize", nullptr,
-       "skip delta-debugging failing chaos schedules"},
-      {FlagId::kNoRecovery, "--no-recovery", nullptr,
-       "disable the modeled MSHR timeout/retry recovery path in chaos\n"
-       "and --fault-schedule runs"},
       {FlagId::kFaultSchedule, "--fault-schedule", "S",
-       "with --apps: run once under the fault schedule spec S and print\n"
-       "the chaos outcome classification (replays a campaign reproducer\n"
-       "exactly)"},
+       "with --apps: inject the fault schedule spec S (drop-resp,\n"
+       "drop-req, stall) into the co-run; the run is audited as usual,\n"
+       "so a dropped packet exits 3 with a conservation error"},
       {FlagId::kBundleDir, "--bundle-dir", "D",
        "root directory for crash-forensics bundles (default\n"
-       "'crash-bundles'; also arms bundling for --chaos campaigns,\n"
-       "where it is otherwise off)"},
+       "'crash-bundles')"},
       {FlagId::kNoBundle, "--no-bundle", nullptr,
        "disable crash-bundle emission entirely"},
       {FlagId::kTriage, "--triage", "BUNDLE",
@@ -109,10 +92,9 @@ const std::vector<FlagInfo>& flag_table() {
        "3 bundle unusable)"},
       {FlagId::kTelemetryOut, "--telemetry-out", "F|D",
        "per-interval time-series JSONL: a file for --apps runs, a\n"
-       "directory (per-label files) for --sweep, --chaos and\n"
-       "--fault-schedule; every record carries estimated vs actual\n"
-       "slowdowns, the Eq. 26 error, partition sizes and memory-system\n"
-       "rates"},
+       "directory (per-label files) for --sweep; every record carries\n"
+       "estimated vs actual slowdowns, the Eq. 26 error, partition\n"
+       "sizes and memory-system rates"},
       {FlagId::kTraceOut, "--trace-out", "F",
        "Chrome trace-event JSON (load in Perfetto / chrome://tracing):\n"
        "epoch spans per app, migration drain spans, governor and fault\n"
@@ -170,7 +152,6 @@ std::string render_usage(const char* argv0) {
   std::ostringstream ss;
   ss << "usage: " << argv0 << " --apps A,B[,C,D] [options]\n"
      << "       " << argv0 << " --sweep all|random:N [options]\n"
-     << "       " << argv0 << " --chaos N [options]\n"
      << "       " << argv0 << " --triage BUNDLE\n"
      << "\n";
   constexpr int kColumn = 22;

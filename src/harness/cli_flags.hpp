@@ -49,10 +49,6 @@ enum class FlagId {
   kGovernor,
   kNoGovernor,
   kProfileLoop,
-  kChaos,
-  kChaosSeed,
-  kNoMinimize,
-  kNoRecovery,
   kFaultSchedule,
   kBundleDir,
   kNoBundle,

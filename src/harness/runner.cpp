@@ -411,41 +411,45 @@ TelemetryFlushContext corun_telemetry_context(const RunConfig& rc,
   return ctx;
 }
 
+namespace {
+
+/// The forensics a co-run leaves when `error` ends it: a crash bundle
+/// under rc.crash_bundle_dir (when set), with `anchor_snapshot` as its
+/// re-execution anchor, then the telemetry recorded so far, flushed with a
+/// crash marker when rc.telemetry asks for files.  kInterrupted leaves
+/// nothing: a graceful drain is not a crash, and the auto-resume snapshot
+/// already keeps its state.  Never throws.
 void record_corun_failure(const RunConfig& rc, const Workload& workload,
                           const ModelSet& models, PolicyKind policy,
                           const std::vector<int>* sm_split,
-                          const CoRunAssembly& assembly,
-                          const std::exception& error,
-                          const std::string& telemetry_label,
+                          const CoRunAssembly& assembly, const SimError& error,
                           const std::string& anchor_snapshot) {
-  const auto* sim_error = dynamic_cast<const SimError*>(&error);
-  if (sim_error != nullptr && sim_error->kind() == SimErrorKind::kInterrupted) {
-    return;
-  }
+  if (error.kind() == SimErrorKind::kInterrupted) return;
   const Simulation& sim = *assembly.sim;
-  if (sim_error != nullptr && !rc.crash_bundle_dir.empty()) {
+  if (!rc.crash_bundle_dir.empty()) {
     write_crash_bundle(
         rc, corun_identity(rc, workload, models, policy, sm_split),
-        workload.label(), sim, *sim_error, anchor_snapshot);
+        workload.label(), sim, error, anchor_snapshot);
   }
   // The alone baselines were never measured, so the flushed series carry
   // estimate columns but no actual-slowdown columns.
   if (!rc.telemetry.any()) return;
   TelemetryFlushContext ctx =
-      corun_telemetry_context(rc, workload, assembly, telemetry_label);
+      corun_telemetry_context(rc, workload, assembly, workload.label());
   ctx.crashed = true;
-  ctx.crash_kind =
-      sim_error != nullptr ? to_string(sim_error->kind()) : "exception";
+  ctx.crash_kind = to_string(error.kind());
   ctx.crash_cycle = sim.gpu().now();
   try {
     flush_telemetry(*assembly.telemetry, sim.gpu(),
-                    resolve_telemetry_paths(rc.telemetry, telemetry_label),
+                    resolve_telemetry_paths(rc.telemetry, workload.label()),
                     ctx);
   } catch (const std::exception& flush_error) {
     std::fprintf(stderr, "gpusim: telemetry flush failed (%s)\n",
                  flush_error.what());
   }
 }
+
+}  // namespace
 
 double AppResult::estimation_error_of(const std::string& model) const {
   const auto it = estimates.find(model);
@@ -758,17 +762,14 @@ CoRunResult ExperimentRunner::run(const Workload& workload,
       std::error_code ec;
       std::filesystem::remove(snap_path, ec);
     }
-    // Injected faults intentionally break conservation; the auditor is
-    // the mechanism tests use to detect them, so only a clean run
-    // self-audits.
-    if (rc_.verify_conservation && !rc_.faults.any()) {
-      gpu.verify_conservation();
-    }
+    // Under fault injection too: a dropped packet must surface as a typed
+    // conservation failure, never as a result.
+    if (rc_.verify_conservation) gpu.verify_conservation();
   } catch (const SimError& e) {
     for (const auto& chase : chases) chase->abandon();
     // The last periodic snapshot, when one exists, anchors the bundle.
     record_corun_failure(rc_, workload, models, policy, sm_split, assembly,
-                         e, workload.label(), snap_path);
+                         e, snap_path);
     throw;
   }
 

@@ -8,7 +8,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <exception>
 #include <map>
 #include <memory>
 #include <string>
@@ -68,12 +67,13 @@ struct RunConfig {
   /// simulation this runner drives (0 disables; default matches
   /// Simulation::kDefaultWatchdogCycles).
   Cycle watchdog_cycles = 1'000'000;
-  /// SimGuard: audit end-to-end request conservation after each co-run
-  /// (skipped automatically when faults are being injected).
+  /// SimGuard: audit end-to-end request conservation after each co-run,
+  /// faulted or not; an imbalance raises SimError(kConservation).
   bool verify_conservation = true;
   /// SimGuard: fault schedule to inject into the co-run (empty by default;
-  /// used by tests, the chaos engine and the CLI to exercise the watchdog,
-  /// the auditor and the recovery path).
+  /// tests and the CLI's --fault-schedule use it to prove that the
+  /// watchdog and the auditor catch damage).  Alone replays never carry
+  /// it.
   FaultSchedule faults;
 
   // ---- SimState checkpointing (see gpu/snapshot.hpp) ----
@@ -116,8 +116,8 @@ struct RunConfig {
   /// bundles: the auto-resume snapshot already preserves that state.
   /// Empty (off) by default in the library; the CLI defaults it on.
   std::string crash_bundle_dir;
-  /// Mode tag recorded in bundle manifests ("run", "sweep", "chaos") so a
-  /// triage session knows which path assembled the failure.
+  /// Mode tag recorded in bundle manifests ("run" or "sweep") so a triage
+  /// session knows which path assembled the failure.
   std::string crash_bundle_mode = "run";
 
   // ---- Telemetry (see telemetry/hub.hpp) --------------------------------
@@ -241,9 +241,8 @@ struct CoRunAssembly {
 /// the policy/split, and the model/policy observers in canonical
 /// registration order (dase, mise, asm, epochs, fair, qos, temporal,
 /// governor, telemetry hub last — the order Simulation::load expects
-/// back).  Shared by the runner, the chaos
-/// engine and --triage so a restored snapshot always meets an identically
-/// assembled experiment.
+/// back).  Shared by the runner, the determinism audit and --triage so a
+/// restored snapshot always meets an identically assembled experiment.
 CoRunAssembly assemble_corun(const RunConfig& rc, const Workload& workload,
                              const ModelSet& models, PolicyKind policy,
                              const std::vector<int>* sm_split = nullptr);
@@ -256,21 +255,6 @@ TelemetryFlushContext corun_telemetry_context(const RunConfig& rc,
                                               const Workload& workload,
                                               const CoRunAssembly& assembly,
                                               const std::string& label);
-
-/// The forensics a co-run leaves when `error` ends it, for
-/// ExperimentRunner::run and chaos jobs alike.  A SimError writes a crash
-/// bundle under rc.crash_bundle_dir (when set), with `anchor_snapshot` as
-/// its re-execution anchor; then the telemetry recorded so far is flushed
-/// under `telemetry_label` with a crash marker, when rc.telemetry asks for
-/// files.  kInterrupted leaves nothing: a graceful drain is not a crash,
-/// and the auto-resume snapshot already keeps its state.  Never throws.
-void record_corun_failure(const RunConfig& rc, const Workload& workload,
-                          const ModelSet& models, PolicyKind policy,
-                          const std::vector<int>* sm_split,
-                          const CoRunAssembly& assembly,
-                          const std::exception& error,
-                          const std::string& telemetry_label,
-                          const std::string& anchor_snapshot = std::string());
 
 struct AppResult {
   std::string abbr;

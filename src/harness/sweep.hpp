@@ -12,7 +12,7 @@
 //
 // Pairs that throw are retried under the shared RetryPolicy
 // (harness/worker_pool.hpp): transient failures (watchdog stalls,
-// exhausted recovery, non-simulator exceptions) up to `max_attempts` times
+// non-simulator exceptions) up to `max_attempts` times
 // with exponential backoff, deterministic SimErrors once.  A pair that
 // keeps failing is recorded with its error and the sweep moves on (or
 // aborts under `fail_fast`).

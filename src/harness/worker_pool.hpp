@@ -1,10 +1,10 @@
 // Shared batch pool and retry policy.
 //
-// The sweep and the chaos campaign fan independent units across threads
-// with one scheme: workers claim pending indices from one atomic cursor and
-// write results into disjoint, index-addressed slots, so the assembled
-// output is identical for every worker count.  This header is that scheme,
-// plus the retry policy the sweep applies to a failed unit — any
+// The sweep fans independent units across threads with one scheme: workers
+// claim pending indices from one atomic cursor and write results into
+// disjoint, index-addressed slots, so the assembled output is identical for
+// every worker count.  This header is that scheme, plus the retry policy
+// the sweep applies to a failed unit — any
 // determinism argument about "who ran what when", or about how often a
 // failure is retried, reduces to this file.
 #pragma once
@@ -95,13 +95,7 @@ struct RetryPolicy {
   static bool transient(const std::exception& e) {
     const auto* sim = dynamic_cast<const SimError*>(&e);
     if (sim == nullptr) return true;
-    switch (sim->kind()) {
-      case SimErrorKind::kWatchdogStall:
-      case SimErrorKind::kRecoveryExhausted:
-        return true;
-      default:
-        return false;
-    }
+    return sim->kind() == SimErrorKind::kWatchdogStall;
   }
 
   /// Called after attempt `attempt` of unit `unit` failed with `e`.

@@ -67,21 +67,10 @@ void MemoryPartition::cycle(Cycle now,
   completed_scratch_.clear();
   mc_.cycle(now, completed_scratch_);
   for (const DramCmd& done : completed_scratch_) {
-    // Injected fault: a bit-flip corrupts the fill address between DRAM and
-    // the L2/MSHR.  The flipped line almost never matches an MSHR entry, so
-    // Mshr::release raises its double-completion invariant — the guard the
-    // chaos classifier expects to catch this corruption.
-    const u64 fill_line = injector_ != nullptr
-                              ? injector_->corrupt_fill_line(done.line_addr)
-                              : done.line_addr;
-    if (recorder_ != nullptr && fill_line != done.line_addr) {
-      recorder_->record(now, FrEvent::kFaultCorrupt, id_, done.app,
-                        done.line_addr, fill_line);
-    }
-    l2_.fill(fill_line, done.app);
-    for (const MshrWaiter& w : mshr_.release(fill_line)) {
+    l2_.fill(done.line_addr, done.app);
+    for (const MshrWaiter& w : mshr_.release(done.line_addr)) {
       MemResponsePacket resp;
-      resp.line_addr = fill_line;
+      resp.line_addr = done.line_addr;
       resp.app = w.app;
       resp.sm = w.sm;
       resp.warp = w.warp;

@@ -267,21 +267,16 @@ void PolicyGovernor::trip_breaker(Gpu& gpu, AppId starved_app) {
 
 std::string PolicyGovernor::stalled_drain_detail(const Gpu& gpu) const {
   std::ostringstream ss;
-  std::array<u64, kMaxApps> recovery{};
   for (int s = 0; s < gpu.num_sms(); ++s) {
     const SmCore& sm = gpu.sm(s);
     if (!sm.draining() || sm.drained()) continue;
-    sm.count_recovery_outstanding(recovery);
+    if (ss.tellp() > 0) ss << "\n";
     ss << "sm=" << s << " app=" << sm.app()
        << " live_warps=" << sm.live_warps()
        << " active_blocks=" << sm.active_blocks()
        << " waiting_warps=" << sm.waiting_warps()
-       << " out_queue=" << sm.out_queue().size()
-       << " retries_pending=" << sm.retries_pending() << "\n";
+       << " out_queue=" << sm.out_queue().size();
   }
-  u64 outstanding = 0;
-  for (const u64 v : recovery) outstanding += v;
-  ss << "recovery_outstanding_total=" << outstanding;
   return ss.str();
 }
 

@@ -31,11 +31,8 @@ void SmCore::assign(BlockSource* source, Cycle now) {
 }
 
 bool SmCore::drained() const {
-  // dup_expect_ means a response for this SM is (or was) still in the
-  // network; releasing the core before it lands would deliver it to a
-  // reassigned SM.  retries_ is implied by l1_mshr_.in_flight().
   if (!pending_txns_.empty() || !local_hits_.empty() || !out_queue_.empty() ||
-      l1_mshr_.in_flight() != 0 || !dup_expect_.empty()) {
+      l1_mshr_.in_flight() != 0) {
     return false;
   }
   for (const WarpCtx& w : warps_) {
@@ -64,9 +61,6 @@ void SmCore::release() {
   for (BlockSlot& b : blocks_) b = BlockSlot{};
   l1_.clear();
   l1_mshr_.clear();
-  retries_.clear();
-  dup_expect_.clear();
-  next_retry_deadline_ = kNeverCycle;
 }
 
 int SmCore::max_concurrent_blocks() const {
@@ -145,9 +139,6 @@ void SmCore::refill_blocks(Cycle now) {
 }
 
 void SmCore::cycle(Cycle now) {
-  // 0. Reissue timed-out misses (no-op unless mshr_retry_enabled).
-  check_retries(now);
-
   // 1. Mature L1 hits.
   while (!local_hits_.empty() && local_hits_.front().first <= now) {
     complete_txn(local_hits_.front().second);
@@ -202,68 +193,8 @@ void SmCore::dispatch_pending(Cycle now) {
                           .detail("sm", id_)
                           .detail("occupancy", out_queue_.size()));
     if (taps_ != nullptr) taps_->requests_sent.add(app());
-    if (cfg_.mshr_retry_enabled) {
-      RetryState rs;
-      rs.pkt = pkt;
-      rs.deadline = now + cfg_.mshr_retry_timeout;
-      retries_[line] = rs;
-      if (rs.deadline < next_retry_deadline_) next_retry_deadline_ = rs.deadline;
-    }
     pending_txns_.pop_front();
   }
-}
-
-void SmCore::recompute_next_retry_deadline() {
-  next_retry_deadline_ = kNeverCycle;
-  for (const auto& [line, rs] : retries_) {
-    if (rs.deadline < next_retry_deadline_) next_retry_deadline_ = rs.deadline;
-  }
-}
-
-void SmCore::check_retries(Cycle now) {
-  if (!cfg_.mshr_retry_enabled || next_retry_deadline_ > now) return;
-  for (auto& [line, rs] : retries_) {
-    if (rs.deadline > now) continue;
-    if (rs.attempts >= cfg_.mshr_retry_max && recorder_ != nullptr) {
-      // Recorded before the throw so the crash bundle's timeline ends with
-      // the event that killed the run.
-      recorder_->record(now, FrEvent::kMshrExhausted, id_, app(), line,
-                        static_cast<u64>(rs.attempts));
-    }
-    SIM_CHECK(rs.attempts < cfg_.mshr_retry_max,
-              SimError(SimErrorKind::kRecoveryExhausted, "sm.core",
-                       "miss response never arrived: reissue budget spent")
-                  .cycle(now)
-                  .app(app())
-                  .detail("sm", id_)
-                  .detail("line", line)
-                  .detail("reissues", rs.attempts)
-                  .detail("mshr_retry_max", cfg_.mshr_retry_max));
-    if (out_queue_.full()) {
-      rs.deadline = now + 1;  // retry the reissue as soon as a slot frees
-      continue;
-    }
-    MemRequestPacket pkt = rs.pkt;
-    pkt.ready = now;
-    const bool pushed = out_queue_.try_push(pkt);
-    SIM_CHECK(pushed, SimError(SimErrorKind::kQueueOverflow, "sm.core",
-                               "out queue overflow on retry reissue")
-                          .cycle(now)
-                          .app(app())
-                          .detail("sm", id_));
-    if (taps_ != nullptr) {
-      taps_->requests_sent.add(pkt.app);
-      taps_->retries_issued.add(pkt.app);
-    }
-    ++rs.attempts;
-    // Exponential backoff: timeout doubles with each reissue.
-    rs.deadline = now + (cfg_.mshr_retry_timeout << rs.attempts);
-    if (recorder_ != nullptr) {
-      recorder_->record(now, FrEvent::kMshrRetry, id_, pkt.app, line,
-                        static_cast<u64>(rs.attempts));
-    }
-  }
-  recompute_next_retry_deadline();
 }
 
 void SmCore::issue(Cycle now) {
@@ -468,65 +399,12 @@ void SmCore::load(StateReader& r, BlockSource* source) {
   l1_mshr_.load(r);
   out_queue_.load(r);
   counters_.load(r);
-  retries_.clear();
-  const u64 n_retries = r.get_count(1u << 20, "sm retry entries");
-  for (u64 i = 0; i < n_retries; ++i) {
-    const u64 line = r.get_u64();
-    RetryState rs;
-    read_item(r, rs.pkt);
-    rs.deadline = r.get_u64();
-    rs.attempts = r.get_i32();
-    // attempts is a left-shift exponent in check_retries(); a corrupt value
-    // would be undefined behaviour, not just a wrong backoff.
-    SIM_CHECK(rs.attempts >= 0 && rs.attempts <= 62,
-              SimError(SimErrorKind::kSnapshot, "sm.core",
-                       "corrupt retry attempt count in snapshot")
-                  .detail("sm", id_)
-                  .detail("attempts", rs.attempts));
-    retries_[line] = rs;
-  }
-  dup_expect_.clear();
-  const u64 n_dups = r.get_count(1u << 20, "sm expected duplicates");
-  for (u64 i = 0; i < n_dups; ++i) {
-    const u64 line = r.get_u64();
-    DupExpect d;
-    d.count = r.get_i32();
-    d.app = r.get_i32();
-    dup_expect_[line] = d;
-  }
-  recompute_next_retry_deadline();
 }
 
 void SmCore::receive(const MemResponsePacket& resp) {
-  if (cfg_.mshr_retry_enabled && !l1_mshr_.contains(resp.line_addr)) {
-    // A line with no MSHR entry is either an expected duplicate (the slower
-    // copy of an original-vs-retry race — absorb it) or a genuine rogue
-    // double completion (fall through so Mshr::release raises the same
-    // invariant it would without recovery).
-    const auto it = dup_expect_.find(resp.line_addr);
-    if (it != dup_expect_.end()) {
-      if (--it->second.count == 0) dup_expect_.erase(it);
-      if (taps_ != nullptr) taps_->duplicates_absorbed.add(resp.app);
-      return;
-    }
-  }
   l1_.fill(resp.line_addr, resp.app);
   for (const MshrWaiter& w : l1_mshr_.release(resp.line_addr)) {
     complete_txn(w.warp);
-  }
-  if (cfg_.mshr_retry_enabled) {
-    const auto it = retries_.find(resp.line_addr);
-    if (it != retries_.end()) {
-      // Every reissue beyond the copy just consumed is still in the system
-      // (or was dropped); expect and absorb that many more responses.
-      if (it->second.attempts > 0) {
-        DupExpect& d = dup_expect_[resp.line_addr];
-        d.count += it->second.attempts;
-        d.app = it->second.pkt.app;
-      }
-      retries_.erase(it);
-      recompute_next_retry_deadline();
-    }
   }
 }
 

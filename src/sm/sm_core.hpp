@@ -11,9 +11,7 @@
 // fraction α the DASE model consumes (paper Eq. 15).
 #pragma once
 
-#include <array>
 #include <deque>
-#include <map>
 #include <optional>
 #include <vector>
 
@@ -120,7 +118,7 @@ class SmCore {
   void set_taps(ConservationTaps* taps) { taps_ = taps; }
 
   /// Optional black-box flight recorder (owned by the GPU): block
-  /// dispatches and MSHR retry/exhaustion events are recorded into it.
+  /// dispatches are recorded into it.
   void set_flight_recorder(FlightRecorder* recorder) { recorder_ = recorder; }
 
   /// Warps currently blocked on outstanding memory transactions.
@@ -141,18 +139,15 @@ class SmCore {
   /// SM-visible input changed since.)  `ready_warps_` makes this O(1).
   bool quiet_at(Cycle now) const {
     return ready_warps_ == 0 && pending_txns_.empty() &&
-           out_queue_.empty() && next_retry_deadline_ > now &&
+           out_queue_.empty() &&
            (local_hits_.empty() || local_hits_.front().first > now);
   }
 
   /// Earliest future cycle at which this core acts on its own (an L1 hit
-  /// maturing or an MSHR retry deadline expiring); responses arriving via
-  /// the interconnect are the caller's events.  kNeverCycle when nothing is
-  /// scheduled.
+  /// maturing); responses arriving via the interconnect are the caller's
+  /// events.  kNeverCycle when nothing is scheduled.
   Cycle next_local_event() const {
-    const Cycle hit =
-        local_hits_.empty() ? kNeverCycle : local_hits_.front().first;
-    return hit < next_retry_deadline_ ? hit : next_retry_deadline_;
+    return local_hits_.empty() ? kNeverCycle : local_hits_.front().first;
   }
 
   /// Earliest cycle a quiet core must be processed again, given its
@@ -195,26 +190,6 @@ class SmCore {
   /// Resident thread blocks currently executing (TB_shared of Eq. 24).
   int active_blocks() const;
   int live_warps() const;
-
-  // --- Modeled recovery (GpuConfig::mshr_retry_enabled) ------------------
-
-  /// Adds, per app, the reissues whose original/duplicate fate is still
-  /// unresolved: pending retry attempts plus expected-but-unseen duplicate
-  /// responses.  The conservation auditor tolerates this much imbalance.
-  void count_recovery_outstanding(std::array<u64, kMaxApps>& out) const {
-    for (const auto& [line, rs] : retries_) {
-      if (rs.pkt.app >= 0 && rs.pkt.app < kMaxApps) {
-        out[static_cast<std::size_t>(rs.pkt.app)] +=
-            static_cast<u64>(rs.attempts);
-      }
-    }
-    for (const auto& [line, d] : dup_expect_) {
-      if (d.app >= 0 && d.app < kMaxApps) {
-        out[static_cast<std::size_t>(d.app)] += static_cast<u64>(d.count);
-      }
-    }
-  }
-  u64 retries_pending() const { return retries_.size(); }
 
   // --- SimState ----------------------------------------------------------
   // The caller (Gpu) serializes which application this SM is assigned to
@@ -261,21 +236,6 @@ class SmCore {
     l1_mshr_.write_state(s);
     out_queue_.write_state(s);
     counters_.write_state(s);
-    // Recovery bookkeeping (std::map keeps both walks line-ordered, so the
-    // byte stream and the state hash are deterministic).
-    s.put_u64(retries_.size());
-    for (const auto& [line, rs] : retries_) {
-      s.put_u64(line);
-      write_item(s, rs.pkt);
-      s.put_u64(rs.deadline);
-      s.put_i32(rs.attempts);
-    }
-    s.put_u64(dup_expect_.size());
-    for (const auto& [line, d] : dup_expect_) {
-      s.put_u64(line);
-      s.put_i32(d.count);
-      s.put_i32(d.app);
-    }
   }
   void save(StateWriter& w) const { write_state(w); }
   void hash(Hasher& h) const { write_state(h); }
@@ -305,26 +265,11 @@ class SmCore {
     u64 addr;
   };
 
-  /// One pending L1-MSHR miss being tracked for timeout/reissue.
-  struct RetryState {
-    MemRequestPacket pkt;  ///< the original request, reissued verbatim
-    Cycle deadline = 0;    ///< cycle at which the next reissue fires
-    int attempts = 0;      ///< reissues already made (backoff exponent)
-  };
-  /// Responses still owed for a line whose MSHR entry already completed
-  /// (the losers of an original-vs-retry race); absorbed silently.
-  struct DupExpect {
-    int count = 0;
-    AppId app = kInvalidApp;
-  };
-
   void refill_blocks(Cycle now);
   void dispatch_pending(Cycle now);
   void issue(Cycle now);
   void complete_txn(WarpId warp);
   void retire_warp(WarpId warp);
-  void check_retries(Cycle now);
-  void recompute_next_retry_deadline();
   int max_concurrent_blocks() const;
 
   const GpuConfig& cfg_;
@@ -351,13 +296,6 @@ class SmCore {
   PerAppCounter* instr_sink_ = nullptr;
   ConservationTaps* taps_ = nullptr;
   FlightRecorder* recorder_ = nullptr;
-
-  // Modeled recovery state (empty unless cfg_.mshr_retry_enabled).
-  std::map<u64, RetryState> retries_;    // keyed by line address
-  std::map<u64, DupExpect> dup_expect_;  // keyed by line address
-  /// Cached min deadline over retries_, kNeverCycle when none: keeps
-  /// quiet_at()/next_local_event() O(1) for the activity engine.
-  Cycle next_retry_deadline_ = kNeverCycle;
 };
 
 }  // namespace gpusim

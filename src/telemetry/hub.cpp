@@ -337,9 +337,6 @@ int trace_tid_for(const FlightEvent& e) {
       return kTidMigration;
     case FrEvent::kFaultDropResp:
     case FrEvent::kFaultDropReq:
-    case FrEvent::kFaultNack:
-    case FrEvent::kFaultMisroute:
-    case FrEvent::kFaultCorrupt:
       return kTidFaults;
     case FrEvent::kRespHighWater:
     case FrEvent::kDeferHighWater:
@@ -347,8 +344,6 @@ int trace_tid_for(const FlightEvent& e) {
     case FrEvent::kXbarRespStall:
       return kTidMemory;
     case FrEvent::kBlockDispatch:
-    case FrEvent::kMshrRetry:
-    case FrEvent::kMshrExhausted:
       return e.app >= 0 ? kTidAppBase + e.app : kTidMemory;
   }
   return kTidMemory;

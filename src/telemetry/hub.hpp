@@ -42,7 +42,7 @@
 namespace gpusim {
 
 /// Where telemetry goes.  Single-run modes use the three file paths
-/// directly; batch modes (sweep / chaos / jobs) set `dir` and every unit
+/// directly; a sweep sets `dir` and every unit
 /// writes `<dir>/<sanitized-label>.telemetry.jsonl` / `.trace.json` /
 /// `.metrics.prom` instead.
 struct TelemetryPaths {

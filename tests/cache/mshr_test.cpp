@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/sim_error.hpp"
+
 namespace gpusim {
 namespace {
 
@@ -54,6 +56,25 @@ TEST(MshrTest, ClearDropsAllEntries) {
   m.clear();
   EXPECT_EQ(m.in_flight(), 0);
   EXPECT_FALSE(m.contains(1));
+}
+
+TEST(MshrTest, ReleaseOfALineWithNoEntryIsAnInvariantError) {
+  // A response for a line the MSHR never tracked (or already completed) is
+  // a double completion or a corrupt fill address: a typed kInvariant,
+  // leaving the tracked entries untouched.
+  Mshr m(4);
+  m.allocate(100, {0, 1, 0});
+  for (const u64 line : {u64{101}, u64{100} ^ (u64{1} << 40)}) {
+    try {
+      m.release(line);
+      FAIL() << "released untracked line " << line;
+    } catch (const SimError& e) {
+      EXPECT_EQ(e.kind(), SimErrorKind::kInvariant) << e.what();
+    }
+  }
+  EXPECT_TRUE(m.contains(100));
+  EXPECT_EQ(m.release(100).size(), 1u);
+  EXPECT_THROW(m.release(100), SimError) << "second completion of one line";
 }
 
 TEST(MshrTest, ManyWaitersOnOneLine) {

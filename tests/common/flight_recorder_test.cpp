@@ -51,7 +51,7 @@ TEST(FlightRecorderTest, RingEvictsOldestAndKeepsLifetimeTotal) {
 TEST(FlightRecorderTest, ZeroCapacityDisablesEverything) {
   FlightRecorder fr = make_recorder(0);
   EXPECT_FALSE(fr.enabled());
-  fr.record(1, FrEvent::kMshrRetry, 0, 0, 0xABC, 1);
+  fr.record(1, FrEvent::kFaultDropResp, 0, 0, 0xABC, 1);
   fr.note_resp_occupancy(2, 0, 5, 8);
   fr.note_deferred_backlog(3, 1, 4);
   fr.note_xbar_stall(4, false, 0x3);
@@ -64,7 +64,7 @@ TEST(FlightRecorderTest, SerializationRoundTripsAcrossAWrappedRing) {
   FlightRecorder fr = make_recorder(4);
   // 10 > capacity, so the physical ring is wrapped (head mid-buffer).
   for (int i = 0; i < 10; ++i) {
-    fr.record(static_cast<Cycle>(i), FrEvent::kMshrRetry, i, 1,
+    fr.record(static_cast<Cycle>(i), FrEvent::kFaultDropReq, i, 1,
               0x1000u + static_cast<u64>(i), static_cast<u64>(i % 5));
   }
   StateWriter w;
@@ -188,18 +188,18 @@ TEST(FlightRecorderTest, HighWaterMarksAreMonotonePerPartition) {
 
 TEST(FlightRecorderTest, TimelineRendersHeldEventsAndSummary) {
   FlightRecorder fr = make_recorder(8);
-  fr.record(10, FrEvent::kMshrExhausted, 3, 1, 0xBEEF, 62);
+  fr.record(10, FrEvent::kFaultDropReq, 3, 1, 0xBEEF, 0);
   fr.record(20, FrEvent::kMigrationHandover, 5, 0, 0, 0);
   const std::string text = fr.render_timeline(16);
   EXPECT_NE(text.find("2 event(s) held (capacity 8"), std::string::npos)
       << text;
-  EXPECT_NE(text.find("mshr-exhausted"), std::string::npos) << text;
+  EXPECT_NE(text.find("fault-drop-req"), std::string::npos) << text;
   EXPECT_NE(text.find("line=0xbeef"), std::string::npos) << text;
   EXPECT_NE(text.find("from=none"), std::string::npos) << text;
 
   // max_events truncates from the front (newest survive).
   const std::string tail = fr.render_timeline(1);
-  EXPECT_EQ(tail.find("mshr-exhausted"), std::string::npos) << tail;
+  EXPECT_EQ(tail.find("fault-drop-req"), std::string::npos) << tail;
   EXPECT_NE(tail.find("migration-handover"), std::string::npos) << tail;
 }
 

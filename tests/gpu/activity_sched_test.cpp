@@ -3,7 +3,7 @@
 // The engine (gpu/gpu.hpp) is an execution strategy, not a model change:
 // a run with it enabled must be bit-identical to the per-cycle reference
 // walk in every piece of simulated state.  These tests sweep randomized
-// configs — SM/partition counts, queue depths, retry knobs, random workload
+// configs — SM/partition counts, queue depths, random workload
 // mixes — through the divergence auditor with the engine on one side and
 // off on the other, and rotate through the hazardous scenarios: fault
 // schedules (which pin the engine off mid-construction), mid-run
@@ -47,7 +47,9 @@ RandomCase make_case(u64 seed, bool with_faults) {
   c.cfg.noc_queue_depth = 4 << rng.next_below(3);                  // 4/8/16
   c.cfg.partition_resp_queue_depth =
       64 << rng.next_below(3);                                     // 64..256
-  c.cfg.mshr_retry_enabled = rng.next_bool(0.5);
+  // Discarded draw: keeps every later draw, and so each random config,
+  // where it has always been.
+  (void)rng.next_bool(0.5);
   c.cfg.estimation_interval = 5'000 + 1'000 * rng.next_below(6);
   c.num_apps = 2 + static_cast<int>(rng.next_below(3));            // 2..4
   const auto& registry = app_registry();

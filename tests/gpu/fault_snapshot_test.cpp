@@ -42,10 +42,8 @@ TEST(FaultSnapshotTest, ArmedFaultFiresOnceOnTheResumedMachine) {
   const Cycle kSnapshotAt = 8'000;
   const Cycle kTail = 30'000;
   const u64 seen = responses_after(kSnapshotAt);
-  // Both events land after the snapshot point but well inside the tail.
-  const FaultSchedule sched = FaultSchedule{}
-                                  .drop_response_nth(seen + 500)
-                                  .nack_response(seen + 900, 200);
+  // The drop lands after the snapshot point but well inside the tail.
+  const FaultSchedule sched = FaultSchedule{}.drop_response_nth(seen + 500);
 
   FaultInjector ia(sched);
   auto a = make_sim(&ia);
@@ -54,7 +52,6 @@ TEST(FaultSnapshotTest, ArmedFaultFiresOnceOnTheResumedMachine) {
   const std::vector<u8> bytes = a->snapshot();
   a->run(kTail);
   ASSERT_EQ(ia.responses_dropped(), 1u);
-  ASSERT_EQ(ia.nacks_issued(), 1u);
 
   // Fresh machine + fresh injector from the same schedule: restore must
   // put the response counter back, so the fault fires at the same event —
@@ -65,7 +62,6 @@ TEST(FaultSnapshotTest, ArmedFaultFiresOnceOnTheResumedMachine) {
   EXPECT_EQ(ib.responses_seen(), seen);
   b->run(kTail);
   EXPECT_EQ(ib.responses_dropped(), 1u);
-  EXPECT_EQ(ib.nacks_issued(), 1u);
   EXPECT_EQ(a->state_hash(), b->state_hash());
   EXPECT_EQ(a->gpu().audit_conservation().total_leaked(),
             b->gpu().audit_conservation().total_leaked());

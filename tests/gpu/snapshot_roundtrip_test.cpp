@@ -214,6 +214,40 @@ TEST_F(SnapshotFileTest, RejectsFingerprintMismatch) {
   }
 }
 
+TEST_F(SnapshotFileTest, RejectsAnOlderFormatVersion) {
+  // A file written under the previous state layout must be refused before
+  // any state loads, whatever its fingerprint says.
+  Rng rng(10);
+  const Trial t = random_trial(rng);
+  SimUnderTest a(t);
+  a.sim->run(5'000);
+  const u64 fp = simulation_fingerprint(*a.sim, 0);
+  write_snapshot_file(path("a.simstate"), *a.sim, fp);
+
+  // The version word follows the 8-byte magic.
+  StateWriter old_version;
+  old_version.put_u32(kSnapshotVersion - 1);
+  std::fstream f(path("a.simstate"),
+                 std::ios::binary | std::ios::in | std::ios::out);
+  ASSERT_TRUE(f.good());
+  f.seekp(8, std::ios::beg);
+  f.write(reinterpret_cast<const char*>(old_version.bytes().data()),
+          static_cast<std::streamsize>(old_version.bytes().size()));
+  f.close();
+
+  SimUnderTest b(t);
+  try {
+    restore_snapshot_file(path("a.simstate"), *b.sim, fp);
+    FAIL() << "expected SimError";
+  } catch (const SimError& e) {
+    EXPECT_EQ(e.kind(), SimErrorKind::kSnapshot);
+    EXPECT_NE(std::string(e.what()).find("unsupported snapshot version"),
+              std::string::npos)
+        << e.what();
+    EXPECT_EQ(b.sim->gpu().now(), 0u);
+  }
+}
+
 TEST_F(SnapshotFileTest, RejectsCorruptedPayload) {
   Rng rng(7);
   const Trial t = random_trial(rng);

@@ -1,5 +1,5 @@
-// Crash-forensics bundle tests: a terminal SimError in the runner (and in a
-// chaos job) must publish one complete, atomically-renamed bundle whose
+// Crash-forensics bundle tests: a terminal SimError in the runner (faulted
+// or not) must publish one complete, atomically-renamed bundle whose
 // manifest round-trips, and `run_triage` must replay the bundled state to
 // the recorded failure cycle with a bit-exact state hash.  Also pins the
 // negative space: tampered hashes report divergence (exit 4), malformed
@@ -15,7 +15,6 @@
 #include <string>
 
 #include "common/sim_error.hpp"
-#include "harness/chaos.hpp"
 #include "harness/runner.hpp"
 #include "harness/triage.hpp"
 #include "kernels/app_registry.hpp"
@@ -188,15 +187,19 @@ TEST_F(CrashBundleTest, CollidingBundleNamesGetSuffixes) {
   EXPECT_EQ(published, 2);
 }
 
-TEST_F(CrashBundleTest, ChaosJobBundlesAndTriagesGuardCaughtFailures) {
-  ChaosOptions opts;
-  opts.rc.co_run_cycles = 30'000;
-  opts.recovery = false;
-  opts.rc.crash_bundle_dir = bundle_root();
+TEST_F(CrashBundleTest, FaultedRunBundlesAndTriagesAWatchdogHang) {
+  RunConfig rc;
+  rc.co_run_cycles = 30'000;
+  rc.watchdog_cycles = 5'000;
+  rc.crash_bundle_dir = bundle_root();
   const FaultSchedule schedule = FaultSchedule::parse("stall:part=0,from=2000");
-  const ChaosJobResult r =
-      run_chaos_job(opts, two_apps("SD", "SA"), /*dase_fair=*/false, schedule);
-  ASSERT_EQ(r.outcome, ChaosOutcome::kHang) << r.detail;
+  rc.faults = schedule;
+  try {
+    ExperimentRunner(rc).run(two_apps("SD", "SA"), ModelSet{.dase = true});
+    FAIL() << "a partition stalled forever let the run finish";
+  } catch (const SimError& e) {
+    ASSERT_EQ(e.kind(), SimErrorKind::kWatchdogStall) << e.what();
+  }
 
   std::string bundle;
   for (const auto& entry : fs::directory_iterator(bundle_root())) {
@@ -205,8 +208,10 @@ TEST_F(CrashBundleTest, ChaosJobBundlesAndTriagesGuardCaughtFailures) {
     }
   }
   ASSERT_FALSE(bundle.empty());
+  EXPECT_EQ(fs::path(bundle).filename().string().rfind("run-", 0), 0u)
+      << bundle;
   const CrashBundleManifest m = read_crash_bundle_manifest(bundle);
-  EXPECT_EQ(m.corun.rc.crash_bundle_mode, "chaos");
+  EXPECT_EQ(m.corun.rc.crash_bundle_mode, "run");
   EXPECT_EQ(m.corun.rc.faults.to_string(), schedule.to_string());
   EXPECT_EQ(m.error_kind, "watchdog-stall");
 

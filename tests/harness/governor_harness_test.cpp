@@ -15,7 +15,6 @@
 #include "dase/dase_model.hpp"
 #include "gpu/gpu.hpp"
 #include "gpu/simulator.hpp"
-#include "harness/chaos.hpp"
 #include "harness/runner.hpp"
 #include "kernels/app_registry.hpp"
 #include "kernels/workload_sets.hpp"
@@ -135,8 +134,8 @@ TEST(GovernorHarnessTest, StarvationFallbackAbandonsTheSplitForEven) {
   EXPECT_GE(a.sim->gpu().sms_assigned(1), 1);
 }
 
-// Adversarial schedule — windowed partition stalls, a NACK and a dropped
-// response with the modeled retry recovery armed.  Whatever the estimator
+// Adversarial schedule — two windowed partition stalls and a dropped
+// response.  Whatever the estimator
 // makes of that, the partition visible at every epoch boundary must stay
 // structurally valid, and no migration may start on an epoch whose
 // estimates needed the sanitizer.
@@ -147,12 +146,9 @@ TEST(GovernorHarnessTest, AdversarialScheduleNeverYieldsAnInvalidPartition) {
   RunConfig rc = quick_rc(true);
   rc.co_run_cycles = 100'000;
   rc.gpu.flight_recorder_events = 4096;
-  rc.gpu.mshr_retry_enabled = true;
-  rc.gpu.mshr_retry_timeout = 10'000;
   rc.faults = FaultSchedule{}
                   .stall_partition(1, 20'000, 28'000)
                   .stall_partition(3, 45'000, 52'000)
-                  .nack_response(30'000, 400)
                   .drop_response_nth(500);
 
   CoRunAssembly a = assemble_corun(rc, workload, models, PolicyKind::kDaseFair);
@@ -236,20 +232,22 @@ TEST(GovernorHarnessTest, SnapshotsInterchangeBetweenGovernorOnAndOff) {
   }
 }
 
-// A partition stalled forever must land a governed chaos job in the hang
-// class — the one bucket the triage runbook sends to the drain/watchdog
-// page — never in "recovered" or an unclassified escape.
-TEST(GovernorHarnessTest, StallForeverChaosJobLandsInTheHangClass) {
-  ChaosOptions opts;
-  opts.rc.co_run_cycles = 40'000;
-  opts.recovery = false;
-  opts.rc.governor = true;
-  const FaultSchedule wedge = FaultSchedule{}.stall_partition(0, 2'000, 0);
+// A partition stalled forever under a governed DASE-Fair run must end in
+// the progress watchdog's typed stall, never in a result or an untyped
+// escape.
+TEST(GovernorHarnessTest, StallForeverUnderDaseFairIsAWatchdogStall) {
+  RunConfig rc = quick_rc(true);
+  rc.co_run_cycles = 40'000;
+  rc.watchdog_cycles = 10'000;
+  rc.faults = FaultSchedule{}.stall_partition(0, 2'000, 0);
 
-  const ChaosJobResult r =
-      run_chaos_job(opts, unfair_pair(), /*dase_fair=*/true, wedge);
-  EXPECT_EQ(r.outcome, ChaosOutcome::kHang) << r.detail;
-  EXPECT_FALSE(r.detail.empty());
+  try {
+    ExperimentRunner(rc).run(unfair_pair(), ModelSet{.dase = true},
+                             PolicyKind::kDaseFair);
+    FAIL() << "a partition stalled forever let the run finish";
+  } catch (const SimError& e) {
+    EXPECT_EQ(e.kind(), SimErrorKind::kWatchdogStall) << e.what();
+  }
 }
 
 }  // namespace

@@ -265,6 +265,29 @@ TEST(RunnerTest, CappedReplaysFailInSlotOrderWithTheFinalCoRunCount) {
   }
 }
 
+TEST(RunnerTest, FaultedRunsAuditConservation) {
+  // run() audits a faulted co-run like any other: a dropped response or
+  // request is a typed conservation failure, never a result, while a stall
+  // window that closes loses nothing and the run completes.
+  const Workload w{{*find_app("VA"), *find_app("SD")}};
+  for (const char* drop : {"drop-resp:nth=200", "drop-req:nth=300"}) {
+    SCOPED_TRACE(drop);
+    RunConfig rc = quick_config();
+    rc.faults = FaultSchedule::parse(drop);
+    try {
+      ExperimentRunner(rc).run(w, ModelSet{.dase = true});
+      FAIL() << "a co-run that lost a packet returned a result";
+    } catch (const SimError& e) {
+      EXPECT_EQ(e.kind(), SimErrorKind::kConservation) << e.what();
+    }
+  }
+  RunConfig rc = quick_config();
+  rc.faults = FaultSchedule::parse("stall:part=0,from=1000,until=5000");
+  const CoRunResult r = ExperimentRunner(rc).run(w, ModelSet{.dase = true});
+  EXPECT_EQ(r.cycles, rc.co_run_cycles);
+  for (const AppResult& app : r.apps) EXPECT_GT(app.instructions, 0u);
+}
+
 TEST(RunnerTest, EpochModelsAttachWithoutDisturbingResult) {
   ExperimentRunner runner(quick_config());
   const Workload w{{*find_app("VA"), *find_app("SD")}};

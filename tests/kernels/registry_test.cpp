@@ -58,7 +58,9 @@ TEST_P(RegistryProfileTest, ProfileIsInternallyConsistent) {
   EXPECT_LT(p.hot_fraction, 1.0);
   EXPECT_GE(p.table3_bw_util, 0.1);
   EXPECT_LE(p.table3_bw_util, 0.75);
-  if (p.hot_fraction > 0.0) EXPECT_GT(p.hot_set_bytes, 0u);
+  if (p.hot_fraction > 0.0) {
+    EXPECT_GT(p.hot_set_bytes, 0u);
+  }
   // Mean compute run is consistent with the memory fraction.
   if (p.mem_fraction < 1.0) {
     EXPECT_NEAR(p.mean_compute_run(),

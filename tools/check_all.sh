@@ -1,10 +1,9 @@
 #!/usr/bin/env bash
 # The one merge gate: tier-1 build + full test suite, then every
-# specialised checker — ASan/UBSan, TSan over the concurrency-heavy
-# tests, the state-hash determinism audit, a bounded chaos campaign, the
-# crash-forensics gate, the policy-governor safety gate, the telemetry
-# gate, the pinned paper-results gate, and the performance-regression
-# gate.
+# specialised checker — the state-hash determinism audit, the
+# crash-forensics gate, the policy-governor safety gate, ASan/UBSan, TSan
+# over the concurrency-heavy tests, the telemetry gate, the pinned
+# paper-results gate, and the performance-regression gate.
 # CI invokes exactly this script; run it locally before pushing anything
 # that touches simulator, harness or serialization code.
 #
@@ -38,32 +37,30 @@ step() {
   return "$rc"
 }
 
-step "[1/10] tier-1: configure + build" bash -c \
+step "[1/9] tier-1: configure + build" bash -c \
   "cmake -B build -S . && cmake --build build -j '$JOBS'"
-step "[1/10] tier-1: ctest" ctest --test-dir build -j "$JOBS" --output-on-failure
+step "[1/9] tier-1: ctest" ctest --test-dir build -j "$JOBS" --output-on-failure
 
-step "[2/10] determinism audit" tools/check_determinism.sh build
+step "[2/9] determinism audit" tools/check_determinism.sh build
 
-step "[3/10] chaos campaign" tools/check_chaos.sh build
+step "[3/9] crash forensics: bundle + triage" tools/check_triage.sh build
 
-step "[4/10] crash forensics: bundle + triage" tools/check_triage.sh build
+step "[4/9] policy governor: watchdog, breakers, transparency" tools/check_governor.sh build
 
-step "[5/10] policy governor: watchdog, breakers, transparency" tools/check_governor.sh build
+step "[5/9] ASan + UBSan" tools/check_sanitize.sh
 
-step "[6/10] ASan + UBSan" tools/check_sanitize.sh
-
-step "[7/10] TSan (worker pool, JSONL ledger, chaos, runner replay helper, fork+signal)" \
+step "[6/9] TSan (worker pool, JSONL ledger, runner replay helper, fork+signal)" \
   tools/check_tsan.sh
 
-step "[8/10] telemetry: schema, trace, transparency, overhead" tools/check_telemetry.sh build
+step "[7/9] telemetry: schema, trace, transparency, overhead" tools/check_telemetry.sh build
 
-step "[9/10] paper results pinned to paperbench/reference.json" \
+step "[8/9] paper results pinned to paperbench/reference.json" \
   tools/check_paperbench.sh
 
 if [[ "$SKIP_PERF" == "1" ]]; then
-  echo "===== [10/10] perf gate: SKIPPED ====="
+  echo "===== [9/9] perf gate: SKIPPED ====="
 else
-  step "[10/10] perf gate" tools/check_perf.sh build
+  step "[9/9] perf gate" tools/check_perf.sh build
 fi
 
 echo "check_all: OK"

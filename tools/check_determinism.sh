@@ -4,8 +4,10 @@
 # including under a fault schedule, with the MISE/ASM epoch hook, with
 # DASE-Fair's SM drains and with the temporal policy), run the randomized
 # activity-engine equivalence suite, and verify a snapshotted + resumed
-# run's report is byte-identical to an uninterrupted one.  A clean pass
-# means the execution-strategy knobs cannot change simulated output.
+# run's report is byte-identical to an uninterrupted one, as are a sweep's
+# results at any worker count and after a resume past a torn checkpoint
+# line.  A clean pass means the execution-strategy knobs cannot change
+# simulated output.
 #
 #   tools/check_determinism.sh [build-dir]     (default: build)
 #
@@ -54,7 +56,7 @@ echo "== audit --apps CS,QR --policy temporal (hooked drains)"
        --cycles "$CYCLES" --hash-every 10000
 
 # Randomized equivalence suite: 36 random configs (SM/partition counts,
-# queue depths, retry knobs) x {plain, faults, mid-run repartition,
+# queue depths) x {plain, faults, mid-run repartition,
 # snapshot/restore, priority epochs, temporal policy}, engine on vs off.
 echo "== activity_sched_test (randomized engine-on/off equivalence)"
 if [[ ! -x "$BUILD_DIR/tests/activity_sched_test" ]]; then
@@ -112,5 +114,30 @@ echo "== sweep telemetry files: --jobs 1 vs --jobs 4"
        --telemetry-out "$TMP/teldir4" --out "$TMP/tel4.json" > /dev/null 2>&1
 diff -r "$TMP/teldir1" "$TMP/teldir4"
 cmp "$TMP/tel1.json" "$TMP/tel4.json"
+
+# Torn checkpoint: cut the last ledger line in half, the way a kill
+# mid-write leaves it; the resume re-runs that pair, exits 5 and writes
+# the same results bytes.
+echo "== torn sweep checkpoint: resume exits 5, same bytes"
+"$CLI" --sweep random:3 --cycles 40000 --jobs 4 \
+       --checkpoint "$TMP/torn.jsonl" --out "$TMP/torn-ref.json" > /dev/null
+python3 - "$TMP/torn.jsonl" <<'EOF'
+import sys
+path = sys.argv[1]
+lines = open(path).read().splitlines()
+last = lines.pop()
+with open(path, "w") as f:
+    f.write("".join(line + "\n" for line in lines) + last[: len(last) // 2])
+EOF
+RC=0
+"$CLI" --sweep random:3 --cycles 40000 --jobs 4 \
+       --checkpoint "$TMP/torn.jsonl" --out "$TMP/torn-resumed.json" \
+       > /dev/null 2> "$TMP/torn.err" || RC=$?
+if [[ "$RC" != "5" ]]; then
+  echo "error: resume past a torn checkpoint exited $RC, expected 5" >&2
+  cat "$TMP/torn.err" >&2
+  exit 1
+fi
+cmp "$TMP/torn-ref.json" "$TMP/torn-resumed.json"
 
 echo "determinism check: OK"

@@ -10,10 +10,10 @@
 #      recorded failure cycle, and VERIFIES the 64-bit state hash
 #      bit-exactly (exit 0);
 #   3. the same holds for a watchdog-proven hang under fault injection
-#      (the --fault-schedule chaos path), and for a temporal run with a
-#      non-default --quantum that triage re-executes from its anchor; a
-#      rerun under another quantum skips the killed run's stale snapshot
-#      and prints exactly what a fresh run prints;
+#      (a --fault-schedule run, which exits 3), and for a temporal run
+#      with a non-default --quantum that triage re-executes from its
+#      anchor; a rerun under another quantum skips the killed run's stale
+#      snapshot and prints exactly what a fresh run prints;
 #   4. corruption is contained: a tampered manifest hash makes triage
 #      report divergence (exit 4), a truncated snapshot is a typed
 #      failure (exit 3), and --no-bundle suppresses emission entirely;
@@ -64,15 +64,15 @@ fi
 echo "== --triage replays the run bundle to a bit-exact VERIFIED"
 "$CLI" --triage "$RUN_BUNDLE" | grep -q "triage: VERIFIED"
 
-echo "== watchdog hang under faults bundles and triages too"
+echo "== watchdog hang under faults exits 3, bundles and triages too"
 RC=0
 "$CLI" --apps SD,SA --cycles 40000 --watchdog 5000 \
-       --fault-schedule 'stall:part=0,from=2000' --no-recovery \
-       --bundle-dir "$TMP/bundles" > /dev/null 2>&1 || RC=$?
-# the chaos replay classifies the hang and exits 0; the bundle still lands
-CHAOS_BUNDLE="$(find "$TMP/bundles" -maxdepth 1 -name 'chaos-*' | head -1)"
-[[ -n "$CHAOS_BUNDLE" ]] || { echo "no chaos bundle published" >&2; exit 1; }
-"$CLI" --triage "$CHAOS_BUNDLE" | grep -q "triage: VERIFIED"
+       --fault-schedule 'stall:part=0,from=2000' \
+       --bundle-dir "$TMP/hang-bundles" > /dev/null 2>&1 || RC=$?
+[[ "$RC" == "3" ]] || { echo "expected exit 3, got $RC" >&2; exit 1; }
+HANG_BUNDLE="$(find "$TMP/hang-bundles" -maxdepth 1 -name 'run-*' | head -1)"
+[[ -n "$HANG_BUNDLE" ]] || { echo "no hang bundle published" >&2; exit 1; }
+"$CLI" --triage "$HANG_BUNDLE" | grep -q "triage: VERIFIED"
 
 echo "== a non-default --quantum reaches the bundle and the snapshot"
 TEMPORAL=(--apps CT,SP --policy temporal --cycles 200000)

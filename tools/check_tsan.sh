@@ -8,8 +8,8 @@
 #   tools/check_tsan.sh [build-dir]            (default: build-tsan)
 #
 # Runs only the concurrency-heavy tests by default (a full TSan suite run
-# is slow): the sweep, the JSONL ledger's concurrent appends, the chaos
-# campaign, the runner (the co-run feeding one replay helper per slot, and
+# is slow): the sweep, the JSONL ledger's concurrent appends, the runner
+# (the co-run feeding one replay helper per slot, and
 # the helpers' abort when the co-run or an earlier slot's replay fails) and
 # the fork+signal kill/resume and shutdown tests, whose children run those
 # helpers too.  Pass a ctest -R pattern as $2 to narrow or widen.
@@ -17,7 +17,7 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 BUILD_DIR="${1:-build-tsan}"
-FILTER="${2:-sweep|jsonl|chaos|runner|kill_resume|shutdown_signal}"
+FILTER="${2:-sweep|jsonl|runner|kill_resume|shutdown_signal}"
 
 cmake -B "$BUILD_DIR" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \

@@ -9,8 +9,7 @@
 //   gpusim_cli --sweep all --checkpoint sweep.jsonl --out sweep.json
 //   gpusim_cli --apps SD,SA --snapshot-every 50000 --snapshot-dir snaps
 //   gpusim_cli --apps SD,SA --audit-determinism
-//   gpusim_cli --chaos 50 --chaos-seed 7 --cycles 40000 --out chaos.json
-//   gpusim_cli --apps SD,SA --cycles 40000 --fault-schedule 'drop-resp:nth=200;seed=7'
+//   gpusim_cli --apps SD,SA --cycles 60000 --fault-schedule 'drop-resp:nth=200'
 //   gpusim_cli --triage crash-bundles/run-SD+SA-c12345
 //   gpusim_cli --version
 //   gpusim_cli --list-apps
@@ -37,7 +36,6 @@
 #include "common/sim_error.hpp"
 #include "gpu/simulator.hpp"
 #include "gpu/snapshot.hpp"
-#include "harness/chaos.hpp"
 #include "harness/cli_flags.hpp"
 #include "harness/divergence.hpp"
 #include "harness/runner.hpp"
@@ -190,62 +188,6 @@ int run_sweep(const std::string& which, const RunConfig& rc,
   return torn != 0 ? 5 : 0;
 }
 
-int run_chaos(const ChaosOptions& opts, const std::string& out_path) {
-  const ChaosReport report = run_chaos_campaign(opts);
-  if (shutdown_requested()) {
-    std::cerr << "gpusim: chaos campaign interrupted — finished schedules "
-              << "are in "
-              << (opts.checkpoint_path.empty() ? std::string("(no checkpoint)")
-                                               : opts.checkpoint_path)
-              << "; rerun the same command to resume\n";
-    return 6;
-  }
-  atomic_write_file(out_path, report.to_json(), "harness.chaos");
-
-  std::cout << "chaos campaign: " << report.schedules << " schedules ("
-            << report.resumed << " resumed from checkpoint), recovery "
-            << (report.recovery ? "on" : "off") << "\n  outcomes: "
-            << report.count(ChaosOutcome::kRecovered) << " recovered, "
-            << report.count(ChaosOutcome::kGuardCaught) << " guard-caught, "
-            << report.count(ChaosOutcome::kWrongResult) << " wrong-result, "
-            << report.count(ChaosOutcome::kHang)
-            << " hang\n  report in " << out_path << '\n';
-  for (const ChaosJobResult& job : report.jobs) {
-    if (job.outcome == ChaosOutcome::kRecovered) continue;
-    std::cout << "  [" << job.index << "] " << job.workload << " "
-              << to_string(job.outcome);
-    if (!job.minimized_schedule.empty()) {
-      std::cout << " (minimized to " << job.minimized_events << " event"
-                << (job.minimized_events == 1 ? "" : "s") << ")";
-    }
-    std::cout << ": " << job.replay << '\n';
-  }
-  // Same contract as --sweep: the report is complete, but torn checkpoint
-  // lines mean a prior run crashed mid-write.
-  return report.torn_lines_skipped != 0 ? 5 : 0;
-}
-
-int run_replay(const ChaosOptions& opts, const Workload& workload,
-               PolicyKind policy, const std::string& spec, const char* argv0) {
-  if (policy != PolicyKind::kEven && policy != PolicyKind::kDaseFair) {
-    usage(argv0, "--fault-schedule replay supports --policy even|dase-fair");
-  }
-  const FaultSchedule schedule = FaultSchedule::parse(spec);
-  const ChaosJobResult r = run_chaos_job(
-      opts, workload, policy == PolicyKind::kDaseFair, schedule);
-  std::cout << "chaos replay: workload " << r.workload << ", policy "
-            << r.policy << ", " << opts.rc.co_run_cycles
-            << " cycles, recovery " << (opts.recovery ? "on" : "off")
-            << "\n  schedule "
-            << (r.schedule.empty() ? "(empty)" : r.schedule)
-            << "\n  outcome " << to_string(r.outcome) << " — " << r.detail
-            << "\n  final_cycle " << r.final_cycle << ", retries_issued "
-            << r.retries_issued << ", duplicates_absorbed "
-            << r.duplicates_absorbed << ", sanitized_estimates "
-            << r.sanitized_estimates << '\n';
-  return 0;
-}
-
 int run_audit(const RunConfig& rc, const Workload& workload,
               const ModelSet& models, PolicyKind policy,
               const std::vector<int>* sm_split, Cycle hash_every) {
@@ -290,15 +232,11 @@ int main(int argc, char** argv) {
   SweepOptions sweep_opts;
   sweep_opts.jobs = 0;  // CLI default: one worker per hardware thread
   std::string out_path = "sweep_results.json";
-  bool have_out = false;
   bool have_snapshot_dir = false;
   bool audit_determinism = false;
   Cycle hash_every = 10'000;
   bool have_hash_every = false;
   bool profile_loop = false;
-  int chaos_schedules = 0;
-  ChaosOptions chaos;  // --chaos campaigns and --fault-schedule replays
-  bool have_cycles = false;
   std::string fault_spec;
   double deadline_ms = 0.0;
   std::string bundle_dir = "crash-bundles";
@@ -324,7 +262,6 @@ int main(int argc, char** argv) {
         break;
       case FlagId::kCycles:
         rc.co_run_cycles = parse_u64(argv[0], arg, value, 1);
-        have_cycles = true;
         break;
       case FlagId::kPolicy:
         try {
@@ -377,7 +314,6 @@ int main(int argc, char** argv) {
         break;
       case FlagId::kOut:
         out_path = value;
-        have_out = true;
         break;
       case FlagId::kRetries:
         sweep_opts.max_attempts =
@@ -415,18 +351,6 @@ int main(int argc, char** argv) {
         break;
       case FlagId::kProfileLoop:
         profile_loop = true;
-        break;
-      case FlagId::kChaos:
-        chaos_schedules = static_cast<int>(parse_u64(argv[0], arg, value, 1));
-        break;
-      case FlagId::kChaosSeed:
-        chaos.seed = parse_u64(argv[0], arg, value, 0);
-        break;
-      case FlagId::kNoMinimize:
-        chaos.minimize = false;
-        break;
-      case FlagId::kNoRecovery:
-        chaos.recovery = false;
         break;
       case FlagId::kFaultSchedule:
         fault_spec = value;
@@ -486,9 +410,8 @@ int main(int argc, char** argv) {
   const bool run_limits =
       deadline_ms > 0.0 || rc.cycle_budget != 0 || rc.mem_budget != 0;
   if (!triage_bundle.empty() &&
-      (!app_names.empty() || !sweep_which.empty() || chaos_schedules > 0 ||
-       audit_determinism || !fault_spec.empty() || rc.snapshot_every != 0 ||
-       run_limits)) {
+      (!app_names.empty() || !sweep_which.empty() || audit_determinism ||
+       !fault_spec.empty() || rc.snapshot_every != 0 || run_limits)) {
     usage(argv[0],
           "--triage is a standalone postmortem mode; it takes no workload, "
           "batch or run-limit flags");
@@ -507,50 +430,25 @@ int main(int argc, char** argv) {
           "--audit-determinism is incompatible with --sweep and "
           "--snapshot-every");
   }
-  if (chaos_schedules > 0 &&
-      (!sweep_which.empty() || !app_names.empty() || audit_determinism ||
-       rc.snapshot_every != 0)) {
-    usage(argv[0],
-          "--chaos is incompatible with --apps, --sweep, --snapshot-every "
-          "and --audit-determinism");
-  }
   if (!fault_spec.empty() && !sweep_which.empty()) {
     usage(argv[0], "--fault-schedule does not apply to sweeps");
   }
-  if (!fault_spec.empty() && chaos_schedules > 0) {
-    usage(argv[0],
-          "--fault-schedule replays one schedule; --chaos generates its own");
-  }
-  // Chaos jobs and fault replays run exactly --cycles cycles and would
-  // classify a budget kill as the schedule's outcome, so the co-run budgets
-  // are refused there.
-  const bool replay_mode = !fault_spec.empty() && !audit_determinism;
-  if ((chaos_schedules > 0 || replay_mode) &&
-      (rc.cycle_budget != 0 || rc.mem_budget != 0)) {
-    usage(argv[0],
-          "--cycle-budget and --mem-budget apply to --apps runs and sweeps; "
-          "--chaos and --fault-schedule take --cycles and --deadline-ms");
-  }
-  if (profile_loop &&
-      (chaos_schedules > 0 || !sweep_which.empty() || audit_determinism ||
-       !fault_spec.empty())) {
+  if (profile_loop && (!sweep_which.empty() || audit_determinism)) {
     usage(argv[0],
           "--profile-loop applies to plain single runs (use the bench "
           "binary for profiled batch scenarios)");
   }
   // Telemetry flag shapes: --telemetry-out is a file for single runs and a
-  // directory for batch modes; the trace and metrics exports are
-  // single-output files, so batch modes reject them (their per-unit traces
-  // come from the --telemetry-out directory instead).
-  const bool batch_mode = chaos_schedules > 0 || !sweep_which.empty();
-  if (!trace_out.empty() && (batch_mode || replay_mode)) {
+  // directory for sweeps; the trace and metrics exports are single-output
+  // files, so sweeps reject them (their per-unit traces come from the
+  // --telemetry-out directory instead).
+  const bool sweep_mode = !sweep_which.empty();
+  if (!trace_out.empty() && sweep_mode) {
     usage(argv[0],
-          "--trace-out applies to single --apps runs and --triage; batch "
-          "modes and --fault-schedule replays take --telemetry-out DIR and "
-          "write per-unit trace files there");
+          "--trace-out applies to single --apps runs and --triage; sweeps "
+          "take --telemetry-out DIR and write per-unit trace files there");
   }
-  if (!metrics_out.empty() &&
-      (batch_mode || replay_mode || !triage_bundle.empty())) {
+  if (!metrics_out.empty() && (sweep_mode || !triage_bundle.empty())) {
     usage(argv[0], "--metrics-out applies to single --apps runs only");
   }
   if (!triage_bundle.empty() && !telemetry_out.empty()) {
@@ -559,10 +457,8 @@ int main(int argc, char** argv) {
           "a trace (--trace-out)");
   }
 
-  // Crash forensics: runs, sweeps and --fault-schedule replays bundle any
-  // terminal SimError under bundle_dir by default (--no-bundle opts out).
-  // Chaos campaigns *expect* failures, so they bundle only when
-  // --bundle-dir was given explicitly.
+  // Crash forensics: runs and sweeps bundle any terminal SimError under
+  // bundle_dir by default (--no-bundle opts out).
   if (!no_bundle) rc.crash_bundle_dir = bundle_dir;
 
   // Wire the drain flag and the run limits into every mode.
@@ -578,19 +474,10 @@ int main(int argc, char** argv) {
     if (!triage_bundle.empty()) {
       return run_triage(triage_bundle, std::cout, trace_out);
     }
-    // Batch modes and replays write per-unit telemetry under a directory;
-    // a single run replaces it with the named files below.
+    // A sweep writes per-unit telemetry under a directory; a single run
+    // replaces it with the named files below.
     rc.telemetry.dir = telemetry_out;
-    if (chaos_schedules > 0) {
-      if (!have_cycles) rc.co_run_cycles = chaos.rc.co_run_cycles;
-      if (!have_bundle_dir) rc.crash_bundle_dir.clear();
-      chaos.rc = rc;
-      chaos.schedules = chaos_schedules;
-      chaos.jobs = sweep_opts.jobs;
-      chaos.checkpoint_path = sweep_opts.checkpoint_path;
-      return run_chaos(chaos, have_out ? out_path : "chaos_report.json");
-    }
-    if (!sweep_which.empty()) {
+    if (sweep_mode) {
       if (!app_names.empty()) {
         usage(argv[0], "--sweep and --apps are mutually exclusive");
       }
@@ -621,14 +508,10 @@ int main(int argc, char** argv) {
       }
     }
 
+    rc.faults = FaultSchedule::parse(fault_spec);
     if (audit_determinism) {
-      if (!fault_spec.empty()) rc.faults = FaultSchedule::parse(fault_spec);
       return run_audit(rc, workload, models, policy,
                        have_split ? &split : nullptr, hash_every);
-    }
-    if (!fault_spec.empty()) {
-      chaos.rc = rc;
-      return run_replay(chaos, workload, policy, fault_spec, argv[0]);
     }
 
     LoopProfiler profiler;
