@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.hpp"
 #include "common/sim_error.hpp"
 
 namespace gpusim {
@@ -84,6 +85,51 @@ TEST(MshrTest, ManyWaitersOnOneLine) {
     EXPECT_EQ(m.allocate(42, {0, i, 0}), Mshr::AllocResult::kMerged);
   }
   EXPECT_EQ(m.release(42).size(), 32u);
+}
+
+/// Releases `line`, folding each waiter into `h` in fan-out order.
+void release_into(Hasher& h, Mshr& m, u64 line) {
+  for (const MshrWaiter& w : m.release(line)) {
+    h.put_i32(w.sm);
+    h.put_i32(w.warp);
+    h.put_i32(w.app);
+  }
+}
+
+TEST(MshrTest, SerializedStateIsPinned) {
+  // Recorded with the unordered_map<u64, vector<MshrWaiter>> table: every
+  // layout must answer the same allocate results, fan waiters out in the
+  // same order and save the same sorted lines.
+  Hasher h;
+  for (const int entries : {8, 32}) {
+    Mshr m(entries);
+    Rng rng(static_cast<u64>(entries) * 101);
+    for (int step = 0; step < 6000; ++step) {
+      const u64 op = rng.next_below(10);
+      const u64 line = rng.next_below(static_cast<u64>(entries) * 3) * 128;
+      if (op < 6) {
+        const MshrWaiter w{static_cast<SmId>(rng.next_below(16)),
+                           static_cast<WarpId>(rng.next_below(48)),
+                           static_cast<AppId>(rng.next_below(kMaxApps))};
+        h.put_u32(static_cast<u32>(m.allocate(line, w)));
+      } else if (op < 9) {
+        if (m.contains(line)) release_into(h, m, line);
+      } else if (rng.next_below(50) == 0) {
+        m.clear();
+      }
+      if (step % 64 == 0) m.hash(h);
+    }
+    m.hash(h);
+
+    StateWriter w;
+    m.save(w);
+    Mshr restored(entries);
+    StateReader r(w.bytes());
+    restored.load(r);
+    EXPECT_TRUE(r.exhausted());
+    EXPECT_EQ(state_hash_of(restored), state_hash_of(m));
+  }
+  EXPECT_EQ(h.digest(), 0x9BEB14E46C9535A1ULL);
 }
 
 }  // namespace

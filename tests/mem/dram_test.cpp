@@ -308,5 +308,53 @@ TEST_P(DramLocalitySweepTest, MoreLocalityNeverHurtsServiceRate) {
 INSTANTIATE_TEST_SUITE_P(HitFractions, DramLocalitySweepTest,
                          ::testing::Values(0.0, 0.3, 0.6, 0.9, 1.0));
 
+TEST(DramTest, SerializedStateIsPinned) {
+  // Recorded with the linear FR-FCFS scan over a std::deque: any queue
+  // layout must issue the same picks, complete the same commands and save
+  // the queue in arrival order.
+  Hasher h;
+  for (const int capacity : {16, 64}) {
+    GpuConfig cfg;
+    cfg.dram_queue_capacity = capacity;
+    MemoryController mc(cfg, 3);
+    Rng rng(static_cast<u64>(capacity) + 5);
+    std::vector<DramCmd> done;
+    for (Cycle now = 0; now < 30'000; ++now) {
+      if (now % 1'200 == 0) {
+        const u64 p = rng.next_below(4);
+        mc.set_priority_app(p == 3 ? kInvalidApp : static_cast<AppId>(p));
+      }
+      for (int k = 0; k < 2; ++k) {
+        if (rng.next_double() >= 0.3) continue;
+        DramCmd c;
+        c.line_addr = rng.next_u64() >> 20;
+        c.app = static_cast<AppId>(rng.next_below(3));
+        c.bank = static_cast<int>(rng.next_below(2) == 0 ? rng.next_below(4)
+                                                         : rng.next_below(16));
+        c.row = rng.next_below(4);
+        c.enqueued = now;
+        h.put_bool(mc.try_enqueue(c));
+      }
+      done.clear();
+      mc.cycle(now, done);
+      for (const DramCmd& d : done) {
+        h.put_u64(d.line_addr);
+        h.put_u64(d.enqueued);
+      }
+      if (now % 500 == 0) mc.hash(h);
+    }
+    mc.hash(h);
+
+    StateWriter w;
+    mc.save(w);
+    MemoryController restored(cfg, 3);
+    StateReader r(w.bytes());
+    restored.load(r);
+    EXPECT_TRUE(r.exhausted());
+    EXPECT_EQ(state_hash_of(restored), state_hash_of(mc));
+  }
+  EXPECT_EQ(h.digest(), 0x0D7A9B37F2557B5BULL);
+}
+
 }  // namespace
 }  // namespace gpusim
