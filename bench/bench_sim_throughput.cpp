@@ -6,13 +6,15 @@
 // attached vs. absent (the ≤2% disabled-path contract from DESIGN.md §15),
 // one paper unit with its alone replays run after the co-run vs. through
 // ExperimentRunner::run, which replays every slot beside the co-run
-// (DESIGN.md §8), the heap one default one-app Simulation holds,
+// (DESIGN.md §8), the heap one default one-app Simulation holds, the heap
+// allocations the timed contended loop makes per 1,000 cycles,
 // and the wall-clock of a small checkpoint-free sweep run serially vs. on
 // the worker pool, then emits the numbers as a flat JSON object — the
 // repo's BENCH_*.json perf baseline format.  tools/check_perf.sh runs
 // this binary and fails on cycles/sec regressions against the committed
 // BENCH_throughput.json (15% for the legacy keys, 10% for the contended
-// scenario) and on a heap more than 5% above the committed one.
+// scenario), on a heap more than 5% above the committed one and on more
+// allocations per kcycle than the committed count allows.
 //
 //   bench_sim_throughput [output.json]
 //
@@ -29,9 +31,11 @@
 #include <malloc.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <new>
 #include <string>
 #include <thread>
 #include <vector>
@@ -45,6 +49,27 @@
 #include "kernels/app_registry.hpp"
 #include "kernels/workload_sets.hpp"
 #include "telemetry/hub.hpp"
+
+namespace {
+
+// Heap allocations counted while `g_count_allocs` is set (see the global
+// operator new below).
+std::atomic<bool> g_count_allocs{false};
+std::atomic<unsigned long long> g_allocs{0};
+
+}  // namespace
+
+// Counting replacements of the global allocation functions; the array and
+// nothrow forms forward to these by default.
+void* operator new(std::size_t n) {
+  if (g_count_allocs.load(std::memory_order_relaxed)) {
+    g_allocs.fetch_add(1, std::memory_order_relaxed);
+  }
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace {
 
@@ -76,9 +101,11 @@ double time_cycle_loop(const GpuConfig& cfg, Cycle cycles) {
 /// outstanding misses each cycle while the memory system stays busy, so
 /// the per-component wake tracking skips them.  The engine-on run carries
 /// the loop profiler so the baseline records where the remaining wall time
-/// goes.
+/// goes, and counts the heap allocations of its timed cycles into
+/// `allocs` when that is non-null.
 double time_contended_loop(const GpuConfig& cfg, Cycle cycles,
-                           bool engine_on, LoopProfiler* profiler) {
+                           bool engine_on, LoopProfiler* profiler,
+                           unsigned long long* allocs) {
   Simulation sim(cfg, {AppLaunch{*find_app("SD"), 2001},
                        AppLaunch{*find_app("SA"), 2002}});
   sim.set_activity_sched(engine_on);
@@ -89,9 +116,13 @@ double time_contended_loop(const GpuConfig& cfg, Cycle cycles,
     profiler->reset();
     sim.set_loop_profiler(profiler);
   }
+  g_allocs.store(0);
+  g_count_allocs.store(allocs != nullptr);
   const auto start = std::chrono::steady_clock::now();
   sim.run(cycles);
   const double elapsed = seconds_since(start);
+  g_count_allocs.store(false);
+  if (allocs != nullptr) *allocs = g_allocs.load();
   return elapsed > 0.0 ? static_cast<double>(cycles) / elapsed : 0.0;
 }
 
@@ -322,10 +353,14 @@ int main(int argc, char** argv) {
   const double loop_cps = time_cycle_loop(cfg, loop_cycles);
 
   LoopProfiler profiler;
-  const double contended_cps =
-      time_contended_loop(cfg, loop_cycles, true, &profiler);
+  unsigned long long contended_allocs = 0;
+  const double contended_cps = time_contended_loop(cfg, loop_cycles, true,
+                                                   &profiler, &contended_allocs);
+  const double allocs_per_kcycle =
+      static_cast<double>(contended_allocs) * 1000.0 /
+      static_cast<double>(loop_cycles);
   const double contended_off_cps =
-      time_contended_loop(cfg, loop_cycles, false, nullptr);
+      time_contended_loop(cfg, loop_cycles, false, nullptr, nullptr);
   const double contended_speedup =
       contended_off_cps > 0.0 ? contended_cps / contended_off_cps : 0.0;
 
@@ -361,6 +396,7 @@ int main(int argc, char** argv) {
                contended_off_cps);
   std::fprintf(out, "\"contended_activity_speedup\": %.3f,\n",
                contended_speedup);
+  std::fprintf(out, "\"allocs_per_kcycle\": %.3f,\n", allocs_per_kcycle);
   std::fprintf(out, "%s", profiler.to_json_lines(true).c_str());
   std::fprintf(out, "\"profile_total_ns\": %llu,\n",
                static_cast<unsigned long long>(profiler.total_ns()));
@@ -399,6 +435,10 @@ int main(int argc, char** argv) {
       "contended SD+SA: %.0f cycles/sec with the activity engine, %.0f "
       "without (%.2fx)\n",
       contended_cps, contended_off_cps, contended_speedup);
+  std::printf("contended SD+SA: %llu heap allocations in %llu cycles "
+              "(%.3f per kcycle)\n",
+              contended_allocs, static_cast<unsigned long long>(loop_cycles),
+              allocs_per_kcycle);
   std::printf(
       "governed DASE-Fair VA+SD: %.0f cycles/sec with the governor, "
       "%.0f without (best-pair ratio %.3f)\n",

@@ -1,4 +1,11 @@
-// Fixed-capacity FIFO.
+// Hardware FIFOs.
+//
+// Ring is a FIFO over a power-of-two circular buffer that doubles when a
+// push finds it full and never shrinks, so a queue's steady state costs no
+// allocation and an idle queue holds none.  It is never pre-sized to a
+// queue's nominal depth: a 1024-deep response queue that holds a handful of
+// packets owns a handful of slots, and a unit keeps several simulations
+// live at once (DESIGN.md §8).
 //
 // BoundedQueue is the single-threaded queue used for all hardware queues in
 // the simulator: hardware queues have finite depth; back-pressure from a
@@ -8,13 +15,84 @@
 #pragma once
 
 #include <cstddef>
-#include <deque>
+#include <type_traits>
 #include <utility>
+#include <vector>
 
 #include "common/sim_error.hpp"
 #include "common/simstate.hpp"
 
 namespace gpusim {
+
+template <typename T>
+class Ring {
+ public:
+  bool empty() const { return size_ == 0; }
+  std::size_t size() const { return size_; }
+
+  void push_back(T item) {
+    if (size_ == slots_.size()) grow();
+    slots_[(head_ + size_) & (slots_.size() - 1)] = std::move(item);
+    ++size_;
+  }
+
+  T& front() { return slots_[head_]; }
+  const T& front() const { return slots_[head_]; }
+
+  void pop_front() {
+    if constexpr (!std::is_trivially_destructible_v<T>) {
+      slots_[head_] = T{};  // release what a moved-from slot may still own
+    }
+    head_ = (head_ + 1) & (slots_.size() - 1);
+    --size_;
+  }
+
+  /// Element `i` counted from the front, i < size().
+  const T& operator[](std::size_t i) const {
+    return slots_[(head_ + i) & (slots_.size() - 1)];
+  }
+
+  void clear() {
+    if constexpr (!std::is_trivially_destructible_v<T>) {
+      while (!empty()) pop_front();
+    }
+    head_ = 0;
+    size_ = 0;
+  }
+
+  class const_iterator {
+   public:
+    const_iterator(const Ring* ring, std::size_t i) : ring_(ring), i_(i) {}
+    const T& operator*() const { return (*ring_)[i_]; }
+    const T* operator->() const { return &(*ring_)[i_]; }
+    const_iterator& operator++() {
+      ++i_;
+      return *this;
+    }
+    bool operator==(const const_iterator& o) const { return i_ == o.i_; }
+    bool operator!=(const const_iterator& o) const { return i_ != o.i_; }
+
+   private:
+    const Ring* ring_;
+    std::size_t i_;
+  };
+  const_iterator begin() const { return {this, 0}; }
+  const_iterator end() const { return {this, size_}; }
+
+ private:
+  void grow() {
+    std::vector<T> bigger(slots_.empty() ? 4 : slots_.size() * 2);
+    for (std::size_t i = 0; i < size_; ++i) {
+      bigger[i] = std::move(slots_[(head_ + i) & (slots_.size() - 1)]);
+    }
+    slots_ = std::move(bigger);
+    head_ = 0;
+  }
+
+  std::vector<T> slots_;
+  std::size_t head_ = 0;
+  std::size_t size_ = 0;
+};
 
 template <typename T>
 class BoundedQueue {
@@ -54,19 +132,8 @@ class BoundedQueue {
     return item;
   }
 
-  // Iteration support (needed by FR-FCFS scans over bank queues).
-  auto begin() { return items_.begin(); }
-  auto end() { return items_.end(); }
   auto begin() const { return items_.begin(); }
   auto end() const { return items_.end(); }
-
-  /// Removes and returns the element at iterator position (FR-FCFS picks
-  /// row-buffer hits from the middle of the queue).
-  T extract(typename std::deque<T>::iterator it) {
-    T item = std::move(*it);
-    items_.erase(it);
-    return item;
-  }
 
   void clear() { items_.clear(); }
 
@@ -92,7 +159,7 @@ class BoundedQueue {
 
  private:
   std::size_t capacity_;
-  std::deque<T> items_;
+  Ring<T> items_;
 };
 
 }  // namespace gpusim

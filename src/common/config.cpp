@@ -11,8 +11,14 @@ void GpuConfig::validate() const {
     throw std::invalid_argument("GpuConfig: " + msg);
   };
   if (num_sms <= 0) fail("num_sms must be positive");
+  // The crossbars and the activity engine keep one bit per SM and per
+  // partition in 64-bit masks.
+  if (num_sms > 64)
+    fail("num_sms must be <= 64 (port bitmasks are 64 bits wide)");
   if (max_warps_per_sm <= 0) fail("max_warps_per_sm must be positive");
   if (num_partitions <= 0) fail("num_partitions must be positive");
+  if (num_partitions > 64)
+    fail("num_partitions must be <= 64 (port bitmasks are 64 bits wide)");
   if (banks_per_mc <= 0) fail("banks_per_mc must be positive");
   if (banks_per_mc > 32)
     fail("banks_per_mc must be <= 32 (bank bitmasks are 32 bits wide)");

@@ -1,6 +1,8 @@
 #include "common/fault_injection.hpp"
 
+#include <algorithm>
 #include <cstdlib>
+#include <limits>
 #include <sstream>
 
 #include "common/jsonl.hpp"
@@ -106,15 +108,21 @@ FaultSchedule FaultSchedule::parse(const std::string& spec) {
     }
     const std::string kind_name = token.substr(0, colon);
     FaultEvent e;
+    // The keys each kind reads; any other key would be silently ignored.
+    std::vector<std::string> keys;
     if (kind_name == "drop-resp") {
       e.kind = FaultKind::kDropResponse;
+      keys = {"nth", "prob"};
     } else if (kind_name == "drop-req") {
       e.kind = FaultKind::kDropRequest;
+      keys = {"nth"};
     } else if (kind_name == "stall") {
       e.kind = FaultKind::kStallWindow;
+      keys = {"part", "from", "until"};
     } else {
       bad_spec(spec, "unknown fault kind '" + kind_name + "'");
     }
+    bool has_part = false;
     for (const std::string& kv : split(token.substr(colon + 1), ',')) {
       if (kv.empty()) continue;
       const auto eq = kv.find('=');
@@ -123,6 +131,10 @@ FaultSchedule FaultSchedule::parse(const std::string& spec) {
       }
       const std::string key = kv.substr(0, eq);
       const std::string value = kv.substr(eq + 1);
+      if (std::find(keys.begin(), keys.end(), key) == keys.end()) {
+        bad_spec(spec, "unknown key '" + key + "' for kind '" + kind_name +
+                           "'");
+      }
       if (key == "nth") {
         e.nth = parse_u64_or(spec, value);
       } else if (key == "prob") {
@@ -131,15 +143,23 @@ FaultSchedule FaultSchedule::parse(const std::string& spec) {
           bad_spec(spec, "prob must be in [0, 1]");
         }
       } else if (key == "part") {
-        e.partition = static_cast<PartitionId>(parse_u64_or(spec, value));
+        const u64 part = parse_u64_or(spec, value);
+        if (part > static_cast<u64>(std::numeric_limits<PartitionId>::max())) {
+          bad_spec(spec, "part out of range");
+        }
+        e.partition = static_cast<PartitionId>(part);
+        has_part = true;
       } else if (key == "from") {
         e.from = parse_u64_or(spec, value);
-      } else if (key == "until") {
-        e.until = parse_u64_or(spec, value);
       } else {
-        bad_spec(spec, "unknown key '" + key + "' for kind '" + kind_name +
-                           "'");
+        e.until = parse_u64_or(spec, value);
       }
+    }
+    if (e.kind != FaultKind::kStallWindow && e.nth == 0 && e.prob == 0.0) {
+      bad_spec(spec, "a drop needs nth >= 1 or prob > 0");
+    }
+    if (e.kind == FaultKind::kStallWindow && !has_part) {
+      bad_spec(spec, "a stall needs part");
     }
     if (e.kind == FaultKind::kStallWindow && e.until != 0 &&
         e.until <= e.from) {
@@ -163,8 +183,11 @@ struct ConfigCorruption {
 
 const ConfigCorruption kCorruptions[] = {
     {"num_sms=0", [](GpuConfig& c) { c.num_sms = 0; }},
+    // Port bitmasks are 64 bits wide.
+    {"num_sms=65", [](GpuConfig& c) { c.num_sms = 65; }},
     {"max_warps_per_sm=0", [](GpuConfig& c) { c.max_warps_per_sm = 0; }},
     {"num_partitions=0", [](GpuConfig& c) { c.num_partitions = 0; }},
+    {"num_partitions=65", [](GpuConfig& c) { c.num_partitions = 65; }},
     {"banks_per_mc=0", [](GpuConfig& c) { c.banks_per_mc = 0; }},
     // Bank bitmasks are 32 bits wide.
     {"banks_per_mc=64", [](GpuConfig& c) { c.banks_per_mc = 64; }},

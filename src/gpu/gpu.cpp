@@ -31,7 +31,6 @@ Gpu::Gpu(const GpuConfig& cfg, std::vector<AppLaunch> launches)
                 cfg_.noc_accepts_per_cycle, cfg_.noc_queue_depth,
                 RouteResponseToSm{}),
       desired_partition_(cfg_.num_sms, kInvalidApp),
-      engine_supported_(cfg_.num_sms <= 64 && cfg_.num_partitions <= 64),
       sm_wake_(cfg_.num_sms, 0),
       part_wake_(cfg_.num_partitions, 0),
       sm_synced_(cfg_.num_sms, 0),
@@ -71,6 +70,16 @@ Gpu::Gpu(const GpuConfig& cfg, std::vector<AppLaunch> launches)
 }
 
 void Gpu::set_fault_injector(FaultInjector* injector) {
+  if (injector != nullptr) {
+    for (const FaultEvent& e : injector->schedule().events) {
+      SIM_CHECK(e.kind != FaultKind::kStallWindow ||
+                    (e.partition >= 0 && e.partition < cfg_.num_partitions),
+                SimError(SimErrorKind::kConfig, "gpu",
+                         "fault schedule stalls a nonexistent partition")
+                    .detail("partition", e.partition)
+                    .detail("num_partitions", cfg_.num_partitions));
+    }
+  }
   // An injector hooks individual cycles, so the activity engine pins to the
   // per-cycle path while one is attached; settle owed accruals at the
   // transition either way.
@@ -136,8 +145,11 @@ int Gpu::sms_assigned(AppId app) const {
 void Gpu::set_priority_app(AppId app) {
   // The priority app feeds the controllers' per-cycle accounting
   // classification; settle owed bulk accruals under the old priority so a
-  // sleeping controller's skip window never straddles the flip.
+  // sleeping controller's skip window never straddles the flip.  It also
+  // decides which queued commands may issue, so a controller that slept
+  // because none could must be visited again.
   sync_all_to(now_);
+  engine_dirty_ = true;
   for (auto& p : partitions_) p->mc().set_priority_app(app);
 }
 
@@ -233,14 +245,9 @@ void Gpu::rebuild_engine_state() {
                   "engine rebuild with unsettled partition accruals");
     part_wake_[p] = now_;
   }
+  // Every component is due now, and visiting it re-derives its source bit.
   req_src_mask_ = 0;
   resp_src_mask_ = 0;
-  for (int s = 0; s < cfg_.num_sms; ++s) {
-    if (!sms_[s]->out_queue().empty()) req_src_mask_ |= u64{1} << s;
-  }
-  for (int p = 0; p < cfg_.num_partitions; ++p) {
-    if (!partitions_[p]->resp_queue().empty()) resp_src_mask_ |= u64{1} << p;
-  }
   engine_dirty_ = false;
 }
 
@@ -327,19 +334,20 @@ void Gpu::cycle_engine() {
       if (wake <= now_) wake = now_ + 1;
     }
     part_wake_[p] = wake;
-    // Unlike the request side, a partition may sleep on a not-yet-mature
-    // response head, so this bit persists across its sleep; it is cleared
-    // the cycle after the response crossbar drains the queue (the
-    // partition is provably awake whenever its head is ready).
-    if (!partitions_[p]->resp_queue().empty()) {
+    // The bit is set only while the response head is ready: a partition
+    // with a ready head is never quiet, so it is visited, and re-sets the
+    // bit, every cycle until the head leaves; one sleeping on a maturing
+    // head wakes at its ready cycle.
+    const auto& resp = partitions_[p]->resp_queue();
+    if (!resp.empty() && resp.front().ready <= now_) {
       resp_src_mask_ |= u64{1} << p;
     } else {
       resp_src_mask_ &= ~(u64{1} << p);
     }
   }
 
-  // 4. Response crossbar, only when some partition holds responses.  An
-  //    accepted packet matures at its SM at now + latency.
+  // 4. Response crossbar, only when some partition has a ready response
+  //    head.  An accepted packet matures at its SM at now + latency.
   if (resp_src_mask_ != 0) {
     ProfScope prof(profiler_, LoopProfiler::kXbarResp);
     u64 blocked = 0;
@@ -611,7 +619,6 @@ std::string Gpu::dump_state() const {
   ss << "\n    activity engine: "
      << (engine_enabled() ? "active" : "inactive")
      << (activity_sched_ ? "" : " (disabled)")
-     << (engine_supported_ ? "" : " (unsupported geometry)")
      << (injector_ != nullptr ? " (pinned: fault injector)" : "")
      << (migration_pending_ ? " migration-pending" : "")
      << (engine_dirty_ ? " dirty" : "")

@@ -93,8 +93,8 @@ class Gpu {
   // bulk-advanced with the skip_cycles() accounting when they next wake,
   // which keeps every simulated observable — state hashes, snapshots,
   // interval samples — bit-identical to the per-cycle walk.  Only a fault
-  // injector or more than 64 SMs/partitions pins the whole GPU to the
-  // per-cycle reference walk (cycle_full).
+  // injector pins the whole GPU to the per-cycle reference walk
+  // (cycle_full).
 
   /// Enables/disables the activity engine (off = the per-cycle reference
   /// walk).  Safe at any cycle: owed accruals are settled first, so
@@ -182,7 +182,7 @@ class Gpu {
 
   // --- activity engine internals (see DESIGN.md §12) ---------------------
   bool engine_enabled() const {
-    return activity_sched_ && engine_supported_ && injector_ == nullptr;
+    return activity_sched_ && injector_ == nullptr;
   }
   void rebuild_engine_state();
   void cycle_engine();
@@ -224,14 +224,13 @@ class Gpu {
   // track how much bulk accrual is still owed — all settled before any
   // observation.  Deliberately excluded from write_state().
   bool activity_sched_ = true;   ///< set_activity_sched(false) clears this
-  bool engine_supported_ = false;  ///< geometry fits the 64-bit masks
   bool engine_dirty_ = true;     ///< wakes/masks need a rebuild
   std::vector<Cycle> sm_wake_;    ///< next cycle SM s must be processed
   std::vector<Cycle> part_wake_;  ///< next cycle partition p must be processed
   std::vector<Cycle> sm_synced_;  ///< first cycle not yet accrued for SM s
   std::vector<Cycle> part_synced_;
   u64 req_src_mask_ = 0;   ///< SMs with a non-empty out-queue
-  u64 resp_src_mask_ = 0;  ///< partitions with a non-empty response queue
+  u64 resp_src_mask_ = 0;  ///< partitions with a ready response head
   LoopProfiler* profiler_ = nullptr;
 };
 

@@ -1,8 +1,141 @@
 #include "mem/dram.hpp"
 
+#include <algorithm>
+#include <bit>
+
 #include "common/sim_error.hpp"
 
 namespace gpusim {
+
+void FrFcfsQueue::push(const DramCmd& cmd) {
+  int slot = free_slot_;
+  if (slot >= 0) {
+    free_slot_ = slots_[slot].next;
+  } else {
+    slot = static_cast<int>(slots_.size());
+    slots_.emplace_back();
+  }
+  slots_[slot] = Slot{cmd, next_seq_++, -1};
+  Bank& bank = banks_[cmd.bank];
+  if (bank.tail >= 0) {
+    slots_[bank.tail].next = slot;
+  } else {
+    bank.head = slot;
+  }
+  bank.tail = slot;
+  if (is_hit(bank, cmd) && bank.hits++ == 0) hit_banks_ |= 1u << cmd.bank;
+  ++size_;
+}
+
+void FrFcfsQueue::clear() {
+  slots_.clear();
+  for (Bank& bank : banks_) {
+    bank.head = bank.tail = -1;
+    bank.hits = 0;
+  }
+  hit_banks_ = 0;
+  free_slot_ = -1;
+  size_ = 0;
+  next_seq_ = 0;
+}
+
+void FrFcfsQueue::set_open_row(int b, bool open, u64 row) {
+  Bank& bank = banks_[b];
+  bank.row_open = open;
+  bank.open_row = row;
+  bank.hits = 0;
+  for (int slot = bank.head; slot >= 0; slot = slots_[slot].next) {
+    if (is_hit(bank, slots_[slot].cmd)) ++bank.hits;
+  }
+  if (bank.hits != 0) {
+    hit_banks_ |= 1u << b;
+  } else {
+    hit_banks_ &= ~(1u << b);
+  }
+}
+
+void FrFcfsQueue::unlink(int slot, int prev) {
+  Slot& s = slots_[slot];
+  Bank& bank = banks_[s.cmd.bank];
+  if (prev >= 0) {
+    slots_[prev].next = s.next;
+  } else {
+    bank.head = s.next;
+  }
+  if (bank.tail == slot) bank.tail = prev;
+  if (is_hit(bank, s.cmd) && --bank.hits == 0) {
+    hit_banks_ &= ~(1u << s.cmd.bank);
+  }
+  s.next = free_slot_;
+  free_slot_ = slot;
+  --size_;
+}
+
+std::optional<FrFcfsQueue::Pick> FrFcfsQueue::pop_pick(u32 candidate_banks,
+                                                        AppId only_app) {
+  // Each bank's list is in arrival order, so a bank's first eligible
+  // command on its open row is its oldest hit; across banks the sequence
+  // number decides, and once some hit is known only older commands can
+  // matter.  Without an eligible hit every eligible command is a miss, and
+  // each bank's first eligible command is its oldest.
+  const auto eligible = [only_app](const DramCmd& cmd) {
+    return only_app == kInvalidApp || cmd.app == only_app;
+  };
+  u64 best_seq = ~u64{0};
+  int best = -1;
+  int best_prev = -1;
+  for (u32 m = candidate_banks & hit_banks_; m != 0; m &= m - 1) {
+    const Bank& bank = banks_[std::countr_zero(m)];
+    for (int slot = bank.head, prev = -1; slot >= 0;
+         prev = slot, slot = slots_[slot].next) {
+      const Slot& q = slots_[slot];
+      if (q.seq > best_seq) break;
+      if (eligible(q.cmd) && is_hit(bank, q.cmd)) {
+        best_seq = q.seq;
+        best = slot;
+        best_prev = prev;
+        break;
+      }
+    }
+  }
+  const bool row_hit = best >= 0;
+  if (!row_hit) {
+    for (u32 m = candidate_banks; m != 0; m &= m - 1) {
+      const Bank& bank = banks_[std::countr_zero(m)];
+      for (int slot = bank.head, prev = -1; slot >= 0;
+           prev = slot, slot = slots_[slot].next) {
+        const Slot& q = slots_[slot];
+        if (q.seq > best_seq) break;
+        if (eligible(q.cmd)) {
+          best_seq = q.seq;
+          best = slot;
+          best_prev = prev;
+          break;
+        }
+      }
+    }
+  }
+  if (best < 0) return std::nullopt;
+  const DramCmd cmd = slots_[best].cmd;
+  unlink(best, best_prev);
+  return Pick{cmd, row_hit};
+}
+
+std::vector<DramCmd> FrFcfsQueue::in_arrival_order() const {
+  std::vector<const Slot*> queued;
+  queued.reserve(static_cast<std::size_t>(size_));
+  for (const Bank& bank : banks_) {
+    for (int slot = bank.head; slot >= 0; slot = slots_[slot].next) {
+      queued.push_back(&slots_[slot]);
+    }
+  }
+  std::sort(queued.begin(), queued.end(),
+            [](const Slot* a, const Slot* b) { return a->seq < b->seq; });
+  std::vector<DramCmd> out;
+  out.reserve(queued.size());
+  for (const Slot* q : queued) out.push_back(q->cmd);
+  return out;
+}
 
 MemoryController::MemoryController(const GpuConfig& cfg, int num_apps)
     : cfg_(cfg),
@@ -15,6 +148,7 @@ MemoryController::MemoryController(const GpuConfig& cfg, int num_apps)
       t_bus_gap_(cfg.t_bus_gap()),
       t_miss_bubble_(cfg.t_miss_bubble()),
       banks_(cfg.banks_per_mc),
+      queue_(cfg.banks_per_mc),
       queued_per_bank_app_(cfg.banks_per_mc),
       exec_per_bank_app_(cfg.banks_per_mc) {
   SIM_CHECK(num_apps_ > 0 && num_apps_ <= kMaxApps,
@@ -43,7 +177,7 @@ bool MemoryController::try_enqueue(const DramCmd& cmd) {
                 .detail("bank", cmd.bank)
                 .detail("banks_per_mc", cfg_.banks_per_mc));
   if (queue_full()) return false;
-  queue_.push_back(cmd);
+  queue_.push(cmd);
   if (queued_per_bank_app_[cmd.bank][cmd.app]++ == 0) {
     queued_mask_[cmd.app] |= 1u << cmd.bank;
   }
@@ -112,59 +246,43 @@ void MemoryController::grant_bus(Cycle now) {
 }
 
 void MemoryController::finish_preps(Cycle now) {
-  for (int b = 0; b < cfg_.banks_per_mc; ++b) {
+  for (u32 m = preparing_mask_; m != 0; m &= m - 1) {
+    const int b = std::countr_zero(m);
     Bank& bank = banks_[b];
-    if (!bank.preparing || bank.prep_done > now) continue;
-    bank.preparing = false;
-    --preparing_count_;
+    if (bank.prep_done > now) continue;
+    preparing_mask_ &= ~(1u << b);
     bank.row_open = true;
     bank.open_row = bank.pending.row;
+    queue_.set_open_row(b, true, bank.open_row);
     bus_ready_.push_back(
         InFlight{0, bank.prep_issue_start, /*row_hit=*/false, bank.pending});
   }
 }
 
 void MemoryController::issue_one(Cycle now) {
-  if (queue_.empty()) return;
-
   // FR-FCFS over the shared queue: the oldest row-buffer hit (to a bank
   // that is not re-preparing) wins; otherwise the oldest row miss whose
-  // bank is free starts its activation.  An optional priority application
-  // (MISE/ASM epochs) restricts the candidate set to its requests whenever
-  // it has any queued.
-  if (static_cast<int>(bus_ready_.size()) + preparing_count_ >=
-      kMaxCommitted) {
-    return;  // committed pipeline full; keep requests reorderable
-  }
+  // bank is free starts its activation.  Requests drain into the committed
+  // stages only while they have headroom, keeping the rest reorderable.
+  //
   // MISE/ASM epochs: the priority application wins every issue slot while
   // it has requests queued.  Crucially — and this is the paper's critique
   // of porting these CPU models to GPUs — other applications still issue
   // whenever the priority app has nothing queued, and their already
   // in-flight requests keep occupying banks and the bus, so the epochs do
   // not actually observe alone behaviour.
-  const bool prio_active =
-      priority_app_ != kInvalidApp && queued_mask_[priority_app_] != 0;
-  auto hit_pick = queue_.end();
-  auto oldest_pick = queue_.end();
-  for (auto it = queue_.begin(); it != queue_.end(); ++it) {
-    if (prio_active && it->app != priority_app_) continue;
-    const Bank& bank = banks_[it->bank];
-    if (bank.preparing) continue;
-    if (bank.row_open && bank.open_row == it->row) {
-      hit_pick = it;
-      break;  // oldest row hit
-    }
-    if (oldest_pick == queue_.end() &&
-        !(bank.row_open && bank.open_row == it->row)) {
-      oldest_pick = it;  // oldest genuine row miss (can start a prep)
-    }
-  }
-  const auto pick = hit_pick != queue_.end() ? hit_pick : oldest_pick;
-  if (pick == queue_.end()) return;
-
-  const DramCmd cmd = *pick;
-  const bool row_hit = hit_pick != queue_.end();
-  queue_.erase(pick);
+  const u32 banks = issuable_banks();
+  if (banks == 0) return;
+  const AppId only_app =
+      priority_app_ != kInvalidApp && queued_mask_[priority_app_] != 0
+          ? priority_app_
+          : kInvalidApp;
+  const std::optional<FrFcfsQueue::Pick> pick =
+      queue_.pop_pick(banks, only_app);
+  SIM_INVARIANT(pick.has_value(), "mem.dram",
+                "issuable bank without an eligible queued command");
+  const DramCmd cmd = pick->cmd;
+  const bool row_hit = pick->row_hit;
   if (--queued_per_bank_app_[cmd.bank][cmd.app] == 0) {
     queued_mask_[cmd.app] &= ~(1u << cmd.bank);
   }
@@ -186,12 +304,12 @@ void MemoryController::issue_one(Cycle now) {
         last_row_[lr] == cmd.row) {
       counters_.erb_miss.add(cmd.app);
     }
-    bank.preparing = true;
-    ++preparing_count_;
+    preparing_mask_ |= 1u << cmd.bank;
     bank.pending = cmd;
     bank.prep_issue_start = now;
     bank.prep_done = now + (bank.row_open ? t_rp_ : 0) + t_rcd_;
     bank.row_open = false;
+    queue_.set_open_row(cmd.bank, false, 0);
   }
   last_row_[static_cast<std::size_t>(cmd.app) * cfg_.banks_per_mc +
             cmd.bank] = cmd.row;
@@ -209,7 +327,7 @@ void MemoryController::skip_cycles(Cycle now, Cycle n) {
   // next_event_after() never lets a skip run past bus_free_at_.
   if (bus_free_at_ <= now) {
     const bool any_work = !queue_.empty() || !inflight_.empty() ||
-                          !bus_ready_.empty() || preparing_count_ > 0;
+                          !bus_ready_.empty() || preparing_mask_ != 0;
     if (any_work) {
       counters_.wasted_cycles.add(n);
     } else {

@@ -11,6 +11,12 @@
 // scheduler's row-hit preference, while an irregular application's
 // requests wait and pay activate/precharge on nearly every access.
 //
+// The queue is one FR-FCFS queue, stored as per-bank lists in arrival
+// order (FrFcfsQueue), so a pick costs the candidate banks rather than the
+// queue depth, and quiet_at() knows exactly whether anything can issue.
+// Preparing banks are a bitmask, so prep retirement and the next-prep bound
+// visit only the banks preparing.
+//
 // Besides simulating timing, the controller integrates — per cycle — the
 // hardware counters the DASE model reads (paper Table I): per-application
 // BLP / BLPAccess occupancy, extra-row-buffer-miss events against the
@@ -23,9 +29,10 @@
 #include <array>
 #include <algorithm>
 #include <bit>
-#include <deque>
+#include <optional>
 #include <vector>
 
+#include "common/bounded_queue.hpp"
 #include "common/config.hpp"
 #include "common/simstate.hpp"
 #include "common/stats.hpp"
@@ -57,6 +64,66 @@ inline void read_item(StateReader& r, DramCmd& c) {
   c.row = r.get_u64();
   c.enqueued = r.get_u64();
 }
+
+/// The shared FR-FCFS request queue, indexed per bank in arrival order.
+/// Slots are threaded into one list per bank and stamped with a sequence
+/// number; the queue mirrors each bank's open row and counts the queued
+/// commands on it, so a pick visits the banks that hold row hits, walking
+/// each only to its oldest hit, and otherwise only the head of each
+/// candidate bank.  Slot storage grows to the deepest queue seen and is
+/// then reused.
+class FrFcfsQueue {
+ public:
+  explicit FrFcfsQueue(int num_banks) : banks_(num_banks) {}
+
+  struct Pick {
+    DramCmd cmd;
+    bool row_hit = false;
+  };
+
+  int size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  void push(const DramCmd& cmd);
+  /// Empties the queue; the banks' open rows are kept.
+  void clear();
+
+  /// Records that `bank` now has `row` open (`open`) or no row open.
+  void set_open_row(int bank, bool open, u64 row);
+
+  /// Removes and returns the command FR-FCFS issues: among the commands
+  /// queued to a bank in `candidate_banks` (banks not preparing a row) —
+  /// only `only_app`'s unless it is kInvalidApp — the oldest on its bank's
+  /// open row, else the oldest.  Returns nothing when no command qualifies.
+  std::optional<Pick> pop_pick(u32 candidate_banks, AppId only_app);
+
+  /// The queued commands, oldest first.
+  std::vector<DramCmd> in_arrival_order() const;
+
+ private:
+  struct Slot {
+    DramCmd cmd;
+    u64 seq = 0;
+    int next = -1;  ///< next slot of the same bank, or the next free slot
+  };
+  struct Bank {
+    int head = -1;
+    int tail = -1;
+    bool row_open = false;
+    u64 open_row = 0;
+    int hits = 0;  ///< queued commands on the open row
+  };
+  bool is_hit(const Bank& bank, const DramCmd& cmd) const {
+    return bank.row_open && bank.open_row == cmd.row;
+  }
+  void unlink(int slot, int prev);
+
+  std::vector<Slot> slots_;
+  std::vector<Bank> banks_;
+  u32 hit_banks_ = 0;  ///< banks whose `hits` is non-zero
+  int free_slot_ = -1;
+  int size_ = 0;
+  u64 next_seq_ = 0;
+};
 
 /// Scalar counter with interval-snapshot semantics.
 class SnapCounter {
@@ -172,9 +239,7 @@ class MemoryController {
   /// application crowds out a sparse one.
   bool try_enqueue(const DramCmd& cmd);
 
-  bool queue_full() const {
-    return static_cast<int>(queue_.size()) >= queue_capacity_;
-  }
+  bool queue_full() const { return queue_.size() >= queue_capacity_; }
 
   /// Advances one cycle.  Completed commands are appended to `completed`.
   void cycle(Cycle now, std::vector<DramCmd>& completed);
@@ -195,10 +260,10 @@ class MemoryController {
   }
 
   // Structural introspection (tests, diagnostics).
-  int queue_size() const { return static_cast<int>(queue_.size()); }
+  int queue_size() const { return queue_.size(); }
   int bus_ready_size() const { return static_cast<int>(bus_ready_.size()); }
   int inflight_size() const { return static_cast<int>(inflight_.size()); }
-  int preparing_banks() const { return preparing_count_; }
+  int preparing_banks() const { return std::popcount(preparing_mask_); }
 
   // --- Activity-engine support -------------------------------------------
   // A controller is *quiet* at `now` when cycle(now, …) would change no
@@ -213,16 +278,8 @@ class MemoryController {
     if (!inflight_.empty() && inflight_.front().complete_at <= now)
       return false;
     if (!bus_ready_.empty() && bus_free_at_ <= now + t_cl_) return false;
-    if (preparing_count_ > 0 && next_prep_done() <= now) return false;
-    // A non-empty queue with committed-pipeline headroom may issue; whether
-    // it actually can depends on the FR-FCFS candidate scan, which we do
-    // not replicate — conservatively treat it as live.
-    if (!queue_.empty() &&
-        static_cast<int>(bus_ready_.size()) + preparing_count_ <
-            kMaxCommitted) {
-      return false;
-    }
-    return true;
+    if (preparing_mask_ != 0 && next_prep_done() <= now) return false;
+    return issuable_banks() == 0;
   }
 
   /// Earliest future cycle at which a quiet controller may act again, or at
@@ -237,7 +294,7 @@ class MemoryController {
     if (!bus_ready_.empty()) {
       next = std::min(next, bus_free_at_ - t_cl_);  // quiet ⇒ > now
     }
-    if (preparing_count_ > 0) next = std::min(next, next_prep_done());
+    if (preparing_mask_ != 0) next = std::min(next, next_prep_done());
     if (bus_free_at_ > now) next = std::min(next, bus_free_at_);
     return next;
   }
@@ -253,18 +310,19 @@ class MemoryController {
   template <typename Sink>
   void write_state(Sink& s) const {
     s.put_tag("DRAM");
-    for (const Bank& b : banks_) {
-      s.put_bool(b.row_open);
-      s.put_u64(b.open_row);
-      s.put_bool(b.preparing);
-      write_item(s, b.pending);
-      s.put_u64(b.prep_done);
-      s.put_u64(b.prep_issue_start);
+    for (int b = 0; b < static_cast<int>(banks_.size()); ++b) {
+      const Bank& bank = banks_[b];
+      s.put_bool(bank.row_open);
+      s.put_u64(bank.open_row);
+      s.put_bool(((preparing_mask_ >> b) & 1u) != 0);
+      write_item(s, bank.pending);
+      s.put_u64(bank.prep_done);
+      s.put_u64(bank.prep_issue_start);
     }
-    s.put_i32(preparing_count_);
-    s.put_u64(queue_.size());
-    for (const DramCmd& c : queue_) write_item(s, c);
-    auto put_inflight = [&s](const std::deque<InFlight>& dq) {
+    s.put_i32(std::popcount(preparing_mask_));
+    s.put_u64(static_cast<u64>(queue_.size()));
+    for (const DramCmd& c : queue_.in_arrival_order()) write_item(s, c);
+    auto put_inflight = [&s](const Ring<InFlight>& dq) {
       s.put_u64(dq.size());
       for (const InFlight& f : dq) {
         s.put_u64(f.complete_at);
@@ -294,23 +352,35 @@ class MemoryController {
   void hash(Hasher& h) const { write_state(h); }
   void load(StateReader& r) {
     r.expect_tag("DRAM");
-    for (Bank& b : banks_) {
-      b.row_open = r.get_bool();
-      b.open_row = r.get_u64();
-      b.preparing = r.get_bool();
-      read_item(r, b.pending);
-      b.prep_done = r.get_u64();
-      b.prep_issue_start = r.get_u64();
+    preparing_mask_ = 0;
+    for (int b = 0; b < static_cast<int>(banks_.size()); ++b) {
+      Bank& bank = banks_[b];
+      bank.row_open = r.get_bool();
+      bank.open_row = r.get_u64();
+      queue_.set_open_row(b, bank.row_open, bank.open_row);
+      if (r.get_bool()) preparing_mask_ |= 1u << b;
+      read_item(r, bank.pending);
+      bank.prep_done = r.get_u64();
+      bank.prep_issue_start = r.get_u64();
     }
-    preparing_count_ = r.get_i32();
+    SIM_CHECK(r.get_i32() == std::popcount(preparing_mask_),
+              SimError(SimErrorKind::kSnapshot, "mem.dram",
+                       "preparing-bank count disagrees with the bank flags"));
     queue_.clear();
     const u64 qn = r.get_count(static_cast<u64>(queue_capacity_), "dram queue");
     for (u64 i = 0; i < qn; ++i) {
       DramCmd c;
       read_item(r, c);
-      queue_.push_back(c);
+      SIM_CHECK(c.bank >= 0 && c.bank < static_cast<int>(banks_.size()) &&
+                    c.app >= 0 && c.app < num_apps_,
+                SimError(SimErrorKind::kSnapshot, "mem.dram",
+                         "queued DRAM command names a nonexistent bank or "
+                         "application")
+                    .detail("bank", c.bank)
+                    .detail("app", c.app));
+      queue_.push(c);
     }
-    auto get_inflight = [&r](std::deque<InFlight>& dq) {
+    auto get_inflight = [&r](Ring<InFlight>& dq) {
       dq.clear();
       const u64 n = r.get_count(1u << 16, "dram inflight");
       for (u64 i = 0; i < n; ++i) {
@@ -342,14 +412,13 @@ class MemoryController {
 
  private:
   /// A bank is only *occupied* while preparing a row (precharge +
-  /// activate).  Column accesses to an open row pipeline through the
-  /// shared data bus — consecutive row hits to the same bank stream
-  /// back-to-back, as on real GDDR.
+  /// activate); preparing_mask_ holds that.  Column accesses to an open
+  /// row pipeline through the shared data bus — consecutive row hits to
+  /// the same bank stream back-to-back, as on real GDDR.
   struct Bank {
     bool row_open = false;
     u64 open_row = 0;
-    bool preparing = false;
-    DramCmd pending;
+    DramCmd pending;  ///< the miss being prepared, while the bank prepares
     Cycle prep_done = 0;
     Cycle prep_issue_start = 0;
   };
@@ -377,10 +446,26 @@ class MemoryController {
 
   Cycle next_prep_done() const {
     Cycle next = kNeverCycle;
-    for (const Bank& b : banks_) {
-      if (b.preparing) next = std::min(next, b.prep_done);
+    for (u32 m = preparing_mask_; m != 0; m &= m - 1) {
+      next = std::min(next, banks_[std::countr_zero(m)].prep_done);
     }
     return next;
+  }
+
+  /// Banks holding a command issue_one() may pick now: not preparing, with
+  /// a queued command of the priority app while it has any, else of any
+  /// app — or none while the committed stages are full.
+  u32 issuable_banks() const {
+    if (static_cast<int>(bus_ready_.size()) +
+            std::popcount(preparing_mask_) >= kMaxCommitted) {
+      return 0;
+    }
+    u32 queued = 0;
+    if (priority_app_ != kInvalidApp) queued = queued_mask_[priority_app_];
+    if (queued == 0) {
+      for (AppId a = 0; a < num_apps_; ++a) queued |= queued_mask_[a];
+    }
+    return queued & ~preparing_mask_;
   }
 
   const GpuConfig& cfg_;
@@ -390,10 +475,10 @@ class MemoryController {
   // GpuConfig::t_*() is measurable on the per-cycle path.
   Cycle t_rp_, t_rcd_, t_cl_, t_burst_, t_bus_gap_, t_miss_bubble_;
   std::vector<Bank> banks_;
-  int preparing_count_ = 0;         ///< banks with .preparing set
-  std::deque<DramCmd> queue_;       ///< shared FR-FCFS queue, arrival order
-  std::deque<InFlight> bus_ready_;  ///< column accesses awaiting a bus grant
-  std::deque<InFlight> inflight_;   ///< granted accesses, completion order
+  u32 preparing_mask_ = 0;  ///< banks preparing a row
+  FrFcfsQueue queue_;       ///< shared FR-FCFS queue
+  Ring<InFlight> bus_ready_;  ///< column accesses awaiting a bus grant
+  Ring<InFlight> inflight_;   ///< granted accesses, completion order
   AppId priority_app_ = kInvalidApp;
 
   Cycle bus_free_at_ = 0;  ///< includes post-burst bus turnaround gap

@@ -68,7 +68,7 @@ void MemoryPartition::cycle(Cycle now,
   mc_.cycle(now, completed_scratch_);
   for (const DramCmd& done : completed_scratch_) {
     l2_.fill(done.line_addr, done.app);
-    for (const MshrWaiter& w : mshr_.release(done.line_addr)) {
+    mshr_.release(done.line_addr, [&](const MshrWaiter& w) {
       MemResponsePacket resp;
       resp.line_addr = done.line_addr;
       resp.app = w.app;
@@ -76,7 +76,7 @@ void MemoryPartition::cycle(Cycle now,
       resp.warp = w.warp;
       resp.ready = now + cfg_.l2_miss_extra_latency;
       push_response(resp, now);
-    }
+    });
   }
 
   // 2. Matured L2 hits become responses; a full response queue

@@ -6,7 +6,6 @@
 
 #include <algorithm>
 #include <array>
-#include <deque>
 #include <memory>
 #include <vector>
 
@@ -162,7 +161,7 @@ class MemoryPartition {
     for (const auto& atd : atds_) atd->write_state(s);
     mc_.write_state(s);
     resp_queue_.write_state(s);
-    auto put_resps = [&s](const std::deque<MemResponsePacket>& dq) {
+    auto put_resps = [&s](const Ring<MemResponsePacket>& dq) {
       s.put_u64(dq.size());
       for (const MemResponsePacket& p : dq) write_item(s, p);
     };
@@ -179,7 +178,7 @@ class MemoryPartition {
     for (auto& atd : atds_) atd->load(r);
     mc_.load(r);
     resp_queue_.load(r);
-    auto get_resps = [&r](std::deque<MemResponsePacket>& dq, const char* what) {
+    auto get_resps = [&r](Ring<MemResponsePacket>& dq, const char* what) {
       dq.clear();
       const u64 n = r.get_count(1u << 20, what);
       for (u64 i = 0; i < n; ++i) {
@@ -208,9 +207,9 @@ class MemoryPartition {
 
   /// L2 hits in flight: responses mature after l2_hit_latency (FIFO works
   /// because the latency is constant).
-  std::deque<MemResponsePacket> pending_hits_;
+  Ring<MemResponsePacket> pending_hits_;
   /// DRAM-fill responses awaiting space in the saturated response queue.
-  std::deque<MemResponsePacket> deferred_resps_;
+  Ring<MemResponsePacket> deferred_resps_;
 
   std::vector<DramCmd> completed_scratch_;
   PartitionCounters counters_;

@@ -29,7 +29,7 @@ struct MemResponsePacket {
 };
 
 // SimState element serialization (ADL hooks used by BoundedQueue,
-// CrossbarChannel and the deque helpers in simstate-aware components).
+// CrossbarChannel and the ring helpers in simstate-aware components).
 
 template <typename Sink>
 void write_item(Sink& s, const MemRequestPacket& p) {

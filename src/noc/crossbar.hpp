@@ -13,13 +13,16 @@
 //
 // Hot-path shape: the Router is a template parameter so concrete routers
 // (plain field reads in this simulator) inline into the arbitration loop —
-// the std::function default exists only for tests and ad-hoc wiring.  When
-// the channel has at most 64 sources, transfer() first folds "head packet
-// exists and is ready" into a bitmask and returns immediately when it is
-// zero, so an idle interconnect costs one pass over the source fronts
-// instead of a dests × sources round-robin scan.
+// the std::function default exists only for tests and ad-hoc wiring.  A
+// channel has at most 64 ports per side (GpuConfig::validate caps the
+// machine), so transfer() routes each ready head once into a per-destination
+// candidate bitmask and each destination picks its round-robin winner with a
+// rotate and a count-trailing-zeros: a visit costs the ready heads, not
+// destinations × sources probes, and an idle channel costs one pass over the
+// source fronts.
 #pragma once
 
+#include <bit>
 #include <functional>
 #include <vector>
 
@@ -41,10 +44,13 @@ class CrossbarChannel {
         accepts_per_cycle_(accepts_per_cycle),
         route_(std::move(route)),
         rr_(num_dests, 0),
-        source_sent_(num_sources, 0) {
-    SIM_CHECK(num_sources > 0 && num_dests > 0 && accepts_per_cycle > 0,
+        num_sources_(num_sources),
+        candidates_(num_dests, 0) {
+    SIM_CHECK(num_sources > 0 && num_dests > 0 && accepts_per_cycle > 0 &&
+                  num_sources <= 64 && num_dests <= 64,
               SimError(SimErrorKind::kConfig, "noc.crossbar",
-                       "crossbar dimensions must be positive")
+                       "crossbar ports must number 1 to 64 per side and "
+                       "accept at least one packet per cycle")
                   .detail("num_sources", num_sources)
                   .detail("num_dests", num_dests)
                   .detail("accepts_per_cycle", accepts_per_cycle));
@@ -57,52 +63,72 @@ class CrossbarChannel {
   /// Moves packets from source FIFOs to destination FIFOs for one cycle.
   /// `sources[s]` is the output FIFO of source port s.
   ///
-  /// Returns a bitmask of destination ports (bits d < 64 only) that
-  /// accepted at least one packet this cycle — the activity engine uses it
-  /// to schedule wake-ups at the packets' delivery cycle.  Arbitration
-  /// order, round-robin pointer updates and all queue mutations are
-  /// identical to the historical full scan; the mask fast path only skips
-  /// probes that could not have accepted anything.
+  /// Returns a bitmask of destination ports that accepted at least one
+  /// packet this cycle — the activity engine uses it to schedule wake-ups
+  /// at the packets' delivery cycle.
+  ///
+  /// Arbitration: destination d scans the sources in round-robin order from
+  /// rr_[d], accepting up to `accepts_per_cycle` ready heads routed to it;
+  /// after each accept rr_[d] moves past the winner while the scan's step
+  /// count keeps running, so a later accept in the same cycle is searched
+  /// from the new pointer plus the steps already taken.  Each source injects
+  /// at most one packet per cycle, and a source's head is routed to one
+  /// destination, so the destinations' candidate sets are disjoint and
+  /// their order does not matter.
   ///
   /// When `blocked_out` is non-null it receives a bitmask of source ports
-  /// (bits s < 64 only) whose head packet was ready this cycle but was not
-  /// accepted — head-of-line blocking or destination back-pressure.  On the
-  /// masked path this is the leftover `ready` mask and costs nothing extra.
+  /// whose head packet was ready this cycle but was not accepted —
+  /// head-of-line blocking or destination back-pressure.
   u64 transfer(Cycle now, std::vector<BoundedQueue<Packet>*>& sources,
                u64* blocked_out = nullptr) {
     const int num_sources = static_cast<int>(sources.size());
-    SIM_INVARIANT(num_sources == static_cast<int>(source_sent_.size()),
-                  "noc.crossbar", "source port count changed after wiring");
-    if (num_sources > 64) return transfer_scan(now, sources, blocked_out);
+    SIM_INVARIANT(num_sources == num_sources_, "noc.crossbar",
+                  "source port count changed after wiring");
+    const int num_dests = static_cast<int>(dest_queues_.size());
 
-    // One packet per source per cycle: a set bit means "head packet is
-    // ready and this source has not injected yet", so clearing the bit on
-    // accept subsumes the historical source_sent_ scratch array.
+    // A set bit means "head packet is ready and this source has not
+    // injected yet"; clearing it on accept enforces one packet per source.
     u64 ready = 0;
+    int dest_of[64];  // read only where `ready` has the source's bit
     for (int s = 0; s < num_sources; ++s) {
       const BoundedQueue<Packet>& sq = *sources[s];
-      if (!sq.empty() && sq.front().ready <= now) ready |= u64{1} << s;
+      if (sq.empty() || sq.front().ready > now) continue;
+      const int d = route_(sq.front());
+      SIM_CHECK(d >= 0 && d < num_dests,
+                SimError(SimErrorKind::kInvariant, "noc.crossbar",
+                         "packet routed to a nonexistent port")
+                    .cycle(now)
+                    .detail("source_port", s)
+                    .detail("dest_port", d)
+                    .detail("num_dests", num_dests));
+      dest_of[s] = d;
+      ready |= u64{1} << s;
     }
-    if (ready == 0) {
-      if (blocked_out != nullptr) *blocked_out = 0;
-      return 0;  // idle interconnect: skip the full scan
+    u64 wanted = 0;  // destinations with at least one candidate
+    for (u64 m = ready; m != 0; m &= m - 1) {
+      const int s = std::countr_zero(m);
+      candidates_[dest_of[s]] |= u64{1} << s;
+      wanted |= u64{1} << dest_of[s];
     }
 
     u64 accepted_dests = 0;
-    for (int d = 0; d < static_cast<int>(dest_queues_.size()); ++d) {
+    for (u64 todo = wanted; todo != 0; todo &= todo - 1) {
+      const int d = std::countr_zero(todo);
+      u64 cand = candidates_[d];
+      candidates_[d] = 0;
       BoundedQueue<Packet>& dq = dest_queues_[d];
-      // A full destination cannot accept; the historical scan broke out of
-      // the source loop at the first routed candidate without mutating any
-      // state, so skipping the probe entirely is behaviorally identical.
-      if (dq.full()) continue;
-      int accepted = 0;
-      for (int k = 0; k < num_sources && accepted < accepts_per_cycle_; ++k) {
-        const int s = (rr_[d] + k) % num_sources;
-        if (!((ready >> s) & 1)) continue;
-        BoundedQueue<Packet>& sq = *sources[s];
-        if (route_(sq.front()) != d) continue;
-        if (dq.full()) break;  // destination buffer back-pressure
-        Packet p = sq.pop();
+      int rr = rr_[d];
+      int step = 0;  // round-robin positions already scanned this cycle
+      for (int accepted = 0;
+           accepted < accepts_per_cycle_ && !dq.full() && cand != 0;
+           ++accepted) {
+        // Candidates in scan order: bit k is source (rr + k) mod n.
+        const u64 ahead = rotate_right(cand, rr, num_sources) &
+                          (~u64{0} << step);
+        if (ahead == 0) break;
+        const int k = std::countr_zero(ahead);
+        const int s = rr + k < num_sources ? rr + k : rr + k - num_sources;
+        Packet p = sources[s]->pop();
         p.ready = now + latency_;
         const bool ok = dq.try_push(std::move(p));
         SIM_CHECK(ok, SimError(SimErrorKind::kQueueOverflow, "noc.crossbar",
@@ -111,11 +137,14 @@ class CrossbarChannel {
                           .detail("dest_port", d)
                           .detail("occupancy", dq.size())
                           .detail("capacity", dq.capacity()));
+        cand &= ~(u64{1} << s);
         ready &= ~(u64{1} << s);
-        ++accepted;
-        rr_[d] = (s + 1) % num_sources;
-        if (d < 64) accepted_dests |= u64{1} << d;
+        rr = s + 1 < num_sources ? s + 1 : 0;
+        step = k + 1;
+        accepted_dests |= u64{1} << d;
+        if (step >= num_sources) break;
       }
+      rr_[d] = rr;
     }
     // Bits still set in `ready` are exactly the sources whose head packet
     // was injectable this cycle but went unaccepted.
@@ -136,9 +165,8 @@ class CrossbarChannel {
     return true;
   }
 
-  // SimState: destination FIFOs and round-robin pointers.  source_sent_ is
-  // scratch that transfer_scan() refills from scratch every cycle, so it is
-  // dead at any between-cycles snapshot boundary and deliberately excluded.
+  // SimState: destination FIFOs and round-robin pointers.  candidates_ is
+  // scratch that transfer() leaves zeroed, so it is dead between cycles.
   template <typename Sink>
   void write_state(Sink& s) const {
     s.put_tag("XBAR");
@@ -154,51 +182,11 @@ class CrossbarChannel {
   }
 
  private:
-  // Historical full round-robin scan, kept for channels wider than the
-  // 64-source bitmask.  Same arbitration semantics as the masked path.
-  u64 transfer_scan(Cycle now, std::vector<BoundedQueue<Packet>*>& sources,
-                    u64* blocked_out) {
-    const int num_sources = static_cast<int>(sources.size());
-    std::fill(source_sent_.begin(), source_sent_.end(), 0);
-    u64 accepted_dests = 0;
-    for (int d = 0; d < static_cast<int>(dest_queues_.size()); ++d) {
-      BoundedQueue<Packet>& dq = dest_queues_[d];
-      int accepted = 0;
-      for (int k = 0; k < num_sources && accepted < accepts_per_cycle_; ++k) {
-        const int s = (rr_[d] + k) % num_sources;
-        if (source_sent_[s]) continue;
-        BoundedQueue<Packet>& sq = *sources[s];
-        if (sq.empty()) continue;
-        if (sq.front().ready > now) continue;  // not yet injected (fill delay)
-        if (route_(sq.front()) != d) continue;
-        if (dq.full()) break;  // destination buffer back-pressure
-        Packet p = sq.pop();
-        p.ready = now + latency_;
-        const bool ok = dq.try_push(std::move(p));
-        SIM_CHECK(ok, SimError(SimErrorKind::kQueueOverflow, "noc.crossbar",
-                               "destination queue overflow after full() check")
-                          .cycle(now)
-                          .detail("dest_port", d)
-                          .detail("occupancy", dq.size())
-                          .detail("capacity", dq.capacity()));
-        source_sent_[s] = 1;
-        ++accepted;
-        rr_[d] = (s + 1) % num_sources;
-        if (d < 64) accepted_dests |= u64{1} << d;
-      }
-    }
-    if (blocked_out != nullptr) {
-      // One extra pass (this path is already the slow one): ready-but-unsent
-      // sources, capped to the mask's 64 bits.
-      u64 blocked = 0;
-      for (int s = 0; s < num_sources && s < 64; ++s) {
-        if (source_sent_[s]) continue;
-        const BoundedQueue<Packet>& sq = *sources[s];
-        if (!sq.empty() && sq.front().ready <= now) blocked |= u64{1} << s;
-      }
-      *blocked_out = blocked;
-    }
-    return accepted_dests;
+  /// `mask` (n significant bits) rotated right by `by` < n within n bits.
+  static u64 rotate_right(u64 mask, int by, int n) {
+    if (by == 0) return mask;
+    const u64 width = n == 64 ? ~u64{0} : (u64{1} << n) - 1;
+    return ((mask >> by) | (mask << (n - by))) & width;
   }
 
   Cycle latency_;
@@ -206,7 +194,8 @@ class CrossbarChannel {
   Router route_;
   std::vector<BoundedQueue<Packet>> dest_queues_;
   std::vector<int> rr_;
-  std::vector<u8> source_sent_;
+  int num_sources_;
+  std::vector<u64> candidates_;  ///< per destination, zero between cycles
 };
 
 }  // namespace gpusim

@@ -170,7 +170,7 @@ void SmCore::dispatch_pending(Cycle now) {
       counters_.l1_accesses.add();
       l1_.lookup_touch(line, app());
       counters_.l1_hits.add();
-      local_hits_.emplace_back(now + cfg_.l1_hit_latency, txn.warp);
+      local_hits_.push_back({now + cfg_.l1_hit_latency, txn.warp});
       pending_txns_.pop_front();
       continue;
     }
@@ -393,7 +393,7 @@ void SmCore::load(StateReader& r, BlockSource* source) {
     const Cycle ready = r.get_u64();
     const WarpId warp = r.get_i32();
     check_warp_index(warp, "local hit");
-    local_hits_.emplace_back(ready, warp);
+    local_hits_.push_back({ready, warp});
   }
   l1_.load(r);
   l1_mshr_.load(r);
@@ -403,9 +403,8 @@ void SmCore::load(StateReader& r, BlockSource* source) {
 
 void SmCore::receive(const MemResponsePacket& resp) {
   l1_.fill(resp.line_addr, resp.app);
-  for (const MshrWaiter& w : l1_mshr_.release(resp.line_addr)) {
-    complete_txn(w.warp);
-  }
+  l1_mshr_.release(resp.line_addr,
+                   [this](const MshrWaiter& w) { complete_txn(w.warp); });
 }
 
 }  // namespace gpusim

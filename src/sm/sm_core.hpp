@@ -11,8 +11,8 @@
 // fraction α the DASE model consumes (paper Eq. 15).
 #pragma once
 
-#include <deque>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "cache/cache.hpp"
@@ -280,8 +280,8 @@ class SmCore {
 
   std::vector<WarpCtx> warps_;
   std::vector<BlockSlot> blocks_;
-  std::deque<PendingTxn> pending_txns_;
-  std::deque<std::pair<Cycle, WarpId>> local_hits_;  // (ready, warp), FIFO
+  Ring<PendingTxn> pending_txns_;
+  Ring<std::pair<Cycle, WarpId>> local_hits_;  // (ready, warp), FIFO
 
   SetAssocCache l1_;
   Mshr l1_mshr_;

@@ -31,19 +31,6 @@ TEST(BoundedQueueTest, RejectsWhenFull) {
   EXPECT_TRUE(q.try_push(3));
 }
 
-TEST(BoundedQueueTest, ExtractFromMiddle) {
-  BoundedQueue<int> q(8);
-  for (int i = 0; i < 5; ++i) q.try_push(i);
-  auto it = q.begin();
-  std::advance(it, 2);
-  EXPECT_EQ(q.extract(it), 2);
-  EXPECT_EQ(q.size(), 4u);
-  EXPECT_EQ(q.pop(), 0);
-  EXPECT_EQ(q.pop(), 1);
-  EXPECT_EQ(q.pop(), 3);
-  EXPECT_EQ(q.pop(), 4);
-}
-
 TEST(BoundedQueueTest, MoveOnlyFriendly) {
   BoundedQueue<std::unique_ptr<int>> q(2);
   EXPECT_TRUE(q.try_push(std::make_unique<int>(42)));

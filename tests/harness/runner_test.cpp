@@ -288,6 +288,20 @@ TEST(RunnerTest, FaultedRunsAuditConservation) {
   for (const AppResult& app : r.apps) EXPECT_GT(app.instructions, 0u);
 }
 
+TEST(RunnerTest, StallOfANonexistentPartitionIsAConfigError) {
+  // The default machine has 6 partitions: a stall of partition 9 would
+  // freeze nothing and the run would pass as if unfaulted.
+  const Workload w{{*find_app("VA"), *find_app("SD")}};
+  RunConfig rc = quick_config();
+  rc.faults = FaultSchedule::parse("stall:part=9,from=1000");
+  try {
+    ExperimentRunner(rc).run(w, ModelSet{.dase = true});
+    FAIL() << "ran a stall of partition 9 on a 6-partition machine";
+  } catch (const SimError& e) {
+    EXPECT_EQ(e.kind(), SimErrorKind::kConfig) << e.what();
+  }
+}
+
 TEST(RunnerTest, EpochModelsAttachWithoutDisturbingResult) {
   ExperimentRunner runner(quick_config());
   const Workload w{{*find_app("VA"), *find_app("SD")}};

@@ -276,13 +276,18 @@ TEST(SimGuardFaults, ScheduleSpecRoundTrips) {
   EXPECT_THROW(FaultSchedule::parse("no-such-kind:nth=1"), SimError);
   EXPECT_THROW(FaultSchedule::parse("stall:part=0,from=10,until=5"), SimError);
   EXPECT_THROW(FaultSchedule::parse("drop-resp:prob=1.5"), SimError);
-  // Kinds only the retired fault campaigns used: a schedule naming one is a
-  // typed config error, never a run that silently skips the event.
-  for (const char* retired :
-       {"flip:nth=40,bit=17", "misroute:from=12000", "nack:nth=60,delay=250"}) {
+  // Kinds only the retired fault campaigns used, keys the kind never reads
+  // and drops or stalls that name no target: each is a typed config error,
+  // never a run that silently injects nothing.
+  for (const char* rejected :
+       {"flip:nth=40,bit=17", "misroute:from=12000", "nack:nth=60,delay=250",
+        "drop-req:prob=0.5", "drop-req:nth=3,part=1", "drop-resp:from=10",
+        "drop-resp:nth=5,until=9", "stall:part=0,nth=3",
+        "stall:part=0,from=10,prob=0.5", "drop-resp:", "drop-req:nth=0",
+        "drop-resp:prob=0", "stall:from=1000", "stall:part=4294967296"}) {
     try {
-      FaultSchedule::parse(std::string("drop-resp:nth=200;") + retired);
-      ADD_FAILURE() << "accepted " << retired;
+      FaultSchedule::parse(std::string("drop-resp:nth=200;") + rejected);
+      ADD_FAILURE() << "accepted " << rejected;
     } catch (const SimError& e) {
       EXPECT_EQ(e.kind(), SimErrorKind::kConfig) << e.what();
     }

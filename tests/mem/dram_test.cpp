@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <optional>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -354,6 +356,149 @@ TEST(DramTest, SerializedStateIsPinned) {
     EXPECT_EQ(state_hash_of(restored), state_hash_of(mc));
   }
   EXPECT_EQ(h.digest(), 0x0D7A9B37F2557B5BULL);
+}
+
+/// The linear scan over the arrival-ordered queue that MemoryController
+/// used before its per-bank index, kept as the FR-FCFS pick reference:
+/// the oldest eligible row hit to a non-preparing bank, else the oldest
+/// eligible command to a non-preparing bank, where a priority app with
+/// anything queued makes only its commands eligible.
+struct ScanBank {
+  bool row_open = false;
+  u64 open_row = 0;
+  bool preparing = false;
+};
+
+std::optional<FrFcfsQueue::Pick> reference_pick(
+    std::deque<DramCmd>& queue, const std::vector<ScanBank>& banks,
+    AppId priority_app) {
+  bool prio_active = false;
+  for (const DramCmd& c : queue) prio_active |= c.app == priority_app;
+  auto hit_pick = queue.end();
+  auto oldest_pick = queue.end();
+  for (auto it = queue.begin(); it != queue.end(); ++it) {
+    if (prio_active && it->app != priority_app) continue;
+    const ScanBank& bank = banks[it->bank];
+    if (bank.preparing) continue;
+    if (bank.row_open && bank.open_row == it->row) {
+      hit_pick = it;
+      break;
+    }
+    if (oldest_pick == queue.end()) oldest_pick = it;
+  }
+  const auto pick = hit_pick != queue.end() ? hit_pick : oldest_pick;
+  if (pick == queue.end()) return std::nullopt;
+  const FrFcfsQueue::Pick out{*pick, hit_pick != queue.end()};
+  queue.erase(pick);
+  return out;
+}
+
+TEST(DramTest, FrFcfsIndexMatchesTheLinearScan) {
+  // Random enqueues, row opens and closes, preparing banks and priority
+  // flips: every pick must be the scan's pick, and the queue must stay in
+  // the scan's arrival order.
+  constexpr int kBanks = 16;
+  for (u64 seed = 1; seed <= 6; ++seed) {
+    Rng rng(seed);
+    FrFcfsQueue index(kBanks);
+    std::deque<DramCmd> scan;
+    std::vector<ScanBank> banks(kBanks);
+    AppId priority = kInvalidApp;
+    for (int step = 0; step < 20'000; ++step) {
+      const u64 op = rng.next_below(20);
+      if (op < 8) {
+        if (scan.size() >= 64) continue;
+        DramCmd c;
+        c.line_addr = rng.next_u64() >> 24;
+        c.app = static_cast<AppId>(rng.next_below(3));
+        c.bank = static_cast<int>(rng.next_below(2) == 0
+                                      ? rng.next_below(3)
+                                      : rng.next_below(kBanks));
+        c.row = rng.next_below(3);
+        c.enqueued = static_cast<Cycle>(step);
+        index.push(c);
+        scan.push_back(c);
+      } else if (op < 11) {
+        const int b = static_cast<int>(rng.next_below(kBanks));
+        banks[b].row_open = rng.next_below(4) != 0;
+        banks[b].open_row = rng.next_below(3);
+        index.set_open_row(b, banks[b].row_open, banks[b].open_row);
+      } else if (op < 13) {
+        banks[rng.next_below(kBanks)].preparing ^= true;
+      } else if (op == 13) {
+        const u64 p = rng.next_below(4);
+        priority = p == 3 ? kInvalidApp : static_cast<AppId>(p);
+      } else {
+        u32 candidates = 0;
+        AppId only_app = kInvalidApp;
+        for (int b = 0; b < kBanks; ++b) {
+          if (!banks[b].preparing) candidates |= 1u << b;
+        }
+        for (const DramCmd& c : scan) {
+          if (c.app == priority) only_app = priority;
+        }
+        const auto got = index.pop_pick(candidates, only_app);
+        const auto want = reference_pick(scan, banks, priority);
+        ASSERT_EQ(got.has_value(), want.has_value()) << "step " << step;
+        if (!got) continue;
+        ASSERT_EQ(got->cmd.line_addr, want->cmd.line_addr) << "step " << step;
+        ASSERT_EQ(got->cmd.enqueued, want->cmd.enqueued) << "step " << step;
+        ASSERT_EQ(got->row_hit, want->row_hit) << "step " << step;
+      }
+      ASSERT_EQ(index.size(), static_cast<int>(scan.size()));
+      if (step % 97 == 0) {
+        const std::vector<DramCmd> order = index.in_arrival_order();
+        ASSERT_EQ(order.size(), scan.size());
+        for (std::size_t i = 0; i < order.size(); ++i) {
+          ASSERT_EQ(order[i].enqueued, scan[i].enqueued) << "step " << step;
+        }
+      }
+    }
+  }
+}
+
+TEST(DramTest, QuietExactlyWhenACycleOnlyAccrues) {
+  // quiet_at(now) must hold exactly when cycle(now) changes nothing but the
+  // per-cycle accruals skip_cycles() applies: a twin restored from the same
+  // state and skipped one cycle hashes equal iff the controller was quiet.
+  GpuConfig cfg;
+  cfg.dram_queue_capacity = 24;
+  MemoryController mc(cfg, 2);
+  MemoryController twin(cfg, 2);
+  Rng rng(99);
+  std::vector<DramCmd> done;
+  int quiet_cycles = 0;
+  int live_cycles = 0;
+  for (Cycle now = 0; now < 20'000; ++now) {
+    if (now % 700 == 0) {
+      const u64 p = rng.next_below(3);
+      mc.set_priority_app(p == 2 ? kInvalidApp : static_cast<AppId>(p));
+    }
+    // Bursts separated by lulls, so the controller both saturates and
+    // drains.
+    if ((now / 2'000) % 2 == 0 && rng.next_double() < 0.4) {
+      DramCmd c;
+      c.line_addr = rng.next_u64() >> 24;
+      c.app = static_cast<AppId>(rng.next_below(2));
+      c.bank = static_cast<int>(rng.next_below(4));
+      c.row = rng.next_below(3);
+      c.enqueued = now;
+      mc.try_enqueue(c);
+    }
+    StateWriter w;
+    mc.save(w);
+    StateReader r(w.bytes());
+    twin.load(r);
+    const bool quiet = mc.quiet_at(now);
+    done.clear();
+    mc.cycle(now, done);
+    twin.skip_cycles(now, 1);
+    ASSERT_EQ(quiet, state_hash_of(mc) == state_hash_of(twin))
+        << "cycle " << now;
+    (quiet ? quiet_cycles : live_cycles) += 1;
+  }
+  EXPECT_GT(quiet_cycles, 1'000);
+  EXPECT_GT(live_cycles, 1'000);
 }
 
 }  // namespace

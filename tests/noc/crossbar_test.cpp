@@ -2,11 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "common/sim_error.hpp"
 #include "mem/request.hpp"
 
 namespace gpusim {
@@ -181,6 +185,173 @@ TEST(CrossbarStateTest, SerializedStateIsPinned) {
     drive_random_channel(h, 6, 16, accepts, 23 + accepts);
   }
   EXPECT_EQ(h.digest(), 0x88E2DE632209EB78ULL);
+}
+
+/// The dests x sources probe loop CrossbarChannel::transfer ran before its
+/// candidate masks, kept as the arbitration reference: destination d probes
+/// sources (rr[d] + k) % n for k = 0, 1, ..., n - 1, and an accept moves
+/// rr[d] while k keeps counting.
+class ProbeLoopReference {
+ public:
+  ProbeLoopReference(int num_dests, Cycle latency, int accepts, int depth,
+                     std::vector<int> rr)
+      : latency_(latency), accepts_(accepts), rr_(std::move(rr)) {
+    for (int d = 0; d < num_dests; ++d) dest_queues_.emplace_back(depth);
+  }
+
+  u64 transfer(Cycle now,
+               std::vector<BoundedQueue<MemRequestPacket>*>& sources,
+               u64* blocked_out) {
+    const int n = static_cast<int>(sources.size());
+    u64 ready = 0;
+    for (int s = 0; s < n; ++s) {
+      if (!sources[s]->empty() && sources[s]->front().ready <= now) {
+        ready |= u64{1} << s;
+      }
+    }
+    u64 accepted_dests = 0;
+    for (int d = 0; d < static_cast<int>(dest_queues_.size()); ++d) {
+      BoundedQueue<MemRequestPacket>& dq = dest_queues_[d];
+      if (dq.full()) continue;
+      int accepted = 0;
+      for (int k = 0; k < n && accepted < accepts_; ++k) {
+        const int s = (rr_[d] + k) % n;
+        if (!((ready >> s) & 1)) continue;
+        if (sources[s]->front().dest != d) continue;
+        if (dq.full()) break;
+        MemRequestPacket p = sources[s]->pop();
+        p.ready = now + latency_;
+        dq.try_push(p);
+        ready &= ~(u64{1} << s);
+        ++accepted;
+        rr_[d] = (s + 1) % n;
+        accepted_dests |= u64{1} << d;
+      }
+    }
+    *blocked_out = ready;
+    return accepted_dests;
+  }
+
+  BoundedQueue<MemRequestPacket>& dest_queue(int d) { return dest_queues_[d]; }
+
+  /// Same layout as CrossbarChannel::write_state.
+  template <typename Sink>
+  void write_state(Sink& s) const {
+    s.put_tag("XBAR");
+    for (const auto& q : dest_queues_) q.write_state(s);
+    for (int v : rr_) s.put_i32(v);
+  }
+
+ private:
+  Cycle latency_;
+  int accepts_;
+  std::vector<int> rr_;
+  std::vector<BoundedQueue<MemRequestPacket>> dest_queues_;
+};
+
+TEST(CrossbarStateTest, MatchesTheProbeLoopReference) {
+  // Random port counts up to the 64-port cap, random round-robin pointers,
+  // shallow destination buffers (back-pressure) and 1 or 2 accepts per
+  // cycle: every transfer must accept the same packets, report the same
+  // masks and leave the same queues and pointers as the probe loop.
+  Rng rng(64);
+  for (int trial = 0; trial < 120; ++trial) {
+    const int num_sources =
+        trial % 5 == 0 ? 64 : 1 + static_cast<int>(rng.next_below(64));
+    const int num_dests =
+        trial % 7 == 0 ? 64 : 1 + static_cast<int>(rng.next_below(64));
+    const int accepts = 1 + static_cast<int>(trial % 2);
+    const int depth = 1 + static_cast<int>(rng.next_below(4));
+    SCOPED_TRACE(std::to_string(num_sources) + " sources, " +
+                 std::to_string(num_dests) + " dests, " +
+                 std::to_string(accepts) + " accepts, depth " +
+                 std::to_string(depth));
+    CrossbarChannel<MemRequestPacket> ch(
+        num_sources, num_dests, /*latency=*/3, accepts, depth,
+        [](const MemRequestPacket& p) { return p.dest; });
+    std::vector<int> rr(num_dests);
+    StateWriter w;
+    w.put_tag("XBAR");
+    for (int d = 0; d < num_dests; ++d) w.put_u64(0);
+    for (int& v : rr) {
+      v = static_cast<int>(rng.next_below(num_sources));
+      w.put_i32(v);
+    }
+    StateReader r(w.bytes());
+    ch.load(r);
+    ProbeLoopReference ref(num_dests, 3, accepts, depth, rr);
+
+    std::vector<std::unique_ptr<BoundedQueue<MemRequestPacket>>> owned;
+    std::vector<BoundedQueue<MemRequestPacket>*> src;
+    std::vector<BoundedQueue<MemRequestPacket>*> ref_src;
+    for (int s = 0; s < 2 * num_sources; ++s) {
+      owned.push_back(std::make_unique<BoundedQueue<MemRequestPacket>>(4));
+      (s < num_sources ? src : ref_src).push_back(owned.back().get());
+    }
+    // Few destinations in play per trial, so ports contend.
+    const int hot = 1 + static_cast<int>(rng.next_below(3));
+    for (Cycle now = 0; now < 150; ++now) {
+      for (int s = 0; s < num_sources; ++s) {
+        if (rng.next_double() >= 0.5) continue;
+        MemRequestPacket p;
+        p.line_addr = rng.next_u64();
+        p.dest = static_cast<PartitionId>(
+            rng.next_below(static_cast<u64>(std::min(hot, num_dests))));
+        if (rng.next_below(4) == 0) {
+          p.dest = static_cast<PartitionId>(rng.next_below(num_dests));
+        }
+        p.ready = now + rng.next_below(3);
+        src[s]->try_push(p);
+        ref_src[s]->try_push(p);
+      }
+      u64 blocked = 0;
+      u64 ref_blocked = 0;
+      ASSERT_EQ(ch.transfer(now, src, &blocked),
+                ref.transfer(now, ref_src, &ref_blocked))
+          << "cycle " << now;
+      ASSERT_EQ(blocked, ref_blocked) << "cycle " << now;
+      ASSERT_EQ(state_hash_of(ch), state_hash_of(ref)) << "cycle " << now;
+      for (int d = 0; d < num_dests; ++d) {
+        if (!ch.dest_queue(d).empty() && rng.next_below(3) == 0) {
+          ch.dest_queue(d).pop();
+          ref.dest_queue(d).pop();
+        }
+      }
+    }
+  }
+}
+
+TEST(CrossbarStateTest, PacketToANonexistentPortIsAnInvariantError) {
+  CrossbarChannel<MemRequestPacket> ch(
+      2, 3, /*latency=*/1, /*accepts=*/1, /*depth=*/4,
+      [](const MemRequestPacket& p) { return p.dest; });
+  BoundedQueue<MemRequestPacket> a(4);
+  BoundedQueue<MemRequestPacket> b(4);
+  std::vector<BoundedQueue<MemRequestPacket>*> sources{&a, &b};
+  for (const PartitionId bad : {PartitionId{3}, PartitionId{-1}}) {
+    MemRequestPacket p;
+    p.dest = bad;
+    b.try_push(p);
+    try {
+      ch.transfer(0, sources);
+      FAIL() << "routed a packet to port " << bad;
+    } catch (const SimError& e) {
+      EXPECT_EQ(e.kind(), SimErrorKind::kInvariant) << e.what();
+    }
+    b.clear();
+  }
+}
+
+TEST(CrossbarStateTest, RejectsMoreThan64PortsPerSide) {
+  const auto route = [](const MemRequestPacket& p) { return p.dest; };
+  for (const auto& [sources, dests] : {std::pair{65, 6}, std::pair{16, 65}}) {
+    try {
+      CrossbarChannel<MemRequestPacket> ch(sources, dests, 1, 1, 4, route);
+      FAIL() << sources << " x " << dests << " channel was built";
+    } catch (const SimError& e) {
+      EXPECT_EQ(e.kind(), SimErrorKind::kConfig) << e.what();
+    }
+  }
 }
 
 }  // namespace

@@ -39,6 +39,12 @@
 # slot's replay keeps one live beside the co-run) may exceed the committed
 # baseline by at most 5%.  It does not depend on host speed, so it is gated
 # even in relative-only mode; --update re-records it.
+#
+# allocs_per_kcycle (heap allocations per 1,000 cycles of the timed
+# contended loop) may exceed the committed baseline by at most 5% plus one
+# allocation per kcycle, so a count near zero does not fail on a few
+# allocations a different standard library makes.  It counts calls, not
+# time, so it is gated even in relative-only mode; --update re-records it.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -57,6 +63,7 @@ MIN_GOVERNOR_RATIO="${GPUSIM_PERF_MIN_GOVERNOR_RATIO:-0.98}"
 MIN_TELEMETRY_RATIO="${GPUSIM_PERF_MIN_TELEMETRY_RATIO:-0.98}"
 MIN_REPLAY_OVERLAP=1.15
 MAX_HEAP_GROWTH=0.05
+MAX_ALLOC_GROWTH=0.05
 BASELINE="BENCH_throughput.json"
 FRESH="$BUILD_DIR/BENCH_throughput.json"
 
@@ -83,7 +90,7 @@ for key in sim_cycles_per_sec \
            governor_overhead_ratio \
            telemetry_on_cycles_per_sec telemetry_off_cycles_per_sec \
            telemetry_overhead_ratio replay_overlap_speedup \
-           simulation_heap_kib \
+           simulation_heap_kib allocs_per_kcycle \
            profile_sm_advance_ns profile_partition_ns profile_total_ns; do
   if [[ -z "$(json_key "$FRESH" "$key")" ]]; then
     echo "FAIL: key $key missing from fresh measurement"
@@ -173,6 +180,24 @@ else
     echo "OK:   simulation_heap_kib ${heap} vs baseline ${heap_base} (ceiling +${MAX_HEAP_GROWTH})"
   else
     echo "FAIL: simulation_heap_kib ${heap} exceeds baseline ${heap_base} by more than ${MAX_HEAP_GROWTH}"
+    fail=1
+  fi
+fi
+
+# The allocation count is a property of the code, not of the host, so it is
+# gated in relative-only mode too.
+allocs_base=$(json_key "$BASELINE" allocs_per_kcycle)
+allocs=$(json_key "$FRESH" allocs_per_kcycle)
+if [[ -z "$allocs_base" ]]; then
+  echo "FAIL: key allocs_per_kcycle missing from baseline $BASELINE"
+  fail=1
+else
+  ok=$(awk -v b="$allocs_base" -v f="${allocs:-0}" -v tol="$MAX_ALLOC_GROWTH" \
+       'BEGIN { print (f <= b * (1.0 + tol) + 1.0) ? 1 : 0 }')
+  if [[ "$ok" == 1 ]]; then
+    echo "OK:   allocs_per_kcycle ${allocs} vs baseline ${allocs_base} (ceiling +${MAX_ALLOC_GROWTH} + 1)"
+  else
+    echo "FAIL: allocs_per_kcycle ${allocs} exceeds baseline ${allocs_base} by more than ${MAX_ALLOC_GROWTH} + 1"
     fail=1
   fi
 fi
