@@ -22,6 +22,7 @@
 // source fronts.
 #pragma once
 
+#include <array>
 #include <bit>
 #include <functional>
 #include <vector>
@@ -89,7 +90,7 @@ class CrossbarChannel {
     // A set bit means "head packet is ready and this source has not
     // injected yet"; clearing it on accept enforces one packet per source.
     u64 ready = 0;
-    int dest_of[64];  // read only where `ready` has the source's bit
+    std::array<int, 64> dest_of{};  // valid where `ready` has the bit
     for (int s = 0; s < num_sources; ++s) {
       const BoundedQueue<Packet>& sq = *sources[s];
       if (sq.empty() || sq.front().ready > now) continue;
