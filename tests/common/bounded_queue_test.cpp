@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <memory>
 #include <string>
 
@@ -52,6 +53,28 @@ TEST(BoundedQueueTest, IterationVisitsInOrder) {
   for (int i = 10; i < 14; ++i) q.try_push(i);
   int expect = 10;
   for (int v : q) EXPECT_EQ(v, expect++);
+}
+
+TEST(BoundedQueueTest, RingGrowsAcrossTheWrapInFifoOrder) {
+  // Interleaved pushes and pops keep the ring's head moving, so each
+  // doubling happens with the contents wrapped around the buffer's end.
+  Ring<int> ring;
+  std::deque<int> model;
+  int next = 0;
+  for (int round = 0; round < 200; ++round) {
+    for (int i = 0; i < round % 7 + 1; ++i) {
+      ring.push_back(next);
+      model.push_back(next++);
+    }
+    for (int i = 0; i < round % 5 && !model.empty(); ++i) {
+      ASSERT_EQ(ring.front(), model.front());
+      ring.pop_front();
+      model.pop_front();
+    }
+    ASSERT_EQ(ring.size(), model.size());
+    std::size_t i = 0;
+    for (int v : ring) ASSERT_EQ(v, model[i++]);
+  }
 }
 
 }  // namespace
