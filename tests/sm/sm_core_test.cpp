@@ -204,6 +204,131 @@ TEST_F(SmCoreTest, CancelDrainResumesFetching) {
   EXPECT_GT(rt.blocks_completed(), 5u);
 }
 
+// Feeds one SM's requests back as responses a fixed latency later, with a
+// hold switch that withholds every response (so the L1 MSHR fills up).
+struct LoopbackNet {
+  Cycle latency = 0;
+  bool hold = false;
+  std::vector<std::pair<Cycle, MemResponsePacket>> in_flight;  // FIFO
+  std::vector<MemResponsePacket> held;
+
+  void step(SmCore& sm, Cycle now) {
+    std::size_t done = 0;
+    while (done < in_flight.size() && in_flight[done].first <= now) {
+      sm.receive(in_flight[done++].second);
+    }
+    in_flight.erase(in_flight.begin(), in_flight.begin() + done);
+    sm.cycle(now);
+    while (!sm.out_queue().empty()) {
+      const MemRequestPacket pkt = sm.out_queue().pop();
+      MemResponsePacket resp;
+      resp.line_addr = pkt.line_addr;
+      resp.app = pkt.app;
+      resp.sm = pkt.sm;
+      resp.warp = pkt.warp;
+      if (hold) {
+        held.push_back(resp);
+      } else {
+        in_flight.push_back({now + latency, resp});
+      }
+    }
+  }
+
+  void release_held(Cycle now) {
+    for (const MemResponsePacket& resp : held) {
+      in_flight.push_back({now + latency, resp});
+    }
+    held.clear();
+  }
+
+  std::size_t outstanding() const { return in_flight.size() + held.size(); }
+};
+
+TEST_F(SmCoreTest, SerializedStateIsPinned) {
+  // One SM's scripted life — assignment, compute and memory issue,
+  // responses, L1 hits, a full L1 MSHR, drain, release, reassignment and a
+  // save/load round trip — with its state hash and occupancy queries
+  // folded into one digest after every cycle.  The constant was recorded
+  // from the scan-based warp scheduler; a warp pick, counter or serialized
+  // byte that moves changes it.
+  GpuConfig cfg;
+  cfg.l1_mshr_entries = 4;
+  const AddressMap map(cfg);
+  KernelProfile a = memory_profile();
+  a.hot_fraction = 0.5;
+  a.hot_set_bytes = 8 * 128;
+  a.instrs_per_warp = 24;
+  a.max_concurrent_blocks = 3;
+  KernelProfile b = memory_profile();
+  b.abbr = "MB";
+  b.mem_fraction = 0.1;
+  b.warps_per_block = 6;  // 8 blocks fill all 48 warp contexts
+  b.txns_per_mem_instr = 2;
+  b.hot_fraction = 0.8;
+  b.hot_set_bytes = 4 * 128;
+  b.instrs_per_warp = 20;
+  AppRuntime rt_a(a, 0, 42);
+  AppRuntime rt_b(b, 1, 43);
+
+  u64 digest = 0;
+  const auto fold = [&digest](const SmCore& sm) {
+    Hasher h;
+    sm.hash(h);
+    h.put_i32(sm.waiting_warps());
+    h.put_i32(sm.live_warps());
+    h.put_i32(sm.active_blocks());
+    h.put_bool(sm.drained());
+    h.put_u64(digest);
+    digest = h.digest();
+  };
+
+  SmCore sm(cfg, 0, map);
+  LoopbackNet net;
+  net.latency = 80;
+  Cycle now = 0;
+  const auto run = [&](SmCore& core, Cycle cycles) {
+    for (const Cycle end = now + cycles; now < end; ++now) {
+      net.step(core, now);
+      fold(core);
+      ASSERT_LE(net.outstanding(),
+                static_cast<std::size_t>(cfg.l1_mshr_entries))
+          << "one request per MSHR entry at most";
+    }
+  };
+
+  sm.assign(&rt_a, now);
+  fold(sm);
+  run(sm, 1500);
+  net.hold = true;  // the MSHR fills and the SM stalls on its next miss
+  run(sm, 800);
+  net.hold = false;
+  net.release_held(now);
+  run(sm, 1500);
+  EXPECT_GT(sm.counters().l1_hits.total(), 0u);
+  EXPECT_GT(rt_a.blocks_completed(), 0u);
+
+  sm.start_drain();
+  for (int i = 0; i < 50'000 && !sm.drained(); ++i) run(sm, 1);
+  ASSERT_TRUE(sm.drained());
+  sm.release();
+  fold(sm);
+  sm.assign(&rt_b, now);
+  fold(sm);
+  run(sm, 2500);
+
+  StateWriter w;
+  sm.save(w);
+  SmCore restored(cfg, 0, map);
+  StateReader r(w.bytes());
+  restored.load(r, &rt_b);
+  EXPECT_EQ(state_hash_of(restored), state_hash_of(sm));
+  fold(restored);
+  run(restored, 2500);
+  EXPECT_GT(rt_b.blocks_completed(), 0u);
+
+  EXPECT_EQ(digest, 0xe878765743faea42ull) << std::hex << digest;
+}
+
 TEST_F(SmCoreTest, InstructionSinkReceivesPerAppCounts) {
   PerAppCounter sink;
   AppRuntime rt(compute_profile(), 2, 42);
