@@ -16,6 +16,10 @@ void GpuConfig::validate() const {
   if (num_sms > 64)
     fail("num_sms must be <= 64 (port bitmasks are 64 bits wide)");
   if (max_warps_per_sm <= 0) fail("max_warps_per_sm must be positive");
+  // An SM keeps one bit per warp context in 64-bit ready/waiting masks.
+  if (max_warps_per_sm > 64)
+    fail("max_warps_per_sm must be <= 64 (warp masks are 64 bits wide)");
+  if (max_blocks_per_sm <= 0) fail("max_blocks_per_sm must be positive");
   if (num_partitions <= 0) fail("num_partitions must be positive");
   if (num_partitions > 64)
     fail("num_partitions must be <= 64 (port bitmasks are 64 bits wide)");

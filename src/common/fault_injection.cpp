@@ -186,6 +186,9 @@ const ConfigCorruption kCorruptions[] = {
     // Port bitmasks are 64 bits wide.
     {"num_sms=65", [](GpuConfig& c) { c.num_sms = 65; }},
     {"max_warps_per_sm=0", [](GpuConfig& c) { c.max_warps_per_sm = 0; }},
+    // Warp masks are 64 bits wide.
+    {"max_warps_per_sm=65", [](GpuConfig& c) { c.max_warps_per_sm = 65; }},
+    {"max_blocks_per_sm=0", [](GpuConfig& c) { c.max_blocks_per_sm = 0; }},
     {"num_partitions=0", [](GpuConfig& c) { c.num_partitions = 0; }},
     {"num_partitions=65", [](GpuConfig& c) { c.num_partitions = 65; }},
     {"banks_per_mc=0", [](GpuConfig& c) { c.banks_per_mc = 0; }},

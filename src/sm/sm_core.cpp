@@ -14,6 +14,11 @@ SmCore::SmCore(const GpuConfig& cfg, SmId id, const AddressMap& address_map)
       l1_(cfg.l1_num_sets(), cfg.l1_assoc, cfg.line_bytes),
       l1_mshr_(cfg.l1_mshr_entries),
       out_queue_(kOutQueueDepth) {
+  SIM_CHECK(cfg.max_warps_per_sm > 0 && cfg.max_warps_per_sm <= 64,
+            SimError(SimErrorKind::kConfig, "sm.core",
+                     "max_warps_per_sm must be in [1, 64] (warp masks are "
+                     "64 bits wide)")
+                .detail("max_warps_per_sm", cfg.max_warps_per_sm));
   warps_.resize(cfg.max_warps_per_sm);
   blocks_.resize(cfg.max_blocks_per_sm);
 }
@@ -27,21 +32,13 @@ void SmCore::assign(BlockSource* source, Cycle now) {
                 .detail("sm", id_));
   source_ = source;
   draining_ = false;
+  block_limit_ = max_concurrent_blocks();
   refill_blocks(now);
 }
 
 bool SmCore::drained() const {
-  if (!pending_txns_.empty() || !local_hits_.empty() || !out_queue_.empty() ||
-      l1_mshr_.in_flight() != 0) {
-    return false;
-  }
-  for (const WarpCtx& w : warps_) {
-    if (w.state == WarpCtx::State::kReady ||
-        w.state == WarpCtx::State::kWaitingMem) {
-      return false;
-    }
-  }
-  return true;
+  return pending_txns_.empty() && local_hits_.empty() && out_queue_.empty() &&
+         l1_mshr_.in_flight() == 0 && (ready_mask_ | waiting_mask_) == 0;
 }
 
 void SmCore::release() {
@@ -56,7 +53,10 @@ void SmCore::release() {
   source_ = nullptr;
   draining_ = false;
   last_issued_ = -1;
-  ready_warps_ = 0;
+  ready_mask_ = 0;
+  waiting_mask_ = 0;
+  active_blocks_ = 0;
+  block_limit_ = 0;
   for (WarpCtx& w : warps_) w = WarpCtx{};
   for (BlockSlot& b : blocks_) b = BlockSlot{};
   l1_.clear();
@@ -74,47 +74,24 @@ int SmCore::max_concurrent_blocks() const {
   return limit;
 }
 
-int SmCore::active_blocks() const {
-  int n = 0;
-  for (const BlockSlot& b : blocks_) n += b.active ? 1 : 0;
-  return n;
-}
-
-int SmCore::live_warps() const {
-  int n = 0;
-  for (const WarpCtx& w : warps_) {
-    n += (w.state == WarpCtx::State::kReady ||
-          w.state == WarpCtx::State::kWaitingMem)
-             ? 1
-             : 0;
-  }
-  return n;
-}
-
 void SmCore::refill_blocks(Cycle now) {
-  if (source_ == nullptr || draining_) return;
-  const int limit = max_concurrent_blocks();
-  if (active_blocks() >= limit) return;
+  // An unassigned SM has a block limit of 0.
+  if (draining_ || active_blocks_ >= block_limit_) return;
   const KernelProfile& profile = source_->profile();
+  const u64 all_ctxs = warps_.size() == 64
+                           ? ~u64{0}
+                           : (u64{1} << warps_.size()) - 1;
 
   for (int slot = 0; slot < static_cast<int>(blocks_.size()); ++slot) {
     if (blocks_[slot].active) continue;
-    if (active_blocks() >= limit) break;
-    // Gather free warp contexts for one block.
-    std::vector<int> free_ctxs;
-    for (int w = 0; w < static_cast<int>(warps_.size()); ++w) {
-      if (warps_[w].state == WarpCtx::State::kUnused ||
-          warps_[w].state == WarpCtx::State::kDone) {
-        free_ctxs.push_back(w);
-        if (static_cast<int>(free_ctxs.size()) == profile.warps_per_block) {
-          break;
-        }
-      }
-    }
-    if (static_cast<int>(free_ctxs.size()) < profile.warps_per_block) break;
+    if (active_blocks_ >= block_limit_) break;
+    // The block takes the lowest-indexed free (unused or done) contexts.
+    u64 free_ctxs = all_ctxs & ~(ready_mask_ | waiting_mask_);
+    if (std::popcount(free_ctxs) < profile.warps_per_block) break;
     const std::optional<u64> block = source_->try_alloc_block();
     if (!block.has_value()) break;
 
+    ++active_blocks_;
     blocks_[slot].active = true;
     blocks_[slot].block_index = *block;
     blocks_[slot].warps_remaining = profile.warps_per_block;
@@ -125,10 +102,12 @@ void SmCore::refill_blocks(Cycle now) {
     blocks_[slot].stream = AddressStream::make_block_stream(
         profile, source_->app_seed(), *block);
     for (int i = 0; i < profile.warps_per_block; ++i) {
-      WarpCtx& w = warps_[free_ctxs[i]];
+      const int ctx = std::countr_zero(free_ctxs);
+      free_ctxs &= free_ctxs - 1;
+      WarpCtx& w = warps_[ctx];
       w = WarpCtx{};
       w.state = WarpCtx::State::kReady;
-      ++ready_warps_;
+      ready_mask_ |= u64{1} << ctx;
       w.budget = profile.instrs_per_warp;
       w.block_slot = slot;
       w.stream.emplace(&profile, source_->app(), source_->app_seed(), *block,
@@ -201,34 +180,18 @@ void SmCore::issue(Cycle now) {
   (void)now;
   // Greedy-then-oldest: stick with the last issued warp while it stays
   // ready, otherwise take the lowest-indexed ready warp.
-  WarpId pick = -1;
-  if (last_issued_ >= 0 &&
-      warps_[last_issued_].state == WarpCtx::State::kReady) {
-    pick = last_issued_;
-  } else {
-    for (int w = 0; w < static_cast<int>(warps_.size()); ++w) {
-      if (warps_[w].state == WarpCtx::State::kReady) {
-        pick = w;
-        break;
-      }
-    }
-  }
-
-  if (pick < 0) {
-    bool any_waiting = false;
-    bool any_live = false;
-    for (const WarpCtx& w : warps_) {
-      any_waiting |= w.state == WarpCtx::State::kWaitingMem;
-      any_live |= w.state != WarpCtx::State::kUnused &&
-                  w.state != WarpCtx::State::kDone;
-    }
-    if (any_waiting) {
+  if (ready_mask_ == 0) {
+    // No warp is ready, so every live warp waits on memory.
+    if (waiting_mask_ != 0) {
       counters_.mem_stall_cycles.add();
-    } else if (!any_live) {
+    } else {
       counters_.idle_cycles.add();
     }
     return;
   }
+  const WarpId pick = last_issued_ >= 0 && ((ready_mask_ >> last_issued_) & 1)
+                          ? last_issued_
+                          : std::countr_zero(ready_mask_);
 
   WarpCtx& warp = warps_[pick];
   last_issued_ = pick;
@@ -250,7 +213,8 @@ void SmCore::issue(Cycle now) {
   warp.compute_remaining = warp.stream->next_compute_run();
   warp.outstanding = static_cast<int>(addr_scratch_.size());
   warp.state = WarpCtx::State::kWaitingMem;
-  --ready_warps_;
+  ready_mask_ &= ~(u64{1} << pick);
+  waiting_mask_ |= u64{1} << pick;
   for (u64 addr : addr_scratch_) {
     pending_txns_.push_back({pick, addr});
   }
@@ -268,18 +232,19 @@ void SmCore::complete_txn(WarpId warp_id) {
                 .detail("state", static_cast<int>(warp.state))
                 .detail("outstanding", warp.outstanding));
   if (--warp.outstanding == 0) {
+    waiting_mask_ &= ~(u64{1} << warp_id);
     if (warp.instrs_done >= warp.budget) {
       retire_warp(warp_id);
     } else {
       warp.state = WarpCtx::State::kReady;
-      ++ready_warps_;
+      ready_mask_ |= u64{1} << warp_id;
     }
   }
 }
 
 void SmCore::retire_warp(WarpId warp_id) {
   WarpCtx& warp = warps_[warp_id];
-  if (warp.state == WarpCtx::State::kReady) --ready_warps_;
+  ready_mask_ &= ~(u64{1} << warp_id);
   warp.state = WarpCtx::State::kDone;
   BlockSlot& block = blocks_[warp.block_slot];
   SIM_CHECK(block.active && block.warps_remaining > 0,
@@ -291,6 +256,7 @@ void SmCore::retire_warp(WarpId warp_id) {
                 .detail("warps_remaining", block.warps_remaining));
   if (--block.warps_remaining == 0) {
     block.active = false;
+    --active_blocks_;
     source_->on_block_complete(block.block_index);
     // Free every context of this block for reuse.
     for (WarpCtx& w : warps_) {
@@ -314,21 +280,20 @@ void SmCore::load(StateReader& r, BlockSource* source) {
                 .detail("sm", id_)
                 .detail("last_issued", last_issued_)
                 .detail("warp_contexts", warps_.size()));
-  ready_warps_ = r.get_i32();
-  SIM_CHECK(ready_warps_ >= 0 &&
-                ready_warps_ <= static_cast<int>(warps_.size()),
-            SimError(SimErrorKind::kSnapshot, "sm.core",
-                     "corrupt ready-warp count in snapshot")
-                .detail("sm", id_)
-                .detail("ready_warps", ready_warps_));
+  const int ready_warps = r.get_i32();
+  active_blocks_ = 0;
   for (BlockSlot& b : blocks_) {
     b.active = r.get_bool();
+    active_blocks_ += b.active ? 1 : 0;
     b.block_index = r.get_u64();
     b.warps_remaining = r.get_i32();
     b.stream.base_line = r.get_u64();
     b.stream.cursor = r.get_u64();
   }
-  for (WarpCtx& w : warps_) {
+  ready_mask_ = 0;
+  waiting_mask_ = 0;
+  for (int i = 0; i < static_cast<int>(warps_.size()); ++i) {
+    WarpCtx& w = warps_[i];
     w.stream.reset();
     const u8 state = r.get_u8();
     SIM_CHECK(state <= static_cast<u8>(WarpCtx::State::kDone),
@@ -337,6 +302,8 @@ void SmCore::load(StateReader& r, BlockSource* source) {
                   .detail("sm", id_)
                   .detail("state", static_cast<int>(state)));
     w.state = static_cast<WarpCtx::State>(state);
+    if (w.state == WarpCtx::State::kReady) ready_mask_ |= u64{1} << i;
+    if (w.state == WarpCtx::State::kWaitingMem) waiting_mask_ |= u64{1} << i;
     w.instrs_done = r.get_u64();
     w.budget = r.get_u64();
     w.compute_remaining = r.get_u64();
@@ -369,6 +336,14 @@ void SmCore::load(StateReader& r, BlockSource* source) {
       w.stream->load(r);
     }
   }
+  SIM_CHECK(ready_warps == std::popcount(ready_mask_),
+            SimError(SimErrorKind::kSnapshot, "sm.core",
+                     "ready-warp count disagrees with the warp states in "
+                     "snapshot")
+                .detail("sm", id_)
+                .detail("ready_warps", ready_warps)
+                .detail("ready_states", std::popcount(ready_mask_)));
+  block_limit_ = max_concurrent_blocks();
   const auto check_warp_index = [this](WarpId warp, const char* what) {
     SIM_CHECK(warp >= 0 && warp < static_cast<WarpId>(warps_.size()),
               SimError(SimErrorKind::kSnapshot, "sm.core",

@@ -11,6 +11,7 @@
 // fraction α the DASE model consumes (paper Eq. 15).
 #pragma once
 
+#include <bit>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -122,25 +123,26 @@ class SmCore {
   void set_flight_recorder(FlightRecorder* recorder) { recorder_ = recorder; }
 
   /// Warps currently blocked on outstanding memory transactions.
-  int waiting_warps() const {
-    int n = 0;
-    for (const WarpCtx& w : warps_) {
-      n += w.state == WarpCtx::State::kWaitingMem ? 1 : 0;
-    }
-    return n;
-  }
+  int waiting_warps() const { return std::popcount(waiting_mask_); }
 
   // --- Activity-engine support -------------------------------------------
 
   /// True when cycle(now) would change nothing but the stall/idle counters:
-  /// no L1 hit matures, no transaction dispatches, no warp can issue, and
-  /// no outbound packet waits.  (refill_blocks() is a stable no-op in this
-  /// state: it ran to saturation at the end of the previous cycle and no
-  /// SM-visible input changed since.)  `ready_warps_` makes this O(1).
+  /// no L1 hit matures, no warp can issue, no outbound packet waits, and no
+  /// transaction dispatches — either none is pending, or the head one
+  /// misses the L1, has no in-flight miss to merge with, and waits for an
+  /// entry of the full L1 MSHR, which only a response (whose arrival wakes
+  /// the SM) can free.  (refill_blocks() is a stable no-op in this state:
+  /// it ran to saturation at the end of the previous cycle and no
+  /// SM-visible input changed since.)  The warp masks make this O(1).
   bool quiet_at(Cycle now) const {
-    return ready_warps_ == 0 && pending_txns_.empty() &&
-           out_queue_.empty() &&
-           (local_hits_.empty() || local_hits_.front().first > now);
+    if (ready_mask_ != 0 || !out_queue_.empty() ||
+        (!local_hits_.empty() && local_hits_.front().first <= now)) {
+      return false;
+    }
+    if (pending_txns_.empty()) return true;
+    const u64 head = pending_txns_.front().addr;
+    return l1_mshr_.full() && !l1_mshr_.contains(head) && !l1_.probe(head);
   }
 
   /// Earliest future cycle at which this core acts on its own (an L1 hit
@@ -166,16 +168,9 @@ class SmCore {
   /// Applies `n` quiet cycles' worth of the issue-stage stall/idle
   /// accounting in one lump.  Valid only while quiet_at() holds throughout.
   void skip_cycles(Cycle n) {
-    bool any_waiting = false;
-    bool any_live = false;
-    for (const WarpCtx& w : warps_) {
-      any_waiting |= w.state == WarpCtx::State::kWaitingMem;
-      any_live |= w.state != WarpCtx::State::kUnused &&
-                  w.state != WarpCtx::State::kDone;
-    }
-    if (any_waiting) {
+    if (waiting_mask_ != 0) {
       counters_.mem_stall_cycles.add(n);
-    } else if (!any_live) {
+    } else if (ready_mask_ == 0) {
       counters_.idle_cycles.add(n);
     }
   }
@@ -188,8 +183,10 @@ class SmCore {
   const SetAssocCache& l1() const { return l1_; }
 
   /// Resident thread blocks currently executing (TB_shared of Eq. 24).
-  int active_blocks() const;
-  int live_warps() const;
+  int active_blocks() const { return active_blocks_; }
+  int live_warps() const {
+    return std::popcount(ready_mask_ | waiting_mask_);
+  }
 
   // --- SimState ----------------------------------------------------------
   // The caller (Gpu) serializes which application this SM is assigned to
@@ -198,13 +195,15 @@ class SmCore {
   // Warp AddressStreams are reconstructed from (profile, app, seed, block)
   // and then overwritten with their saved RNG state; blocks_ must therefore
   // be restored before warps_ (each stream points at its block's shared
-  // cursor).  addr_scratch_ is per-instruction scratch, dead between cycles.
+  // cursor).  The warp masks and the block count are rebuilt from the warp
+  // and block states; the ready-warp count is written as a cross-check.
+  // addr_scratch_ is per-instruction scratch, dead between cycles.
   template <typename Sink>
   void write_state(Sink& s) const {
     s.put_tag("SMCR");
     s.put_bool(draining_);
     s.put_i32(last_issued_);
-    s.put_i32(ready_warps_);
+    s.put_i32(std::popcount(ready_mask_));
     for (const BlockSlot& b : blocks_) {
       s.put_bool(b.active);
       s.put_u64(b.block_index);
@@ -288,9 +287,15 @@ class SmCore {
   BoundedQueue<MemRequestPacket> out_queue_;
 
   WarpId last_issued_ = -1;
-  /// Count of warps in State::kReady, maintained at every state
-  /// transition so quiet_at() needs no warp scan.
-  int ready_warps_ = 0;
+  /// Bit w set while warps_[w] is in State::kReady / State::kWaitingMem,
+  /// maintained at every state transition so issue(), quiet_at() and the
+  /// occupancy queries need no warp scan (GpuConfig caps the SM at 64
+  /// warp contexts).
+  u64 ready_mask_ = 0;
+  u64 waiting_mask_ = 0;
+  int active_blocks_ = 0;
+  /// max_concurrent_blocks() of the current source, cached at assign/load.
+  int block_limit_ = 0;
   std::vector<u64> addr_scratch_;
   SmCounters counters_;
   PerAppCounter* instr_sink_ = nullptr;

@@ -65,6 +65,10 @@ INSTANTIATE_TEST_SUITE_P(
         BadConfigCase{"zero_sms", [](GpuConfig& c) { c.num_sms = 0; }},
         BadConfigCase{"zero_warps",
                       [](GpuConfig& c) { c.max_warps_per_sm = 0; }},
+        BadConfigCase{"too_many_warps",
+                      [](GpuConfig& c) { c.max_warps_per_sm = 65; }},
+        BadConfigCase{"zero_blocks",
+                      [](GpuConfig& c) { c.max_blocks_per_sm = 0; }},
         BadConfigCase{"zero_partitions",
                       [](GpuConfig& c) { c.num_partitions = 0; }},
         BadConfigCase{"zero_banks", [](GpuConfig& c) { c.banks_per_mc = 0; }},

@@ -70,6 +70,12 @@ RandomCase make_case(u64 seed, bool with_faults) {
                    ",until=" + std::to_string(until) +
                    ";seed=" + std::to_string(1 + rng.next_below(1000));
   }
+  // Drawn after everything else, so every earlier config stays where it
+  // was.  Small L1 MSHRs keep SMs waiting on a full MSHR, the SM state the
+  // engine sleeps through until a response arrives; 64 warp contexts fill
+  // the warp masks.
+  c.cfg.l1_mshr_entries = 2 + static_cast<int>(rng.next_below(31));  // 2..32
+  c.cfg.max_warps_per_sm = rng.next_bool(0.5) ? 48 : 64;
   return c;
 }
 
@@ -212,6 +218,22 @@ TEST(ActivitySchedTest, EngineSkipsIdleSmsWithAHookAttached) {
   sim.run(cycles);
   EXPECT_LT(profiler.visits(LoopProfiler::kSmAdvance),
             cycles * static_cast<u64>(cfg.num_sms) / 4);
+}
+
+TEST(ActivitySchedTest, EngineSleepsSmsWaitingOnAFullMshr) {
+  // VA and SB issue misses faster than their 32 L1 MSHR entries drain, so
+  // their SMs spend most cycles with the next miss waiting for an entry.
+  // Only a response can free one, so the engine sleeps those SMs until one
+  // arrives instead of visiting all 16 every cycle.
+  GpuConfig cfg;
+  Simulation sim(cfg, {AppLaunch{*find_app("VA"), 1},
+                       AppLaunch{*find_app("SB"), 2}});
+  sim.gpu().set_partition(even_partition(cfg.num_sms, 2));
+  LoopProfiler profiler;
+  sim.set_loop_profiler(&profiler);
+  const Cycle cycles = 150'000;
+  sim.run(cycles);
+  EXPECT_LT(profiler.visits(LoopProfiler::kSmAdvance), 3 * cycles);
 }
 
 }  // namespace

@@ -329,6 +329,79 @@ TEST_F(SmCoreTest, SerializedStateIsPinned) {
   EXPECT_EQ(digest, 0xe878765743faea42ull) << std::hex << digest;
 }
 
+TEST_F(SmCoreTest, QuietCycleOnlyAccruesTheStall) {
+  // quiet_at(now) promises the activity engine that every cycle before
+  // the next local event, with no response delivered, changes nothing
+  // skip_cycles(1) would not.  Hold it to that on two clones after every
+  // quiet cycle of a run whose 2-entry L1 MSHR is usually full, so
+  // transactions to hot lines the L1 holds queue up behind misses waiting
+  // for an entry.
+  GpuConfig cfg;
+  cfg.l1_mshr_entries = 2;
+  const AddressMap map(cfg);
+  KernelProfile p = memory_profile();
+  p.txns_per_mem_instr = 2;
+  p.hot_fraction = 0.9;
+  p.hot_set_bytes = 4 * 128;
+  AppRuntime rt(p, 0, 42);
+  SmCore sm(cfg, 0, map);
+  sm.assign(&rt);
+  LoopbackNet net;
+  net.latency = 60;
+  int quiet = 0;
+  for (Cycle now = 0; now < 20'000; ++now) {
+    net.step(sm, now);
+    if (!sm.quiet_at(now) || sm.next_local_event() <= now + 1) continue;
+    ++quiet;
+    StateWriter w;
+    sm.save(w);
+    AppRuntime rt_cycled = rt;
+    AppRuntime rt_skipped = rt;
+    SmCore cycled(cfg, 0, map);
+    SmCore skipped(cfg, 0, map);
+    StateReader r1(w.bytes());
+    cycled.load(r1, &rt_cycled);
+    StateReader r2(w.bytes());
+    skipped.load(r2, &rt_skipped);
+    cycled.cycle(now + 1);
+    skipped.skip_cycles(1);
+    ASSERT_EQ(state_hash_of(cycled), state_hash_of(skipped))
+        << "quiet at cycle " << now;
+  }
+  EXPECT_GT(quiet, 1000);
+}
+
+TEST_F(SmCoreTest, LoadRejectsAReadyCountTheWarpStatesDisagreeWith) {
+  // load() rebuilds the ready and waiting masks from the warp states; the
+  // serialized ready-warp count must match what they say.
+  AppRuntime rt(memory_profile(), 0, 42);
+  SmCore sm(cfg_, 0, map_);
+  sm.assign(&rt);
+  for (Cycle c = 0; c < 20; ++c) sm.cycle(c);
+  StateWriter w;
+  sm.save(w);
+  std::vector<u8> bytes = w.bytes();
+  // "SMCR", draining_ (1 byte), last_issued_ (4 bytes), then the count.
+  constexpr std::size_t kReadyCount = 4 + 1 + 4;
+  for (const int delta : {-1, 1}) {
+    SCOPED_TRACE(delta);
+    std::vector<u8> corrupt = bytes;
+    corrupt[kReadyCount] = static_cast<u8>(corrupt[kReadyCount] + delta);
+    SmCore restored(cfg_, 0, map_);
+    StateReader r(corrupt);
+    try {
+      restored.load(r, &rt);
+      FAIL() << "the corrupt ready-warp count was accepted";
+    } catch (const SimError& e) {
+      EXPECT_EQ(e.kind(), SimErrorKind::kSnapshot) << e.what();
+    }
+  }
+  SmCore restored(cfg_, 0, map_);
+  StateReader r(bytes);
+  restored.load(r, &rt);
+  EXPECT_EQ(state_hash_of(restored), state_hash_of(sm));
+}
+
 TEST_F(SmCoreTest, InstructionSinkReceivesPerAppCounts) {
   PerAppCounter sink;
   AppRuntime rt(compute_profile(), 2, 42);
