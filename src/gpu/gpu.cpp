@@ -46,6 +46,17 @@ Gpu::Gpu(const GpuConfig& cfg, std::vector<AppLaunch> launches)
 
   runtimes_.reserve(launches.size());
   for (std::size_t a = 0; a < launches.size(); ++a) {
+    // An SM holds a block only when all of its warps get contexts at once.
+    const KernelProfile& profile = launches[a].profile;
+    SIM_CHECK(profile.warps_per_block > 0 &&
+                  profile.warps_per_block <= cfg_.max_warps_per_sm,
+              SimError(SimErrorKind::kConfig, "gpu",
+                       "a thread block of this application can never be "
+                       "resident on an SM")
+                  .app(static_cast<AppId>(a))
+                  .detail("abbr", profile.abbr)
+                  .detail("warps_per_block", profile.warps_per_block)
+                  .detail("max_warps_per_sm", cfg_.max_warps_per_sm));
     runtimes_.push_back(std::make_unique<AppRuntime>(
         std::move(launches[a].profile), static_cast<AppId>(a),
         launches[a].seed, launches[a].restart_on_finish));

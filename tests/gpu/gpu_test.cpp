@@ -160,5 +160,28 @@ TEST(GpuTest, QuiescesAfterWorkStops) {
   EXPECT_TRUE(gpu.memory_system_quiescent());
 }
 
+TEST(GpuTest, RejectsABlockThatCanNeverBeResident) {
+  // VA's 12-warp blocks fit 12 warp contexts; a block of 13 warps never
+  // finds its contexts, and one of no warps has no occupancy to compute.
+  GpuConfig cfg;
+  cfg.max_warps_per_sm = 12;
+  for (const int warps : {-1, 0, 13}) {
+    SCOPED_TRACE(warps);
+    AppLaunch sa = launch("SA");
+    sa.profile.warps_per_block = warps;
+    try {
+      Gpu gpu(cfg, {launch("VA"), sa});
+      FAIL() << "the launch was accepted";
+    } catch (const SimError& e) {
+      EXPECT_EQ(e.kind(), SimErrorKind::kConfig);
+      EXPECT_EQ(e.error_app(), 1);
+      const std::string what = e.what();
+      EXPECT_NE(what.find("warps_per_block"), std::string::npos) << what;
+      EXPECT_NE(what.find("max_warps_per_sm"), std::string::npos) << what;
+    }
+  }
+  EXPECT_NO_THROW(Gpu(cfg, {launch("VA"), launch("SA")}));
+}
+
 }  // namespace
 }  // namespace gpusim

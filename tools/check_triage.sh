@@ -18,7 +18,12 @@
 #      report divergence (exit 4), a truncated snapshot is a typed
 #      failure (exit 3), and --no-bundle suppresses emission entirely;
 #   5. --version prints the build fingerprint that bundles and manifests
-#      embed.
+#      embed;
+#   6. a run that could never make progress fails up front instead of
+#      reporting starved applications: a thread block wider than an SM's
+#      warp contexts is a typed config error (exit 3), and an SM geometry
+#      with no block slots or more warps than the warp masks hold is a
+#      rejected --config file (exit 2).
 #
 #   tools/check_triage.sh [build-dir]     (default: build)
 set -euo pipefail
@@ -120,5 +125,23 @@ RC=0
 if [[ -e "$TMP/nobundle/crash-bundles" ]]; then
   echo "--no-bundle still wrote crash-bundles/" >&2; exit 1
 fi
+
+echo "== a thread block that can never be resident is a config error (exit 3)"
+printf 'max_warps_per_sm=4\n' > "$TMP/narrow.cfg"
+RC=0
+"$CLI" --apps SD,SA --cycles 60000 --config "$TMP/narrow.cfg" \
+       --bundle-dir "$TMP/narrow-bundles" > /dev/null 2> "$TMP/narrow.err" ||
+  RC=$?
+[[ "$RC" == "3" ]] || { echo "expected exit 3, got $RC" >&2; exit 1; }
+grep -q "simulation error \[config\]" "$TMP/narrow.err" &&
+  grep -q "warps_per_block: 8" "$TMP/narrow.err" ||
+  { echo "the rejection does not name the block's warps" >&2; exit 1; }
+for bad in max_blocks_per_sm=0 max_blocks_per_sm=-1 max_warps_per_sm=65; do
+  echo "$bad" > "$TMP/bad.cfg"
+  RC=0
+  "$CLI" --apps SD,SA --cycles 60000 --config "$TMP/bad.cfg" \
+         > /dev/null 2>&1 || RC=$?
+  [[ "$RC" == "2" ]] || { echo "$bad: expected exit 2, got $RC" >&2; exit 1; }
+done
 
 echo "check_triage: OK"
