@@ -85,7 +85,7 @@ fail=0
 # rides along so the contended number is always explainable).
 for key in sim_cycles_per_sec \
            contended_cycles_per_sec contended_cycles_per_sec_no_activity \
-           contended_activity_speedup \
+           contended_activity_speedup contended_profiled_cycles_per_sec \
            governor_on_cycles_per_sec governor_off_cycles_per_sec \
            governor_overhead_ratio \
            telemetry_on_cycles_per_sec telemetry_off_cycles_per_sec \
