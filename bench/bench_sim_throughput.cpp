@@ -1,7 +1,8 @@
 // Simulator-throughput baseline: measures raw cycles/sec of the
 // cycle loop, a memory-contended co-run with the activity-tracked cycle
-// engine on and off (neither profiled, plus a separate engine-on pass with
-// the loop profiler attached for the time attribution),
+// engine on and off (neither profiled, advanced in alternating slices,
+// plus a separate engine-on pass with the loop profiler attached for the
+// time attribution),
 // a live DASE-Fair co-run with the policy governor on vs. off (the ≤2%
 // overhead contract from DESIGN.md §14), a co-run with the TelemetryHub
 // attached vs. absent (the ≤2% disabled-path contract from DESIGN.md §15),
@@ -96,35 +97,76 @@ double time_cycle_loop(const GpuConfig& cfg, Cycle cycles) {
   return elapsed > 0.0 ? static_cast<double>(cycles) / elapsed : 0.0;
 }
 
-/// Cycles/sec of a memory-contended co-run (two DRAM-saturating kernels
-/// sharing six partitions) with the activity-tracked cycle engine on or
-/// off.  This is the scenario the engine targets: most SMs idle on
-/// outstanding misses each cycle while the memory system stays busy, so
-/// the per-component wake tracking skips them.  A non-null `profiler` is
-/// attached for the timed cycles, so the baseline records where the wall
-/// time goes; it reads the clock twice per component visit, so throughput
-/// comparisons use unprofiled runs.  The heap allocations of the timed
-/// cycles are counted into `allocs` when that is non-null.
-double time_contended_loop(const GpuConfig& cfg, Cycle cycles,
-                           bool engine_on, LoopProfiler* profiler,
-                           unsigned long long* allocs) {
-  Simulation sim(cfg, {AppLaunch{*find_app("SD"), 2001},
-                       AppLaunch{*find_app("SA"), 2002}});
+/// The memory-contended co-run: two DRAM-saturating kernels sharing six
+/// partitions.  This is the scenario the activity-tracked cycle engine
+/// targets: most SMs idle on outstanding misses each cycle while the
+/// memory system stays busy, so the per-component wake tracking skips
+/// them.
+std::vector<AppLaunch> contended_launches() {
+  return {AppLaunch{*find_app("SD"), 2001}, AppLaunch{*find_app("SA"), 2002}};
+}
+
+/// Splits the GPU evenly, selects the engine and warms the pipeline so
+/// timing sees steady state.
+void warm_contended(Simulation& sim, bool engine_on) {
   sim.set_activity_sched(engine_on);
   sim.gpu().set_partition(even_partition(sim.gpu().num_sms(), 2));
+  sim.run(20'000);
+}
 
-  sim.run(20'000);  // warm the pipeline so timing sees steady state
-  if (profiler != nullptr) {
-    profiler->reset();
-    sim.set_loop_profiler(profiler);
-  }
+struct ContendedResult {
+  double on_cycles_per_sec = 0.0;
+  double off_cycles_per_sec = 0.0;
+  unsigned long long on_allocs = 0;  ///< heap allocations, engine-on cycles
+};
+
+/// Engine-on and engine-off cycles/sec of the contended co-run, neither
+/// with the loop profiler attached.  The two sims advance in alternating
+/// timed slices, so host-speed drift lands on both sides alike instead of
+/// skewing whichever whole run it hits.  The heap allocations of the
+/// engine-on slices are counted.
+ContendedResult time_contended_loops(const GpuConfig& cfg, Cycle cycles) {
+  Simulation on(cfg, contended_launches());
+  Simulation off(cfg, contended_launches());
+  warm_contended(on, true);
+  warm_contended(off, false);
+  const Cycle slice = std::max<Cycle>(1, cycles / 10);
+  double on_elapsed = 0.0;
+  double off_elapsed = 0.0;
   g_allocs.store(0);
-  g_count_allocs.store(allocs != nullptr);
+  for (Cycle done = 0; done < cycles; done += slice) {
+    const Cycle step = std::min(slice, cycles - done);
+    g_count_allocs.store(true);
+    auto start = std::chrono::steady_clock::now();
+    on.run(step);
+    on_elapsed += seconds_since(start);
+    g_count_allocs.store(false);
+    start = std::chrono::steady_clock::now();
+    off.run(step);
+    off_elapsed += seconds_since(start);
+  }
+  ContendedResult r;
+  r.on_allocs = g_allocs.load();
+  if (on_elapsed > 0.0 && off_elapsed > 0.0) {
+    r.on_cycles_per_sec = static_cast<double>(cycles) / on_elapsed;
+    r.off_cycles_per_sec = static_cast<double>(cycles) / off_elapsed;
+  }
+  return r;
+}
+
+/// Engine-on cycles/sec of the contended co-run with `profiler` attached
+/// for the timed cycles, so the baseline records where the wall time goes.
+/// The profiler reads the clock twice per component visit, so this
+/// throughput is not compared with the unprofiled runs.
+double time_profiled_contended_loop(const GpuConfig& cfg, Cycle cycles,
+                                    LoopProfiler& profiler) {
+  Simulation sim(cfg, contended_launches());
+  warm_contended(sim, true);
+  profiler.reset();
+  sim.set_loop_profiler(&profiler);
   const auto start = std::chrono::steady_clock::now();
   sim.run(cycles);
   const double elapsed = seconds_since(start);
-  g_count_allocs.store(false);
-  if (allocs != nullptr) *allocs = g_allocs.load();
   return elapsed > 0.0 ? static_cast<double>(cycles) / elapsed : 0.0;
 }
 
@@ -354,19 +396,18 @@ int main(int argc, char** argv) {
   GpuConfig cfg;
   const double loop_cps = time_cycle_loop(cfg, loop_cycles);
 
-  unsigned long long contended_allocs = 0;
-  const double contended_cps = time_contended_loop(cfg, loop_cycles, true,
-                                                   nullptr, &contended_allocs);
+  const ContendedResult contended = time_contended_loops(cfg, loop_cycles);
+  const double contended_cps = contended.on_cycles_per_sec;
+  const double contended_off_cps = contended.off_cycles_per_sec;
+  const unsigned long long contended_allocs = contended.on_allocs;
   const double allocs_per_kcycle =
       static_cast<double>(contended_allocs) * 1000.0 /
       static_cast<double>(loop_cycles);
-  const double contended_off_cps =
-      time_contended_loop(cfg, loop_cycles, false, nullptr, nullptr);
   const double contended_speedup =
       contended_off_cps > 0.0 ? contended_cps / contended_off_cps : 0.0;
   LoopProfiler profiler;
   const double contended_profiled_cps =
-      time_contended_loop(cfg, loop_cycles, true, &profiler, nullptr);
+      time_profiled_contended_loop(cfg, loop_cycles, profiler);
 
   const GovernedResult governed = time_governed_loop(loop_cycles);
   const TelemetryResult telemetry = time_telemetry_loop(cfg, loop_cycles);
