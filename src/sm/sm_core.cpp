@@ -66,8 +66,9 @@ void SmCore::release() {
 int SmCore::max_concurrent_blocks() const {
   if (source_ == nullptr) return 0;
   const KernelProfile& profile = source_->profile();
+  // The Gpu constructor rejects a block wider than max_warps_per_sm.
   const int by_warps = cfg_.max_warps_per_sm / profile.warps_per_block;
-  int limit = std::min(cfg_.max_blocks_per_sm, std::max(1, by_warps));
+  int limit = std::min(cfg_.max_blocks_per_sm, by_warps);
   if (profile.max_concurrent_blocks > 0) {
     limit = std::min(limit, profile.max_concurrent_blocks);
   }
