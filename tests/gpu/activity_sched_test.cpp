@@ -220,6 +220,28 @@ TEST(ActivitySchedTest, EngineSkipsIdleSmsWithAHookAttached) {
             cycles * static_cast<u64>(cfg.num_sms) / 4);
 }
 
+TEST(ActivitySchedTest, HotLinesBehindAFullMshrAuditClean) {
+  // A 2-entry L1 MSHR stays full, so transactions to a few hot lines the
+  // L1 holds queue up behind misses waiting for an entry; an SM may sleep
+  // only while its head transaction can neither hit the L1 nor merge.
+  GpuConfig cfg;
+  cfg.l1_mshr_entries = 2;
+  KernelProfile hot = *find_app("SA");
+  hot.txns_per_mem_instr = 2;
+  hot.hot_fraction = 0.9;
+  hot.hot_set_bytes = 4 * 128;
+  const std::vector<AppLaunch> launches = {AppLaunch{hot, 11},
+                                           AppLaunch{*find_app("QR"), 12}};
+  Simulation a(cfg, launches);
+  Simulation b(cfg, launches);
+  b.set_activity_sched(false);
+  a.gpu().set_partition(even_partition(cfg.num_sms, 2));
+  b.gpu().set_partition(even_partition(cfg.num_sms, 2));
+  const DivergenceReport report = audit_divergence(a, b, 40'000, 2'000);
+  ASSERT_FALSE(report.diverged) << report.to_string();
+  EXPECT_EQ(a.state_hash(), b.state_hash());
+}
+
 TEST(ActivitySchedTest, EngineSleepsSmsWaitingOnAFullMshr) {
   // VA and SB issue misses faster than their 32 L1 MSHR entries drain, so
   // their SMs spend most cycles with the next miss waiting for an entry.
