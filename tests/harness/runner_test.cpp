@@ -461,6 +461,30 @@ TEST(RunnerTest, FingerprintCoversEveryIdentityInput) {
             base_fp);
 }
 
+TEST(RunnerTest, FingerprintsArePinned) {
+  // Snapshots and crash bundles store these fingerprints, so a changed
+  // value strands every file written before the change.
+  const RunConfig rc = quick_config();
+  const Workload ct_sp{{*find_app("CT"), *find_app("SP")}};
+  const ModelSet dase{.dase = true};
+  EXPECT_EQ(fingerprint_of(rc, ct_sp, dase, PolicyKind::kEven, nullptr),
+            0x3962b3111d408150ULL);
+  EXPECT_EQ(fingerprint_of(rc, ct_sp, dase, PolicyKind::kDaseFair, nullptr),
+            0x9362147816b0a8f1ULL);
+  const std::vector<int> split = {4, 12};
+  EXPECT_EQ(fingerprint_of(rc, Workload{{*find_app("SD"), *find_app("SA")}},
+                           dase, PolicyKind::kEven, &split),
+            0xf69d97bbf375d612ULL);
+  RunConfig faulted = rc;
+  faulted.faults = FaultSchedule::parse(
+      "drop-resp:nth=200;stall:part=0,from=1000,until=5000;seed=7");
+  const Workload quad{{*find_app("VA"), *find_app("CT"), *find_app("SD"),
+                       *find_app("SN")}};
+  const ModelSet all{.dase = true, .mise = true, .asm_model = true};
+  EXPECT_EQ(fingerprint_of(faulted, quad, all, PolicyKind::kEven, nullptr),
+            0xe9911cb5fc4e140bULL);
+}
+
 TEST(RunnerTest, IdentityParserRebuildsTheCoRun) {
   RunConfig rc = quick_config();
   rc.base_seed = 7;
