@@ -362,12 +362,16 @@ double time_sweep(const RunConfig& rc, int pairs, int jobs) {
   workloads.resize(static_cast<std::size_t>(pairs));
 
   SweepOptions opts;
-  opts.max_attempts = 1;
   opts.jobs = jobs;
   const ExperimentRunner runner(rc);
-  SweepRunner sweep(opts, [&runner](const Workload& w) {
-    return runner.run(w, ModelSet{.dase = true});
-  });
+  const ModelSet models{.dase = true};
+  SweepRunner sweep(
+      opts,
+      [&runner, &models](const Workload& w) {
+        return std::to_string(corun_fingerprint(
+            runner.config(), w, models, PolicyKind::kEven, nullptr));
+      },
+      [&runner, &models](const Workload& w) { return runner.run(w, models); });
 
   const auto start = std::chrono::steady_clock::now();
   sweep.run(workloads);

@@ -36,20 +36,30 @@ SimError io_error(const std::string& path, const char* what) {
 
 }  // namespace
 
-u64 simulation_fingerprint(const Simulation& sim, u64 harness_context) {
+u64 simulation_fingerprint(const GpuConfig& cfg,
+                           const std::vector<AppLaunch>& launches,
+                           u64 harness_context) {
   Hasher h;
   h.put_tag("FPRT");
   h.put_u64(harness_context);
-  sim.gpu().config().write_fingerprint(h);
-  const int num_apps = sim.gpu().num_apps();
-  h.put_i32(num_apps);
-  for (AppId a = 0; a < num_apps; ++a) {
-    const AppRuntime& rt = sim.gpu().runtime(a);
-    rt.profile().write_fingerprint(h);
-    h.put_u64(rt.app_seed());
-    h.put_bool(rt.restart_on_finish());
+  cfg.write_fingerprint(h);
+  h.put_i32(static_cast<i32>(launches.size()));
+  for (const AppLaunch& launch : launches) {
+    launch.profile.write_fingerprint(h);
+    h.put_u64(launch.seed);
+    h.put_bool(launch.restart_on_finish);
   }
   return h.digest();
+}
+
+u64 simulation_fingerprint(const Simulation& sim, u64 harness_context) {
+  const Gpu& gpu = sim.gpu();
+  std::vector<AppLaunch> launches;
+  for (AppId a = 0; a < gpu.num_apps(); ++a) {
+    const AppRuntime& rt = gpu.runtime(a);
+    launches.push_back({rt.profile(), rt.app_seed(), rt.restart_on_finish()});
+  }
+  return simulation_fingerprint(gpu.config(), launches, harness_context);
 }
 
 void write_snapshot_file(const std::string& path, const Simulation& sim,

@@ -25,6 +25,7 @@
 #pragma once
 
 #include <string>
+#include <vector>
 
 #include "common/types.hpp"
 #include "gpu/simulator.hpp"
@@ -63,6 +64,12 @@ struct SnapshotHeader {
 /// models, policy, planned run length) so a snapshot cannot be restored
 /// into a differently assembled experiment.
 u64 simulation_fingerprint(const Simulation& sim, u64 harness_context = 0);
+
+/// The fingerprint of a Simulation(cfg, launches), computed from the inputs
+/// alone, so a caller can key a unit before (or without) building it.
+u64 simulation_fingerprint(const GpuConfig& cfg,
+                           const std::vector<AppLaunch>& launches,
+                           u64 harness_context);
 
 /// Serializes `sim` and atomically publishes it at `path`.
 /// Throws SimError(kSnapshot) on I/O failure.

@@ -13,7 +13,8 @@ const std::vector<FlagInfo>& flag_table() {
       {FlagId::kPolicy, "--policy", "P",
        "even | dase-fair | leftover | temporal | qos"},
       {FlagId::kSplit, "--split", "N1,N2,..",
-       "static SM counts per app (overrides policy partitioning)"},
+       "initial SM counts per app, summing to num_sms (dase-fair and\n"
+       "qos repartition from it; temporal gives each app the whole GPU)"},
       {FlagId::kModels, "--models", "LIST",
        "estimators to attach: dase,mise,asm (default dase)"},
       {FlagId::kQosTarget, "--qos-target", "X",
@@ -40,12 +41,6 @@ const std::vector<FlagInfo>& flag_table() {
        "sweep JSONL checkpoint (resume from it if present)"},
       {FlagId::kOut, "--out", "F",
        "final sweep results JSON (default sweep_results.json)"},
-      {FlagId::kRetries, "--retries", "N",
-       "sweep attempts per pair; deterministic errors (config,\n"
-       "invariant, conservation, budget) run once (default 3)"},
-      {FlagId::kBackoffMs, "--backoff-ms", "N",
-       "exponential retry backoff base in ms for sweep pairs: retry r\n"
-       "waits N << (r-1) plus a deterministic jitter (default 0)"},
       {FlagId::kFailFast, "--fail-fast", nullptr,
        "abort the sweep on the first failed pair"},
       {FlagId::kJobs, "--jobs", "N",

@@ -38,8 +38,6 @@ enum class FlagId {
   kSweep,
   kCheckpoint,
   kOut,
-  kRetries,
-  kBackoffMs,
   kFailFast,
   kJobs,
   kSnapshotEvery,

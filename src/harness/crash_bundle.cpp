@@ -22,17 +22,6 @@ std::string schema_name() {
   return "gpusim-crash-bundle-v" + std::to_string(kCrashBundleSchema);
 }
 
-std::string sanitize_name(const std::string& label) {
-  std::string name;
-  name.reserve(label.size());
-  for (char c : label) {
-    const bool safe = std::isalnum(static_cast<unsigned char>(c)) != 0 ||
-                      c == '-' || c == '_' || c == '.' || c == '+';
-    name += safe ? c : '_';
-  }
-  return name.empty() ? std::string("unnamed") : name;
-}
-
 SimError manifest_error(const std::string& bundle_dir, const char* what) {
   return SimError(SimErrorKind::kSnapshot, "harness.crash_bundle", what)
       .detail("bundle", bundle_dir);
@@ -70,13 +59,27 @@ void write_manifest(std::ostream& os, const RunConfig& rc,
 
 }  // namespace
 
-std::string write_crash_bundle(const RunConfig& rc, const std::string& identity,
-                               const std::string& label, const Simulation& sim,
-                               const SimError& err,
+std::string label_file_stem(const std::string& label) {
+  std::string name;
+  name.reserve(label.size());
+  for (char c : label) {
+    const bool safe = std::isalnum(static_cast<unsigned char>(c)) != 0 ||
+                      c == '-' || c == '_' || c == '.' || c == '+';
+    name += safe ? c : '_';
+  }
+  return name.empty() ? std::string("unnamed") : name;
+}
+
+std::string write_crash_bundle(const RunConfig& rc, const Workload& workload,
+                               const ModelSet& models, PolicyKind policy,
+                               const std::vector<int>* sm_split,
+                               const Simulation& sim, const SimError& err,
                                const std::string& anchor_snapshot_path)
     noexcept {
   fs::path tmp;
   try {
+    const std::string identity =
+        corun_identity(rc, workload, models, policy, sm_split);
     const std::string& bundle_root = rc.crash_bundle_dir;
     std::error_code ec;
     fs::create_directories(bundle_root, ec);
@@ -85,7 +88,7 @@ std::string write_crash_bundle(const RunConfig& rc, const std::string& identity,
     // same workload, so probe with numeric suffixes.
     const Cycle failure_cycle = sim.gpu().now();
     const std::string base = rc.crash_bundle_mode + "-" +
-                             sanitize_name(label) + "-c" +
+                             label_file_stem(workload.label()) + "-c" +
                              std::to_string(failure_cycle);
     std::string name = base;
     fs::path dir = fs::path(bundle_root) / name;
@@ -98,7 +101,8 @@ std::string write_crash_bundle(const RunConfig& rc, const std::string& identity,
     fs::remove_all(tmp, ec);
     fs::create_directories(tmp);
 
-    const u64 fingerprint = corun_fingerprint(sim, identity);
+    const u64 fingerprint =
+        corun_fingerprint(rc, workload, models, policy, sm_split);
     write_snapshot_file((tmp / "snapshot.simstate").string(), sim,
                         fingerprint);
     bool have_anchor = false;

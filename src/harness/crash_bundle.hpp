@@ -26,6 +26,7 @@
 #pragma once
 
 #include <string>
+#include <vector>
 
 #include "common/sim_error.hpp"
 #include "common/types.hpp"
@@ -56,19 +57,26 @@ struct CrashBundleManifest {
   std::string replay;         ///< suggested triage command line
 };
 
-/// Emits one crash bundle under rc.crash_bundle_dir (created if missing)
-/// and returns the published directory path.  `identity` is the co-run's
-/// corun_identity; rc supplies the GpuConfig, the mode tag and the
-/// watchdog and governor settings.  Best-effort by design: any failure
-/// (unwritable disk, snapshot serialization error) is reported on stderr
-/// and an empty string is returned — the original SimError must keep
-/// propagating unmasked.  `anchor_snapshot_path`, when it names an existing
-/// periodic snapshot file, is copied in as the re-execution anchor.
-std::string write_crash_bundle(const RunConfig& rc, const std::string& identity,
-                               const std::string& label, const Simulation& sim,
-                               const SimError& err,
-                               const std::string& anchor_snapshot_path =
-                                   std::string()) noexcept;
+/// A workload label as a file-name stem: every character other than an
+/// alphanumeric or one of "-_.+" becomes '_' ("unnamed" when empty).
+/// Snapshot files and crash-bundle directories are both named by it.
+std::string label_file_stem(const std::string& label);
+
+/// Emits one crash bundle for `sim`, the co-run assemble_corun built from
+/// these inputs, under rc.crash_bundle_dir (created if missing) and returns
+/// the published directory path.  The manifest records the co-run's
+/// corun_identity and corun_fingerprint; rc also supplies the GpuConfig,
+/// the mode tag and the watchdog and governor settings.  Best-effort by
+/// design: any failure (unwritable disk, snapshot serialization error) is
+/// reported on stderr and an empty string is returned — the original
+/// SimError must keep propagating unmasked.  `anchor_snapshot_path`, when
+/// it names an existing periodic snapshot file, is copied in as the
+/// re-execution anchor.
+std::string write_crash_bundle(const RunConfig& rc, const Workload& workload,
+                               const ModelSet& models, PolicyKind policy,
+                               const std::vector<int>* sm_split,
+                               const Simulation& sim, const SimError& err,
+                               const std::string& anchor_snapshot_path) noexcept;
 
 /// Reads and validates `<bundle_dir>/manifest.json`.  Tolerant of unknown
 /// keys (forward compatibility) but every malformation — missing manifest,

@@ -1,7 +1,7 @@
 #include "harness/runner.hpp"
 
 #include <algorithm>
-#include <cctype>
+#include <cerrno>
 #include <chrono>
 #include <climits>
 #include <condition_variable>
@@ -62,6 +62,19 @@ std::string join_csv(const std::vector<std::string>& parts) {
     out += p;
   }
   return out;
+}
+
+/// The applications a co-run launches: slot i seeded with
+/// harness_app_seed(base_seed, i), each restarting when its grid finishes.
+std::vector<AppLaunch> corun_launches(const RunConfig& rc,
+                                      const Workload& workload) {
+  std::vector<AppLaunch> launches;
+  launches.reserve(workload.apps.size());
+  for (std::size_t i = 0; i < workload.apps.size(); ++i) {
+    launches.push_back(AppLaunch{
+        workload.apps[i], harness_app_seed(rc.base_seed, static_cast<int>(i))});
+  }
+  return launches;
 }
 
 }  // namespace
@@ -215,28 +228,17 @@ CoRunSpec parse_corun_identity(const std::string& text) {
   return spec;
 }
 
-u64 corun_fingerprint(const Simulation& sim, const std::string& identity) {
+u64 corun_fingerprint(const RunConfig& rc, const Workload& workload,
+                      const ModelSet& models, PolicyKind policy,
+                      const std::vector<int>* sm_split) {
   Hasher h;
   h.put_tag("HCTX");
-  h.put_string(identity);
-  return simulation_fingerprint(sim, h.digest());
+  h.put_string(corun_identity(rc, workload, models, policy, sm_split));
+  return simulation_fingerprint(rc.gpu, corun_launches(rc, workload),
+                                h.digest());
 }
 
 namespace {
-
-/// Snapshot file for one workload: "<dir>/<label>.simstate" with every
-/// character a filesystem might dislike replaced by '_'.
-std::string snapshot_path_for(const std::string& dir,
-                              const std::string& label) {
-  std::string name;
-  name.reserve(label.size());
-  for (char c : label) {
-    const bool safe = std::isalnum(static_cast<unsigned char>(c)) != 0 ||
-                      c == '-' || c == '_' || c == '.' || c == '+';
-    name += safe ? c : '_';
-  }
-  return (std::filesystem::path(dir) / (name + ".simstate")).string();
-}
 
 /// Applies the RunConfig's limit fields to one Simulation.  The cycle and
 /// memory budgets only guard the co-run (`co_run` true): alone runs are
@@ -271,15 +273,8 @@ CoRunAssembly assemble_corun(const RunConfig& rc, const Workload& workload,
                 .detail("num_apps", n)
                 .detail("kMaxApps", kMaxApps));
 
-  std::vector<AppLaunch> launches;
-  launches.reserve(n);
-  for (int i = 0; i < n; ++i) {
-    launches.push_back(
-        AppLaunch{workload.apps[i], harness_app_seed(rc.base_seed, i)});
-  }
-
   CoRunAssembly a;
-  a.sim = std::make_unique<Simulation>(rc.gpu, std::move(launches));
+  a.sim = std::make_unique<Simulation>(rc.gpu, corun_launches(rc, workload));
   Simulation& sim = *a.sim;
   sim.set_watchdog(rc.watchdog_cycles);
   apply_limits(rc, sim, /*co_run=*/true);
@@ -427,9 +422,8 @@ void record_corun_failure(const RunConfig& rc, const Workload& workload,
   if (error.kind() == SimErrorKind::kInterrupted) return;
   const Simulation& sim = *assembly.sim;
   if (!rc.crash_bundle_dir.empty()) {
-    write_crash_bundle(
-        rc, corun_identity(rc, workload, models, policy, sm_split),
-        workload.label(), sim, error, anchor_snapshot);
+    write_crash_bundle(rc, workload, models, policy, sm_split, sim, error,
+                       anchor_snapshot);
   }
   // The alone baselines were never measured, so the flushed series carry
   // estimate columns but no actual-slowdown columns.
@@ -480,11 +474,17 @@ double CoRunResult::mean_error_of(const std::string& model) const {
 Cycle cycles_from_env(const char* name, Cycle fallback) {
   const char* value = std::getenv(name);
   if (value == nullptr || *value == '\0') return fallback;
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(value, &end, 10);
-  return (end != nullptr && *end == '\0' && parsed > 0)
-             ? static_cast<Cycle>(parsed)
-             : fallback;
+  const std::string text = value;
+  errno = 0;
+  const unsigned long long parsed = std::strtoull(value, nullptr, 10);
+  SIM_CHECK(text.find_first_not_of("0123456789") == std::string::npos &&
+                errno == 0 && parsed > 0,
+            SimError(SimErrorKind::kConfig, "harness.runner",
+                     "environment variable must be a positive decimal "
+                     "integer")
+                .detail("variable", name)
+                .detail("value", text));
+  return static_cast<Cycle>(parsed);
 }
 
 namespace {
@@ -683,11 +683,12 @@ CoRunResult ExperimentRunner::run(const Workload& workload,
   std::string snap_path;
   u64 fingerprint = 0;
   if (snapshotting) {
-    fingerprint = corun_fingerprint(
-        sim, corun_identity(rc_, workload, models, policy, sm_split));
+    fingerprint = corun_fingerprint(rc_, workload, models, policy, sm_split);
     std::error_code ec;
     std::filesystem::create_directories(rc_.snapshot_dir, ec);
-    snap_path = snapshot_path_for(rc_.snapshot_dir, workload.label());
+    snap_path = (std::filesystem::path(rc_.snapshot_dir) /
+                 (label_file_stem(workload.label()) + ".simstate"))
+                    .string();
     if (std::filesystem::exists(snap_path)) {
       // Auto-resume: a leftover file from a killed run.  Stale files
       // (different config/workload/identity, torn writes) are detected

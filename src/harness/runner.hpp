@@ -198,10 +198,14 @@ std::string corun_identity(const RunConfig& rc, const Workload& workload,
 /// policy or model name raises SimError(kConfig).
 CoRunSpec parse_corun_identity(const std::string& text);
 
-/// Snapshot fingerprint of a co-run assembled from the inputs `identity`
-/// (corun_identity) describes: simulation_fingerprint over the live
-/// simulation, with the identity text as its harness context.
-u64 corun_fingerprint(const Simulation& sim, const std::string& identity);
+/// Fingerprint of the co-run assemble_corun builds from these inputs,
+/// computed from the inputs alone: simulation_fingerprint over its launches,
+/// with the corun_identity text as the harness context.  Snapshots, crash
+/// bundles and --triage check it, and a sweep keys its checkpoint lines by
+/// it, so a stored state or result only ever meets the co-run it came from.
+u64 corun_fingerprint(const RunConfig& rc, const Workload& workload,
+                      const ModelSet& models, PolicyKind policy,
+                      const std::vector<int>* sm_split);
 
 /// One fully assembled co-run: the Simulation plus owning pointers for
 /// every attached model, policy and the fault injector.  Move-only; the
@@ -331,7 +335,10 @@ class ExperimentRunner {
   RunConfig rc_;
 };
 
-/// Reads an environment variable as cycles, falling back to `fallback`.
+/// Reads an environment variable as a positive count (cycles, pairs, jobs),
+/// falling back to `fallback` when it is unset or empty.  Any other value
+/// that is not a positive decimal integer ("5e6", "0", "-1") raises
+/// SimError(kConfig) naming the variable and the value.
 Cycle cycles_from_env(const char* name, Cycle fallback);
 
 /// Seed the harness hands application slot `slot` of a workload.  Exposed

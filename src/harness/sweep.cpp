@@ -12,11 +12,11 @@ namespace gpusim {
 
 namespace {
 
-std::string checkpoint_line(const SweepEntry& entry) {
+std::string checkpoint_line(const std::string& key, const SweepEntry& entry) {
   std::ostringstream ss;
-  ss << "{\"label\":\"" << json_escape(entry.label)
-     << "\",\"ok\":" << (entry.ok ? "true" : "false")
-     << ",\"attempts\":" << entry.attempts;
+  ss << "{\"key\":\"" << json_escape(key) << "\",\"label\":\""
+     << json_escape(entry.label)
+     << "\",\"ok\":" << (entry.ok ? "true" : "false");
   if (entry.ok) {
     ss << ",\"result\":" << entry.result_json;
   } else {
@@ -28,49 +28,36 @@ std::string checkpoint_line(const SweepEntry& entry) {
 
 }  // namespace
 
-SweepRunner::SweepRunner(SweepOptions opts, RunFn run_fn)
-    : opts_(std::move(opts)), run_fn_(std::move(run_fn)) {
-  SIM_CHECK(opts_.max_attempts >= 1,
-            SimError(SimErrorKind::kHarness, "harness.sweep",
-                     "max_attempts must be at least 1")
-                .detail("max_attempts", opts_.max_attempts));
+SweepRunner::SweepRunner(SweepOptions opts, KeyFn key_fn, RunFn run_fn)
+    : opts_(std::move(opts)),
+      key_fn_(std::move(key_fn)),
+      run_fn_(std::move(run_fn)) {
   SIM_CHECK(opts_.jobs >= 0,
             SimError(SimErrorKind::kHarness, "harness.sweep",
                      "jobs must be 0 (= hardware concurrency) or positive")
                 .detail("jobs", opts_.jobs));
 }
 
-int SweepRunner::effective_jobs(std::size_t n_pending) const {
-  return resolve_jobs(opts_.jobs, n_pending);
-}
-
-SweepEntry SweepRunner::run_one(std::size_t index,
-                                const Workload& workload) const {
-  const RetryPolicy retry{opts_.max_attempts, opts_.backoff_ms};
+SweepEntry SweepRunner::run_one(const Workload& workload) const {
   SweepEntry entry;
   entry.label = workload.label();
-  for (int attempt = 1;; ++attempt) {
-    entry.attempts = attempt;
-    try {
-      entry.result_json = to_json(run_fn_(workload));
-      entry.ok = true;
-      return entry;
-    } catch (const SimError& e) {
-      // Sweep-fatal conditions: an operator interrupt or a lapsed deadline
-      // is about the *sweep*, not this pair — recording it as a pair
-      // failure would poison the checkpoint (the pair would replay as
-      // "failed" forever).  Propagate it uncommitted instead.
-      if (e.kind() == SimErrorKind::kInterrupted ||
-          e.kind() == SimErrorKind::kDeadlineExceeded) {
-        throw;
-      }
-      entry.error = e.what();
-      if (!retry.retry_after(index, attempt, e)) return entry;
-    } catch (const std::exception& e) {
-      entry.error = e.what();
-      if (!retry.retry_after(index, attempt, e)) return entry;
+  try {
+    entry.result_json = to_json(run_fn_(workload));
+    entry.ok = true;
+  } catch (const SimError& e) {
+    // Sweep-fatal conditions: an operator interrupt or a lapsed deadline
+    // is about the *sweep*, not this pair — recording it as a pair
+    // failure would poison the checkpoint (the pair would replay as
+    // "failed" forever).  Propagate it uncommitted instead.
+    if (e.kind() == SimErrorKind::kInterrupted ||
+        e.kind() == SimErrorKind::kDeadlineExceeded) {
+      throw;
     }
+    entry.error = e.what();
+  } catch (const std::exception& e) {
+    entry.error = e.what();
   }
+  return entry;
 }
 
 std::string SweepRunner::to_json(const CoRunResult& r) {
@@ -120,24 +107,28 @@ std::string SweepRunner::to_json(const CoRunResult& r) {
 std::vector<SweepEntry> SweepRunner::run(
     const std::vector<Workload>& workloads) {
   resumed_ = 0;
-  attempts_spent_ = 0;
   torn_lines_skipped_ = 0;
 
-  // Resume: the last checkpoint line for a label wins, and only a
-  // successful one replays — its result object verbatim, which is what
-  // makes an interrupted + resumed results file byte-identical.
-  std::map<std::string, std::string> done;  // label -> result object
+  std::vector<std::string> keys;
+  keys.reserve(workloads.size());
+  for (const Workload& w : workloads) keys.push_back(key_fn_(w));
+
+  // Resume: the last checkpoint line for a key wins, and only a successful
+  // one replays — its result object verbatim, which is what makes an
+  // interrupted + resumed results file byte-identical.  A line without a
+  // key predates keyed lines; it is stale, so its pair re-runs.
+  std::map<std::string, std::string> done;  // key -> result object
   Ledger checkpoint(opts_.checkpoint_path, "harness.sweep",
                     [&](const std::string& line) {
-                      const auto label = json_string_field(line, "label");
-                      if (!label || label->empty()) return false;
+                      const auto key = json_string_field(line, "key");
+                      if (!key || key->empty()) return false;
                       if (line.find("\"ok\":true") == std::string::npos) {
-                        done.erase(*label);
+                        done.erase(*key);
                         return true;
                       }
                       const auto pos = line.find("\"result\":");
                       if (pos == std::string::npos) return false;
-                      done[*label] = line.substr(
+                      done[*key] = line.substr(
                           pos + 9, line.size() - (pos + 9) - 1);
                       return true;
                     });
@@ -153,7 +144,7 @@ std::vector<SweepEntry> SweepRunner::run(
   for (std::size_t i = 0; i < workloads.size(); ++i) {
     SweepEntry& entry = entries[i];
     entry.label = workloads[i].label();
-    const auto it = done.find(entry.label);
+    const auto it = done.find(keys[i]);
     if (it != done.end()) {
       entry.ok = true;
       entry.from_checkpoint = true;
@@ -171,23 +162,20 @@ std::vector<SweepEntry> SweepRunner::run(
       pending.size(), opts_.jobs,
       [&](int, std::size_t k) {
         const std::size_t i = pending[k];
-        SweepEntry entry = run_one(i, workloads[i]);
+        SweepEntry entry = run_one(workloads[i]);
         // One complete line per finished pair, flushed before the worker
         // picks up its next pair, so a crash loses at most the pairs in
         // progress.
-        checkpoint.append(checkpoint_line(entry));
+        checkpoint.append(checkpoint_line(keys[i], entry));
         if (!entry.ok && opts_.fail_fast) {
           SIM_FAIL(SimError(SimErrorKind::kHarness, "harness.sweep",
                             "workload pair failed and fail_fast is set")
                        .detail("workload", entry.label)
-                       .detail("attempts", entry.attempts)
-                       .detail("last_error", entry.error));
+                       .detail("error", entry.error));
         }
         entries[i] = std::move(entry);
       },
       opts_.cancel);
-
-  for (const SweepEntry& entry : entries) attempts_spent_ += entry.attempts;
   return entries;
 }
 

@@ -1,4 +1,4 @@
-// SimGuard crash-safe sweep runner, parallel since PR 2.
+// SimGuard crash-safe, parallel sweep runner.
 //
 // The paper's headline experiments iterate all 105 two-application
 // workload pairs for millions of cycles each; a crash (or an injected
@@ -10,12 +10,17 @@
 // assembled in workload order from those stored lines — an interrupted +
 // resumed sweep produces a byte-identical file to an uninterrupted one.
 //
-// Pairs that throw are retried under the shared RetryPolicy
-// (harness/worker_pool.hpp): transient failures (watchdog stalls,
-// non-simulator exceptions) up to `max_attempts` times
-// with exponential backoff, deterministic SimErrors once.  A pair that
-// keeps failing is recorded with its error and the sweep moves on (or
-// aborts under `fail_fast`).
+// One key decides whether a pair runs.  The caller supplies each pair's
+// key (the CLI passes its corun_fingerprint), every checkpoint line carries
+// the key of the co-run that produced it, and a line stands in for a pair
+// only when the keys match.  So a resume under another --cycles, --models,
+// --seed or --config re-runs every pair instead of replaying results from
+// a different co-run.
+//
+// Every pair runs once.  A seeded co-run repeats its errors bit for bit,
+// watchdog stalls included, so a pair that throws is recorded with its
+// error and the sweep moves on (or aborts under `fail_fast`); the next
+// invocation over the same checkpoint runs it again.
 //
 // Parallelism model (`SweepOptions::jobs`): pairs share no simulator
 // state, so the shared worker pool (run_indexed) claims pending workload
@@ -26,7 +31,7 @@
 //     thread ran it or when;
 //   - finished pairs append to the checkpoint (a common/jsonl.hpp Ledger),
 //     one complete line per pair — line *order* varies across runs, but
-//     resume loads the checkpoint into a label-keyed map, so order never
+//     resume loads the checkpoint into a key-indexed map, so order never
 //     matters;
 //   - the final entry vector is assembled by workload index after all
 //     workers join, making write_results() byte-identical for every jobs
@@ -45,16 +50,10 @@ namespace gpusim {
 
 struct SweepOptions {
   /// JSONL checkpoint file, appended after every pair.  Empty disables
-  /// checkpointing (the sweep still retries, but cannot resume).
+  /// checkpointing (the sweep cannot resume).
   std::string checkpoint_path;
-  /// Total tries per pair (first run + retries); deterministic SimErrors
-  /// are tried once regardless.
-  int max_attempts = 3;
-  /// Exponential backoff base: retry r of a pair sleeps
-  /// `backoff_ms << (r-1)` ms plus a deterministic jitter (RetryPolicy).
-  int backoff_ms = 0;
   /// Abort the sweep (rethrow as SimError(kHarness)) on the first pair that
-  /// exhausts its attempts, instead of recording the failure and moving on.
+  /// fails, instead of recording the failure and moving on.
   bool fail_fast = false;
   /// Worker threads running pairs concurrently.  1 (the default) is the
   /// legacy serial path — no threads are spawned at all; 0 means one
@@ -74,9 +73,6 @@ struct SweepOptions {
 struct SweepEntry {
   std::string label;
   bool ok = false;
-  /// Attempts spent in the run that produced this entry (0 when the entry
-  /// was replayed from a checkpoint).
-  int attempts = 0;
   /// True when the entry was taken from the checkpoint instead of re-run.
   bool from_checkpoint = false;
   /// Last error message when !ok.
@@ -88,26 +84,30 @@ struct SweepEntry {
 
 class SweepRunner {
  public:
-  /// The function that actually runs one workload.  Tests substitute flaky
-  /// or failing runners here; production code wraps ExperimentRunner::run.
+  /// The key of one workload's checkpoint lines: equal only for workloads
+  /// that RunFn simulates identically (the CLI uses corun_fingerprint).
+  /// Called once per workload at the start of run(), on the calling thread.
+  using KeyFn = std::function<std::string(const Workload&)>;
+  /// The function that actually runs one workload.  Tests substitute
+  /// failing runners here; production code wraps ExperimentRunner::run.
   /// With jobs > 1 every worker invokes this one callable concurrently, so
   /// it must be thread-safe — a const ExperimentRunner is.
   using RunFn = std::function<CoRunResult(const Workload&)>;
 
-  SweepRunner(SweepOptions opts, RunFn run_fn);
+  SweepRunner(SweepOptions opts, KeyFn key_fn, RunFn run_fn);
 
   /// Runs every workload (resuming from the checkpoint when one exists)
   /// and returns one entry per workload, in workload order.
   std::vector<SweepEntry> run(const std::vector<Workload>& workloads);
 
   /// Workloads skipped in the last run() because the checkpoint already
-  /// held a successful result for them.
+  /// held a successful result under their key.
   int resumed() const { return resumed_; }
-  /// Total attempts spent across all pairs in the last run().
-  int attempts_spent() const { return attempts_spent_; }
-  /// Torn/unparseable checkpoint lines skipped (with a stderr warning)
-  /// while resuming the last run() — e.g. a line truncated by a crash
-  /// mid-write.  The affected pairs re-run.
+  /// Torn, unparseable or keyless checkpoint lines skipped (with a stderr
+  /// warning) while resuming the last run() — e.g. a line truncated by a
+  /// crash mid-write, or one written before lines carried keys.  The
+  /// affected pairs re-run.  Whole lines under other keys are not counted:
+  /// they belong to other co-runs and stay in the file untouched.
   int torn_lines_skipped() const { return torn_lines_skipped_; }
 
   /// Writes the final results file: a JSON array of the per-pair result
@@ -121,19 +121,13 @@ class SweepRunner {
   /// with %.17g so they round-trip bit-exactly).
   static std::string to_json(const CoRunResult& result);
 
-  /// Effective worker count for `n_pending` runnable pairs (the shared
-  /// pool's resolve_jobs): jobs == 0 means one worker per hardware thread,
-  /// and never more workers than pairs.  Exposed for tests and CLI
-  /// diagnostics.
-  int effective_jobs(std::size_t n_pending) const;
-
  private:
-  SweepEntry run_one(std::size_t index, const Workload& workload) const;
+  SweepEntry run_one(const Workload& workload) const;
 
   SweepOptions opts_;
+  KeyFn key_fn_;
   RunFn run_fn_;
   int resumed_ = 0;
-  int attempts_spent_ = 0;
   int torn_lines_skipped_ = 0;
 };
 

@@ -58,8 +58,7 @@ int triage_impl(const std::string& bundle_dir, std::ostream& out,
   Simulation& sim = *assembly.sim;
 
   const u64 fingerprint = corun_fingerprint(
-      sim, corun_identity(rc, corun.workload, corun.models, corun.policy,
-                          corun.split()));
+      rc, corun.workload, corun.models, corun.policy, corun.split());
   SIM_CHECK(fingerprint == m.fingerprint,
             SimError(SimErrorKind::kSnapshot, "harness.triage",
                      "reassembled experiment fingerprint differs from the "

@@ -1,26 +1,20 @@
-// Shared batch pool and retry policy.
+// Shared batch pool.
 //
 // The sweep fans independent units across threads with one scheme: workers
 // claim pending indices from one atomic cursor and write results into
 // disjoint, index-addressed slots, so the assembled output is identical for
-// every worker count.  This header is that scheme, plus the retry policy
-// the sweep applies to a failed unit — any
-// determinism argument about "who ran what when", or about how often a
-// failure is retried, reduces to this file.
+// every worker count.  This header is that scheme — any determinism
+// argument about "who ran what when" reduces to this file.
 #pragma once
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstddef>
 #include <exception>
 #include <functional>
 #include <mutex>
 #include <thread>
 #include <vector>
-
-#include "common/sim_error.hpp"
-#include "common/simstate.hpp"
 
 namespace gpusim {
 
@@ -77,45 +71,5 @@ inline void run_indexed(std::size_t n, int jobs,
   }
   if (error) std::rethrow_exception(error);
 }
-
-/// How often a failed unit is tried again, and how long to wait first.
-struct RetryPolicy {
-  /// Total tries per unit (first run + retries).
-  int max_attempts = 1;
-  /// Retry r waits `backoff_base_ms << (r - 1)` ms plus a jitter in
-  /// [0, backoff_base_ms] keyed by (unit index, attempt): workers never
-  /// retry in lockstep, yet a rerun sleeps identically.  0 = no wait.
-  int backoff_base_ms = 0;
-
-  /// Transient failures are worth another attempt: a stall can be a
-  /// one-off under a tight watchdog, and an exception from outside the
-  /// simulator may not recur.  Config, invariant, conservation, snapshot
-  /// and budget errors are deterministic — a seeded simulator can only
-  /// repeat them.
-  static bool transient(const std::exception& e) {
-    const auto* sim = dynamic_cast<const SimError*>(&e);
-    if (sim == nullptr) return true;
-    return sim->kind() == SimErrorKind::kWatchdogStall;
-  }
-
-  /// Called after attempt `attempt` of unit `unit` failed with `e`.
-  /// Returns false when the unit is done (attempts spent or the failure is
-  /// deterministic); otherwise sleeps the backoff and returns true.
-  bool retry_after(std::size_t unit, int attempt,
-                   const std::exception& e) const {
-    if (attempt >= max_attempts || !transient(e)) return false;
-    if (backoff_base_ms > 0) {
-      const u64 base = static_cast<u64>(backoff_base_ms);
-      const u64 jitter = mix_bits(static_cast<u64>(unit) * 0x10001ULL +
-                                  static_cast<u64>(attempt) +
-                                  0x9E3779B97F4A7C15ULL) %
-                         (base + 1);
-      const int shift = std::min(attempt - 1, 10);
-      std::this_thread::sleep_for(
-          std::chrono::milliseconds((base << shift) + jitter));
-    }
-    return true;
-  }
-};
 
 }  // namespace gpusim

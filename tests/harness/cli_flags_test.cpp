@@ -53,6 +53,9 @@ TEST(CliFlagsTest, UnknownFlagsAreRejected) {
   EXPECT_EQ(find_flag("apps"), nullptr);      // missing the dashes
   EXPECT_EQ(find_flag("--apps="), nullptr);   // inline values unsupported
   EXPECT_EQ(find_flag(""), nullptr);
+  // Sweep pairs run once: the retry flags are gone.
+  EXPECT_EQ(find_flag("--retries"), nullptr);
+  EXPECT_EQ(find_flag("--backoff-ms"), nullptr);
 }
 
 TEST(CliFlagsTest, ExitCodeTableCoversTheContract) {

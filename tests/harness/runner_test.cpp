@@ -12,6 +12,7 @@
 #include "common/sim_error.hpp"
 #include "gpu/gpu.hpp"
 #include "gpu/simulator.hpp"
+#include "gpu/snapshot.hpp"
 #include "kernels/app_registry.hpp"
 
 namespace gpusim {
@@ -384,13 +385,19 @@ TEST(RunnerTest, PolicyAndModelNamesRoundTrip) {
   }
 }
 
-/// The snapshot fingerprint of a co-run assembled from these inputs.
+/// The snapshot fingerprint of a co-run assembled from these inputs.  It
+/// must equal the fingerprint of the assembled simulation, because that is
+/// what a restore compares against the file.
 u64 fingerprint_of(const RunConfig& rc, const Workload& w,
                    const ModelSet& models, PolicyKind policy,
                    const std::vector<int>* split) {
+  const u64 fingerprint = corun_fingerprint(rc, w, models, policy, split);
   const CoRunAssembly a = assemble_corun(rc, w, models, policy, split);
-  return corun_fingerprint(*a.sim,
-                           corun_identity(rc, w, models, policy, split));
+  Hasher context;
+  context.put_tag("HCTX");
+  context.put_string(corun_identity(rc, w, models, policy, split));
+  EXPECT_EQ(simulation_fingerprint(*a.sim, context.digest()), fingerprint);
+  return fingerprint;
 }
 
 TEST(RunnerTest, FingerprintCoversEveryIdentityInput) {
@@ -533,8 +540,23 @@ TEST(RunnerTest, IdentityParserRebuildsTheCoRun) {
 TEST(RunnerTest, CyclesFromEnvParsesAndFallsBack) {
   ::setenv("GPUSIM_TEST_CYCLES", "12345", 1);
   EXPECT_EQ(cycles_from_env("GPUSIM_TEST_CYCLES", 5), 12345u);
-  ::setenv("GPUSIM_TEST_CYCLES", "not-a-number", 1);
-  EXPECT_EQ(cycles_from_env("GPUSIM_TEST_CYCLES", 5), 5u);
+  // A set value that is not a positive decimal integer fails loudly
+  // instead of silently running the default.
+  for (const char* bad : {"not-a-number", "5e6", "0", "-1",
+                          "99999999999999999999"}) {
+    SCOPED_TRACE(bad);
+    ::setenv("GPUSIM_TEST_CYCLES", bad, 1);
+    try {
+      cycles_from_env("GPUSIM_TEST_CYCLES", 5);
+      FAIL() << "a malformed value parsed";
+    } catch (const SimError& e) {
+      EXPECT_EQ(e.kind(), SimErrorKind::kConfig);
+      EXPECT_EQ(detail_of(e, "variable"), "GPUSIM_TEST_CYCLES");
+      EXPECT_EQ(detail_of(e, "value"), bad);
+    }
+  }
+  ::setenv("GPUSIM_TEST_CYCLES", "", 1);
+  EXPECT_EQ(cycles_from_env("GPUSIM_TEST_CYCLES", 6), 6u);
   ::unsetenv("GPUSIM_TEST_CYCLES");
   EXPECT_EQ(cycles_from_env("GPUSIM_TEST_CYCLES", 7), 7u);
 }

@@ -1,6 +1,6 @@
-// Crash-safe sweep semantics: retry with backoff, checkpoint after every
-// pair, resume without recomputation, and byte-identical final results
-// whether or not the sweep was interrupted.
+// Crash-safe sweep semantics: every pair runs once, a checkpoint line after
+// every pair, resume only from lines under the pair's own key, and
+// byte-identical final results whether or not the sweep was interrupted.
 #include "harness/sweep.hpp"
 
 #include <gtest/gtest.h>
@@ -10,6 +10,7 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <mutex>
 #include <sstream>
@@ -19,6 +20,7 @@
 #include <vector>
 
 #include "common/sim_error.hpp"
+#include "harness/worker_pool.hpp"
 #include "kernels/workload_sets.hpp"
 
 namespace gpusim {
@@ -65,10 +67,16 @@ std::vector<Workload> first_workloads(int n) {
   return all;
 }
 
+/// Checkpoint keys of the workloads a RunFn simulates under `config`,
+/// standing in for the CLI's corun_fingerprint: equal keys, equal co-runs.
+SweepRunner::KeyFn keyed(const std::string& config) {
+  return [config](const Workload& w) { return config + "/" + w.label(); };
+}
+
 TEST(SweepRunnerTest, RunsEveryWorkloadWithoutCheckpoint) {
   const auto workloads = first_workloads(4);
   int calls = 0;
-  SweepRunner sweep({}, [&](const Workload& w) {
+  SweepRunner sweep({}, keyed("K"), [&](const Workload& w) {
     ++calls;
     return fake_result(w);
   });
@@ -79,97 +87,61 @@ TEST(SweepRunnerTest, RunsEveryWorkloadWithoutCheckpoint) {
     EXPECT_TRUE(entries[i].ok);
     EXPECT_EQ(entries[i].label, workloads[i].label());
     EXPECT_FALSE(entries[i].from_checkpoint);
-    EXPECT_EQ(entries[i].attempts, 1);
   }
 }
 
-TEST(SweepRunnerTest, FlakyPairIsRetriedUntilItSucceeds) {
-  const auto workloads = first_workloads(3);
-  const std::string flaky = workloads[1].label();
+TEST(SweepRunnerTest, EveryFailureRunsOnce) {
+  // A seeded co-run repeats its errors bit for bit, a watchdog stall
+  // included, so a failing pair is called once and recorded with its
+  // error; the next invocation over the checkpoint runs it again.
+  const std::string ckpt = temp_path("once.jsonl");
+  std::remove(ckpt.c_str());
+  const auto workloads = first_workloads(4);
+  const std::vector<std::function<void()>> failures = {
+      [] { throw SimError(SimErrorKind::kWatchdogStall, "test", "stall"); },
+      [] { throw SimError(SimErrorKind::kConservation, "test", "leak"); },
+      [] { throw SimError(SimErrorKind::kBudgetExceeded, "test", "budget"); },
+      [] { throw std::runtime_error("helper thread did not start"); },
+  };
   std::map<std::string, int> calls;
   SweepOptions opts;
-  opts.max_attempts = 3;
-  SweepRunner sweep(opts, [&](const Workload& w) {
-    if (++calls[w.label()] < 3 && w.label() == flaky) {
-      throw std::runtime_error("transient failure");
-    }
-    return fake_result(w);
-  });
-  const auto entries = sweep.run(workloads);
-  EXPECT_TRUE(entries[1].ok);
-  EXPECT_EQ(entries[1].attempts, 3);
-  EXPECT_EQ(calls[flaky], 3);
-  EXPECT_EQ(entries[0].attempts, 1);
-  EXPECT_EQ(sweep.attempts_spent(), 5);
-}
-
-TEST(SweepRunnerTest, BackoffDelaysEachRetry) {
-  SweepOptions opts;
-  opts.max_attempts = 3;
-  opts.backoff_ms = 15;
-  int calls = 0;
-  SweepRunner sweep(opts, [&](const Workload& w) {
-    if (++calls < 3) throw std::runtime_error("transient failure");
-    return fake_result(w);
-  });
-  const auto start = std::chrono::steady_clock::now();
-  const auto entries = sweep.run(first_workloads(1));
-  const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
-      std::chrono::steady_clock::now() - start);
-  ASSERT_EQ(entries.size(), 1u);
-  EXPECT_TRUE(entries[0].ok);
-  EXPECT_EQ(entries[0].attempts, 3);
-  // Exponential backoff: at least 15 ms after the first failure + 30 ms
-  // after the second (each plus a jitter of up to 15 ms).
-  EXPECT_GE(elapsed.count(), 40);
-}
-
-TEST(SweepRunnerTest, OnlyTransientFailuresAreRetried) {
-  // A seeded simulator repeats a deterministic failure exactly, so it runs
-  // once; a watchdog stall may be a one-off and gets every attempt.  A
-  // blown cycle or memory budget is deterministic too: the same pair
-  // blows it again.
-  const auto workloads = first_workloads(3);
-  const std::string deterministic = workloads[0].label();
-  const std::string over_budget = workloads[2].label();
-  std::map<std::string, int> calls;
-  SweepOptions opts;
-  opts.max_attempts = 3;
-  SweepRunner sweep(opts, [&](const Workload& w) -> CoRunResult {
+  opts.checkpoint_path = ckpt;
+  SweepRunner sweep(opts, keyed("K"), [&](const Workload& w) -> CoRunResult {
     ++calls[w.label()];
-    if (w.label() == deterministic) {
-      throw SimError(SimErrorKind::kConservation, "test", "leak");
+    for (std::size_t i = 0; i < workloads.size(); ++i) {
+      if (w.label() == workloads[i].label()) failures[i]();
     }
-    if (w.label() == over_budget) {
-      throw SimError(SimErrorKind::kBudgetExceeded, "test", "budget");
-    }
-    throw SimError(SimErrorKind::kWatchdogStall, "test", "stall");
+    return fake_result(w);
   });
   const auto entries = sweep.run(workloads);
-  EXPECT_EQ(calls[workloads[0].label()], 1);
-  EXPECT_EQ(entries[0].attempts, 1);
-  EXPECT_EQ(calls[workloads[1].label()], 3);
-  EXPECT_EQ(entries[1].attempts, 3);
-  EXPECT_EQ(calls[over_budget], 1);
-  EXPECT_EQ(entries[2].attempts, 1);
-  EXPECT_NE(entries[2].error.find("budget-exceeded"), std::string::npos);
-  EXPECT_FALSE(entries[0].ok);
-  EXPECT_FALSE(entries[1].ok);
-  EXPECT_FALSE(entries[2].ok);
+  const char* errors[] = {"stall", "leak", "budget",
+                          "helper thread did not start"};
+  for (std::size_t i = 0; i < workloads.size(); ++i) {
+    EXPECT_EQ(calls[workloads[i].label()], 1) << i;
+    EXPECT_FALSE(entries[i].ok) << i;
+    EXPECT_NE(entries[i].error.find(errors[i]), std::string::npos)
+        << entries[i].error;
+  }
+  std::istringstream lines(slurp(ckpt));
+  std::string line;
+  int failed_lines = 0;
+  while (std::getline(lines, line)) {
+    EXPECT_NE(line.find("\"ok\":false"), std::string::npos) << line;
+    ++failed_lines;
+  }
+  EXPECT_EQ(failed_lines, 4);
+  std::remove(ckpt.c_str());
 }
 
 TEST(SweepRunnerTest, PermanentFailureIsRecordedAndSweepContinues) {
   const auto workloads = first_workloads(3);
   const std::string bad = workloads[0].label();
-  SweepOptions opts;
-  opts.max_attempts = 2;
-  SweepRunner sweep(opts, [&](const Workload& w) {
+  SweepRunner sweep({}, keyed("K"), [&](const Workload& w) {
     if (w.label() == bad) throw std::runtime_error("broken pair");
     return fake_result(w);
   });
   const auto entries = sweep.run(workloads);
   EXPECT_FALSE(entries[0].ok);
-  EXPECT_EQ(entries[0].attempts, 2);
   EXPECT_NE(entries[0].error.find("broken pair"), std::string::npos);
   EXPECT_TRUE(entries[1].ok);
   EXPECT_TRUE(entries[2].ok);
@@ -179,10 +151,9 @@ TEST(SweepRunnerTest, FailFastAbortsOnFirstPermanentFailure) {
   const auto workloads = first_workloads(3);
   const std::string bad = workloads[0].label();
   SweepOptions opts;
-  opts.max_attempts = 2;
   opts.fail_fast = true;
   int calls = 0;
-  SweepRunner sweep(opts, [&](const Workload&) -> CoRunResult {
+  SweepRunner sweep(opts, keyed("K"), [&](const Workload&) -> CoRunResult {
     ++calls;
     throw std::runtime_error("broken pair");
   });
@@ -193,7 +164,7 @@ TEST(SweepRunnerTest, FailFastAbortsOnFirstPermanentFailure) {
     EXPECT_EQ(e.kind(), SimErrorKind::kHarness);
     EXPECT_NE(std::string(e.what()).find(bad), std::string::npos);
   }
-  EXPECT_EQ(calls, 2);  // only the first pair was attempted
+  EXPECT_EQ(calls, 1);  // only the first pair ran, once
 }
 
 TEST(SweepRunnerTest, ResumeSkipsCompletedPairs) {
@@ -205,14 +176,14 @@ TEST(SweepRunnerTest, ResumeSkipsCompletedPairs) {
   {
     SweepOptions opts;
     opts.checkpoint_path = ckpt;
-    SweepRunner sweep(opts, fake_result);
+    SweepRunner sweep(opts, keyed("K"), fake_result);
     sweep.run(first_workloads(2));
   }
 
   int calls = 0;
   SweepOptions opts;
   opts.checkpoint_path = ckpt;
-  SweepRunner sweep(opts, [&](const Workload& w) {
+  SweepRunner sweep(opts, keyed("K"), [&](const Workload& w) {
     ++calls;
     return fake_result(w);
   });
@@ -232,7 +203,7 @@ TEST(SweepRunnerTest, InterruptedAndResumedSweepWritesIdenticalBytes) {
   // Uninterrupted reference sweep.
   const std::string ref_out = temp_path("ref.json");
   {
-    SweepRunner sweep({}, fake_result);
+    SweepRunner sweep({}, keyed("K"), fake_result);
     SweepRunner::write_results(ref_out, sweep.run(workloads));
   }
 
@@ -243,13 +214,13 @@ TEST(SweepRunnerTest, InterruptedAndResumedSweepWritesIdenticalBytes) {
   {
     SweepOptions opts;
     opts.checkpoint_path = ckpt;
-    SweepRunner sweep(opts, fake_result);
+    SweepRunner sweep(opts, keyed("K"), fake_result);
     sweep.run(first_workloads(3));  // killed here
   }
   {
     SweepOptions opts;
     opts.checkpoint_path = ckpt;
-    SweepRunner sweep(opts, fake_result);
+    SweepRunner sweep(opts, keyed("K"), fake_result);
     SweepRunner::write_results(out, sweep.run(workloads));
     EXPECT_EQ(sweep.resumed(), 3);
   }
@@ -271,8 +242,7 @@ TEST(SweepRunnerTest, FailedPairIsRetriedOnResume) {
   {
     SweepOptions opts;
     opts.checkpoint_path = ckpt;
-    opts.max_attempts = 1;
-    SweepRunner sweep(opts, [&](const Workload& w) -> CoRunResult {
+    SweepRunner sweep(opts, keyed("K"), [&](const Workload& w) -> CoRunResult {
       if (w.label() == bad) throw std::runtime_error("flaky machine");
       return fake_result(w);
     });
@@ -285,7 +255,7 @@ TEST(SweepRunnerTest, FailedPairIsRetriedOnResume) {
     SweepOptions opts;
     opts.checkpoint_path = ckpt;
     int calls = 0;
-    SweepRunner sweep(opts, [&](const Workload& w) {
+    SweepRunner sweep(opts, keyed("K"), [&](const Workload& w) {
       ++calls;
       return fake_result(w);
     });
@@ -298,13 +268,99 @@ TEST(SweepRunnerTest, FailedPairIsRetriedOnResume) {
   std::remove(ckpt.c_str());
 }
 
+/// What one sweep over a checkpoint did.
+struct KeyedSweep {
+  int calls = 0;
+  int resumed = 0;
+  int torn = 0;
+  std::vector<SweepEntry> entries;
+};
+
+/// The fake co-run of `w` at run length `cycles`.
+std::string result_at(const Workload& w, Cycle cycles) {
+  CoRunResult r = fake_result(w);
+  r.cycles = cycles;
+  return SweepRunner::to_json(r);
+}
+
+/// Sweeps `workloads` over `ckpt` with fake co-runs of `cycles` cycles,
+/// keyed by that length the way the CLI's fingerprint covers --cycles.
+KeyedSweep sweep_at(Cycle cycles, const std::string& ckpt,
+                    const std::vector<Workload>& workloads) {
+  KeyedSweep out;
+  SweepOptions opts;
+  opts.checkpoint_path = ckpt;
+  SweepRunner sweep(opts, keyed("cycles=" + std::to_string(cycles)),
+                    [&](const Workload& w) {
+                      ++out.calls;
+                      CoRunResult r = fake_result(w);
+                      r.cycles = cycles;
+                      return r;
+                    });
+  out.entries = sweep.run(workloads);
+  out.resumed = sweep.resumed();
+  out.torn = sweep.torn_lines_skipped();
+  return out;
+}
+
+TEST(SweepRunnerTest, ResumeReplaysOnlyMatchingKeys) {
+  // A line stands in for a pair only under the key it was written with, so
+  // a resume under other arguments re-runs every pair instead of replaying
+  // results from another co-run.
+  const std::string ckpt = temp_path("keys.jsonl");
+  std::remove(ckpt.c_str());
+  const auto workloads = first_workloads(3);
+  EXPECT_EQ(sweep_at(20'000, ckpt, workloads).calls, 3);
+
+  // Other keys: every pair re-runs and appends its lines beside the old
+  // ones, which are neither replayed nor counted as torn.
+  const KeyedSweep longer = sweep_at(30'000, ckpt, workloads);
+  EXPECT_EQ(longer.calls, 3);
+  EXPECT_EQ(longer.resumed, 0);
+  EXPECT_EQ(longer.torn, 0);
+  for (std::size_t i = 0; i < workloads.size(); ++i) {
+    EXPECT_EQ(longer.entries[i].result_json, result_at(workloads[i], 30'000));
+  }
+
+  // The file now holds both sets; each key replays exactly its own.
+  for (const Cycle cycles : {Cycle{20'000}, Cycle{30'000}}) {
+    SCOPED_TRACE(cycles);
+    const KeyedSweep again = sweep_at(cycles, ckpt, workloads);
+    EXPECT_EQ(again.calls, 0);
+    EXPECT_EQ(again.resumed, 3);
+    EXPECT_EQ(again.torn, 0);
+    for (std::size_t i = 0; i < workloads.size(); ++i) {
+      EXPECT_TRUE(again.entries[i].from_checkpoint);
+      EXPECT_EQ(again.entries[i].result_json, result_at(workloads[i], cycles));
+    }
+  }
+
+  // A line without a key, as checkpoints were written before lines carried
+  // one, cannot say which co-run it holds: it is skipped as stale and its
+  // pair re-runs.
+  const auto four = first_workloads(4);
+  {
+    std::ofstream out(ckpt, std::ios::app);
+    out << "{\"label\":\"" << four[3].label()
+        << "\",\"ok\":true,\"attempts\":1,\"result\":"
+        << result_at(four[3], 20'000) << "}\n";
+  }
+  const KeyedSweep upgraded = sweep_at(20'000, ckpt, four);
+  EXPECT_EQ(upgraded.calls, 1);
+  EXPECT_EQ(upgraded.resumed, 3);
+  EXPECT_EQ(upgraded.torn, 1);
+  EXPECT_FALSE(upgraded.entries[3].from_checkpoint);
+  EXPECT_EQ(upgraded.entries[3].result_json, result_at(four[3], 20'000));
+  std::remove(ckpt.c_str());
+}
+
 TEST(SweepRunnerTest, TornCheckpointLineIsIgnored) {
   const std::string ckpt = temp_path("torn.jsonl");
   const auto workloads = first_workloads(2);
   {
     SweepOptions opts;
     opts.checkpoint_path = ckpt;
-    SweepRunner sweep(opts, fake_result);
+    SweepRunner sweep(opts, keyed("K"), fake_result);
     sweep.run(first_workloads(1));
   }
   // Simulate a crash mid-write: append half a line.
@@ -315,7 +371,7 @@ TEST(SweepRunnerTest, TornCheckpointLineIsIgnored) {
   SweepOptions opts;
   opts.checkpoint_path = ckpt;
   int calls = 0;
-  SweepRunner sweep(opts, [&](const Workload& w) {
+  SweepRunner sweep(opts, keyed("K"), [&](const Workload& w) {
     ++calls;
     return fake_result(w);
   });
@@ -333,13 +389,13 @@ TEST(SweepRunnerTest, CleanCheckpointReportsNoTornLines) {
   {
     SweepOptions opts;
     opts.checkpoint_path = ckpt;
-    SweepRunner sweep(opts, fake_result);
+    SweepRunner sweep(opts, keyed("K"), fake_result);
     sweep.run(workloads);
     EXPECT_EQ(sweep.torn_lines_skipped(), 0);
   }
   SweepOptions opts;
   opts.checkpoint_path = ckpt;
-  SweepRunner sweep(opts, fake_result);
+  SweepRunner sweep(opts, keyed("K"), fake_result);
   sweep.run(workloads);
   EXPECT_EQ(sweep.torn_lines_skipped(), 0);
   EXPECT_EQ(sweep.resumed(), 2);
@@ -352,22 +408,22 @@ TEST(SweepRunnerTest, ResumeSealsTornTailBeforeAppending) {
   {
     SweepOptions opts;
     opts.checkpoint_path = ckpt;
-    SweepRunner sweep(opts, fake_result);
+    SweepRunner sweep(opts, keyed("K"), fake_result);
     sweep.run(first_workloads(1));
   }
   // A torn fragment that already reached its "result" object: if a resume
   // appends straight after it, the glued line parses as the fragment's
-  // label with the appended pair's payload.
+  // key with the appended pair's payload.
   {
     std::ofstream out(ckpt, std::ios::app);
-    out << "{\"label\":\"" << workloads[1].label()
-        << "\",\"ok\":true,\"attempts\":1,\"result\":{\"label\":\""
+    out << "{\"key\":\"K/" << workloads[1].label() << "\",\"label\":\""
+        << workloads[1].label() << "\",\"ok\":true,\"result\":{\"label\":\""
         << workloads[1].label() << "\",\"cyc";
   }
   {
     SweepOptions opts;
     opts.checkpoint_path = ckpt;
-    SweepRunner sweep(opts, fake_result);
+    SweepRunner sweep(opts, keyed("K"), fake_result);
     sweep.run(workloads);
   }
   // A second resume over the repaired checkpoint must replay both pairs
@@ -375,7 +431,7 @@ TEST(SweepRunnerTest, ResumeSealsTornTailBeforeAppending) {
   SweepOptions opts;
   opts.checkpoint_path = ckpt;
   int calls = 0;
-  SweepRunner sweep(opts, [&](const Workload& w) {
+  SweepRunner sweep(opts, keyed("K"), [&](const Workload& w) {
     ++calls;
     return fake_result(w);
   });
@@ -411,16 +467,10 @@ TEST(SweepRunnerTest, ToJsonIsDeterministic) {
             std::string::npos);
 }
 
-TEST(SweepRunnerTest, RejectsZeroAttempts) {
-  SweepOptions opts;
-  opts.max_attempts = 0;
-  EXPECT_THROW(SweepRunner(opts, fake_result), SimError);
-}
-
 TEST(SweepRunnerTest, RejectsNegativeJobs) {
   SweepOptions opts;
   opts.jobs = -1;
-  EXPECT_THROW(SweepRunner(opts, fake_result), SimError);
+  EXPECT_THROW(SweepRunner(opts, keyed("K"), fake_result), SimError);
 }
 
 // --- parallel sweep (jobs > 1): same bytes, same crash-safety ---
@@ -429,7 +479,7 @@ std::string sweep_and_serialize(
     SweepOptions opts, const std::vector<Workload>& workloads,
     const std::string& tag, const SweepRunner::RunFn& run_fn = fake_result) {
   const std::string out = temp_path(tag + ".json");
-  SweepRunner sweep(opts, run_fn);
+  SweepRunner sweep(opts, keyed("K"), run_fn);
   SweepRunner::write_results(out, sweep.run(workloads));
   const std::string text = slurp(out);
   std::remove(out.c_str());
@@ -464,7 +514,7 @@ TEST(SweepRunnerParallelTest, InterruptedParallelSweepResumesByteIdentical) {
     SweepOptions opts;
     opts.checkpoint_path = ckpt;
     opts.jobs = 4;
-    SweepRunner sweep(opts, fake_result);
+    SweepRunner sweep(opts, keyed("K"), fake_result);
     sweep.run(first_workloads(4));  // killed here
   }
   {
@@ -475,7 +525,7 @@ TEST(SweepRunnerParallelTest, InterruptedParallelSweepResumesByteIdentical) {
   opts.checkpoint_path = ckpt;
   opts.jobs = 8;
   const std::string out = temp_path("par_resumed.json");
-  SweepRunner sweep(opts, fake_result);
+  SweepRunner sweep(opts, keyed("K"), fake_result);
   SweepRunner::write_results(out, sweep.run(workloads));
   EXPECT_EQ(sweep.resumed(), 4);
   EXPECT_EQ(expected, slurp(out));
@@ -483,39 +533,12 @@ TEST(SweepRunnerParallelTest, InterruptedParallelSweepResumesByteIdentical) {
   std::remove(out.c_str());
 }
 
-TEST(SweepRunnerParallelTest, FlakyPairIsRetriedOnItsWorker) {
-  const auto workloads = first_workloads(6);
-  const std::string flaky = workloads[2].label();
-  std::mutex mu;
-  std::map<std::string, int> calls;
-  SweepOptions opts;
-  opts.max_attempts = 3;
-  opts.jobs = 4;
-  SweepRunner sweep(opts, [&](const Workload& w) {
-    int attempt;
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      attempt = ++calls[w.label()];
-    }
-    if (w.label() == flaky && attempt < 3) {
-      throw std::runtime_error("transient failure");
-    }
-    return fake_result(w);
-  });
-  const auto entries = sweep.run(workloads);
-  ASSERT_EQ(entries.size(), 6u);
-  EXPECT_TRUE(entries[2].ok);
-  EXPECT_EQ(entries[2].attempts, 3);
-  EXPECT_EQ(sweep.attempts_spent(), 8);
-}
-
 TEST(SweepRunnerParallelTest, FailFastRethrowsLowestIndexFailure) {
   const auto workloads = first_workloads(6);
   SweepOptions opts;
-  opts.max_attempts = 1;
   opts.fail_fast = true;
   opts.jobs = 8;
-  SweepRunner sweep(opts, [&](const Workload&) -> CoRunResult {
+  SweepRunner sweep(opts, keyed("K"), [&](const Workload&) -> CoRunResult {
     throw std::runtime_error("broken pair");
   });
   try {
@@ -558,11 +581,11 @@ TEST(SweepRunnerParallelTest, OneConstRunnerServesEveryWorker) {
 TEST(SweepRunnerParallelTest, JobsZeroMeansHardwareConcurrency) {
   SweepOptions opts;
   opts.jobs = 0;
-  SweepRunner sweep(opts, fake_result);
+  SweepRunner sweep(opts, keyed("K"), fake_result);
   const int hw = static_cast<int>(
       std::max(1u, std::thread::hardware_concurrency()));
-  EXPECT_EQ(sweep.effective_jobs(1000), hw);
-  EXPECT_EQ(sweep.effective_jobs(1), 1);  // never more workers than pairs
+  EXPECT_EQ(resolve_jobs(0, 1000), hw);
+  EXPECT_EQ(resolve_jobs(0, 1), 1);  // never more workers than pairs
   const auto entries = sweep.run(first_workloads(3));
   ASSERT_EQ(entries.size(), 3u);
   for (const SweepEntry& e : entries) EXPECT_TRUE(e.ok);
@@ -576,7 +599,7 @@ TEST(SweepRunnerParallelTest, WorkersOverlapInTime) {
   std::atomic<int> max_in_flight{0};
   SweepOptions opts;
   opts.jobs = 4;
-  SweepRunner sweep(opts, [&](const Workload& w) {
+  SweepRunner sweep(opts, keyed("K"), [&](const Workload& w) {
     const int now = ++in_flight;
     int seen = max_in_flight.load();
     while (now > seen && !max_in_flight.compare_exchange_weak(seen, now)) {

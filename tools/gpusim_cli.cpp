@@ -152,11 +152,17 @@ int run_sweep(const std::string& which, const RunConfig& rc,
   }
 
   // One const runner serves every worker: it holds no mutable state, and
-  // each run builds its own simulations.
+  // each run builds its own simulations.  A checkpoint line stands in for a
+  // pair only when it carries the fingerprint of the co-run run() would
+  // assemble, so a resume under other arguments re-runs the pair.
   const ExperimentRunner runner(rc);
-  SweepRunner sweep(opts, [&runner, &models](const Workload& w) {
-    return runner.run(w, models);
-  });
+  SweepRunner sweep(
+      opts,
+      [&runner, &models](const Workload& w) {
+        return std::to_string(corun_fingerprint(
+            runner.config(), w, models, PolicyKind::kEven, nullptr));
+      },
+      [&runner, &models](const Workload& w) { return runner.run(w, models); });
   const std::vector<SweepEntry> entries = sweep.run(workloads);
   if (shutdown_requested()) {
     std::cerr << "gpusim: sweep interrupted — finished pairs are in "
@@ -171,8 +177,7 @@ int run_sweep(const std::string& which, const RunConfig& rc,
   for (const SweepEntry& e : entries) {
     if (!e.ok) {
       ++failed;
-      std::cerr << "failed pair " << e.label << " after " << e.attempts
-                << " attempts: " << e.error << '\n';
+      std::cerr << "failed pair " << e.label << ": " << e.error << '\n';
     }
   }
   const int torn = sweep.torn_lines_skipped();
@@ -314,14 +319,6 @@ int main(int argc, char** argv) {
         break;
       case FlagId::kOut:
         out_path = value;
-        break;
-      case FlagId::kRetries:
-        sweep_opts.max_attempts =
-            static_cast<int>(parse_u64(argv[0], arg, value, 1));
-        break;
-      case FlagId::kBackoffMs:
-        sweep_opts.backoff_ms =
-            static_cast<int>(parse_u64(argv[0], arg, value, 0));
         break;
       case FlagId::kFailFast:
         sweep_opts.fail_fast = true;
