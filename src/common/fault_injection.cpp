@@ -170,83 +170,4 @@ FaultSchedule FaultSchedule::parse(const std::string& spec) {
   return sched;
 }
 
-namespace {
-
-// One entry per GpuConfig::validate() rule.  Growing validate() without a
-// matching corruption here leaves the new rule untested — the SimGuard
-// config test iterates this whole table and asserts every mutation is
-// rejected.
-struct ConfigCorruption {
-  const char* name;
-  void (*apply)(GpuConfig&);
-};
-
-const ConfigCorruption kCorruptions[] = {
-    {"num_sms=0", [](GpuConfig& c) { c.num_sms = 0; }},
-    // Port bitmasks are 64 bits wide.
-    {"num_sms=65", [](GpuConfig& c) { c.num_sms = 65; }},
-    {"max_warps_per_sm=0", [](GpuConfig& c) { c.max_warps_per_sm = 0; }},
-    // Warp masks are 64 bits wide.
-    {"max_warps_per_sm=65", [](GpuConfig& c) { c.max_warps_per_sm = 65; }},
-    {"max_blocks_per_sm=0", [](GpuConfig& c) { c.max_blocks_per_sm = 0; }},
-    {"num_partitions=0", [](GpuConfig& c) { c.num_partitions = 0; }},
-    {"num_partitions=65", [](GpuConfig& c) { c.num_partitions = 65; }},
-    {"banks_per_mc=0", [](GpuConfig& c) { c.banks_per_mc = 0; }},
-    // Bank bitmasks are 32 bits wide.
-    {"banks_per_mc=64", [](GpuConfig& c) { c.banks_per_mc = 64; }},
-    // Not a power of two.
-    {"line_bytes=100", [](GpuConfig& c) { c.line_bytes = 100; }},
-    // 10000 / (128 * 4) does not divide into whole sets.
-    {"l1_size_bytes=10000", [](GpuConfig& c) { c.l1_size_bytes = 10000; }},
-    // 100000 / (128 * 8) does not divide into whole sets.
-    {"l2_partition_bytes=100000",
-     [](GpuConfig& c) { c.l2_partition_bytes = 100000; }},
-    // Not a multiple of line_bytes.
-    {"row_bytes=2000", [](GpuConfig& c) { c.row_bytes = 2000; }},
-    {"atd_sampled_sets=0", [](GpuConfig& c) { c.atd_sampled_sets = 0; }},
-    // > l2_num_sets().
-    {"atd_sampled_sets=1<<20",
-     [](GpuConfig& c) { c.atd_sampled_sets = 1 << 20; }},
-    {"estimation_interval=0", [](GpuConfig& c) { c.estimation_interval = 0; }},
-    {"requestmax_factor=-0.5",
-     [](GpuConfig& c) { c.requestmax_factor = -0.5; }},
-    {"requestmax_factor=1.5", [](GpuConfig& c) { c.requestmax_factor = 1.5; }},
-    {"dram_clock_ratio=0", [](GpuConfig& c) { c.dram_clock_ratio = 0.0; }},
-    {"dram_queue_capacity=0", [](GpuConfig& c) { c.dram_queue_capacity = 0; }},
-    {"noc_queue_depth=0", [](GpuConfig& c) { c.noc_queue_depth = 0; }},
-    {"partition_resp_queue_depth=-1",
-     [](GpuConfig& c) { c.partition_resp_queue_depth = -1; }},
-    {"flight_recorder_events=-1",
-     [](GpuConfig& c) { c.flight_recorder_events = -1; }},
-    {"flight_recorder_events=1<<21",
-     [](GpuConfig& c) { c.flight_recorder_events = 1 << 21; }},
-    // Shorter than one estimation epoch.
-    {"governor_drain_budget<estimation_interval",
-     [](GpuConfig& c) { c.governor_drain_budget = c.estimation_interval - 1; }},
-    {"governor_max_delta=0", [](GpuConfig& c) { c.governor_max_delta = 0; }},
-    {"governor_starvation_window=0",
-     [](GpuConfig& c) { c.governor_starvation_window = 0; }},
-    // Flap detection needs at least A->B->A.
-    {"governor_thrash_window=1",
-     [](GpuConfig& c) { c.governor_thrash_window = 1; }},
-    {"governor_breaker_trips=0",
-     [](GpuConfig& c) { c.governor_breaker_trips = 0; }},
-    {"governor_jump_bound=1.0",
-     [](GpuConfig& c) { c.governor_jump_bound = 1.0; }},
-};
-
-}  // namespace
-
-std::size_t corruption_rule_count() {
-  return sizeof(kCorruptions) / sizeof(kCorruptions[0]);
-}
-
-const char* corruption_rule_name(std::size_t index) {
-  return kCorruptions[index % corruption_rule_count()].name;
-}
-
-void corrupt_config(GpuConfig& cfg, u64 seed) {
-  kCorruptions[seed % corruption_rule_count()].apply(cfg);
-}
-
 }  // namespace gpusim

@@ -24,7 +24,6 @@
 #include <string>
 #include <vector>
 
-#include "common/config.hpp"
 #include "common/rng.hpp"
 #include "common/simstate.hpp"
 #include "common/types.hpp"
@@ -185,19 +184,5 @@ class FaultInjector {
   u64 requests_seen_ = 0;
   u64 requests_dropped_ = 0;
 };
-
-/// Number of distinct config-corruption rules in the table below.
-std::size_t corruption_rule_count();
-
-/// Human-readable name of corruption rule `index` (for test diagnostics).
-const char* corruption_rule_name(std::size_t index);
-
-/// Deterministically corrupts one configuration field (`seed %
-/// corruption_rule_count()` selects which).  The table covers every
-/// GpuConfig::validate() rule, so iterating seed over [0, rule_count)
-/// proves the config layer rejects each class of garbage before a
-/// simulation can silently run with it — and a validate() rule added
-/// without a matching corruption shows up as an uncovered table entry.
-void corrupt_config(GpuConfig& cfg, u64 seed);
 
 }  // namespace gpusim

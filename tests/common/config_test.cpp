@@ -46,6 +46,8 @@ TEST(ConfigTest, TimePerRequestIsBurstTime) {
   EXPECT_EQ(cfg.time_per_request(), cfg.t_burst());
 }
 
+// The validate() coverage table: at least one row per GpuConfig::validate()
+// rule, so a rule added there without a row here goes untested.
 struct BadConfigCase {
   const char* name;
   void (*mutate)(GpuConfig&);
@@ -63,6 +65,8 @@ INSTANTIATE_TEST_SUITE_P(
     AllInvalidFields, ConfigValidationTest,
     ::testing::Values(
         BadConfigCase{"zero_sms", [](GpuConfig& c) { c.num_sms = 0; }},
+        // Port bitmasks are 64 bits wide.
+        BadConfigCase{"too_many_sms", [](GpuConfig& c) { c.num_sms = 65; }},
         BadConfigCase{"zero_warps",
                       [](GpuConfig& c) { c.max_warps_per_sm = 0; }},
         BadConfigCase{"too_many_warps",
@@ -71,7 +75,12 @@ INSTANTIATE_TEST_SUITE_P(
                       [](GpuConfig& c) { c.max_blocks_per_sm = 0; }},
         BadConfigCase{"zero_partitions",
                       [](GpuConfig& c) { c.num_partitions = 0; }},
+        BadConfigCase{"too_many_partitions",
+                      [](GpuConfig& c) { c.num_partitions = 65; }},
         BadConfigCase{"zero_banks", [](GpuConfig& c) { c.banks_per_mc = 0; }},
+        // Bank bitmasks are 32 bits wide.
+        BadConfigCase{"too_many_banks",
+                      [](GpuConfig& c) { c.banks_per_mc = 64; }},
         BadConfigCase{"odd_line_bytes",
                       [](GpuConfig& c) { c.line_bytes = 100; }},
         BadConfigCase{"short_line_bytes",
@@ -90,14 +99,24 @@ INSTANTIATE_TEST_SUITE_P(
                       [](GpuConfig& c) { c.estimation_interval = 0; }},
         BadConfigCase{"bad_factor_low",
                       [](GpuConfig& c) { c.requestmax_factor = 0.0; }},
+        BadConfigCase{"negative_factor",
+                      [](GpuConfig& c) { c.requestmax_factor = -0.5; }},
         BadConfigCase{"bad_factor_high",
                       [](GpuConfig& c) { c.requestmax_factor = 1.5; }},
         BadConfigCase{"bad_ratio",
                       [](GpuConfig& c) { c.dram_clock_ratio = -1.0; }},
+        BadConfigCase{"zero_ratio",
+                      [](GpuConfig& c) { c.dram_clock_ratio = 0.0; }},
         BadConfigCase{"zero_queue",
                       [](GpuConfig& c) { c.dram_queue_capacity = 0; }},
         BadConfigCase{"zero_noc_queue",
                       [](GpuConfig& c) { c.noc_queue_depth = 0; }},
+        BadConfigCase{"negative_resp_queue",
+                      [](GpuConfig& c) { c.partition_resp_queue_depth = -1; }},
+        BadConfigCase{"negative_flight_recorder",
+                      [](GpuConfig& c) { c.flight_recorder_events = -1; }},
+        BadConfigCase{"huge_flight_recorder",
+                      [](GpuConfig& c) { c.flight_recorder_events = 1 << 21; }},
         BadConfigCase{"governor_budget_below_interval",
                       [](GpuConfig& c) {
                         c.governor_drain_budget = c.estimation_interval - 1;
