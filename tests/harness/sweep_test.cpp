@@ -12,7 +12,6 @@
 #include <fstream>
 #include <functional>
 #include <map>
-#include <mutex>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -103,6 +102,8 @@ TEST(SweepRunnerTest, EveryFailureRunsOnce) {
       [] { throw SimError(SimErrorKind::kBudgetExceeded, "test", "budget"); },
       [] { throw std::runtime_error("helper thread did not start"); },
   };
+  const char* errors[] = {"stall", "leak", "budget",
+                          "helper thread did not start"};
   std::map<std::string, int> calls;
   SweepOptions opts;
   opts.checkpoint_path = ckpt;
@@ -114,22 +115,15 @@ TEST(SweepRunnerTest, EveryFailureRunsOnce) {
     return fake_result(w);
   });
   const auto entries = sweep.run(workloads);
-  const char* errors[] = {"stall", "leak", "budget",
-                          "helper thread did not start"};
   for (std::size_t i = 0; i < workloads.size(); ++i) {
     EXPECT_EQ(calls[workloads[i].label()], 1) << i;
     EXPECT_FALSE(entries[i].ok) << i;
     EXPECT_NE(entries[i].error.find(errors[i]), std::string::npos)
         << entries[i].error;
   }
-  std::istringstream lines(slurp(ckpt));
-  std::string line;
-  int failed_lines = 0;
-  while (std::getline(lines, line)) {
-    EXPECT_NE(line.find("\"ok\":false"), std::string::npos) << line;
-    ++failed_lines;
-  }
-  EXPECT_EQ(failed_lines, 4);
+  const std::string lines = slurp(ckpt);
+  EXPECT_EQ(std::count(lines.begin(), lines.end(), '\n'), 4);
+  EXPECT_EQ(lines.find("\"ok\":true"), std::string::npos) << lines;
   std::remove(ckpt.c_str());
 }
 
@@ -268,89 +262,53 @@ TEST(SweepRunnerTest, FailedPairIsRetriedOnResume) {
   std::remove(ckpt.c_str());
 }
 
-/// What one sweep over a checkpoint did.
-struct KeyedSweep {
-  int calls = 0;
-  int resumed = 0;
-  int torn = 0;
-  std::vector<SweepEntry> entries;
-};
-
-/// The fake co-run of `w` at run length `cycles`.
-std::string result_at(const Workload& w, Cycle cycles) {
-  CoRunResult r = fake_result(w);
-  r.cycles = cycles;
-  return SweepRunner::to_json(r);
-}
-
-/// Sweeps `workloads` over `ckpt` with fake co-runs of `cycles` cycles,
-/// keyed by that length the way the CLI's fingerprint covers --cycles.
-KeyedSweep sweep_at(Cycle cycles, const std::string& ckpt,
-                    const std::vector<Workload>& workloads) {
-  KeyedSweep out;
-  SweepOptions opts;
-  opts.checkpoint_path = ckpt;
-  SweepRunner sweep(opts, keyed("cycles=" + std::to_string(cycles)),
-                    [&](const Workload& w) {
-                      ++out.calls;
-                      CoRunResult r = fake_result(w);
-                      r.cycles = cycles;
-                      return r;
-                    });
-  out.entries = sweep.run(workloads);
-  out.resumed = sweep.resumed();
-  out.torn = sweep.torn_lines_skipped();
-  return out;
-}
-
 TEST(SweepRunnerTest, ResumeReplaysOnlyMatchingKeys) {
   // A line stands in for a pair only under the key it was written with, so
   // a resume under other arguments re-runs every pair instead of replaying
   // results from another co-run.
   const std::string ckpt = temp_path("keys.jsonl");
   std::remove(ckpt.c_str());
-  const auto workloads = first_workloads(3);
-  EXPECT_EQ(sweep_at(20'000, ckpt, workloads).calls, 3);
-
+  const auto workloads = first_workloads(4);
+  // Sweeps the first `n` workloads with fake co-runs of `cycles` cycles,
+  // keyed by that length as the CLI's fingerprint covers --cycles, and
+  // returns how many pairs ran.
+  const auto sweep = [&](Cycle cycles, int n, int resumed, int torn) {
+    int calls = 0;
+    SweepOptions opts;
+    opts.checkpoint_path = ckpt;
+    SweepRunner runner(opts, keyed("cycles=" + std::to_string(cycles)),
+                       [&](const Workload& w) {
+                         ++calls;
+                         CoRunResult r = fake_result(w);
+                         r.cycles = cycles;
+                         return r;
+                       });
+    const std::string length = "\"cycles\":" + std::to_string(cycles) + ",";
+    for (const SweepEntry& e : runner.run(first_workloads(n))) {
+      EXPECT_NE(e.result_json.find(length), std::string::npos)
+          << e.result_json;
+    }
+    EXPECT_EQ(runner.resumed(), resumed);
+    EXPECT_EQ(runner.torn_lines_skipped(), torn);
+    return calls;
+  };
+  EXPECT_EQ(sweep(20'000, 3, 0, 0), 3);
   // Other keys: every pair re-runs and appends its lines beside the old
   // ones, which are neither replayed nor counted as torn.
-  const KeyedSweep longer = sweep_at(30'000, ckpt, workloads);
-  EXPECT_EQ(longer.calls, 3);
-  EXPECT_EQ(longer.resumed, 0);
-  EXPECT_EQ(longer.torn, 0);
-  for (std::size_t i = 0; i < workloads.size(); ++i) {
-    EXPECT_EQ(longer.entries[i].result_json, result_at(workloads[i], 30'000));
-  }
-
+  EXPECT_EQ(sweep(30'000, 3, 0, 0), 3);
   // The file now holds both sets; each key replays exactly its own.
-  for (const Cycle cycles : {Cycle{20'000}, Cycle{30'000}}) {
-    SCOPED_TRACE(cycles);
-    const KeyedSweep again = sweep_at(cycles, ckpt, workloads);
-    EXPECT_EQ(again.calls, 0);
-    EXPECT_EQ(again.resumed, 3);
-    EXPECT_EQ(again.torn, 0);
-    for (std::size_t i = 0; i < workloads.size(); ++i) {
-      EXPECT_TRUE(again.entries[i].from_checkpoint);
-      EXPECT_EQ(again.entries[i].result_json, result_at(workloads[i], cycles));
-    }
-  }
-
-  // A line without a key, as checkpoints were written before lines carried
-  // one, cannot say which co-run it holds: it is skipped as stale and its
-  // pair re-runs.
-  const auto four = first_workloads(4);
+  EXPECT_EQ(sweep(20'000, 3, 3, 0), 0);
+  EXPECT_EQ(sweep(30'000, 3, 3, 0), 0);
+  // A line without a key, as lines were written before they carried one,
+  // cannot say which co-run it holds: it is skipped as stale and its pair
+  // re-runs.
   {
     std::ofstream out(ckpt, std::ios::app);
-    out << "{\"label\":\"" << four[3].label()
+    out << "{\"label\":\"" << workloads[3].label()
         << "\",\"ok\":true,\"attempts\":1,\"result\":"
-        << result_at(four[3], 20'000) << "}\n";
+        << SweepRunner::to_json(fake_result(workloads[3])) << "}\n";
   }
-  const KeyedSweep upgraded = sweep_at(20'000, ckpt, four);
-  EXPECT_EQ(upgraded.calls, 1);
-  EXPECT_EQ(upgraded.resumed, 3);
-  EXPECT_EQ(upgraded.torn, 1);
-  EXPECT_FALSE(upgraded.entries[3].from_checkpoint);
-  EXPECT_EQ(upgraded.entries[3].result_json, result_at(four[3], 20'000));
+  EXPECT_EQ(sweep(20'000, 4, 3, 1), 1);
   std::remove(ckpt.c_str());
 }
 
