@@ -75,7 +75,7 @@ struct SweepEntry {
   bool ok = false;
   /// True when the entry was taken from the checkpoint instead of re-run.
   bool from_checkpoint = false;
-  /// Last error message when !ok.
+  /// The error message when !ok.
   std::string error;
   /// Serialized CoRunResult (the checkpoint line's "result" object,
   /// verbatim) when ok.

@@ -6,8 +6,9 @@
 # activity-engine equivalence suite, and verify a snapshotted + resumed
 # run's report is byte-identical to an uninterrupted one, as are a sweep's
 # results at any worker count and after a resume past a torn checkpoint
-# line.  A clean pass means the execution-strategy knobs cannot change
-# simulated output.
+# line, and that a checkpoint resumed under another --cycles re-runs its
+# pairs instead of replaying them.  A clean pass means the
+# execution-strategy knobs cannot change simulated output.
 #
 #   tools/check_determinism.sh [build-dir]     (default: build)
 #
@@ -139,5 +140,16 @@ if [[ "$RC" != "5" ]]; then
   exit 1
 fi
 cmp "$TMP/torn-ref.json" "$TMP/torn-resumed.json"
+
+# Stale checkpoint: each line carries its co-run's fingerprint, which
+# covers --cycles, so a resume at another length must write what a fresh
+# run at that length writes, not the old length's results.
+echo "== stale sweep checkpoint: a resume at another --cycles re-runs"
+"$CLI" --sweep random:2 --cycles 20000 \
+       --checkpoint "$TMP/stale.jsonl" --out "$TMP/stale-20k.json" > /dev/null
+"$CLI" --sweep random:2 --cycles 30000 \
+       --checkpoint "$TMP/stale.jsonl" --out "$TMP/stale-30k.json" > /dev/null
+"$CLI" --sweep random:2 --cycles 30000 --out "$TMP/fresh-30k.json" > /dev/null
+cmp "$TMP/stale-30k.json" "$TMP/fresh-30k.json"
 
 echo "determinism check: OK"

@@ -152,9 +152,10 @@ int run_sweep(const std::string& which, const RunConfig& rc,
   }
 
   // One const runner serves every worker: it holds no mutable state, and
-  // each run builds its own simulations.  A checkpoint line stands in for a
-  // pair only when it carries the fingerprint of the co-run run() would
-  // assemble, so a resume under other arguments re-runs the pair.
+  // each run builds its own simulations.  A pair's key is the fingerprint
+  // of the co-run runner.run(w, models) assembles, so the two functions
+  // must name the same co-run; a checkpoint line then replays only into
+  // the co-run it recorded.
   const ExperimentRunner runner(rc);
   SweepRunner sweep(
       opts,
