@@ -152,10 +152,12 @@ void atomic_write_file(const std::string& path, const std::string& text,
   }
 }
 
-Ledger::Ledger(std::string path, std::string component, const Accept& accept)
+Ledger::Ledger(std::string path, std::string component, const Accept& accept,
+               Skipped skipped)
     : path_(std::move(path)), component_(std::move(component)) {
   if (path_.empty()) return;
   bool torn_tail = false;
+  std::string kept;  // the accepted lines, under Skipped::kDrop
   {
     std::ifstream in(path_, std::ios::binary);
     std::string line;
@@ -167,7 +169,10 @@ Ledger::Ledger(std::string path, std::string component, const Accept& accept)
       torn_tail = in.eof();
       if (line.empty()) continue;  // padding from an earlier seal
       const bool truncated = line.back() != '}';
-      if (!truncated && accept(line)) continue;
+      if (!truncated && accept(line)) {
+        if (skipped == Skipped::kDrop) kept += line + '\n';
+        continue;
+      }
       ++torn_lines_;
       std::fprintf(stderr,
                    "gpusim: %s: %s line %d is %s — skipping it; its unit will "
@@ -176,6 +181,10 @@ Ledger::Ledger(std::string path, std::string component, const Accept& accept)
                    truncated ? "truncated (crash mid-write?)"
                              : "unreadable or stale");
     }
+  }
+  if (skipped == Skipped::kDrop && torn_lines_ != 0) {
+    atomic_write_file(path_, kept, component_);
+    torn_tail = false;
   }
   out_.open(path_, std::ios::binary | std::ios::app);
   SIM_CHECK(out_.good(), SimError(SimErrorKind::kHarness, component_,

@@ -64,13 +64,22 @@ void atomic_write_file(const std::string& path, const std::string& text,
 /// engine.  Construction loads the existing file: each non-empty line that
 /// ends in '}' is handed to `accept`, in file order; a line that does not,
 /// or that `accept` rejects, is torn — warned about on stderr, counted and
-/// skipped.  Then a torn tail is sealed and the file is opened for append.
-/// An empty path means no file: nothing loads and append() is a no-op.
+/// skipped.  Then the skipped lines are kept (a torn tail is sealed) or
+/// dropped, and the file is opened for append.  An empty path means no
+/// file: nothing loads and append() is a no-op.
 class Ledger {
  public:
   using Accept = std::function<bool(const std::string& line)>;
 
-  Ledger(std::string path, std::string component, const Accept& accept);
+  /// What construction does with the lines it skipped.
+  enum class Skipped {
+    kKeep,  ///< leave them in the file and seal a torn tail
+    kDrop,  ///< rewrite the file (atomic_write_file) with only the accepted
+            ///< lines, so the next load skips none
+  };
+
+  Ledger(std::string path, std::string component, const Accept& accept,
+         Skipped skipped = Skipped::kKeep);
 
   /// Appends one whole line and flushes it before returning, under a
   /// mutex: concurrent appends never interleave, and a crash loses at most

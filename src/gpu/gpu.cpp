@@ -1,5 +1,7 @@
 #include "gpu/gpu.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <sstream>
 
 namespace gpusim {
@@ -246,33 +248,45 @@ void Gpu::rebuild_engine_state() {
   // live quiet_at() probes.  The synced cursors stay valid across a rebuild
   // (every dirtying mutator settles them first; SIM_INVARIANT guards the
   // contract), so no accrual is lost or doubled here.
+  req_src_mask_ = 0;
   for (int s = 0; s < cfg_.num_sms; ++s) {
     SIM_INVARIANT(sm_synced_[s] == now_, "gpu.engine",
                   "engine rebuild with unsettled SM accruals");
     sm_wake_[s] = now_;
+    if (!sms_[s]->out_queue().empty()) req_src_mask_ |= u64{1} << s;
   }
+  resp_due_ = kNeverCycle;
   for (int p = 0; p < cfg_.num_partitions; ++p) {
     SIM_INVARIANT(part_synced_[p] == now_, "gpu.engine",
                   "engine rebuild with unsettled partition accruals");
     part_wake_[p] = now_;
+    const BoundedQueue<MemResponsePacket>& q = *part_resp_ptrs_[p];
+    if (!q.empty() && q.front().ready < resp_due_) resp_due_ = q.front().ready;
   }
-  // Every component is due now, and visiting it re-derives its source bit.
-  req_src_mask_ = 0;
-  resp_src_mask_ = 0;
+  compute_sleep_mask_ = 0;
+  compute_sleepers_.fill(0);
   engine_dirty_ = false;
 }
 
 void Gpu::cycle_engine() {
   // Same phase order as cycle_full(), with the injector hooks compiled out
   // (engine_enabled() excludes an injector) and every phase gated on
-  // tracked activity.  A component skipped here is provably quiet: its
-  // cycle() would only have accrued counters, which sync_*_to() settles in
-  // one lump when it wakes.
+  // tracked activity.  A component skipped here is provably quiet or in a
+  // compute run: its cycle() would only have accrued counters or issued
+  // compute instructions of one warp, which sync_*_to() applies in one
+  // lump when it wakes.
 
   // 1. SMs due this cycle: settle owed accruals, deliver matured responses,
   //    advance, then re-arm the wake cycle.
+  u64 started_compute = 0;
   for (int s = 0; s < cfg_.num_sms; ++s) {
     if (sm_wake_[s] > now_) continue;
+    const u64 bit = u64{1} << s;
+    SmCore& sm = *sms_[s];
+    if ((compute_sleep_mask_ & bit) != 0) {
+      compute_sleep_mask_ &= ~bit;
+      --compute_sleepers_[sm.app()];
+    }
     sync_sm_to(s, now_);
     auto& rq = resp_net_.dest_queue(s);
     if (!rq.empty() && rq.front().ready <= now_) {
@@ -281,44 +295,71 @@ void Gpu::cycle_engine() {
       while (!rq.empty() && rq.front().ready <= now_) {
         MemResponsePacket resp = rq.pop();
         taps_.responses_delivered.add(resp.app);
-        sms_[s]->receive(resp);
+        sm.receive(resp);
         ++delivered;
       }
       prof.set_visits(delivered);
     }
     {
       ProfScope prof(profiler_, LoopProfiler::kSmAdvance);
-      sms_[s]->cycle(now_);
+      sm.cycle(now_);
     }
-    const AppId app = sms_[s]->app();
+    const AppId app = sm.app();
     if (app != kInvalidApp) sm_cycles_.add(app);
     sm_synced_[s] = now_ + 1;
-    // Sleep decision: quiet_at() on the post-cycle state proves every
-    // cycle before the next local event or deliverable response is a
-    // pure-accounting no-op for this SM.
+    // Sleep decision on the post-cycle state: quiet_at() proves every cycle
+    // before the next local event or deliverable response a pure-accounting
+    // no-op, and compute_run() bounds the cycles that only issue compute
+    // instructions of the greedy warp.  A response accept or an out-queue
+    // slot the SM waits for wakes it earlier.
     Cycle wake = now_ + 1;
-    if (sms_[s]->quiet_at(now_)) {
-      wake = sms_[s]->wake_after(rq);
-      if (wake <= now_) wake = now_ + 1;
+    if (sm.quiet_at(now_)) {
+      wake = std::max(sm.wake_after(rq), now_ + 1);
+    } else if (const Cycle run = sm.compute_run(); run != 0) {
+      wake = std::max(std::min(now_ + 1 + run, sm.wake_after(rq)), now_ + 1);
+      if (wake > now_ + 1) started_compute |= bit;
     }
     sm_wake_[s] = wake;
-    // An SM with outbound traffic is never quiet, so this bit is refreshed
-    // every cycle it could matter.
-    if (!sms_[s]->out_queue().empty()) {
-      req_src_mask_ |= u64{1} << s;
-    } else {
-      req_src_mask_ &= ~(u64{1} << s);
-    }
+    // Only an SM's own cycle fills its out-queue; the request crossbar
+    // clears the bit when it empties the queue.
+    if (!sm.out_queue().empty()) req_src_mask_ |= bit;
   }
+  // Every SM asleep in a compute run issues one instruction this cycle; the
+  // per-app counter takes it now so reached() and cycle hooks read it
+  // exactly, and the SM's own counters catch up when it is next synced.
+  // SMs whose sleep starts next cycle join afterwards.
+  for (int a = 0; a < num_apps(); ++a) {
+    if (compute_sleepers_[a] != 0) instructions_.add(a, compute_sleepers_[a]);
+  }
+  for (u64 m = started_compute; m != 0; m &= m - 1) {
+    ++compute_sleepers_[sms_[std::countr_zero(m)]->app()];
+  }
+  compute_sleep_mask_ |= started_compute;
 
   // 2. Request crossbar, only when some SM has a packet to inject.  An
   //    accepted packet matures at now + latency; wake its partition then.
+  //    A pop from a full out-queue wakes its SM for the next cycle when the
+  //    SM's head transaction waited for that slot.
   if (req_src_mask_ != 0) {
     ProfScope prof(profiler_, LoopProfiler::kXbarReq);
+    u64 full = 0;
+    for (u64 m = req_src_mask_; m != 0; m &= m - 1) {
+      const int s = std::countr_zero(m);
+      if (sm_out_ptrs_[s]->full()) full |= u64{1} << s;
+    }
     u64 blocked = 0;
     const u64 accepted = req_net_.transfer(
         now_, sm_out_ptrs_, recorder_.enabled() ? &blocked : nullptr);
     recorder_.note_xbar_stall(now_, /*resp_channel=*/false, blocked);
+    for (u64 m = req_src_mask_; m != 0; m &= m - 1) {
+      const int s = std::countr_zero(m);
+      const BoundedQueue<MemRequestPacket>& q = *sm_out_ptrs_[s];
+      if (q.empty()) req_src_mask_ &= ~(u64{1} << s);
+      if (((full >> s) & 1) != 0 && !q.full() && sm_wake_[s] > now_ + 1 &&
+          !sms_[s]->dispatch_blocked()) {
+        sm_wake_[s] = now_ + 1;
+      }
+    }
     if (accepted != 0) {
       const Cycle arrive = now_ + cfg_.noc_latency;
       for (int p = 0; p < cfg_.num_partitions; ++p) {
@@ -345,26 +386,39 @@ void Gpu::cycle_engine() {
       if (wake <= now_) wake = now_ + 1;
     }
     part_wake_[p] = wake;
-    // The bit is set only while the response head is ready: a partition
-    // with a ready head is never quiet, so it is visited, and re-sets the
-    // bit, every cycle until the head leaves; one sleeping on a maturing
-    // head wakes at its ready cycle.
+    // A visit only appends to the response queue, so it can only bring the
+    // earliest head forward.
     const auto& resp = partitions_[p]->resp_queue();
-    if (!resp.empty() && resp.front().ready <= now_) {
-      resp_src_mask_ |= u64{1} << p;
-    } else {
-      resp_src_mask_ &= ~(u64{1} << p);
+    if (!resp.empty() && resp.front().ready < resp_due_) {
+      resp_due_ = resp.front().ready;
     }
   }
 
   // 4. Response crossbar, only when some partition has a ready response
-  //    head.  An accepted packet matures at its SM at now + latency.
-  if (resp_src_mask_ != 0) {
+  //    head.  An accepted packet matures at its SM at now + latency.  A pop
+  //    from a full response queue wakes its partition for the next cycle
+  //    when a deferred fill or a matured hit waits for that slot.
+  if (resp_due_ <= now_) {
     ProfScope prof(profiler_, LoopProfiler::kXbarResp);
+    u64 full = 0;
+    for (int p = 0; p < cfg_.num_partitions; ++p) {
+      if (part_resp_ptrs_[p]->full()) full |= u64{1} << p;
+    }
     u64 blocked = 0;
     const u64 accepted = resp_net_.transfer(
         now_, part_resp_ptrs_, recorder_.enabled() ? &blocked : nullptr);
     recorder_.note_xbar_stall(now_, /*resp_channel=*/true, blocked);
+    resp_due_ = kNeverCycle;
+    for (int p = 0; p < cfg_.num_partitions; ++p) {
+      const BoundedQueue<MemResponsePacket>& q = *part_resp_ptrs_[p];
+      if (!q.empty() && q.front().ready < resp_due_) {
+        resp_due_ = q.front().ready;
+      }
+      if (((full >> p) & 1) != 0 && !q.full() && part_wake_[p] > now_ + 1 &&
+          partitions_[p]->waits_for_resp_slot(now_)) {
+        part_wake_[p] = now_ + 1;
+      }
+    }
     if (accepted != 0) {
       const Cycle arrive = now_ + cfg_.noc_latency;
       for (int s = 0; s < cfg_.num_sms; ++s) {
@@ -459,6 +513,7 @@ void Gpu::cycle_full() {
 
 void Gpu::run(Cycle cycles) {
   for (Cycle c = 0; c < cycles; ++c) cycle();
+  sync_for_observation();
 }
 
 IntervalSample Gpu::end_interval() {
@@ -634,7 +689,13 @@ std::string Gpu::dump_state() const {
      << (migration_pending_ ? " migration-pending" : "")
      << (engine_dirty_ ? " dirty" : "")
      << " req_src_mask=0x" << std::hex << req_src_mask_
-     << " resp_src_mask=0x" << resp_src_mask_ << std::dec;
+     << " compute_sleep_mask=0x" << compute_sleep_mask_ << std::dec
+     << " resp_due=";
+  if (resp_due_ == kNeverCycle) {
+    ss << "never";
+  } else {
+    ss << resp_due_;
+  }
   auto dump_cursors = [&ss, this](const char* what,
                                   const std::vector<Cycle>& wake,
                                   const std::vector<Cycle>& synced) {

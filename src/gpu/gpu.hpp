@@ -3,6 +3,7 @@
 // slowdown estimators (paper Fig. 1 architecture).
 #pragma once
 
+#include <array>
 #include <memory>
 #include <string>
 #include <utility>
@@ -87,10 +88,11 @@ class Gpu {
 
   // --- Activity-tracked cycle engine (DESIGN.md §12) ---------------------
   // By default cycle() dispatches to an engine that keeps a per-SM and
-  // per-partition wake cycle (from the components' quiet_at()/next-event
-  // predicates) plus pending-source occupancy masks for the two crossbars,
-  // so one cycle only touches components with work.  Idle components are
-  // bulk-advanced with the skip_cycles() accounting when they next wake,
+  // per-partition wake cycle (from the components' quiet_at(),
+  // compute_run() and next-event predicates) plus the crossbars' source
+  // state (the SMs with outbound packets, the earliest response head), so
+  // one cycle only touches components whose own cycle() can act.  Sleeping
+  // components are bulk-advanced with skip_cycles() when they next wake,
   // which keeps every simulated observable — state hashes, snapshots,
   // interval samples — bit-identical to the per-cycle walk.  Only a fault
   // injector pins the whole GPU to the per-cycle reference walk
@@ -100,6 +102,15 @@ class Gpu {
   /// walk).  Safe at any cycle: owed accruals are settled first, so
   /// flipping mid-run never changes simulated state.
   void set_activity_sched(bool on);
+
+  /// Settles every owed accrual, so each component's counters read what
+  /// the per-cycle walk would show at now().  Mutates only lazily deferred
+  /// bookkeeping to its canonical value — semantically const.  run(),
+  /// Simulation::advance and every state walk call it; the per-app
+  /// instruction counter never lags.
+  void sync_for_observation() const {
+    const_cast<Gpu*>(this)->sync_all_to(now_);
+  }
 
   /// Attaches a loop profiler (nullptr detaches).  Must outlive the Gpu or
   /// be detached first.
@@ -191,12 +202,6 @@ class Gpu {
   void sync_sm_to(int s, Cycle target);
   void sync_partition_to(int p, Cycle target);
   void sync_all_to(Cycle target);
-  /// Settles all owed accruals so externally visible counters match what
-  /// the per-cycle walk would show at now().  Mutates only lazily-deferred
-  /// bookkeeping to its canonical value — semantically const.
-  void sync_for_observation() const {
-    const_cast<Gpu*>(this)->sync_all_to(now_);
-  }
 
   GpuConfig cfg_;
   AddressMap address_map_;
@@ -229,8 +234,14 @@ class Gpu {
   std::vector<Cycle> part_wake_;  ///< next cycle partition p must be processed
   std::vector<Cycle> sm_synced_;  ///< first cycle not yet accrued for SM s
   std::vector<Cycle> part_synced_;
-  u64 req_src_mask_ = 0;   ///< SMs with a non-empty out-queue
-  u64 resp_src_mask_ = 0;  ///< partitions with a ready response head
+  u64 req_src_mask_ = 0;  ///< SMs with a non-empty out-queue
+  /// Earliest ready cycle of any partition's response-queue head.
+  Cycle resp_due_ = kNeverCycle;
+  /// SMs asleep in a compute run, and how many of each app's SMs that is:
+  /// each issues one instruction per cycle, which cycle_engine() adds to
+  /// instructions_ as the cycle passes.
+  u64 compute_sleep_mask_ = 0;
+  std::array<u64, kMaxApps> compute_sleepers_{};
   LoopProfiler* profiler_ = nullptr;
 };
 

@@ -29,8 +29,9 @@ void Simulation::advance(Cycle cycles, AppId until_app,
       budget_clips ? std::max(gpu_.now(), cycle_budget_) : requested_stop;
   const bool watchdog_on = watchdog_cycles_ != 0;
   const bool limits_on = limits_armed();
-  // Instructions only retire inside an SM's cycle, so the counter is exact
-  // between any two cycles under either engine.
+  // The per-app instruction counter is exact between any two cycles under
+  // either engine: the activity engine adds each instruction of an SM
+  // asleep in a compute run to it in the cycle the walk would issue it.
   const auto reached = [&] {
     return until_app != kInvalidApp &&
            gpu_.instructions().total(until_app) >= until_instructions;
@@ -59,6 +60,9 @@ void Simulation::advance(Cycle cycles, AppId until_app,
       if (limits_on) check_limits();
     }
   }
+  // Counters read after a run must be current: settle what the activity
+  // engine still owes its sleeping components.
+  gpu_.sync_for_observation();
   // At least one limit check per run() call, so short runs (and the final
   // partial chunk) cannot outrun a tripped limit.
   if (limits_on) check_limits();

@@ -38,9 +38,12 @@ class IntervalObserver {
 /// Hooks run on whichever engine is active, so a hook may change the GPU
 /// only through set_priority_app() and set_partition(), which settle the
 /// activity engine's owed accruals first.  It may read the clock, the
-/// partition table, migration state and the instruction counters; the
-/// lazily accrued stall/idle/DRAM counters are settled only at interval
-/// boundaries, so read those from an IntervalObserver.
+/// partition table, migration state and the per-app instruction counter
+/// (Gpu::instructions(), which takes each instruction of an SM asleep in a
+/// compute run in the cycle it issues).  Each component's own counters —
+/// an SM's instructions and stall/idle cycles, the DRAM counters — are
+/// accrued lazily and settled only at interval boundaries and when run()
+/// returns, so read those from an IntervalObserver or after the run.
 class CycleHook {
  public:
   virtual ~CycleHook() = default;
@@ -116,7 +119,9 @@ class Simulation {
   /// graceful-shutdown drains rely on that.
   void set_cancel(const std::atomic<bool>* cancel) { cancel_ = cancel; }
 
-  /// Runs for `cycles`, firing interval boundaries as they pass.  Throws
+  /// Runs for `cycles`, firing interval boundaries as they pass, and
+  /// settles the activity engine's lazy accruals before it returns, so
+  /// every counter read afterwards is current.  Throws
   /// SimError(kWatchdogStall) with a full pipeline-state dump when the
   /// watchdog detects a deadlock/livelock, and the typed limit errors
   /// described above when a configured limit trips.

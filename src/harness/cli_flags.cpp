@@ -11,16 +11,17 @@ const std::vector<FlagInfo>& flag_table() {
       {FlagId::kCycles, "--cycles", "N",
        "co-run length in cycles (default 300000)"},
       {FlagId::kPolicy, "--policy", "P",
-       "even | dase-fair | leftover | temporal | qos"},
+       "even | dase-fair | leftover | temporal | qos", true},
       {FlagId::kSplit, "--split", "N1,N2,..",
        "initial SM counts per app, summing to num_sms (dase-fair and\n"
-       "qos repartition from it; temporal gives each app the whole GPU)"},
+       "qos repartition from it; temporal gives each app the whole GPU)",
+       true},
       {FlagId::kModels, "--models", "LIST",
        "estimators to attach: dase,mise,asm (default dase)"},
       {FlagId::kQosTarget, "--qos-target", "X",
-       "slowdown target for --policy qos (default 2.0)"},
+       "slowdown target for --policy qos (default 2.0)", true},
       {FlagId::kQuantum, "--quantum", "N",
-       "temporal-multitasking quantum (default 100000)"},
+       "temporal-multitasking quantum (default 100000)", true},
       {FlagId::kSeed, "--seed", "N", "workload seed (default 42)"},
       {FlagId::kConfig, "--config", "FILE",
        "load a GpuConfig key=value file"},
@@ -36,7 +37,9 @@ const std::vector<FlagInfo>& flag_table() {
        "hard DRAM requests-served cap per co-run, same modes as\n"
        "--cycle-budget (default none; exceeding it exits 8)"},
       {FlagId::kSweep, "--sweep", "WHICH",
-       "run a crash-safe two-app sweep: 'all' (105 pairs) or 'random:N'"},
+       "run a crash-safe two-app sweep: 'all' (105 pairs) or 'random:N';\n"
+       "every pair runs under the even split, so --policy, --split,\n"
+       "--qos-target, --quantum and --fault-schedule are rejected"},
       {FlagId::kCheckpoint, "--checkpoint", "F",
        "sweep JSONL checkpoint (resume from it if present)"},
       {FlagId::kOut, "--out", "F",
@@ -74,7 +77,8 @@ const std::vector<FlagInfo>& flag_table() {
       {FlagId::kFaultSchedule, "--fault-schedule", "S",
        "with --apps: inject the fault schedule spec S (drop-resp,\n"
        "drop-req, stall) into the co-run; the run is audited as usual,\n"
-       "so a dropped packet exits 3 with a conservation error"},
+       "so a dropped packet exits 3 with a conservation error",
+       true},
       {FlagId::kBundleDir, "--bundle-dir", "D",
        "root directory for crash-forensics bundles (default\n"
        "'crash-bundles')"},

@@ -65,6 +65,10 @@ struct FlagInfo {
   const char* name;        ///< "--apps"
   const char* value_name;  ///< "LIST", or nullptr for boolean flags
   const char* help;        ///< one-line description ('\n' wraps, indented)
+  /// Shapes one --apps co-run only.  Every --sweep pair is a plain
+  /// even-split co-run, so a sweep rejects the flag as a usage error
+  /// instead of silently ignoring it.
+  bool run_only = false;
 };
 
 /// Every flag gpusim_cli accepts, in help-display order.

@@ -116,7 +116,8 @@ std::vector<SweepEntry> SweepRunner::run(
   // Resume: the last checkpoint line for a key wins, and only a successful
   // one replays — its result object verbatim, which is what makes an
   // interrupted + resumed results file byte-identical.  A line without a
-  // key predates keyed lines; it is stale, so its pair re-runs.
+  // key predates keyed lines; it is stale, so its pair re-runs.  Skipped
+  // lines are dropped from the file, so the next resume reads it clean.
   std::map<std::string, std::string> done;  // key -> result object
   Ledger checkpoint(opts_.checkpoint_path, "harness.sweep",
                     [&](const std::string& line) {
@@ -131,7 +132,8 @@ std::vector<SweepEntry> SweepRunner::run(
                       done[*key] = line.substr(
                           pos + 9, line.size() - (pos + 9) - 1);
                       return true;
-                    });
+                    },
+                    Ledger::Skipped::kDrop);
   torn_lines_skipped_ = checkpoint.torn_lines();
 
   // Replay checkpointed pairs and collect the still-pending workload

@@ -106,8 +106,9 @@ class SweepRunner {
   /// Torn, unparseable or keyless checkpoint lines skipped (with a stderr
   /// warning) while resuming the last run() — e.g. a line truncated by a
   /// crash mid-write, or one written before lines carried keys.  The
-  /// affected pairs re-run.  Whole lines under other keys are not counted:
-  /// they belong to other co-runs and stay in the file untouched.
+  /// affected pairs re-run, and the lines are dropped from the file, so a
+  /// later resume does not count them again.  Whole lines under other keys
+  /// are not counted: they belong to other co-runs and stay in the file.
   int torn_lines_skipped() const { return torn_lines_skipped_; }
 
   /// Writes the final results file: a JSON array of the per-pair result

@@ -114,40 +114,50 @@ class MemoryPartition {
 
   // --- Activity-engine support -------------------------------------------
   // Every stage of cycle() pops only queue *fronts*, so head-of-line
-  // timestamps bound exactly when the partition can act again.  The
-  // response queue's front maturity additionally gates the response
-  // crossbar's ingress from this partition.  These predicates are valid
-  // per-component at any cycle boundary: the activity engine sleeps an
-  // individual partition on them and wakes it early when the request
-  // crossbar accepts a packet toward it (DESIGN.md §12).
+  // timestamps bound exactly when the partition can act again.  cycle()
+  // only appends to the response queue; the response crossbar pops it, and
+  // the activity engine tracks its head itself, so a matured head does not
+  // keep the partition awake.  These predicates are valid per-component at
+  // any cycle boundary: the activity engine sleeps an individual partition
+  // on them and wakes it early when the request crossbar accepts a packet
+  // toward it or the response crossbar frees a slot it waits for
+  // (DESIGN.md §12).
 
-  /// True when cycle(now, in_queue) would change no state and the response
-  /// crossbar could not accept a packet from this partition either.
+  /// True when cycle(now, in_queue) would change no state but the
+  /// controller's accruals.  Deferred fills and matured L2 hits facing a
+  /// full response queue wait; only a response-crossbar pop frees a slot.
   bool quiet_at(Cycle now,
                 const BoundedQueue<MemRequestPacket>& in_queue) const {
-    if (!deferred_resps_.empty()) return false;
-    if (!resp_queue_.empty() && resp_queue_.front().ready <= now)
+    if (!resp_queue_.full() &&
+        (!deferred_resps_.empty() ||
+         (!pending_hits_.empty() && pending_hits_.front().ready <= now))) {
       return false;
-    if (!pending_hits_.empty() && pending_hits_.front().ready <= now)
-      return false;
+    }
     if (!in_queue.empty() && in_queue.front().ready <= now) return false;
     return mc_.quiet_at(now);
   }
 
-  /// Earliest future cycle at which a quiet partition (or the crossbars
-  /// around it) may act again.  Only meaningful when quiet_at() holds.
+  /// Earliest future cycle at which a quiet partition may act again on its
+  /// own or on a request already delivered.  Only meaningful when
+  /// quiet_at() holds.
   Cycle next_event_after(Cycle now,
                          const BoundedQueue<MemRequestPacket>& in_queue)
       const {
     Cycle next = mc_.next_event_after(now);
-    if (!resp_queue_.empty()) {
-      next = std::min(next, resp_queue_.front().ready);
-    }
-    if (!pending_hits_.empty()) {
+    if (!pending_hits_.empty() && pending_hits_.front().ready > now) {
       next = std::min(next, pending_hits_.front().ready);
     }
     if (!in_queue.empty()) next = std::min(next, in_queue.front().ready);
     return next;
+  }
+
+  /// True when a response waits for a response-queue slot by cycle
+  /// `now`: a deferred fill, or a matured L2 hit.  The activity engine asks
+  /// after the response crossbar has popped a full queue, and wakes the
+  /// partition for the next cycle when it holds.
+  bool waits_for_resp_slot(Cycle now) const {
+    return !deferred_resps_.empty() ||
+           (!pending_hits_.empty() && pending_hits_.front().ready <= now);
   }
 
   // SimState: the full partition pipeline.  completed_scratch_ is cleared at

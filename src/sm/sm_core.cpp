@@ -179,8 +179,6 @@ void SmCore::dispatch_pending(Cycle now) {
 
 void SmCore::issue(Cycle now) {
   (void)now;
-  // Greedy-then-oldest: stick with the last issued warp while it stays
-  // ready, otherwise take the lowest-indexed ready warp.
   if (ready_mask_ == 0) {
     // No warp is ready, so every live warp waits on memory.
     if (waiting_mask_ != 0) {
@@ -190,9 +188,7 @@ void SmCore::issue(Cycle now) {
     }
     return;
   }
-  const WarpId pick = last_issued_ >= 0 && ((ready_mask_ >> last_issued_) & 1)
-                          ? last_issued_
-                          : std::countr_zero(ready_mask_);
+  const WarpId pick = greedy_warp();
 
   WarpCtx& warp = warps_[pick];
   last_issued_ = pick;

@@ -11,6 +11,7 @@
 // fraction α the DASE model consumes (paper Eq. 15).
 #pragma once
 
+#include <algorithm>
 #include <bit>
 #include <optional>
 #include <utility>
@@ -127,22 +128,42 @@ class SmCore {
 
   // --- Activity-engine support -------------------------------------------
 
-  /// True when cycle(now) would change nothing but the stall/idle counters:
-  /// no L1 hit matures, no warp can issue, no outbound packet waits, and no
-  /// transaction dispatches — either none is pending, or the head one
-  /// misses the L1, has no in-flight miss to merge with, and waits for an
-  /// entry of the full L1 MSHR, which only a response (whose arrival wakes
-  /// the SM) can free.  (refill_blocks() is a stable no-op in this state:
-  /// it ran to saturation at the end of the previous cycle and no
-  /// SM-visible input changed since.)  The warp masks make this O(1).
-  bool quiet_at(Cycle now) const {
-    if (ready_mask_ != 0 || !out_queue_.empty() ||
-        (!local_hits_.empty() && local_hits_.front().first <= now)) {
-      return false;
-    }
+  /// True when dispatch_pending() would dispatch nothing: no transaction is
+  /// pending, or the head one misses the L1, has no in-flight miss to merge
+  /// with, and finds the L1 MSHR or the out-queue full.  Only a response
+  /// (which frees an MSHR entry and fills a line) or the request crossbar
+  /// (which frees an out-queue slot) can change that; the activity engine
+  /// wakes the core for both.
+  bool dispatch_blocked() const {
     if (pending_txns_.empty()) return true;
     const u64 head = pending_txns_.front().addr;
-    return l1_mshr_.full() && !l1_mshr_.contains(head) && !l1_.probe(head);
+    return (l1_mshr_.full() || out_queue_.full()) &&
+           !l1_mshr_.contains(head) && !l1_.probe(head);
+  }
+
+  /// True when cycle(now) would change nothing but the stall/idle counters:
+  /// no L1 hit matures, no warp can issue and dispatch is blocked.
+  /// (refill_blocks() is a stable no-op in this state: it ran to saturation
+  /// at the end of the previous cycle and no SM-visible input changed
+  /// since.)  The warp masks make this O(1).
+  bool quiet_at(Cycle now) const {
+    return ready_mask_ == 0 &&
+           (local_hits_.empty() || local_hits_.front().first > now) &&
+           dispatch_blocked();
+  }
+
+  /// Number of cycles after the current one in which cycle() would only
+  /// issue one compute instruction of the greedy warp, provided no L1 hit
+  /// matures and no response arrives meanwhile (wake_after() bounds both):
+  /// the warp's compute run, stopped before the issue that retires it on
+  /// its budget.  0 when no warp is ready or dispatch is not blocked.  The
+  /// refill stays a no-op because no warp retires.  Only meaningful right
+  /// after a cycle().
+  Cycle compute_run() const {
+    if (ready_mask_ == 0 || !dispatch_blocked()) return 0;
+    const WarpCtx& w = warps_[greedy_warp()];
+    if (w.instrs_done + 1 >= w.budget) return 0;
+    return std::min(w.compute_remaining, w.budget - w.instrs_done - 1);
   }
 
   /// Earliest future cycle at which this core acts on its own (an L1 hit
@@ -152,11 +173,11 @@ class SmCore {
     return local_hits_.empty() ? kNeverCycle : local_hits_.front().first;
   }
 
-  /// Earliest cycle a quiet core must be processed again, given its
-  /// response delivery queue: the next local event or the head response's
-  /// maturity, whichever comes first.  Only meaningful right after a
-  /// cycle() that left the core quiet_at() — the activity engine's sleep
-  /// bound (later crossbar deliveries wake the core explicitly).
+  /// Earliest cycle a quiet or computing core must be processed again,
+  /// given its response delivery queue: the next local event or the head
+  /// response's maturity, whichever comes first.  Only meaningful right
+  /// after a cycle() — the activity engine's sleep bound (later crossbar
+  /// deliveries and out-queue slots wake the core explicitly).
   Cycle wake_after(const BoundedQueue<MemResponsePacket>& resp_in) const {
     Cycle next = next_local_event();
     if (!resp_in.empty() && resp_in.front().ready < next) {
@@ -165,12 +186,27 @@ class SmCore {
     return next;
   }
 
-  /// Applies `n` quiet cycles' worth of the issue-stage stall/idle
-  /// accounting in one lump.  Valid only while quiet_at() holds throughout.
+  /// Applies `n` skipped cycles in one lump: the stall/idle accounting of a
+  /// quiet core, or the first `n` cycles of compute_run() — `n` issues of
+  /// the greedy warp.  The issues do not reach the instruction sink; the
+  /// Gpu adds a sleeping core's issues to its per-app counter cycle by
+  /// cycle.  Valid only while quiet_at() holds throughout, or for `n` up to
+  /// the compute_run() of the last cycle().
   void skip_cycles(Cycle n) {
-    if (waiting_mask_ != 0) {
+    if (ready_mask_ != 0) {
+      const WarpId pick = greedy_warp();
+      WarpCtx& w = warps_[pick];
+      SIM_INVARIANT(n <= w.compute_remaining && w.instrs_done + n < w.budget,
+                    "sm.core",
+                    "skip_cycles() past the greedy warp's compute run");
+      last_issued_ = pick;
+      w.instrs_done += n;
+      w.compute_remaining -= n;
+      counters_.instructions.add(n);
+      counters_.issue_cycles.add(n);
+    } else if (waiting_mask_ != 0) {
       counters_.mem_stall_cycles.add(n);
-    } else if (ready_mask_ == 0) {
+    } else {
       counters_.idle_cycles.add(n);
     }
   }
@@ -264,6 +300,14 @@ class SmCore {
     u64 addr;
   };
 
+  /// The warp issue() picks next, greedy-then-oldest: the last issued warp
+  /// while it stays ready, otherwise the lowest-indexed ready one.
+  /// Requires ready_mask_ != 0.
+  WarpId greedy_warp() const {
+    return last_issued_ >= 0 && ((ready_mask_ >> last_issued_) & 1) != 0
+               ? last_issued_
+               : std::countr_zero(ready_mask_);
+  }
   void refill_blocks(Cycle now);
   void dispatch_pending(Cycle now);
   void issue(Cycle now);

@@ -24,6 +24,7 @@
 #include "common/loop_profiler.hpp"
 #include "common/rng.hpp"
 #include "harness/divergence.hpp"
+#include "harness/runner.hpp"
 #include "kernels/app_registry.hpp"
 #include "sched/policies.hpp"
 
@@ -256,6 +257,83 @@ TEST(ActivitySchedTest, EngineSleepsSmsWaitingOnAFullMshr) {
   const Cycle cycles = 150'000;
   sim.run(cycles);
   EXPECT_LT(profiler.visits(LoopProfiler::kSmAdvance), 3 * cycles);
+}
+
+TEST(ActivitySchedTest, EngineSleepsSmsThroughComputeRuns) {
+  // CS and QR issue 46-124 compute instructions between memory
+  // instructions and rarely fill an MSHR, so the per-cycle walk's 16 SM
+  // visits per cycle mostly issue one compute instruction of the greedy
+  // warp.  The engine sleeps an SM through such a run and visits it when
+  // it issues something else.
+  GpuConfig cfg;
+  Simulation sim(cfg, {AppLaunch{*find_app("CS"), 1},
+                       AppLaunch{*find_app("QR"), 2}});
+  sim.gpu().set_partition(even_partition(cfg.num_sms, 2));
+  LoopProfiler profiler;
+  sim.set_loop_profiler(&profiler);
+  const Cycle cycles = 150'000;
+  sim.run(cycles);
+  EXPECT_LT(profiler.visits(LoopProfiler::kSmAdvance), 2 * cycles);
+}
+
+// Audits a co-run assembled as ExperimentRunner::run builds it (models,
+// policy, governor, telemetry hub): the activity engine against the
+// per-cycle walk.  Returns the engine-side assembly for further checks.
+CoRunAssembly audit_assembled(const std::string& first,
+                              const std::string& second,
+                              const ModelSet& models, PolicyKind policy,
+                              Cycle cycles) {
+  RunConfig rc;
+  rc.co_run_cycles = cycles;
+  const Workload workload{{*find_app(first), *find_app(second)}};
+  CoRunAssembly engine = assemble_corun(rc, workload, models, policy);
+  const CoRunAssembly walk = assemble_corun(rc, workload, models, policy);
+  walk.sim->set_activity_sched(false);
+  const DivergenceReport report =
+      audit_divergence(*engine.sim, *walk.sim, cycles, 10'000);
+  EXPECT_FALSE(report.diverged) << report.to_string();
+  return engine;
+}
+
+TEST(ActivitySchedTest, ComputeRunsAuditCleanThroughDrains) {
+  // The paper's Fig. 9 pair under DASE-Fair: CT's and SP's SMs sleep
+  // through compute runs while repartitions drain SMs and hand them over.
+  const CoRunAssembly engine =
+      audit_assembled("CT", "SP", ModelSet{.dase = true},
+                      PolicyKind::kDaseFair, 300'000);
+  EXPECT_NE(engine.sim->gpu().current_partition(),
+            even_partition(engine.sim->gpu().num_sms(), 2))
+      << "DASE-Fair never moved an SM, so no drain was audited";
+}
+
+TEST(ActivitySchedTest, ComputeRunsAuditCleanThroughEpochFlips) {
+  // The MISE/ASM priority-epoch hook settles and wakes every component at
+  // each DRAM-priority flip, cutting compute runs short mid-sleep.
+  audit_assembled("CS", "QR",
+                  ModelSet{.dase = true, .mise = true, .asm_model = true},
+                  PolicyKind::kEven, 150'000);
+}
+
+TEST(ActivitySchedTest, FreedQueueSlotsWakeTheirSourcesExactly) {
+  // 2-deep crossbar ports and a 2-deep partition response queue keep the
+  // crossbars' source queues full.  An SM then sleeps on a transaction
+  // that waits for an out-queue slot, and a partition on fills and hits
+  // that wait for a response-queue slot; a crossbar pop that frees the
+  // slot must wake the source for the next cycle, exactly when the walk
+  // would act.
+  GpuConfig cfg;
+  cfg.noc_queue_depth = 2;
+  cfg.partition_resp_queue_depth = 2;
+  const std::vector<AppLaunch> launches = {AppLaunch{*find_app("SD"), 21},
+                                           AppLaunch{*find_app("SA"), 22}};
+  Simulation a(cfg, launches);
+  Simulation b(cfg, launches);
+  b.set_activity_sched(false);
+  a.gpu().set_partition(even_partition(cfg.num_sms, 2));
+  b.gpu().set_partition(even_partition(cfg.num_sms, 2));
+  const DivergenceReport report = audit_divergence(a, b, 60'000, 2'000);
+  ASSERT_FALSE(report.diverged) << report.to_string();
+  EXPECT_EQ(a.state_hash(), b.state_hash());
 }
 
 }  // namespace

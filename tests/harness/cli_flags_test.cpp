@@ -58,6 +58,19 @@ TEST(CliFlagsTest, UnknownFlagsAreRejected) {
   EXPECT_EQ(find_flag("--backoff-ms"), nullptr);
 }
 
+TEST(CliFlagsTest, SweepRejectsExactlyThePerRunFlags) {
+  // Every sweep pair is a plain even-split co-run, so a flag that shapes
+  // only one --apps co-run is a usage error with --sweep instead of being
+  // silently ignored.
+  std::set<std::string> run_only;
+  for (const FlagInfo& flag : flag_table()) {
+    if (flag.run_only) run_only.insert(flag.name);
+  }
+  EXPECT_EQ(run_only,
+            (std::set<std::string>{"--policy", "--split", "--qos-target",
+                                   "--quantum", "--fault-schedule"}));
+}
+
 TEST(CliFlagsTest, ExitCodeTableCoversTheContract) {
   const auto& table = exit_code_table();
   ASSERT_EQ(table.size(), 9u);  // 0..8, the documented contract

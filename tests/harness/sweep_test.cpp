@@ -401,6 +401,50 @@ TEST(SweepRunnerTest, ResumeSealsTornTailBeforeAppending) {
   std::remove(ckpt.c_str());
 }
 
+TEST(SweepRunnerTest, ResumeDropsSkippedLinesFromTheCheckpoint) {
+  // A checkpoint written before lines carried keys, plus a line under
+  // another key and a torn tail.  The first resume re-runs both pairs and
+  // rewrites the file without the three lines it skipped, so a second
+  // resume skips nothing and replays both pairs.  The other key's line
+  // belongs to another co-run and stays.
+  const std::string ckpt = temp_path("compact.jsonl");
+  const auto workloads = first_workloads(2);
+  const std::string other =
+      "{\"key\":\"other/" + workloads[0].label() + "\",\"label\":\"" +
+      workloads[0].label() + "\",\"ok\":true,\"result\":" +
+      SweepRunner::to_json(fake_result(workloads[0])) + "}";
+  {
+    std::ofstream out(ckpt);
+    for (const Workload& w : workloads) {
+      out << "{\"label\":\"" << w.label()
+          << "\",\"ok\":true,\"attempts\":1,\"result\":"
+          << SweepRunner::to_json(fake_result(w)) << "}\n";
+    }
+    out << other << "\n";
+    out << "{\"key\":\"K/" << workloads[1].label() << "\",\"ok\":tr";
+  }
+  const auto resume = [&](int torn, int resumed) {
+    SweepOptions opts;
+    opts.checkpoint_path = ckpt;
+    int calls = 0;
+    SweepRunner sweep(opts, keyed("K"), [&](const Workload& w) {
+      ++calls;
+      return fake_result(w);
+    });
+    sweep.run(workloads);
+    EXPECT_EQ(sweep.torn_lines_skipped(), torn);
+    EXPECT_EQ(sweep.resumed(), resumed);
+    return calls;
+  };
+  EXPECT_EQ(resume(3, 0), 2);
+  const std::string text = slurp(ckpt);
+  EXPECT_EQ(text.find("\"attempts\""), std::string::npos) << text;
+  EXPECT_EQ(text.find("\"ok\":tr\n"), std::string::npos) << text;
+  EXPECT_NE(text.find(other + "\n"), std::string::npos) << text;
+  EXPECT_EQ(resume(0, 2), 0);
+  std::remove(ckpt.c_str());
+}
+
 TEST(SweepRunnerTest, WriteResultsRecordsFailuresWithErrors) {
   std::vector<SweepEntry> entries(2);
   entries[0].label = "A+B";

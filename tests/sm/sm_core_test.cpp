@@ -371,6 +371,76 @@ TEST_F(SmCoreTest, QuietCycleOnlyAccruesTheStall) {
   EXPECT_GT(quiet, 1000);
 }
 
+TEST_F(SmCoreTest, ComputeRunSkipMatchesPerCycleIssue) {
+  // compute_run() promises the activity engine that, with no response
+  // delivered and no L1 hit maturing, the next run cycles only issue
+  // compute instructions of the greedy warp, which skip_cycles(run)
+  // applies in one lump.  After every cycle that starts a run, a clone
+  // stepped per cycle through it must hash equal to a clone given
+  // skip_cycles(run), and the run must be maximal: the cycle after it
+  // issues the warp's memory instruction or retires it on its budget.
+  // Short warps make both ends common, and a 2-entry MSHR keeps other
+  // warps waiting on memory beside the runs.
+  GpuConfig cfg;
+  cfg.l1_mshr_entries = 2;
+  const AddressMap map(cfg);
+  KernelProfile p = memory_profile();
+  p.mem_fraction = 0.05;
+  p.txns_per_mem_instr = 2;
+  p.hot_fraction = 0.5;
+  p.hot_set_bytes = 4 * 128;
+  p.instrs_per_warp = 60;
+  AppRuntime rt(p, 0, 42);
+  SmCore sm(cfg, 0, map);
+  sm.assign(&rt);
+  LoopbackNet net;
+  net.latency = 60;
+  int runs = 0;
+  int ended_on_memory = 0;
+  int ended_on_budget = 0;
+  int beside_waiting_warps = 0;
+  for (Cycle now = 0; now < 20'000; ++now) {
+    net.step(sm, now);
+    const Cycle local = sm.next_local_event();
+    const Cycle run =
+        std::min(sm.compute_run(), local > now ? local - now - 1 : 0);
+    if (run == 0) continue;
+    ++runs;
+    if (sm.waiting_warps() != 0) ++beside_waiting_warps;
+    StateWriter w;
+    sm.save(w);
+    AppRuntime rt_cycled = rt;
+    AppRuntime rt_skipped = rt;
+    SmCore cycled(cfg, 0, map);
+    SmCore skipped(cfg, 0, map);
+    StateReader r1(w.bytes());
+    cycled.load(r1, &rt_cycled);
+    StateReader r2(w.bytes());
+    skipped.load(r2, &rt_skipped);
+    for (Cycle c = 1; c <= run; ++c) cycled.cycle(now + c);
+    skipped.skip_cycles(run);
+    ASSERT_EQ(state_hash_of(cycled), state_hash_of(skipped))
+        << "run of " << run << " from cycle " << now;
+    if (run != sm.compute_run()) continue;  // cut short by an L1 hit
+    const u64 mem_before = cycled.counters().mem_instructions.total();
+    const u64 blocks_before = rt_cycled.blocks_completed();
+    const int live_before = cycled.live_warps();
+    cycled.cycle(now + run + 1);
+    if (cycled.counters().mem_instructions.total() > mem_before) {
+      ++ended_on_memory;
+    } else {
+      ASSERT_TRUE(cycled.live_warps() < live_before ||
+                  rt_cycled.blocks_completed() > blocks_before)
+          << "the run from cycle " << now << " stopped early";
+      ++ended_on_budget;
+    }
+  }
+  EXPECT_GT(runs, 200);
+  EXPECT_GT(ended_on_memory, 50);
+  EXPECT_GT(ended_on_budget, 20);
+  EXPECT_GT(beside_waiting_warps, 20);
+}
+
 TEST_F(SmCoreTest, LoadRejectsAReadyCountTheWarpStatesDisagreeWith) {
   // load() rebuilds the ready and waiting masks from the warp states; the
   // serialized ready-warp count must match what they say.

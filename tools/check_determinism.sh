@@ -140,6 +140,14 @@ if [[ "$RC" != "5" ]]; then
   exit 1
 fi
 cmp "$TMP/torn-ref.json" "$TMP/torn-resumed.json"
+# The resume dropped the torn line from the checkpoint: a second resume
+# skips nothing, replays every pair and exits 0.
+"$CLI" --sweep random:3 --cycles 40000 --jobs 4 \
+       --checkpoint "$TMP/torn.jsonl" --out "$TMP/torn-again.json" \
+       > "$TMP/torn-again.out"
+grep -q "3 resumed from checkpoint, 0 failed" "$TMP/torn-again.out" ||
+  { cat "$TMP/torn-again.out" >&2; exit 1; }
+cmp "$TMP/torn-ref.json" "$TMP/torn-again.json"
 
 # Stale checkpoint: each line carries its co-run's fingerprint, which
 # covers --cycles, so a resume at another length must write what a fresh
@@ -151,5 +159,25 @@ echo "== stale sweep checkpoint: a resume at another --cycles re-runs"
        --checkpoint "$TMP/stale.jsonl" --out "$TMP/stale-30k.json" > /dev/null
 "$CLI" --sweep random:2 --cycles 30000 --out "$TMP/fresh-30k.json" > /dev/null
 cmp "$TMP/stale-30k.json" "$TMP/fresh-30k.json"
+
+# Every sweep pair runs under the even split, so the flags that shape one
+# --apps co-run are usage errors with --sweep, never silently ignored.
+echo "== per-run flags are rejected by --sweep (exit 2)"
+for flags in "--policy dase-fair" "--split 4,12" "--qos-target 1.5" \
+             "--quantum 50000" "--fault-schedule drop-resp:nth=200"; do
+  RC=0
+  # shellcheck disable=SC2086  # $flags is a flag and its value
+  "$CLI" --sweep random:1 --cycles 20000 $flags --out "$TMP/rejected.json" \
+         > /dev/null 2> "$TMP/rejected.err" || RC=$?
+  if [[ "$RC" != "2" ]] || ! grep -q "does not apply to sweeps" "$TMP/rejected.err"; then
+    echo "error: --sweep with $flags exited $RC, expected a usage error (2)" >&2
+    cat "$TMP/rejected.err" >&2
+    exit 1
+  fi
+done
+if [[ -e "$TMP/rejected.json" ]]; then
+  echo "error: a rejected sweep wrote its results file" >&2
+  exit 1
+fi
 
 echo "determinism check: OK"

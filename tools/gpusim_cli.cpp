@@ -252,11 +252,13 @@ int main(int argc, char** argv) {
   std::string telemetry_out;
   std::string trace_out;
   std::string metrics_out;
+  const char* run_only_flag = nullptr;  // the last one seen; --sweep rejects it
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     const FlagInfo* flag = find_flag(arg);
     if (flag == nullptr) usage(argv[0], "unknown flag: " + arg);
+    if (flag->run_only) run_only_flag = flag->name;
     std::string value;
     if (flag->value_name != nullptr) {
       if (i + 1 >= argc) usage(argv[0], arg + " needs a value");
@@ -428,8 +430,10 @@ int main(int argc, char** argv) {
           "--audit-determinism is incompatible with --sweep and "
           "--snapshot-every");
   }
-  if (!fault_spec.empty() && !sweep_which.empty()) {
-    usage(argv[0], "--fault-schedule does not apply to sweeps");
+  if (run_only_flag != nullptr && !sweep_which.empty()) {
+    usage(argv[0], std::string(run_only_flag) +
+                       " does not apply to sweeps: every pair runs under "
+                       "the even split");
   }
   if (profile_loop && (!sweep_which.empty() || audit_determinism)) {
     usage(argv[0],
