@@ -152,12 +152,14 @@ void atomic_write_file(const std::string& path, const std::string& text,
   }
 }
 
-Ledger::Ledger(std::string path, std::string component, const Accept& accept,
-               Skipped skipped)
+Ledger::Ledger(std::string path, std::string component, const Accept& accept)
     : path_(std::move(path)), component_(std::move(component)) {
   if (path_.empty()) return;
-  bool torn_tail = false;
-  std::string kept;  // the accepted lines, under Skipped::kDrop
+  std::string kept;       // the used lines, each with its newline
+  std::string warnings;   // one per skipped line, printed unless refused
+  bool unended = false;   // the last line lacks its newline
+  int owned = 0;          // lines `accept` called kUse or kStale
+  int skipped_ended = 0;  // skipped lines that had their newline
   {
     std::ifstream in(path_, std::ios::binary);
     std::string line;
@@ -166,34 +168,36 @@ Ledger::Ledger(std::string path, std::string component, const Accept& accept,
       ++line_no;
       // getline sets eof only when the line it returns had no newline, so
       // after the loop this says whether the file ends in a fragment.
-      torn_tail = in.eof();
-      if (line.empty()) continue;  // padding from an earlier seal
+      unended = in.eof();
+      if (line.empty()) continue;  // padding older ledgers sealed tails with
       const bool truncated = line.back() != '}';
-      if (!truncated && accept(line)) {
-        if (skipped == Skipped::kDrop) kept += line + '\n';
+      const Verdict verdict = truncated ? Verdict::kForeign : accept(line);
+      if (verdict != Verdict::kForeign) ++owned;
+      if (verdict == Verdict::kUse) {
+        kept += line + '\n';
         continue;
       }
       ++torn_lines_;
-      std::fprintf(stderr,
-                   "gpusim: %s: %s line %d is %s — skipping it; its unit will "
-                   "re-run\n",
-                   component_.c_str(), path_.c_str(), line_no,
-                   truncated ? "truncated (crash mid-write?)"
-                             : "unreadable or stale");
+      if (!unended) ++skipped_ended;
+      warnings += "gpusim: " + component_ + ": " + path_ + " line " +
+                  std::to_string(line_no) + " is " +
+                  (truncated ? "truncated (crash mid-write?)"
+                             : "unreadable or stale") +
+                  " — skipping it; its unit will re-run\n";
     }
   }
-  if (skipped == Skipped::kDrop && torn_lines_ != 0) {
-    atomic_write_file(path_, kept, component_);
-    torn_tail = false;
-  }
+  SIM_CHECK(owned != 0 || skipped_ended == 0,
+            SimError(SimErrorKind::kHarness, component_,
+                     "the file holds no line of this ledger; refusing to "
+                     "rewrite it (wrong path?)")
+                .detail("path", path_)
+                .detail("skipped_lines", torn_lines_));
+  std::fputs(warnings.c_str(), stderr);
+  if (torn_lines_ != 0 || unended) atomic_write_file(path_, kept, component_);
   out_.open(path_, std::ios::binary | std::ios::app);
   SIM_CHECK(out_.good(), SimError(SimErrorKind::kHarness, component_,
                                   "cannot open JSONL file for append")
                              .detail("path", path_));
-  if (torn_tail) {
-    out_ << '\n';
-    out_.flush();
-  }
 }
 
 void Ledger::append(const std::string& line) {

@@ -8,12 +8,11 @@
 //   escaping       json_escape / json_unescape, and the field readers that
 //                  pull one value back out of a line we wrote ourselves;
 //   torn lines     a ledger line is whole iff it ends in '}' and the
-//                  engine's accept parse takes it.  Anything else was cut
+//                  engine's accept parse uses it.  Anything else was cut
 //                  by a crash mid-write (or is stale): it is warned about,
-//                  counted and never passed on, so its unit re-runs;
-//   torn tails     a ledger whose last line lacks its newline is sealed
-//                  before the next append, so a new line can never glue
-//                  onto the fragment;
+//                  counted, never passed on (so its unit re-runs) and
+//                  dropped from the file, which also removes a fragment
+//                  a new line could otherwise glue onto;
 //   publishing     atomic_write_file writes `<path>.tmp` and renames it
 //                  over the target, so readers see the old file or the new
 //                  one, never a truncated one.
@@ -63,23 +62,28 @@ void atomic_write_file(const std::string& path, const std::string& text,
 /// An append-only JSONL file of one-line records, shared by every batch
 /// engine.  Construction loads the existing file: each non-empty line that
 /// ends in '}' is handed to `accept`, in file order; a line that does not,
-/// or that `accept` rejects, is torn — warned about on stderr, counted and
-/// skipped.  Then the skipped lines are kept (a torn tail is sealed) or
-/// dropped, and the file is opened for append.  An empty path means no
-/// file: nothing loads and append() is a no-op.
+/// or that `accept` does not use, is torn — warned about on stderr, counted
+/// and skipped.  A file with a skipped line, or whose last line lacks its
+/// newline, is then rewritten (atomic_write_file) with only the used lines,
+/// so the next load skips nothing and no append can glue onto a fragment.
+/// An empty path means no file: nothing loads and append() is a no-op.
+///
+/// A file with lines of which `accept` recognizes none as the owner's
+/// (kUse or kStale) is not this ledger: a results file named by mistake,
+/// say.  Construction refuses it with SimError(kHarness) and leaves it as
+/// it is, unless all it holds is one unended fragment, which is what a
+/// crash during the first append leaves.
 class Ledger {
  public:
-  using Accept = std::function<bool(const std::string& line)>;
-
-  /// What construction does with the lines it skipped.
-  enum class Skipped {
-    kKeep,  ///< leave them in the file and seal a torn tail
-    kDrop,  ///< rewrite the file (atomic_write_file) with only the accepted
-            ///< lines, so the next load skips none
+  /// What the ledger's owner makes of one whole line.
+  enum class Verdict {
+    kUse,      ///< a current line: loaded, and kept in the file
+    kStale,    ///< an owner's line that no longer applies: dropped
+    kForeign,  ///< not an owner's line at all: dropped
   };
+  using Accept = std::function<Verdict(const std::string& line)>;
 
-  Ledger(std::string path, std::string component, const Accept& accept,
-         Skipped skipped = Skipped::kKeep);
+  Ledger(std::string path, std::string component, const Accept& accept);
 
   /// Appends one whole line and flushes it before returning, under a
   /// mutex: concurrent appends never interleave, and a crash loses at most

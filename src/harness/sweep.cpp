@@ -115,25 +115,28 @@ std::vector<SweepEntry> SweepRunner::run(
 
   // Resume: the last checkpoint line for a key wins, and only a successful
   // one replays — its result object verbatim, which is what makes an
-  // interrupted + resumed results file byte-identical.  A line without a
-  // key predates keyed lines; it is stale, so its pair re-runs.  Skipped
-  // lines are dropped from the file, so the next resume reads it clean.
+  // interrupted + resumed results file byte-identical.  Every checkpoint
+  // line has a "label" and an "ok" field; one without a key predates keyed
+  // lines and is stale, so its pair re-runs.  Skipped lines are dropped
+  // from the file, so the next resume reads it clean.
   std::map<std::string, std::string> done;  // key -> result object
-  Ledger checkpoint(opts_.checkpoint_path, "harness.sweep",
-                    [&](const std::string& line) {
-                      const auto key = json_string_field(line, "key");
-                      if (!key || key->empty()) return false;
-                      if (line.find("\"ok\":true") == std::string::npos) {
-                        done.erase(*key);
-                        return true;
-                      }
-                      const auto pos = line.find("\"result\":");
-                      if (pos == std::string::npos) return false;
-                      done[*key] = line.substr(
-                          pos + 9, line.size() - (pos + 9) - 1);
-                      return true;
-                    },
-                    Ledger::Skipped::kDrop);
+  Ledger checkpoint(
+      opts_.checkpoint_path, "harness.sweep", [&](const std::string& line) {
+        if (!json_string_field(line, "label") ||
+            line.find("\"ok\":") == std::string::npos) {
+          return Ledger::Verdict::kForeign;
+        }
+        const auto key = json_string_field(line, "key");
+        if (!key || key->empty()) return Ledger::Verdict::kStale;
+        if (line.find("\"ok\":true") == std::string::npos) {
+          done.erase(*key);
+          return Ledger::Verdict::kUse;
+        }
+        const auto pos = line.find("\"result\":");
+        if (pos == std::string::npos) return Ledger::Verdict::kStale;
+        done[*key] = line.substr(pos + 9, line.size() - (pos + 9) - 1);
+        return Ledger::Verdict::kUse;
+      });
   torn_lines_skipped_ = checkpoint.torn_lines();
 
   // Replay checkpointed pairs and collect the still-pending workload

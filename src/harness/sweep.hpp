@@ -97,7 +97,9 @@ class SweepRunner {
   SweepRunner(SweepOptions opts, KeyFn key_fn, RunFn run_fn);
 
   /// Runs every workload (resuming from the checkpoint when one exists)
-  /// and returns one entry per workload, in workload order.
+  /// and returns one entry per workload, in workload order.  A checkpoint
+  /// file none of whose lines is a checkpoint line is refused with
+  /// SimError(kHarness) and left untouched.
   std::vector<SweepEntry> run(const std::vector<Workload>& workloads);
 
   /// Workloads skipped in the last run() because the checkpoint already

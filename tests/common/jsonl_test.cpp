@@ -1,6 +1,7 @@
 // The JSONL layer every durable batch shares: escaping round-trips, field
-// readers see through escapes, the ledger's torn-line rule and tail seal,
-// concurrent appends that never interleave, and typed publish failures.
+// readers see through escapes, the ledger's torn-line rule and compaction,
+// its refusal of a file with no line of its own, concurrent appends that
+// never interleave, and typed publish failures.
 #include "common/jsonl.hpp"
 
 #include <gtest/gtest.h>
@@ -41,14 +42,6 @@ class JsonlTest : public ::testing::Test {
     std::ostringstream ss;
     ss << in.rdbuf();
     return ss.str();
-  }
-
-  static std::vector<std::string> lines_of(const std::string& p) {
-    std::ifstream in(p);
-    std::vector<std::string> lines;
-    std::string line;
-    while (std::getline(in, line)) lines.push_back(line);
-    return lines;
   }
 
   fs::path dir_;
@@ -113,9 +106,9 @@ TEST_F(JsonlTest, LedgerSkipsTornAndRejectedLines) {
   }
   std::vector<std::string> seen;
   Ledger ledger(p, "test.ledger", [&](const std::string& line) {
-    if (!json_u64_field(line, "id")) return false;
+    if (!json_u64_field(line, "id")) return Ledger::Verdict::kStale;
     seen.push_back(line);
-    return true;
+    return Ledger::Verdict::kUse;
   });
   EXPECT_EQ(ledger.torn_lines(), 2);
   ASSERT_EQ(seen.size(), 2u);
@@ -123,34 +116,85 @@ TEST_F(JsonlTest, LedgerSkipsTornAndRejectedLines) {
   EXPECT_EQ(seen[1], "{\"id\":3}");
 }
 
-TEST_F(JsonlTest, LedgerSealsATornTailBeforeAppending) {
+TEST_F(JsonlTest, LedgerDropsATornTailBeforeAppending) {
   const std::string p = path("tail.jsonl");
   {
     std::ofstream out(p);
     out << "{\"id\":1}\n{\"id\":2,\"resu";  // crash mid-write: no newline
   }
+  const auto use = [](const std::string&) { return Ledger::Verdict::kUse; };
   {
-    Ledger ledger(p, "test.ledger", [](const std::string&) { return true; });
+    Ledger ledger(p, "test.ledger", use);
     EXPECT_EQ(ledger.torn_lines(), 1);
     ledger.append("{\"id\":3}");
   }
-  const std::vector<std::string> lines = lines_of(p);
-  ASSERT_EQ(lines.size(), 3u);
-  EXPECT_EQ(lines[1], "{\"id\":2,\"resu");  // the fragment stays on its own
-  EXPECT_EQ(lines[2], "{\"id\":3}");        // never glued onto it
+  // The fragment is gone and the append sits on its own line, never glued
+  // onto it.
+  EXPECT_EQ(slurp(p), "{\"id\":1}\n{\"id\":3}\n");
 
-  // A second load sees the same single torn line and the intact append.
-  int accepted = 0;
+  // A second load finds nothing to skip.
+  int used = 0;
   Ledger again(p, "test.ledger", [&](const std::string&) {
-    ++accepted;
-    return true;
+    ++used;
+    return Ledger::Verdict::kUse;
   });
-  EXPECT_EQ(again.torn_lines(), 1);
-  EXPECT_EQ(accepted, 2);
+  EXPECT_EQ(again.torn_lines(), 0);
+  EXPECT_EQ(used, 2);
+}
+
+TEST_F(JsonlTest, LedgerEndsAWholeLastLineBeforeAppending) {
+  // A crash can cut exactly the newline: the last line is whole and used,
+  // but an append must still start a line of its own.
+  const std::string p = path("unended.jsonl");
+  std::ofstream(p) << "{\"id\":1}";
+  {
+    Ledger ledger(p, "test.ledger",
+                  [](const std::string&) { return Ledger::Verdict::kUse; });
+    EXPECT_EQ(ledger.torn_lines(), 0);
+    ledger.append("{\"id\":2}");
+  }
+  EXPECT_EQ(slurp(p), "{\"id\":1}\n{\"id\":2}\n");
+}
+
+TEST_F(JsonlTest, LedgerRefusesAFileWithNoLineOfItsOwn) {
+  // A results file named as a ledger: every line is skipped and none is
+  // the owner's, so rewriting it would erase it.
+  const std::string p = path("results.json");
+  const std::string text =
+      "{\"results\":[\n{\"label\":\"A+B\"},\n{\"label\":\"C+D\"}\n]}\n";
+  std::ofstream(p) << text;
+  const auto foreign = [](const std::string&) {
+    return Ledger::Verdict::kForeign;
+  };
+  try {
+    Ledger ledger(p, "test.ledger", foreign);
+    FAIL() << "a file with no line of the ledger's own must be refused";
+  } catch (const SimError& e) {
+    EXPECT_EQ(e.kind(), SimErrorKind::kHarness);
+    EXPECT_EQ(e.component(), "test.ledger");
+  }
+  EXPECT_EQ(slurp(p), text);
+
+  // One stale line of the owner's is enough to make it the ledger's file.
+  std::ofstream(p, std::ios::app) << "{\"old\":true}\n";
+  Ledger ledger(p, "test.ledger", [](const std::string& line) {
+    return line == "{\"old\":true}" ? Ledger::Verdict::kStale
+                                    : Ledger::Verdict::kForeign;
+  });
+  EXPECT_EQ(ledger.torn_lines(), 5);
+  EXPECT_EQ(slurp(p), "");
+
+  // So is a lone unended fragment: a crash during the first append.
+  const std::string first = path("first.jsonl");
+  std::ofstream(first) << "{\"id\":1,\"cu";
+  Ledger cut(first, "test.ledger", foreign);
+  EXPECT_EQ(cut.torn_lines(), 1);
+  EXPECT_EQ(slurp(first), "");
 }
 
 TEST_F(JsonlTest, LedgerWithEmptyPathTouchesNoFile) {
-  Ledger ledger("", "test.ledger", [](const std::string&) { return true; });
+  Ledger ledger("", "test.ledger",
+                [](const std::string&) { return Ledger::Verdict::kUse; });
   ledger.append("{\"id\":1}");
   EXPECT_EQ(ledger.torn_lines(), 0);
   EXPECT_TRUE(fs::is_empty(dir_));
@@ -161,7 +205,8 @@ TEST_F(JsonlTest, ConcurrentAppendsNeverInterleave) {
   constexpr int kThreads = 8;
   constexpr int kPerThread = 200;
   {
-    Ledger ledger(p, "test.ledger", [](const std::string&) { return true; });
+    Ledger ledger(p, "test.ledger",
+                  [](const std::string&) { return Ledger::Verdict::kUse; });
     std::vector<std::thread> threads;
     for (int t = 0; t < kThreads; ++t) {
       threads.emplace_back([&ledger, t] {
@@ -180,11 +225,13 @@ TEST_F(JsonlTest, ConcurrentAppendsNeverInterleave) {
   Ledger reload(p, "test.ledger", [&](const std::string& line) {
     const auto t = json_u64_field(line, "thread");
     const auto i = json_u64_field(line, "i");
-    if (!t || !i || *t >= kThreads || *i >= kPerThread) return false;
-    if (got[*t][*i]) return false;  // a duplicate would be a bug
+    if (!t || !i || *t >= kThreads || *i >= kPerThread) {
+      return Ledger::Verdict::kForeign;
+    }
+    if (got[*t][*i]) return Ledger::Verdict::kStale;  // a duplicate: a bug
     got[*t][*i] = true;
     ++intact;
-    return true;
+    return Ledger::Verdict::kUse;
   });
   EXPECT_EQ(reload.torn_lines(), 0);
   EXPECT_EQ(intact, kThreads * kPerThread);

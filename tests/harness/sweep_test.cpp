@@ -445,6 +445,32 @@ TEST(SweepRunnerTest, ResumeDropsSkippedLinesFromTheCheckpoint) {
   std::remove(ckpt.c_str());
 }
 
+TEST(SweepRunnerTest, ResultsFileAsCheckpointIsRefusedUntouched) {
+  // --checkpoint naming the results file: none of its lines is a
+  // checkpoint line, so the sweep refuses it instead of dropping them all.
+  const std::string results = temp_path("results_as_ckpt.json");
+  const auto workloads = first_workloads(2);
+  SweepRunner plain(SweepOptions{}, keyed("K"), fake_result);
+  SweepRunner::write_results(results, plain.run(workloads));
+  const std::string text = slurp(results);
+  SweepOptions opts;
+  opts.checkpoint_path = results;
+  int calls = 0;
+  SweepRunner sweep(opts, keyed("K"), [&](const Workload& w) {
+    ++calls;
+    return fake_result(w);
+  });
+  try {
+    sweep.run(workloads);
+    FAIL() << "a results file must not load as a checkpoint";
+  } catch (const SimError& e) {
+    EXPECT_EQ(e.kind(), SimErrorKind::kHarness);
+  }
+  EXPECT_EQ(calls, 0);
+  EXPECT_EQ(slurp(results), text);
+  std::remove(results.c_str());
+}
+
 TEST(SweepRunnerTest, WriteResultsRecordsFailuresWithErrors) {
   std::vector<SweepEntry> entries(2);
   entries[0].label = "A+B";
