@@ -2,10 +2,8 @@
 // cycle loop, a memory-contended co-run with the activity-tracked cycle
 // engine on and off (neither profiled, advanced in alternating slices,
 // plus a separate engine-on pass with the loop profiler attached for the
-// time attribution),
-// a live DASE-Fair co-run with the policy governor on vs. off (the ≤2%
-// overhead contract from DESIGN.md §14), a co-run with the TelemetryHub
-// attached vs. absent (the ≤2% disabled-path contract from DESIGN.md §15),
+// time attribution), a co-run with the TelemetryHub attached vs. absent
+// (the ≤2% disabled-path contract from DESIGN.md §15),
 // one paper unit with its alone replays run after the co-run vs. through
 // ExperimentRunner::run, which replays every slot beside the co-run
 // (DESIGN.md §8), the heap one default one-app Simulation holds, the heap
@@ -170,61 +168,6 @@ double time_profiled_contended_loop(const GpuConfig& cfg, Cycle cycles,
   return elapsed > 0.0 ? static_cast<double>(cycles) / elapsed : 0.0;
 }
 
-struct GovernedResult {
-  double on_cycles_per_sec = 0.0;
-  double off_cycles_per_sec = 0.0;
-  double overhead_ratio = 0.0;
-};
-
-/// Governor on/off throughput and the overhead ratio for the <=2% gate
-/// (check_perf.sh, floor 0.98).  Both runs carry the full closed loop
-/// (estimator, search, migrations); the only difference is whether
-/// proposals route through the governor's validation/watchdog path.
-/// Wall-clock noise on shared hosts dwarfs the governor's per-interval
-/// work, so a pass advances a governed and an unguarded sim in
-/// alternating timed slices — host-load spikes then land on both sides
-/// roughly equally instead of skewing whichever whole run they hit — and
-/// the gate takes the best of three passes.
-GovernedResult time_governed_loop(Cycle cycles) {
-  Workload w;
-  w.apps.push_back(*find_app("VA"));
-  w.apps.push_back(*find_app("SD"));
-  const ModelSet models{.dase = true};
-
-  GovernedResult r;
-  const Cycle slice = std::max<Cycle>(1, cycles / 10);
-  for (int pass = 0; pass < 3; ++pass) {
-    RunConfig rc_on;
-    rc_on.governor = true;
-    RunConfig rc_off;
-    rc_off.governor = false;
-    CoRunAssembly on = assemble_corun(rc_on, w, models, PolicyKind::kDaseFair);
-    CoRunAssembly off =
-        assemble_corun(rc_off, w, models, PolicyKind::kDaseFair);
-    on.sim->run(20'000);  // warm the pipelines so timing sees steady state
-    off.sim->run(20'000);
-
-    double on_elapsed = 0.0;
-    double off_elapsed = 0.0;
-    for (Cycle done = 0; done < cycles; done += slice) {
-      const Cycle step = std::min(slice, cycles - done);
-      auto start = std::chrono::steady_clock::now();
-      on.sim->run(step);
-      on_elapsed += seconds_since(start);
-      start = std::chrono::steady_clock::now();
-      off.sim->run(step);
-      off_elapsed += seconds_since(start);
-    }
-    if (on_elapsed <= 0.0 || off_elapsed <= 0.0) continue;
-    const double on_cps = static_cast<double>(cycles) / on_elapsed;
-    const double off_cps = static_cast<double>(cycles) / off_elapsed;
-    r.on_cycles_per_sec = std::max(r.on_cycles_per_sec, on_cps);
-    r.off_cycles_per_sec = std::max(r.off_cycles_per_sec, off_cps);
-    r.overhead_ratio = std::max(r.overhead_ratio, on_cps / off_cps);
-  }
-  return r;
-}
-
 struct TelemetryResult {
   double on_cycles_per_sec = 0.0;
   double off_cycles_per_sec = 0.0;
@@ -234,9 +177,10 @@ struct TelemetryResult {
 /// TelemetryHub attached vs. absent, for the <=2% disabled-path contract
 /// (check_perf.sh, floor 0.98).  "Disabled" is the hub's only state — file
 /// flags never touch the loop — so the honest comparison is an observer
-/// walk with the hub against one without it.  Same alternating-slice,
-/// best-of-three discipline as time_governed_loop: host-load spikes land
-/// on both sides instead of skewing one whole run.
+/// walk with the hub against one without it.  A pass advances both sims
+/// in alternating timed slices, so host-load spikes land on both sides
+/// instead of skewing one whole run, and the gate takes the best of three
+/// passes.
 TelemetryResult time_telemetry_loop(const GpuConfig& cfg, Cycle cycles) {
   TelemetryResult r;
   const Cycle slice = std::max<Cycle>(1, cycles / 10);
@@ -252,7 +196,7 @@ TelemetryResult time_telemetry_loop(const GpuConfig& cfg, Cycle cycles) {
         even_partition(without_hub.gpu().num_sms(), 2));
     with_hub.add_observer(&dase_with);
     without_hub.add_observer(&dase_without);
-    TelemetryHub hub({{"DASE", &dase_with}}, [] { return u64{0}; });
+    TelemetryHub hub({{"DASE", &dase_with}});
     with_hub.add_observer(&hub);
 
     with_hub.run(20'000);  // warm the pipelines so timing sees steady state
@@ -413,7 +357,6 @@ int main(int argc, char** argv) {
   const double contended_profiled_cps =
       time_profiled_contended_loop(cfg, loop_cycles, profiler);
 
-  const GovernedResult governed = time_governed_loop(loop_cycles);
   const TelemetryResult telemetry = time_telemetry_loop(cfg, loop_cycles);
   const ReplayOverlapResult overlap = time_replay_overlap(loop_cycles);
 
@@ -451,12 +394,6 @@ int main(int argc, char** argv) {
   std::fprintf(out, "%s", profiler.to_json_lines(true).c_str());
   std::fprintf(out, "\"profile_total_ns\": %llu,\n",
                static_cast<unsigned long long>(profiler.total_ns()));
-  std::fprintf(out, "\"governor_on_cycles_per_sec\": %.1f,\n",
-               governed.on_cycles_per_sec);
-  std::fprintf(out, "\"governor_off_cycles_per_sec\": %.1f,\n",
-               governed.off_cycles_per_sec);
-  std::fprintf(out, "\"governor_overhead_ratio\": %.4f,\n",
-               governed.overhead_ratio);
   std::fprintf(out, "\"telemetry_on_cycles_per_sec\": %.1f,\n",
                telemetry.on_cycles_per_sec);
   std::fprintf(out, "\"telemetry_off_cycles_per_sec\": %.1f,\n",
@@ -493,11 +430,6 @@ int main(int argc, char** argv) {
               "(%.3f per kcycle)\n",
               contended_allocs, static_cast<unsigned long long>(loop_cycles),
               allocs_per_kcycle);
-  std::printf(
-      "governed DASE-Fair VA+SD: %.0f cycles/sec with the governor, "
-      "%.0f without (best-pair ratio %.3f)\n",
-      governed.on_cycles_per_sec, governed.off_cycles_per_sec,
-      governed.overhead_ratio);
   std::printf(
       "telemetry VA+SD: %.0f cycles/sec with the hub attached, "
       "%.0f without (best-pair ratio %.3f)\n",

@@ -47,23 +47,6 @@ void GpuConfig::validate() const {
     fail("partition_resp_queue_depth must be positive");
   if (flight_recorder_events < 0 || flight_recorder_events > (1 << 20))
     fail("flight_recorder_events must be in [0, 1048576]");
-  // Governor knobs cross-validate against the estimation epoch: a drain
-  // budget shorter than one epoch would fire between the repartition
-  // decision and the first boundary that could observe convergence.
-  if (governor_drain_budget < estimation_interval)
-    fail("governor_drain_budget must be at least estimation_interval "
-         "(the drain watchdog must cover one full epoch)");
-  if (governor_max_delta <= 0)
-    fail("governor_max_delta must be positive");
-  if (governor_starvation_window <= 0)
-    fail("governor_starvation_window must be positive");
-  if (governor_thrash_window < 2)
-    fail("governor_thrash_window must be at least 2 (flap detection "
-         "needs A->B->A)");
-  if (governor_breaker_trips <= 0)
-    fail("governor_breaker_trips must be positive");
-  if (governor_jump_bound <= 1.0)
-    fail("governor_jump_bound must be greater than 1.0");
 }
 
 }  // namespace gpusim

@@ -79,36 +79,6 @@ struct GpuConfig {
   double requestmax_factor = 0.6;      // paper Eq. 20 empirical default
   double alpha_clamp_threshold = 0.7;  // Section 4.1: alpha->1 when large
 
-  // ---- Policy governor (guarded scheduling; DESIGN.md §14) ----
-  /// Cycles an SM-drain migration may stay pending before the governor's
-  /// drain watchdog intervenes.  Must cover at least one estimation
-  /// interval: a budget shorter than the epoch would let the watchdog fire
-  /// between the decision and the first chance to observe convergence.
-  /// Drains wait for active blocks to run to completion, and a
-  /// memory-bound block legitimately takes >200k cycles, so the default
-  /// is deliberately generous (matching the progress watchdog's default);
-  /// stall gates tighten it per run.
-  Cycle governor_drain_budget = 1'000'000;
-  /// Most SMs a single epoch's repartition may reassign; larger proposals
-  /// are clamped back toward the current partition.
-  int governor_max_delta = 8;
-  /// Consecutive epochs an app may sit pinned at the min-SM floor before
-  /// the starvation breaker trips and freezes the partition.
-  int governor_starvation_window = 6;
-  /// Epoch window for flap detection (A->B->A) and the freeze length after
-  /// a breaker trip.
-  int governor_thrash_window = 8;
-  /// Breaker trips after which the governor abandons the policy and falls
-  /// back to the even split permanently.
-  int governor_breaker_trips = 3;
-  /// Largest tolerated epoch-to-epoch slowdown-estimate ratio; a jump
-  /// beyond it marks the epoch low-confidence and holds the last-good
-  /// partition.
-  double governor_jump_bound = 8.0;
-  /// When true, a stalled drain is forcibly cancelled (the GPU keeps the
-  /// current partition) instead of raising kMigrationStalled.
-  bool governor_force_preempt = false;
-
   // ---- Derived quantities ----
   Cycle t_rp() const { return dram_to_sm(t_rp_dram); }
   Cycle t_rcd() const { return dram_to_sm(t_rcd_dram); }
@@ -173,13 +143,6 @@ struct GpuConfig {
     s.put_double(requestmax_factor);
     s.put_double(alpha_clamp_threshold);
     s.put_i32(flight_recorder_events);
-    s.put_u64(governor_drain_budget);
-    s.put_i32(governor_max_delta);
-    s.put_i32(governor_starvation_window);
-    s.put_i32(governor_thrash_window);
-    s.put_i32(governor_breaker_trips);
-    s.put_double(governor_jump_bound);
-    s.put_bool(governor_force_preempt);
   }
 };
 

@@ -51,23 +51,6 @@ Field number_field(T GpuConfig::* member, const char* comment) {
       comment};
 }
 
-Field bool_field(bool GpuConfig::* member, const char* comment) {
-  return Field{
-      [member](const GpuConfig& c) {
-        return std::string(c.*member ? "true" : "false");
-      },
-      [member](GpuConfig& c, const std::string& v) {
-        if (v == "true" || v == "1") {
-          c.*member = true;
-        } else if (v == "false" || v == "0") {
-          c.*member = false;
-        } else {
-          throw std::invalid_argument("expected true/false: " + v);
-        }
-      },
-      comment};
-}
-
 const std::map<std::string, Field>& field_table() {
   static const std::map<std::string, Field> table = {
       {"num_sms", number_field(&GpuConfig::num_sms, "streaming multiprocessors")},
@@ -104,13 +87,6 @@ const std::map<std::string, Field>& field_table() {
       {"requestmax_factor", number_field(&GpuConfig::requestmax_factor, "Eq. 20 empirical factor")},
       {"alpha_clamp_threshold", number_field(&GpuConfig::alpha_clamp_threshold, "alpha->1 threshold")},
       {"flight_recorder_events", number_field(&GpuConfig::flight_recorder_events, "black-box event ring capacity (0 = off)")},
-      {"governor_drain_budget", number_field(&GpuConfig::governor_drain_budget, "drain-watchdog cycle budget (>= estimation_interval)")},
-      {"governor_max_delta", number_field(&GpuConfig::governor_max_delta, "max SMs reassigned per epoch")},
-      {"governor_starvation_window", number_field(&GpuConfig::governor_starvation_window, "epochs at the floor before the breaker trips")},
-      {"governor_thrash_window", number_field(&GpuConfig::governor_thrash_window, "flap-detection / freeze window, epochs")},
-      {"governor_breaker_trips", number_field(&GpuConfig::governor_breaker_trips, "trips before falling back to the even split")},
-      {"governor_jump_bound", number_field(&GpuConfig::governor_jump_bound, "max epoch-to-epoch estimate ratio")},
-      {"governor_force_preempt", bool_field(&GpuConfig::governor_force_preempt, "cancel stalled drains instead of raising")},
   };
   return table;
 }

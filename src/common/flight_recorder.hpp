@@ -4,10 +4,10 @@
 // alone cannot explain *how* a 5M-cycle co-run got into the failing state.
 // The recorder keeps the last N load-bearing events — block dispatches,
 // SM-repartition handovers, fault-injector firings, crossbar stall
-// episodes, partition-queue high-water marks, governor interventions — in a
-// fixed-capacity ring that is cheap enough to stay on by default and is
-// fully serialized through the SimState walk, so it survives snapshot /
-// restore and rides along into crash bundles.
+// episodes, partition-queue high-water marks — in a fixed-capacity ring
+// that is cheap enough to stay on by default and is fully serialized
+// through the SimState walk, so it survives snapshot / restore and rides
+// along into crash bundles.
 //
 // Determinism contract: every tap records *simulated-state transitions
 // only*, so the ring contents (and therefore the state hash) are
@@ -54,15 +54,9 @@ enum class FrEvent : u8 {
   kDeferHighWater,       ///< unit=partition; a=deferred-resp backlog (pow2)
   kXbarReqStall,         ///< a=blocked-source mask, b=blocked count
   kXbarRespStall,        ///< a=blocked-source mask, b=blocked count
-  kGovClamp,             ///< app; a=SMs proposed, b=SMs after clamping
-  kGovProposalRejected,  ///< a=reason (GovernorReject), b=epoch
-  kGovLowConfidenceHold, ///< app=worst offender; a=reason, b=epoch
-  kGovBreakerTrip,       ///< app (starved; -1=thrash); a=trip count, b=epoch
-  kGovFallbackEven,      ///< a=trip count that forced the fallback, b=epoch
-  kGovMigrationAbort,    ///< a=cycles the drain had been pending, b=budget
 };
 
-inline constexpr u8 kNumFrEvents = 16;
+inline constexpr u8 kNumFrEvents = 10;
 
 inline const char* to_string(FrEvent e) {
   switch (e) {
@@ -76,12 +70,6 @@ inline const char* to_string(FrEvent e) {
     case FrEvent::kDeferHighWater: return "defer-high-water";
     case FrEvent::kXbarReqStall: return "xbar-req-stall";
     case FrEvent::kXbarRespStall: return "xbar-resp-stall";
-    case FrEvent::kGovClamp: return "gov-clamp";
-    case FrEvent::kGovProposalRejected: return "gov-proposal-rejected";
-    case FrEvent::kGovLowConfidenceHold: return "gov-low-confidence-hold";
-    case FrEvent::kGovBreakerTrip: return "gov-breaker-trip";
-    case FrEvent::kGovFallbackEven: return "gov-fallback-even";
-    case FrEvent::kGovMigrationAbort: return "gov-migration-abort";
   }
   return "?";
 }
@@ -246,24 +234,6 @@ class FlightRecorder {
         case FrEvent::kXbarRespStall:
           ss << " blocked_mask=0x" << std::hex << e.a << std::dec
              << " blocked=" << e.b;
-          break;
-        case FrEvent::kGovClamp:
-          ss << " proposed_sms=" << e.a << " clamped_sms=" << e.b;
-          break;
-        case FrEvent::kGovProposalRejected:
-          ss << " reason=" << e.a << " epoch=" << e.b;
-          break;
-        case FrEvent::kGovLowConfidenceHold:
-          ss << " reason=" << e.a << " epoch=" << e.b;
-          break;
-        case FrEvent::kGovBreakerTrip:
-          ss << " trips=" << e.a << " epoch=" << e.b;
-          break;
-        case FrEvent::kGovFallbackEven:
-          ss << " trips=" << e.a << " epoch=" << e.b;
-          break;
-        case FrEvent::kGovMigrationAbort:
-          ss << " pending_cycles=" << e.a << " budget=" << e.b;
           break;
       }
       ss << "\n";

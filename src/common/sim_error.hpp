@@ -40,7 +40,7 @@ enum class SimErrorKind {
   kDeadlineExceeded,   ///< wall-clock deadline passed mid-simulation
   kBudgetExceeded,     ///< cycle or memory-traffic budget exhausted
   kInterrupted,        ///< cooperative cancellation (SIGINT/SIGTERM drain)
-  kMigrationStalled,   ///< SM-drain migration exceeded the governor's budget
+  kMigrationStalled,   ///< SM drain pending for a full watchdog threshold
 };
 
 const char* to_string(SimErrorKind kind);

@@ -137,6 +137,7 @@ void Gpu::set_partition(const std::vector<AppId>& desired) {
     recorder_.record(now_, FrEvent::kMigrationRequested, -1, -1, changing, 0);
   }
   desired_partition_ = desired;
+  if (!migration_pending_) migration_pending_since_ = now_;
   migration_pending_ = true;
   progress_migration(now_);
 }
@@ -734,6 +735,7 @@ void Gpu::write_state(Sink& s) const {
   s.put_u64(now_);
   s.put_u64(last_interval_end_);
   s.put_bool(migration_pending_);
+  s.put_u64(migration_pending_since_);
   s.put_u64(desired_partition_.size());
   for (AppId a : desired_partition_) s.put_i32(a);
   instructions_.write_state(s);
@@ -767,6 +769,7 @@ void Gpu::load(StateReader& r) {
   now_ = r.get_u64();
   last_interval_end_ = r.get_u64();
   migration_pending_ = r.get_bool();
+  migration_pending_since_ = r.get_u64();
   const u64 parts = r.get_u64();
   SIM_CHECK(parts == desired_partition_.size(),
             SimError(SimErrorKind::kSnapshot, "gpu",
@@ -822,6 +825,7 @@ std::vector<std::pair<std::string, u64>> Gpu::component_hashes() const {
     h.put_u64(now_);
     h.put_u64(last_interval_end_);
     h.put_bool(migration_pending_);
+    h.put_u64(migration_pending_since_);
     for (AppId a : desired_partition_) h.put_i32(a);
     instructions_.write_state(h);
     sm_cycles_.write_state(h);

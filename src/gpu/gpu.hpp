@@ -77,6 +77,10 @@ class Gpu {
     return desired_partition_;
   }
   bool migration_in_progress() const;
+  /// The cycle of the set_partition call that started the pending
+  /// migration (a request that supersedes it keeps that start).  The
+  /// progress watchdog bounds how long a migration may stay pending.
+  Cycle migration_pending_since() const { return migration_pending_since_; }
   int sms_assigned(AppId app) const;
 
   /// Gives one application's DRAM requests absolute priority in every
@@ -215,6 +219,7 @@ class Gpu {
 
   std::vector<AppId> desired_partition_;
   bool migration_pending_ = false;
+  Cycle migration_pending_since_ = 0;
 
   Cycle now_ = 0;
   Cycle last_interval_end_ = 0;

@@ -1,6 +1,7 @@
 #include "gpu/simulator.hpp"
 
 #include <algorithm>
+#include <sstream>
 
 #include "common/sim_error.hpp"
 
@@ -11,6 +12,27 @@ namespace {
 /// handful of counter reads, so a fine period keeps detection latency low
 /// without measurable overhead.
 constexpr Cycle kWatchdogCheckPeriod = 1024;
+
+/// One line per SM still draining toward a new owner: what keeps it from
+/// emptying.  An SM released to idle keeps no application waiting, so it
+/// is left out.
+std::string stalled_drain_detail(const Gpu& gpu) {
+  std::ostringstream ss;
+  for (int s = 0; s < gpu.num_sms(); ++s) {
+    const SmCore& sm = gpu.sm(s);
+    if (!sm.draining() || sm.drained() ||
+        gpu.desired_partition()[s] == kInvalidApp) {
+      continue;
+    }
+    if (ss.tellp() > 0) ss << "\n";
+    ss << "sm=" << s << " app=" << sm.app()
+       << " live_warps=" << sm.live_warps()
+       << " active_blocks=" << sm.active_blocks()
+       << " waiting_warps=" << sm.waiting_warps()
+       << " out_queue=" << sm.out_queue().size();
+  }
+  return ss.str();
+}
 }  // namespace
 
 void Simulation::advance(Cycle cycles, AppId until_app,
@@ -142,25 +164,43 @@ void Simulation::check_watchdog() {
   if (sig != last_progress_sig_) {
     last_progress_sig_ = sig;
     last_progress_cycle_ = gpu_.now();
+  } else if (gpu_.now() - last_progress_cycle_ >= watchdog_cycles_) {
+    // Zero progress for the full threshold.  An intentionally idle GPU
+    // (every SM released, nothing in flight) is not a deadlock.
+    bool busy = !gpu_.memory_system_quiescent();
+    for (int s = 0; s < gpu_.num_sms() && !busy; ++s) {
+      busy = gpu_.sm(s).live_warps() > 0;
+    }
+    if (busy) {
+      SIM_FAIL(SimError(SimErrorKind::kWatchdogStall, "gpu.simulation",
+                        "no instruction retired and no DRAM request "
+                        "served — deadlock or livelock")
+                   .cycle(gpu_.now())
+                   .detail("stalled_for_cycles",
+                           gpu_.now() - last_progress_cycle_)
+                   .detail("watchdog_threshold", watchdog_cycles_)
+                   .detail("pipeline_state", gpu_.dump_state()));
+    }
+  }
+  // A drain waits for its SM's blocks to finish.  While the other SMs
+  // progress, the check above cannot see a drain that never ends, so a
+  // migration gets the same threshold from its set_partition request.
+  // Only SMs draining toward an application count: an SM released to idle
+  // keeps nobody waiting, and the progress check bounds its drain.
+  if (!gpu_.migration_in_progress() ||
+      gpu_.now() - gpu_.migration_pending_since() < watchdog_cycles_) {
     return;
   }
-  if (gpu_.now() - last_progress_cycle_ < watchdog_cycles_) return;
-  // Zero progress for the full threshold.  An intentionally idle GPU
-  // (every SM released, nothing in flight) is not a deadlock.
-  if (gpu_.memory_system_quiescent()) {
-    bool any_live = false;
-    for (int s = 0; s < gpu_.num_sms() && !any_live; ++s) {
-      any_live = gpu_.sm(s).live_warps() > 0;
-    }
-    if (!any_live) return;
-  }
-  SIM_FAIL(SimError(SimErrorKind::kWatchdogStall, "gpu.simulation",
-                    "no instruction retired and no DRAM request served — "
-                    "deadlock or livelock")
+  const std::string stalled = stalled_drain_detail(gpu_);
+  if (stalled.empty()) return;
+  SIM_FAIL(SimError(SimErrorKind::kMigrationStalled, "gpu.simulation",
+                    "SM-drain migration still pending a full watchdog "
+                    "threshold after it was requested")
                .cycle(gpu_.now())
-               .detail("stalled_for_cycles", gpu_.now() - last_progress_cycle_)
+               .detail("pending_cycles",
+                       gpu_.now() - gpu_.migration_pending_since())
                .detail("watchdog_threshold", watchdog_cycles_)
-               .detail("pipeline_state", gpu_.dump_state()));
+               .detail("stalled_sms", stalled));
 }
 
 void Simulation::save(StateWriter& w) const {

@@ -58,8 +58,10 @@ class Simulation {
  public:
   /// Progress-watchdog default: if no instruction retires and no DRAM
   /// request is served for this many cycles while work is outstanding, the
-  /// run is declared dead(locked).  Generous enough that no legitimate
-  /// workload trips it; tighten per run via set_watchdog().
+  /// run is declared dead(locked); an SM-drain migration still pending this
+  /// many cycles after its request is declared stalled.  Generous enough
+  /// that no legitimate workload trips it (a healthy drain can take over
+  /// 400K cycles); tighten per run via set_watchdog().
   static constexpr Cycle kDefaultWatchdogCycles = 1'000'000;
 
   Simulation(const GpuConfig& cfg, std::vector<AppLaunch> launches)
@@ -72,7 +74,8 @@ class Simulation {
   void add_observer(IntervalObserver* obs) { observers_.push_back(obs); }
   void add_cycle_hook(CycleHook* hook) { cycle_hooks_.push_back(hook); }
 
-  /// Sets the watchdog stall threshold in cycles; 0 disables the watchdog.
+  /// Sets the watchdog threshold in cycles (progress and pending drains);
+  /// 0 disables the watchdog.
   void set_watchdog(Cycle stall_cycles) { watchdog_cycles_ = stall_cycles; }
   Cycle watchdog_cycles() const { return watchdog_cycles_; }
 
@@ -123,8 +126,10 @@ class Simulation {
   /// settles the activity engine's lazy accruals before it returns, so
   /// every counter read afterwards is current.  Throws
   /// SimError(kWatchdogStall) with a full pipeline-state dump when the
-  /// watchdog detects a deadlock/livelock, and the typed limit errors
-  /// described above when a configured limit trips.
+  /// watchdog detects a deadlock/livelock, SimError(kMigrationStalled)
+  /// naming the still-draining SMs when a migration outlives the watchdog
+  /// threshold, and the typed limit errors described above when a
+  /// configured limit trips.
   void run(Cycle cycles) { advance(cycles, kInvalidApp, 0); }
 
   /// Runs like run(max_cycles) but stops on the first cycle boundary at

@@ -46,7 +46,11 @@ namespace gpusim {
 // dup-expect maps, the recovery taps, the retry config fields), the fault
 // injector kept only its drop counters, and the flight-recorder event kinds
 // were renumbered after the retry and removed fault kinds went.
-inline constexpr u32 kSnapshotVersion = 5;
+// Version 6: the policy safety layer left the walk (its "GOVN" observer
+// section, the telemetry records' intervention counter and its six
+// flight-recorder event kinds), and the GPU gained the cycle its pending
+// migration was requested at.
+inline constexpr u32 kSnapshotVersion = 6;
 
 struct SnapshotHeader {
   u32 version = 0;

@@ -26,7 +26,9 @@ const std::vector<FlagInfo>& flag_table() {
       {FlagId::kConfig, "--config", "FILE",
        "load a GpuConfig key=value file"},
       {FlagId::kWatchdog, "--watchdog", "N",
-       "deadlock watchdog threshold in cycles (0 disables; default 1000000)"},
+       "deadlock watchdog threshold in cycles (0 disables; default\n"
+       "1000000); an SM drain still pending this long after its\n"
+       "repartition request also fails the run (migration-stalled)"},
       {FlagId::kDeadlineMs, "--deadline-ms", "N",
        "wall-clock deadline in ms, shared by a whole --apps run or\n"
        "sweep (default none; lapsing it exits 7; rejected by --triage)"},
@@ -63,13 +65,6 @@ const std::vector<FlagInfo>& flag_table() {
        "under faults)"},
       {FlagId::kHashEvery, "--hash-every", "N",
        "audit sampling period in cycles (default 10000)"},
-      {FlagId::kGovernor, "--governor", nullptr,
-       "enable the policy safety governor (the default; last one of\n"
-       "--governor/--no-governor wins)"},
-      {FlagId::kNoGovernor, "--no-governor", nullptr,
-       "disable the policy safety governor: partition proposals reach\n"
-       "the GPU unguarded, exactly the pre-governor behavior (healthy\n"
-       "runs are byte-identical either way)"},
       {FlagId::kProfileLoop, "--profile-loop", nullptr,
        "attribute wall time and visit counts to the cycle-loop phases\n"
        "(SM advance, response delivery, crossbars, partitions, interval\n"
@@ -96,8 +91,8 @@ const std::vector<FlagInfo>& flag_table() {
        "sizes and memory-system rates"},
       {FlagId::kTraceOut, "--trace-out", "F",
        "Chrome trace-event JSON (load in Perfetto / chrome://tracing):\n"
-       "epoch spans per app, migration drain spans, governor and fault\n"
-       "instants, counter tracks (--apps and --triage runs only)"},
+       "epoch spans per app, migration drain spans, fault instants,\n"
+       "counter tracks (--apps and --triage runs only)"},
       {FlagId::kMetricsOut, "--metrics-out", "F",
        "Prometheus-style text metrics snapshot at run end (--apps runs\n"
        "only)"},

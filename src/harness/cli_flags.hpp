@@ -44,8 +44,6 @@ enum class FlagId {
   kSnapshotDir,
   kAuditDeterminism,
   kHashEvery,
-  kGovernor,
-  kNoGovernor,
   kProfileLoop,
   kFaultSchedule,
   kBundleDir,

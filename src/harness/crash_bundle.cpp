@@ -40,7 +40,6 @@ void write_manifest(std::ostream& os, const RunConfig& rc,
   os << "  \"mode\": \"" << json_escape(rc.crash_bundle_mode) << "\",\n";
   os << identity;
   os << "  \"watchdog_cycles\": " << rc.watchdog_cycles << ",\n";
-  os << "  \"governor\": \"" << (rc.governor ? "on" : "off") << "\",\n";
   os << "  \"fingerprint\": " << fingerprint << ",\n";
   os << "  \"failure_cycle\": " << failure_cycle << ",\n";
   os << "  \"failure_state_hash\": " << failure_state_hash << ",\n";
@@ -207,7 +206,6 @@ CrashBundleManifest read_crash_bundle_manifest(
   m.corun = parse_corun_identity(text);
   m.corun.rc.crash_bundle_mode = require_string("mode");
   m.corun.rc.watchdog_cycles = require_u64("watchdog_cycles");
-  m.corun.rc.governor = require_string("governor") != "off";
   m.fingerprint = require_u64("fingerprint");
   m.failure_cycle = require_u64("failure_cycle");
   m.failure_state_hash = require_u64("failure_state_hash");

@@ -5,10 +5,9 @@
 //
 //   manifest.json       one key per line: schema, build fingerprint, the
 //                       co-run identity (harness/runner.hpp's
-//                       corun_identity), the watchdog and governor
-//                       settings, the snapshot fingerprint, the failure
-//                       cycle + state hash, the error, and the replay
-//                       command
+//                       corun_identity), the watchdog setting, the
+//                       snapshot fingerprint, the failure cycle + state
+//                       hash, the error, and the replay command
 //   snapshot.simstate   the simulation at the failure point (gpu/snapshot
 //                       format, flight-recorder ring included)
 //   anchor.simstate     nearest earlier periodic snapshot, when one exists
@@ -43,8 +42,8 @@ struct CrashBundleManifest {
   std::string build_line;  ///< human-readable writer version line
   /// The failed co-run: parse_corun_identity over the manifest, plus the
   /// recorded caller configuration (rc.crash_bundle_mode,
-  /// rc.watchdog_cycles, rc.governor).  rc.gpu stays default: the bundle's
-  /// config.txt holds the effective GpuConfig.
+  /// rc.watchdog_cycles).  rc.gpu stays default: the bundle's config.txt
+  /// holds the effective GpuConfig.
   CoRunSpec corun;
   u64 fingerprint = 0;  ///< corun_fingerprint the bundled state was saved under
   Cycle failure_cycle = 0;
@@ -66,10 +65,10 @@ std::string label_file_stem(const std::string& label);
 /// these inputs, under rc.crash_bundle_dir (created if missing) and returns
 /// the published directory path.  The manifest records the co-run's
 /// corun_identity and corun_fingerprint; rc also supplies the GpuConfig,
-/// the mode tag and the watchdog and governor settings.  Best-effort by
-/// design: any failure (unwritable disk, snapshot serialization error) is
-/// reported on stderr and an empty string is returned — the original
-/// SimError must keep propagating unmasked.  `anchor_snapshot_path`, when
+/// the mode tag and the watchdog setting.  Best-effort by design: any
+/// failure (unwritable disk, snapshot serialization error) is reported on
+/// stderr and an empty string is returned — the original SimError must
+/// keep propagating unmasked.  `anchor_snapshot_path`, when
 /// it names an existing periodic snapshot file, is copied in as the
 /// re-execution anchor.
 std::string write_crash_bundle(const RunConfig& rc, const Workload& workload,

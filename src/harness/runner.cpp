@@ -28,7 +28,6 @@
 #include "harness/crash_bundle.hpp"
 #include "metrics/metrics.hpp"
 #include "sched/dase_fair.hpp"
-#include "sched/governor.hpp"
 #include "sched/policies.hpp"
 
 namespace gpusim {
@@ -349,20 +348,10 @@ CoRunAssembly assemble_corun(const RunConfig& rc, const Workload& workload,
     a.temporal = std::make_unique<TemporalPolicy>(rc.temporal);
     sim.add_cycle_hook(a.temporal.get());
   }
-  // The governor must see each epoch *after* the policies acted, and is
-  // attached regardless of rc.governor so the observer walk and snapshot
-  // shape never depend on the flag; a disabled governor is a pure
-  // pass-through.
-  a.governor = std::make_unique<PolicyGovernor>(
-      GovernorOptions::from_config(rc.gpu, rc.governor), a.dase.get());
-  sim.add_observer(a.governor.get());
-  if (a.fair) a.fair->set_partition_sink(a.governor.get());
-  if (a.qos) a.qos->set_partition_sink(a.governor.get());
   // The telemetry hub is the final observer: each record must capture the
-  // epoch as the policies *and* the governor left it.  Like the governor
-  // it is attached unconditionally — the output flags only gate flushing —
-  // so telemetry on vs. off cannot change the observer walk, the state
-  // hash, or any simulated outcome.
+  // epoch as the policies left it.  It is attached unconditionally — the
+  // output flags only gate flushing — so telemetry on vs. off cannot
+  // change the observer walk, the state hash, or any simulated outcome.
   std::vector<TelemetryEstimatorTap> taps;
   if (a.dase) {
     taps.push_back({"DASE", a.dase.get()});
@@ -376,9 +365,7 @@ CoRunAssembly assemble_corun(const RunConfig& rc, const Workload& workload,
     taps.push_back({"ASM", a.asm_model.get()});
     a.telemetry_estimators.push_back("ASM");
   }
-  a.telemetry = std::make_unique<TelemetryHub>(
-      std::move(taps),
-      [gov = a.governor.get()] { return gov->interventions(); });
+  a.telemetry = std::make_unique<TelemetryHub>(std::move(taps));
   sim.add_observer(a.telemetry.get());
   return a;
 }
@@ -394,15 +381,6 @@ TelemetryFlushContext corun_telemetry_context(const RunConfig& rc,
   ctx.interval_length = rc.gpu.estimation_interval;
   ctx.final_cycle = assembly.sim->gpu().now();
   ctx.profiler = rc.profiler;
-  const PolicyGovernor& gov = *assembly.governor;
-  ctx.extra_counters = {
-      {"governor_clamps", gov.clamps()},
-      {"governor_rejects", gov.rejects()},
-      {"governor_holds", gov.holds()},
-      {"governor_breaker_trips", gov.breaker_trips()},
-      {"governor_fallbacks", gov.fallbacks()},
-      {"governor_stalls_aborted", gov.stalls_aborted()},
-  };
   return ctx;
 }
 
@@ -813,9 +791,6 @@ CoRunResult ExperimentRunner::run(const Workload& workload,
   if (fair) result.repartitions = fair->repartitions();
   if (qos) result.repartitions = qos->adjustments();
   if (temporal) result.repartitions = temporal->switches();
-  if (assembly.governor) {
-    result.governor_interventions = assembly.governor->interventions();
-  }
   if (dase) result.sanitized_estimates += dase->sanitized_estimates();
   if (mise) result.sanitized_estimates += mise->sanitized_estimates();
   if (asm_model) result.sanitized_estimates += asm_model->sanitized_estimates();

@@ -28,7 +28,6 @@ class MiseModel;
 class AsmModel;
 class PriorityEpochDriver;
 class DaseFairPolicy;
-class PolicyGovernor;
 
 struct RunConfig {
   GpuConfig gpu;
@@ -53,18 +52,13 @@ struct RunConfig {
   TemporalOptions temporal;
   DaseQosOptions qos;
 
-  /// Policy safety governor (sched/governor.hpp; --no-governor clears
-  /// it).  The governor observer is attached either way so the SimState
-  /// walk keeps one shape; like the watchdog threshold this is caller
-  /// configuration, not simulated state, so a snapshot taken with the
-  /// governor on restores fine with it off (and vice versa).
-  bool governor = true;
   /// Loop profiler attached to the co-run Simulation (nullptr = none;
   /// --profile-loop).  Must outlive the runner calls that use this config.
   LoopProfiler* profiler = nullptr;
 
   /// SimGuard: progress-watchdog stall threshold applied to every
-  /// simulation this runner drives (0 disables; default matches
+  /// simulation this runner drives; it also bounds how long an SM drain
+  /// may stay pending (0 disables both; default matches
   /// Simulation::kDefaultWatchdogCycles).
   Cycle watchdog_cycles = 1'000'000;
   /// SimGuard: audit end-to-end request conservation after each co-run,
@@ -185,8 +179,8 @@ struct CoRunSpec {
 /// schedule and every TemporalOptions and DaseQosOptions field, written as
 /// one `"key": value,` line each — the crash-bundle manifest's layout.
 /// The snapshot fingerprint hashes exactly this text, and crash bundles
-/// store it.  Caller configuration (watchdog, governor, limits, output
-/// paths) is not part of it.
+/// store it.  Caller configuration (watchdog, limits, output paths) is not
+/// part of it.
 std::string corun_identity(const RunConfig& rc, const Workload& workload,
                            const ModelSet& models, PolicyKind policy,
                            const std::vector<int>* sm_split);
@@ -228,11 +222,8 @@ struct CoRunAssembly {
   std::unique_ptr<DaseFairPolicy> fair;
   std::unique_ptr<DaseQosPolicy> qos;
   std::unique_ptr<TemporalPolicy> temporal;
-  /// Always attached (last observer) so the observer walk has one shape;
-  /// pass-through when rc.governor is false.
-  std::unique_ptr<PolicyGovernor> governor;
-  /// Always attached (after the governor, so each record sees the epoch's
-  /// final intervention counts); output flags only gate flushing.
+  /// Always attached (last observer, so each record sees the epoch as the
+  /// policies left it); output flags only gate flushing.
   std::unique_ptr<TelemetryHub> telemetry;
   /// Tap order the hub was assembled with ("DASE"/"MISE"/"ASM"); the flush
   /// context must name the estimate columns in exactly this order.
@@ -244,17 +235,16 @@ struct CoRunAssembly {
 /// `rc`, the fault injector when a schedule is armed, the SM partition for
 /// the policy/split, and the model/policy observers in canonical
 /// registration order (dase, mise, asm, epochs, fair, qos, temporal,
-/// governor, telemetry hub last — the order Simulation::load expects
-/// back).  Shared by the runner, the determinism audit and --triage so a
-/// restored snapshot always meets an identically assembled experiment.
+/// telemetry hub last — the order Simulation::load expects back).  Shared
+/// by the runner, the determinism audit and --triage so a restored
+/// snapshot always meets an identically assembled experiment.
 CoRunAssembly assemble_corun(const RunConfig& rc, const Workload& workload,
                              const ModelSet& models, PolicyKind policy,
                              const std::vector<int>* sm_split = nullptr);
 
 /// The flush context every co-run's telemetry files share: `label`, the app
-/// names, the estimator columns, the interval length, the final cycle, the
-/// profiler and the governor counters.  Callers add the alone baselines or
-/// a crash marker.
+/// names, the estimator columns, the interval length, the final cycle and
+/// the profiler.  Callers add the alone baselines or a crash marker.
 TelemetryFlushContext corun_telemetry_context(const RunConfig& rc,
                                               const Workload& workload,
                                               const CoRunAssembly& assembly,
@@ -283,7 +273,6 @@ struct CoRunResult {
   double wasted_bw_share = 0.0;
   double idle_bw_share = 0.0;
   u64 repartitions = 0;  // policy actions (migrations/switches/adjustments)
-  u64 governor_interventions = 0;  // clamps + rejects + holds + trips + aborts
   u64 sanitized_estimates = 0;  // estimator outputs clamped, Σ over models
 
   double mean_error_of(const std::string& model) const;

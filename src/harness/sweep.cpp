@@ -68,14 +68,10 @@ std::string SweepRunner::to_json(const CoRunResult& r) {
      << ",\"wasted_bw_share\":" << fmt_double(r.wasted_bw_share)
      << ",\"idle_bw_share\":" << fmt_double(r.idle_bw_share)
      << ",\"repartitions\":" << r.repartitions;
-  // Anomaly counters ride along only when nonzero, so healthy-run result
-  // lines stay byte-identical with earlier checkpoints/baselines (the same
-  // contract as the run-mode CLI's conditional governor line).
+  // The anomaly counter rides along only when nonzero, so healthy-run
+  // result lines stay byte-identical with earlier checkpoints/baselines.
   if (r.sanitized_estimates != 0) {
     ss << ",\"sanitized_estimates\":" << r.sanitized_estimates;
-  }
-  if (r.governor_interventions != 0) {
-    ss << ",\"governor_interventions\":" << r.governor_interventions;
   }
   ss << ",\"apps\":[";
   for (std::size_t i = 0; i < r.apps.size(); ++i) {

@@ -7,7 +7,6 @@
 #include <limits>
 
 #include "common/sim_error.hpp"
-#include "sched/governor.hpp"
 
 namespace gpusim {
 
@@ -152,13 +151,8 @@ void DaseFairPolicy::on_interval(const IntervalSample& sample, Gpu& gpu) {
     return;  // not enough predicted gain to pay the drain cost
   }
 
-  const std::vector<AppId> assignment = build_assignment(gpu, best);
-  if (sink_ != nullptr) {
-    if (sink_->propose_partition(gpu, assignment)) ++repartitions_;
-  } else {
-    gpu.set_partition(assignment);
-    ++repartitions_;
-  }
+  gpu.set_partition(build_assignment(gpu, best));
+  ++repartitions_;
 }
 
 std::vector<AppId> DaseFairPolicy::build_assignment(

@@ -18,8 +18,6 @@
 
 namespace gpusim {
 
-class PartitionSink;
-
 struct DaseFairOptions {
   /// Intervals to observe before the first repartition decision.
   int warmup_intervals = 1;
@@ -47,11 +45,6 @@ class DaseFairPolicy final : public IntervalObserver {
   DaseFairPolicy(DaseModel* model, DaseFairOptions options = {});
 
   void on_interval(const IntervalSample& sample, Gpu& gpu) override;
-
-  /// Routes partition changes through `sink` (the PolicyGovernor) instead
-  /// of calling Gpu::set_partition directly; nullptr restores the direct
-  /// path.  repartitions() only counts proposals the sink forwarded.
-  void set_partition_sink(PartitionSink* sink) { sink_ = sink; }
 
   u64 repartitions() const { return repartitions_; }
 
@@ -88,7 +81,6 @@ class DaseFairPolicy final : public IntervalObserver {
 
   DaseModel* model_;
   DaseFairOptions options_;
-  PartitionSink* sink_ = nullptr;
   int intervals_seen_ = 0;
   u64 repartitions_ = 0;
 };

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "sched/governor.hpp"
 
 namespace gpusim {
 
@@ -114,12 +113,8 @@ void DaseQosPolicy::on_interval(const IntervalSample& sample, Gpu& gpu) {
       --to_release;
     }
   }
-  if (sink_ != nullptr) {
-    if (sink_->propose_partition(gpu, assignment)) ++adjustments_;
-  } else {
-    gpu.set_partition(assignment);
-    ++adjustments_;
-  }
+  gpu.set_partition(assignment);
+  ++adjustments_;
 }
 
 }  // namespace gpusim

@@ -24,8 +24,6 @@
 
 namespace gpusim {
 
-class PartitionSink;
-
 /// The LEFTOVER allocation of `num_sms` SMs, given each application's
 /// maximum occupancy in SMs (a full-GPU grid occupies them all): the first
 /// application gets every SM it can occupy, and later ones only receive
@@ -92,11 +90,6 @@ class DaseQosPolicy final : public IntervalObserver {
 
   void on_interval(const IntervalSample& sample, Gpu& gpu) override;
 
-  /// Routes partition changes through `sink` (the PolicyGovernor) instead
-  /// of calling Gpu::set_partition directly; nullptr restores the direct
-  /// path.  adjustments() only counts proposals the sink forwarded.
-  void set_partition_sink(PartitionSink* sink) { sink_ = sink; }
-
   u64 adjustments() const { return adjustments_; }
 
   void save_state(StateWriter& w) const override { write_obs_state(w); }
@@ -117,7 +110,6 @@ class DaseQosPolicy final : public IntervalObserver {
 
   DaseModel* model_;
   DaseQosOptions options_;
-  PartitionSink* sink_ = nullptr;
   int intervals_seen_ = 0;
   u64 adjustments_ = 0;
 };

@@ -50,8 +50,6 @@ void TelemetryHub::on_interval(const IntervalSample& sample, Gpu& gpu) {
   rec.start = sample.start;
   rec.length = sample.length;
   rec.migration_in_progress = gpu.migration_in_progress();
-  rec.governor_interventions =
-      governor_interventions_ ? governor_interventions_() : 0;
   for (int p = 0; p < gpu.num_partitions(); ++p) {
     const McCounters& mcc = gpu.partition(p).mc().counters();
     rec.dram_requests += mcc.requests_served.grand_total();
@@ -101,7 +99,6 @@ void TelemetryHub::load_state(StateReader& r) {
     rec.dram_row_hits = r.get_u64();
     rec.dram_row_misses = r.get_u64();
     rec.dram_bus_data_cycles = r.get_u64();
-    rec.governor_interventions = r.get_u64();
     rec.migration_in_progress = r.get_bool();
     const u32 nparts = r.get_u32();
     rec.resp_queue_high_water.resize(nparts);
@@ -201,7 +198,7 @@ void append_number_or_null(std::ostringstream& ss, double v) {
 void write_telemetry_jsonl(const std::string& path, const TelemetryHub& hub,
                            const TelemetryFlushContext& ctx) {
   std::ostringstream ss;
-  ss << "{\"schema\":\"gpusim-telemetry-v1\",\"label\":\""
+  ss << "{\"schema\":\"gpusim-telemetry-v2\",\"label\":\""
      << json_escape(ctx.label) << "\",\"interval\":" << ctx.interval_length
      << ",\"final_cycle\":" << ctx.final_cycle << ",\"apps\":[";
   for (std::size_t i = 0; i < ctx.apps.size(); ++i) {
@@ -226,7 +223,6 @@ void write_telemetry_jsonl(const std::string& path, const TelemetryHub& hub,
     const u64 p_hits = prev ? prev->dram_row_hits : 0;
     const u64 p_miss = prev ? prev->dram_row_misses : 0;
     const u64 p_req = prev ? prev->dram_requests : 0;
-    const u64 p_gov = prev ? prev->governor_interventions : 0;
     const u64 d_hits = r.dram_row_hits - p_hits;
     const u64 d_miss = r.dram_row_misses - p_miss;
     const std::size_t nparts = r.resp_queue_high_water.size();
@@ -238,9 +234,6 @@ void write_telemetry_jsonl(const std::string& path, const TelemetryHub& hub,
     ss << "{\"epoch\":" << r.epoch << ",\"start\":" << r.start
        << ",\"length\":" << r.length << ",\"migration\":"
        << (r.migration_in_progress ? "true" : "false")
-       << ",\"governor_interventions\":" << r.governor_interventions
-       << ",\"governor_interventions_delta\":"
-       << (r.governor_interventions - p_gov)
        << ",\"dram_requests_delta\":" << (r.dram_requests - p_req)
        << ",\"dram_bw_util\":" << fmt_double(bw_util)
        << ",\"dram_row_hit_rate\":";
@@ -310,7 +303,6 @@ void write_telemetry_jsonl(const std::string& path, const TelemetryHub& hub,
 namespace {
 
 // Trace-track layout (DESIGN.md §15): one process, fixed thread ids.
-constexpr int kTidGovernor = 1;
 constexpr int kTidMigration = 2;
 constexpr int kTidFaults = 3;
 constexpr int kTidMemory = 4;
@@ -324,13 +316,6 @@ void trace_meta(std::ostringstream& ss, int tid, const std::string& name) {
 
 int trace_tid_for(const FlightEvent& e) {
   switch (e.kind) {
-    case FrEvent::kGovClamp:
-    case FrEvent::kGovProposalRejected:
-    case FrEvent::kGovLowConfidenceHold:
-    case FrEvent::kGovBreakerTrip:
-    case FrEvent::kGovFallbackEven:
-    case FrEvent::kGovMigrationAbort:
-      return kTidGovernor;
     case FrEvent::kMigrationRequested:
     case FrEvent::kMigrationHandover:
     case FrEvent::kMigrationComplete:
@@ -359,7 +344,6 @@ void write_trace_json(const std::string& path, const TelemetryHub& hub,
   ss << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n"
      << "{\"ph\":\"M\",\"pid\":1,\"name\":\"process_name\",\"args\":{\"name\":"
      << "\"gpusim " << json_escape(ctx.label) << "\"}}";
-  trace_meta(ss, kTidGovernor, "governor");
   trace_meta(ss, kTidMigration, "sm-migration");
   trace_meta(ss, kTidFaults, "fault-injection");
   trace_meta(ss, kTidMemory, "memory-system");
@@ -398,9 +382,6 @@ void write_trace_json(const std::string& path, const TelemetryHub& hub,
          << "\":" << r.apps[i].num_sms;
     }
     ss << "}}";
-    ss << ",\n{\"ph\":\"C\",\"pid\":1,\"ts\":" << (r.start + r.length)
-       << ",\"name\":\"governor_interventions\",\"args\":{\"count\":"
-       << r.governor_interventions << "}}";
   }
 
   // Flight-recorder events: migration request/complete pairs become drain
@@ -568,11 +549,6 @@ void collect_metrics(MetricsRegistry& reg, const TelemetryHub& hub,
 
   reg.counter("gpusim_repartitions_total", "", "SM repartitions applied") =
       static_cast<double>(ctx.repartitions);
-  for (const auto& [name, value] : ctx.extra_counters) {
-    reg.counter("gpusim_" + name + "_total", "",
-                "harness-provided counter (see DESIGN.md §15)") =
-        static_cast<double>(value);
-  }
 
   // Distribution views over the recorded epochs.
   for (std::size_t a = 0; a < (hub.records().empty()

@@ -22,12 +22,10 @@
 // The hub taps, rather than owns, its sources: the flight recorder is
 // drained incrementally through its lifetime counter (shared event-kind
 // vocabulary — FrEvent is the one enum both the crash timeline and the
-// Perfetto export speak), estimators are read through their public latest()
-// snapshots, and the governor through an opaque counter closure so the
-// telemetry layer does not link against the scheduling layer.
+// Perfetto export speak), and estimators are read through their public
+// latest() snapshots.
 #pragma once
 
-#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -92,7 +90,6 @@ struct TelemetryRecord {
   u64 dram_row_hits = 0;    ///< cumulative
   u64 dram_row_misses = 0;  ///< cumulative
   u64 dram_bus_data_cycles = 0;  ///< cumulative
-  u64 governor_interventions = 0;  ///< cumulative
   bool migration_in_progress = false;
   std::vector<u64> resp_queue_high_water;  ///< per partition, monotone
   std::vector<TelemetryAppSample> apps;
@@ -103,11 +100,8 @@ class TelemetryHub final : public IntervalObserver {
   static constexpr std::size_t kMaxRecords = 8192;
   static constexpr std::size_t kMaxTraceEvents = 8192;
 
-  TelemetryHub(std::vector<TelemetryEstimatorTap> estimators,
-               std::function<u64()> governor_interventions)
-      : taps_(std::move(estimators)),
-        governor_interventions_(std::move(governor_interventions)),
-        fr_kind_counts_(kNumFrEvents, 0) {}
+  explicit TelemetryHub(std::vector<TelemetryEstimatorTap> estimators)
+      : taps_(std::move(estimators)), fr_kind_counts_(kNumFrEvents, 0) {}
 
   void on_interval(const IntervalSample& sample, Gpu& gpu) override;
 
@@ -140,7 +134,6 @@ class TelemetryHub final : public IntervalObserver {
       s.put_u64(r.dram_row_hits);
       s.put_u64(r.dram_row_misses);
       s.put_u64(r.dram_bus_data_cycles);
-      s.put_u64(r.governor_interventions);
       s.put_bool(r.migration_in_progress);
       s.put_u32(static_cast<u32>(r.resp_queue_high_water.size()));
       for (const u64 v : r.resp_queue_high_water) s.put_u64(v);
@@ -178,7 +171,6 @@ class TelemetryHub final : public IntervalObserver {
 
  private:
   std::vector<TelemetryEstimatorTap> taps_;
-  std::function<u64()> governor_interventions_;
 
   u64 epochs_seen_ = 0;
   u64 records_dropped_ = 0;
@@ -191,8 +183,8 @@ class TelemetryHub final : public IntervalObserver {
 };
 
 /// Everything the exporters need that is not simulated state: naming, the
-/// end-of-run alone-IPC baselines for actual-slowdown columns, the governor
-/// counter breakdown, and crash context when flushing from a failure path.
+/// end-of-run alone-IPC baselines for actual-slowdown columns, and crash
+/// context when flushing from a failure path.
 struct TelemetryFlushContext {
   std::string label;
   std::vector<std::string> apps;        ///< abbr per app slot
@@ -201,7 +193,6 @@ struct TelemetryFlushContext {
   Cycle final_cycle = 0;
   std::vector<double> ipc_alone;  ///< empty = unknown (no actual columns)
   u64 repartitions = 0;
-  std::vector<std::pair<std::string, u64>> extra_counters;
   const LoopProfiler* profiler = nullptr;  ///< merged as trace counter tracks
   bool crashed = false;
   std::string crash_kind;

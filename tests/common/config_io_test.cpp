@@ -15,7 +15,6 @@ TEST(ConfigIoTest, RoundTripPreservesEveryField) {
   original.banks_per_mc = 8;
   original.estimation_interval = 25'000;
   original.requestmax_factor = 0.45;
-  original.governor_force_preempt = true;
   original.t_miss_bubble_dram = 7;
   original.dram_clock_ratio = 1.25;
 
@@ -27,7 +26,6 @@ TEST(ConfigIoTest, RoundTripPreservesEveryField) {
   EXPECT_EQ(parsed.banks_per_mc, 8);
   EXPECT_EQ(parsed.estimation_interval, 25'000u);
   EXPECT_DOUBLE_EQ(parsed.requestmax_factor, 0.45);
-  EXPECT_TRUE(parsed.governor_force_preempt);
   EXPECT_EQ(parsed.t_miss_bubble_dram, 7);
   EXPECT_DOUBLE_EQ(parsed.dram_clock_ratio, 1.25);
 }
@@ -58,8 +56,6 @@ TEST(ConfigIoTest, MalformedValueRejected) {
   EXPECT_THROW(read_config(bad_number), std::invalid_argument);
   std::stringstream no_equals("num_sms 4\n");
   EXPECT_THROW(read_config(no_equals), std::invalid_argument);
-  std::stringstream bad_bool("governor_force_preempt = maybe\n");
-  EXPECT_THROW(read_config(bad_bool), std::invalid_argument);
 }
 
 TEST(ConfigIoTest, InvalidResultingConfigRejected) {
@@ -138,13 +134,6 @@ TEST(ConfigIoTest, FileRoundTrip) {
 TEST(ConfigIoTest, MissingFileThrows) {
   EXPECT_THROW(load_config("/nonexistent/path/gpusim.cfg"),
                std::runtime_error);
-}
-
-TEST(ConfigIoTest, BoolAcceptsNumericForms) {
-  std::stringstream ss("governor_force_preempt = 0\n");
-  EXPECT_FALSE(read_config(ss).governor_force_preempt);
-  std::stringstream ss2("governor_force_preempt = 1\n");
-  EXPECT_TRUE(read_config(ss2).governor_force_preempt);
 }
 
 }  // namespace

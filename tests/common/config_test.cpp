@@ -116,21 +116,7 @@ INSTANTIATE_TEST_SUITE_P(
         BadConfigCase{"negative_flight_recorder",
                       [](GpuConfig& c) { c.flight_recorder_events = -1; }},
         BadConfigCase{"huge_flight_recorder",
-                      [](GpuConfig& c) { c.flight_recorder_events = 1 << 21; }},
-        BadConfigCase{"governor_budget_below_interval",
-                      [](GpuConfig& c) {
-                        c.governor_drain_budget = c.estimation_interval - 1;
-                      }},
-        BadConfigCase{"governor_zero_delta",
-                      [](GpuConfig& c) { c.governor_max_delta = 0; }},
-        BadConfigCase{"governor_zero_starvation_window",
-                      [](GpuConfig& c) { c.governor_starvation_window = 0; }},
-        BadConfigCase{"governor_thrash_window_too_short",
-                      [](GpuConfig& c) { c.governor_thrash_window = 1; }},
-        BadConfigCase{"governor_zero_breaker_trips",
-                      [](GpuConfig& c) { c.governor_breaker_trips = 0; }},
-        BadConfigCase{"governor_jump_bound_at_one",
-                      [](GpuConfig& c) { c.governor_jump_bound = 1.0; }}),
+                      [](GpuConfig& c) { c.flight_recorder_events = 1 << 21; }}),
     [](const auto& info) { return std::string(info.param.name); });
 
 }  // namespace

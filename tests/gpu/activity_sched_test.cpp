@@ -77,6 +77,13 @@ RandomCase make_case(u64 seed, bool with_faults) {
   // the warp masks.
   c.cfg.l1_mshr_entries = 2 + static_cast<int>(rng.next_below(31));  // 2..32
   c.cfg.max_warps_per_sm = rng.next_bool(0.5) ? 48 : 64;
+  // Drawn last for the same reason.  Half the cases get a 2..8-entry
+  // response queue, which fills: its partition then waits for a freed
+  // slot, the wake the engine must not miss.
+  if (rng.next_bool(0.5)) {
+    c.cfg.partition_resp_queue_depth =
+        2 + static_cast<int>(rng.next_below(7));                   // 2..8
+  }
   return c;
 }
 
@@ -277,8 +284,8 @@ TEST(ActivitySchedTest, EngineSleepsSmsThroughComputeRuns) {
 }
 
 // Audits a co-run assembled as ExperimentRunner::run builds it (models,
-// policy, governor, telemetry hub): the activity engine against the
-// per-cycle walk.  Returns the engine-side assembly for further checks.
+// policy, telemetry hub): the activity engine against the per-cycle walk.
+// Returns the engine-side assembly for further checks.
 CoRunAssembly audit_assembled(const std::string& first,
                               const std::string& second,
                               const ModelSet& models, PolicyKind policy,

@@ -114,6 +114,26 @@ TEST(GpuTest, IdleSmsAllowedInPartition) {
   EXPECT_GT(gpu.instructions().total(0), 0u);
 }
 
+TEST(GpuTest, MalformedPartitionRequestRaisesTypedError) {
+  // The policies call set_partition directly, so it alone rejects a
+  // request with the wrong number of owners or an unknown owner.
+  GpuConfig cfg;
+  Gpu gpu(cfg, {launch("VA"), launch("SD")});
+  const int n = cfg.num_sms;
+  for (const std::vector<AppId>& bad :
+       {std::vector<AppId>(n - 1, 0), std::vector<AppId>(n + 1, 0),
+        std::vector<AppId>(n, 2), std::vector<AppId>(n, -2)}) {
+    SCOPED_TRACE(bad.size());
+    try {
+      gpu.set_partition(bad);
+      FAIL() << "the request was accepted";
+    } catch (const SimError& e) {
+      EXPECT_EQ(e.kind(), SimErrorKind::kHarness);
+    }
+  }
+  EXPECT_FALSE(gpu.migration_in_progress());
+}
+
 TEST(GpuTest, EndIntervalProducesConsistentSample) {
   GpuConfig cfg;
   Gpu gpu(cfg, {launch("VA"), launch("SD", 43)});

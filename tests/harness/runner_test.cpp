@@ -400,6 +400,71 @@ u64 fingerprint_of(const RunConfig& rc, const Workload& w,
   return fingerprint;
 }
 
+// The watchdog threshold also bounds an SM drain: VA+SD's DASE-Fair
+// migration waits on blocks that run longer than 50K cycles while the
+// other SMs keep the progress check quiet, so the run must die with the
+// drain's own typed error, naming the SMs that are still draining.
+TEST(RunnerTest, DrainPendingPastTheWatchdogIsMigrationStalled) {
+  RunConfig rc;
+  rc.co_run_cycles = 300'000;
+  rc.watchdog_cycles = 50'000;
+  try {
+    ExperimentRunner(rc).run(Workload{{*find_app("VA"), *find_app("SD")}},
+                             ModelSet{.dase = true}, PolicyKind::kDaseFair);
+    FAIL() << "expected kMigrationStalled";
+  } catch (const SimError& e) {
+    EXPECT_EQ(e.kind(), SimErrorKind::kMigrationStalled) << e.what();
+    EXPECT_NE(std::string(e.what()).find("sm="), std::string::npos)
+        << "the error must name the stalled SMs";
+  }
+}
+
+// A DASE-Fair co-run snapshotted while a migration drains restores into a
+// freshly assembled co-run byte for byte, drain start included, and the
+// two continue in lockstep.
+TEST(RunnerTest, DaseFairSnapshotMidMigrationRestoresExactly) {
+  RunConfig rc = quick_config();
+  rc.gpu.estimation_interval = 10'000;
+  const Workload w{{*find_app("VA"), *find_app("SD")}};
+  const ModelSet dase{.dase = true};
+
+  CoRunAssembly a = assemble_corun(rc, w, dase, PolicyKind::kDaseFair);
+  a.sim->run(60'000);
+  ASSERT_TRUE(a.sim->gpu().migration_in_progress())
+      << "no drain pending at the snapshot";
+  const std::vector<u8> bytes = a.sim->snapshot();
+
+  CoRunAssembly b = assemble_corun(rc, w, dase, PolicyKind::kDaseFair);
+  b.sim->restore(bytes);
+  EXPECT_EQ(a.sim->state_hash(), b.sim->state_hash());
+  EXPECT_EQ(bytes, b.sim->snapshot());
+  EXPECT_EQ(b.sim->gpu().migration_pending_since(),
+            a.sim->gpu().migration_pending_since());
+
+  a.sim->run(20'000);
+  b.sim->run(20'000);
+  EXPECT_EQ(a.sim->state_hash(), b.sim->state_hash());
+}
+
+// A partition stalled forever under DASE-Fair must end in the progress
+// watchdog's typed stall, never in a result or an untyped escape: the
+// progress check runs before the drain check.
+TEST(RunnerTest, StallForeverUnderDaseFairIsAWatchdogStall) {
+  RunConfig rc;
+  rc.co_run_cycles = 40'000;
+  rc.gpu.estimation_interval = 10'000;
+  rc.watchdog_cycles = 10'000;
+  rc.faults = FaultSchedule{}.stall_partition(0, 2'000, 0);
+
+  try {
+    ExperimentRunner(rc).run(Workload{{*find_app("VA"), *find_app("SD")}},
+                             ModelSet{.dase = true}, PolicyKind::kDaseFair);
+    FAIL() << "a partition stalled forever let the run finish";
+  } catch (const SimError& e) {
+    EXPECT_EQ(e.kind(), SimErrorKind::kWatchdogStall) << e.what();
+  }
+}
+
 TEST(RunnerTest, FingerprintCoversEveryIdentityInput) {
   const RunConfig base = quick_config();
   const Workload w{{*find_app("CT"), *find_app("SP")}};
@@ -459,11 +524,9 @@ TEST(RunnerTest, FingerprintCoversEveryIdentityInput) {
   for (const auto& [name, fp] : variants) distinct.insert(fp);
   EXPECT_EQ(distinct.size(), variants.size());
 
-  // Caller configuration stays out: snapshots survive a changed watchdog
-  // or governor setting.
+  // Caller configuration stays out: snapshots survive a changed watchdog.
   RunConfig caller = base;
   caller.watchdog_cycles = 12'345;
-  caller.governor = false;
   EXPECT_EQ(fingerprint_of(caller, w, dase, PolicyKind::kEven, nullptr),
             base_fp);
 }
@@ -475,13 +538,13 @@ TEST(RunnerTest, FingerprintsArePinned) {
   const Workload ct_sp{{*find_app("CT"), *find_app("SP")}};
   const ModelSet dase{.dase = true};
   EXPECT_EQ(fingerprint_of(rc, ct_sp, dase, PolicyKind::kEven, nullptr),
-            0x3962b3111d408150ULL);
+            0x5e62c8b2ff3c147eULL);
   EXPECT_EQ(fingerprint_of(rc, ct_sp, dase, PolicyKind::kDaseFair, nullptr),
-            0x9362147816b0a8f1ULL);
+            0x8665a00a6834006fULL);
   const std::vector<int> split = {4, 12};
   EXPECT_EQ(fingerprint_of(rc, Workload{{*find_app("SD"), *find_app("SA")}},
                            dase, PolicyKind::kEven, &split),
-            0xf69d97bbf375d612ULL);
+            0x47fd9d83e90797c6ULL);
   RunConfig faulted = rc;
   faulted.faults = FaultSchedule::parse(
       "drop-resp:nth=200;stall:part=0,from=1000,until=5000;seed=7");
@@ -489,7 +552,7 @@ TEST(RunnerTest, FingerprintsArePinned) {
                        *find_app("SN")}};
   const ModelSet all{.dase = true, .mise = true, .asm_model = true};
   EXPECT_EQ(fingerprint_of(faulted, quad, all, PolicyKind::kEven, nullptr),
-            0xe9911cb5fc4e140bULL);
+            0xa0fa637cb73acc82ULL);
 }
 
 TEST(RunnerTest, IdentityParserRebuildsTheCoRun) {

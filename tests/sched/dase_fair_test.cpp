@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <vector>
 
+#include "harness/runner.hpp"
 #include "kernels/app_registry.hpp"
 
 namespace gpusim {
@@ -111,6 +113,58 @@ TEST(EligibilityTest, ShortOrSmallKernelsAreExcluded) {
 TEST(EligibilityTest, AllRegistryAppsAreEligible) {
   for (const auto& app : app_registry()) {
     EXPECT_TRUE(dase_fair_eligible(app)) << app.abbr;
+  }
+}
+
+/// Records the SM owners at every interval boundary, as the policy left
+/// them (attached after it).
+class PartitionWatch final : public IntervalObserver {
+ public:
+  struct Tick {
+    Cycle cycle = 0;
+    std::vector<AppId> partition;
+  };
+  std::vector<Tick> ticks;
+
+  void on_interval(const IntervalSample&, Gpu& gpu) override {
+    ticks.push_back({gpu.now(), gpu.current_partition()});
+  }
+};
+
+// Adversarial schedule — two windowed partition stalls and a dropped
+// response.  Whatever the estimator makes of that, the partition visible
+// at every interval boundary must give each SM a launched owner and each
+// application at least one SM.
+TEST(DaseFairPolicyTest, AdversarialScheduleNeverYieldsAnInvalidPartition) {
+  RunConfig rc;
+  rc.co_run_cycles = 100'000;
+  rc.gpu.estimation_interval = 10'000;
+  rc.faults = FaultSchedule{}
+                  .stall_partition(1, 20'000, 28'000)
+                  .stall_partition(3, 45'000, 52'000)
+                  .drop_response_nth(500);
+  const Workload workload{{*find_app("VA"), *find_app("SD")}};
+
+  CoRunAssembly a = assemble_corun(rc, workload, ModelSet{.dase = true},
+                                   PolicyKind::kDaseFair);
+  PartitionWatch watch;
+  a.sim->add_observer(&watch);
+  a.sim->run(rc.co_run_cycles);
+
+  ASSERT_GE(watch.ticks.size(), 5u);
+  const int num_apps = a.sim->gpu().num_apps();
+  for (const PartitionWatch::Tick& t : watch.ticks) {
+    ASSERT_EQ(t.partition.size(), 16u);
+    std::vector<int> owned(static_cast<std::size_t>(num_apps), 0);
+    for (const AppId owner : t.partition) {
+      ASSERT_GE(owner, 0) << "unowned SM at cycle " << t.cycle;
+      ASSERT_LT(owner, num_apps) << "bogus owner at cycle " << t.cycle;
+      ++owned[static_cast<std::size_t>(owner)];
+    }
+    for (int app = 0; app < num_apps; ++app) {
+      EXPECT_GE(owned[static_cast<std::size_t>(app)], 1)
+          << "app " << app << " starved out at cycle " << t.cycle;
+    }
   }
 }
 

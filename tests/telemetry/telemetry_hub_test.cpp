@@ -49,8 +49,7 @@ HubRig make_rig() {
   rig.dase = std::make_unique<DaseModel>();
   rig.sim->add_observer(rig.dase.get());
   rig.hub = std::make_unique<TelemetryHub>(
-      std::vector<TelemetryEstimatorTap>{{"DASE", rig.dase.get()}},
-      [] { return u64{0}; });
+      std::vector<TelemetryEstimatorTap>{{"DASE", rig.dase.get()}});
   rig.sim->add_observer(rig.hub.get());
   return rig;
 }
@@ -99,8 +98,7 @@ TEST(TelemetryHubTest, SaveLoadRoundTripIsByteExact) {
   // A fresh hub (as built on resume, before load) must adopt the state
   // exactly: re-serialization and the determinism hash both match.
   TelemetryHub fresh(
-      std::vector<TelemetryEstimatorTap>{{"DASE", rig.dase.get()}},
-      [] { return u64{0}; });
+      std::vector<TelemetryEstimatorTap>{{"DASE", rig.dase.get()}});
   StateReader r(bytes);
   fresh.load_state(r);
   StateWriter w2;
@@ -166,7 +164,7 @@ TEST(TelemetryHubTest, FlushWritesDocumentedFileShapes) {
   ASSERT_TRUE(series.is_open());
   std::string line;
   ASSERT_TRUE(std::getline(series, line));
-  EXPECT_NE(line.find("\"schema\":\"gpusim-telemetry-v1\""), std::string::npos)
+  EXPECT_NE(line.find("\"schema\":\"gpusim-telemetry-v2\""), std::string::npos)
       << line;
   std::size_t body_lines = 0;
   while (std::getline(series, line)) {

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # The one merge gate: tier-1 build + full test suite, then every
 # specialised checker — the state-hash determinism audit, the
-# crash-forensics gate, the policy-governor safety gate, ASan/UBSan, TSan
-# over the concurrency-heavy tests, the telemetry gate, the pinned
-# paper-results gate, and the performance-regression gate.
+# crash-forensics gate, ASan/UBSan, TSan over the concurrency-heavy tests,
+# the telemetry gate, the pinned paper-results gate, and the
+# performance-regression gate.
 # CI invokes exactly this script; run it locally before pushing anything
 # that touches simulator, harness or serialization code.
 #
@@ -37,30 +37,28 @@ step() {
   return "$rc"
 }
 
-step "[1/9] tier-1: configure + build" bash -c \
+step "[1/8] tier-1: configure + build" bash -c \
   "cmake -B build -S . && cmake --build build -j '$JOBS'"
-step "[1/9] tier-1: ctest" ctest --test-dir build -j "$JOBS" --output-on-failure
+step "[1/8] tier-1: ctest" ctest --test-dir build -j "$JOBS" --output-on-failure
 
-step "[2/9] determinism audit" tools/check_determinism.sh build
+step "[2/8] determinism audit" tools/check_determinism.sh build
 
-step "[3/9] crash forensics: bundle + triage" tools/check_triage.sh build
+step "[3/8] crash forensics: bundle + triage" tools/check_triage.sh build
 
-step "[4/9] policy governor: watchdog, breakers, transparency" tools/check_governor.sh build
+step "[4/8] ASan + UBSan" tools/check_sanitize.sh
 
-step "[5/9] ASan + UBSan" tools/check_sanitize.sh
-
-step "[6/9] TSan (worker pool, JSONL ledger, runner replay helper, fork+signal)" \
+step "[5/8] TSan (worker pool, JSONL ledger, runner replay helper, fork+signal)" \
   tools/check_tsan.sh
 
-step "[7/9] telemetry: schema, trace, transparency, overhead" tools/check_telemetry.sh build
+step "[6/8] telemetry: schema, trace, transparency, overhead" tools/check_telemetry.sh build
 
-step "[8/9] paper results pinned to paperbench/reference.json" \
+step "[7/8] paper results pinned to paperbench/reference.json" \
   tools/check_paperbench.sh
 
 if [[ "$SKIP_PERF" == "1" ]]; then
-  echo "===== [9/9] perf gate: SKIPPED ====="
+  echo "===== [8/8] perf gate: SKIPPED ====="
 else
-  step "[9/9] perf gate" tools/check_perf.sh build
+  step "[8/8] perf gate" tools/check_perf.sh build
 fi
 
 echo "check_all: OK"

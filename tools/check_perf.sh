@@ -18,12 +18,9 @@
 #   GPUSIM_PERF_RELATIVE_ONLY         1 = skip the absolute cycles/sec gates
 #                                     (for CI hosts with unknown wall-clock
 #                                     performance); still asserts the schema
-#                                     keys exist, the activity engine's
+#                                     keys exist and the activity engine's
 #                                     contended speedup meets
-#                                     GPUSIM_PERF_MIN_SPEEDUP (default 1.2),
-#                                     and the governor overhead ratio meets
-#                                     GPUSIM_PERF_MIN_GOVERNOR_RATIO
-#                                     (default 0.98, i.e. <=2% overhead)
+#                                     GPUSIM_PERF_MIN_SPEEDUP (default 1.2)
 #   GPUSIM_PERF_MIN_TELEMETRY_RATIO   floor for the telemetry hub's
 #                                     attached-vs-absent throughput ratio
 #                                     (default 0.98, i.e. <=2% overhead while
@@ -66,7 +63,6 @@ TOLERANCE="${GPUSIM_PERF_TOLERANCE:-0.15}"
 TOLERANCE_CONTENDED="${GPUSIM_PERF_TOLERANCE_CONTENDED:-0.10}"
 RELATIVE_ONLY="${GPUSIM_PERF_RELATIVE_ONLY:-0}"
 MIN_SPEEDUP="${GPUSIM_PERF_MIN_SPEEDUP:-1.2}"
-MIN_GOVERNOR_RATIO="${GPUSIM_PERF_MIN_GOVERNOR_RATIO:-0.98}"
 MIN_TELEMETRY_RATIO="${GPUSIM_PERF_MIN_TELEMETRY_RATIO:-0.98}"
 MIN_REPLAY_OVERLAP=1.15
 MAX_HEAP_GROWTH=0.05
@@ -94,8 +90,6 @@ fail=0
 for key in sim_cycles_per_sec \
            contended_cycles_per_sec contended_cycles_per_sec_no_activity \
            contended_activity_speedup contended_profiled_cycles_per_sec \
-           governor_on_cycles_per_sec governor_off_cycles_per_sec \
-           governor_overhead_ratio \
            telemetry_on_cycles_per_sec telemetry_off_cycles_per_sec \
            telemetry_overhead_ratio replay_overlap_speedup \
            simulation_heap_kib allocs_per_kcycle \
@@ -119,20 +113,7 @@ else
   fail=1
 fi
 
-# The governor overhead is also host-independent (same binary, same co-run,
-# governor on vs off), so the <=2% overhead contract (DESIGN.md §14) is
-# gated even in relative-only mode.
-gov_ratio=$(json_key "$FRESH" governor_overhead_ratio)
-ok=$(awk -v r="${gov_ratio:-0}" -v min="$MIN_GOVERNOR_RATIO" \
-     'BEGIN { print (r >= min) ? 1 : 0 }')
-if [[ "$ok" == 1 ]]; then
-  echo "OK:   governor_overhead_ratio ${gov_ratio} (floor ${MIN_GOVERNOR_RATIO})"
-else
-  echo "FAIL: governor_overhead_ratio ${gov_ratio} below floor ${MIN_GOVERNOR_RATIO}"
-  fail=1
-fi
-
-# The telemetry hub's disabled-path cost is likewise host-independent (same
+# The telemetry hub's disabled-path cost is also host-independent (same
 # binary, same co-run, hub attached vs absent), so the <=2% contract
 # (DESIGN.md §15) is gated even in relative-only mode.
 tel_ratio=$(json_key "$FRESH" telemetry_overhead_ratio)

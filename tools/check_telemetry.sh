@@ -50,7 +50,7 @@ import json, sys
 path, cycles = sys.argv[1], int(sys.argv[2])
 lines = [json.loads(l) for l in open(path)]
 header, records = lines[0], lines[1:]
-assert header["schema"] == "gpusim-telemetry-v1", header
+assert header["schema"] == "gpusim-telemetry-v2", header
 assert header["apps"] == ["SD", "SA"], header
 assert header["records"] == len(records), (header["records"], len(records))
 expected = cycles // header["interval"]

@@ -129,12 +129,6 @@ void print_result(const CoRunResult& result, const ModelSet& models) {
   }
   std::cout << " wasted=" << TablePrinter::pct(result.wasted_bw_share)
             << " idle=" << TablePrinter::pct(result.idle_bw_share) << '\n';
-  // Only printed when the governor actually intervened, so healthy runs
-  // stay byte-identical between --governor and --no-governor.
-  if (result.governor_interventions != 0) {
-    std::cout << "governor interventions " << result.governor_interventions
-              << '\n';
-  }
 }
 
 int run_sweep(const std::string& which, const RunConfig& rc,
@@ -198,7 +192,7 @@ int run_audit(const RunConfig& rc, const Workload& workload,
               const ModelSet& models, PolicyKind policy,
               const std::vector<int>* sm_split, Cycle hash_every) {
   // Both runs are assembled exactly as a plain run is — models, policy,
-  // split, governor, telemetry hub and (under --fault-schedule) identical
+  // split, telemetry hub and (under --fault-schedule) identical
   // injectors — so every observer's state is part of the compared hashes.
   // Run A is the production configuration (the activity engine); run B is
   // the per-cycle reference walk.  Any state-hash divergence between them
@@ -342,12 +336,6 @@ int main(int argc, char** argv) {
       case FlagId::kHashEvery:
         hash_every = parse_u64(argv[0], arg, value, 1);
         have_hash_every = true;
-        break;
-      case FlagId::kGovernor:
-        rc.governor = true;
-        break;
-      case FlagId::kNoGovernor:
-        rc.governor = false;
         break;
       case FlagId::kProfileLoop:
         profile_loop = true;
