@@ -8,7 +8,6 @@
 //   * ATD set sampling vs. a full shadow directory  (Section 4.2 / Eq. 13)
 //   * the empirical Requestmax factor 0.6           (Eq. 20)
 #include "bench_util.hpp"
-#include "baselines/priority_epochs.hpp"
 #include "dase/dase_model.hpp"
 #include "kernels/workload_sets.hpp"
 #include "metrics/metrics.hpp"
@@ -18,33 +17,26 @@ namespace {
 using namespace gpusim;
 using namespace gpusim::bench;
 
-/// Mean DASE error across `workloads` with the given model options and
-/// GPU configuration tweaks.
+/// Mean DASE error across `workloads` with the given model options, every
+/// co-run and replay under `rc`.
 double mean_error(const std::vector<Workload>& workloads,
-                  const DaseOptions& options, const GpuConfig& gpu_cfg,
-                  Cycle co_run_cycles) {
-  RunConfig rc;
-  rc.gpu = gpu_cfg;
-  rc.co_run_cycles = co_run_cycles;
-  // Supplies the exact alone replays; the co-runs below are built by hand.
+                  const DaseOptions& options, const RunConfig& rc) {
+  // Supplies the exact alone replays.
   const ExperimentRunner runner(rc);
 
   std::vector<double> errors;
   for (const Workload& w : workloads) {
-    // Run the co-run manually so the model options are controllable.
-    const int n = static_cast<int>(w.apps.size());
-    std::vector<AppLaunch> launches;
-    for (int i = 0; i < n; ++i) {
-      launches.push_back(
-          AppLaunch{w.apps[i], harness_app_seed(rc.base_seed, i)});
-    }
-    Simulation sim(rc.gpu, std::move(launches));
+    // Assembled without models, so the one DASE observer is this
+    // variant's.
+    const CoRunAssembly corun =
+        assemble_corun(rc, w, ModelSet{.dase = false}, PolicyKind::kEven);
+    Simulation& sim = *corun.sim;
     DaseModel model(options);
     sim.add_observer(&model);
-    sim.gpu().set_partition(even_partition(rc.gpu.num_sms, n));
     sim.run(rc.co_run_cycles);
+    sim.gpu().verify_conservation();
 
-    for (int i = 0; i < n; ++i) {
+    for (int i = 0; i < static_cast<int>(w.apps.size()); ++i) {
       // Equal work alone and shared: the slowdown is the cycle ratio.
       const Cycle alone_cycles = runner.measure_alone_cycles(
           w.apps[i], harness_app_seed(rc.base_seed, i),
@@ -63,16 +55,17 @@ double mean_error(const std::vector<Workload>& workloads,
 int main() {
   banner("DASE ablations — contribution of each design choice",
          "DESIGN.md Section 6 (paper Sections 4.1-4.4)");
-  const Cycle cycles = cycles_from_env("REPRO_CORUN_CYCLES", 150'000);
+  const RunConfig base_rc = default_run_config();
   const auto workloads = random_two_app_workloads(pair_limit(15), 31);
-  const GpuConfig base_cfg;
+  const GpuConfig& base_cfg = base_rc.gpu;
 
   TablePrinter table({"variant", "mean error"}, 26);
   table.print_header();
   auto report = [&](const std::string& name, const DaseOptions& opt,
                     const GpuConfig& cfg) {
-    table.print_row(name, TablePrinter::pct(
-                              mean_error(workloads, opt, cfg, cycles)));
+    RunConfig rc = base_rc;
+    rc.gpu = cfg;
+    table.print_row(name, TablePrinter::pct(mean_error(workloads, opt, rc)));
   };
 
   report("full DASE", DaseOptions{}, base_cfg);

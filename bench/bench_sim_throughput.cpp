@@ -329,12 +329,10 @@ int main(int argc, char** argv) {
 
   const std::string out_path = argc > 1 ? argv[1] : "BENCH_throughput.json";
   const Cycle loop_cycles = cycles_from_env("BENCH_CYCLES", 400'000);
-  const int sweep_pairs =
-      static_cast<int>(cycles_from_env("BENCH_SWEEP_PAIRS", 4));
+  const int sweep_pairs = count_from_env("BENCH_SWEEP_PAIRS", 4);
   const int hw =
       static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
-  const int sweep_jobs =
-      static_cast<int>(cycles_from_env("BENCH_JOBS", static_cast<Cycle>(hw)));
+  const int sweep_jobs = count_from_env("BENCH_JOBS", hw);
 
   banner("Simulator throughput baseline",
          "cycle-loop cycles/sec + sweep wall-time (BENCH_throughput.json)");

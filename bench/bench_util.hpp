@@ -1,11 +1,12 @@
 // Shared helpers for the figure/table reproduction binaries.
 //
-// Every binary prints the same rows/series the paper reports.  Cycle
-// budgets default to laptop-friendly values and can be scaled with
+// Every binary prints the same rows/series the paper reports.  Run
+// lengths default to laptop-friendly values and can be scaled with
 // environment variables:
 //   REPRO_CORUN_CYCLES   co-run length (default 150000; paper used 5M)
 //   REPRO_PAIR_LIMIT     cap on two-app workloads where applicable
-//   REPRO_WATCHDOG       deadlock-watchdog threshold in cycles
+//   REPRO_WATCHDOG       deadlock-watchdog threshold in cycles, applied to
+//                        every co-run and replay of every binary
 #pragma once
 
 #include <cstdio>
@@ -24,8 +25,7 @@ inline RunConfig default_run_config() {
 }
 
 inline int pair_limit(int fallback) {
-  return static_cast<int>(cycles_from_env("REPRO_PAIR_LIMIT",
-                                          static_cast<Cycle>(fallback)));
+  return count_from_env("REPRO_PAIR_LIMIT", fallback);
 }
 
 inline void banner(const std::string& title, const std::string& paper_ref) {

@@ -19,7 +19,7 @@ int main() {
   banner("Fig. 3 — performance vs. memory request service rate",
          "paper Fig. 3 (memory-intensive kernel, varying request service "
          "rate)");
-  const Cycle cycles = cycles_from_env("REPRO_CORUN_CYCLES", 150'000);
+  const RunConfig rc = default_run_config();
 
   const KernelProfile subject = *find_app("VA");  // streaming, intensive
   TablePrinter table({"hog_frac", "req/kcyc", "IPC"}, 12);
@@ -30,10 +30,13 @@ int main() {
        {0.001, 0.003, 0.005, 0.008, 0.012, 0.02, 0.05, 0.20, 0.50}) {
     KernelProfile hog = *find_app("SB");
     hog.mem_fraction = hog_intensity;
-    GpuConfig cfg;
-    Simulation sim(cfg, {AppLaunch{subject, 42}, AppLaunch{hog, 43}});
-    sim.gpu().set_partition(even_partition(cfg.num_sms, 2));
-    sim.run(cycles);
+    // Built by hand for its own seeds (42, 43), under the watchdog and
+    // audit every assembled co-run gets.
+    Simulation sim(rc.gpu, {AppLaunch{subject, 42}, AppLaunch{hog, 43}});
+    sim.set_watchdog(rc.watchdog_cycles);
+    sim.gpu().set_partition(even_partition(rc.gpu.num_sms, 2));
+    sim.run(rc.co_run_cycles);
+    sim.gpu().verify_conservation();
     u64 served = 0;
     for (int m = 0; m < sim.gpu().num_partitions(); ++m) {
       served +=

@@ -37,12 +37,12 @@ int main() {
                      11);
   table.print_header();
   for (const char* partner : {"VA", "SA", "SD", "CT", "NN", "AT", "QR"}) {
-    Simulation sim(rc.gpu,
-                   {AppLaunch{sb, harness_app_seed(rc.base_seed, 0)},
-                    AppLaunch{*find_app(partner),
-                              harness_app_seed(rc.base_seed, 1)}});
-    sim.gpu().set_partition(even_partition(rc.gpu.num_sms, 2));
+    const CoRunAssembly corun =
+        assemble_corun(rc, Workload{{sb, *find_app(partner)}},
+                       ModelSet{.dase = false}, PolicyKind::kEven);
+    Simulation& sim = *corun.sim;
     sim.run(rc.co_run_cycles);
+    sim.gpu().verify_conservation();
     const double r0 = 1000.0 * served_total(sim.gpu(), 0) / sim.gpu().now();
     const double r1 = 1000.0 * served_total(sim.gpu(), 1) / sim.gpu().now();
     table.print_row(std::string("SB+") + partner, TablePrinter::num(r0, 0),

@@ -11,7 +11,6 @@ const char* to_string(SimErrorKind kind) {
     case SimErrorKind::kConfig: return "config";
     case SimErrorKind::kHarness: return "harness";
     case SimErrorKind::kSnapshot: return "snapshot";
-    case SimErrorKind::kDeadlineExceeded: return "deadline-exceeded";
     case SimErrorKind::kBudgetExceeded: return "budget-exceeded";
     case SimErrorKind::kInterrupted: return "interrupted";
     case SimErrorKind::kMigrationStalled: return "migration-stalled";

@@ -37,8 +37,7 @@ enum class SimErrorKind {
   kConfig,         ///< invalid configuration reached a component
   kHarness,        ///< experiment-harness misuse (missing model, bad split)
   kSnapshot,       ///< SimState snapshot format / integrity / mismatch error
-  kDeadlineExceeded,   ///< wall-clock deadline passed mid-simulation
-  kBudgetExceeded,     ///< cycle or memory-traffic budget exhausted
+  kBudgetExceeded,     ///< an alone replay hit max_alone_cycles
   kInterrupted,        ///< cooperative cancellation (SIGINT/SIGTERM drain)
   kMigrationStalled,   ///< SM drain pending for a full watchdog threshold
 };

@@ -40,17 +40,9 @@ void Simulation::advance(Cycle cycles, AppId until_app,
   if (next_interval_end_ == 0) {
     next_interval_end_ = gpu_.now() + interval_length_;
   }
-  // A cycle budget clips the requested stop: the run advances to the budget
-  // boundary (keeping interval/watchdog bookkeeping exact up to it) and the
-  // overrun is reported as a typed error *after* the loop, so the state at
-  // the throw point is a valid simulation state at exactly budget cycles.
-  const Cycle requested_stop = gpu_.now() + cycles;
-  const bool budget_clips =
-      cycle_budget_ != 0 && requested_stop > cycle_budget_;
-  const Cycle stop =
-      budget_clips ? std::max(gpu_.now(), cycle_budget_) : requested_stop;
+  const Cycle stop = gpu_.now() + cycles;
   const bool watchdog_on = watchdog_cycles_ != 0;
-  const bool limits_on = limits_armed();
+  const bool cancel_on = cancel_ != nullptr;
   // The per-app instruction counter is exact between any two cycles under
   // either engine: the activity engine adds each instruction of an SM
   // asleep in a compute run to it in the cycle the walk would issue it.
@@ -67,7 +59,7 @@ void Simulation::advance(Cycle cycles, AppId until_app,
   // kWatchdogCheckPeriod.
   while (gpu_.now() < stop && !reached()) {
     Cycle chunk_end = std::min(stop, next_interval_end_);
-    if (watchdog_on || limits_on) {
+    if (watchdog_on || cancel_on) {
       const Cycle wd_next =
           (gpu_.now() / kWatchdogCheckPeriod + 1) * kWatchdogCheckPeriod;
       chunk_end = std::min(chunk_end, wd_next);
@@ -79,23 +71,15 @@ void Simulation::advance(Cycle cycles, AppId until_app,
     maybe_fire_interval();
     if (gpu_.now() % kWatchdogCheckPeriod == 0) {
       if (watchdog_on) check_watchdog();
-      if (limits_on) check_limits();
+      if (cancel_on) check_cancel();
     }
   }
   // Counters read after a run must be current: settle what the activity
   // engine still owes its sleeping components.
   gpu_.sync_for_observation();
-  // At least one limit check per run() call, so short runs (and the final
-  // partial chunk) cannot outrun a tripped limit.
-  if (limits_on) check_limits();
-  if (budget_clips && !reached()) {
-    SIM_FAIL(SimError(SimErrorKind::kBudgetExceeded, "gpu.simulation",
-                      "cycle budget exhausted before the requested run "
-                      "length completed")
-                 .cycle(gpu_.now())
-                 .detail("cycle_budget", cycle_budget_)
-                 .detail("requested_stop", requested_stop));
-  }
+  // At least one cancel check per run() call, so short runs (and the
+  // final partial chunk) cannot outrun a raised flag.
+  if (cancel_on) check_cancel();
 }
 
 bool Simulation::run_until_instructions(AppId app, u64 target,
@@ -113,39 +97,12 @@ void Simulation::maybe_fire_interval() {
   next_interval_end_ = gpu_.now() + interval_length_;
 }
 
-u64 Simulation::total_requests_served() const {
-  u64 served = 0;
-  for (int p = 0; p < gpu_.num_partitions(); ++p) {
-    served += gpu_.partition(p).mc().counters().requests_served.grand_total();
-  }
-  return served;
-}
-
-void Simulation::check_limits() {
-  // Order matters: an operator interrupt beats a deadline beats a budget —
-  // the most externally-driven condition wins so a drain is reported as a
-  // drain even when a deadline lapsed while the drain was pending.
-  if (cancel_ != nullptr && cancel_->load(std::memory_order_relaxed)) {
+void Simulation::check_cancel() {
+  if (cancel_->load(std::memory_order_relaxed)) {
     SIM_FAIL(SimError(SimErrorKind::kInterrupted, "gpu.simulation",
                       "cooperative cancellation requested — state is "
                       "intact and snapshot-able at this cycle")
                  .cycle(gpu_.now()));
-  }
-  if (wall_deadline_ != std::chrono::steady_clock::time_point{} &&
-      std::chrono::steady_clock::now() >= wall_deadline_) {
-    SIM_FAIL(SimError(SimErrorKind::kDeadlineExceeded, "gpu.simulation",
-                      "wall-clock deadline passed mid-simulation")
-                 .cycle(gpu_.now()));
-  }
-  if (mem_budget_ != 0) {
-    const u64 served = total_requests_served();
-    if (served > mem_budget_) {
-      SIM_FAIL(SimError(SimErrorKind::kBudgetExceeded, "gpu.simulation",
-                        "memory-traffic budget exhausted")
-                   .cycle(gpu_.now())
-                   .detail("mem_budget", mem_budget_)
-                   .detail("requests_served", served));
-    }
   }
 }
 

@@ -5,7 +5,6 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <vector>
 
 #include "gpu/gpu.hpp"
@@ -93,33 +92,15 @@ class Simulation {
     gpu_.set_loop_profiler(prof);
   }
 
-  // --- Run limits --------------------------------------------------------
-  // All limits are caller configuration, not simulated state: like the
-  // watchdog threshold they are neither serialized nor hashed, and hitting
-  // one raises a typed SimError instead of silently truncating the run.
-  // Limits are sampled at the same chunk boundaries as the watchdog (every
-  // kWatchdogCheckPeriod cycles at most), so the hot loop stays clean, and
-  // once more when run() returns normally, so even a short run sees at
-  // least one check.
-
-  /// Wall-clock deadline: run() throws SimError(kDeadlineExceeded) at the
-  /// first sampling point past `deadline`.  A default-constructed
-  /// time_point disables the check.
-  void set_wall_deadline(std::chrono::steady_clock::time_point deadline) {
-    wall_deadline_ = deadline;
-  }
-  /// Absolute cycle cap: run() advances to `max_cycles` at most and throws
-  /// SimError(kBudgetExceeded) when the caller asked to go further.  0
-  /// disables the cap.
-  void set_cycle_budget(Cycle max_cycles) { cycle_budget_ = max_cycles; }
-  /// Memory-traffic cap: run() throws SimError(kBudgetExceeded) once the
-  /// total DRAM requests served across all partitions exceed `max_served`.
-  /// 0 disables the cap.
-  void set_mem_budget(u64 max_served) { mem_budget_ = max_served; }
   /// Cooperative cancellation: run() throws SimError(kInterrupted) at the
   /// first sampling point where `*cancel` is true (nullptr disables).  The
-  /// simulation state is intact and snapshot-able at the throw point —
-  /// graceful-shutdown drains rely on that.
+  /// flag is caller configuration, not simulated state: like the watchdog
+  /// threshold it is neither serialized nor hashed.  It is sampled at the
+  /// watchdog's cadence (every kWatchdogCheckPeriod cycles), so the hot
+  /// loop stays clean, and once more when run() returns normally, so even
+  /// a short run sees one check.  The simulation state is intact and
+  /// snapshot-able at the throw point — graceful-shutdown drains rely on
+  /// that.
   void set_cancel(const std::atomic<bool>* cancel) { cancel_ = cancel; }
 
   /// Runs for `cycles`, firing interval boundaries as they pass, and
@@ -128,8 +109,7 @@ class Simulation {
   /// SimError(kWatchdogStall) with a full pipeline-state dump when the
   /// watchdog detects a deadlock/livelock, SimError(kMigrationStalled)
   /// naming the still-draining SMs when a migration outlives the watchdog
-  /// threshold, and the typed limit errors described above when a
-  /// configured limit trips.
+  /// threshold, and SimError(kInterrupted) when the cancel flag is set.
   void run(Cycle cycles) { advance(cycles, kInvalidApp, 0); }
 
   /// Runs like run(max_cycles) but stops on the first cycle boundary at
@@ -142,9 +122,9 @@ class Simulation {
   // --- SimState ----------------------------------------------------------
   // snapshot()/restore() capture the complete simulation: the GPU plus the
   // interval/watchdog bookkeeping plus every registered observer and cycle
-  // hook (in registration order).  watchdog_cycles_ and the run limits are
-  // caller configuration, not simulated state: a restore keeps whatever the
-  // restoring caller configured.
+  // hook (in registration order).  watchdog_cycles_ and the cancel flag
+  // are caller configuration, not simulated state: a restore keeps
+  // whatever the restoring caller configured.
   void save(StateWriter& w) const;
   void load(StateReader& r);
 
@@ -168,13 +148,8 @@ class Simulation {
   void advance(Cycle cycles, AppId until_app, u64 until_instructions);
   void maybe_fire_interval();
   void check_watchdog();
-  void check_limits();
-  bool limits_armed() const {
-    return cancel_ != nullptr || mem_budget_ != 0 ||
-           wall_deadline_ != std::chrono::steady_clock::time_point{};
-  }
+  void check_cancel();
   u64 progress_signature() const;
-  u64 total_requests_served() const;
 
   Gpu gpu_;
   Cycle interval_length_;
@@ -188,9 +163,6 @@ class Simulation {
   u64 last_progress_sig_ = 0;
   LoopProfiler* profiler_ = nullptr;
 
-  std::chrono::steady_clock::time_point wall_deadline_{};
-  Cycle cycle_budget_ = 0;
-  u64 mem_budget_ = 0;
   const std::atomic<bool>* cancel_ = nullptr;
 };
 

@@ -29,15 +29,6 @@ const std::vector<FlagInfo>& flag_table() {
        "deadlock watchdog threshold in cycles (0 disables; default\n"
        "1000000); an SM drain still pending this long after its\n"
        "repartition request also fails the run (migration-stalled)"},
-      {FlagId::kDeadlineMs, "--deadline-ms", "N",
-       "wall-clock deadline in ms, shared by a whole --apps run or\n"
-       "sweep (default none; lapsing it exits 7; rejected by --triage)"},
-      {FlagId::kCycleBudget, "--cycle-budget", "N",
-       "hard cycle cap per co-run of an --apps run or sweep (default\n"
-       "none; exceeding it exits 8; rejected by --triage)"},
-      {FlagId::kMemBudget, "--mem-budget", "N",
-       "hard DRAM requests-served cap per co-run, same modes as\n"
-       "--cycle-budget (default none; exceeding it exits 8)"},
       {FlagId::kSweep, "--sweep", "WHICH",
        "run a crash-safe two-app sweep: 'all' (105 pairs) or 'random:N';\n"
        "every pair runs under the even split, so --policy, --split,\n"
@@ -93,9 +84,6 @@ const std::vector<FlagInfo>& flag_table() {
        "Chrome trace-event JSON (load in Perfetto / chrome://tracing):\n"
        "epoch spans per app, migration drain spans, fault instants,\n"
        "counter tracks (--apps and --triage runs only)"},
-      {FlagId::kMetricsOut, "--metrics-out", "F",
-       "Prometheus-style text metrics snapshot at run end (--apps runs\n"
-       "only)"},
       {FlagId::kDumpConfig, "--dump-config", nullptr,
        "print the default config file and exit"},
       {FlagId::kListApps, "--list-apps", nullptr,
@@ -127,8 +115,7 @@ const std::vector<ExitCodeInfo>& exit_code_table() {
           "complete, but a prior run crashed mid-write)"},
       {6, "interrupted by SIGINT/SIGTERM — drained gracefully; checkpoints "
           "and snapshots are resumable"},
-      {7, "wall-clock deadline exceeded"},
-      {8, "cycle or memory budget exceeded"},
+      {8, "an alone replay hit max_alone_cycles"},
   };
   return table;
 }
@@ -136,7 +123,6 @@ const std::vector<ExitCodeInfo>& exit_code_table() {
 int exit_code_for(SimErrorKind kind) {
   switch (kind) {
     case SimErrorKind::kInterrupted: return 6;
-    case SimErrorKind::kDeadlineExceeded: return 7;
     case SimErrorKind::kBudgetExceeded: return 8;
     default: return 3;
   }

@@ -32,9 +32,6 @@ enum class FlagId {
   kSeed,
   kConfig,
   kWatchdog,
-  kDeadlineMs,
-  kCycleBudget,
-  kMemBudget,
   kSweep,
   kCheckpoint,
   kOut,
@@ -51,7 +48,6 @@ enum class FlagId {
   kTriage,
   kTelemetryOut,
   kTraceOut,
-  kMetricsOut,
   kDumpConfig,
   kListApps,
   kVersion,
@@ -89,7 +85,8 @@ struct ExitCodeInfo {
 const std::vector<ExitCodeInfo>& exit_code_table();
 
 /// Maps a SimError kind to its documented exit code (6 interrupted,
-/// 7 deadline, 8 budget; everything else is 3).
+/// 8 budget; everything else is 3).  7 is unassigned: it meant a lapsed
+/// wall-clock deadline, a limit the CLI no longer has.
 int exit_code_for(SimErrorKind kind);
 
 }  // namespace gpusim

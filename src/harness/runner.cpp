@@ -237,25 +237,6 @@ u64 corun_fingerprint(const RunConfig& rc, const Workload& workload,
                                 h.digest());
 }
 
-namespace {
-
-/// Applies the RunConfig's limit fields to one Simulation.  The cycle and
-/// memory budgets only guard the co-run (`co_run` true): alone runs are
-/// already capped by max_alone_cycles (replays) or co_run_cycles
-/// (characterization).
-void apply_limits(const RunConfig& rc, Simulation& sim, bool co_run) {
-  if (rc.wall_deadline != std::chrono::steady_clock::time_point{}) {
-    sim.set_wall_deadline(rc.wall_deadline);
-  }
-  if (rc.cancel != nullptr) sim.set_cancel(rc.cancel);
-  if (co_run) {
-    if (rc.cycle_budget != 0) sim.set_cycle_budget(rc.cycle_budget);
-    if (rc.mem_budget != 0) sim.set_mem_budget(rc.mem_budget);
-  }
-}
-
-}  // namespace
-
 CoRunAssembly::CoRunAssembly() = default;
 CoRunAssembly::CoRunAssembly(CoRunAssembly&&) noexcept = default;
 CoRunAssembly& CoRunAssembly::operator=(CoRunAssembly&&) noexcept = default;
@@ -276,7 +257,7 @@ CoRunAssembly assemble_corun(const RunConfig& rc, const Workload& workload,
   a.sim = std::make_unique<Simulation>(rc.gpu, corun_launches(rc, workload));
   Simulation& sim = *a.sim;
   sim.set_watchdog(rc.watchdog_cycles);
-  apply_limits(rc, sim, /*co_run=*/true);
+  sim.set_cancel(rc.cancel);
   if (rc.profiler != nullptr) sim.set_loop_profiler(rc.profiler);
   Gpu& gpu = sim.gpu();
 
@@ -412,7 +393,7 @@ void record_corun_failure(const RunConfig& rc, const Workload& workload,
   ctx.crash_kind = to_string(error.kind());
   ctx.crash_cycle = sim.gpu().now();
   try {
-    flush_telemetry(*assembly.telemetry, sim.gpu(),
+    flush_telemetry(*assembly.telemetry,
                     resolve_telemetry_paths(rc.telemetry, workload.label()),
                     ctx);
   } catch (const std::exception& flush_error) {
@@ -465,6 +446,17 @@ Cycle cycles_from_env(const char* name, Cycle fallback) {
   return static_cast<Cycle>(parsed);
 }
 
+int count_from_env(const char* name, int fallback) {
+  const Cycle count = cycles_from_env(name, static_cast<Cycle>(fallback));
+  SIM_CHECK(count <= static_cast<Cycle>(INT_MAX),
+            SimError(SimErrorKind::kConfig, "harness.runner",
+                     "environment variable exceeds the largest count")
+                .detail("variable", name)
+                .detail("value", count)
+                .detail("max", INT_MAX));
+  return static_cast<int>(count);
+}
+
 namespace {
 
 /// Co-run steps end on multiples of this many cycles, and each chased replay
@@ -482,14 +474,14 @@ constexpr Cycle kCoRunStep = 4096;
 constexpr std::chrono::microseconds kChasePoll{200};
 
 /// Builds an alone simulation: `profile` on all SMs under the watchdog and
-/// the run limits.
+/// the cancel flag.
 std::unique_ptr<Simulation> alone_simulation(const RunConfig& rc,
                                              const KernelProfile& profile,
                                              u64 seed) {
   auto sim = std::make_unique<Simulation>(
       rc.gpu, std::vector<AppLaunch>{AppLaunch{profile, seed}});
   sim->set_watchdog(rc.watchdog_cycles);
-  apply_limits(rc, *sim, /*co_run=*/false);
+  sim->set_cancel(rc.cancel);
   Gpu& gpu = sim->gpu();
   gpu.set_partition(even_partition(gpu.num_sms(), 1));
   return sim;
@@ -707,14 +699,8 @@ CoRunResult ExperimentRunner::run(const Workload& workload,
         if (gpu.now() == stride_end) {
           stride_end += std::min(stride, rc_.co_run_cycles - gpu.now());
         }
-        Cycle step_end = std::min(
+        const Cycle step_end = std::min(
             stride_end, (gpu.now() / kCoRunStep + 1) * kCoRunStep);
-        // A step that would cross the cycle budget runs to its stride's
-        // end instead, so the budget error names the requested_stop one
-        // run() per stride would.
-        if (rc_.cycle_budget != 0 && step_end > rc_.cycle_budget) {
-          step_end = stride_end;
-        }
         sim.run(step_end - gpu.now());
         for (int i = 0; i < n; ++i) {
           chases[i]->publish(gpu.instructions().total(i));
@@ -817,11 +803,10 @@ CoRunResult ExperimentRunner::run(const Workload& workload,
   if (rc_.telemetry.any()) {
     TelemetryFlushContext ctx =
         corun_telemetry_context(rc_, workload, assembly, workload.label());
-    ctx.repartitions = result.repartitions;
     for (const AppResult& app : result.apps) {
       ctx.ipc_alone.push_back(app.ipc_alone);
     }
-    flush_telemetry(*assembly.telemetry, gpu,
+    flush_telemetry(*assembly.telemetry,
                     resolve_telemetry_paths(rc_.telemetry, workload.label()),
                     ctx);
   }

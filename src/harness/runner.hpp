@@ -7,7 +7,6 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <map>
 #include <memory>
 #include <string>
@@ -84,27 +83,17 @@ struct RunConfig {
   /// Directory for auto-resume snapshot files (created if missing).
   std::string snapshot_dir = ".";
 
-  // ---- Run limits (see gpu/simulator.hpp) -------------------------------
-  /// Absolute wall-clock deadline applied to every Simulation this runner
-  /// drives (co-run and alone replays).  Crossing it raises
-  /// SimError(kDeadlineExceeded).  Default-constructed = no deadline.
-  std::chrono::steady_clock::time_point wall_deadline{};
-  /// Cycle cap on the co-run; raises SimError(kBudgetExceeded).  Alone
-  /// runs are capped by max_alone_cycles (replays) or co_run_cycles
-  /// (characterization) instead.  0 = none.
-  Cycle cycle_budget = 0;
-  /// DRAM requests-served cap on the co-run; raises
-  /// SimError(kBudgetExceeded).  Alone runs ignore it.  0 = none.
-  u64 mem_budget = 0;
-  /// Cooperative cancellation flag (typically the process shutdown flag).
-  /// When it turns true the co-run raises SimError(kInterrupted) at the
-  /// next sampling point; with snapshotting enabled, a snapshot is written
-  /// first so a resumed run continues byte-identically.
+  // ---- Graceful shutdown (see harness/shutdown.hpp) ---------------------
+  /// Cooperative cancellation flag (typically the process shutdown flag),
+  /// applied to every Simulation this runner drives.  When it turns true
+  /// the co-run raises SimError(kInterrupted) at the next sampling point;
+  /// with snapshotting enabled, a snapshot is written first so a resumed
+  /// run continues byte-identically.
   const std::atomic<bool>* cancel = nullptr;
 
   // ---- Crash forensics (see harness/crash_bundle.hpp) -------------------
   /// When non-empty, any terminal SimError escaping the co-run — watchdog
-  /// stall, conservation failure, budget/deadline kill, guard trip —
+  /// stall, stalled migration, conservation failure, guard trip —
   /// emits a self-contained crash-bundle directory under this root before
   /// the error propagates.  Graceful cancellation (kInterrupted) never
   /// bundles: the auto-resume snapshot already preserves that state.
@@ -115,12 +104,12 @@ struct RunConfig {
   std::string crash_bundle_mode = "run";
 
   // ---- Telemetry (see telemetry/hub.hpp) --------------------------------
-  /// Output paths for the per-interval time series / Chrome trace /
-  /// Prometheus snapshot.  The TelemetryHub observer records regardless
-  /// (its buffers are simulated state, serialized in the SimState walk);
-  /// these paths only decide whether files get flushed at the end of the
-  /// co-run, so enabling them cannot change any simulated outcome.  Batch
-  /// modes set `telemetry.dir` and each unit writes per-label files.
+  /// Output paths for the per-interval time series and the Chrome trace.
+  /// The TelemetryHub observer records regardless (its buffers are
+  /// simulated state, serialized in the SimState walk); these paths only
+  /// decide whether files get flushed at the end of the co-run, so
+  /// enabling them cannot change any simulated outcome.  Batch modes set
+  /// `telemetry.dir` and each unit writes per-label files.
   TelemetryPaths telemetry;
 };
 
@@ -179,8 +168,8 @@ struct CoRunSpec {
 /// schedule and every TemporalOptions and DaseQosOptions field, written as
 /// one `"key": value,` line each — the crash-bundle manifest's layout.
 /// The snapshot fingerprint hashes exactly this text, and crash bundles
-/// store it.  Caller configuration (watchdog, limits, output paths) is not
-/// part of it.
+/// store it.  Caller configuration (watchdog, cancel flag, output paths)
+/// is not part of it.
 std::string corun_identity(const RunConfig& rc, const Workload& workload,
                            const ModelSet& models, PolicyKind policy,
                            const std::vector<int>* sm_split);
@@ -231,10 +220,10 @@ struct CoRunAssembly {
 };
 
 /// Builds the co-run simulation exactly as ExperimentRunner::run does:
-/// app launches seeded with harness_app_seed, watchdog and run limits from
-/// `rc`, the fault injector when a schedule is armed, the SM partition for
-/// the policy/split, and the model/policy observers in canonical
-/// registration order (dase, mise, asm, epochs, fair, qos, temporal,
+/// app launches seeded with harness_app_seed, watchdog and cancel flag
+/// from `rc`, the fault injector when a schedule is armed, the SM
+/// partition for the policy/split, and the model/policy observers in
+/// canonical registration order (dase, mise, asm, epochs, fair, qos, temporal,
 /// telemetry hub last — the order Simulation::load expects back).  Shared
 /// by the runner, the determinism audit and --triage so a restored
 /// snapshot always meets an identically assembled experiment.
@@ -324,11 +313,16 @@ class ExperimentRunner {
   RunConfig rc_;
 };
 
-/// Reads an environment variable as a positive count (cycles, pairs, jobs),
-/// falling back to `fallback` when it is unset or empty.  Any other value
-/// that is not a positive decimal integer ("5e6", "0", "-1") raises
-/// SimError(kConfig) naming the variable and the value.
+/// Reads an environment variable as a positive cycle count, falling back
+/// to `fallback` when it is unset or empty.  Any other value that is not a
+/// positive decimal integer ("5e6", "0", "-1") raises SimError(kConfig)
+/// naming the variable and the value.
 Cycle cycles_from_env(const char* name, Cycle fallback);
+
+/// cycles_from_env for a count held as an int (pairs, workers): a value
+/// above INT_MAX raises SimError(kConfig) naming the variable, where a
+/// cast would wrap it to a small or negative count.
+int count_from_env(const char* name, int fallback);
 
 /// Seed the harness hands application slot `slot` of a workload.  Exposed
 /// so tools building bare Simulations (the determinism auditor, tests) use

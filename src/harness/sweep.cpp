@@ -45,14 +45,11 @@ SweepEntry SweepRunner::run_one(const Workload& workload) const {
     entry.result_json = to_json(run_fn_(workload));
     entry.ok = true;
   } catch (const SimError& e) {
-    // Sweep-fatal conditions: an operator interrupt or a lapsed deadline
-    // is about the *sweep*, not this pair — recording it as a pair
-    // failure would poison the checkpoint (the pair would replay as
-    // "failed" forever).  Propagate it uncommitted instead.
-    if (e.kind() == SimErrorKind::kInterrupted ||
-        e.kind() == SimErrorKind::kDeadlineExceeded) {
-      throw;
-    }
+    // Sweep-fatal: an operator interrupt is about the *sweep*, not this
+    // pair — recording it as a pair failure would poison the checkpoint
+    // (the pair would replay as "failed" forever).  Propagate it
+    // uncommitted instead.
+    if (e.kind() == SimErrorKind::kInterrupted) throw;
     entry.error = e.what();
   } catch (const std::exception& e) {
     entry.error = e.what();

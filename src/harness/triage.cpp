@@ -73,7 +73,7 @@ int triage_impl(const std::string& bundle_dir, std::ostream& out,
   if (!m.anchor_file.empty()) {
     // Re-execute: restore the nearest earlier periodic snapshot and run
     // forward to the recorded failure cycle.  A boundary failure (watchdog,
-    // budget, conservation) leaves the state intact exactly at `target`; a
+    // stalled migration, conservation) leaves the state intact exactly at `target`; a
     // mid-cycle guard fires while executing the failure cycle itself, so
     // one extra cycle is attempted when the boundary state does not match.
     const SnapshotHeader hdr = restore_snapshot_file(

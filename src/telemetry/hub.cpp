@@ -11,7 +11,6 @@
 #include "mem/dram.hpp"
 #include "mem/partition.hpp"
 #include "metrics/metrics.hpp"
-#include "telemetry/registry.hpp"
 
 namespace gpusim {
 
@@ -162,7 +161,6 @@ TelemetryPaths resolve_telemetry_paths(const TelemetryPaths& paths,
   if (!paths.dir.empty()) {
     out.series = telemetry_file_for(paths.dir, label, ".telemetry.jsonl");
     out.trace = telemetry_file_for(paths.dir, label, ".trace.json");
-    out.metrics = telemetry_file_for(paths.dir, label, ".metrics.prom");
     out.dir.clear();
   }
   return out;
@@ -443,169 +441,13 @@ void write_trace_json(const std::string& path, const TelemetryHub& hub,
   atomic_write_file(path, ss.str(), "telemetry.hub");
 }
 
-void collect_metrics(MetricsRegistry& reg, const TelemetryHub& hub,
-                     const Gpu& gpu, const TelemetryFlushContext& ctx) {
-  // Registration order here IS the file order — append-only by contract.
-  reg.gauge("gpusim_cycles", "", "simulated cycles at flush") =
-      static_cast<double>(gpu.now());
-  reg.counter("gpusim_intervals_total", "", "estimation intervals completed") =
-      static_cast<double>(hub.epochs_seen());
-  reg.counter("gpusim_telemetry_records_dropped_total", "",
-              "per-interval records beyond the hub buffer cap") =
-      static_cast<double>(hub.records_dropped());
-  reg.counter("gpusim_telemetry_trace_events_dropped_total", "",
-              "flight-recorder events evicted before drain or over cap") =
-      static_cast<double>(hub.trace_events_dropped());
-
-  const TelemetryRecord* last =
-      hub.records().empty() ? nullptr : &hub.records().back();
-  for (int a = 0; a < gpu.num_apps(); ++a) {
-    const std::string label =
-        "app=\"" + (static_cast<std::size_t>(a) < ctx.apps.size()
-                        ? json_escape(ctx.apps[a])
-                        : std::to_string(a)) +
-        "\"";
-    reg.counter("gpusim_app_instructions_total", label,
-                "warp instructions issued per app") =
-        static_cast<double>(gpu.instructions().total(a));
-    reg.gauge("gpusim_app_sms", label, "SMs assigned at the last interval") =
-        last != nullptr && static_cast<std::size_t>(a) < last->apps.size()
-            ? static_cast<double>(last->apps[a].num_sms)
-            : 0.0;
-    reg.gauge("gpusim_app_ipc_shared", label, "whole-run shared IPC") =
-        gpu.now() == 0 ? 0.0
-                       : static_cast<double>(gpu.instructions().total(a)) /
-                             static_cast<double>(gpu.now());
-  }
-
-  u64 dram_requests = 0, row_hits = 0, row_misses = 0, bus_data = 0;
-  u64 wasted = 0, idle = 0;
-  for (int p = 0; p < gpu.num_partitions(); ++p) {
-    const McCounters& mcc = gpu.partition(p).mc().counters();
-    dram_requests += mcc.requests_served.grand_total();
-    row_hits += mcc.row_hits.grand_total();
-    row_misses += mcc.row_misses.grand_total();
-    bus_data += mcc.bus_data_cycles.grand_total();
-    wasted += mcc.wasted_cycles.total();
-    idle += mcc.idle_cycles.total();
-  }
-  reg.counter("gpusim_dram_requests_total", "", "DRAM requests served") =
-      static_cast<double>(dram_requests);
-  reg.counter("gpusim_dram_row_hits_total", "", "row-buffer hits") =
-      static_cast<double>(row_hits);
-  reg.counter("gpusim_dram_row_misses_total", "", "row-buffer misses") =
-      static_cast<double>(row_misses);
-  reg.counter("gpusim_dram_bus_data_cycles_total", "",
-              "bus cycles moving data") = static_cast<double>(bus_data);
-  reg.counter("gpusim_dram_bus_wasted_cycles_total", "",
-              "bus idle with timing work in flight") =
-      static_cast<double>(wasted);
-  reg.counter("gpusim_dram_bus_idle_cycles_total", "",
-              "bus idle with nothing in flight") = static_cast<double>(idle);
-
-  for (int p = 0; p < gpu.num_partitions(); ++p) {
-    const std::string label = "partition=\"" + std::to_string(p) + "\"";
-    const PartitionCounters& pc = gpu.partition(p).counters();
-    reg.counter("gpusim_l2_accesses_total", label, "L2 accesses") =
-        static_cast<double>(pc.l2_accesses.grand_total());
-    reg.counter("gpusim_l2_hits_total", label, "L2 hits") =
-        static_cast<double>(pc.l2_hits.grand_total());
-    reg.gauge("gpusim_resp_queue_high_water", label,
-              "response-queue occupancy high-water mark") =
-        static_cast<double>(gpu.flight_recorder().resp_high_water(p));
-  }
-
-  for (u8 k = 0; k < kNumFrEvents; ++k) {
-    const FrEvent e = static_cast<FrEvent>(k);
-    reg.counter("gpusim_events_total",
-                std::string("kind=\"") + to_string(e) + "\"",
-                "flight-recorder events drained by the telemetry hub") =
-        static_cast<double>(hub.fr_kind_count(e));
-  }
-
-  for (std::size_t t = 0; t < hub.taps().size(); ++t) {
-    const TelemetryEstimatorTap& tap = hub.taps()[t];
-    const std::string est =
-        t < ctx.estimators.size() ? ctx.estimators[t] : tap.name;
-    const std::string elabel = "estimator=\"" + json_escape(est) + "\"";
-    reg.counter("gpusim_estimator_intervals_total", elabel,
-                "intervals the estimator has observed") =
-        static_cast<double>(tap.estimator->intervals_seen());
-    reg.counter("gpusim_estimator_sanitized_total", elabel,
-                "estimates clamped by the sanitizer") =
-        static_cast<double>(tap.estimator->sanitized_estimates());
-    for (int a = 0; a < gpu.num_apps(); ++a) {
-      const std::string label =
-          elabel + ",app=\"" +
-          (static_cast<std::size_t>(a) < ctx.apps.size()
-               ? json_escape(ctx.apps[a])
-               : std::to_string(a)) +
-          "\"";
-      reg.gauge("gpusim_estimator_mean_slowdown", label,
-                "post-warmup mean estimated slowdown") =
-          tap.estimator->mean_slowdown(a);
-    }
-  }
-
-  reg.counter("gpusim_repartitions_total", "", "SM repartitions applied") =
-      static_cast<double>(ctx.repartitions);
-
-  // Distribution views over the recorded epochs.
-  for (std::size_t a = 0; a < (hub.records().empty()
-                                   ? std::size_t{0}
-                                   : hub.records().front().apps.size());
-       ++a) {
-    const std::string app_name = a < ctx.apps.size()
-                                     ? json_escape(ctx.apps[a])
-                                     : std::to_string(a);
-    MetricsRegistry::Metric& ipc_hist = reg.histogram(
-        "gpusim_interval_ipc", "app=\"" + app_name + "\"",
-        "per-interval shared IPC", {0.25, 0.5, 1, 2, 4, 8, 16, 32});
-    for (const TelemetryRecord& r : hub.records()) {
-      if (a >= r.apps.size() || r.length == 0) continue;
-      MetricsRegistry::observe(
-          ipc_hist, static_cast<double>(r.apps[a].instructions) /
-                        static_cast<double>(r.length));
-    }
-    for (std::size_t e = 0; e < ctx.estimators.size(); ++e) {
-      MetricsRegistry::Metric& err_hist = reg.histogram(
-          "gpusim_estimation_error",
-          "app=\"" + app_name + "\",estimator=\"" +
-              json_escape(ctx.estimators[e]) + "\"",
-          "per-interval Eq. 26 relative error",
-          {0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1, 2, 5});
-      for (const TelemetryRecord& r : hub.records()) {
-        if (a >= r.apps.size() || e >= r.apps[a].estimates.size()) continue;
-        if (!r.apps[a].estimates[e].valid) continue;
-        const double actual = interval_actual_slowdown(r.apps[a], r, ctx, a);
-        const double err =
-            estimation_error(r.apps[a].estimates[e].slowdown, actual);
-        if (std::isfinite(err)) MetricsRegistry::observe(err_hist, err);
-      }
-    }
-  }
-}
-
-void write_metrics_prom(const std::string& path, const TelemetryHub& hub,
-                        const Gpu& gpu, const TelemetryFlushContext& ctx) {
-  MetricsRegistry reg;
-  collect_metrics(reg, hub, gpu, ctx);
-  std::ostringstream ss;
-  reg.render(ss);
-  atomic_write_file(path, ss.str(), "telemetry.hub");
-}
-
-void flush_telemetry(const TelemetryHub& hub, const Gpu& gpu,
-                     const TelemetryPaths& resolved,
+void flush_telemetry(const TelemetryHub& hub, const TelemetryPaths& resolved,
                      const TelemetryFlushContext& ctx) {
   if (!resolved.series.empty()) {
     write_telemetry_jsonl(resolved.series, hub, ctx);
   }
   if (!resolved.trace.empty()) {
     write_trace_json(resolved.trace, hub, ctx);
-  }
-  if (!resolved.metrics.empty()) {
-    write_metrics_prom(resolved.metrics, hub, gpu, ctx);
   }
 }
 

@@ -1,10 +1,10 @@
 // TelemetryHub: deterministic per-interval observability for every run mode.
 //
 // Design rule #1: the hub ALWAYS records.  It is attached as the last
-// interval observer of every assembled co-run — whether or not any
-// --telemetry-out / --trace-out / --metrics-out flag was given — and the
-// CLI flags only control which files get written at flush time.  That one
-// decision buys all three hard contracts at once:
+// interval observer of every assembled co-run — whether or not a
+// --telemetry-out or --trace-out flag was given — and the CLI flags only
+// control which files get written at flush time.  That one decision buys
+// all three hard contracts at once:
 //
 //   - On/off state-hash identity: telemetry cannot perturb the simulation
 //     because enabling it changes nothing inside the determinism boundary;
@@ -39,24 +39,21 @@
 
 namespace gpusim {
 
-/// Where telemetry goes.  Single-run modes use the three file paths
-/// directly; a sweep sets `dir` and every unit
-/// writes `<dir>/<sanitized-label>.telemetry.jsonl` / `.trace.json` /
-/// `.metrics.prom` instead.
+/// Where telemetry goes.  Single-run modes use the two file paths
+/// directly; a sweep sets `dir` and every unit writes
+/// `<dir>/<sanitized-label>.telemetry.jsonl` and `.trace.json` instead.
 struct TelemetryPaths {
-  std::string series;   ///< --telemetry-out: schema-versioned JSONL
-  std::string trace;    ///< --trace-out: Chrome trace-event JSON (Perfetto)
-  std::string metrics;  ///< --metrics-out: Prometheus text snapshot
-  std::string dir;      ///< batch modes: per-label files under this directory
+  std::string series;  ///< --telemetry-out: schema-versioned JSONL
+  std::string trace;   ///< --trace-out: Chrome trace-event JSON (Perfetto)
+  std::string dir;     ///< batch modes: per-label files under this directory
 
   bool any() const {
-    return !series.empty() || !trace.empty() || !metrics.empty() ||
-           !dir.empty();
+    return !series.empty() || !trace.empty() || !dir.empty();
   }
 };
 
 /// A named estimator the hub samples each interval (attachment order fixes
-/// the per-record estimate column order and the JSONL/metrics naming).
+/// the per-record estimate column order and the JSONL naming).
 struct TelemetryEstimatorTap {
   std::string name;  ///< "DASE", "MISE", "ASM"
   const SlowdownEstimator* estimator = nullptr;
@@ -107,13 +104,9 @@ class TelemetryHub final : public IntervalObserver {
 
   const std::vector<TelemetryRecord>& records() const { return records_; }
   const std::vector<FlightEvent>& trace_events() const { return trace_events_; }
-  const std::vector<TelemetryEstimatorTap>& taps() const { return taps_; }
   u64 epochs_seen() const { return epochs_seen_; }
   u64 records_dropped() const { return records_dropped_; }
   u64 trace_events_dropped() const { return trace_events_dropped_; }
-  u64 fr_kind_count(FrEvent e) const {
-    return fr_kind_counts_[static_cast<std::size_t>(e)];
-  }
 
   // -- SimState ----------------------------------------------------------
   // The buffers are part of the observer walk so kill+resume replays them
@@ -178,7 +171,9 @@ class TelemetryHub final : public IntervalObserver {
 
   u64 fr_seen_ = 0;  ///< flight-recorder lifetime counter at last drain
   u64 trace_events_dropped_ = 0;  ///< evicted before drain, or over cap
-  std::vector<u64> fr_kind_counts_;  ///< per FrEvent kind, drained events
+  /// Per FrEvent kind, drained events.  No exporter reads the counts; they
+  /// stay because they are part of the serialized TELE section.
+  std::vector<u64> fr_kind_counts_;
   std::vector<FlightEvent> trace_events_;
 };
 
@@ -192,15 +187,11 @@ struct TelemetryFlushContext {
   Cycle interval_length = 0;
   Cycle final_cycle = 0;
   std::vector<double> ipc_alone;  ///< empty = unknown (no actual columns)
-  u64 repartitions = 0;
   const LoopProfiler* profiler = nullptr;  ///< merged as trace counter tracks
   bool crashed = false;
   std::string crash_kind;
   Cycle crash_cycle = 0;
 };
-
-class Gpu;
-class MetricsRegistry;
 
 /// `<dir>/<sanitized-label><suffix>` (used by batch modes and tests).
 std::string telemetry_file_for(const std::string& dir, const std::string& label,
@@ -215,15 +206,10 @@ void write_telemetry_jsonl(const std::string& path, const TelemetryHub& hub,
                            const TelemetryFlushContext& ctx);
 void write_trace_json(const std::string& path, const TelemetryHub& hub,
                       const TelemetryFlushContext& ctx);
-void collect_metrics(MetricsRegistry& reg, const TelemetryHub& hub,
-                     const Gpu& gpu, const TelemetryFlushContext& ctx);
-void write_metrics_prom(const std::string& path, const TelemetryHub& hub,
-                        const Gpu& gpu, const TelemetryFlushContext& ctx);
 
 /// Writes whichever of the (already resolved) paths are non-empty.  All
 /// writes are atomic (tmp + rename) and parent directories are created.
-void flush_telemetry(const TelemetryHub& hub, const Gpu& gpu,
-                     const TelemetryPaths& resolved,
+void flush_telemetry(const TelemetryHub& hub, const TelemetryPaths& resolved,
                      const TelemetryFlushContext& ctx);
 
 }  // namespace gpusim

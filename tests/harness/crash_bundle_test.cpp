@@ -47,19 +47,23 @@ class CrashBundleTest : public ::testing::Test {
 
   std::string bundle_root() const { return (dir_ / "bundles").string(); }
 
-  /// Runs SD+SA into a cycle-budget kill with bundling armed and returns
-  /// the published bundle directory.
-  std::string crash_one_run(Cycle budget = 6'000) {
+  /// Runs VA+SD under DASE-Fair with a 50K-cycle watchdog, which its
+  /// first SM drain outlives (a healthy drain takes ~440K cycles), with
+  /// bundling armed, and returns the published bundle directory.  No fault
+  /// is armed, so the run and its triage replay go through the activity
+  /// engine.
+  std::string crash_one_run() {
     RunConfig rc;
-    rc.co_run_cycles = 20'000;
-    rc.cycle_budget = budget;
+    rc.co_run_cycles = 300'000;
+    rc.watchdog_cycles = 50'000;
     rc.crash_bundle_dir = bundle_root();
-    const ModelSet models{.dase = true};
     ExperimentRunner runner(rc);
     try {
-      runner.run(two_apps("SD", "SA"), models);
+      runner.run(two_apps("VA", "SD"), ModelSet{.dase = true},
+                 PolicyKind::kDaseFair);
+      ADD_FAILURE() << "a drain past the watchdog let the run finish";
     } catch (const SimError& e) {
-      EXPECT_EQ(e.kind(), SimErrorKind::kBudgetExceeded);
+      EXPECT_EQ(e.kind(), SimErrorKind::kMigrationStalled) << e.what();
     }
     for (const auto& entry : fs::directory_iterator(bundle_root())) {
       if (entry.path().filename().string().rfind(".tmp-", 0) != 0) {
@@ -89,15 +93,15 @@ TEST_F(CrashBundleTest, RunnerCrashPublishesACompleteBundle) {
   EXPECT_EQ(m.schema, "gpusim-crash-bundle-v2");
   EXPECT_NE(m.build, 0u);
   EXPECT_EQ(m.corun.rc.crash_bundle_mode, "run");
-  EXPECT_EQ(m.corun.workload.label(), "SD+SA");
+  EXPECT_EQ(m.corun.workload.label(), "VA+SD");
   ASSERT_EQ(m.corun.workload.apps.size(), 2u);
-  EXPECT_EQ(m.corun.workload.apps[0].abbr, "SD");
-  EXPECT_EQ(m.corun.workload.apps[1].abbr, "SA");
-  EXPECT_EQ(m.corun.policy, PolicyKind::kEven);
+  EXPECT_EQ(m.corun.workload.apps[0].abbr, "VA");
+  EXPECT_EQ(m.corun.workload.apps[1].abbr, "SD");
+  EXPECT_EQ(m.corun.policy, PolicyKind::kDaseFair);
   EXPECT_TRUE(m.corun.models.dase);
-  EXPECT_EQ(m.failure_cycle, 6'000u);
+  EXPECT_EQ(m.failure_cycle, 150'528u);
   EXPECT_NE(m.failure_state_hash, 0u);
-  EXPECT_EQ(m.error_kind, "budget-exceeded");
+  EXPECT_EQ(m.error_kind, "migration-stalled");
   EXPECT_EQ(m.snapshot_file, "snapshot.simstate");
   EXPECT_NE(m.replay.find("--triage"), std::string::npos);
 }
@@ -228,7 +232,9 @@ TEST_F(CrashBundleTest, PolicyOptionsRoundTripThroughAnchoredBundles) {
     SCOPED_TRACE(to_string(policy));
     RunConfig rc;
     rc.co_run_cycles = 200'000;
-    rc.cycle_budget = 60'000;
+    // The first switch or repartition is still draining 20K cycles after
+    // its request: a migration stall at cycle 40960, after the anchor.
+    rc.watchdog_cycles = 20'000;
     rc.snapshot_every = 40'000;
     rc.snapshot_dir = (dir_ / "snaps").string();
     rc.crash_bundle_dir = (dir_ / to_string(policy)).string();
@@ -236,9 +242,12 @@ TEST_F(CrashBundleTest, PolicyOptionsRoundTripThroughAnchoredBundles) {
     rc.temporal.quantum = 20'000;
     rc.qos.target_slowdown = 3.5;
     ExperimentRunner runner(rc);
-    EXPECT_THROW(runner.run(two_apps("CT", "SP"), ModelSet{.dase = true},
-                            policy),
-                 SimError);
+    try {
+      runner.run(two_apps("CT", "SP"), ModelSet{.dase = true}, policy);
+      FAIL() << "a switch draining past the watchdog let the run finish";
+    } catch (const SimError& e) {
+      EXPECT_EQ(e.kind(), SimErrorKind::kMigrationStalled) << e.what();
+    }
 
     std::string bundle;
     for (const auto& entry : fs::directory_iterator(rc.crash_bundle_dir)) {
@@ -247,6 +256,7 @@ TEST_F(CrashBundleTest, PolicyOptionsRoundTripThroughAnchoredBundles) {
     ASSERT_FALSE(bundle.empty());
     const CrashBundleManifest m = read_crash_bundle_manifest(bundle);
     EXPECT_EQ(m.anchor_file, "anchor.simstate");
+    EXPECT_EQ(m.failure_cycle, 40'960u);
     EXPECT_EQ(m.corun.policy, policy);
     EXPECT_EQ(m.corun.rc.temporal.quantum, 20'000u);
     EXPECT_EQ(m.corun.rc.qos.target_slowdown, 3.5);

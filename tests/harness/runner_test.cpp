@@ -176,25 +176,35 @@ TEST(RunnerTest, IpcAloneIsTheExactReplayOfEverySlot) {
   std::filesystem::remove_all(dir);
 }
 
-TEST(RunnerTest, CoRunBudgetErrorComesFirstAndNamesTheParentsStop) {
-  // A run() per snapshot stride (one stride without snapshots) used to
-  // drive the co-run, so the budget error names that stride's end as
-  // requested_stop.  Every slot's replay is capped too; the co-run's error
-  // must still be the one raised, after the helpers are stopped.
+TEST(RunnerTest, CoRunErrorComesFirstOverCappedReplays) {
+  // Every slot's replay is capped at 5K cycles, which SD's and SA's co-run
+  // counts outgrow by co-run cycle ~13K (their slowdowns are about 2.6
+  // and 1.7).  The co-run's own error must still be the one raised, after
+  // the helpers are stopped: a hang the watchdog reports mid-run (with and
+  // without snapshot strides) and a dropped response the audit reports
+  // after the last step.
   const std::filesystem::path dir =
-      std::filesystem::temp_directory_path() / "gpusim_runner_budget";
+      std::filesystem::temp_directory_path() / "gpusim_runner_corun_error";
   std::filesystem::remove_all(dir);
   struct Case {
-    Cycle budget;
+    const char* faults;
     Cycle snapshot_every;
-    Cycle requested_stop;
+    SimErrorKind kind;
+    const char* component;
+    Cycle cycle;
   };
-  for (const Case& c : {Case{30'001, 0, 60'000}, Case{8'192, 0, 60'000},
-                        Case{30'001, 25'000, 50'000}}) {
-    SCOPED_TRACE("budget " + std::to_string(c.budget) + " snapshot_every " +
+  for (const Case& c :
+       {Case{"stall:part=0,from=20000", 0, SimErrorKind::kWatchdogStall,
+             "gpu.simulation", 24'576},
+        Case{"stall:part=0,from=20000", 10'000, SimErrorKind::kWatchdogStall,
+             "gpu.simulation", 24'576},
+        Case{"drop-resp:nth=200", 0, SimErrorKind::kConservation, "gpu",
+             60'000}}) {
+    SCOPED_TRACE(std::string(c.faults) + " snapshot_every " +
                  std::to_string(c.snapshot_every));
     RunConfig rc = quick_config();
-    rc.cycle_budget = c.budget;
+    rc.watchdog_cycles = 3'000;
+    rc.faults = FaultSchedule::parse(c.faults);
     rc.max_alone_cycles = 5'000;
     rc.snapshot_every = c.snapshot_every;
     rc.snapshot_dir = dir.string();
@@ -202,14 +212,11 @@ TEST(RunnerTest, CoRunBudgetErrorComesFirstAndNamesTheParentsStop) {
     try {
       runner.run(Workload{{*find_app("SD"), *find_app("SA")}},
                  ModelSet{.dase = true});
-      FAIL() << "a budget-killed co-run returned a result";
+      FAIL() << "a failed co-run returned a result";
     } catch (const SimError& e) {
-      EXPECT_EQ(e.kind(), SimErrorKind::kBudgetExceeded);
-      EXPECT_EQ(e.component(), "gpu.simulation") << e.what();
-      EXPECT_EQ(e.error_cycle(), c.budget);
-      EXPECT_EQ(detail_of(e, "requested_stop"),
-                std::to_string(c.requested_stop))
-          << e.what();
+      EXPECT_EQ(e.kind(), c.kind) << e.what();
+      EXPECT_EQ(e.component(), c.component) << e.what();
+      EXPECT_EQ(e.error_cycle(), c.cycle) << e.what();
     }
   }
   std::filesystem::remove_all(dir);
@@ -622,6 +629,29 @@ TEST(RunnerTest, CyclesFromEnvParsesAndFallsBack) {
   EXPECT_EQ(cycles_from_env("GPUSIM_TEST_CYCLES", 6), 6u);
   ::unsetenv("GPUSIM_TEST_CYCLES");
   EXPECT_EQ(cycles_from_env("GPUSIM_TEST_CYCLES", 7), 7u);
+}
+
+TEST(RunnerTest, CountFromEnvRejectsWhatAnIntCannotHold) {
+  ::setenv("GPUSIM_TEST_COUNT", "2147483647", 1);
+  EXPECT_EQ(count_from_env("GPUSIM_TEST_COUNT", 5), 2'147'483'647);
+  // Values an int cast used to wrap: 2^31 to INT_MIN, 2^32 + 1 to 1.
+  for (const char* big : {"2147483648", "4294967297"}) {
+    SCOPED_TRACE(big);
+    ::setenv("GPUSIM_TEST_COUNT", big, 1);
+    try {
+      count_from_env("GPUSIM_TEST_COUNT", 5);
+      FAIL() << "a count above INT_MAX was accepted";
+    } catch (const SimError& e) {
+      EXPECT_EQ(e.kind(), SimErrorKind::kConfig);
+      EXPECT_EQ(detail_of(e, "variable"), "GPUSIM_TEST_COUNT");
+      EXPECT_EQ(detail_of(e, "value"), big);
+    }
+  }
+  // The cycles_from_env rules still hold.
+  ::setenv("GPUSIM_TEST_COUNT", "0", 1);
+  EXPECT_THROW(count_from_env("GPUSIM_TEST_COUNT", 5), SimError);
+  ::unsetenv("GPUSIM_TEST_COUNT");
+  EXPECT_EQ(count_from_env("GPUSIM_TEST_COUNT", 7), 7);
 }
 
 }  // namespace

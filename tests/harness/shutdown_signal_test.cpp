@@ -89,8 +89,9 @@ TEST(ShutdownSignalTest, SigtermMidEmissionNeverPublishesATornBundle) {
   if (child == 0) {
     for (int i = 0; i < 200; ++i) {
       RunConfig rc;
-      rc.co_run_cycles = 10'000;
-      rc.cycle_budget = 2'000;
+      rc.co_run_cycles = 20'000;
+      rc.watchdog_cycles = 3'000;
+      rc.faults = FaultSchedule::parse("stall:part=0,from=1000");
       rc.crash_bundle_dir = bundle_root.string();
       Workload w;
       w.apps.push_back(*find_app("SD"));

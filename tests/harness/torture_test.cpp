@@ -60,16 +60,20 @@ class TortureTest : public ::testing::Test {
     fs::remove_all(dir_);
     fs::create_directories(dir_);
 
-    // One real crash bundle to torture: SD+SA killed by a cycle budget.
+    // One real crash bundle to torture: SD+SA hung by a partition stalled
+    // from cycle 1000 on, which the 3K-cycle watchdog reports at 6144.
     rc_.co_run_cycles = 20'000;
-    rc_.cycle_budget = 5'000;
+    rc_.watchdog_cycles = 3'000;
+    rc_.faults = FaultSchedule::parse("stall:part=0,from=1000");
     rc_.crash_bundle_dir = (dir_ / "bundles").string();
     workload_.apps.push_back(*find_app("SD"));
     workload_.apps.push_back(*find_app("SA"));
     ExperimentRunner runner(rc_);
     try {
       runner.run(workload_, models_);
-    } catch (const SimError&) {
+      ADD_FAILURE() << "a partition stalled forever let the run finish";
+    } catch (const SimError& e) {
+      EXPECT_EQ(e.kind(), SimErrorKind::kWatchdogStall) << e.what();
     }
     for (const auto& entry : fs::directory_iterator(rc_.crash_bundle_dir)) {
       if (entry.path().filename().string().rfind(".tmp-", 0) != 0) {

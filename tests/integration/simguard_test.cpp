@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <string>
 #include <vector>
 
@@ -40,10 +39,6 @@ SimError run_expecting_error(Simulation& sim, Cycle cycles) {
   }
   ADD_FAILURE() << "run(" << cycles << ") finished without a SimError";
   return SimError(SimErrorKind::kHarness, "test", "no error raised");
-}
-
-std::chrono::steady_clock::time_point lapsed_deadline() {
-  return std::chrono::steady_clock::now() - std::chrono::seconds(1);
 }
 
 TEST(SimGuardAudit, CleanRunConservesEveryRequest) {
@@ -132,7 +127,7 @@ TEST(SimGuardWatchdog, StalledPartitionTripsWatchdogWithStateDump) {
     EXPECT_NE(what.find("partition 0"), std::string::npos) << what;
     EXPECT_NE(what.find("stalled_for_cycles"), std::string::npos);
   }
-  // The wedge happened long before the cycle budget ran out.
+  // The wedge happened long before the 2M-cycle run would have ended.
   EXPECT_LT(gpu.now(), 500'000u);
 }
 
@@ -166,38 +161,10 @@ TEST(SimGuardWatchdog, IdleGpuIsNotADeadlock) {
   EXPECT_NO_THROW(sim.run(100'000));
 }
 
-// Run limits are sampled every 1024 cycles, the watchdog's cadence, so a
-// limit that is already blown stops the run at cycle 1024.
+// The cancel flag is sampled every 1024 cycles, the watchdog's cadence, so
+// a flag that is already set stops the run at cycle 1024.
 
-TEST(SimGuardLimits, LapsedDeadlineStopsAtTheFirstSamplingPoint) {
-  GpuConfig cfg;
-  Simulation sim(cfg, two_app_launches());
-  sim.gpu().set_partition(even_partition(cfg.num_sms, 2));
-  sim.set_wall_deadline(lapsed_deadline());
-  const SimError e = run_expecting_error(sim, 50'000);
-  EXPECT_EQ(e.kind(), SimErrorKind::kDeadlineExceeded);
-  EXPECT_EQ(e.error_cycle(), 1'024u);
-  EXPECT_EQ(sim.gpu().now(), 1'024u);
-}
-
-TEST(SimGuardLimits, MemoryBudgetReportsTheRequestsServed) {
-  GpuConfig cfg;
-  Simulation sim(cfg, two_app_launches());
-  sim.gpu().set_partition(even_partition(cfg.num_sms, 2));
-  sim.set_mem_budget(1);
-  const SimError e = run_expecting_error(sim, 50'000);
-  EXPECT_EQ(e.kind(), SimErrorKind::kBudgetExceeded);
-  bool has_served = false;
-  for (const auto& [key, value] : e.details()) {
-    if (key == "requests_served") {
-      has_served = true;
-      EXPECT_GT(std::stoull(value), 1u);
-    }
-  }
-  EXPECT_TRUE(has_served) << e.what();
-}
-
-TEST(SimGuardLimits, ClearedCancelFlagResumesToTheSameState) {
+TEST(SimGuardCancel, ClearedCancelFlagResumesToTheSameState) {
   GpuConfig cfg;
   Simulation reference(cfg, two_app_launches());
   reference.gpu().set_partition(even_partition(cfg.num_sms, 2));
@@ -215,18 +182,6 @@ TEST(SimGuardLimits, ClearedCancelFlagResumesToTheSameState) {
   sim.run(20'000 - sim.gpu().now());
   EXPECT_EQ(sim.gpu().now(), 20'000u);
   EXPECT_EQ(sim.state_hash(), reference.state_hash());
-}
-
-TEST(SimGuardLimits, InterruptOutranksDeadlineAndBudget) {
-  GpuConfig cfg;
-  Simulation sim(cfg, two_app_launches());
-  sim.gpu().set_partition(even_partition(cfg.num_sms, 2));
-  std::atomic<bool> cancel{true};
-  sim.set_cancel(&cancel);
-  sim.set_wall_deadline(lapsed_deadline());
-  sim.set_mem_budget(1);
-  EXPECT_EQ(run_expecting_error(sim, 50'000).kind(),
-            SimErrorKind::kInterrupted);
 }
 
 TEST(SimGuardFaults, ProbabilisticDropsAreDeterministic) {

@@ -23,7 +23,6 @@
 #include "harness/runner.hpp"
 #include "harness/sweep.hpp"
 #include "kernels/app_registry.hpp"
-#include "telemetry/registry.hpp"
 
 namespace gpusim {
 namespace {
@@ -124,7 +123,6 @@ TEST(TelemetryHubTest, BatchPathResolutionSanitizesLabels) {
   const TelemetryPaths resolved = resolve_telemetry_paths(batch, "SD+SA");
   EXPECT_EQ(resolved.series, "out/tel/SD_SA.telemetry.jsonl");
   EXPECT_EQ(resolved.trace, "out/tel/SD_SA.trace.json");
-  EXPECT_EQ(resolved.metrics, "out/tel/SD_SA.metrics.prom");
   EXPECT_TRUE(resolved.dir.empty()) << "dir must not survive resolution";
 
   TelemetryPaths single;
@@ -156,8 +154,7 @@ TEST(TelemetryHubTest, FlushWritesDocumentedFileShapes) {
   TelemetryPaths paths;
   paths.series = (dir / "t.jsonl").string();
   paths.trace = (dir / "t.trace.json").string();
-  paths.metrics = (dir / "t.prom").string();
-  flush_telemetry(*rig.hub, rig.sim->gpu(), paths, ctx);
+  flush_telemetry(*rig.hub, paths, ctx);
 
   // JSONL: schema-versioned header line + exactly one line per record.
   std::ifstream series(paths.series);
@@ -184,16 +181,6 @@ TEST(TelemetryHubTest, FlushWritesDocumentedFileShapes) {
   EXPECT_NE(t.find("epoch"), std::string::npos);
   EXPECT_NE(t.find("thread_name"), std::string::npos);
 
-  // Metrics: the Prometheus snapshot carries the headline families.
-  std::ifstream prom(paths.metrics);
-  ASSERT_TRUE(prom.is_open());
-  std::stringstream pbuf;
-  pbuf << prom.rdbuf();
-  const std::string p = pbuf.str();
-  EXPECT_NE(p.find("# TYPE gpusim_intervals_total counter"),
-            std::string::npos);
-  EXPECT_NE(p.find("gpusim_estimation_error"), std::string::npos);
-
   std::error_code ec;
   fs::remove_all(dir, ec);
 }
@@ -216,7 +203,6 @@ TEST(TelemetryHubTest, RunnerResultIsIdenticalWithTelemetryOnAndOff) {
       ("gpusim_hub_runner_" + std::to_string(::getpid()));
   rc.telemetry.series = (dir / "r.jsonl").string();
   rc.telemetry.trace = (dir / "r.trace.json").string();
-  rc.telemetry.metrics = (dir / "r.prom").string();
   ExperimentRunner on(rc);
   const std::string on_json =
       SweepRunner::to_json(on.run(w, ModelSet{.dase = true}));
@@ -224,7 +210,6 @@ TEST(TelemetryHubTest, RunnerResultIsIdenticalWithTelemetryOnAndOff) {
   EXPECT_EQ(on_json, off_json);
   EXPECT_GT(fs::file_size(rc.telemetry.series), 0u);
   EXPECT_GT(fs::file_size(rc.telemetry.trace), 0u);
-  EXPECT_GT(fs::file_size(rc.telemetry.metrics), 0u);
 
   std::error_code ec;
   fs::remove_all(dir, ec);

@@ -6,8 +6,9 @@
 # activity-engine equivalence suite, and verify a snapshotted + resumed
 # run's report is byte-identical to an uninterrupted one, as are a sweep's
 # results at any worker count and after a resume past a torn checkpoint
-# line, and that a checkpoint resumed under another --cycles re-runs its
-# pairs instead of replaying them.  A clean pass means the
+# line, that a checkpoint resumed under another --cycles re-runs its
+# pairs instead of replaying them, and that a count flag above INT_MAX is
+# a usage error rather than a wrapped run.  A clean pass means the
 # execution-strategy knobs cannot change simulated output.
 #
 #   tools/check_determinism.sh [build-dir]     (default: build)
@@ -77,16 +78,15 @@ diff "$TMP/plain.txt" "$TMP/snap.txt"
 
 # Telemetry determinism: the hub's buffers ride in the SimState walk, so a
 # run killed mid-flight and resumed from its snapshot must rewrite
-# byte-identical JSONL/trace/metrics files.
+# byte-identical JSONL and trace files.
 echo "== telemetry files: kill + resume vs uninterrupted"
 TCYC=600000
 "$CLI" --apps SD,SA --policy dase-fair --cycles "$TCYC" \
-       --telemetry-out "$TMP/ref.jsonl" --trace-out "$TMP/ref.trace" \
-       --metrics-out "$TMP/ref.prom" > /dev/null
+       --telemetry-out "$TMP/ref.jsonl" --trace-out "$TMP/ref.trace" > /dev/null
 "$CLI" --apps SD,SA --policy dase-fair --cycles "$TCYC" \
        --snapshot-every 50000 --snapshot-dir "$TMP/tsnaps" \
        --telemetry-out "$TMP/kill.jsonl" --trace-out "$TMP/kill.trace" \
-       --metrics-out "$TMP/kill.prom" > /dev/null 2>&1 &
+       > /dev/null 2>&1 &
 CLI_PID=$!
 # Signal as soon as the first snapshot lands so the kill is mid-run.
 for _ in $(seq 1 600); do
@@ -101,10 +101,9 @@ wait "$CLI_PID" || true
 "$CLI" --apps SD,SA --policy dase-fair --cycles "$TCYC" \
        --snapshot-every 50000 --snapshot-dir "$TMP/tsnaps" \
        --telemetry-out "$TMP/kill.jsonl" --trace-out "$TMP/kill.trace" \
-       --metrics-out "$TMP/kill.prom" > /dev/null 2>&1
+       > /dev/null 2>&1
 cmp "$TMP/ref.jsonl" "$TMP/kill.jsonl"
 cmp "$TMP/ref.trace" "$TMP/kill.trace"
-cmp "$TMP/ref.prom" "$TMP/kill.prom"
 
 # Batch telemetry determinism: per-pair files and the sweep results must be
 # byte-identical for any --jobs worker count.
@@ -177,6 +176,27 @@ for flags in "--policy dase-fair" "--split 4,12" "--qos-target 1.5" \
 done
 if [[ -e "$TMP/rejected.json" ]]; then
   echo "error: a rejected sweep wrote its results file" >&2
+  exit 1
+fi
+
+# A count the CLI holds as an int must fit one: 4294967297 used to wrap
+# to 1 (one pair, one worker) and 4294967300 to a 4-SM split, exit 0.
+echo "== counts above INT_MAX are usage errors (exit 2), never wrapped"
+for flags in "--apps SD,SA --split 4294967300,12" \
+             "--sweep random:4294967297" \
+             "--sweep random:1 --jobs 4294967297"; do
+  RC=0
+  # shellcheck disable=SC2086  # $flags is a list of flags and values
+  "$CLI" $flags --cycles 20000 --out "$TMP/wrapped.json" \
+         > /dev/null 2> "$TMP/wrapped.err" || RC=$?
+  if [[ "$RC" != "2" ]] || ! grep -q "must be at most 2147483647" "$TMP/wrapped.err"; then
+    echo "error: $flags exited $RC, expected a usage error (2)" >&2
+    cat "$TMP/wrapped.err" >&2
+    exit 1
+  fi
+done
+if [[ -e "$TMP/wrapped.json" ]]; then
+  echo "error: a rejected count still ran a sweep" >&2
   exit 1
 fi
 

@@ -2,21 +2,23 @@
 # Crash-forensics gate: prove the black-box flight-recorder pipeline
 # end-to-end on the real CLI binary:
 #
-#   1. a cycle-budget kill in a plain run emits a complete crash bundle
-#      (manifest + snapshot + config + events) and exits with its
-#      documented code (8); a lapsed wall-clock deadline bundles too and
-#      exits 7;
+#   1. an SM drain that outlives --watchdog in a plain DASE-Fair run (on
+#      the activity engine: no fault is armed) emits a complete crash
+#      bundle (manifest + snapshot + config + events) and exits 3;
 #   2. `--triage <bundle>` restores the bundled state, replays to the
 #      recorded failure cycle, and VERIFIES the 64-bit state hash
 #      bit-exactly (exit 0);
 #   3. the same holds for a watchdog-proven hang under fault injection
-#      (a --fault-schedule run, which exits 3), and for a temporal run
-#      with a non-default --quantum that triage re-executes from its
-#      anchor; a rerun under another quantum skips the killed run's stale
-#      snapshot and prints exactly what a fresh run prints;
+#      (a --fault-schedule run, which pins the per-cycle walk), and for a
+#      temporal run with a non-default --quantum whose first switch
+#      stalls past its anchor snapshot, which triage re-executes from; a
+#      rerun under another quantum skips the killed run's stale snapshot
+#      and prints exactly what a fresh run prints;
 #   4. corruption is contained: a tampered manifest hash makes triage
 #      report divergence (exit 4), a truncated snapshot is a typed
-#      failure (exit 3), and --no-bundle suppresses emission entirely;
+#      failure (exit 3), --no-bundle suppresses emission entirely, and a
+#      SIGTERM drain (how `timeout --foreground -s TERM` bounds a run's
+#      wall time) exits 6 without a bundle;
 #   5. --version prints the build fingerprint that bundles and manifests
 #      embed;
 #   6. a run that could never make progress fails up front instead of
@@ -43,27 +45,20 @@ trap 'rm -rf "$TMP"' EXIT
 echo "== --version prints the build fingerprint"
 "$CLI" --version | grep -q "fingerprint 0x"
 
-echo "== budget kill emits a complete bundle and exits 8"
+echo "== a drain stalled past the watchdog exits 3 with a complete bundle"
 RC=0
-"$CLI" --apps SD,SA --cycles 60000 --cycle-budget 20000 \
+"$CLI" --apps VA,SD --policy dase-fair --cycles 300000 --watchdog 50000 \
        --bundle-dir "$TMP/bundles" > /dev/null 2>&1 || RC=$?
-[[ "$RC" == "8" ]] || { echo "expected exit 8, got $RC" >&2; exit 1; }
+[[ "$RC" == "3" ]] || { echo "expected exit 3, got $RC" >&2; exit 1; }
 RUN_BUNDLE="$(find "$TMP/bundles" -maxdepth 1 -name 'run-*' | head -1)"
 [[ -n "$RUN_BUNDLE" ]] || { echo "no run bundle published" >&2; exit 1; }
 for f in manifest.json snapshot.simstate config.txt events.txt; do
   [[ -f "$RUN_BUNDLE/$f" ]] || { echo "bundle missing $f" >&2; exit 1; }
 done
+grep -q '"error_kind": "migration-stalled"' "$RUN_BUNDLE/manifest.json" ||
+  { echo "the bundle does not record a migration stall" >&2; exit 1; }
 if find "$TMP/bundles" -maxdepth 1 -name '.tmp-*' | grep -q .; then
   echo "unpublished .tmp- work dir left behind" >&2; exit 1
-fi
-
-echo "== a blown wall-clock deadline bundles and exits 7"
-RC=0
-"$CLI" --apps SD,SA --cycles 5000000 --deadline-ms 1 \
-       --bundle-dir "$TMP/deadline-bundles" > /dev/null 2>&1 || RC=$?
-[[ "$RC" == "7" ]] || { echo "expected exit 7, got $RC" >&2; exit 1; }
-if ! find "$TMP/deadline-bundles" -maxdepth 1 -name 'run-*' | grep -q .; then
-  echo "no run bundle published for the deadline kill" >&2; exit 1
 fi
 
 echo "== --triage replays the run bundle to a bit-exact VERIFIED"
@@ -82,10 +77,12 @@ HANG_BUNDLE="$(find "$TMP/hang-bundles" -maxdepth 1 -name 'run-*' | head -1)"
 echo "== a non-default --quantum reaches the bundle and the snapshot"
 TEMPORAL=(--apps CT,SP --policy temporal --cycles 200000)
 RC=0
+# The first switch is still draining 20K cycles after its request: a
+# migration stall at cycle 40960, after the snapshot at 40000.
 "$CLI" "${TEMPORAL[@]}" --quantum 20000 --snapshot-every 40000 \
-       --snapshot-dir "$TMP/snaps" --cycle-budget 60000 \
+       --snapshot-dir "$TMP/snaps" --watchdog 20000 \
        --bundle-dir "$TMP/quantum-bundles" > /dev/null 2>&1 || RC=$?
-[[ "$RC" == "8" ]] || { echo "expected exit 8, got $RC" >&2; exit 1; }
+[[ "$RC" == "3" ]] || { echo "expected exit 3, got $RC" >&2; exit 1; }
 QUANTUM_BUNDLE="$(find "$TMP/quantum-bundles" -maxdepth 1 -name 'run-*' |
                   head -1)"
 [[ -f "$QUANTUM_BUNDLE/anchor.simstate" ]] ||
@@ -119,11 +116,25 @@ CLI_ABS="$(cd "$(dirname "$CLI")" && pwd)/$(basename "$CLI")"
 mkdir -p "$TMP/nobundle"
 RC=0
 ( cd "$TMP/nobundle" &&
-  "$CLI_ABS" --apps SD,SA --cycles 60000 --cycle-budget 20000 --no-bundle ) \
+  "$CLI_ABS" --apps SD,SA --cycles 20000 --watchdog 3000 \
+             --fault-schedule 'stall:part=0,from=1000' --no-bundle ) \
   > /dev/null 2>&1 || RC=$?
-[[ "$RC" == "8" ]] || { echo "expected exit 8, got $RC" >&2; exit 1; }
+[[ "$RC" == "3" ]] || { echo "expected exit 3, got $RC" >&2; exit 1; }
 if [[ -e "$TMP/nobundle/crash-bundles" ]]; then
   echo "--no-bundle still wrote crash-bundles/" >&2; exit 1
+fi
+
+echo "== a SIGTERM drain exits 6 and publishes no bundle"
+RC=0
+# The co-run is far longer than the one second timeout allows.  Without
+# --foreground, timeout signals the CLI and then its process group, and
+# that second SIGTERM hard-exits 130 instead of draining.
+timeout --foreground --preserve-status -s TERM 1 \
+        "$CLI" --apps SD,SA --cycles 50000000 \
+        --bundle-dir "$TMP/term-bundles" > /dev/null 2>&1 || RC=$?
+[[ "$RC" == "6" ]] || { echo "expected exit 6, got $RC" >&2; exit 1; }
+if [[ -e "$TMP/term-bundles" ]]; then
+  echo "a graceful drain wrote a crash bundle" >&2; exit 1
 fi
 
 echo "== a thread block that can never be resident is a config error (exit 3)"

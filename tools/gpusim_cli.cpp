@@ -25,6 +25,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <limits>
 #include <numeric>
 #include <string>
 #include <vector>
@@ -56,10 +57,11 @@ using namespace gpusim;
 }
 
 /// Strict unsigned parse: the whole token must be a decimal number no less
-/// than `min`.  "0x10", "12abc", "-3" and "" are all rejected with a
-/// message naming the flag.
+/// than `min_value` and no more than `max_value`.  "0x10", "12abc", "-3"
+/// and "" are all rejected with a message naming the flag.
 u64 parse_u64(const char* argv0, const std::string& flag,
-              const std::string& text, u64 min_value) {
+              const std::string& text, u64 min_value,
+              u64 max_value = std::numeric_limits<u64>::max()) {
   if (text.empty() || text.find_first_not_of("0123456789") != std::string::npos) {
     usage(argv0, flag + " expects a non-negative integer, got '" + text + "'");
   }
@@ -73,7 +75,19 @@ u64 parse_u64(const char* argv0, const std::string& flag,
     usage(argv0, flag + " must be at least " + std::to_string(min_value) +
                      ", got " + text);
   }
+  if (parsed > max_value) {
+    usage(argv0, flag + " must be at most " + std::to_string(max_value) +
+                     ", got " + text);
+  }
   return static_cast<u64>(parsed);
+}
+
+/// parse_u64 for a count the program holds as an int (SM counts, pairs,
+/// workers): a value above INT_MAX is a usage error, never a wrapped int.
+int parse_int_count(const char* argv0, const std::string& flag,
+                    const std::string& text) {
+  return static_cast<int>(
+      parse_u64(argv0, flag, text, 1, std::numeric_limits<int>::max()));
 }
 
 double parse_positive_double(const char* argv0, const std::string& flag,
@@ -138,9 +152,9 @@ int run_sweep(const std::string& which, const RunConfig& rc,
   if (which == "all") {
     workloads = all_two_app_workloads();
   } else if (which.rfind("random:", 0) == 0) {
-    const u64 count = parse_u64(argv0, "--sweep random:N", which.substr(7), 1);
-    workloads = random_two_app_workloads(static_cast<int>(count),
-                                         rc.base_seed);
+    workloads = random_two_app_workloads(
+        parse_int_count(argv0, "--sweep random:N", which.substr(7)),
+        rc.base_seed);
   } else {
     usage(argv0, "--sweep expects 'all' or 'random:N', got '" + which + "'");
   }
@@ -238,14 +252,12 @@ int main(int argc, char** argv) {
   bool have_hash_every = false;
   bool profile_loop = false;
   std::string fault_spec;
-  double deadline_ms = 0.0;
   std::string bundle_dir = "crash-bundles";
   bool have_bundle_dir = false;
   bool no_bundle = false;
   std::string triage_bundle;
   std::string telemetry_out;
   std::string trace_out;
-  std::string metrics_out;
   const char* run_only_flag = nullptr;  // the last one seen; --sweep rejects it
 
   for (int i = 1; i < argc; ++i) {
@@ -275,8 +287,7 @@ int main(int argc, char** argv) {
       case FlagId::kSplit:
         split.clear();
         for (const std::string& n : split_csv(value)) {
-          split.push_back(
-              static_cast<int>(parse_u64(argv[0], "--split entry", n, 1)));
+          split.push_back(parse_int_count(argv[0], "--split entry", n));
         }
         have_split = true;
         break;
@@ -299,15 +310,6 @@ int main(int argc, char** argv) {
       case FlagId::kWatchdog:
         rc.watchdog_cycles = parse_u64(argv[0], arg, value, 0);
         break;
-      case FlagId::kDeadlineMs:
-        deadline_ms = parse_positive_double(argv[0], arg, value);
-        break;
-      case FlagId::kCycleBudget:
-        rc.cycle_budget = parse_u64(argv[0], arg, value, 1);
-        break;
-      case FlagId::kMemBudget:
-        rc.mem_budget = parse_u64(argv[0], arg, value, 1);
-        break;
       case FlagId::kSweep:
         sweep_which = value;
         break;
@@ -321,7 +323,7 @@ int main(int argc, char** argv) {
         sweep_opts.fail_fast = true;
         break;
       case FlagId::kJobs:
-        sweep_opts.jobs = static_cast<int>(parse_u64(argv[0], arg, value, 1));
+        sweep_opts.jobs = parse_int_count(argv[0], arg, value);
         break;
       case FlagId::kSnapshotEvery:
         rc.snapshot_every = parse_u64(argv[0], arg, value, 1);
@@ -366,9 +368,6 @@ int main(int argc, char** argv) {
       case FlagId::kTraceOut:
         trace_out = value;
         break;
-      case FlagId::kMetricsOut:
-        metrics_out = value;
-        break;
       case FlagId::kDumpConfig:
         write_config(std::cout, GpuConfig{});
         return 0;
@@ -395,14 +394,12 @@ int main(int argc, char** argv) {
     }
   }
 
-  const bool run_limits =
-      deadline_ms > 0.0 || rc.cycle_budget != 0 || rc.mem_budget != 0;
   if (!triage_bundle.empty() &&
       (!app_names.empty() || !sweep_which.empty() || audit_determinism ||
-       !fault_spec.empty() || rc.snapshot_every != 0 || run_limits)) {
+       !fault_spec.empty() || rc.snapshot_every != 0)) {
     usage(argv[0],
           "--triage is a standalone postmortem mode; it takes no workload, "
-          "batch or run-limit flags");
+          "batch or snapshot flags");
   }
   if (no_bundle && have_bundle_dir) {
     usage(argv[0], "--no-bundle and --bundle-dir are mutually exclusive");
@@ -429,17 +426,14 @@ int main(int argc, char** argv) {
           "binary for profiled batch scenarios)");
   }
   // Telemetry flag shapes: --telemetry-out is a file for single runs and a
-  // directory for sweeps; the trace and metrics exports are single-output
-  // files, so sweeps reject them (their per-unit traces come from the
-  // --telemetry-out directory instead).
+  // directory for sweeps; the trace export is a single-output file, so
+  // sweeps reject it (their per-unit traces come from the --telemetry-out
+  // directory instead).
   const bool sweep_mode = !sweep_which.empty();
   if (!trace_out.empty() && sweep_mode) {
     usage(argv[0],
           "--trace-out applies to single --apps runs and --triage; sweeps "
           "take --telemetry-out DIR and write per-unit trace files there");
-  }
-  if (!metrics_out.empty() && (sweep_mode || !triage_bundle.empty())) {
-    usage(argv[0], "--metrics-out applies to single --apps runs only");
   }
   if (!triage_bundle.empty() && !telemetry_out.empty()) {
     usage(argv[0],
@@ -451,14 +445,9 @@ int main(int argc, char** argv) {
   // bundle_dir by default (--no-bundle opts out).
   if (!no_bundle) rc.crash_bundle_dir = bundle_dir;
 
-  // Wire the drain flag and the run limits into every mode.
+  // Wire the drain flag into every mode.
   rc.cancel = shutdown_flag();
   sweep_opts.cancel = shutdown_flag();
-  if (deadline_ms > 0.0) {
-    rc.wall_deadline = std::chrono::steady_clock::now() +
-                       std::chrono::microseconds(
-                           static_cast<long long>(deadline_ms * 1000.0));
-  }
 
   try {
     if (!triage_bundle.empty()) {
@@ -490,8 +479,8 @@ int main(int argc, char** argv) {
       if (split.size() != workload.apps.size()) {
         usage(argv[0], "--split must list one SM count per app");
       }
-      const int total = std::accumulate(split.begin(), split.end(), 0);
-      if (total != rc.gpu.num_sms) {
+      const u64 total = std::accumulate(split.begin(), split.end(), u64{0});
+      if (total != static_cast<u64>(rc.gpu.num_sms)) {
         usage(argv[0], "--split SM counts must sum to num_sms (" +
                            std::to_string(rc.gpu.num_sms) + "), got " +
                            std::to_string(total));
@@ -506,10 +495,8 @@ int main(int argc, char** argv) {
 
     LoopProfiler profiler;
     if (profile_loop) rc.profiler = &profiler;
-    rc.telemetry = TelemetryPaths{.series = telemetry_out,
-                                  .trace = trace_out,
-                                  .metrics = metrics_out,
-                                  .dir = {}};
+    rc.telemetry = TelemetryPaths{
+        .series = telemetry_out, .trace = trace_out, .dir = {}};
     ExperimentRunner runner(rc);
     const CoRunResult result = runner.run(workload, models, policy,
                                           have_split ? &split : nullptr);
