@@ -52,7 +52,7 @@ double mean_error(const std::vector<Workload>& workloads,
 
 }  // namespace
 
-int main() {
+int reproduce() {
   banner("DASE ablations — contribution of each design choice",
          "DESIGN.md Section 6 (paper Sections 4.1-4.4)");
   const RunConfig base_rc = default_run_config();
@@ -100,3 +100,5 @@ int main() {
       workloads.size());
   return 0;
 }
+
+int main() { return gpusim::bench::run_main(reproduce); }

@@ -68,8 +68,13 @@ void* operator new(std::size_t n) {
   if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
   throw std::bad_alloc();
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+// Out of line: where GCC 12 inlines a delete into a caller of the counting
+// operator new, it flags the free() as a mismatched deallocation
+// (-Wmismatched-new-delete).
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace {
 
@@ -324,7 +329,7 @@ double time_sweep(const RunConfig& rc, int pairs, int jobs) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int measure(int argc, char** argv) {
   using namespace gpusim::bench;
 
   const std::string out_path = argc > 1 ? argv[1] : "BENCH_throughput.json";
@@ -450,4 +455,8 @@ int main(int argc, char** argv) {
   }
   std::printf("baseline written: %s\n", out_path.c_str());
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return gpusim::bench::run_main([&] { return measure(argc, argv); });
 }

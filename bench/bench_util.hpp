@@ -12,6 +12,8 @@
 #include <cstdio>
 #include <string>
 
+#include "common/sim_error.hpp"
+#include "harness/cli_flags.hpp"
 #include "harness/runner.hpp"
 #include "harness/table_printer.hpp"
 
@@ -26,6 +28,18 @@ inline RunConfig default_run_config() {
 
 inline int pair_limit(int fallback) {
   return count_from_env("REPRO_PAIR_LIMIT", fallback);
+}
+
+/// Runs a binary's body and returns its exit status; a SimError that
+/// escapes it is reported the way gpusim_cli reports one, with the CLI's
+/// exit code for its kind.
+template <typename Body>
+int run_main(Body&& body) {
+  try {
+    return body();
+  } catch (const SimError& e) {
+    return report_sim_error(e);
+  }
 }
 
 inline void banner(const std::string& title, const std::string& paper_ref) {

@@ -6,7 +6,7 @@
 #include "kernels/app_registry.hpp"
 #include "kernels/workload_sets.hpp"
 
-int main() {
+int reproduce() {
   using namespace gpusim;
   using namespace gpusim::bench;
 
@@ -43,3 +43,5 @@ int main() {
               TablePrinter::pct(sd_alone.bw_util, 1).c_str());
   return 0;
 }
+
+int main() { return gpusim::bench::run_main(reproduce); }

@@ -12,7 +12,7 @@
 #include "gpu/simulator.hpp"
 #include "kernels/app_registry.hpp"
 
-int main() {
+int reproduce() {
   using namespace gpusim;
   using namespace gpusim::bench;
 
@@ -72,3 +72,5 @@ int main() {
       corr);
   return 0;
 }
+
+int main() { return gpusim::bench::run_main(reproduce); }

@@ -18,7 +18,7 @@ gpusim::u64 served_total(gpusim::Gpu& gpu, gpusim::AppId app) {
 
 }  // namespace
 
-int main() {
+int reproduce() {
   using namespace gpusim;
   using namespace gpusim::bench;
 
@@ -55,3 +55,5 @@ int main() {
       "service capacity all concurrent applications consume together.\n");
   return 0;
 }
+
+int main() { return gpusim::bench::run_main(reproduce); }

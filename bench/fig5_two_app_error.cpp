@@ -5,7 +5,7 @@
 #include "kernels/workload_sets.hpp"
 #include "metrics/metrics.hpp"
 
-int main() {
+int reproduce() {
   using namespace gpusim;
   using namespace gpusim::bench;
 
@@ -44,3 +44,5 @@ int main() {
   std::printf("\npaper:  DASE 8.8%%   MISE 36.3%%   ASM 32.8%%\n");
   return 0;
 }
+
+int main() { return gpusim::bench::run_main(reproduce); }

@@ -5,7 +5,7 @@
 #include "kernels/workload_sets.hpp"
 #include "metrics/metrics.hpp"
 
-int main() {
+int reproduce() {
   using namespace gpusim;
   using namespace gpusim::bench;
 
@@ -41,3 +41,5 @@ int main() {
       " extrapolate to the all-SM alone baseline — paper Section VI)\n");
   return 0;
 }
+
+int main() { return gpusim::bench::run_main(reproduce); }

@@ -5,7 +5,7 @@
 #include "common/stats.hpp"
 #include "kernels/workload_sets.hpp"
 
-int main() {
+int reproduce() {
   using namespace gpusim;
   using namespace gpusim::bench;
 
@@ -51,3 +51,5 @@ int main() {
   std::printf("             <20%%: DASE 90.9%%  MISE 16.5%%  ASM 19.8%%\n");
   return 0;
 }
+
+int main() { return gpusim::bench::run_main(reproduce); }

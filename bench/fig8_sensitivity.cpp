@@ -4,7 +4,7 @@
 #include "kernels/workload_sets.hpp"
 #include "metrics/metrics.hpp"
 
-int main() {
+int reproduce() {
   using namespace gpusim;
   using namespace gpusim::bench;
 
@@ -52,3 +52,5 @@ int main() {
       "\npaper: DASE stays accurate across splits and SM counts (Fig. 8)\n");
   return 0;
 }
+
+int main() { return gpusim::bench::run_main(reproduce); }

@@ -6,7 +6,7 @@
 #include "metrics/metrics.hpp"
 #include "sched/dase_fair.hpp"
 
-int main() {
+int reproduce() {
   using namespace gpusim;
   using namespace gpusim::bench;
 
@@ -57,3 +57,5 @@ int main() {
               100.0 * (hf - he) / he);
   return 0;
 }
+
+int main() { return gpusim::bench::run_main(reproduce); }

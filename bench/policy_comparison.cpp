@@ -8,7 +8,7 @@
 #include "metrics/metrics.hpp"
 #include "sched/dase_fair.hpp"
 
-int main() {
+int reproduce() {
   using namespace gpusim;
   using namespace gpusim::bench;
 
@@ -65,3 +65,5 @@ int main() {
       "unfairness; DASE-QoS pins app1 near its 2.0x target instead.\n");
   return 0;
 }
+
+int main() { return gpusim::bench::run_main(reproduce); }

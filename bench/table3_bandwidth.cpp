@@ -3,7 +3,7 @@
 #include "bench_util.hpp"
 #include "kernels/app_registry.hpp"
 
-int main() {
+int reproduce() {
   using namespace gpusim;
   using namespace gpusim::bench;
 
@@ -27,3 +27,5 @@ int main() {
               total_abs_delta / app_registry().size() * 100.0);
   return 0;
 }
+
+int main() { return gpusim::bench::run_main(reproduce); }

@@ -38,7 +38,7 @@ u64 fnv1a(const std::string& text, u64 h = 0xcbf29ce484222325ull) {
 std::string build_features() {
   // The compiled-in capability set; extend when a PR adds a subsystem an
   // artifact consumer might need to know about.
-  return "activity-engine,simstate,flight-recorder,crash-bundle,triage";
+  return "activity-engine,simstate,flight-recorder";
 }
 
 std::string build_type() {
@@ -70,7 +70,6 @@ std::string build_fingerprint_line(u32 snapshot_schema) {
   std::snprintf(hex, sizeof(hex), "%016llx",
                 static_cast<unsigned long long>(build_fingerprint()));
   ss << "dase-gpusim " << kGpusimVersion << " (snapshot v" << snapshot_schema
-     << ", bundle v" << kCrashBundleSchema
      << "; features: " << build_features() << "; build: " << build_type()
      << "; fingerprint 0x" << hex << ")";
   return ss.str();

@@ -45,8 +45,6 @@ void GpuConfig::validate() const {
   if (noc_queue_depth <= 0) fail("noc_queue_depth must be positive");
   if (partition_resp_queue_depth <= 0)
     fail("partition_resp_queue_depth must be positive");
-  if (flight_recorder_events < 0 || flight_recorder_events > (1 << 20))
-    fail("flight_recorder_events must be in [0, 1048576]");
 }
 
 }  // namespace gpusim

@@ -66,14 +66,6 @@ struct GpuConfig {
   /// near the ~400 SM cycles measured on Fermi-class GPUs.
   Cycle l2_miss_extra_latency = 150;
 
-  // ---- Flight recorder (black-box event ring) ----
-  /// Capacity of the always-on flight-recorder event ring (block
-  /// dispatches, migrations, fault firings, crossbar
-  /// stalls, queue high-water marks).  The ring is serialized through the
-  /// SimState walk, so its size is part of the snapshot fingerprint.
-  /// 0 disables recording entirely.
-  int flight_recorder_events = 1024;
-
   // ---- DASE model parameters ----
   Cycle estimation_interval = 50'000;  // paper Section 4.4: fixed 50K cycles
   double requestmax_factor = 0.6;      // paper Eq. 20 empirical default
@@ -142,7 +134,6 @@ struct GpuConfig {
     s.put_u64(estimation_interval);
     s.put_double(requestmax_factor);
     s.put_double(alpha_clamp_threshold);
-    s.put_i32(flight_recorder_events);
   }
 };
 

@@ -38,9 +38,10 @@ Field number_field(T GpuConfig::* member, const char* comment) {
       [member](const GpuConfig& c) {
         std::ostringstream ss;
         // max_digits10 precision so doubles survive a write/read round
-        // trip exactly: crash-bundle triage reconstructs the fingerprinted
-        // config from this text, and a 6-digit default would silently
-        // shift dram_clock_ratio (1400/924) into a different fingerprint.
+        // trip exactly: a --dump-config file loaded back with --config must
+        // rebuild the fingerprinted config, and a 6-digit default would
+        // silently shift dram_clock_ratio (1400/924) into a different
+        // fingerprint.
         ss.precision(std::numeric_limits<T>::max_digits10);
         ss << c.*member;
         return ss.str();
@@ -86,7 +87,6 @@ const std::map<std::string, Field>& field_table() {
       {"estimation_interval", number_field(&GpuConfig::estimation_interval, "DASE interval (paper: 50000)")},
       {"requestmax_factor", number_field(&GpuConfig::requestmax_factor, "Eq. 20 empirical factor")},
       {"alpha_clamp_threshold", number_field(&GpuConfig::alpha_clamp_threshold, "alpha->1 threshold")},
-      {"flight_recorder_events", number_field(&GpuConfig::flight_recorder_events, "black-box event ring capacity (0 = off)")},
   };
   return table;
 }

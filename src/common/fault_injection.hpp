@@ -13,8 +13,8 @@
 //
 // Schedules round-trip through a compact spec string
 // (`drop-resp:nth=200;stall:part=0,from=1000,until=5000;seed=7`): the
-// CLI's --fault-schedule arms one on a plain run, and crash bundles record
-// it so --triage re-arms the same schedule.
+// CLI's --fault-schedule arms one on a plain run, and the co-run identity
+// records it, so a snapshot only resumes under the same schedule.
 //
 // Injection simulates a *bug*, so the conservation taps are deliberately
 // not told about dropped packets: the auditor must discover the imbalance

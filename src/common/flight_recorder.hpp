@@ -1,13 +1,12 @@
-// FlightRecorder: a bounded, allocation-free black-box event ring.
+// FlightRecorder: a bounded, allocation-free event ring that feeds the
+// Perfetto trace.
 //
-// SimGuard turns a failure into a typed SimError, but the error string
-// alone cannot explain *how* a 5M-cycle co-run got into the failing state.
-// The recorder keeps the last N load-bearing events — block dispatches,
+// The recorder stages load-bearing events — block dispatches,
 // SM-repartition handovers, fault-injector firings, crossbar stall
 // episodes, partition-queue high-water marks — in a fixed-capacity ring
-// that is cheap enough to stay on by default and is fully serialized
-// through the SimState walk, so it survives snapshot / restore and rides
-// along into crash bundles.
+// that the TelemetryHub drains at every estimation-interval boundary.  It
+// is cheap enough to stay on always and is fully serialized through the
+// SimState walk, so it survives snapshot / restore.
 //
 // Determinism contract: every tap records *simulated-state transitions
 // only*, so the ring contents (and therefore the state hash) are
@@ -26,16 +25,21 @@
 //     empty — a state in which the mask is zero anyway.  A per-channel
 //     cycle throttle (serialized) bounds the volume on saturated NoCs.
 //
+// The throttle is sized for the two bounds downstream of it: a 50K-cycle
+// interval holds at most 2 * 50K / kStallThrottle (about 25) stall
+// episodes, which leaves room for the interval's migration and dispatch
+// events in the kCapacity ring and for a whole run's in the TelemetryHub's
+// trace cap.  A much shorter throttle lets the episodes evict the
+// migration events the trace's drain spans are built from.
+//
 // The ring buffer is allocated once at init() and never grows; record() is
-// a branch plus a struct store.  Serialization is canonical (logical
+// a struct store.  Serialization is canonical (logical
 // oldest→newest order, not physical ring positions), so a restored ring
 // hashes identically to the original no matter where the write head sat.
 #pragma once
 
 #include <cassert>
 #include <cstddef>
-#include <sstream>
-#include <string>
 #include <vector>
 
 #include "common/simstate.hpp"
@@ -98,14 +102,16 @@ inline i16 checked_event_app(i32 app, const char* component) {
 class FlightRecorder {
  public:
   /// At most one crossbar-stall event per channel per this many cycles.
-  static constexpr Cycle kStallThrottle = 64;
+  static constexpr Cycle kStallThrottle = 4096;
+  /// Events a Gpu's ring holds between two interval drains.
+  static constexpr int kCapacity = 1024;
 
   FlightRecorder() = default;
 
-  /// One-time sizing (Gpu construction).  capacity == 0 disables the
-  /// recorder entirely: record() becomes a single predictable branch.
+  /// One-time sizing (Gpu construction: kCapacity; tests use small rings).
   void init(int capacity, int num_partitions) {
-    capacity_ = capacity < 0 ? 0 : static_cast<u32>(capacity);
+    assert(capacity > 0);
+    capacity_ = static_cast<u32>(capacity);
     buf_.assign(capacity_, FlightEvent{});
     head_ = 0;
     count_ = 0;
@@ -115,7 +121,6 @@ class FlightRecorder {
     next_stall_[0] = next_stall_[1] = 0;
   }
 
-  bool enabled() const { return capacity_ != 0; }
   u32 capacity() const { return capacity_; }
   u32 size() const { return count_; }
   /// Events ever recorded, including ones the ring has since evicted.
@@ -126,7 +131,6 @@ class FlightRecorder {
   }
 
   void record(Cycle cycle, FrEvent kind, int unit, int app, u64 a, u64 b) {
-    if (capacity_ == 0) return;
     assert(app >= -1 && app < kMaxApps);
     FlightEvent& e = buf_[head_];
     e.cycle = cycle;
@@ -145,7 +149,6 @@ class FlightRecorder {
   /// partition over a whole run).
   void note_resp_occupancy(Cycle cycle, int part, std::size_t size,
                            std::size_t cap) {
-    if (capacity_ == 0) return;
     u64& hw = resp_hw_[static_cast<std::size_t>(part)];
     if (size <= hw) return;
     hw = size;
@@ -156,7 +159,6 @@ class FlightRecorder {
   /// marks of the per-partition maximum, so even a 64K-deep backlog costs
   /// at most ~17 events.
   void note_deferred_backlog(Cycle cycle, int part, std::size_t size) {
-    if (capacity_ == 0) return;
     u64& hw = defer_hw_[static_cast<std::size_t>(part)];
     if (size <= hw) return;
     hw = size;
@@ -169,7 +171,7 @@ class FlightRecorder {
   /// source mask.  Throttled per channel so a saturated NoC records one
   /// episode per kStallThrottle cycles instead of one per cycle.
   void note_xbar_stall(Cycle cycle, bool resp_channel, u64 blocked) {
-    if (capacity_ == 0 || blocked == 0) return;
+    if (blocked == 0) return;
     Cycle& next = next_stall_[resp_channel ? 1 : 0];
     if (cycle < next) return;
     next = cycle + kStallThrottle;
@@ -190,59 +192,8 @@ class FlightRecorder {
     return out;
   }
 
-  /// Human-readable timeline of (at most) the final `max_events` events —
-  /// the postmortem view printed by --triage and dumped into crash bundles.
-  std::string render_timeline(std::size_t max_events) const {
-    const std::vector<FlightEvent> events = events_in_order();
-    const std::size_t first =
-        events.size() > max_events ? events.size() - max_events : 0;
-    std::ostringstream ss;
-    ss << "flight recorder: " << count_ << " event(s) held (capacity "
-       << capacity_ << ", " << total_ << " recorded in total)\n";
-    for (std::size_t i = first; i < events.size(); ++i) {
-      const FlightEvent& e = events[i];
-      ss << "  cycle " << e.cycle << ": " << to_string(e.kind);
-      if (e.unit >= 0) ss << " unit=" << e.unit;
-      if (e.app >= 0) ss << " app=" << e.app;
-      switch (e.kind) {
-        case FrEvent::kBlockDispatch:
-          ss << " block=" << e.a;
-          break;
-        case FrEvent::kMigrationRequested:
-          ss << " sms_changing=" << e.a;
-          break;
-        case FrEvent::kMigrationHandover:
-          if (e.a == 0) {
-            ss << " from=none";
-          } else {
-            ss << " from=" << (e.a - 1);
-          }
-          break;
-        case FrEvent::kMigrationComplete:
-          break;
-        case FrEvent::kFaultDropResp:
-        case FrEvent::kFaultDropReq:
-          ss << " line=0x" << std::hex << e.a << std::dec;
-          break;
-        case FrEvent::kRespHighWater:
-          ss << " occupancy=" << e.a << "/" << e.b;
-          break;
-        case FrEvent::kDeferHighWater:
-          ss << " backlog=" << e.a;
-          break;
-        case FrEvent::kXbarReqStall:
-        case FrEvent::kXbarRespStall:
-          ss << " blocked_mask=0x" << std::hex << e.a << std::dec
-             << " blocked=" << e.b;
-          break;
-      }
-      ss << "\n";
-    }
-    return ss.str();
-  }
-
   // -- SimState ----------------------------------------------------------
-  // Canonical serialization: capacity (a config property, checked on load),
+  // Canonical serialization: capacity (checked on load),
   // the throttle/high-water cursors, then the held events oldest→newest.
   template <typename Sink>
   void write_state(Sink& s) const {
@@ -273,8 +224,7 @@ class FlightRecorder {
     const u32 cap = r.get_u32();
     SIM_CHECK(cap == capacity_,
               SimError(SimErrorKind::kSnapshot, "common.flight_recorder",
-                       "flight recorder capacity mismatch (snapshot written "
-                       "with a different flight_recorder_events config)")
+                       "flight recorder capacity mismatch")
                   .detail("snapshot_capacity", cap)
                   .detail("configured_capacity", capacity_));
     const u64 stored_total = r.get_u64();

@@ -1,8 +1,8 @@
 // JSONL plumbing shared by every durable batch file.
 //
 // The sweep checkpoint is an append-only JSONL ledger that a killed
-// process must be able to resume from; the crash-bundle manifest, the
-// sweep results and the telemetry files are published whole.  This module
+// process must be able to resume from; the sweep results and the
+// telemetry files are published whole.  This module
 // owns the decisions those files must agree on, so they are made once:
 //
 //   escaping       json_escape / json_unescape, and the field readers that

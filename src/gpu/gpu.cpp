@@ -44,7 +44,7 @@ Gpu::Gpu(const GpuConfig& cfg, std::vector<AppLaunch> launches)
                 .detail("launches", launches.size())
                 .detail("kMaxApps", kMaxApps));
 
-  recorder_.init(cfg_.flight_recorder_events, cfg_.num_partitions);
+  recorder_.init(FlightRecorder::kCapacity, cfg_.num_partitions);
 
   runtimes_.reserve(launches.size());
   for (std::size_t a = 0; a < launches.size(); ++a) {
@@ -349,8 +349,7 @@ void Gpu::cycle_engine() {
       if (sm_out_ptrs_[s]->full()) full |= u64{1} << s;
     }
     u64 blocked = 0;
-    const u64 accepted = req_net_.transfer(
-        now_, sm_out_ptrs_, recorder_.enabled() ? &blocked : nullptr);
+    const u64 accepted = req_net_.transfer(now_, sm_out_ptrs_, &blocked);
     recorder_.note_xbar_stall(now_, /*resp_channel=*/false, blocked);
     for (u64 m = req_src_mask_; m != 0; m &= m - 1) {
       const int s = std::countr_zero(m);
@@ -406,8 +405,7 @@ void Gpu::cycle_engine() {
       if (part_resp_ptrs_[p]->full()) full |= u64{1} << p;
     }
     u64 blocked = 0;
-    const u64 accepted = resp_net_.transfer(
-        now_, part_resp_ptrs_, recorder_.enabled() ? &blocked : nullptr);
+    const u64 accepted = resp_net_.transfer(now_, part_resp_ptrs_, &blocked);
     recorder_.note_xbar_stall(now_, /*resp_channel=*/true, blocked);
     resp_due_ = kNeverCycle;
     for (int p = 0; p < cfg_.num_partitions; ++p) {
@@ -471,8 +469,7 @@ void Gpu::cycle_full() {
   {
     ProfScope prof(profiler_, LoopProfiler::kXbarReq);
     u64 blocked = 0;
-    req_net_.transfer(now_, sm_out_ptrs_,
-                      recorder_.enabled() ? &blocked : nullptr);
+    req_net_.transfer(now_, sm_out_ptrs_, &blocked);
     recorder_.note_xbar_stall(now_, /*resp_channel=*/false, blocked);
   }
 
@@ -494,8 +491,7 @@ void Gpu::cycle_full() {
   {
     ProfScope prof(profiler_, LoopProfiler::kXbarResp);
     u64 blocked = 0;
-    resp_net_.transfer(now_, part_resp_ptrs_,
-                       recorder_.enabled() ? &blocked : nullptr);
+    resp_net_.transfer(now_, part_resp_ptrs_, &blocked);
     recorder_.note_xbar_stall(now_, /*resp_channel=*/true, blocked);
   }
 
@@ -715,13 +711,9 @@ std::string Gpu::dump_state() const {
   };
   dump_cursors("sm", sm_wake_, sm_synced_);
   dump_cursors("partition", part_wake_, part_synced_);
-  ss << "\n    flight recorder: "
-     << (recorder_.enabled()
-             ? std::to_string(recorder_.size()) + "/" +
-                   std::to_string(recorder_.capacity()) + " events held, " +
-                   std::to_string(recorder_.total_recorded()) +
-                   " recorded in total"
-             : std::string("disabled"));
+  ss << "\n    flight recorder: " << recorder_.size() << "/"
+     << recorder_.capacity() << " events held, "
+     << recorder_.total_recorded() << " recorded in total";
   return ss.str();
 }
 
@@ -757,7 +749,7 @@ void Gpu::write_state(Sink& s) const {
   if (injector_ != nullptr) injector_->write_state(s);
   // The flight-recorder ring is simulated state: its taps fire on simulated
   // transitions only, so the ring contents are deterministic and must
-  // survive snapshot/restore for --triage replays to hash-match.
+  // survive snapshot/restore for a resumed run's trace to match.
   recorder_.write_state(s);
 }
 

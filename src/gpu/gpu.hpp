@@ -161,8 +161,9 @@ class Gpu {
 
   const ConservationTaps& conservation_taps() const { return taps_; }
 
-  /// Black-box flight recorder (sized by cfg.flight_recorder_events).  The
-  /// ring rides along in snapshots and crash bundles; --triage prints it.
+  /// Flight recorder (FlightRecorder::kCapacity events) that stages the
+  /// trace events the TelemetryHub drains; the ring rides along in
+  /// snapshots.
   FlightRecorder& flight_recorder() { return recorder_; }
   const FlightRecorder& flight_recorder() const { return recorder_; }
 

@@ -35,9 +35,8 @@ namespace gpusim {
 // Version 2: recovery-tap counters, SM retry/dup-expect maps, estimator
 // sanitization counters, and fault-injector progress joined the state walk.
 // Version 3: flight-recorder ring joined the state walk; header gained the
-// writer's build fingerprint (informational — mismatch is surfaced by
-// --triage, not rejected, since the config/workload fingerprint already
-// gates restorability).
+// writer's build fingerprint (informational — a mismatch is not rejected,
+// since the config/workload fingerprint already gates restorability).
 // Version 4: the TelemetryHub observer ("TELE" section — per-interval
 // records, drained flight-recorder events, drop counters) joined the
 // observer walk of every assembled co-run, so kill+resume reproduces
@@ -50,7 +49,10 @@ namespace gpusim {
 // section, the telemetry records' intervention counter and its six
 // flight-recorder event kinds), and the GPU gained the cycle its pending
 // migration was requested at.
-inline constexpr u32 kSnapshotVersion = 6;
+// Version 7: the telemetry hub's per-kind drain counters left the "TELE"
+// section, and the flight-recorder ring size left the config fingerprint
+// (it is FlightRecorder::kCapacity now).
+inline constexpr u32 kSnapshotVersion = 7;
 
 struct SnapshotHeader {
   u32 version = 0;

@@ -1,5 +1,6 @@
 #include "harness/cli_flags.hpp"
 
+#include <iostream>
 #include <sstream>
 
 namespace gpusim {
@@ -65,16 +66,6 @@ const std::vector<FlagInfo>& flag_table() {
        "drop-req, stall) into the co-run; the run is audited as usual,\n"
        "so a dropped packet exits 3 with a conservation error",
        true},
-      {FlagId::kBundleDir, "--bundle-dir", "D",
-       "root directory for crash-forensics bundles (default\n"
-       "'crash-bundles')"},
-      {FlagId::kNoBundle, "--no-bundle", nullptr,
-       "disable crash-bundle emission entirely"},
-      {FlagId::kTriage, "--triage", "BUNDLE",
-       "postmortem mode: restore the crash bundle's snapshot, replay to\n"
-       "the recorded failure cycle, verify the state hash bit-exactly and\n"
-       "print the flight-recorder timeline (exit 0 verified, 4 diverged,\n"
-       "3 bundle unusable)"},
       {FlagId::kTelemetryOut, "--telemetry-out", "F|D",
        "per-interval time-series JSONL: a file for --apps runs, a\n"
        "directory (per-label files) for --sweep; every record carries\n"
@@ -83,7 +74,7 @@ const std::vector<FlagInfo>& flag_table() {
       {FlagId::kTraceOut, "--trace-out", "F",
        "Chrome trace-event JSON (load in Perfetto / chrome://tracing):\n"
        "epoch spans per app, migration drain spans, fault instants,\n"
-       "counter tracks (--apps and --triage runs only)"},
+       "counter tracks (--apps runs only)"},
       {FlagId::kDumpConfig, "--dump-config", nullptr,
        "print the default config file and exit"},
       {FlagId::kListApps, "--list-apps", nullptr,
@@ -109,8 +100,8 @@ const std::vector<ExitCodeInfo>& exit_code_table() {
       {0, "success"},
       {1, "failed sweep pairs"},
       {2, "usage error"},
-      {3, "simulation error (SimError) / --triage bundle unusable"},
-      {4, "determinism audit or --triage replay found a divergence"},
+      {3, "simulation error (SimError)"},
+      {4, "determinism audit found a divergence"},
       {5, "a checkpoint had torn lines (skipped and re-run; results "
           "complete, but a prior run crashed mid-write)"},
       {6, "interrupted by SIGINT/SIGTERM — drained gracefully; checkpoints "
@@ -128,11 +119,16 @@ int exit_code_for(SimErrorKind kind) {
   }
 }
 
+int report_sim_error(const SimError& e) {
+  std::cerr << "simulation error [" << to_string(e.kind()) << "] in "
+            << e.component() << ":\n" << e.what() << '\n';
+  return exit_code_for(e.kind());
+}
+
 std::string render_usage(const char* argv0) {
   std::ostringstream ss;
   ss << "usage: " << argv0 << " --apps A,B[,C,D] [options]\n"
      << "       " << argv0 << " --sweep all|random:N [options]\n"
-     << "       " << argv0 << " --triage BUNDLE\n"
      << "\n";
   constexpr int kColumn = 22;
   for (const FlagInfo& flag : flag_table()) {

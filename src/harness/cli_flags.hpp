@@ -43,9 +43,6 @@ enum class FlagId {
   kHashEvery,
   kProfileLoop,
   kFaultSchedule,
-  kBundleDir,
-  kNoBundle,
-  kTriage,
   kTelemetryOut,
   kTraceOut,
   kDumpConfig,
@@ -88,5 +85,10 @@ const std::vector<ExitCodeInfo>& exit_code_table();
 /// 8 budget; everything else is 3).  7 is unassigned: it meant a lapsed
 /// wall-clock deadline, a limit the CLI no longer has.
 int exit_code_for(SimErrorKind kind);
+
+/// Prints `e` to stderr the way gpusim_cli reports a failed run (kind,
+/// component, message and details) and returns exit_code_for its kind.
+/// The figure binaries end on it too.
+int report_sim_error(const SimError& e);
 
 }  // namespace gpusim

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <cctype>
 #include <climits>
 #include <condition_variable>
 #include <cstdio>
@@ -11,7 +12,6 @@
 #include <filesystem>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <sstream>
 #include <thread>
 
@@ -22,10 +22,8 @@
 #include "common/sim_error.hpp"
 #include "common/simstate.hpp"
 #include "dase/dase_model.hpp"
-#include "kernels/app_registry.hpp"
 #include "gpu/simulator.hpp"
 #include "gpu/snapshot.hpp"
-#include "harness/crash_bundle.hpp"
 #include "metrics/metrics.hpp"
 #include "sched/dase_fair.hpp"
 #include "sched/policies.hpp"
@@ -74,6 +72,20 @@ std::vector<AppLaunch> corun_launches(const RunConfig& rc,
         workload.apps[i], harness_app_seed(rc.base_seed, static_cast<int>(i))});
   }
   return launches;
+}
+
+/// A workload label as a file-name stem: every character other than an
+/// alphanumeric or one of "-_.+" becomes '_' ("unnamed" when empty).
+/// Snapshot files are named by it.
+std::string label_file_stem(const std::string& label) {
+  std::string name;
+  name.reserve(label.size());
+  for (char c : label) {
+    const bool safe = std::isalnum(static_cast<unsigned char>(c)) != 0 ||
+                      c == '-' || c == '_' || c == '.' || c == '+';
+    name += safe ? c : '_';
+  }
+  return name.empty() ? std::string("unnamed") : name;
 }
 
 }  // namespace
@@ -164,67 +176,6 @@ std::string corun_identity(const RunConfig& rc, const Workload& workload,
   number("qos_warmup_intervals", std::to_string(rc.qos.warmup_intervals));
   number("qos_min_sms_per_app", std::to_string(rc.qos.min_sms_per_app));
   return out;
-}
-
-CoRunSpec parse_corun_identity(const std::string& text) {
-  const auto malformed = [](const char* key) {
-    return SimError(SimErrorKind::kSnapshot, "harness.runner",
-                    "co-run identity key is missing or malformed")
-        .detail("key", key);
-  };
-  const auto text_of = [&](const char* key) {
-    const std::optional<std::string> value = json_string_field(text, key);
-    SIM_CHECK(value.has_value(), malformed(key));
-    return *value;
-  };
-  const auto number_of = [&](const char* key) {
-    const std::optional<u64> value = json_u64_field(text, key);
-    SIM_CHECK(value.has_value(), malformed(key));
-    return *value;
-  };
-  const auto int_of = [&](const char* key) {
-    const u64 value = number_of(key);
-    SIM_CHECK(value <= static_cast<u64>(INT_MAX), malformed(key));
-    return static_cast<int>(value);
-  };
-  const auto double_of = [&](const char* key) {
-    const std::string value = text_of(key);
-    char* end = nullptr;
-    const double parsed = std::strtod(value.c_str(), &end);
-    SIM_CHECK(!value.empty() && *end == '\0', malformed(key));
-    return parsed;
-  };
-
-  CoRunSpec spec;
-  for (const std::string& abbr : split_csv(text_of("apps"))) {
-    const std::optional<KernelProfile> profile = find_app(abbr);
-    SIM_CHECK(profile.has_value(),
-              SimError(SimErrorKind::kSnapshot, "harness.runner",
-                       "co-run identity names an application this build's "
-                       "registry does not know")
-                  .detail("app", abbr));
-    spec.workload.apps.push_back(*profile);
-  }
-  SIM_CHECK(!spec.workload.apps.empty(), malformed("apps"));
-  spec.rc.base_seed = number_of("base_seed");
-  spec.rc.co_run_cycles = number_of("co_run_cycles");
-  spec.models = parse_model_set(text_of("models"));
-  spec.policy = parse_policy_kind(text_of("policy"));
-  for (const std::string& sms : split_csv(text_of("sm_split"))) {
-    char* end = nullptr;
-    const long parsed = std::strtol(sms.c_str(), &end, 10);
-    SIM_CHECK(*end == '\0' && parsed >= 0 && parsed <= 1'000'000,
-              malformed("sm_split"));
-    spec.sm_split.push_back(static_cast<int>(parsed));
-  }
-  spec.rc.faults = FaultSchedule::parse(text_of("faults"));
-  spec.rc.temporal.quantum = number_of("temporal_quantum");
-  spec.rc.qos.qos_app = int_of("qos_app");
-  spec.rc.qos.target_slowdown = double_of("qos_target_slowdown");
-  spec.rc.qos.release_margin = double_of("qos_release_margin");
-  spec.rc.qos.warmup_intervals = int_of("qos_warmup_intervals");
-  spec.rc.qos.min_sms_per_app = int_of("qos_min_sms_per_app");
-  return spec;
 }
 
 u64 corun_fingerprint(const RunConfig& rc, const Workload& workload,
@@ -367,31 +318,23 @@ TelemetryFlushContext corun_telemetry_context(const RunConfig& rc,
 
 namespace {
 
-/// The forensics a co-run leaves when `error` ends it: a crash bundle
-/// under rc.crash_bundle_dir (when set), with `anchor_snapshot` as its
-/// re-execution anchor, then the telemetry recorded so far, flushed with a
-/// crash marker when rc.telemetry asks for files.  kInterrupted leaves
-/// nothing: a graceful drain is not a crash, and the auto-resume snapshot
-/// already keeps its state.  Never throws.
+/// What a co-run leaves when `error` ends it: the telemetry recorded so
+/// far, flushed with a crash marker when rc.telemetry asks for files.
+/// kInterrupted leaves nothing: a graceful drain is not a crash, and the
+/// auto-resume snapshot already keeps its state.  Never throws.
 void record_corun_failure(const RunConfig& rc, const Workload& workload,
-                          const ModelSet& models, PolicyKind policy,
-                          const std::vector<int>* sm_split,
-                          const CoRunAssembly& assembly, const SimError& error,
-                          const std::string& anchor_snapshot) {
-  if (error.kind() == SimErrorKind::kInterrupted) return;
-  const Simulation& sim = *assembly.sim;
-  if (!rc.crash_bundle_dir.empty()) {
-    write_crash_bundle(rc, workload, models, policy, sm_split, sim, error,
-                       anchor_snapshot);
+                          const CoRunAssembly& assembly,
+                          const SimError& error) {
+  if (error.kind() == SimErrorKind::kInterrupted || !rc.telemetry.any()) {
+    return;
   }
   // The alone baselines were never measured, so the flushed series carry
   // estimate columns but no actual-slowdown columns.
-  if (!rc.telemetry.any()) return;
   TelemetryFlushContext ctx =
       corun_telemetry_context(rc, workload, assembly, workload.label());
   ctx.crashed = true;
   ctx.crash_kind = to_string(error.kind());
-  ctx.crash_cycle = sim.gpu().now();
+  ctx.crash_cycle = assembly.sim->gpu().now();
   try {
     flush_telemetry(*assembly.telemetry,
                     resolve_telemetry_paths(rc.telemetry, workload.label()),
@@ -732,9 +675,7 @@ CoRunResult ExperimentRunner::run(const Workload& workload,
     if (rc_.verify_conservation) gpu.verify_conservation();
   } catch (const SimError& e) {
     for (const auto& chase : chases) chase->abandon();
-    // The last periodic snapshot, when one exists, anchors the bundle.
-    record_corun_failure(rc_, workload, models, policy, sm_split, assembly,
-                         e, snap_path);
+    record_corun_failure(rc_, workload, assembly, e);
     throw;
   }
 

@@ -74,8 +74,9 @@ struct RunConfig {
   /// workload writes one "<label>.simstate" file into `snapshot_dir`; when
   /// that file already exists at run() entry with a matching fingerprint,
   /// the co-run resumes from it mid-simulation (so a killed process picks
-  /// up where it died), and the file is deleted once the co-run
-  /// completes.  A stale or mismatched file is skipped with a warning.
+  /// up where it died, and a run that failed repeats its error from its
+  /// last stride), and the file is deleted once the co-run completes.  A
+  /// stale or mismatched file is skipped with a warning.
   /// Compatible with fault injection: the injector's progress counters and
   /// RNG ride along in the snapshot, and the schedule is folded into the
   /// snapshot fingerprint.
@@ -90,18 +91,6 @@ struct RunConfig {
   /// with snapshotting enabled, a snapshot is written first so a resumed
   /// run continues byte-identically.
   const std::atomic<bool>* cancel = nullptr;
-
-  // ---- Crash forensics (see harness/crash_bundle.hpp) -------------------
-  /// When non-empty, any terminal SimError escaping the co-run — watchdog
-  /// stall, stalled migration, conservation failure, guard trip —
-  /// emits a self-contained crash-bundle directory under this root before
-  /// the error propagates.  Graceful cancellation (kInterrupted) never
-  /// bundles: the auto-resume snapshot already preserves that state.
-  /// Empty (off) by default in the library; the CLI defaults it on.
-  std::string crash_bundle_dir;
-  /// Mode tag recorded in bundle manifests ("run" or "sweep") so a triage
-  /// session knows which path assembled the failure.
-  std::string crash_bundle_mode = "run";
 
   // ---- Telemetry (see telemetry/hub.hpp) --------------------------------
   /// Output paths for the per-interval time series and the Chrome trace.
@@ -124,12 +113,11 @@ struct ModelSet {
 /// and the co-run identity spell app, model and SM-split lists.
 std::vector<std::string> split_csv(const std::string& text);
 
-/// CLI/manifest spelling of a model list: the enabled names in "dase",
+/// CLI/identity spelling of a model list: the enabled names in "dase",
 /// "mise", "asm" order, comma-separated ("" when none is on).
 std::string to_string(const ModelSet& models);
 /// Inverse of to_string(ModelSet); empty entries are skipped.  Throws
-/// SimError(kConfig) on an unknown name.  Used by --models and by --triage
-/// manifest loading.
+/// SimError(kConfig) on an unknown name.  Used by --models.
 ModelSet parse_model_set(const std::string& names);
 
 enum class PolicyKind {
@@ -140,52 +128,30 @@ enum class PolicyKind {
   kDaseQos,   ///< future-work QoS controller on top of DASE
 };
 
-/// CLI/manifest spelling of a policy ("even", "dase-fair", "leftover",
+/// CLI/identity spelling of a policy ("even", "dase-fair", "leftover",
 /// "temporal", "qos").
 const char* to_string(PolicyKind policy);
 /// Inverse of to_string(PolicyKind); throws SimError(kConfig) on an
-/// unknown name.  Used by --policy and by --triage manifest loading.
+/// unknown name.  Used by --policy.
 PolicyKind parse_policy_kind(const std::string& name);
-
-/// One co-run, spelled the way assemble_corun takes it; what the identity
-/// parser rebuilds from a crash-bundle manifest.
-struct CoRunSpec {
-  RunConfig rc;
-  Workload workload;
-  ModelSet models;
-  PolicyKind policy = PolicyKind::kEven;
-  std::vector<int> sm_split;  ///< empty = policy-controlled partition
-
-  const std::vector<int>* split() const {
-    return sm_split.empty() ? nullptr : &sm_split;
-  }
-};
 
 /// The co-run's identity: every input that shapes simulated state apart
 /// from the GpuConfig and the kernel profiles (which simulation_fingerprint
 /// hashes).  That is the app abbreviations in slot order, base_seed,
 /// co_run_cycles, the models, the policy, the SM split, the armed fault
 /// schedule and every TemporalOptions and DaseQosOptions field, written as
-/// one `"key": value,` line each — the crash-bundle manifest's layout.
-/// The snapshot fingerprint hashes exactly this text, and crash bundles
-/// store it.  Caller configuration (watchdog, cancel flag, output paths)
+/// one `"key": value,` line each.  The snapshot fingerprint hashes exactly
+/// this text.  Caller configuration (watchdog, cancel flag, output paths)
 /// is not part of it.
 std::string corun_identity(const RunConfig& rc, const Workload& workload,
                            const ModelSet& models, PolicyKind policy,
                            const std::vector<int>* sm_split);
 
-/// Inverse of corun_identity: rebuilds the co-run from the identity keys
-/// found anywhere in `text` (other keys are ignored); every other RunConfig
-/// field keeps its default.  A missing or malformed key, or an app this
-/// build's registry does not know, raises SimError(kSnapshot); an unknown
-/// policy or model name raises SimError(kConfig).
-CoRunSpec parse_corun_identity(const std::string& text);
-
 /// Fingerprint of the co-run assemble_corun builds from these inputs,
 /// computed from the inputs alone: simulation_fingerprint over its launches,
-/// with the corun_identity text as the harness context.  Snapshots, crash
-/// bundles and --triage check it, and a sweep keys its checkpoint lines by
-/// it, so a stored state or result only ever meets the co-run it came from.
+/// with the corun_identity text as the harness context.  Snapshots check
+/// it, and a sweep keys its checkpoint lines by it, so a stored state or
+/// result only ever meets the co-run it came from.
 u64 corun_fingerprint(const RunConfig& rc, const Workload& workload,
                       const ModelSet& models, PolicyKind policy,
                       const std::vector<int>* sm_split);
@@ -225,8 +191,8 @@ struct CoRunAssembly {
 /// partition for the policy/split, and the model/policy observers in
 /// canonical registration order (dase, mise, asm, epochs, fair, qos, temporal,
 /// telemetry hub last — the order Simulation::load expects back).  Shared
-/// by the runner, the determinism audit and --triage so a restored
-/// snapshot always meets an identically assembled experiment.
+/// by the runner and the determinism audit so a restored snapshot always
+/// meets an identically assembled experiment.
 CoRunAssembly assemble_corun(const RunConfig& rc, const Workload& workload,
                              const ModelSet& models, PolicyKind policy,
                              const std::vector<int>* sm_split = nullptr);

@@ -111,8 +111,8 @@ void MemoryPartition::cycle(Cycle now,
       // Injected fault: the packet vanishes without being processed, as a
       // real routing bug would make it.  The conservation taps are *not*
       // told — the auditor must discover the leak on its own.  The flight
-      // recorder *is*: it records what actually happened, exactly the
-      // information a postmortem needs to explain the auditor's imbalance.
+      // recorder *is*: it records what actually happened, so the trace
+      // shows the drop behind the auditor's imbalance.
       if (recorder_ != nullptr) {
         recorder_->record(now, FrEvent::kFaultDropReq, id_,
                           in_queue.front().app, in_queue.front().line_addr, 0);

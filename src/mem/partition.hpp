@@ -81,7 +81,7 @@ class MemoryPartition {
   void set_taps(ConservationTaps* taps) { taps_ = taps; }
   void set_fault_injector(FaultInjector* injector) { injector_ = injector; }
 
-  /// Optional black-box flight recorder (owned by the Gpu): queue
+  /// Optional flight recorder (owned by the Gpu): queue
   /// high-water marks and injected-fault firings are recorded into it.
   void set_flight_recorder(FlightRecorder* recorder) { recorder_ = recorder; }
 

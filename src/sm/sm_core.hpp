@@ -119,7 +119,7 @@ class SmCore {
   /// pushed into the out queue is counted as a sent request.
   void set_taps(ConservationTaps* taps) { taps_ = taps; }
 
-  /// Optional black-box flight recorder (owned by the GPU): block
+  /// Optional flight recorder (owned by the GPU): block
   /// dispatches are recorded into it.
   void set_flight_recorder(FlightRecorder* recorder) { recorder_ = recorder; }
 

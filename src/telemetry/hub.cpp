@@ -28,10 +28,8 @@ void TelemetryHub::on_interval(const IntervalSample& sample, Gpu& gpu) {
     trace_events_dropped_ += fresh - have;
     for (std::size_t i = held.size() - static_cast<std::size_t>(have);
          i < held.size(); ++i) {
-      const FlightEvent& e = held[i];
-      ++fr_kind_counts_[static_cast<std::size_t>(e.kind)];
       if (trace_events_.size() < kMaxTraceEvents) {
-        trace_events_.push_back(e);
+        trace_events_.push_back(held[i]);
       } else {
         ++trace_events_dropped_;
       }
@@ -122,7 +120,6 @@ void TelemetryHub::load_state(StateReader& r) {
   }
   fr_seen_ = r.get_u64();
   trace_events_dropped_ = r.get_u64();
-  for (u64& v : fr_kind_counts_) v = r.get_u64();
   const u64 nev = r.get_count(kMaxTraceEvents, "telemetry trace events");
   trace_events_.clear();
   trace_events_.reserve(static_cast<std::size_t>(nev));
@@ -384,7 +381,7 @@ void write_trace_json(const std::string& path, const TelemetryHub& hub,
 
   // Flight-recorder events: migration request/complete pairs become drain
   // spans on the migration track; everything else is an instant on its
-  // track.  The FrEvent vocabulary here is exactly the crash-timeline one.
+  // track, named by the FrEvent's to_string.
   Cycle drain_start = 0;
   u64 drain_sms = 0;
   bool drain_open = false;

@@ -20,10 +20,9 @@
 // overflow increments serialized drop counters instead of growing.
 //
 // The hub taps, rather than owns, its sources: the flight recorder is
-// drained incrementally through its lifetime counter (shared event-kind
-// vocabulary — FrEvent is the one enum both the crash timeline and the
-// Perfetto export speak), and estimators are read through their public
-// latest() snapshots.
+// drained incrementally through its lifetime counter (its FrEvent kinds
+// name the Perfetto export's instants and spans), and estimators are read
+// through their public latest() snapshots.
 #pragma once
 
 #include <string>
@@ -98,7 +97,7 @@ class TelemetryHub final : public IntervalObserver {
   static constexpr std::size_t kMaxTraceEvents = 8192;
 
   explicit TelemetryHub(std::vector<TelemetryEstimatorTap> estimators)
-      : taps_(std::move(estimators)), fr_kind_counts_(kNumFrEvents, 0) {}
+      : taps_(std::move(estimators)) {}
 
   void on_interval(const IntervalSample& sample, Gpu& gpu) override;
 
@@ -147,7 +146,6 @@ class TelemetryHub final : public IntervalObserver {
     }
     s.put_u64(fr_seen_);
     s.put_u64(trace_events_dropped_);
-    for (const u64 v : fr_kind_counts_) s.put_u64(v);
     s.put_u64(static_cast<u64>(trace_events_.size()));
     for (const FlightEvent& e : trace_events_) {
       s.put_u64(e.cycle);
@@ -171,9 +169,6 @@ class TelemetryHub final : public IntervalObserver {
 
   u64 fr_seen_ = 0;  ///< flight-recorder lifetime counter at last drain
   u64 trace_events_dropped_ = 0;  ///< evicted before drain, or over cap
-  /// Per FrEvent kind, drained events.  No exporter reads the counts; they
-  /// stay because they are part of the serialized TELE section.
-  std::vector<u64> fr_kind_counts_;
   std::vector<FlightEvent> trace_events_;
 };
 

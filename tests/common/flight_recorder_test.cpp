@@ -3,7 +3,7 @@
 // identically to the original regardless of where the write head sat, the
 // typed rejection of malformed snapshots, and the event-volume bounds
 // (xbar throttle, monotone high-water marks) that keep the recorder cheap
-// enough to stay on by default.
+// enough to stay on always.
 #include "common/flight_recorder.hpp"
 
 #include <gtest/gtest.h>
@@ -46,18 +46,6 @@ TEST(FlightRecorderTest, RingEvictsOldestAndKeepsLifetimeTotal) {
     EXPECT_EQ(events[i].cycle, 106u + i);
     EXPECT_EQ(events[i].a, 6u + i);
   }
-}
-
-TEST(FlightRecorderTest, ZeroCapacityDisablesEverything) {
-  FlightRecorder fr = make_recorder(0);
-  EXPECT_FALSE(fr.enabled());
-  fr.record(1, FrEvent::kFaultDropResp, 0, 0, 0xABC, 1);
-  fr.note_resp_occupancy(2, 0, 5, 8);
-  fr.note_deferred_backlog(3, 1, 4);
-  fr.note_xbar_stall(4, false, 0x3);
-  EXPECT_EQ(fr.size(), 0u);
-  EXPECT_EQ(fr.total_recorded(), 0u);
-  EXPECT_TRUE(fr.events_in_order().empty());
 }
 
 TEST(FlightRecorderTest, SerializationRoundTripsAcrossAWrappedRing) {
@@ -157,16 +145,17 @@ TEST(FlightRecorderTest, XbarStallThrottleBoundsEventVolume) {
   FlightRecorder fr = make_recorder(1024);
   // A saturated NoC reports a stall every cycle; the throttle must record
   // at most one episode per channel per kStallThrottle cycles.
-  for (Cycle c = 0; c < 640; ++c) {
+  constexpr Cycle kCycles = 10 * FlightRecorder::kStallThrottle;
+  for (Cycle c = 0; c < kCycles; ++c) {
     fr.note_xbar_stall(c, false, 0xF);
     fr.note_xbar_stall(c, true, 0x3);
   }
   EXPECT_EQ(fr.total_recorded(),
-            2 * (640 / FlightRecorder::kStallThrottle));
+            2 * (kCycles / FlightRecorder::kStallThrottle));
   // A zero mask is never an episode.
-  fr.note_xbar_stall(10'000, false, 0);
+  fr.note_xbar_stall(kCycles, false, 0);
   EXPECT_EQ(fr.total_recorded(),
-            2 * (640 / FlightRecorder::kStallThrottle));
+            2 * (kCycles / FlightRecorder::kStallThrottle));
 }
 
 TEST(FlightRecorderTest, HighWaterMarksAreMonotonePerPartition) {
@@ -184,23 +173,6 @@ TEST(FlightRecorderTest, HighWaterMarksAreMonotonePerPartition) {
   fr.note_deferred_backlog(8, 0, 3);  // new max but not a power of two
   fr.note_deferred_backlog(9, 0, 4);
   EXPECT_EQ(fr.total_recorded(), 6u);
-}
-
-TEST(FlightRecorderTest, TimelineRendersHeldEventsAndSummary) {
-  FlightRecorder fr = make_recorder(8);
-  fr.record(10, FrEvent::kFaultDropReq, 3, 1, 0xBEEF, 0);
-  fr.record(20, FrEvent::kMigrationHandover, 5, 0, 0, 0);
-  const std::string text = fr.render_timeline(16);
-  EXPECT_NE(text.find("2 event(s) held (capacity 8"), std::string::npos)
-      << text;
-  EXPECT_NE(text.find("fault-drop-req"), std::string::npos) << text;
-  EXPECT_NE(text.find("line=0xbeef"), std::string::npos) << text;
-  EXPECT_NE(text.find("from=none"), std::string::npos) << text;
-
-  // max_events truncates from the front (newest survive).
-  const std::string tail = fr.render_timeline(1);
-  EXPECT_EQ(tail.find("fault-drop-req"), std::string::npos) << tail;
-  EXPECT_NE(tail.find("migration-handover"), std::string::npos) << tail;
 }
 
 }  // namespace

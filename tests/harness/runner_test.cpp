@@ -472,6 +472,62 @@ TEST(RunnerTest, StallForeverUnderDaseFairIsAWatchdogStall) {
   }
 }
 
+// A failed co-run keeps its last stride snapshot, and the same run()
+// again resumes from it and repeats the error at the same cycle: rerunning
+// the command is how a failure reproduces.  The snapshot fingerprint
+// hashes the policy options, so a non-default quantum or QoS target must
+// match on the rerun, or it would start over from cycle 0.
+TEST(RunnerTest, FailedRunResumesToTheSameError) {
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "gpusim_runner_failed_resume";
+  std::filesystem::remove_all(dir);
+  const Workload w{{*find_app("CT"), *find_app("SP")}};
+  const ModelSet dase{.dase = true};
+  for (const PolicyKind policy :
+       {PolicyKind::kTemporal, PolicyKind::kDaseQos}) {
+    SCOPED_TRACE(to_string(policy));
+    RunConfig rc;
+    rc.co_run_cycles = 200'000;
+    // The first switch or repartition is still draining 20K cycles after
+    // its request: a migration stall at cycle 40960, after the stride
+    // snapshot at 40000.
+    rc.watchdog_cycles = 20'000;
+    rc.snapshot_every = 40'000;
+    rc.snapshot_dir = (dir / to_string(policy)).string();
+    rc.gpu.estimation_interval = 10'000;
+    rc.temporal.quantum = 20'000;
+    rc.qos.target_slowdown = 3.5;
+    const std::string snapshot =
+        (std::filesystem::path(rc.snapshot_dir) / "CT+SP.simstate").string();
+    const ExperimentRunner runner(rc);
+    for (const bool rerun : {false, true}) {
+      SCOPED_TRACE(rerun ? "rerun" : "first run");
+      ::testing::internal::CaptureStderr();
+      try {
+        runner.run(w, dase, policy);
+        ADD_FAILURE() << "a switch draining past the watchdog let the run "
+                         "finish";
+      } catch (const SimError& e) {
+        EXPECT_EQ(e.kind(), SimErrorKind::kMigrationStalled) << e.what();
+        EXPECT_EQ(e.error_cycle(), 40'960u) << e.what();
+      }
+      const std::string log = ::testing::internal::GetCapturedStderr();
+      EXPECT_EQ(log.find("resumed CT+SP from snapshot") != std::string::npos,
+                rerun)
+          << log;
+      if (rerun) {
+        EXPECT_NE(log.find("at cycle 40000"), std::string::npos) << log;
+      }
+      // The failure leaves the stride snapshot for the next rerun.
+      const SnapshotHeader hdr = read_snapshot_header(snapshot);
+      EXPECT_EQ(hdr.cycle, 40'000u);
+      EXPECT_EQ(hdr.fingerprint,
+                corun_fingerprint(rc, w, dase, policy, nullptr));
+    }
+  }
+  std::filesystem::remove_all(dir);
+}
+
 TEST(RunnerTest, FingerprintCoversEveryIdentityInput) {
   const RunConfig base = quick_config();
   const Workload w{{*find_app("CT"), *find_app("SP")}};
@@ -539,19 +595,19 @@ TEST(RunnerTest, FingerprintCoversEveryIdentityInput) {
 }
 
 TEST(RunnerTest, FingerprintsArePinned) {
-  // Snapshots and crash bundles store these fingerprints, so a changed
-  // value strands every file written before the change.
+  // Snapshots and sweep checkpoint lines store these fingerprints, so a
+  // changed value strands every file written before the change.
   const RunConfig rc = quick_config();
   const Workload ct_sp{{*find_app("CT"), *find_app("SP")}};
   const ModelSet dase{.dase = true};
   EXPECT_EQ(fingerprint_of(rc, ct_sp, dase, PolicyKind::kEven, nullptr),
-            0x5e62c8b2ff3c147eULL);
+            0xb9f08edb0b52a2efULL);
   EXPECT_EQ(fingerprint_of(rc, ct_sp, dase, PolicyKind::kDaseFair, nullptr),
-            0x8665a00a6834006fULL);
+            0xdf8a9ceb4f7c04acULL);
   const std::vector<int> split = {4, 12};
   EXPECT_EQ(fingerprint_of(rc, Workload{{*find_app("SD"), *find_app("SA")}},
                            dase, PolicyKind::kEven, &split),
-            0x47fd9d83e90797c6ULL);
+            0x230f145cdf6e1d68ULL);
   RunConfig faulted = rc;
   faulted.faults = FaultSchedule::parse(
       "drop-resp:nth=200;stall:part=0,from=1000,until=5000;seed=7");
@@ -559,52 +615,7 @@ TEST(RunnerTest, FingerprintsArePinned) {
                        *find_app("SN")}};
   const ModelSet all{.dase = true, .mise = true, .asm_model = true};
   EXPECT_EQ(fingerprint_of(faulted, quad, all, PolicyKind::kEven, nullptr),
-            0xa0fa637cb73acc82ULL);
-}
-
-TEST(RunnerTest, IdentityParserRebuildsTheCoRun) {
-  RunConfig rc = quick_config();
-  rc.base_seed = 7;
-  rc.faults = FaultSchedule::parse("drop-resp:nth=200;seed=3");
-  rc.temporal.quantum = 12'345;
-  rc.qos = DaseQosOptions{.qos_app = 1,
-                          .target_slowdown = 1.3,
-                          .release_margin = 0.1,
-                          .warmup_intervals = 3,
-                          .min_sms_per_app = 2};
-  const Workload w{{*find_app("CT"), *find_app("SP")}};
-  const ModelSet models{.dase = false, .mise = true, .asm_model = true};
-  const std::vector<int> split = {6, 10};
-  const std::string identity =
-      corun_identity(rc, w, models, PolicyKind::kDaseQos, &split);
-
-  const CoRunSpec spec = parse_corun_identity(identity);
-  EXPECT_EQ(spec.workload.label(), "CT+SP");
-  EXPECT_EQ(spec.rc.base_seed, 7u);
-  EXPECT_EQ(spec.rc.co_run_cycles, rc.co_run_cycles);
-  EXPECT_EQ(spec.policy, PolicyKind::kDaseQos);
-  EXPECT_EQ(spec.sm_split, split);
-  EXPECT_EQ(spec.rc.faults.to_string(), rc.faults.to_string());
-  EXPECT_EQ(spec.rc.temporal.quantum, 12'345u);
-  EXPECT_EQ(spec.rc.qos.qos_app, 1);
-  EXPECT_EQ(spec.rc.qos.target_slowdown, 1.3);
-  EXPECT_EQ(spec.rc.qos.release_margin, 0.1);
-  EXPECT_EQ(spec.rc.qos.warmup_intervals, 3);
-  EXPECT_EQ(spec.rc.qos.min_sms_per_app, 2);
-  // The writer over the parsed co-run reproduces the text exactly, which
-  // is what lets --triage recompute the bundle's fingerprint.
-  EXPECT_EQ(corun_identity(spec.rc, spec.workload, spec.models, spec.policy,
-                           spec.split()),
-            identity);
-
-  // A missing key is a typed snapshot error, not a default.
-  const std::string cut = identity.substr(0, identity.find("  \"policy\""));
-  try {
-    parse_corun_identity(cut);
-    FAIL() << "an identity without a policy parsed";
-  } catch (const SimError& e) {
-    EXPECT_EQ(e.kind(), SimErrorKind::kSnapshot);
-  }
+            0x447a419f5db0aa97ULL);
 }
 
 TEST(RunnerTest, CyclesFromEnvParsesAndFallsBack) {

@@ -1,25 +1,21 @@
-// Corruption torture: every loader in the forensics path — the snapshot
-// restorer, the crash-bundle manifest reader, and the whole --triage
-// pipeline — must survive arbitrary byte-level damage (truncations, bit
-// flips, torn files) with a typed SimError or a clean result, never a
-// crash, hang or silent acceptance of corrupt state.  tools/check_sanitize.sh
-// runs this suite under ASan/UBSan, which is what turns "didn't crash in
-// the test harness" into "provably no out-of-bounds read or UB".
+// Corruption torture: the snapshot restorer must survive arbitrary
+// byte-level damage (truncations, bit flips) with a typed SimError or a
+// bit-exact restore, never a crash, hang or silent acceptance of corrupt
+// state.  tools/check_sanitize.sh runs this suite under ASan/UBSan, which
+// is what turns "didn't crash in the test harness" into "provably no
+// out-of-bounds read or UB".
 #include <gtest/gtest.h>
 
 #include <cstddef>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/sim_error.hpp"
 #include "gpu/simulator.hpp"
 #include "gpu/snapshot.hpp"
-#include "harness/crash_bundle.hpp"
 #include "harness/runner.hpp"
-#include "harness/triage.hpp"
 #include "kernels/app_registry.hpp"
 
 namespace gpusim {
@@ -60,47 +56,46 @@ class TortureTest : public ::testing::Test {
     fs::remove_all(dir_);
     fs::create_directories(dir_);
 
-    // One real crash bundle to torture: SD+SA hung by a partition stalled
-    // from cycle 1000 on, which the 3K-cycle watchdog reports at 6144.
+    // One real failed co-run's state to torture: SD+SA hung by a partition
+    // stalled from cycle 1000 on, which the 3K-cycle watchdog reports at
+    // 6144, saved the way the runner saves its stride snapshots.
     rc_.co_run_cycles = 20'000;
     rc_.watchdog_cycles = 3'000;
     rc_.faults = FaultSchedule::parse("stall:part=0,from=1000");
-    rc_.crash_bundle_dir = (dir_ / "bundles").string();
     workload_.apps.push_back(*find_app("SD"));
     workload_.apps.push_back(*find_app("SA"));
-    ExperimentRunner runner(rc_);
+    CoRunAssembly failed = fresh_assembly();
     try {
-      runner.run(workload_, models_);
+      failed.sim->run(rc_.co_run_cycles);
       ADD_FAILURE() << "a partition stalled forever let the run finish";
     } catch (const SimError& e) {
       EXPECT_EQ(e.kind(), SimErrorKind::kWatchdogStall) << e.what();
     }
-    for (const auto& entry : fs::directory_iterator(rc_.crash_bundle_dir)) {
-      if (entry.path().filename().string().rfind(".tmp-", 0) != 0) {
-        bundle_ = entry.path();
-      }
-    }
-    ASSERT_FALSE(bundle_.empty());
+    fingerprint_ = corun_fingerprint(rc_, workload_, models_,
+                                     PolicyKind::kEven, nullptr);
+    state_hash_ = failed.sim->state_hash();
+    snapshot_ = dir_ / "failed.simstate";
+    write_snapshot_file(snapshot_.string(), *failed.sim, fingerprint_);
   }
   void TearDown() override { fs::remove_all(dir_); }
 
-  /// A fresh simulation assembled exactly like the crashed one, the way
-  /// triage does it — the restore target for snapshot torture.
+  /// A fresh simulation assembled exactly like the failed one, the way the
+  /// runner assembles a resume — the restore target for snapshot torture.
   CoRunAssembly fresh_assembly() {
     return assemble_corun(rc_, workload_, models_, PolicyKind::kEven);
   }
 
   fs::path dir_;
-  fs::path bundle_;
+  fs::path snapshot_;
+  u64 fingerprint_ = 0;
+  u64 state_hash_ = 0;
   RunConfig rc_;
   Workload workload_;
   ModelSet models_{.dase = true};
 };
 
 TEST_F(TortureTest, SnapshotTruncationsAlwaysRaiseTypedErrors) {
-  const CrashBundleManifest m = read_crash_bundle_manifest(bundle_.string());
-  const std::vector<unsigned char> orig =
-      read_file(bundle_ / "snapshot.simstate");
+  const std::vector<unsigned char> orig = read_file(snapshot_);
   ASSERT_GT(orig.size(), 64u);
   const fs::path mutant = dir_ / "truncated.simstate";
 
@@ -118,8 +113,7 @@ TEST_F(TortureTest, SnapshotTruncationsAlwaysRaiseTypedErrors) {
                                               static_cast<std::ptrdiff_t>(cut)));
     CoRunAssembly assembly = fresh_assembly();
     try {
-      restore_snapshot_file(mutant.string(), *assembly.sim,
-                            m.fingerprint);
+      restore_snapshot_file(mutant.string(), *assembly.sim, fingerprint_);
       FAIL() << "truncation to " << cut << " bytes restored cleanly";
     } catch (const SimError& e) {
       EXPECT_EQ(e.kind(), SimErrorKind::kSnapshot) << "cut=" << cut;
@@ -128,9 +122,7 @@ TEST_F(TortureTest, SnapshotTruncationsAlwaysRaiseTypedErrors) {
 }
 
 TEST_F(TortureTest, SnapshotBitFlipsNeverRestoreSilently) {
-  const CrashBundleManifest m = read_crash_bundle_manifest(bundle_.string());
-  const std::vector<unsigned char> orig =
-      read_file(bundle_ / "snapshot.simstate");
+  const std::vector<unsigned char> orig = read_file(snapshot_);
   const fs::path mutant = dir_ / "flipped.simstate";
 
   u64 rng = 0xC0FFEE;
@@ -145,14 +137,13 @@ TEST_F(TortureTest, SnapshotBitFlipsNeverRestoreSilently) {
     write_file(mutant, bytes);
     CoRunAssembly assembly = fresh_assembly();
     try {
-      restore_snapshot_file(mutant.string(), *assembly.sim,
-                            m.fingerprint);
+      restore_snapshot_file(mutant.string(), *assembly.sim, fingerprint_);
       // The only header bytes the integrity chain deliberately leaves
       // uncovered are the informational build/cycle fields; a flip there
       // may restore cleanly, but then the restored *state* must still be
       // bit-exact.  Silent acceptance of corrupt state is the one
       // forbidden outcome.
-      EXPECT_EQ(assembly.sim->state_hash(), m.failure_state_hash)
+      EXPECT_EQ(assembly.sim->state_hash(), state_hash_)
           << "flip at byte " << pos << " restored corrupt state silently";
     } catch (const SimError& e) {
       EXPECT_EQ(e.kind(), SimErrorKind::kSnapshot)
@@ -163,82 +154,6 @@ TEST_F(TortureTest, SnapshotBitFlipsNeverRestoreSilently) {
   // The chain covers everything except those 16 informational bytes, so
   // nearly every flip must be rejected outright.
   EXPECT_GE(rejected, kFlips - 8);
-}
-
-TEST_F(TortureTest, ManifestDamageNeverCrashesTriage) {
-  const fs::path manifest = bundle_ / "manifest.json";
-  const std::vector<unsigned char> orig = read_file(manifest);
-  ASSERT_GT(orig.size(), 32u);
-
-  // Truncations: triage must return an exit code, never throw or crash.
-  for (int i = 0; i < 16; ++i) {
-    const std::size_t cut = orig.size() * static_cast<std::size_t>(i) / 16;
-    write_file(manifest,
-               std::vector<unsigned char>(orig.begin(),
-                                          orig.begin() +
-                                              static_cast<std::ptrdiff_t>(cut)));
-    std::ostringstream out;
-    const int code = run_triage(bundle_.string(), out);
-    EXPECT_TRUE(code == 0 || code == 3 || code == 4)
-        << "cut=" << cut << " code=" << code;
-  }
-
-  // Seeded bit flips, including ones inside string values and numbers.
-  u64 rng = 0xDECAF;
-  for (int i = 0; i < 64; ++i) {
-    std::vector<unsigned char> bytes = orig;
-    const std::size_t pos =
-        static_cast<std::size_t>(splitmix(rng) % bytes.size());
-    bytes[pos] ^= static_cast<unsigned char>(1u << (splitmix(rng) % 8));
-    write_file(manifest, bytes);
-    std::ostringstream out;
-    const int code = run_triage(bundle_.string(), out);
-    EXPECT_TRUE(code == 0 || code == 3 || code == 4)
-        << "flip at byte " << pos << " code=" << code;
-  }
-  write_file(manifest, orig);
-}
-
-TEST_F(TortureTest, ConfigDamageIsContainedToExitCode3) {
-  const fs::path config = bundle_ / "config.txt";
-  const std::vector<unsigned char> orig = read_file(config);
-  u64 rng = 0xBADC0DE;
-  for (int i = 0; i < 32; ++i) {
-    std::vector<unsigned char> bytes = orig;
-    const std::size_t pos =
-        static_cast<std::size_t>(splitmix(rng) % bytes.size());
-    bytes[pos] ^= static_cast<unsigned char>(1u << (splitmix(rng) % 8));
-    write_file(config, bytes);
-    std::ostringstream out;
-    const int code = run_triage(bundle_.string(), out);
-    // A flip that survives config parsing changes the config, which the
-    // snapshot fingerprint then rejects (3); a flip that lands in
-    // whitespace or a comment can still verify (0).  Either way: typed.
-    EXPECT_TRUE(code == 0 || code == 3 || code == 4)
-        << "flip at byte " << pos << " code=" << code;
-  }
-  write_file(config, orig);
-}
-
-TEST_F(TortureTest, EmptyAndGarbageManifestsAreTyped) {
-  const fs::path garbage = dir_ / "garbage-bundle";
-  fs::create_directories(garbage);
-
-  std::ofstream(garbage / "manifest.json") << "";
-  EXPECT_THROW(read_crash_bundle_manifest(garbage.string()), SimError);
-
-  std::ofstream(garbage / "manifest.json") << "not json at all \x01\x02";
-  EXPECT_THROW(read_crash_bundle_manifest(garbage.string()), SimError);
-
-  std::ofstream(garbage / "manifest.json")
-      << "{\"schema\": \"gpusim-crash-bundle-v2\"}";
-  // Right schema, everything else missing: still typed.
-  try {
-    read_crash_bundle_manifest(garbage.string());
-    FAIL() << "expected SimError(kSnapshot)";
-  } catch (const SimError& e) {
-    EXPECT_EQ(e.kind(), SimErrorKind::kSnapshot);
-  }
 }
 
 }  // namespace

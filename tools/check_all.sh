@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # The one merge gate: tier-1 build + full test suite, then every
-# specialised checker — the state-hash determinism audit, the
-# crash-forensics gate, ASan/UBSan, TSan over the concurrency-heavy tests,
-# the telemetry gate, the pinned paper-results gate, and the
-# performance-regression gate.
+# specialised checker — the state-hash determinism audit (with the CLI's
+# exit-code and failure-reproduction checks), ASan/UBSan, TSan over the
+# concurrency-heavy tests, the telemetry gate, the pinned paper-results
+# gate, and the performance-regression gate.
 # CI invokes exactly this script; run it locally before pushing anything
 # that touches simulator, harness or serialization code.
 #
@@ -37,28 +37,27 @@ step() {
   return "$rc"
 }
 
-step "[1/8] tier-1: configure + build" bash -c \
+step "[1/7] tier-1: configure + build" bash -c \
   "cmake -B build -S . && cmake --build build -j '$JOBS'"
-step "[1/8] tier-1: ctest" ctest --test-dir build -j "$JOBS" --output-on-failure
+step "[1/7] tier-1: ctest" ctest --test-dir build -j "$JOBS" --output-on-failure
 
-step "[2/8] determinism audit" tools/check_determinism.sh build
+step "[2/7] determinism audit, exit codes, failure reproduction" \
+  tools/check_determinism.sh build
 
-step "[3/8] crash forensics: bundle + triage" tools/check_triage.sh build
+step "[3/7] ASan + UBSan" tools/check_sanitize.sh
 
-step "[4/8] ASan + UBSan" tools/check_sanitize.sh
-
-step "[5/8] TSan (worker pool, JSONL ledger, runner replay helper, fork+signal)" \
+step "[4/7] TSan (worker pool, JSONL ledger, runner replay helper, fork+signal)" \
   tools/check_tsan.sh
 
-step "[6/8] telemetry: schema, trace, transparency, overhead" tools/check_telemetry.sh build
+step "[5/7] telemetry: schema, trace, transparency, overhead" tools/check_telemetry.sh build
 
-step "[7/8] paper results pinned to paperbench/reference.json" \
+step "[6/7] paper results pinned to paperbench/reference.json" \
   tools/check_paperbench.sh
 
 if [[ "$SKIP_PERF" == "1" ]]; then
-  echo "===== [8/8] perf gate: SKIPPED ====="
+  echo "===== [7/7] perf gate: SKIPPED ====="
 else
-  step "[8/8] perf gate" tools/check_perf.sh build
+  step "[7/7] perf gate" tools/check_perf.sh build
 fi
 
 echo "check_all: OK"

@@ -11,6 +11,14 @@
 # a usage error rather than a wrapped run.  A clean pass means the
 # execution-strategy knobs cannot change simulated output.
 #
+# Then the CLI's failure contract: a failed co-run exits 3 and leaves
+# nothing but its stride snapshot, and rerunning the same command resumes
+# from that snapshot and fails again at the same cycle (that is how a
+# failure reproduces); a snapshot from another --quantum is skipped; a
+# SIGTERM drain exits 6; config mistakes exit 3 (a block no SM can hold,
+# or a figure binary's malformed REPRO_* variable) or 2 (a rejected
+# --config file); and --version prints the build fingerprint.
+#
 #   tools/check_determinism.sh [build-dir]     (default: build)
 #
 # Environment:
@@ -199,5 +207,113 @@ if [[ -e "$TMP/wrapped.json" ]]; then
   echo "error: a rejected count still ran a sweep" >&2
   exit 1
 fi
+
+echo "== --version prints the build fingerprint"
+"$CLI" --version | grep -q "fingerprint 0x"
+
+# VA+SD's first DASE-Fair drain outlives a 50K-cycle watchdog (healthy
+# drains take up to ~440K cycles): a migration stall at cycle 150528 on the
+# activity engine, after the stride snapshot at 150000.  The failed run
+# leaves that snapshot and nothing else; the same command again resumes
+# from it and fails at the same cycle.
+echo "== a failed run exits 3 and its rerun resumes to the same error"
+CLI_ABS="$(cd "$(dirname "$CLI")" && pwd)/$(basename "$CLI")"
+mkdir -p "$TMP/vasd"
+STALL=(--apps VA,SD --policy dase-fair --cycles 300000 --watchdog 50000
+       --snapshot-every 50000 --snapshot-dir snaps)
+for attempt in first rerun; do
+  RC=0
+  ( cd "$TMP/vasd" && "$CLI_ABS" "${STALL[@]}" ) \
+    > /dev/null 2> "$TMP/vasd-$attempt.err" || RC=$?
+  if [[ "$RC" != "3" ]] ||
+     ! grep -q "simulation error \[migration-stalled\]" "$TMP/vasd-$attempt.err" ||
+     ! grep -q "cycle: 150528" "$TMP/vasd-$attempt.err"; then
+    echo "error: $attempt VA+SD run exited $RC, expected a migration stall" \
+         "(3) at cycle 150528" >&2
+    cat "$TMP/vasd-$attempt.err" >&2
+    exit 1
+  fi
+done
+if grep -q "resumed" "$TMP/vasd-first.err" ||
+   ! grep -q "resumed VA+SD from snapshot .* at cycle 150000" \
+        "$TMP/vasd-rerun.err"; then
+  echo "error: the rerun did not resume from the stride at 150000" >&2
+  cat "$TMP/vasd-first.err" "$TMP/vasd-rerun.err" >&2
+  exit 1
+fi
+if [[ "$(ls -A "$TMP/vasd")" != "snaps" ]]; then
+  echo "error: a failed run left more than its snapshot directory:" >&2
+  ls -A "$TMP/vasd" >&2
+  exit 1
+fi
+
+echo "== a watchdog hang under faults exits 3"
+RC=0
+"$CLI" --apps SD,SA --cycles 40000 --watchdog 5000 \
+       --fault-schedule 'stall:part=0,from=2000' > /dev/null 2>&1 || RC=$?
+[[ "$RC" == "3" ]] || { echo "expected exit 3, got $RC" >&2; exit 1; }
+
+echo "== a snapshot from another --quantum is skipped, not resumed"
+TEMPORAL=(--apps CT,SP --policy temporal --cycles 200000)
+RC=0
+# The first switch is still draining 20K cycles after its request: a
+# migration stall at cycle 40960, after the snapshot at 40000.
+"$CLI" "${TEMPORAL[@]}" --quantum 20000 --snapshot-every 40000 \
+       --snapshot-dir "$TMP/qsnaps" --watchdog 20000 > /dev/null 2>&1 || RC=$?
+[[ "$RC" == "3" ]] || { echo "expected exit 3, got $RC" >&2; exit 1; }
+"$CLI" "${TEMPORAL[@]}" --quantum 70000 --snapshot-every 40000 \
+       --snapshot-dir "$TMP/qsnaps" \
+       > "$TMP/requantum.out" 2> "$TMP/requantum.err"
+grep -q "ignoring unusable snapshot" "$TMP/requantum.err" ||
+  { echo "a snapshot from another quantum was not skipped" >&2; exit 1; }
+"$CLI" "${TEMPORAL[@]}" --quantum 70000 > "$TMP/fresh.out"
+cmp "$TMP/requantum.out" "$TMP/fresh.out"
+
+echo "== a SIGTERM drain exits 6"
+RC=0
+# The co-run is far longer than the one second timeout allows.  Without
+# --foreground, timeout signals the CLI and then its process group, and
+# that second SIGTERM hard-exits 130 instead of draining.
+timeout --foreground --preserve-status -s TERM 1 \
+        "$CLI" --apps SD,SA --cycles 50000000 > /dev/null 2>&1 || RC=$?
+[[ "$RC" == "6" ]] || { echo "expected exit 6, got $RC" >&2; exit 1; }
+
+echo "== a thread block that can never be resident is a config error (exit 3)"
+printf 'max_warps_per_sm=4\n' > "$TMP/narrow.cfg"
+RC=0
+"$CLI" --apps SD,SA --cycles 60000 --config "$TMP/narrow.cfg" \
+       > /dev/null 2> "$TMP/narrow.err" || RC=$?
+[[ "$RC" == "3" ]] || { echo "expected exit 3, got $RC" >&2; exit 1; }
+grep -q "simulation error \[config\]" "$TMP/narrow.err" &&
+  grep -q "warps_per_block: 8" "$TMP/narrow.err" ||
+  { echo "the rejection does not name the block's warps" >&2; exit 1; }
+for bad in max_blocks_per_sm=0 max_blocks_per_sm=-1 max_warps_per_sm=65; do
+  echo "$bad" > "$TMP/bad.cfg"
+  RC=0
+  "$CLI" --apps SD,SA --cycles 60000 --config "$TMP/bad.cfg" \
+         > /dev/null 2>&1 || RC=$?
+  [[ "$RC" == "2" ]] || { echo "$bad: expected exit 2, got $RC" >&2; exit 1; }
+done
+
+# A figure binary reports a malformed REPRO_* variable the way the CLI
+# reports a simulation error, instead of aborting in std::terminate.
+echo "== figure binaries exit 3 on a malformed REPRO_* variable"
+FIG5="$BUILD_DIR/bench/fig5_two_app_error"
+FIG9="$BUILD_DIR/bench/fig9_dase_fair"
+if [[ ! -x "$FIG5" || ! -x "$FIG9" ]]; then
+  cmake --build "$BUILD_DIR" -j "$(nproc)" \
+        --target fig5_two_app_error fig9_dase_fair
+fi
+for run in "REPRO_PAIR_LIMIT=4294967297 $FIG5" \
+           "REPRO_CORUN_CYCLES=5e6 $FIG9"; do
+  RC=0
+  env $run > /dev/null 2> "$TMP/fig.err" || RC=$?
+  if [[ "$RC" != "3" ]] ||
+     ! grep -q "simulation error \[config\]" "$TMP/fig.err"; then
+    echo "error: '$run' exited $RC, expected a config error (3)" >&2
+    cat "$TMP/fig.err" >&2
+    exit 1
+  fi
+done
 
 echo "determinism check: OK"

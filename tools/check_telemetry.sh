@@ -2,10 +2,10 @@
 # Telemetry gate: prove the TelemetryHub's four contracts end to end.
 #
 #   1. Schema: a DASE-Fair co-run with --telemetry-out produces JSONL whose
-#      header carries the schema id and whose body has exactly one record
-#      per estimation interval, each with per-app estimated + actual
-#      slowdowns and the Eq. 26 error (validated with python3's json
-#      module — no third-party deps).
+#      header carries the schema id and no dropped trace events, and whose
+#      body has exactly one record per estimation interval, each with
+#      per-app estimated + actual slowdowns and the Eq. 26 error
+#      (validated with python3's json module — no third-party deps).
 #   2. Trace: --trace-out produces well-formed Chrome trace-event JSON
 #      (Perfetto-loadable): a traceEvents array with per-app epoch spans,
 #      at least one migration drain span for a repartitioning policy, and
@@ -52,6 +52,9 @@ header, records = lines[0], lines[1:]
 assert header["schema"] == "gpusim-telemetry-v2", header
 assert header["apps"] == ["SD", "SA"], header
 assert header["records"] == len(records), (header["records"], len(records))
+# Every drained flight-recorder event reaches the trace: a dropped one
+# could be a migration handover the drain spans are built from.
+assert header["trace_events_dropped"] == 0, header
 expected = cycles // header["interval"]
 assert len(records) == expected, (len(records), expected)
 for i, r in enumerate(records):

@@ -10,7 +10,6 @@
 //   gpusim_cli --apps SD,SA --snapshot-every 50000 --snapshot-dir snaps
 //   gpusim_cli --apps SD,SA --audit-determinism
 //   gpusim_cli --apps SD,SA --cycles 60000 --fault-schedule 'drop-resp:nth=200'
-//   gpusim_cli --triage crash-bundles/run-SD+SA-c12345
 //   gpusim_cli --version
 //   gpusim_cli --list-apps
 //   gpusim_cli --dump-config > gtx480.cfg ; gpusim_cli --config gtx480.cfg ...
@@ -43,7 +42,6 @@
 #include "harness/shutdown.hpp"
 #include "harness/sweep.hpp"
 #include "harness/table_printer.hpp"
-#include "harness/triage.hpp"
 #include "kernels/app_registry.hpp"
 
 namespace {
@@ -252,10 +250,6 @@ int main(int argc, char** argv) {
   bool have_hash_every = false;
   bool profile_loop = false;
   std::string fault_spec;
-  std::string bundle_dir = "crash-bundles";
-  bool have_bundle_dir = false;
-  bool no_bundle = false;
-  std::string triage_bundle;
   std::string telemetry_out;
   std::string trace_out;
   const char* run_only_flag = nullptr;  // the last one seen; --sweep rejects it
@@ -352,16 +346,6 @@ int main(int argc, char** argv) {
           usage(argv[0], e.what());
         }
         break;
-      case FlagId::kBundleDir:
-        bundle_dir = value;
-        have_bundle_dir = true;
-        break;
-      case FlagId::kNoBundle:
-        no_bundle = true;
-        break;
-      case FlagId::kTriage:
-        triage_bundle = value;
-        break;
       case FlagId::kTelemetryOut:
         telemetry_out = value;
         break;
@@ -394,16 +378,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (!triage_bundle.empty() &&
-      (!app_names.empty() || !sweep_which.empty() || audit_determinism ||
-       !fault_spec.empty() || rc.snapshot_every != 0)) {
-    usage(argv[0],
-          "--triage is a standalone postmortem mode; it takes no workload, "
-          "batch or snapshot flags");
-  }
-  if (no_bundle && have_bundle_dir) {
-    usage(argv[0], "--no-bundle and --bundle-dir are mutually exclusive");
-  }
   if (have_snapshot_dir && rc.snapshot_every == 0) {
     usage(argv[0], "--snapshot-dir requires --snapshot-every");
   }
@@ -432,27 +406,15 @@ int main(int argc, char** argv) {
   const bool sweep_mode = !sweep_which.empty();
   if (!trace_out.empty() && sweep_mode) {
     usage(argv[0],
-          "--trace-out applies to single --apps runs and --triage; sweeps "
-          "take --telemetry-out DIR and write per-unit trace files there");
+          "--trace-out applies to single --apps runs; sweeps take "
+          "--telemetry-out DIR and write per-unit trace files there");
   }
-  if (!triage_bundle.empty() && !telemetry_out.empty()) {
-    usage(argv[0],
-          "--triage replays a bundle's recorded telemetry; it only exports "
-          "a trace (--trace-out)");
-  }
-
-  // Crash forensics: runs and sweeps bundle any terminal SimError under
-  // bundle_dir by default (--no-bundle opts out).
-  if (!no_bundle) rc.crash_bundle_dir = bundle_dir;
 
   // Wire the drain flag into every mode.
   rc.cancel = shutdown_flag();
   sweep_opts.cancel = shutdown_flag();
 
   try {
-    if (!triage_bundle.empty()) {
-      return run_triage(triage_bundle, std::cout, trace_out);
-    }
     // A sweep writes per-unit telemetry under a directory; a single run
     // replaces it with the named files below.
     rc.telemetry.dir = telemetry_out;
@@ -460,7 +422,6 @@ int main(int argc, char** argv) {
       if (!app_names.empty()) {
         usage(argv[0], "--sweep and --apps are mutually exclusive");
       }
-      rc.crash_bundle_mode = "sweep";
       return run_sweep(sweep_which, rc, models, sweep_opts, out_path,
                        argv[0]);
     }
@@ -508,13 +469,12 @@ int main(int argc, char** argv) {
     }
     return 0;
   } catch (const SimError& e) {
-    std::cerr << "simulation error [" << to_string(e.kind()) << "] in "
-              << e.component() << ":\n" << e.what() << '\n';
+    const int code = report_sim_error(e);
     if (e.kind() == SimErrorKind::kInterrupted && rc.snapshot_every != 0) {
       std::cerr << "gpusim: run interrupted — a snapshot was written; rerun "
                    "the same command to resume\n";
     }
-    return exit_code_for(e.kind());
+    return code;
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << '\n';
     return 1;
