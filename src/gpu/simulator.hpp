@@ -31,8 +31,7 @@ class IntervalObserver {
 };
 
 /// Fired every cycle before the GPU advances; used by the MISE/ASM
-/// priority-epoch drivers and the temporal policy.  Same SimState contract
-/// as IntervalObserver.
+/// priority-epoch drivers.  Same SimState contract as IntervalObserver.
 ///
 /// Hooks run on whichever engine is active, so a hook may change the GPU
 /// only through set_priority_app() and set_partition(), which settle the

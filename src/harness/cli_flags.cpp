@@ -11,18 +11,14 @@ const std::vector<FlagInfo>& flag_table() {
        "comma-separated Table III abbreviations"},
       {FlagId::kCycles, "--cycles", "N",
        "co-run length in cycles (default 300000)"},
-      {FlagId::kPolicy, "--policy", "P",
-       "even | dase-fair | leftover | temporal | qos", true},
+      {FlagId::kPolicy, "--policy", "P", "even | dase-fair", true},
       {FlagId::kSplit, "--split", "N1,N2,..",
-       "initial SM counts per app, summing to num_sms (dase-fair and\n"
-       "qos repartition from it; temporal gives each app the whole GPU)",
+       "initial SM counts per app, summing to num_sms (dase-fair\n"
+       "repartitions from it); a 0 starves its app, so 16,0 is\n"
+       "LEFTOVER's allocation of two full-GPU grids",
        true},
       {FlagId::kModels, "--models", "LIST",
        "estimators to attach: dase,mise,asm (default dase)"},
-      {FlagId::kQosTarget, "--qos-target", "X",
-       "slowdown target for --policy qos (default 2.0)", true},
-      {FlagId::kQuantum, "--quantum", "N",
-       "temporal-multitasking quantum (default 100000)", true},
       {FlagId::kSeed, "--seed", "N", "workload seed (default 42)"},
       {FlagId::kConfig, "--config", "FILE",
        "load a GpuConfig key=value file"},
@@ -32,8 +28,8 @@ const std::vector<FlagInfo>& flag_table() {
        "repartition request also fails the run (migration-stalled)"},
       {FlagId::kSweep, "--sweep", "WHICH",
        "run a crash-safe two-app sweep: 'all' (105 pairs) or 'random:N';\n"
-       "every pair runs under the even split, so --policy, --split,\n"
-       "--qos-target, --quantum and --fault-schedule are rejected"},
+       "every pair runs under the even split, so --policy, --split\n"
+       "and --fault-schedule are rejected"},
       {FlagId::kCheckpoint, "--checkpoint", "F",
        "sweep JSONL checkpoint (resume from it if present)"},
       {FlagId::kOut, "--out", "F",

@@ -27,8 +27,6 @@ enum class FlagId {
   kPolicy,
   kSplit,
   kModels,
-  kQosTarget,
-  kQuantum,
   kSeed,
   kConfig,
   kWatchdog,

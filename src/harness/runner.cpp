@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <cctype>
 #include <climits>
 #include <condition_variable>
 #include <cstdio>
@@ -26,7 +25,6 @@
 #include "gpu/snapshot.hpp"
 #include "metrics/metrics.hpp"
 #include "sched/dase_fair.hpp"
-#include "sched/policies.hpp"
 
 namespace gpusim {
 
@@ -37,9 +35,8 @@ u64 harness_app_seed(u64 base_seed, int slot) {
 namespace {
 
 constexpr std::pair<PolicyKind, const char*> kPolicyNames[] = {
-    {PolicyKind::kEven, "even"},         {PolicyKind::kDaseFair, "dase-fair"},
-    {PolicyKind::kLeftover, "leftover"}, {PolicyKind::kTemporal, "temporal"},
-    {PolicyKind::kDaseQos, "qos"},
+    {PolicyKind::kEven, "even"},
+    {PolicyKind::kDaseFair, "dase-fair"},
 };
 
 struct ModelName {
@@ -74,18 +71,14 @@ std::vector<AppLaunch> corun_launches(const RunConfig& rc,
   return launches;
 }
 
-/// A workload label as a file-name stem: every character other than an
-/// alphanumeric or one of "-_.+" becomes '_' ("unnamed" when empty).
-/// Snapshot files are named by it.
-std::string label_file_stem(const std::string& label) {
-  std::string name;
-  name.reserve(label.size());
-  for (char c : label) {
-    const bool safe = std::isalnum(static_cast<unsigned char>(c)) != 0 ||
-                      c == '-' || c == '_' || c == '.' || c == '+';
-    name += safe ? c : '_';
-  }
-  return name.empty() ? std::string("unnamed") : name;
+/// The SM count even_partition gives each of `num_apps` applications,
+/// or nothing when it cannot give each one an SM.
+std::vector<int> even_split(int num_sms, int num_apps) {
+  std::vector<int> counts;
+  if (num_apps < 1 || num_sms < num_apps) return counts;
+  counts.resize(num_apps);
+  for (const AppId app : even_partition(num_sms, num_apps)) ++counts[app];
+  return counts;
 }
 
 }  // namespace
@@ -149,8 +142,11 @@ std::string corun_identity(const RunConfig& rc, const Workload& workload,
                            const std::vector<int>* sm_split) {
   std::vector<std::string> apps;
   for (const KernelProfile& app : workload.apps) apps.push_back(app.abbr);
+  // A split equal to the even one assembles the same partition as none.
   std::vector<std::string> split;
-  if (sm_split != nullptr) {
+  if (sm_split != nullptr &&
+      *sm_split != even_split(rc.gpu.num_sms,
+                              static_cast<int>(workload.apps.size()))) {
     for (int sms : *sm_split) split.push_back(std::to_string(sms));
   }
   std::string out;
@@ -169,12 +165,6 @@ std::string corun_identity(const RunConfig& rc, const Workload& workload,
   // An armed fault schedule shapes the run as much as the policy does; a
   // snapshot taken under one schedule must not restore under another.
   text("faults", rc.faults.any() ? rc.faults.to_string() : std::string());
-  number("temporal_quantum", std::to_string(rc.temporal.quantum));
-  number("qos_app", std::to_string(rc.qos.qos_app));
-  text("qos_target_slowdown", fmt_double(rc.qos.target_slowdown));
-  text("qos_release_margin", fmt_double(rc.qos.release_margin));
-  number("qos_warmup_intervals", std::to_string(rc.qos.warmup_intervals));
-  number("qos_min_sms_per_app", std::to_string(rc.qos.min_sms_per_app));
   return out;
 }
 
@@ -237,21 +227,12 @@ CoRunAssembly assemble_corun(const RunConfig& rc, const Workload& workload,
                   .detail("num_sms", gpu.num_sms()));
     assignment.resize(gpu.num_sms(), kInvalidApp);
     gpu.set_partition(assignment);
-  } else if (policy == PolicyKind::kLeftover) {
-    // Every registered kernel's grid occupies the full GPU, so the first
-    // application takes everything and the rest get the (empty) leftovers.
-    gpu.set_partition(leftover_allocation(
-        gpu.num_sms(), std::vector<int>(n, gpu.num_sms())));
-  } else if (policy == PolicyKind::kTemporal) {
-    gpu.set_partition(std::vector<AppId>(gpu.num_sms(), 0));
   } else {
     gpu.set_partition(even_partition(gpu.num_sms(), n));
   }
 
   // Attach models and (optionally) a scheduling policy.
-  const bool need_dase = models.dase || policy == PolicyKind::kDaseFair ||
-                         policy == PolicyKind::kDaseQos;
-  if (need_dase) {
+  if (models.dase || policy == PolicyKind::kDaseFair) {
     a.dase = std::make_unique<DaseModel>();
     sim.add_observer(a.dase.get());
   }
@@ -271,14 +252,6 @@ CoRunAssembly assemble_corun(const RunConfig& rc, const Workload& workload,
   if (policy == PolicyKind::kDaseFair) {
     a.fair = std::make_unique<DaseFairPolicy>(a.dase.get());
     sim.add_observer(a.fair.get());
-  }
-  if (policy == PolicyKind::kDaseQos) {
-    a.qos = std::make_unique<DaseQosPolicy>(a.dase.get(), rc.qos);
-    sim.add_observer(a.qos.get());
-  }
-  if (policy == PolicyKind::kTemporal) {
-    a.temporal = std::make_unique<TemporalPolicy>(rc.temporal);
-    sim.add_cycle_hook(a.temporal.get());
   }
   // The telemetry hub is the final observer: each record must capture the
   // epoch as the policies left it.  It is attached unconditionally — the
@@ -588,8 +561,6 @@ CoRunResult ExperimentRunner::run(const Workload& workload,
   MiseModel* mise = assembly.mise.get();
   AsmModel* asm_model = assembly.asm_model.get();
   DaseFairPolicy* fair = assembly.fair.get();
-  DaseQosPolicy* qos = assembly.qos.get();
-  TemporalPolicy* temporal = assembly.temporal.get();
 
   // --- Co-run, with optional SimState checkpointing --------------------
   const bool snapshotting = rc_.snapshot_every > 0;
@@ -694,7 +665,7 @@ CoRunResult ExperimentRunner::run(const Workload& workload,
     // Chases finish in slot order, so the first slot whose replay failed
     // raises its error, as in a sequential replay; each is freed once done.
     if (app.instructions == 0) {
-      // Starved entirely (e.g. LEFTOVER): there is no instruction count to
+      // Starved by a zero-SM split: there is no instruction count to
       // replay, so report the characterization IPC and an effectively
       // unbounded slowdown instead of dividing by zero.
       chases[i].reset();
@@ -716,8 +687,6 @@ CoRunResult ExperimentRunner::run(const Workload& workload,
   result.unfairness = unfairness(actual_slowdowns);
   result.harmonic_speedup = harmonic_speedup(actual_slowdowns);
   if (fair) result.repartitions = fair->repartitions();
-  if (qos) result.repartitions = qos->adjustments();
-  if (temporal) result.repartitions = temporal->switches();
   if (dase) result.sanitized_estimates += dase->sanitized_estimates();
   if (mise) result.sanitized_estimates += mise->sanitized_estimates();
   if (asm_model) result.sanitized_estimates += asm_model->sanitized_estimates();

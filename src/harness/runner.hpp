@@ -16,7 +16,6 @@
 #include "common/fault_injection.hpp"
 #include "common/loop_profiler.hpp"
 #include "kernels/workload_sets.hpp"
-#include "sched/policies.hpp"
 #include "telemetry/hub.hpp"
 
 namespace gpusim {
@@ -35,9 +34,11 @@ struct RunConfig {
   /// within (DESIGN.md §2, the run-length substitution).  Override via the
   /// REPRO_CORUN_CYCLES environment variable in the bench binaries.
   Cycle co_run_cycles = 300'000;
-  /// Safety cap for the alone-replay runs; a replay that reaches it raises
-  /// SimError(kBudgetExceeded).
-  Cycle max_alone_cycles = 3'000'000;
+  /// Safety cap for the alone-replay runs, in absolute cycles; a replay
+  /// that reaches it raises SimError(kBudgetExceeded).  An app whose
+  /// slowdown is s needs co_run_cycles / s alone cycles, so 20M covers the
+  /// paper's 5M-cycle co-runs down to s = 0.25.
+  Cycle max_alone_cycles = 20'000'000;
   u64 base_seed = 42;
 
   /// Actual slowdowns always come from replaying the co-run's exact
@@ -46,10 +47,6 @@ struct RunConfig {
   /// it; nothing in the library reads this field.
   enum class AloneMode { kExactReplay };
   AloneMode alone_mode = AloneMode::kExactReplay;
-
-  /// Options for the corresponding PolicyKind.
-  TemporalOptions temporal;
-  DaseQosOptions qos;
 
   /// Loop profiler attached to the co-run Simulation (nullptr = none;
   /// --profile-loop).  Must outlive the runner calls that use this config.
@@ -120,16 +117,16 @@ std::string to_string(const ModelSet& models);
 /// SimError(kConfig) on an unknown name.  Used by --models.
 ModelSet parse_model_set(const std::string& names);
 
+/// The paper's two SM-allocation policies.  A static split other than the
+/// even one is an explicit sm_split under kEven; a zero entry starves its
+/// application, which is how LEFTOVER (Section II) allocates full-GPU
+/// grids: {num_sms, 0, ...}.
 enum class PolicyKind {
-  kEven,      ///< static even split (the paper's default)
+  kEven,      ///< static split: even, or the given sm_split
   kDaseFair,  ///< the paper's Section VII policy
-  kLeftover,  ///< Section II background: first kernel takes everything
-  kTemporal,  ///< conventional temporal multitasking (full-GPU turns)
-  kDaseQos,   ///< future-work QoS controller on top of DASE
 };
 
-/// CLI/identity spelling of a policy ("even", "dase-fair", "leftover",
-/// "temporal", "qos").
+/// CLI/identity spelling of a policy ("even", "dase-fair").
 const char* to_string(PolicyKind policy);
 /// Inverse of to_string(PolicyKind); throws SimError(kConfig) on an
 /// unknown name.  Used by --policy.
@@ -138,11 +135,11 @@ PolicyKind parse_policy_kind(const std::string& name);
 /// The co-run's identity: every input that shapes simulated state apart
 /// from the GpuConfig and the kernel profiles (which simulation_fingerprint
 /// hashes).  That is the app abbreviations in slot order, base_seed,
-/// co_run_cycles, the models, the policy, the SM split, the armed fault
-/// schedule and every TemporalOptions and DaseQosOptions field, written as
-/// one `"key": value,` line each.  The snapshot fingerprint hashes exactly
-/// this text.  Caller configuration (watchdog, cancel flag, output paths)
-/// is not part of it.
+/// co_run_cycles, the models, the policy, the SM split and the armed fault
+/// schedule, written as one `"key": value,` line each.  An SM split equal
+/// to the even split is written as no split, since it assembles the same
+/// co-run.  The snapshot fingerprint hashes exactly this text.  Caller
+/// configuration (watchdog, cancel flag, output paths) is not part of it.
 std::string corun_identity(const RunConfig& rc, const Workload& workload,
                            const ModelSet& models, PolicyKind policy,
                            const std::vector<int>* sm_split);
@@ -175,8 +172,6 @@ struct CoRunAssembly {
   std::unique_ptr<AsmModel> asm_model;
   std::unique_ptr<PriorityEpochDriver> epochs;
   std::unique_ptr<DaseFairPolicy> fair;
-  std::unique_ptr<DaseQosPolicy> qos;
-  std::unique_ptr<TemporalPolicy> temporal;
   /// Always attached (last observer, so each record sees the epoch as the
   /// policies left it); output flags only gate flushing.
   std::unique_ptr<TelemetryHub> telemetry;
@@ -189,8 +184,8 @@ struct CoRunAssembly {
 /// app launches seeded with harness_app_seed, watchdog and cancel flag
 /// from `rc`, the fault injector when a schedule is armed, the SM
 /// partition for the policy/split, and the model/policy observers in
-/// canonical registration order (dase, mise, asm, epochs, fair, qos, temporal,
-/// telemetry hub last — the order Simulation::load expects back).  Shared
+/// canonical registration order (dase, mise, asm, epochs, fair, telemetry
+/// hub last — the order Simulation::load expects back).  Shared
 /// by the runner and the determinism audit so a restored snapshot always
 /// meets an identically assembled experiment.
 CoRunAssembly assemble_corun(const RunConfig& rc, const Workload& workload,
@@ -227,7 +222,7 @@ struct CoRunResult {
   std::vector<double> app_bw_share;  // fraction of total bus capacity
   double wasted_bw_share = 0.0;
   double idle_bw_share = 0.0;
-  u64 repartitions = 0;  // policy actions (migrations/switches/adjustments)
+  u64 repartitions = 0;  // DASE-Fair migrations
   u64 sanitized_estimates = 0;  // estimator outputs clamped, Σ over models
 
   double mean_error_of(const std::string& model) const;
@@ -249,9 +244,10 @@ class ExperimentRunner {
   const RunConfig& config() const { return rc_; }
 
   /// Runs one workload co-run plus its exact alone replays.  `sm_split`,
-  /// when given, assigns sm_split[i] SMs to app i (Fig. 8a); otherwise the
-  /// partition is even.  PolicyKind::kDaseFair attaches the DASE-Fair
-  /// repartitioning policy (forces the DASE model on).
+  /// when given, assigns sm_split[i] SMs to app i (Fig. 8a; a 0 starves
+  /// app i); otherwise the partition is even.  PolicyKind::kDaseFair
+  /// attaches the DASE-Fair repartitioning policy (forces the DASE model
+  /// on).
   ///
   /// Every slot's replay overlaps the co-run: each call starts one helper
   /// thread per app, which resumes that app's replay up to its instruction

@@ -9,7 +9,10 @@
 // that every engine samples (SweepOptions::cancel, RunConfig::cancel);
 // in-flight units finish or snapshot, their checkpoint lines flush whole,
 // and the process exits resumable.  A second signal skips the drain and
-// hard-exits with status 130 — the operator always keeps an escape hatch.
+// hard-exits with status 130 — the operator always keeps an escape hatch —
+// unless it arrives within half a second of the first: that is the same
+// request delivered twice, as plain `timeout` does (it signals the child,
+// then the child's process group).
 #pragma once
 
 #include <atomic>

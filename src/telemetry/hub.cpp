@@ -1,6 +1,7 @@
 #include "telemetry/hub.hpp"
 
 #include <algorithm>
+#include <cctype>
 #include <cmath>
 #include <limits>
 #include <sstream>
@@ -140,24 +141,24 @@ void TelemetryHub::load_state(StateReader& r) {
   }
 }
 
-std::string telemetry_file_for(const std::string& dir, const std::string& label,
-                               const std::string& suffix) {
+std::string label_file_stem(const std::string& label) {
   std::string name;
   name.reserve(label.size());
   for (char c : label) {
-    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                    (c >= '0' && c <= '9') || c == '-' || c == '.';
-    name.push_back(ok ? c : '_');
+    const bool safe = std::isalnum(static_cast<unsigned char>(c)) != 0 ||
+                      c == '-' || c == '_' || c == '.' || c == '+';
+    name += safe ? c : '_';
   }
-  return dir + "/" + name + suffix;
+  return name.empty() ? std::string("unnamed") : name;
 }
 
 TelemetryPaths resolve_telemetry_paths(const TelemetryPaths& paths,
                                        const std::string& label) {
   TelemetryPaths out = paths;
   if (!paths.dir.empty()) {
-    out.series = telemetry_file_for(paths.dir, label, ".telemetry.jsonl");
-    out.trace = telemetry_file_for(paths.dir, label, ".trace.json");
+    const std::string stem = paths.dir + "/" + label_file_stem(label);
+    out.series = stem + ".telemetry.jsonl";
+    out.trace = stem + ".trace.json";
     out.dir.clear();
   }
   return out;

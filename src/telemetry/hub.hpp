@@ -40,7 +40,7 @@ namespace gpusim {
 
 /// Where telemetry goes.  Single-run modes use the two file paths
 /// directly; a sweep sets `dir` and every unit writes
-/// `<dir>/<sanitized-label>.telemetry.jsonl` and `.trace.json` instead.
+/// `<dir>/<label_file_stem>.telemetry.jsonl` and `.trace.json` instead.
 struct TelemetryPaths {
   std::string series;  ///< --telemetry-out: schema-versioned JSONL
   std::string trace;   ///< --trace-out: Chrome trace-event JSON (Perfetto)
@@ -188,12 +188,15 @@ struct TelemetryFlushContext {
   Cycle crash_cycle = 0;
 };
 
-/// `<dir>/<sanitized-label><suffix>` (used by batch modes and tests).
-std::string telemetry_file_for(const std::string& dir, const std::string& label,
-                               const std::string& suffix);
+/// A workload label as a file-name stem: every character other than an
+/// alphanumeric or one of "-_.+" becomes '_' ("unnamed" when empty), so
+/// "SD+SA" stays "SD+SA".  Per-label telemetry files and snapshot files
+/// are both named by it.
+std::string label_file_stem(const std::string& label);
 
-/// Expands `paths.dir` (batch mode) into concrete per-label file paths;
-/// explicit single-run paths pass through unchanged.
+/// Expands `paths.dir` (batch mode) into concrete per-label file paths,
+/// `<dir>/<label_file_stem>.telemetry.jsonl` and `.trace.json`; explicit
+/// single-run paths pass through unchanged.
 TelemetryPaths resolve_telemetry_paths(const TelemetryPaths& paths,
                                        const std::string& label);
 

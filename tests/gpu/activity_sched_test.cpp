@@ -8,9 +8,9 @@
 // off on the other, and rotate through the hazardous scenarios: fault
 // schedules (which pin the engine off mid-construction), mid-run
 // repartitions (SM drains handed over by the engine), snapshot/restore
-// (synced-cursor reset on load), and the two cycle hooks — the MISE/ASM
-// priority epochs and the temporal policy's full-GPU switches.  Any hash
-// mismatch names the component.
+// (synced-cursor reset on load), and two cycle hooks — the MISE/ASM
+// priority epochs and whole-GPU turns handed over through
+// Gpu::set_partition.  Any hash mismatch names the component.
 #include "gpu/simulator.hpp"
 
 #include <gtest/gtest.h>
@@ -26,7 +26,6 @@
 #include "harness/divergence.hpp"
 #include "harness/runner.hpp"
 #include "kernels/app_registry.hpp"
-#include "sched/policies.hpp"
 
 namespace gpusim {
 namespace {
@@ -87,6 +86,26 @@ RandomCase make_case(u64 seed, bool with_faults) {
   return c;
 }
 
+/// Gives the whole GPU to one application at a time: every `quantum`
+/// cycles, once the previous handover has drained, every SM goes to the
+/// next application through Gpu::set_partition.
+class WholeGpuTurns final : public CycleHook {
+ public:
+  explicit WholeGpuTurns(Cycle quantum) : quantum_(quantum) {}
+
+  void on_cycle(Cycle now, Gpu& gpu) override {
+    if (now < next_turn_ || gpu.migration_in_progress()) return;
+    gpu.set_partition(std::vector<AppId>(gpu.num_sms(), owner_));
+    owner_ = static_cast<AppId>((owner_ + 1) % gpu.num_apps());
+    next_turn_ = now + quantum_;
+  }
+
+ private:
+  const Cycle quantum_;
+  AppId owner_ = 0;
+  Cycle next_turn_ = 0;
+};
+
 std::unique_ptr<Simulation> make_sim(const RandomCase& c, bool engine_on) {
   auto sim = std::make_unique<Simulation>(c.cfg, c.launches);
   sim->set_activity_sched(engine_on);
@@ -107,8 +126,8 @@ void expect_equivalent_finals(Simulation& a, Simulation& b,
 
 TEST(ActivitySchedTest, RandomConfigsAuditCleanEngineOnVsOff) {
   // Scenario rotation by index: 0 plain, 1 fault schedule, 2 mid-run
-  // repartition, 3 snapshot/restore, 4 priority-epoch hook, 5 temporal
-  // policy hook — six configs each.
+  // repartition, 3 snapshot/restore, 4 priority-epoch hook, 5 whole-GPU
+  // turns hook — six configs each.
   constexpr int kScenarios = 6;
   constexpr int kCases = 6 * kScenarios;
   for (int i = 0; i < kCases; ++i) {
@@ -117,8 +136,8 @@ TEST(ActivitySchedTest, RandomConfigsAuditCleanEngineOnVsOff) {
                  std::to_string(scenario));
     RandomCase c = make_case(7'000 + i, scenario == 1);
     if (scenario == 5) {
-      // Short blocks, so the temporal policy's drains complete and hand
-      // every SM over at each switch instead of draining all run long.
+      // Short blocks, so each turn's drain completes and hands every SM
+      // over instead of draining all run long.
       for (AppLaunch& l : c.launches) l.profile.instrs_per_warp = 40;
     }
 
@@ -138,17 +157,15 @@ TEST(ActivitySchedTest, RandomConfigsAuditCleanEngineOnVsOff) {
     }
 
     // Each side also gets its own instance of the scenario's cycle hook.
-    // The epochs flip DRAM priority several times per interval; the
-    // temporal policy drains and hands over every SM at each of its ~3
-    // switches.
+    // The epochs flip DRAM priority several times per interval; the turns
+    // drain and hand over every SM at each of their ~3 switches.
     std::vector<std::unique_ptr<CycleHook>> hooks;
     for (Simulation* sim : {a.get(), b.get()}) {
       if (scenario == 4) {
         hooks.push_back(std::make_unique<PriorityEpochDriver>(
             PriorityEpochDriver::with_defaults(c.cfg, c.num_apps)));
       } else if (scenario == 5) {
-        hooks.push_back(std::make_unique<TemporalPolicy>(
-            TemporalOptions{.quantum = c.cycles / 4}));
+        hooks.push_back(std::make_unique<WholeGpuTurns>(c.cycles / 4));
       } else {
         break;
       }

@@ -57,6 +57,10 @@ TEST(CliFlagsTest, UnknownFlagsAreRejected) {
   // Sweep pairs run once: the retry flags are gone.
   EXPECT_EQ(find_flag("--retries"), nullptr);
   EXPECT_EQ(find_flag("--backoff-ms"), nullptr);
+  // Even and DASE-Fair take no options: the temporal quantum and the QoS
+  // target went with their policies.
+  EXPECT_EQ(find_flag("--quantum"), nullptr);
+  EXPECT_EQ(find_flag("--qos-target"), nullptr);
 }
 
 TEST(CliFlagsTest, SweepRejectsExactlyThePerRunFlags) {
@@ -68,8 +72,7 @@ TEST(CliFlagsTest, SweepRejectsExactlyThePerRunFlags) {
     if (flag.run_only) run_only.insert(flag.name);
   }
   EXPECT_EQ(run_only,
-            (std::set<std::string>{"--policy", "--split", "--qos-target",
-                                   "--quantum", "--fault-schedule"}));
+            (std::set<std::string>{"--policy", "--split", "--fault-schedule"}));
 }
 
 TEST(CliFlagsTest, ExitCodeTableCoversTheContract) {

@@ -10,9 +10,9 @@
 #include <thread>
 
 #include "common/sim_error.hpp"
+#include "gpu/simulator.hpp"
 #include "harness/runner.hpp"
 #include "kernels/app_registry.hpp"
-#include "sched/policies.hpp"
 
 namespace gpusim {
 namespace {

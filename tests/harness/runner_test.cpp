@@ -126,14 +126,14 @@ TEST(RunnerTest, IpcAloneIsTheExactReplayOfEverySlot) {
   std::filesystem::remove_all(dir);
   struct Case {
     Workload workload;
-    PolicyKind policy;
+    std::vector<int> split;  // empty: the even split
   };
   const std::vector<Case> cases = {
-      {Workload{{*find_app("BS"), *find_app("SD")}}, PolicyKind::kEven},
+      {Workload{{*find_app("BS"), *find_app("SD")}}, {}},
       {Workload{{*find_app("VA"), *find_app("SA"), *find_app("CS"),
                  *find_app("QR")}},
-       PolicyKind::kEven},
-      {Workload{{*find_app("SD"), *find_app("CT")}}, PolicyKind::kLeftover},
+       {}},
+      {Workload{{*find_app("SD"), *find_app("CT")}}, {16, 0}},
   };
   for (const Case& c : cases) {
     std::vector<u64> instructions;
@@ -145,13 +145,14 @@ TEST(RunnerTest, IpcAloneIsTheExactReplayOfEverySlot) {
       rc.snapshot_dir = dir.string();
       const ExperimentRunner runner(rc);
       const CoRunResult r =
-          runner.run(c.workload, ModelSet{.dase = true}, c.policy);
+          runner.run(c.workload, ModelSet{.dase = true}, PolicyKind::kEven,
+                     c.split.empty() ? nullptr : &c.split);
       ASSERT_EQ(r.apps.size(), c.workload.apps.size());
       for (std::size_t i = 0; i < r.apps.size(); ++i) {
         const AppResult& a = r.apps[i];
         const KernelProfile& app = c.workload.apps[i];
         if (a.instructions == 0) {
-          EXPECT_EQ(c.policy, PolicyKind::kLeftover) << a.abbr;
+          EXPECT_EQ(c.split.at(i), 0) << a.abbr;
           EXPECT_EQ(a.ipc_alone, runner.alone_stats(app).ipc) << a.abbr;
           continue;
         }
@@ -169,8 +170,8 @@ TEST(RunnerTest, IpcAloneIsTheExactReplayOfEverySlot) {
         EXPECT_EQ(counts, instructions) << "snapshots changed the co-run";
       }
     }
-    if (c.policy == PolicyKind::kLeftover) {
-      EXPECT_EQ(instructions[1], 0u) << "LEFTOVER must starve slot 1";
+    if (!c.split.empty()) {
+      EXPECT_EQ(instructions[1], 0u) << "a zero-SM split must starve slot 1";
     }
   }
   std::filesystem::remove_all(dir);
@@ -359,15 +360,16 @@ TEST(RunnerTest, OversubscribedSplitRaisesStructuredError) {
 }
 
 TEST(RunnerTest, PolicyAndModelNamesRoundTrip) {
-  for (const PolicyKind policy :
-       {PolicyKind::kEven, PolicyKind::kDaseFair, PolicyKind::kLeftover,
-        PolicyKind::kTemporal, PolicyKind::kDaseQos}) {
+  for (const PolicyKind policy : {PolicyKind::kEven, PolicyKind::kDaseFair}) {
     EXPECT_EQ(parse_policy_kind(to_string(policy)), policy)
         << to_string(policy);
   }
-  // The CLI's documented spelling is the only one.
-  EXPECT_STREQ(to_string(PolicyKind::kDaseQos), "qos");
-  EXPECT_THROW(parse_policy_kind("dase-qos"), SimError);
+  // The CLI's documented spelling is the only one, and the paper's two
+  // policies are the only ones: LEFTOVER is the split 16,0.
+  EXPECT_STREQ(to_string(PolicyKind::kDaseFair), "dase-fair");
+  for (const char* retired : {"leftover", "temporal", "qos"}) {
+    EXPECT_THROW(parse_policy_kind(retired), SimError) << retired;
+  }
 
   for (int bits = 0; bits < 8; ++bits) {
     const ModelSet models{.dase = (bits & 1) != 0,
@@ -475,28 +477,28 @@ TEST(RunnerTest, StallForeverUnderDaseFairIsAWatchdogStall) {
 // A failed co-run keeps its last stride snapshot, and the same run()
 // again resumes from it and repeats the error at the same cycle: rerunning
 // the command is how a failure reproduces.  The snapshot fingerprint
-// hashes the policy options, so a non-default quantum or QoS target must
-// match on the rerun, or it would start over from cycle 0.
+// hashes the SM split, so a DASE-Fair run that starts from a non-even
+// split must resume under that split, or it would start over from cycle 0.
 TEST(RunnerTest, FailedRunResumesToTheSameError) {
   const std::filesystem::path dir =
       std::filesystem::temp_directory_path() / "gpusim_runner_failed_resume";
   std::filesystem::remove_all(dir);
   const Workload w{{*find_app("CT"), *find_app("SP")}};
   const ModelSet dase{.dase = true};
-  for (const PolicyKind policy :
-       {PolicyKind::kTemporal, PolicyKind::kDaseQos}) {
-    SCOPED_TRACE(to_string(policy));
+  const std::vector<int> uneven = {4, 12};
+  const std::vector<int>* const splits[] = {nullptr, &uneven};
+  for (const std::vector<int>* split : splits) {
+    const std::string name = split == nullptr ? "even" : "split";
+    SCOPED_TRACE(name);
     RunConfig rc;
     rc.co_run_cycles = 200'000;
-    // The first switch or repartition is still draining 20K cycles after
-    // its request: a migration stall at cycle 40960, after the stride
-    // snapshot at 40000.
+    // The first repartition is still draining 20K cycles after its
+    // request: a migration stall at cycle 40960, after the stride snapshot
+    // at 40000.
     rc.watchdog_cycles = 20'000;
     rc.snapshot_every = 40'000;
-    rc.snapshot_dir = (dir / to_string(policy)).string();
+    rc.snapshot_dir = (dir / name).string();
     rc.gpu.estimation_interval = 10'000;
-    rc.temporal.quantum = 20'000;
-    rc.qos.target_slowdown = 3.5;
     const std::string snapshot =
         (std::filesystem::path(rc.snapshot_dir) / "CT+SP.simstate").string();
     const ExperimentRunner runner(rc);
@@ -504,9 +506,8 @@ TEST(RunnerTest, FailedRunResumesToTheSameError) {
       SCOPED_TRACE(rerun ? "rerun" : "first run");
       ::testing::internal::CaptureStderr();
       try {
-        runner.run(w, dase, policy);
-        ADD_FAILURE() << "a switch draining past the watchdog let the run "
-                         "finish";
+        runner.run(w, dase, PolicyKind::kDaseFair, split);
+        ADD_FAILURE() << "a drain past the watchdog let the run finish";
       } catch (const SimError& e) {
         EXPECT_EQ(e.kind(), SimErrorKind::kMigrationStalled) << e.what();
         EXPECT_EQ(e.error_cycle(), 40'960u) << e.what();
@@ -522,7 +523,7 @@ TEST(RunnerTest, FailedRunResumesToTheSameError) {
       const SnapshotHeader hdr = read_snapshot_header(snapshot);
       EXPECT_EQ(hdr.cycle, 40'000u);
       EXPECT_EQ(hdr.fingerprint,
-                corun_fingerprint(rc, w, dase, policy, nullptr));
+                corun_fingerprint(rc, w, dase, PolicyKind::kDaseFair, split));
     }
   }
   std::filesystem::remove_all(dir);
@@ -561,28 +562,17 @@ TEST(RunnerTest, FingerprintCoversEveryIdentityInput) {
   add("asm",
       fingerprint_of(base, w, ModelSet{.dase = true, .asm_model = true},
                      PolicyKind::kEven, nullptr));
-  for (const PolicyKind policy :
-       {PolicyKind::kDaseFair, PolicyKind::kLeftover, PolicyKind::kTemporal,
-        PolicyKind::kDaseQos}) {
-    add(to_string(policy), fingerprint_of(base, w, dase, policy, nullptr));
+  add("dase-fair",
+      fingerprint_of(base, w, dase, PolicyKind::kDaseFair, nullptr));
+  for (const std::vector<int>& split :
+       {std::vector<int>{4, 12}, std::vector<int>{12, 4},
+        std::vector<int>{16, 0}}) {
+    add("split " + std::to_string(split[0]) + "," + std::to_string(split[1]),
+        fingerprint_of(base, w, dase, PolicyKind::kEven, &split));
   }
-  const std::vector<int> split_a = {4, 12};
-  const std::vector<int> split_b = {12, 4};
-  add("split 4,12", fingerprint_of(base, w, dase, PolicyKind::kEven, &split_a));
-  add("split 12,4", fingerprint_of(base, w, dase, PolicyKind::kEven, &split_b));
   with("faults", [](RunConfig& rc) {
     rc.faults = FaultSchedule::parse("drop-resp:nth=200");
   });
-  with("temporal.quantum", [](RunConfig& rc) { rc.temporal.quantum = 20'000; });
-  with("qos.qos_app", [](RunConfig& rc) { rc.qos.qos_app = 1; });
-  with("qos.target_slowdown",
-       [](RunConfig& rc) { rc.qos.target_slowdown = 1.5; });
-  with("qos.release_margin",
-       [](RunConfig& rc) { rc.qos.release_margin = 0.2; });
-  with("qos.warmup_intervals",
-       [](RunConfig& rc) { rc.qos.warmup_intervals = 2; });
-  with("qos.min_sms_per_app",
-       [](RunConfig& rc) { rc.qos.min_sms_per_app = 2; });
   std::set<u64> distinct;
   for (const auto& [name, fp] : variants) distinct.insert(fp);
   EXPECT_EQ(distinct.size(), variants.size());
@@ -594,6 +584,44 @@ TEST(RunnerTest, FingerprintCoversEveryIdentityInput) {
             base_fp);
 }
 
+TEST(RunnerTest, EvenSplitIsTheSameCoRunAsNoSplit) {
+  // fig8's 8+8 rows and its 16-SM even rows run one co-run: an explicit
+  // split equal to the even split assembles the same partition, so it gets
+  // the same key and reaches the same state.
+  const RunConfig rc = quick_config();
+  const ModelSet dase{.dase = true};
+  struct Case {
+    Workload workload;
+    std::vector<int> split;
+    PolicyKind policy;
+  };
+  for (const Case& c :
+       {Case{Workload{{*find_app("CT"), *find_app("SP")}}, {8, 8},
+             PolicyKind::kEven},
+        Case{Workload{{*find_app("CT"), *find_app("SP")}}, {8, 8},
+             PolicyKind::kDaseFair},
+        Case{Workload{{*find_app("VA"), *find_app("CT"), *find_app("SD")}},
+             {6, 5, 5}, PolicyKind::kEven}}) {
+    SCOPED_TRACE(c.workload.label() + " " + to_string(c.policy));
+    EXPECT_EQ(corun_identity(rc, c.workload, dase, c.policy, &c.split),
+              corun_identity(rc, c.workload, dase, c.policy, nullptr));
+    EXPECT_EQ(fingerprint_of(rc, c.workload, dase, c.policy, &c.split),
+              fingerprint_of(rc, c.workload, dase, c.policy, nullptr));
+    const CoRunAssembly split =
+        assemble_corun(rc, c.workload, dase, c.policy, &c.split);
+    const CoRunAssembly even =
+        assemble_corun(rc, c.workload, dase, c.policy, nullptr);
+    split.sim->run(rc.co_run_cycles);
+    even.sim->run(rc.co_run_cycles);
+    EXPECT_EQ(split.sim->state_hash(), even.sim->state_hash());
+  }
+  // Any other split is a co-run of its own.
+  const Workload w{{*find_app("CT"), *find_app("SP")}};
+  const std::vector<int> uneven = {9, 7};
+  EXPECT_NE(fingerprint_of(rc, w, dase, PolicyKind::kEven, &uneven),
+            fingerprint_of(rc, w, dase, PolicyKind::kEven, nullptr));
+}
+
 TEST(RunnerTest, FingerprintsArePinned) {
   // Snapshots and sweep checkpoint lines store these fingerprints, so a
   // changed value strands every file written before the change.
@@ -601,13 +629,13 @@ TEST(RunnerTest, FingerprintsArePinned) {
   const Workload ct_sp{{*find_app("CT"), *find_app("SP")}};
   const ModelSet dase{.dase = true};
   EXPECT_EQ(fingerprint_of(rc, ct_sp, dase, PolicyKind::kEven, nullptr),
-            0xb9f08edb0b52a2efULL);
+            0x4663fb6c99bb2600ULL);
   EXPECT_EQ(fingerprint_of(rc, ct_sp, dase, PolicyKind::kDaseFair, nullptr),
-            0xdf8a9ceb4f7c04acULL);
+            0x64409db78128a68dULL);
   const std::vector<int> split = {4, 12};
   EXPECT_EQ(fingerprint_of(rc, Workload{{*find_app("SD"), *find_app("SA")}},
                            dase, PolicyKind::kEven, &split),
-            0x230f145cdf6e1d68ULL);
+            0x7a39146c18495b73ULL);
   RunConfig faulted = rc;
   faulted.faults = FaultSchedule::parse(
       "drop-resp:nth=200;stall:part=0,from=1000,until=5000;seed=7");
@@ -615,7 +643,7 @@ TEST(RunnerTest, FingerprintsArePinned) {
                        *find_app("SN")}};
   const ModelSet all{.dase = true, .mise = true, .asm_model = true};
   EXPECT_EQ(fingerprint_of(faulted, quad, all, PolicyKind::kEven, nullptr),
-            0x447a419f5db0aa97ULL);
+            0xfc091cb8e197b0f1ULL);
 }
 
 TEST(RunnerTest, CyclesFromEnvParsesAndFallsBack) {

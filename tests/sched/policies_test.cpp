@@ -1,125 +1,53 @@
-#include "sched/policies.hpp"
-
+// The paper's Section II background policy, LEFTOVER, as a static split:
+// every registered kernel's grid occupies the whole GPU, so the first
+// application takes every SM and later ones get none.  A zero entry in
+// the SM split expresses exactly that allocation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
+#include "gpu/simulator.hpp"
 #include "harness/runner.hpp"
 #include "kernels/app_registry.hpp"
 
 namespace gpusim {
 namespace {
 
-TEST(LeftoverTest, FullGridFirstAppTakesEverything) {
-  const auto alloc = leftover_allocation(16, {16, 16});
-  EXPECT_EQ(std::count(alloc.begin(), alloc.end(), 0), 16);
-  EXPECT_EQ(std::count(alloc.begin(), alloc.end(), 1), 0);
+TEST(ZeroSmSplitTest, EachAppGetsItsCountAndTheRestStayIdle) {
+  const Workload w{{*find_app("AA"), *find_app("SD")}};
+  for (const std::vector<int>& split :
+       {std::vector<int>{16, 0}, std::vector<int>{0, 16},
+        std::vector<int>{4, 3}}) {
+    SCOPED_TRACE(std::to_string(split[0]) + "," + std::to_string(split[1]));
+    const CoRunAssembly a =
+        assemble_corun(RunConfig{}, w, ModelSet{}, PolicyKind::kEven, &split);
+    const std::vector<AppId> partition = a.sim->gpu().current_partition();
+    const auto sms_of = [&partition](AppId app) {
+      return std::count(partition.begin(), partition.end(), app);
+    };
+    EXPECT_EQ(sms_of(0), split[0]);
+    EXPECT_EQ(sms_of(1), split[1]);
+    EXPECT_EQ(sms_of(kInvalidApp), 16 - split[0] - split[1]);
+  }
 }
 
-TEST(LeftoverTest, SmallFirstGridLeavesRoom) {
-  const auto alloc = leftover_allocation(16, {6, 16});
-  EXPECT_EQ(std::count(alloc.begin(), alloc.end(), 0), 6);
-  EXPECT_EQ(std::count(alloc.begin(), alloc.end(), 1), 10);
-}
-
-TEST(LeftoverTest, UnfilledSmsStayIdle) {
-  const auto alloc = leftover_allocation(16, {4, 3});
-  EXPECT_EQ(std::count(alloc.begin(), alloc.end(), 0), 4);
-  EXPECT_EQ(std::count(alloc.begin(), alloc.end(), 1), 3);
-  EXPECT_EQ(std::count(alloc.begin(), alloc.end(), kInvalidApp), 9);
-}
-
-TEST(LeftoverTest, StarvesSecondAppEndToEnd) {
+TEST(ZeroSmSplitTest, StarvesSecondAppEndToEnd) {
   // The paper's Section II argument against LEFTOVER: a full-GPU grid
   // prevents any later application from ever running.
   RunConfig rc;
   rc.co_run_cycles = 60'000;
   ExperimentRunner runner(rc);
   const Workload w{{*find_app("AA"), *find_app("SD")}};
-  const CoRunResult r = runner.run(w, ModelSet{}, PolicyKind::kLeftover);
+  const std::vector<int> leftover = {16, 0};
+  const CoRunResult r =
+      runner.run(w, ModelSet{}, PolicyKind::kEven, &leftover);
   EXPECT_GT(r.apps[0].instructions, 0u);
   EXPECT_EQ(r.apps[1].instructions, 0u);
+  EXPECT_GE(r.apps[1].actual_slowdown, 1e5);
+  EXPECT_EQ(r.apps[1].ipc_alone, runner.alone_stats(w.apps[1]).ipc);
   EXPECT_GE(r.unfairness, 1e5);
-}
-
-TEST(TemporalTest, AlternatesFullGpuOwnership) {
-  GpuConfig cfg;
-  Gpu gpu(cfg, {AppLaunch{*find_app("CT"), 42},
-                AppLaunch{*find_app("QR"), 43}});
-  TemporalPolicy policy(TemporalOptions{.quantum = 20'000});
-  // Drive manually so we can observe ownership between quanta.
-  for (Cycle c = 0; c < 15'000; ++c) {
-    policy.on_cycle(gpu.now(), gpu);
-    gpu.cycle();
-  }
-  EXPECT_EQ(gpu.sms_assigned(0), 16);
-  EXPECT_EQ(gpu.sms_assigned(1), 0);
-  // Run past the quantum; compute kernels drain within a block lifetime.
-  for (Cycle c = 0; c < 250'000; ++c) {
-    policy.on_cycle(gpu.now(), gpu);
-    gpu.cycle();
-  }
-  EXPECT_GE(policy.switches(), 1u);
-  EXPECT_GT(gpu.instructions().total(1), 0u)
-      << "the second app must get its turn";
-}
-
-TEST(TemporalTest, BothAppsProgressViaRunner) {
-  RunConfig rc;
-  rc.co_run_cycles = 400'000;
-  rc.temporal.quantum = 60'000;
-  ExperimentRunner runner(rc);
-  const Workload w{{*find_app("CT"), *find_app("QR")}};
-  const CoRunResult r = runner.run(w, ModelSet{}, PolicyKind::kTemporal);
-  EXPECT_GT(r.apps[0].instructions, 0u);
-  EXPECT_GT(r.apps[1].instructions, 0u);
-  EXPECT_GE(r.repartitions, 2u);
-}
-
-TEST(QosTest, GrowsQosAppUntilTargetMet) {
-  // SD's slowdown on an even split is far above 2.0; the controller must
-  // move SMs toward it and its measured slowdown must drop.
-  RunConfig rc;
-  rc.co_run_cycles = 1'000'000;
-  rc.qos.qos_app = 1;  // SD in the workload below
-  rc.qos.target_slowdown = 2.5;
-  ExperimentRunner runner(rc);
-  const Workload w{{*find_app("AA"), *find_app("SD")}};
-  const CoRunResult even = runner.run(w, ModelSet{.dase = true});
-  const CoRunResult qos =
-      runner.run(w, ModelSet{.dase = true}, PolicyKind::kDaseQos);
-  EXPECT_GT(qos.repartitions, 0u);
-  EXPECT_LT(qos.apps[1].actual_slowdown, even.apps[1].actual_slowdown)
-      << "the QoS app must speed up at the co-runner's expense";
-}
-
-TEST(QosTest, RespectsMinimumShareForOthers) {
-  GpuConfig cfg;
-  Gpu gpu(cfg, {AppLaunch{*find_app("AA"), 42},
-                AppLaunch{*find_app("SD"), 43}});
-  gpu.set_partition(even_partition(16, 2));
-  DaseModel model({}, 0);
-  DaseQosPolicy policy(&model,
-                       DaseQosOptions{.qos_app = 0,
-                                      .target_slowdown = 1.0,  // insatiable
-                                      .warmup_intervals = 0,
-                                      .min_sms_per_app = 2});
-  Simulation sim_unused(cfg, {AppLaunch{*find_app("AA"), 1}});
-  // Feed synthetic intervals claiming a huge slowdown; the policy may only
-  // grow app 0 until app 1 holds its minimum 2 SMs.
-  for (int round = 0; round < 40; ++round) {
-    gpu.run(2'000);
-    if (gpu.migration_in_progress()) continue;
-    IntervalSample s = gpu.end_interval();
-    model.on_interval(s, gpu);
-    policy.on_interval(s, gpu);
-  }
-  // Let any final drain settle.
-  Cycle waited = 0;
-  while (gpu.migration_in_progress() && waited < 3'000'000) {
-    gpu.run(5'000);
-    waited += 5'000;
-  }
-  EXPECT_GE(gpu.sms_assigned(1), 2);
-  EXPECT_LE(gpu.sms_assigned(0), 14);
 }
 
 }  // namespace

@@ -114,15 +114,17 @@ TEST(TelemetryHubTest, SaveLoadRoundTripIsByteExact) {
 }
 
 TEST(TelemetryHubTest, BatchPathResolutionSanitizesLabels) {
-  EXPECT_EQ(telemetry_file_for("d", "SD+SA", ".trace.json"),
-            "d/SD_SA.trace.json");
-  EXPECT_EQ(telemetry_file_for("d", "BS,AA even/7", ".x"), "d/BS_AA_even_7.x");
+  // The one stem for per-label files: telemetry here, snapshots in the
+  // runner ("SD+SA.simstate").
+  EXPECT_EQ(label_file_stem("SD+SA"), "SD+SA");
+  EXPECT_EQ(label_file_stem("BS,AA even/7"), "BS_AA_even_7");
+  EXPECT_EQ(label_file_stem(""), "unnamed");
 
   TelemetryPaths batch;
   batch.dir = "out/tel";
   const TelemetryPaths resolved = resolve_telemetry_paths(batch, "SD+SA");
-  EXPECT_EQ(resolved.series, "out/tel/SD_SA.telemetry.jsonl");
-  EXPECT_EQ(resolved.trace, "out/tel/SD_SA.trace.json");
+  EXPECT_EQ(resolved.series, "out/tel/SD+SA.telemetry.jsonl");
+  EXPECT_EQ(resolved.trace, "out/tel/SD+SA.trace.json");
   EXPECT_TRUE(resolved.dir.empty()) << "dir must not survive resolution";
 
   TelemetryPaths single;

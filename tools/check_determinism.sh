@@ -2,22 +2,24 @@
 # Determinism gate: run representative workloads through the CLI's
 # state-hash divergence audit (activity engine vs per-cycle walk,
 # including under a fault schedule, with the MISE/ASM epoch hook, with
-# DASE-Fair's SM drains and with the temporal policy), run the randomized
-# activity-engine equivalence suite, and verify a snapshotted + resumed
-# run's report is byte-identical to an uninterrupted one, as are a sweep's
-# results at any worker count and after a resume past a torn checkpoint
-# line, that a checkpoint resumed under another --cycles re-runs its
-# pairs instead of replaying them, and that a count flag above INT_MAX is
-# a usage error rather than a wrapped run.  A clean pass means the
-# execution-strategy knobs cannot change simulated output.
+# DASE-Fair's SM drains and with an app starved by a zero-SM split), run
+# the randomized activity-engine equivalence suite, and verify a
+# snapshotted + resumed run's report is byte-identical to an
+# uninterrupted one, as are a sweep's results at any worker count and
+# after a resume past a torn checkpoint line, that a checkpoint resumed
+# under another --cycles re-runs its pairs instead of replaying them, and
+# that a count flag above INT_MAX is a usage error rather than a wrapped
+# run.  A clean pass means the execution-strategy knobs cannot change
+# simulated output.
 #
 # Then the CLI's failure contract: a failed co-run exits 3 and leaves
 # nothing but its stride snapshot, and rerunning the same command resumes
 # from that snapshot and fails again at the same cycle (that is how a
-# failure reproduces); a snapshot from another --quantum is skipped; a
-# SIGTERM drain exits 6; config mistakes exit 3 (a block no SM can hold,
-# or a figure binary's malformed REPRO_* variable) or 2 (a rejected
-# --config file); and --version prints the build fingerprint.
+# failure reproduces); a snapshot from another --split is skipped; a
+# SIGTERM drain under plain timeout exits 6; the paper's 5M-cycle length
+# runs; config mistakes exit 3 (a block no SM can hold, or a figure
+# binary's malformed REPRO_* variable) or 2 (a rejected --config file);
+# and --version prints the build fingerprint.
 #
 #   tools/check_determinism.sh [build-dir]     (default: build)
 #
@@ -52,22 +54,22 @@ echo "== audit --apps SD,SA under a fault schedule"
        --fault-schedule "drop-resp:nth=200;stall:part=0,from=1000,until=5000;seed=7"
 
 # The stretches that run on the engine through hooks and drains: the
-# MISE/ASM priority-epoch hook, DASE-Fair's SM drains (its first
-# repartition lands after two intervals, so run past it), and the temporal
-# policy's full-GPU switches.
+# MISE/ASM priority-epoch hook and DASE-Fair's SM drains (its first
+# repartition lands after two intervals, so run past it); and LEFTOVER's
+# zero-SM split, whose starved app has work but no SM all run long.
 echo "== audit --apps BS,SD --models dase,mise,asm (priority-epoch hook)"
 "$CLI" --apps BS,SD --models dase,mise,asm --audit-determinism \
        --cycles "$CYCLES" --hash-every 10000
 echo "== audit --apps CT,SP --policy dase-fair (SM drains)"
 "$CLI" --apps CT,SP --policy dase-fair --audit-determinism --cycles 300000 \
        --hash-every 10000
-echo "== audit --apps CS,QR --policy temporal (hooked drains)"
-"$CLI" --apps CS,QR --policy temporal --quantum 30000 --audit-determinism \
-       --cycles "$CYCLES" --hash-every 10000
+echo "== audit --apps CS,QR --split 16,0 (starved app)"
+"$CLI" --apps CS,QR --split 16,0 --audit-determinism --cycles "$CYCLES" \
+       --hash-every 10000
 
 # Randomized equivalence suite: 36 random configs (SM/partition counts,
 # queue depths) x {plain, faults, mid-run repartition,
-# snapshot/restore, priority epochs, temporal policy}, engine on vs off.
+# snapshot/restore, priority epochs, whole-GPU turns}, engine on vs off.
 echo "== activity_sched_test (randomized engine-on/off equivalence)"
 if [[ ! -x "$BUILD_DIR/tests/activity_sched_test" ]]; then
   cmake --build "$BUILD_DIR" -j "$(nproc)" --target activity_sched_test
@@ -170,8 +172,8 @@ cmp "$TMP/stale-30k.json" "$TMP/fresh-30k.json"
 # Every sweep pair runs under the even split, so the flags that shape one
 # --apps co-run are usage errors with --sweep, never silently ignored.
 echo "== per-run flags are rejected by --sweep (exit 2)"
-for flags in "--policy dase-fair" "--split 4,12" "--qos-target 1.5" \
-             "--quantum 50000" "--fault-schedule drop-resp:nth=200"; do
+for flags in "--policy dase-fair" "--split 4,12" \
+             "--fault-schedule drop-resp:nth=200"; do
   RC=0
   # shellcheck disable=SC2086  # $flags is a flag and its value
   "$CLI" --sweep random:1 --cycles 20000 $flags --out "$TMP/rejected.json" \
@@ -253,30 +255,35 @@ RC=0
        --fault-schedule 'stall:part=0,from=2000' > /dev/null 2>&1 || RC=$?
 [[ "$RC" == "3" ]] || { echo "expected exit 3, got $RC" >&2; exit 1; }
 
-echo "== a snapshot from another --quantum is skipped, not resumed"
-TEMPORAL=(--apps CT,SP --policy temporal --cycles 200000)
+echo "== a snapshot from another --split is skipped, not resumed"
+FAIR=(--apps CT,SP --policy dase-fair --cycles 200000)
 RC=0
-# The first switch is still draining 20K cycles after its request: a
-# migration stall at cycle 40960, after the snapshot at 40000.
-"$CLI" "${TEMPORAL[@]}" --quantum 20000 --snapshot-every 40000 \
-       --snapshot-dir "$TMP/qsnaps" --watchdog 20000 > /dev/null 2>&1 || RC=$?
+# From 4+12 the first repartition is still draining 20K cycles after its
+# request: a migration stall at cycle 120832, after the snapshot at 120000.
+"$CLI" "${FAIR[@]}" --split 4,12 --snapshot-every 40000 \
+       --snapshot-dir "$TMP/ssnaps" --watchdog 20000 > /dev/null 2>&1 || RC=$?
 [[ "$RC" == "3" ]] || { echo "expected exit 3, got $RC" >&2; exit 1; }
-"$CLI" "${TEMPORAL[@]}" --quantum 70000 --snapshot-every 40000 \
-       --snapshot-dir "$TMP/qsnaps" \
-       > "$TMP/requantum.out" 2> "$TMP/requantum.err"
-grep -q "ignoring unusable snapshot" "$TMP/requantum.err" ||
-  { echo "a snapshot from another quantum was not skipped" >&2; exit 1; }
-"$CLI" "${TEMPORAL[@]}" --quantum 70000 > "$TMP/fresh.out"
-cmp "$TMP/requantum.out" "$TMP/fresh.out"
+"$CLI" "${FAIR[@]}" --split 12,4 --snapshot-every 40000 \
+       --snapshot-dir "$TMP/ssnaps" > "$TMP/resplit.out" 2> "$TMP/resplit.err"
+grep -q "ignoring unusable snapshot" "$TMP/resplit.err" ||
+  { echo "a snapshot from another split was not skipped" >&2; exit 1; }
+"$CLI" "${FAIR[@]}" --split 12,4 > "$TMP/fresh.out"
+cmp "$TMP/resplit.out" "$TMP/fresh.out"
 
-echo "== a SIGTERM drain exits 6"
+echo "== a SIGTERM drain under plain timeout exits 6"
 RC=0
-# The co-run is far longer than the one second timeout allows.  Without
-# --foreground, timeout signals the CLI and then its process group, and
-# that second SIGTERM hard-exits 130 instead of draining.
-timeout --foreground --preserve-status -s TERM 1 \
+# The co-run is far longer than the one second timeout allows.  timeout
+# signals the CLI and then its process group; the second SIGTERM arrives
+# within the repeat window, so it is the same drain request, not the
+# hard exit (130).
+timeout --preserve-status -s TERM 1 \
         "$CLI" --apps SD,SA --cycles 50000000 > /dev/null 2>&1 || RC=$?
 [[ "$RC" == "6" ]] || { echo "expected exit 6, got $RC" >&2; exit 1; }
+
+# NN's alone replay needs more than 3M cycles at this length (its slowdown
+# is about 1.5), which the old fixed max_alone_cycles cut off with exit 8.
+echo "== the paper's 5M-cycle co-run length runs (exit 0)"
+"$CLI" --apps NN,SD --cycles 5000000 > /dev/null
 
 echo "== a thread block that can never be resident is a config error (exit 3)"
 printf 'max_warps_per_sm=4\n' > "$TMP/narrow.cfg"

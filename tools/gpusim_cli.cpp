@@ -4,7 +4,7 @@
 //
 //   gpusim_cli --apps SD,SA
 //   gpusim_cli --apps VA,CT,SD,SN --policy dase-fair --cycles 1000000
-//   gpusim_cli --apps AA,SD --policy qos --qos-target 1.5
+//   gpusim_cli --apps NN,SD --split 16,0 --cycles 1000000
 //   gpusim_cli --apps SB,VA --split 4,12 --models dase,mise,asm
 //   gpusim_cli --sweep all --checkpoint sweep.jsonl --out sweep.json
 //   gpusim_cli --apps SD,SA --snapshot-every 50000 --snapshot-dir snaps
@@ -83,19 +83,9 @@ u64 parse_u64(const char* argv0, const std::string& flag,
 /// parse_u64 for a count the program holds as an int (SM counts, pairs,
 /// workers): a value above INT_MAX is a usage error, never a wrapped int.
 int parse_int_count(const char* argv0, const std::string& flag,
-                    const std::string& text) {
-  return static_cast<int>(
-      parse_u64(argv0, flag, text, 1, std::numeric_limits<int>::max()));
-}
-
-double parse_positive_double(const char* argv0, const std::string& flag,
-                             const std::string& text) {
-  char* end = nullptr;
-  const double parsed = std::strtod(text.c_str(), &end);
-  if (text.empty() || end == nullptr || *end != '\0' || !(parsed > 0.0)) {
-    usage(argv0, flag + " expects a positive number, got '" + text + "'");
-  }
-  return parsed;
+                    const std::string& text, u64 min_value = 1) {
+  return static_cast<int>(parse_u64(argv0, flag, text, min_value,
+                                    std::numeric_limits<int>::max()));
 }
 
 void print_result(const CoRunResult& result, const ModelSet& models) {
@@ -281,7 +271,7 @@ int main(int argc, char** argv) {
       case FlagId::kSplit:
         split.clear();
         for (const std::string& n : split_csv(value)) {
-          split.push_back(parse_int_count(argv[0], "--split entry", n));
+          split.push_back(parse_int_count(argv[0], "--split entry", n, 0));
         }
         have_split = true;
         break;
@@ -291,12 +281,6 @@ int main(int argc, char** argv) {
         } catch (const SimError& e) {
           usage(argv[0], e.message() + ": " + value);
         }
-        break;
-      case FlagId::kQosTarget:
-        rc.qos.target_slowdown = parse_positive_double(argv[0], arg, value);
-        break;
-      case FlagId::kQuantum:
-        rc.temporal.quantum = parse_u64(argv[0], arg, value, 1);
         break;
       case FlagId::kSeed:
         rc.base_seed = parse_u64(argv[0], arg, value, 0);
